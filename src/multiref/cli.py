@@ -8,7 +8,6 @@ re-evaluate as often as needed.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import corpus_io, diversity, metaeval, refgen
 from .combine import (
@@ -21,18 +20,19 @@ from .combine import (
     write_score_matrix,
 )
 from .errors import MultirefError
-from .metrics import (
+# score no longer calls the sentence/corpus functions; they stay importable
+# here because pipebench/tracer.py wraps them under this module's names.
+from .metrics import (  # noqa: F401
+    METRICS,
     BleuConfig,
+    MultiRefScorer,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
     chrf_sentence,
     rouge_l,
-    rouge_n,
 )
 from .textproc import load_subword_vocab, tokenize_subwords, tokenize_words
-
-METRIC_CHOICES = ("bleu", "spbleu", "chrf", "rouge1", "rouge2", "rougeL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-reference evaluation pipeline for NLG systems.",
     )
     parser.add_argument("--config", help="JSON file with default values for flags")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count cap")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="concurrent requests in generate; other stages ignore it"
+    )
     parser.add_argument(
         "--lowercase", action="store_true", help="lowercase text before tokenization"
     )
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-refs", type=int, help="cap on generated references per segment")
     p.add_argument("--sweep-refs", help="A..B: emit one score series per generated-reference count")
-    p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRIC_CHOICES)}")
+    p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRICS)}")
     p.add_argument("--vocab", help="subword vocabulary file (required for spbleu)")
     p.add_argument("--pretokenized", action="store_true", help="treat text as subword pieces joined by spaces")
     p.add_argument("--max-order", type=int, default=4)
@@ -299,60 +301,32 @@ def cmd_select(args) -> int:
 # ------------------------------------------------------------------- score
 
 
-class _Scorer:
-    """Per-metric segment and corpus scoring over raw hypothesis/reference text."""
+def _scorer(args, metrics: list[str]) -> MultiRefScorer:
+    """The configured scorer, with the word and subword tokenizers the flags select."""
+    lowercase = args.lowercase
+    vocab = load_subword_vocab(args.vocab) if args.vocab else None
 
-    def __init__(self, args):
-        self.cfg = BleuConfig(
+    def words(text: str):
+        return tokenize_words(text, lowercase=lowercase).tokens
+
+    def pieces(text: str):
+        if args.pretokenized:
+            return text.split()
+        return tokenize_subwords(text, vocab, lowercase=lowercase).tokens
+
+    return MultiRefScorer(
+        metrics,
+        bleu_cfg=BleuConfig(
             max_order=args.max_order,
             smoothing=args.smoothing,
             effective_ref_length=args.ref_length,
-        )
-        self.chrf_order = args.chrf_order
-        self.chrf_beta = args.chrf_beta
-        self.lowercase = args.lowercase
-        self.pretokenized = args.pretokenized
-        self.vocab = load_subword_vocab(args.vocab) if args.vocab else None
-
-    def _words(self, text: str) -> list[str]:
-        return list(tokenize_words(text, lowercase=self.lowercase).tokens)
-
-    def _pieces(self, text: str) -> list[str]:
-        if self.pretokenized:
-            return text.split()
-        return list(tokenize_subwords(text, self.vocab, lowercase=self.lowercase).tokens)
-
-    def segment(self, metric: str, hyp: str, refs: list[str]) -> float:
-        if metric == "bleu":
-            return bleu_sentence(self._words(hyp), [self._words(r) for r in refs], self.cfg).value
-        if metric == "spbleu":
-            return bleu_sentence(self._pieces(hyp), [self._pieces(r) for r in refs], self.cfg).value
-        if metric == "chrf":
-            return chrf_sentence(hyp, refs, self.chrf_order, self.chrf_beta, self.lowercase).value
-        if metric == "rouge1":
-            return rouge_n(self._words(hyp), [self._words(r) for r in refs], 1).value
-        if metric == "rouge2":
-            return rouge_n(self._words(hyp), [self._words(r) for r in refs], 2).value
-        if metric == "rougeL":
-            return rouge_l(self._words(hyp), [self._words(r) for r in refs]).value
-        raise ValueError(f"unknown metric {metric!r}")
-
-    def corpus(self, metric: str, pairs: list[tuple[str, list[str]]]) -> float:
-        if metric == "bleu":
-            token_pairs = [
-                (self._words(h), [self._words(r) for r in refs]) for h, refs in pairs
-            ]
-            return bleu_corpus(token_pairs, self.cfg).value
-        if metric == "spbleu":
-            token_pairs = [
-                (self._pieces(h), [self._pieces(r) for r in refs]) for h, refs in pairs
-            ]
-            return bleu_corpus(token_pairs, self.cfg).value
-        if metric == "chrf":
-            return chrf_corpus(pairs, self.chrf_order, self.chrf_beta, self.lowercase).value
-        # ROUGE has no closed corpus form; report the mean segment score.
-        values = [self.segment(metric, h, refs) for h, refs in pairs]
-        return sum(values) / len(values)
+        ),
+        chrf_order=args.chrf_order,
+        chrf_beta=args.chrf_beta,
+        lowercase=lowercase,
+        words=words,
+        pieces=pieces,
+    )
 
 
 def _parse_sweep(spec: str) -> tuple[int, int]:
@@ -366,25 +340,45 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
     return low, high
 
 
-def _ref_ids(segment: corpus_io.Segment, mode: str, max_generated) -> list[tuple[str, str]]:
+def _ref_ids(segment: corpus_io.Segment, mode: str, max_generated) -> list[str]:
+    """Matrix column ids, parallel to `segment.scoring_refs(mode, max_generated)`."""
     generated = list(segment.generated_refs)
     if max_generated is not None:
         generated = generated[:max_generated]
     ids = []
     if mode in ("gold", "both"):
-        ids.extend((f"gold:{i}", text) for i, text in enumerate(segment.gold_refs))
+        ids.extend(f"gold:{i}" for i in range(len(segment.gold_refs)))
     if mode in ("generated", "both"):
-        ids.extend((f"gen:{i}", text) for i, text in enumerate(generated))
+        ids.extend(f"gen:{i}" for i in range(len(generated)))
     return ids
 
 
+def _segments(corpus, mode: str, max_generated):
+    """(segment, hypothesis by system, references) in segment-id order."""
+    segments_by_id = {segment.id: segment for segment in corpus.segments}
+    systems = sorted(corpus.systems)
+    for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
+        segment = segments_by_id[segment_id]
+        refs = segment.scoring_refs(mode, max_generated)
+        if not refs:
+            raise ValueError(f"segment {segment_id!r} has no references under --refs {mode}")
+        hyps = {
+            system: corpus.systems[system][segment_id]
+            for system in systems
+            if segment_id in corpus.systems[system]
+        }
+        yield segment, hyps, refs
+
+
 def cmd_score(args) -> int:
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for metric in metrics:
-        if metric not in METRIC_CHOICES:
-            raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRIC_CHOICES)}")
+    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     if "spbleu" in metrics and not args.vocab and not args.pretokenized:
         raise ValueError("spbleu requires --vocab unless --pretokenized is set")
+    if args.max_refs is not None and args.max_refs < 1:
+        raise ValueError(f"--max-refs must be >= 1, got {args.max_refs}")
+    if args.chrf_order < 1:
+        raise ValueError(f"--chrf-order must be >= 1, got {args.chrf_order}")
+    scorer = _scorer(args, metrics)
 
     corpus = corpus_io.load_corpus(args.segments, args.outputs)
     if args.generated_refs:
@@ -393,82 +387,36 @@ def cmd_score(args) -> int:
     mode = args.refs or ("generated" if args.generated_refs else "gold")
     if mode in ("generated", "both") and not args.generated_refs:
         raise ValueError(f"--refs {mode} requires --generated-refs")
-
-    scorer = _Scorer(args)
-    segments_by_id = {segment.id: segment for segment in corpus.segments}
-
-    def pairs_for(system: str, max_generated) -> list[tuple[str, str, list[str]]]:
-        triples = []
-        for segment_id, hyp in sorted(corpus.systems[system].items()):
-            segment = segments_by_id[segment_id]
-            refs = segment.scoring_refs(mode, max_generated)
-            if not refs:
-                raise ValueError(
-                    f"segment {segment_id!r} has no references under --refs {mode}"
-                )
-            triples.append((segment_id, hyp, refs))
-        return triples
-
     if not corpus.systems:
         raise ValueError("no system outputs to score")
 
+    systems = sorted(corpus.systems)
     if args.sweep_refs:
-        if mode == "gold":
-            raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
-        if args.max_refs is not None:
-            raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
-        if args.per_reference or args.out:
-            raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
-        low, high = _parse_sweep(args.sweep_refs)
-        series = []
-        for k in range(low, high + 1):
-            for system in sorted(corpus.systems):
-                triples = pairs_for(system, k)
-                for metric in metrics:
-                    value = scorer.corpus(metric, [(h, refs) for _sid, h, refs in triples])
-                    series.append(
-                        {"metric": metric, "system": system, "refs": k, "score": value}
-                    )
-        print(_format_table(
-            ["metric", "system", "refs", "score"],
-            [[r["metric"], r["system"], r["refs"], f"{r['score']:.2f}"] for r in series],
-        ))
-        if args.summary:
-            with open(args.summary, "w", encoding="utf-8") as handle:
-                json.dump({"sweep": series}, handle, ensure_ascii=False, indent=2)
-        return 0
+        return _score_sweep(args, corpus, mode, scorer, systems)
 
-    summary: dict[str, dict[str, float]] = {}
-    matrices: list[ScoreMatrix] = []
-    for metric in metrics:
-        rows: list[MatrixRow] = []
-        per_system: dict[str, float] = {}
-        for system in sorted(corpus.systems):
-            triples = pairs_for(system, args.max_refs)
-
-            def row_for(triple) -> MatrixRow:
-                segment_id, hyp, refs = triple
+    # (metric, system) -> that system's matrix rows and corpus parts, in segment order.
+    rows = {(metric, system): [] for metric in metrics for system in systems}
+    parts = {key: [] for key in rows}
+    for segment, hyps, refs in _segments(corpus, mode, args.max_refs):
+        scores = scorer.segment(hyps, refs)
+        ref_ids = _ref_ids(segment, mode, args.max_refs) if args.per_reference else None
+        for system in hyps:
+            for metric in metrics:
+                value, part = scores.joint(system, metric)
+                parts[metric, system].append(part)
                 if args.per_reference:
-                    segment = segments_by_id[segment_id]
-                    cells = {
-                        ref_id: scorer.segment(metric, hyp, [text])
-                        for ref_id, text in _ref_ids(segment, mode, args.max_refs)
-                    }
+                    cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
                 else:
-                    cells = {"all": scorer.segment(metric, hyp, refs)}
-                return MatrixRow(system=system, segment=segment_id, scores=cells)
+                    cells = {"all": value}
+                rows[metric, system].append(
+                    MatrixRow(system=system, segment=segment.id, scores=cells)
+                )
+        del scores  # drop this segment's profiles before the next segment's are built
 
-            if args.jobs > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    rows.extend(pool.map(row_for, triples))
-            else:
-                rows.extend(row_for(t) for t in triples)
-            per_system[system] = scorer.corpus(
-                metric, [(h, refs) for _sid, h, refs in triples]
-            )
-        matrices.append(ScoreMatrix(metric_name=metric, rows=rows))
-        summary[metric] = per_system
-
+    summary = {
+        metric: {system: scorer.corpus(metric, parts[metric, system]) for system in systems}
+        for metric in metrics
+    }
     table = [
         [metric, system, f"{score:.2f}"]
         for metric, per_system in summary.items()
@@ -477,7 +425,11 @@ def cmd_score(args) -> int:
     print(_format_table(["metric", "system", "score"], table))
 
     if args.out:
-        for i, matrix in enumerate(matrices):
+        for i, metric in enumerate(metrics):
+            matrix = ScoreMatrix(
+                metric_name=metric,
+                rows=[row for system in systems for row in rows[metric, system]],
+            )
             write_score_matrix(args.out, matrix, append=i > 0)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as handle:
@@ -487,6 +439,44 @@ def cmd_score(args) -> int:
                 ensure_ascii=False,
                 indent=2,
             )
+    return 0
+
+
+def _score_sweep(args, corpus, mode: str, scorer: MultiRefScorer, systems: list[str]) -> int:
+    """Corpus scores for each generated-reference count in --sweep-refs A..B."""
+    if mode == "gold":
+        raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
+    if args.max_refs is not None:
+        raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
+    if args.per_reference or args.out:
+        raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
+    low, high = _parse_sweep(args.sweep_refs)
+    counts = range(low, high + 1)
+    metrics = scorer.metrics
+
+    # (count, system, metric) -> corpus parts in segment order.
+    parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
+    for segment, hyps, refs in _segments(corpus, mode, high):
+        # The references for count k are the first n_refs of those for `high`.
+        scores = scorer.segment(hyps, refs)
+        for k in counts:
+            n_refs = len(segment.scoring_refs(mode, k))
+            for system in hyps:
+                for metric in metrics:
+                    parts[k, system, metric].append(scores.joint(system, metric, n_refs)[1])
+        del scores  # drop this segment's profiles before the next segment's are built
+
+    series = [
+        {"metric": metric, "system": system, "refs": k, "score": scorer.corpus(metric, values)}
+        for (k, system, metric), values in parts.items()
+    ]
+    print(_format_table(
+        ["metric", "system", "refs", "score"],
+        [[r["metric"], r["system"], r["refs"], f"{r['score']:.2f}"] for r in series],
+    ))
+    if args.summary:
+        with open(args.summary, "w", encoding="utf-8") as handle:
+            json.dump({"sweep": series}, handle, ensure_ascii=False, indent=2)
     return 0
 
 

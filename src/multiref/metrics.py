@@ -7,6 +7,8 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 """
 
 import math
+from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from . import kernels
@@ -303,3 +305,265 @@ def rouge_l(hyp, refs) -> MetricScore:
     return MetricScore(
         best_f * 100.0, None, {"precision": best_pr[0], "recall": best_pr[1]}
     )
+
+
+# ------------------------------------------------- shared reference profiles
+
+METRICS = ("bleu", "spbleu", "chrf", "rouge1", "rouge2", "rougeL")
+_WORD_METRICS = ("bleu", "rouge1", "rouge2", "rougeL")
+_ROUGE_N_ORDER = {"rouge1": 1, "rouge2": 2}
+
+
+class _Profile:
+    """One text's tokens and its n-gram counts for orders 1..max_order.
+
+    `tokens` is a tuple of tokens or, at character level, a string, so that
+    its slices are hashable n-gram keys.
+    """
+
+    __slots__ = ("tokens", "counts")
+
+    def __init__(self, tokens, max_order: int):
+        self.tokens = tokens
+        self.counts = [
+            Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+            for n in range(1, max_order + 1)
+        ]
+
+
+def _overlap(a: Counter, b) -> int:
+    """Clipped overlap of two n-gram count tables: the sum of min counts."""
+    common = a.keys() & b.keys()
+    return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
+
+
+def _clip_table(refs, max_order: int) -> list[dict]:
+    """Per order, the maximum count of each n-gram in any single reference."""
+    table = [dict(counts) for counts in refs[0].counts[:max_order]]
+    for ref in refs[1:]:
+        for clip, counts in zip(table, ref.counts):
+            for gram, count in counts.items():
+                if count > clip.get(gram, 0):
+                    clip[gram] = count
+    return table
+
+
+def _bleu_stats(hyp: _Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
+    """The clipped-match statistics `corpus_stats_for_segment` computes."""
+    hyp_len = len(hyp.tokens)
+    if cfg.effective_ref_length == "closest":
+        ref_len = min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
+    else:
+        ref_len = min(ref_lens)
+    return CorpusStats(
+        matched=[_overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
+        totals=[max(0, hyp_len - i) for i in range(cfg.max_order)],
+        hyp_len=hyp_len,
+        ref_len=ref_len,
+    )
+
+
+def _chrf_stats(hyp: _Profile, ref: _Profile):
+    """(match, hyp_total, ref_total) per order, as `kernels.chrf_segment_stats`."""
+    orders = range(len(hyp.counts))
+    return (
+        [_overlap(h, r) for h, r in zip(hyp.counts, ref.counts)],
+        [max(0, len(hyp.tokens) - n) for n in orders],
+        [max(0, len(ref.tokens) - n) for n in orders],
+    )
+
+
+def _rouge_n_f1(hyp: _Profile, ref: _Profile, n: int) -> float:
+    hyp_total = max(0, len(hyp.tokens) - n + 1)
+    ref_total = max(0, len(ref.tokens) - n + 1)
+    overlap = _overlap(hyp.counts[n - 1], ref.counts[n - 1])
+    precision = overlap / hyp_total if hyp_total > 0 else 0.0
+    recall = overlap / ref_total if ref_total > 0 else 0.0
+    return _f1(precision, recall)
+
+
+def _rouge_l_f1(hyp: _Profile, ref: _Profile) -> float:
+    lcs = kernels.lcs_length(hyp.tokens, ref.tokens)
+    precision = lcs / len(hyp.tokens) if hyp.tokens else 0.0
+    recall = lcs / len(ref.tokens) if ref.tokens else 0.0
+    return _f1(precision, recall)
+
+
+class MultiRefScorer:
+    """Scores several systems against shared references, one segment at a time.
+
+    `segment` builds every statistic of a segment once; `corpus` sums the
+    per-segment parts that `SegmentScores.joint` returns into the corpus
+    value. The values equal those of `bleu_sentence`/`bleu_corpus`,
+    `chrf_sentence`/`chrf_corpus`, `rouge_n` and `rouge_l` (ROUGE's corpus
+    value is the mean segment value). `words` and `pieces` map a text to
+    its word and subword tokens; the word-level metrics (bleu, rouge1,
+    rouge2, rougeL) need `words` and spbleu needs `pieces`. chrF takes
+    characters from `tokenize_chars`, honouring `lowercase`.
+    """
+
+    def __init__(
+        self,
+        metrics: Sequence[str],
+        bleu_cfg: BleuConfig | None = None,
+        chrf_order: int = 6,
+        chrf_beta: float = 2.0,
+        lowercase: bool = False,
+        words: Callable[[str], Sequence[str]] | None = None,
+        pieces: Callable[[str], Sequence[str]] | None = None,
+    ):
+        self.metrics = tuple(metrics)
+        for metric in self.metrics:
+            if metric not in METRICS:
+                raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
+        if chrf_order < 1:
+            raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
+        self.bleu_cfg = bleu_cfg or BleuConfig()
+        self.chrf_order = chrf_order
+        self.chrf_beta = chrf_beta
+        self.lowercase = lowercase
+        # Highest word n-gram order any metric counts; None when no metric uses words.
+        orders = [
+            self.bleu_cfg.max_order if m == "bleu" else _ROUGE_N_ORDER.get(m, 0)
+            for m in self.metrics
+            if m in _WORD_METRICS
+        ]
+        self.word_order = max(orders) if orders else None
+        if words is None and self.word_order is not None:
+            raise ValueError("bleu and ROUGE need a word tokenizer")
+        if pieces is None and "spbleu" in self.metrics:
+            raise ValueError("spbleu needs a subword tokenizer")
+        self.words = words
+        self.pieces = pieces
+
+    def segment(self, hyps: dict[str, str], refs: list[str]) -> "SegmentScores":
+        """Statistics of each hypothesis (by system) against the references."""
+        return SegmentScores(self, hyps, refs)
+
+    def corpus(self, metric: str, parts: list) -> float:
+        """Corpus value from the parts of each segment, in segment order."""
+        if metric in ("bleu", "spbleu"):
+            stats = CorpusStats.zero(self.bleu_cfg.max_order)
+            for part in parts:
+                stats = stats + part
+            return _bleu_from_stats(stats, self.bleu_cfg).value
+        if metric == "chrf":
+            # Each part is the best reference's (match, hyp_total, ref_total).
+            sums = [[sum(col) for col in zip(*lists)] for lists in zip(*parts)]
+            score, per_order, used = _chrf_fscore(*sums, self.chrf_beta)
+            return MetricScore(score * 100.0, per_order, {"orders_used": float(used)}).value
+        # ROUGE has no closed corpus form; report the mean segment score.
+        return sum(parts) / len(parts)
+
+
+class SegmentScores:
+    """Every system's statistics against every reference of one segment.
+
+    Each distinct text is tokenized and counted once per granularity, and
+    each (hypothesis, distinct reference) statistic is computed once; all
+    systems and metrics share them. Character profiles are the largest, so
+    chrF streams the references: one reference profile at a time is scored
+    against every hypothesis and then dropped.
+    """
+
+    def __init__(self, scorer: MultiRefScorer, hyps: dict[str, str], refs: list[str]):
+        if not refs:
+            raise ValueError("at least one reference is required")
+        self.scorer = scorer
+        self.hyps = hyps
+        self.refs = list(dict.fromkeys(refs))
+        slot = {text: i for i, text in enumerate(self.refs)}
+        self._slots = [slot[text] for text in refs]
+        texts = list(dict.fromkeys([*hyps.values(), *self.refs]))
+        self._profiles = {}
+        if scorer.word_order is not None:
+            self._profiles["words"] = {
+                t: _Profile(tuple(scorer.words(t)), scorer.word_order) for t in texts
+            }
+        if "spbleu" in scorer.metrics:
+            self._profiles["pieces"] = {
+                t: _Profile(tuple(scorer.pieces(t)), scorer.bleu_cfg.max_order) for t in texts
+            }
+        self._clips = {}
+        # metric -> system -> one statistic per distinct reference.
+        self._pairs = {}
+        for metric in scorer.metrics:
+            if metric == "chrf":
+                self._pairs[metric] = self._chrf_pairs()
+            elif metric in _ROUGE_N_ORDER:
+                self._pairs[metric] = self._word_pairs(_rouge_n_f1, _ROUGE_N_ORDER[metric])
+            elif metric == "rougeL":
+                self._pairs[metric] = self._word_pairs(_rouge_l_f1)
+
+    def _word_pairs(self, f1, *args) -> dict[str, list[float]]:
+        words = self._profiles["words"]
+        refs = [words[text] for text in self.refs]
+        return {
+            system: [f1(words[hyp], ref, *args) for ref in refs]
+            for system, hyp in self.hyps.items()
+        }
+
+    def _chrf_pairs(self) -> dict[str, list]:
+        scorer = self.scorer
+
+        def profile(text):
+            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase).tokens)
+            return _Profile(chars, scorer.chrf_order)
+
+        hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
+        pairs = {system: [] for system in self.hyps}
+        for text in self.refs:
+            ref = hyp_profiles[text] if text in hyp_profiles else profile(text)
+            for system, hyp in self.hyps.items():
+                stats = _chrf_stats(hyp_profiles[hyp], ref)
+                pairs[system].append((_chrf_fscore(*stats, scorer.chrf_beta)[0], stats))
+        return pairs
+
+    def _bleu_profiles(self, metric: str) -> dict:
+        return self._profiles["words" if metric == "bleu" else "pieces"]
+
+    def joint(self, system: str, metric: str, n_refs: int | None = None):
+        """(segment value, corpus part) against the first `n_refs` references (default all).
+
+        The part is what `MultiRefScorer.corpus` sums: `CorpusStats` for bleu
+        and spbleu, the best reference's counts for chrF (the first among
+        equal scores), and the segment value for ROUGE.
+        """
+        slots = self._slots[:n_refs]
+        if metric in ("bleu", "spbleu"):
+            profiles = self._bleu_profiles(metric)
+            key = (metric, len(slots))
+            if key not in self._clips:
+                refs = [profiles[self.refs[i]] for i in dict.fromkeys(slots)]
+                lens = [len(profiles[self.refs[i]].tokens) for i in slots]
+                self._clips[key] = (_clip_table(refs, self.scorer.bleu_cfg.max_order), lens)
+            clip, lens = self._clips[key]
+            stats = _bleu_stats(profiles[self.hyps[system]], clip, lens, self.scorer.bleu_cfg)
+            return _bleu_from_stats(stats, self.scorer.bleu_cfg).value, stats
+        pairs = self._pairs[metric][system]
+        if metric == "chrf":
+            best_score, best = -1.0, None
+            for i in slots:
+                score, stats = pairs[i]
+                if score > best_score:
+                    best_score, best = score, stats
+            return MetricScore(best_score * 100.0).value, best
+        value = MetricScore(max(0.0, *(pairs[i] for i in slots)) * 100.0).value
+        return value, value
+
+    def per_reference(self, system: str, metric: str) -> list[float]:
+        """Single-reference segment values, one per reference as given."""
+        if metric in ("bleu", "spbleu"):
+            profiles = self._bleu_profiles(metric)
+            hyp = profiles[self.hyps[system]]
+            cfg = self.scorer.bleu_cfg
+            values = []
+            for text in self.refs:
+                ref = profiles[text]
+                stats = _bleu_stats(hyp, ref.counts, [len(ref.tokens)], cfg)
+                values.append(_bleu_from_stats(stats, cfg).value)
+        elif metric == "chrf":
+            values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]
+        else:
+            values = [MetricScore(f * 100.0).value for f in self._pairs[metric][system]]
+        return [values[i] for i in self._slots]

@@ -273,6 +273,42 @@ class TestScore:
         assert summary["metrics"]["bleu"]["copy"] == pytest.approx(100.0)
         assert summary["max_refs"] == 1
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_refs_below_one_is_rejected(self, pipeline, jsonl_writer, capsys, value):
+        # A negative cap used to slice references off the end: here it scored
+        # the copy against the wrong reference (BLEU 8.12) and exited 0.
+        seg = pipeline["dir"] / "one.segments.jsonl"
+        out = pipeline["dir"] / "one.outputs.jsonl"
+        refs = pipeline["dir"] / "one.refs.jsonl"
+        jsonl_writer(seg, [{"id": "s1", "source": "x", "gold_refs": []}])
+        jsonl_writer(out, [{"system": "a", "segment": "s1", "hypothesis": "the cat sat on the mat"}])
+        jsonl_writer(refs, [make_record("s1", ["a dog lay on a rug", "the cat sat on the mat"])])
+        summary_path = pipeline["dir"] / "summary.json"
+        base = ["score", "--segments", str(seg), "--outputs", str(out),
+                "--generated-refs", str(refs), "--refs", "generated", "--summary", str(summary_path)]
+        assert main(base + ["--max-refs", "2"]) == 0
+        assert json.loads(summary_path.read_text())["metrics"]["bleu"]["a"] == pytest.approx(100.0)
+        summary_path.unlink()
+        capsys.readouterr()
+        assert main(base + ["--max-refs", value]) == 1
+        assert "--max-refs" in capsys.readouterr().err
+        assert not summary_path.exists()
+
+    def test_chrf_order_below_one_is_rejected(self, pipeline, capsys):
+        # --chrf-order 0 used to score chrF 0.00 even for identical text.
+        code = main(
+            [
+                "score",
+                "--segments", str(pipeline["segments"]),
+                "--outputs", str(pipeline["outputs"]),
+                "--refs", "gold",
+                "--metrics", "chrf",
+                "--chrf-order", "0",
+            ]
+        )
+        assert code == 1
+        assert "--chrf-order" in capsys.readouterr().err
+
     def test_jobs_flag_gives_identical_results(self, pipeline):
         summaries = []
         for jobs, name in ((1, "a.json"), (4, "b.json")):

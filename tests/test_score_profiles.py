@@ -1,0 +1,338 @@
+"""`score` on shared reference profiles, checked against the brute-force oracles.
+
+Texts are single-space-joined words without punctuation, so the word
+tokenizer is `str.split` (after lowercasing under --lowercase) and the
+oracles can tokenize on their own.
+"""
+
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multiref.cli
+import multiref.metrics
+from multiref import kernels
+from multiref.cli import main
+from multiref.metrics import MultiRefScorer
+
+import oracles
+
+ALL_METRICS = ("bleu", "spbleu", "chrf", "rouge1", "rouge2", "rougeL")
+WORDS = ("a", "b", "ab", "the", "A", "The", "cat", "Cat")
+
+
+def write_jsonl(path, records):
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_corpus(directory, corpus):
+    """corpus: {segment id: (gold refs, generated refs, {system: hypothesis})}."""
+    paths = {name: directory / f"{name}.jsonl" for name in ("segments", "outputs", "refs")}
+    write_jsonl(paths["segments"], [
+        {"id": sid, "source": "src", "gold_refs": gold} for sid, (gold, _, _) in corpus.items()
+    ])
+    write_jsonl(paths["outputs"], [
+        {"system": system, "segment": sid, "hypothesis": hyp}
+        for sid, (_, _, hyps) in corpus.items()
+        for system, hyp in hyps.items()
+    ])
+    write_jsonl(paths["refs"], [
+        {"segment_id": sid, "prompt_used": "p", "raw_response": "r", "candidates": generated,
+         "attempt_count": 1, "timestamp": "2024-01-01T00:00:00+00:00", "error": None}
+        for sid, (_, generated, _) in corpus.items()
+    ])
+    return paths
+
+
+def run_score(directory, paths, flags, global_flags=()):
+    """Run `score`; return (matrix rows by (metric, system, segment) or None, summary)."""
+    matrix = directory / "matrix.jsonl"
+    summary = directory / "summary.json"
+    argv = [*global_flags, "score", "--segments", str(paths["segments"]),
+            "--outputs", str(paths["outputs"]), "--generated-refs", str(paths["refs"]),
+            "--summary", str(summary), *flags]
+    if "--sweep-refs" not in flags:
+        argv += ["--out", str(matrix)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    rows = None
+    if "--sweep-refs" not in flags:
+        rows = {}
+        for line in matrix.read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            rows[row["metric"], row["system"], row["segment"]] = row["scores"]
+    return rows, json.loads(summary.read_text(encoding="utf-8"))
+
+
+def scoring_refs(gold, generated, mode, max_refs):
+    """(column id, text) pairs in the order `score` uses them."""
+    generated = generated[:max_refs] if max_refs is not None else generated
+    pairs = []
+    if mode == "both":
+        pairs += [(f"gold:{i}", text) for i, text in enumerate(gold)]
+    pairs += [(f"gen:{i}", text) for i, text in enumerate(generated)]
+    return pairs
+
+
+class Oracle:
+    """Expected segment and corpus values of each metric, from tests/oracles.py."""
+
+    def __init__(self, max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase):
+        self.max_order = max_order
+        self.smoothing = smoothing
+        self.ref_length = ref_length
+        self.chrf_order = chrf_order
+        self.chrf_beta = chrf_beta
+        self.lowercase = lowercase
+
+    def norm(self, text):
+        return text.lower() if self.lowercase else text
+
+    def tokens(self, metric, text):
+        # spbleu under --pretokenized splits the raw text and ignores --lowercase.
+        return text.split() if metric == "spbleu" else self.norm(text).split()
+
+    def segment(self, metric, hyp, refs):
+        if metric == "chrf":
+            return oracles.chrf_sentence(
+                self.norm(hyp), [self.norm(r) for r in refs], self.chrf_order, self.chrf_beta
+            )
+        h = self.tokens(metric, hyp)
+        rs = [self.tokens(metric, r) for r in refs]
+        if metric in ("bleu", "spbleu"):
+            return oracles.bleu(h, rs, self.max_order, self.smoothing, self.ref_length)
+        if metric == "rougeL":
+            return oracles.rouge_l(h, rs)
+        return oracles.rouge_n(h, rs, int(metric[-1]))
+
+    def corpus(self, metric, pairs):
+        if metric == "chrf":
+            return oracles.chrf_corpus(
+                [(self.norm(h), [self.norm(r) for r in refs]) for h, refs in pairs],
+                self.chrf_order, self.chrf_beta,
+            )
+        if metric in ("bleu", "spbleu"):
+            return oracles.corpus_bleu(
+                [(self.tokens(metric, h), [self.tokens(metric, r) for r in refs])
+                 for h, refs in pairs],
+                self.max_order, self.smoothing, self.ref_length,
+            )
+        values = [self.segment(metric, h, refs) for h, refs in pairs]
+        return sum(values) / len(values)
+
+
+text = st.lists(st.sampled_from(WORDS), min_size=1, max_size=7).map(" ".join)
+hypothesis_text = st.lists(st.sampled_from(WORDS), min_size=0, max_size=7).map(" ".join)
+
+
+@st.composite
+def corpora(draw):
+    systems = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=3, unique=True))
+    corpus = {}
+    for i in range(draw(st.integers(1, 3))):
+        gold = draw(st.lists(text, min_size=0, max_size=1))
+        generated = draw(st.lists(text, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            generated.append(draw(st.sampled_from(gold + generated)))  # a duplicate reference
+        hyps = {}
+        for system in systems:
+            if draw(st.booleans()):
+                hyps[system] = draw(st.sampled_from(gold + generated))  # a hypothesis equal to a reference
+            else:
+                hyps[system] = draw(hypothesis_text)
+        corpus[f"s{i}"] = (gold, generated, hyps)
+    return corpus
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    corpus=corpora(),
+    mode=st.sampled_from(("generated", "both")),
+    max_refs=st.sampled_from((None, 1, 2)),
+    max_order=st.integers(1, 4),
+    smoothing=st.sampled_from(("exp", "none")),
+    ref_length=st.sampled_from(("closest", "shortest")),
+    chrf_order=st.integers(1, 6),
+    chrf_beta=st.sampled_from((1.0, 2.0, 3.0)),
+    lowercase=st.booleans(),
+    per_reference=st.booleans(),
+)
+def test_matrix_and_summary_match_oracles(
+    corpus, mode, max_refs, max_order, smoothing, ref_length, chrf_order, chrf_beta,
+    lowercase, per_reference,
+):
+    oracle = Oracle(max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase)
+    flags = ["--refs", mode, "--metrics", ",".join(ALL_METRICS), "--pretokenized",
+             "--max-order", str(max_order), "--smoothing", smoothing,
+             "--ref-length", ref_length, "--chrf-order", str(chrf_order),
+             "--chrf-beta", str(chrf_beta)]
+    if max_refs is not None:
+        flags += ["--max-refs", str(max_refs)]
+    if per_reference:
+        flags.append("--per-reference")
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        rows, summary = run_score(
+            directory, write_corpus(directory, corpus), flags,
+            ["--lowercase"] if lowercase else [],
+        )
+
+    systems = sorted({system for _, _, hyps in corpus.values() for system in hyps})
+    for metric in ALL_METRICS:
+        for system in systems:
+            pairs = []
+            for sid, (gold, generated, hyps) in sorted(corpus.items()):
+                refs = scoring_refs(gold, generated, mode, max_refs)
+                hyp = hyps[system]
+                pairs.append((hyp, [r for _, r in refs]))
+                cells = rows[metric, system, sid]
+                if per_reference:
+                    expected = {
+                        ref_id: oracle.segment(metric, hyp, [ref]) for ref_id, ref in refs
+                    }
+                else:
+                    expected = {"all": oracle.segment(metric, hyp, [r for _, r in refs])}
+                assert cells == pytest.approx(expected, abs=1e-9), (metric, system, sid)
+            assert summary["metrics"][metric][system] == pytest.approx(
+                oracle.corpus(metric, pairs), abs=1e-9
+            ), (metric, system)
+
+
+def test_chrf_tie_picks_first_reference_for_corpus_counts(tmp_path):
+    # With beta 1 and order 1, hypothesis "aabb" scores F = 2/3 against both
+    # "ab" (P 1/2, R 1) and "aabbcccc" (P 1, R 1/2). The segment scores tie;
+    # the corpus sum takes the counts of whichever reference comes first.
+    results = {}
+    for order in ("short-first", "long-first"):
+        refs = ["ab", "aabbcccc"] if order == "short-first" else ["aabbcccc", "ab"]
+        corpus = {"s1": ([], refs, {"p": "aabb"}), "s2": ([], ["ab"], {"p": "ab"})}
+        directory = tmp_path / order
+        directory.mkdir()
+        rows, summary = run_score(
+            directory, write_corpus(directory, corpus),
+            ["--refs", "generated", "--metrics", "chrf", "--chrf-order", "1", "--chrf-beta", "1"],
+        )
+        pairs = [("aabb", refs), ("ab", ["ab"])]
+        assert rows["chrf", "p", "s1"]["all"] == pytest.approx(200 / 3, abs=1e-9)
+        assert summary["metrics"]["chrf"]["p"] == pytest.approx(
+            oracles.chrf_corpus(pairs, 1, 1.0), abs=1e-9
+        )
+        results[order] = summary["metrics"]["chrf"]["p"]
+    assert results["short-first"] == pytest.approx(80.0)
+    assert results["long-first"] == pytest.approx(75.0)
+
+
+def test_closest_reference_length_ties_go_to_the_shorter_reference(tmp_path):
+    # Both references are one token away from the 3-token hypothesis; the
+    # shorter one sets the brevity penalty, so there is none.
+    corpus = {"s1": ([], ["a b c d", "a b"], {"p": "a b c"})}
+    rows, summary = run_score(
+        tmp_path, write_corpus(tmp_path, corpus), ["--refs", "generated", "--max-order", "1"]
+    )
+    assert oracles.bleu(["a", "b", "c"], [["a", "b", "c", "d"], ["a", "b"]], 1) == 100.0
+    assert rows["bleu", "p", "s1"]["all"] == pytest.approx(100.0)
+    assert summary["metrics"]["bleu"]["p"] == pytest.approx(100.0)
+
+
+def random_corpus(seed, segments=4, systems=3):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(12)]
+
+    def sentence():
+        return " ".join(rng.choice(vocab) for _ in range(rng.randint(2, 9)))
+
+    corpus = {}
+    for i in range(segments):
+        gold = [sentence()]
+        generated = [sentence() for _ in range(rng.randint(2, 6))]
+        generated.insert(1, generated[0])  # duplicate reference
+        hyps = {f"sys{j}": sentence() for j in range(systems)}
+        hyps["sys0"] = gold[0]
+        corpus[f"seg{i}"] = (gold, generated, hyps)
+    return corpus
+
+
+@pytest.mark.parametrize("mode", ["generated", "both"])
+def test_sweep_matches_separate_max_refs_runs(tmp_path, mode):
+    paths = write_corpus(tmp_path, random_corpus(3))
+    common = ["--refs", mode, "--metrics", ",".join(ALL_METRICS), "--pretokenized"]
+    _, sweep = run_score(tmp_path, paths, common + ["--sweep-refs", "1..8"])
+    series = {(r["refs"], r["metric"], r["system"]): r["score"] for r in sweep["sweep"]}
+    assert len(series) == 8 * len(ALL_METRICS) * 3
+    for k in range(1, 9):
+        _, summary = run_score(tmp_path, paths, common + ["--max-refs", str(k)])
+        for metric, per_system in summary["metrics"].items():
+            for system, score in per_system.items():
+                assert series[k, metric, system] == score, (k, metric, system)
+
+
+def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, monkeypatch):
+    seen = []
+
+    def counting(granularity, fn):
+        def wrapped(text, *args, **kwargs):
+            seen.append((granularity, text))
+            return fn(text, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(multiref.cli, "tokenize_words",
+                        counting("word", multiref.cli.tokenize_words))
+    monkeypatch.setattr(multiref.cli, "tokenize_subwords",
+                        counting("subword", multiref.cli.tokenize_subwords))
+    monkeypatch.setattr(multiref.metrics, "tokenize_chars",
+                        counting("char", multiref.metrics.tokenize_chars))
+    lcs_calls = []
+    lcs = kernels.lcs_length
+    monkeypatch.setattr(kernels, "lcs_length", lambda a, b: lcs_calls.append(1) or lcs(a, b))
+    segment_stat_calls = []
+    for name in ("bleu_segment_stats", "chrf_segment_stats"):
+        monkeypatch.setattr(kernels, name, lambda *a, name=name: segment_stat_calls.append(name))
+
+    # Texts differ between segments, so "once per segment" means once overall.
+    corpus = {}
+    for i in range(2):
+        words = [f"s{i}w{j}" for j in range(10)]
+        refs = [" ".join(words[j:j + 5]) for j in range(4)]
+        gold, generated = refs[:1], refs[1:] + [refs[1]] * i  # segment 1 repeats a reference
+        hyps = {"copy": gold[0], "p": " ".join(words[::2]), "q": " ".join(words[1::2])}
+        corpus[f"seg{i}"] = (gold, generated, hyps)
+    paths = write_corpus(tmp_path, corpus)
+    vocab = tmp_path / "pieces.txt"
+    vocab.write_text("\n".join(sorted({f"▁s{i}w" for i in range(2)} | set("0123456789"))) + "\n",
+                     encoding="utf-8")
+
+    run_score(tmp_path, paths, ["--refs", "both", "--metrics", "bleu,spbleu,chrf,rougeL",
+                                "--vocab", str(vocab)])
+
+    expected = []
+    distinct_refs = 0
+    for gold, generated, hyps in corpus.values():
+        texts = set(gold) | set(generated) | set(hyps.values())
+        expected += [(g, t) for g in ("word", "subword", "char") for t in texts]
+        distinct_refs += len(hyps) * len(set(gold) | set(generated))
+    assert sorted(seen) == sorted(expected)
+    assert len(lcs_calls) == distinct_refs == 3 * 4 + 3 * 4
+    assert segment_stat_calls == []
+
+
+def test_scorer_rejects_bad_configuration():
+    with pytest.raises(ValueError, match="unknown metric"):
+        MultiRefScorer(("meteor",))
+    with pytest.raises(ValueError, match="chrf_order"):
+        MultiRefScorer(("chrf",), chrf_order=0)
+    with pytest.raises(ValueError, match="word tokenizer"):
+        MultiRefScorer(("rougeL",))
+    with pytest.raises(ValueError, match="subword tokenizer"):
+        MultiRefScorer(("spbleu",))
+    scorer = MultiRefScorer(("chrf",))
+    with pytest.raises(ValueError, match="at least one reference"):
+        scorer.segment({"p": "a"}, [])
