@@ -258,13 +258,7 @@ def cmd_select(args) -> int:
                 handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
                 continue
             candidates = list(record.candidates)
-            if len(candidates) == 1:
-                scores: list[float] = []
-                kept = [0]
-            else:
-                tokenized = [tokenize_words(c, lowercase=args.lowercase) for c in candidates]
-                scores = diversity.self_bleu(tokenized)
-                kept = diversity.selection_survivors(scores, args.threshold)
+            scores, kept = diversity.score_and_select(candidates, args.threshold, args.lowercase)
             survivors = [candidates[i] for i in kept]
             filtered = refgen.GenerationRecord(
                 segment_id=record.segment_id,

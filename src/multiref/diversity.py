@@ -4,11 +4,25 @@ A candidate's diversity score is its BLEU against all sibling candidates
 taken jointly as a multi-reference set; low scores mean high diversity.
 Selection keeps candidates scoring strictly below a threshold, computed in a
 single pass over the full input set.
+
+Self-BLEU is computed from one count table per n-gram order and candidate
+set, so its cost is linear in the candidates' n-grams: each candidate is
+counted once, and the leave-one-out clip of every n-gram comes from its top
+count, the first candidate holding it, and its second-highest count.
 """
 
 from dataclasses import dataclass
 
-from .metrics import BleuConfig, bleu_sentence
+# bleu_sentence is no longer called here; it stays importable under this
+# module's name because pipebench/tracer.py wraps it.
+from .metrics import (  # noqa: F401
+    BleuConfig,
+    CorpusStats,
+    _bleu_from_stats,
+    _Profile,
+    _ref_len,
+    bleu_sentence,
+)
 from .textproc import TokenSequence, tokenize_words, tokens_of
 
 PROVENANCES = frozenset({"llm", "gold", "external"})
@@ -47,15 +61,50 @@ class DiversityReport:
 
 
 def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
-    """Score each candidate against all others jointly as its reference set."""
+    """Score each candidate against all others jointly as its reference set.
+
+    Equal to `bleu_sentence(c_i, candidates without c_i, cfg)` for every i,
+    but each candidate's n-grams are counted once. Per order, a table maps
+    each n-gram to (top count, first candidate holding it, second-highest
+    count); a tie for the top makes the second count equal to the top. The
+    clip for candidate i is the second count if i holds the top, else the top.
+    """
+    cfg = cfg or BleuConfig()
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least two candidates")
-    token_lists = [tokens_of(c) for c in candidates]
-    scores = []
-    for i, hyp in enumerate(token_lists):
-        others = token_lists[:i] + token_lists[i + 1 :]
-        scores.append(bleu_sentence(hyp, others, cfg).value)
-    return scores
+    profiles = [_Profile(tuple(tokens_of(c)), cfg.max_order) for c in candidates]
+    matched = [[0] * cfg.max_order for _ in profiles]
+    for order in range(cfg.max_order):
+        table = {}
+        for i, profile in enumerate(profiles):
+            for gram, count in profile.counts[order].items():
+                entry = table.get(gram)
+                if entry is None:
+                    table[gram] = (count, i, 0)
+                elif count > entry[0]:
+                    table[gram] = (count, i, entry[0])
+                elif count > entry[2]:
+                    table[gram] = (entry[0], entry[1], count)
+        for i, profile in enumerate(profiles):
+            total = 0
+            for gram, count in profile.counts[order].items():
+                top, holder, second = table[gram]
+                clip = second if holder == i else top
+                total += count if count < clip else clip
+            matched[i][order] = total
+    lengths = [len(profile.tokens) for profile in profiles]
+    return [
+        _bleu_from_stats(
+            CorpusStats(
+                matched=matched[i],
+                totals=[max(0, length - n) for n in range(cfg.max_order)],
+                hyp_len=length,
+                ref_len=_ref_len(length, lengths[:i] + lengths[i + 1 :], cfg),
+            ),
+            cfg,
+        ).value
+        for i, length in enumerate(lengths)
+    ]
 
 
 def selection_survivors(
@@ -66,6 +115,23 @@ def selection_survivors(
     if not kept:
         kept = [min(range(len(scores)), key=lambda i: (scores[i], i))]
     return kept
+
+
+def score_and_select(
+    texts,
+    threshold: float = DEFAULT_SELF_BLEU_THRESHOLD,
+    lowercase: bool = False,
+    cfg: BleuConfig | None = None,
+) -> tuple[list[float], list[int]]:
+    """Self-BLEU of raw candidate texts and the indices that survive selection.
+
+    Each text is word-tokenized once. A single candidate has no siblings to
+    score against: it gets no scores and is kept (`([], [0])`).
+    """
+    if len(texts) == 1:
+        return [], [0]
+    scores = self_bleu([tokenize_words(t, lowercase=lowercase) for t in texts], cfg)
+    return scores, selection_survivors(scores, threshold)
 
 
 def select_diverse(
@@ -81,11 +147,7 @@ def select_diverse(
     candidate is retained (earliest index on ties). A single-candidate set is
     returned unchanged.
     """
-    if len(cset.candidates) == 1:
-        return cset
-    tokenized = [tokenize_words(c, lowercase=lowercase) for c in cset.candidates]
-    scores = self_bleu(tokenized, cfg)
-    kept = selection_survivors(scores, threshold)
+    _, kept = score_and_select(cset.candidates, threshold, lowercase, cfg)
     return CandidateSet(
         segment_id=cset.segment_id,
         candidates=tuple(cset.candidates[i] for i in kept),

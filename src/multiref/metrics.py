@@ -348,18 +348,25 @@ def _clip_table(refs, max_order: int) -> list[dict]:
     return table
 
 
+def _ref_len(hyp_len: int, ref_lens, cfg: BleuConfig) -> int:
+    """The brevity-penalty reference length, as `kernels.bleu_segment_stats` picks it.
+
+    "closest" minimizes the distance to `hyp_len`, ties toward the shorter
+    length; "shortest" takes the minimum.
+    """
+    if cfg.effective_ref_length == "closest":
+        return min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
+    return min(ref_lens)
+
+
 def _bleu_stats(hyp: _Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
     """The clipped-match statistics `corpus_stats_for_segment` computes."""
     hyp_len = len(hyp.tokens)
-    if cfg.effective_ref_length == "closest":
-        ref_len = min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
-    else:
-        ref_len = min(ref_lens)
     return CorpusStats(
         matched=[_overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
         totals=[max(0, hyp_len - i) for i in range(cfg.max_order)],
         hyp_len=hyp_len,
-        ref_len=ref_len,
+        ref_len=_ref_len(hyp_len, ref_lens, cfg),
     )
 
 

@@ -8,7 +8,9 @@ measurably improves their quality), parsed from a numbered list, and
 persisted append-only so interrupted runs resume where they stopped.
 """
 
+import email.utils
 import json
+import math
 import os
 import threading
 import time
@@ -29,6 +31,9 @@ API_KEY_ENV_VARS = ("MULTIREF_API_KEY", "OPENAI_API_KEY")
 N_PLACEHOLDER = "{n}"
 SOURCE_PLACEHOLDER = "{source}"
 GROUND_TRUTH_LABEL = "Ground Truth:"
+
+#: Longest sleep before a retry, in seconds, whatever `Retry-After` asks for.
+MAX_RETRY_SLEEP_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,8 @@ class HttpChatTransport:
     """Minimal OpenAI-compatible chat completions client (stdlib only).
 
     Rate-limit (429) and transient server errors are retried with exponential
-    backoff; authentication and client errors abort immediately.
+    backoff, or after the wait the server's `Retry-After` header asks for;
+    authentication and client errors abort immediately.
     """
 
     TRANSIENT_STATUS = {429, 500, 502, 503, 504}
@@ -288,9 +294,7 @@ class HttpChatTransport:
                 return payload["choices"][0]["message"]["content"]
             except urllib.error.HTTPError as exc:
                 if exc.code in self.TRANSIENT_STATUS and attempt < self.MAX_TRANSIENT_RETRIES:
-                    retry_after = exc.headers.get("Retry-After")
-                    wait = float(retry_after) if retry_after else delay
-                    time.sleep(wait)
+                    time.sleep(_retry_wait(exc.headers.get("Retry-After"), delay))
                     delay *= 2.0
                     continue
                 raise TransportError(f"endpoint returned HTTP {exc.code}: {exc.reason}")
@@ -299,6 +303,31 @@ class HttpChatTransport:
             except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
                 raise TransportError(f"unexpected response payload: {exc}")
         raise TransportError("retry budget exhausted")
+
+
+def _retry_wait(retry_after: str | None, backoff: float) -> float:
+    """Seconds to sleep before a retry, at most `MAX_RETRY_SLEEP_S`.
+
+    `Retry-After` is either a number of seconds or an HTTP date; a date in
+    the past means no wait. A missing or unparsable header falls back to the
+    backoff delay.
+    """
+    wait = backoff
+    if retry_after:
+        try:
+            wait = float(retry_after)
+        except ValueError:
+            try:
+                when = email.utils.parsedate_to_datetime(retry_after)
+            except (TypeError, ValueError):
+                pass
+            else:
+                if when.tzinfo is None:
+                    when = when.replace(tzinfo=timezone.utc)
+                wait = (when - datetime.now(timezone.utc)).total_seconds()
+        if math.isnan(wait):
+            wait = backoff
+    return min(max(wait, 0.0), MAX_RETRY_SLEEP_S)
 
 
 def resolve_api_key() -> str | None:
@@ -368,7 +397,8 @@ def generate_references(
     completed ids in skip_ids is idempotent. Transport failures abort the
     run; parse failures only mark their own segment as failed.
     """
-    todo = [item for item in segments if item[0] not in set(skip_ids)]
+    skip = set(skip_ids)
+    todo = [item for item in segments if item[0] not in skip]
     if template.include_ground_truth:
         missing = [sid for sid, _src, gold in todo if gold is None]
         if missing:

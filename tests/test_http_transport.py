@@ -1,13 +1,16 @@
 """HttpChatTransport against a loopback HTTP server; no external network."""
 
+import email.utils
 import json
 import threading
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from multiref import refgen
 from multiref.errors import TransportError
-from multiref.refgen import GenerationConfig, HttpChatTransport
+from multiref.refgen import MAX_RETRY_SLEEP_S, GenerationConfig, HttpChatTransport
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -80,6 +83,65 @@ def test_rate_limit_retried_with_retry_after(server):
     transport = HttpChatTransport(api_key="sk-test")
     assert transport.complete("p", config_for(server)) == "ok"
     assert len(ScriptedHandler.requests) == 2
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The waits the transport asks for, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(refgen.time, "sleep", waits.append)
+    return waits
+
+
+def http_date(seconds_from_now):
+    when = datetime.now(timezone.utc) + timedelta(seconds=seconds_from_now)
+    return email.utils.format_datetime(when, usegmt=True)
+
+
+def retried_once_after(server, retry_after):
+    """Waits of one 429 with this Retry-After header, then a success."""
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    ScriptedHandler.script = [(429, {"error": "slow down"}, headers), (200, chat_payload("ok"), {})]
+    assert HttpChatTransport(api_key="sk-test").complete("p", config_for(server)) == "ok"
+    assert len(ScriptedHandler.requests) == 2
+
+
+def test_retry_after_zero_does_not_wait(server, sleeps):
+    retried_once_after(server, "0")
+    assert sleeps == [0.0]
+
+
+def test_retry_after_seconds(server, sleeps):
+    retried_once_after(server, "7")
+    assert sleeps == [7.0]
+
+
+def test_retry_after_http_date_in_the_future(server, sleeps):
+    retried_once_after(server, http_date(30))
+    assert len(sleeps) == 1 and 25.0 <= sleeps[0] <= 30.0
+
+
+def test_retry_after_http_date_in_the_past_means_no_wait(server, sleeps):
+    retried_once_after(server, "Wed, 21 Oct 2015 07:28:00 GMT")
+    assert sleeps == [0.0]
+
+
+@pytest.mark.parametrize("garbage", ["soon", "nan", "Mon, 99 Foo 2020", None])
+def test_unparsable_or_missing_retry_after_falls_back_to_backoff(server, sleeps, garbage):
+    retried_once_after(server, garbage)
+    assert sleeps == [1.0]
+
+
+@pytest.mark.parametrize("far", ["86400", "inf", http_date(7200)])
+def test_every_wait_is_capped(server, sleeps, far):
+    retried_once_after(server, far)
+    assert sleeps == [MAX_RETRY_SLEEP_S]
+
+
+def test_backoff_doubles_without_retry_after(server, sleeps):
+    ScriptedHandler.script = [(503, {"error": "busy"}, {})] * 5 + [(200, chat_payload("ok"), {})]
+    assert HttpChatTransport(api_key="sk-test").complete("p", config_for(server)) == "ok"
+    assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
 
 
 def test_auth_failure_aborts_immediately(server):

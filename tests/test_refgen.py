@@ -165,6 +165,24 @@ class TestGenerateReferences:
         assert quiet.calls == []
         assert len(load_generation_records(out)) == 2
 
+    def test_resume_with_many_completed_ids(self, tmp_path):
+        done = [(f"done{i}", f"text {i}", None) for i in range(5000)]
+        pending = [(f"new{i}", f"fresh text {i}", None) for i in range(3)]
+        segments = done[:2500] + pending[:2] + done[2500:] + pending[2:]
+        fresh = generate_references(pending, TEMPLATE, self.config(), MockTransport())
+
+        # skip_ids may be any iterable, a one-shot generator included.
+        transport = MockTransport()
+        records = generate_references(
+            segments, TEMPLATE, self.config(), transport,
+            out_path=tmp_path / "refs.jsonl", skip_ids=(sid for sid, _, _ in done),
+        )
+        assert len(transport.calls) == 3
+        assert [(r.segment_id, r.candidates, r.attempt_count) for r in records] == [
+            (r.segment_id, r.candidates, r.attempt_count) for r in fresh
+        ]
+        assert completed_segment_ids(tmp_path / "refs.jsonl") == {sid for sid, _, _ in pending}
+
     def test_failed_segments_resume_as_pending(self, tmp_path):
         out = tmp_path / "refs.jsonl"
         transport = MockTransport(scripted=["bad", "bad", "bad"])
