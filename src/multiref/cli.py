@@ -10,18 +10,21 @@ import json
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
-from .combine import (
+# combine and metaeval no longer call load_score_matrices or combine_matrix,
+# and score no longer calls the sentence/corpus functions; they stay
+# importable here because pipebench/tracer.py wraps them under this module's
+# names.
+from .combine import (  # noqa: F401
     CombinePolicy,
     MatrixRow,
     ScoreMatrix,
     combine_matrix,
+    load_combined,
     load_score_matrices,
     system_score,
     write_score_matrix,
 )
 from .errors import MultirefError
-# score no longer calls the sentence/corpus functions; they stay importable
-# here because pipebench/tracer.py wraps them under this module's names.
 from .metrics import (  # noqa: F401
     METRICS,
     BleuConfig,
@@ -489,22 +492,21 @@ def _policy_from(args) -> CombinePolicy:
 
 def cmd_combine(args) -> int:
     policy = _policy_from(args)
-    matrices = load_score_matrices(args.matrix)
-    if not matrices:
+    combined_by_metric = load_combined(args.matrix, policy)
+    if not combined_by_metric:
         raise ValueError(f"no rows found in {args.matrix}")
     summary: dict[str, dict[str, float]] = {}
+    encoder = json.JSONEncoder(ensure_ascii=False)
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        for metric, matrix in sorted(matrices.items()):
-            combined = combine_matrix(matrix, policy)
+        for metric, combined in sorted(combined_by_metric.items()):
             per_system_segments: dict[str, dict[str, float]] = {}
             for (system, segment), score in combined.items():
                 per_system_segments.setdefault(system, {})[segment] = score
                 if out_handle is not None:
                     out_handle.write(
-                        json.dumps(
-                            {"system": system, "segment": segment, "score": score, "metric": metric},
-                            ensure_ascii=False,
+                        encoder.encode(
+                            {"system": system, "segment": segment, "score": score, "metric": metric}
                         )
                         + "\n"
                     )
@@ -546,16 +548,11 @@ def _report_to_json(report: metaeval.MetaEvalReport) -> dict:
 
 def cmd_metaeval(args) -> int:
     policy = _policy_from(args)
-    matrices = load_score_matrices(args.matrix)
-    if not matrices:
+    combined_by_metric = load_combined(args.matrix, policy)
+    if not combined_by_metric:
         raise ValueError(f"no rows found in {args.matrix}")
     judgments = metaeval.load_human_judgments(args.human)
-    reports = []
-    for metric, matrix in sorted(matrices.items()):
-        combined = combine_matrix(matrix, policy)
-        reports.append(
-            metaeval.meta_evaluate(combined, judgments, metric_name=metric, name=args.name)
-        )
+    reports = metaeval.meta_evaluate_all(combined_by_metric, judgments, name=args.name)
     rows = []
     for report in reports:
         rows.append(

@@ -66,20 +66,30 @@ class ScoreMatrix:
             seen.add(key)
 
 
+def _reducer(policy: CombinePolicy | None):
+    """The policy's reduction of one non-empty list of row scores."""
+    policy = policy or CombinePolicy()
+    if policy.kind == "max":
+        return max
+    if policy.kind == "mean":
+        return lambda scores: math.fsum(scores) / len(scores)
+    k = policy.k
+
+    def top_k_mean(scores):
+        if k > len(scores):
+            raise ValueError(f"k={k} exceeds the {len(scores)} available scores")
+        return math.fsum(sorted(scores, reverse=True)[:k]) / k
+
+    return top_k_mean
+
+
 def combine_row(scores, policy: CombinePolicy | None = None) -> float:
     """Reduce one row's per-reference scores to a single value."""
-    policy = policy or CombinePolicy()
+    reduce = _reducer(policy)
     scores = list(scores)
     if not scores:
         raise ValueError("cannot combine an empty score list")
-    if policy.kind == "max":
-        return max(scores)
-    if policy.kind == "mean":
-        return math.fsum(scores) / len(scores)
-    if policy.k > len(scores):
-        raise ValueError(f"k={policy.k} exceeds the {len(scores)} available scores")
-    top = sorted(scores, reverse=True)[: policy.k]
-    return math.fsum(top) / policy.k
+    return reduce(scores)
 
 
 def combine_matrix(
@@ -102,14 +112,17 @@ def system_score(per_segment) -> float:
     return math.fsum(values) / len(values)
 
 
-def load_score_matrices(path: str | Path) -> dict[str, ScoreMatrix]:
-    """Read a matrix JSONL file, grouping rows by metric name.
+def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], object]]:
+    """Read a matrix JSONL file row by row, keeping only `reduce(cells, values)`.
 
     Each line holds `{"system": str, "segment": str, "scores": {ref: num},
-    "metric": str}`. Malformed lines are reported with file and line number.
+    "metric": str}`. `cells` is the parsed `scores` object and `values` its
+    scores as floats, at least one and all finite. Malformed lines, duplicate
+    (system, segment) rows of a metric and rows `reduce` rejects are reported
+    with file and line number.
     """
     path = Path(path)
-    grouped: dict[str, list[MatrixRow]] = {}
+    matrices: dict[str, dict[tuple[str, str], object]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -121,15 +134,55 @@ def load_score_matrices(path: str | Path) -> dict[str, ScoreMatrix]:
                 raise CorpusFormatError(f"invalid JSON: {exc}", str(path), lineno)
             try:
                 metric = record["metric"]
-                row = MatrixRow(
-                    system=str(record["system"]),
-                    segment=str(record["segment"]),
-                    scores={str(k): float(v) for k, v in record["scores"].items()},
-                )
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                system = str(record["system"])
+                segment = str(record["segment"])
+                cells = record["scores"]
+                values = list(map(float, cells.values()))
+                if not values:
+                    raise ValueError("matrix row must have at least one score")
+                # A finite sum proves every value finite; a sum that is not
+                # may still come from finite values that overflow together.
+                if not math.isfinite(sum(values)):
+                    for ref_id, value in zip(cells, values):
+                        if not math.isfinite(value):
+                            raise ValueError(
+                                f"non-finite score for ({system}, {segment}, {ref_id})"
+                            )
+            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"invalid matrix row: {exc}", str(path), lineno)
-            grouped.setdefault(str(metric), []).append(row)
-    return {metric: ScoreMatrix(metric, rows) for metric, rows in grouped.items()}
+            rows = matrices.setdefault(str(metric), {})
+            key = (system, segment)
+            if key in rows:
+                raise CorpusFormatError(f"duplicate matrix row for {key}", str(path), lineno)
+            try:
+                rows[key] = reduce(cells, values)
+            except (ValueError, OverflowError) as exc:
+                raise CorpusFormatError(f"cannot combine row: {exc}", str(path), lineno)
+    return matrices
+
+
+def load_score_matrices(path: str | Path) -> dict[str, ScoreMatrix]:
+    """Read a matrix JSONL file, grouping rows by metric name, in file order."""
+    matrices = _read_matrix(path, lambda cells, values: dict(zip(cells, values)))
+    return {
+        metric: ScoreMatrix(
+            metric,
+            [MatrixRow(system, segment, scores) for (system, segment), scores in rows.items()],
+        )
+        for metric, rows in matrices.items()
+    }
+
+
+def load_combined(
+    path: str | Path, policy: CombinePolicy | None = None
+) -> dict[str, dict[tuple[str, str], float]]:
+    """Read a matrix JSONL file, combining each row with `policy` as it is read.
+
+    Returns `{metric: {(system, segment): score}}` in file order, the same as
+    `combine_matrix` over `load_score_matrices`, without holding the matrix.
+    """
+    reduce = _reducer(policy)
+    return _read_matrix(path, lambda _cells, values: reduce(values))
 
 
 def write_score_matrix(path: str | Path, matrix: ScoreMatrix, append: bool = False) -> None:

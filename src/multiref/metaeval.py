@@ -294,6 +294,87 @@ def system_human_scores(judgments) -> dict[str, float]:
     return scores
 
 
+def _human_segment_tables(judgments):
+    """Overall segment-level human scores, and one table per dimension.
+
+    Keys are (system, segment). Dimensions come in sorted order; one with
+    only system-level judgments gets an empty table.
+    """
+    overall: dict[tuple[str, str], float] = {}
+    by_dimension: dict[str, dict[tuple[str, str], float]] = {}
+    for j in judgments:
+        if j.dimension is not None:
+            table = by_dimension.setdefault(j.dimension, {})
+            if j.segment is not None:
+                table[(j.system, j.segment)] = j.score
+        elif j.segment is not None:
+            overall[(j.system, j.segment)] = j.score
+    return overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)}
+
+
+def meta_evaluate_all(
+    scores_by_metric, judgments, name: str | None = None
+) -> list[MetaEvalReport]:
+    """One agreement report per metric, in sorted metric order.
+
+    `scores_by_metric` maps a metric name to its per-(system, segment)
+    scores. The human side is built from `judgments` once and shared by
+    every metric.
+    """
+    human_system = system_human_scores(judgments)
+    human_segment, human_dimensions = _human_segment_tables(judgments)
+    reports = []
+    for metric_name in sorted(scores_by_metric):
+        metric_segment_scores = scores_by_metric[metric_name]
+        if not metric_segment_scores:
+            raise ValueError("no metric scores given")
+        by_system: dict[str, list[float]] = {}
+        for (system, _segment), score in metric_segment_scores.items():
+            by_system.setdefault(system, []).append(score)
+        metric_system = {
+            system: math.fsum(values) / len(values) for system, values in by_system.items()
+        }
+
+        accuracy, pairs_used = pairwise_accuracy(metric_system, human_system)
+        common_systems = sorted(set(metric_system) & set(human_system))
+        rho = pearson(
+            [metric_system[s] for s in common_systems],
+            [human_system[s] for s in common_systems],
+        )
+
+        tau = None
+        if human_segment:
+            tau = segment_kendall(metric_segment_scores, human_segment)
+
+        spearman_by_dim = None
+        if human_dimensions:
+            spearman_by_dim = {}
+            for dim, human_dim in human_dimensions.items():
+                keys = sorted(set(metric_segment_scores) & set(human_dim))
+                if len(keys) < 2:
+                    raise ValueError(f"dimension {dim!r} shares fewer than two samples")
+                spearman_by_dim[dim] = spearman(
+                    [metric_segment_scores[k] for k in keys],
+                    [human_dim[k] for k in keys],
+                )
+
+        segments = {segment for (_system, segment) in metric_segment_scores}
+        reports.append(
+            MetaEvalReport(
+                metric=metric_name,
+                pairwise_accuracy=accuracy,
+                n_pairs_used=pairs_used,
+                pearson=rho,
+                kendall=tau,
+                spearman=spearman_by_dim,
+                name=name,
+                n_systems=len(common_systems),
+                n_segments=len(segments),
+            )
+        )
+    return reports
+
+
 def meta_evaluate(
     metric_segment_scores,
     judgments,
@@ -301,59 +382,5 @@ def meta_evaluate(
     name: str | None = None,
 ) -> MetaEvalReport:
     """Build a full agreement report from per-(system, segment) metric scores."""
-    if not metric_segment_scores:
-        raise ValueError("no metric scores given")
-    by_system: dict[str, list[float]] = {}
-    for (system, _segment), score in metric_segment_scores.items():
-        by_system.setdefault(system, []).append(score)
-    metric_system = {
-        system: math.fsum(values) / len(values) for system, values in by_system.items()
-    }
-
-    human_system = system_human_scores(judgments)
-    accuracy, pairs_used = pairwise_accuracy(metric_system, human_system)
-    common_systems = sorted(set(metric_system) & set(human_system))
-    rho = pearson(
-        [metric_system[s] for s in common_systems],
-        [human_system[s] for s in common_systems],
-    )
-
-    human_segment = {
-        (j.system, j.segment): j.score
-        for j in judgments
-        if j.segment is not None and j.dimension is None
-    }
-    tau = None
-    if human_segment:
-        tau = segment_kendall(metric_segment_scores, human_segment)
-
-    dimensions = sorted({j.dimension for j in judgments if j.dimension is not None})
-    spearman_by_dim = None
-    if dimensions:
-        spearman_by_dim = {}
-        for dim in dimensions:
-            human_dim = {
-                (j.system, j.segment): j.score
-                for j in judgments
-                if j.dimension == dim and j.segment is not None
-            }
-            keys = sorted(set(metric_segment_scores) & set(human_dim))
-            if len(keys) < 2:
-                raise ValueError(f"dimension {dim!r} shares fewer than two samples")
-            spearman_by_dim[dim] = spearman(
-                [metric_segment_scores[k] for k in keys],
-                [human_dim[k] for k in keys],
-            )
-
-    segments = {segment for (_system, segment) in metric_segment_scores}
-    return MetaEvalReport(
-        metric=metric_name,
-        pairwise_accuracy=accuracy,
-        n_pairs_used=pairs_used,
-        pearson=rho,
-        kendall=tau,
-        spearman=spearman_by_dim,
-        name=name,
-        n_systems=len(common_systems),
-        n_segments=len(segments),
-    )
+    (report,) = meta_evaluate_all({metric_name: metric_segment_scores}, judgments, name)
+    return report

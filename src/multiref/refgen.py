@@ -9,6 +9,7 @@ persisted append-only so interrupted runs resume where they stopped.
 """
 
 import email.utils
+import http.client
 import json
 import math
 import os
@@ -256,11 +257,14 @@ class HttpChatTransport:
     """Minimal OpenAI-compatible chat completions client (stdlib only).
 
     Rate-limit (429) and transient server errors are retried with exponential
-    backoff, or after the wait the server's `Retry-After` header asks for;
-    authentication and client errors abort immediately.
+    backoff, or after the wait the server's `Retry-After` header asks for.
+    Read timeouts, connection resets and truncated bodies are retried with
+    the same backoff and budget. Authentication and client errors, and an
+    endpoint that cannot be reached at all, abort immediately.
     """
 
     TRANSIENT_STATUS = {429, 500, 502, 503, 504}
+    TRANSIENT_ERRORS = (TimeoutError, ConnectionResetError, http.client.IncompleteRead)
     MAX_TRANSIENT_RETRIES = 5
 
     def __init__(self, api_key: str | None = None):
@@ -293,16 +297,21 @@ class HttpChatTransport:
                     payload = json.loads(response.read().decode("utf-8"))
                 return payload["choices"][0]["message"]["content"]
             except urllib.error.HTTPError as exc:
-                if exc.code in self.TRANSIENT_STATUS and attempt < self.MAX_TRANSIENT_RETRIES:
-                    time.sleep(_retry_wait(exc.headers.get("Retry-After"), delay))
-                    delay *= 2.0
-                    continue
-                raise TransportError(f"endpoint returned HTTP {exc.code}: {exc.reason}")
+                failure = f"endpoint returned HTTP {exc.code}: {exc.reason}"
+                if exc.code not in self.TRANSIENT_STATUS:
+                    raise TransportError(failure)
+                wait = _retry_wait(exc.headers.get("Retry-After"), delay)
             except urllib.error.URLError as exc:
                 raise TransportError(f"cannot reach endpoint: {exc.reason}")
+            except self.TRANSIENT_ERRORS as exc:
+                failure = f"connection failed: {exc!r}"
+                wait = delay
             except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
                 raise TransportError(f"unexpected response payload: {exc}")
-        raise TransportError("retry budget exhausted")
+            if attempt == self.MAX_TRANSIENT_RETRIES:
+                raise TransportError(f"{failure} (gave up after {attempt + 1} attempts)")
+            time.sleep(wait)
+            delay *= 2.0
 
 
 def _retry_wait(retry_after: str | None, backoff: float) -> float:

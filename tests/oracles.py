@@ -265,3 +265,13 @@ def rank_with_ties(values):
 
 def spearman(x, y):
     return pearson(rank_with_ties(x), rank_with_ties(y))
+
+
+def combine_row(values, kind, k=None):
+    """One score-matrix row reduced to its max, its mean, or its top-k mean."""
+    ordered = sorted(values, reverse=True)
+    if kind == "max":
+        return ordered[0]
+    if kind == "mean":
+        return sum(ordered) / len(ordered)
+    return sum(ordered[:k]) / k

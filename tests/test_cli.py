@@ -469,6 +469,36 @@ class TestCombine:
         assert main(["combine", "--matrix", str(matrix), "--policy", "top_k_mean"]) == 1
 
 
+def bad_matrix_cases(tmp_path, jsonl_writer):
+    """(matrix path, extra CLI args, expected error) for matrix rows that fail as read."""
+    row = {"system": "A", "segment": "s1", "scores": {"r0": 0.2, "r1": 0.8}, "metric": "m"}
+    duplicate = tmp_path / "duplicate.jsonl"
+    jsonl_writer(duplicate, [row, dict(row, segment="s2"), dict(row, scores={"r0": 0.5})])
+    short = tmp_path / "short.jsonl"
+    jsonl_writer(short, [dict(row, scores={"r0": 0.1, "r1": 0.2, "r2": 0.3}), dict(row, segment="s2")])
+    return [
+        (duplicate, [], f"multiref: error: {duplicate}:3: duplicate matrix row for ('A', 's1')"),
+        (short, ["--policy", "top_k_mean", "--k", "3"],
+         f"multiref: error: {short}:2: cannot combine row: k=3 exceeds the 2 available scores"),
+    ]
+
+
+def test_bad_matrix_rows_fail_with_location_in_combine_and_metaeval(
+    tmp_path, jsonl_writer, capsys
+):
+    human = tmp_path / "human.jsonl"
+    jsonl_writer(human, [{"system": s, "segment": None, "score": v} for s, v in (("A", 2), ("B", 1))])
+    for matrix, extra, expected in bad_matrix_cases(tmp_path, jsonl_writer):
+        for argv in (
+            ["combine", "--matrix", str(matrix)],
+            ["metaeval", "--matrix", str(matrix), "--human", str(human)],
+        ):
+            assert main(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.err.strip() == expected
+            assert captured.out == ""
+
+
 class TestMetaeval:
     def test_perfect_agreement_fixture(self, pipeline, tmp_path):
         matrix_path = pipeline["dir"] / "matrix.jsonl"

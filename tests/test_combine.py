@@ -1,13 +1,19 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from multiref.combine import (
     CombinePolicy,
     MatrixRow,
     ScoreMatrix,
     combine_matrix,
     combine_row,
+    load_combined,
     load_score_matrices,
     system_score,
     write_score_matrix,
@@ -173,3 +179,147 @@ class TestMatrixIo:
         with pytest.raises(CorpusFormatError) as err:
             load_score_matrices(path)
         assert err.value.line == 1
+
+
+# Cells as a matrix file may hold them: floats, ints, bools and numeric strings.
+matrix_cells = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.booleans(),
+    st.floats(min_value=-1e6, max_value=1e6).map(repr),
+    st.integers(min_value=-100, max_value=100).map(str),
+)
+# Rows draw their columns from a shared pool, so they differ in which they hold.
+matrix_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["m2", "m1"]),
+        st.sampled_from(["sysB", "sysA", "sysC"]),
+        st.sampled_from(["s1", "s2", "s3", "s4"]),
+        st.dictionaries(st.sampled_from(["gold", "r0", "r1", "r2", "r3", "r4"]), matrix_cells,
+                        min_size=1, max_size=6),
+        st.sampled_from(["", "\n", "   \n"]),
+    ),
+    max_size=24,
+    unique_by=lambda row: row[:3],
+)
+
+
+def write_rows(directory, rows):
+    """A matrix file holding `rows`, each after its blank-line prefix."""
+    path = Path(directory) / "matrix.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for metric, system, segment, cells, blank in rows:
+            record = {"system": system, "segment": segment, "scores": cells, "metric": metric}
+            handle.write(blank + json.dumps(record) + "\n")
+    return path
+
+
+def write_lines(directory, lines):
+    path = Path(directory) / "matrix.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def matrix_line(system, segment, cells_json, metric="m"):
+    return (f'{{"system": "{system}", "segment": "{segment}", '
+            f'"scores": {{{cells_json}}}, "metric": "{metric}"}}')
+
+
+class TestLoadCombined:
+    @given(matrix_rows, st.sampled_from(["max", "mean", "top_k_mean"]), st.data())
+    def test_matches_oracle_and_the_two_step_path(self, rows, kind, data):
+        k = None
+        if kind == "top_k_mean":
+            k = data.draw(st.integers(1, min((len(r[3]) for r in rows), default=1)))
+        policy = CombinePolicy(kind, k)
+        expected = {}
+        for metric, system, segment, cells, _blank in rows:
+            values = [float(v) for v in cells.values()]
+            expected.setdefault(metric, {})[system, segment] = oracles.combine_row(values, kind, k)
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_rows(directory, rows)
+            combined = load_combined(path, policy)
+            two_step = {m: combine_matrix(x, policy) for m, x in load_score_matrices(path).items()}
+        assert list(combined) == list(expected)
+        for metric, scores in expected.items():
+            assert list(combined[metric]) == list(scores)
+            for key, value in scores.items():
+                if kind == "max":
+                    assert combined[metric][key] == value
+                else:
+                    assert combined[metric][key] == pytest.approx(value, rel=1e-12, abs=1e-9)
+        assert combined == two_step
+        assert [list(m) for m in combined.values()] == [list(m) for m in two_step.values()]
+
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from([1e308, -1e308]),
+                 max_size=4),
+        st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]),
+        st.data(),
+    )
+    def test_non_finite_cell_rejected_with_location(self, finite, token, data):
+        position = data.draw(st.integers(0, len(finite)))
+        cells = [json.dumps(v) for v in finite]
+        cells.insert(position, token)
+        cells_json = ", ".join(f'"r{i}": {v}' for i, v in enumerate(cells))
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_lines(directory, [matrix_line("a", "s0", '"r0": 0.5'),
+                                           matrix_line("a", "s1", cells_json)])
+            for load in (load_combined, load_score_matrices):
+                with pytest.raises(CorpusFormatError) as err:
+                    load(path)
+                assert str(err.value) == (
+                    f"{path}:2: invalid matrix row: non-finite score for (a, s1, r{position})"
+                )
+
+    def test_finite_cells_whose_sum_overflows_are_accepted(self, tmp_path):
+        path = write_lines(tmp_path, [
+            matrix_line("a", "s1", '"r0": 1e308, "r1": 1e308'),
+            matrix_line("a", "s2", '"r0": -1e308, "r1": -1e308, "r2": 1e308'),
+        ])
+        assert load_combined(path) == {"m": {("a", "s1"): 1e308, ("a", "s2"): 1e308}}
+        matrix = load_score_matrices(path)["m"]
+        assert matrix.rows[0].scores == {"r0": 1e308, "r1": 1e308}
+
+    def test_overflowing_mean_fails_with_location(self, tmp_path):
+        path = write_lines(tmp_path, [matrix_line("a", "s1", '"r0": 1e308, "r1": 1e308')])
+        with pytest.raises(CorpusFormatError, match=r"matrix\.jsonl:1: cannot combine row"):
+            load_combined(path, CombinePolicy("mean"))
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        path = write_lines(tmp_path, [matrix_line("a", "s1", '"r0": 1' + "0" * 400)])
+        for load in (load_combined, load_score_matrices):
+            with pytest.raises(CorpusFormatError, match=r"matrix\.jsonl:1: invalid matrix row: int"):
+                load(path)
+
+    def test_empty_scores_rejected(self, tmp_path):
+        path = write_lines(tmp_path, ["", matrix_line("a", "s1", "")])
+        for load in (load_combined, load_score_matrices):
+            with pytest.raises(CorpusFormatError) as err:
+                load(path)
+            assert str(err.value) == (
+                f"{path}:2: invalid matrix row: matrix row must have at least one score"
+            )
+
+    def test_duplicate_row_rejected_as_read(self, tmp_path):
+        path = write_lines(tmp_path, [
+            matrix_line("a", "s1", '"r": 1.0'),
+            matrix_line("a", "s1", '"r": 1.0', metric="other"),
+            matrix_line("a", "s1", '"r": 2.0'),
+            "not json",
+        ])
+        for load in (load_combined, load_score_matrices):
+            with pytest.raises(CorpusFormatError) as err:
+                load(path)
+            assert str(err.value) == f"{path}:3: duplicate matrix row for ('a', 's1')"
+
+    def test_k_beyond_row_rejected_with_location(self, tmp_path):
+        path = write_lines(tmp_path, [
+            matrix_line("a", "s1", '"r0": 1.0, "r1": 2.0, "r2": 3.0'),
+            matrix_line("a", "s2", '"r0": 1.0, "r1": 2.0'),
+        ])
+        with pytest.raises(CorpusFormatError) as err:
+            load_combined(path, CombinePolicy("top_k_mean", 3))
+        assert str(err.value) == (
+            f"{path}:2: cannot combine row: k=3 exceeds the 2 available scores"
+        )

@@ -1,10 +1,13 @@
 """HttpChatTransport against a loopback HTTP server; no external network."""
 
+import dataclasses
 import email.utils
 import json
+import socket
+import struct
 import threading
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -14,20 +17,44 @@ from multiref.refgen import MAX_RETRY_SLEEP_S, GenerationConfig, HttpChatTranspo
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted reply.
+
+    A reply is (status, payload, headers), optionally followed by a fault:
+    "stall" sends nothing until the test ends, "reset" aborts the connection,
+    "truncate" sends half the body it announces.
+    """
+
     script = []
     requests = []
+    release = threading.Event()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         type(self).requests.append((self.path, dict(self.headers), body))
-        status, payload, headers = type(self).script.pop(0)
+        status, payload, headers, *fault = type(self).script.pop(0)
+        if fault == ["stall"]:
+            type(self).release.wait(10.0)
+            self.close_connection = True
+            return
+        if fault == ["reset"]:
+            # Linger 0: closing sends RST instead of FIN.
+            self.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            self.close_connection = True
+            return
+        data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         for key, value in headers.items():
             self.send_header(key, value)
         self.send_header("Content-Type", "application/json")
+        if fault == ["truncate"]:
+            self.send_header("Content-Length", str(len(data)))
+            data = data[: len(data) // 2]
+            self.close_connection = True
         self.end_headers()
-        self.wfile.write(json.dumps(payload).encode("utf-8"))
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass
@@ -35,13 +62,20 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def server():
-    httpd = HTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    # One thread per request, so a stalled reply does not hold up the retry;
+    # a short poll interval, so shutdown() does not wait out the default 0.5 s.
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     ScriptedHandler.script = []
     ScriptedHandler.requests = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    ScriptedHandler.release.clear()
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield httpd
+    ScriptedHandler.release.set()
     httpd.shutdown()
+    httpd.server_close()
     thread.join()
 
 
@@ -132,7 +166,10 @@ def test_unparsable_or_missing_retry_after_falls_back_to_backoff(server, sleeps,
     assert sleeps == [1.0]
 
 
-@pytest.mark.parametrize("far", ["86400", "inf", http_date(7200)])
+# The date case gets a fixed id: its value is computed at collection time.
+@pytest.mark.parametrize(
+    "far", ["86400", "inf", pytest.param(http_date(7200), id="http-date-in-2h")]
+)
 def test_every_wait_is_capped(server, sleeps, far):
     retried_once_after(server, far)
     assert sleeps == [MAX_RETRY_SLEEP_S]
@@ -181,3 +218,35 @@ def test_key_resolved_from_environment(monkeypatch, server):
     transport = HttpChatTransport()
     transport.complete("p", config_for(server))
     assert ScriptedHandler.requests[0][1]["Authorization"] == "Bearer sk-env"
+
+
+OK = (200, chat_payload("ok"), {})
+
+
+@pytest.mark.parametrize("fault", ["stall", "reset", "truncate"])
+def test_connection_fault_retried_with_backoff(server, sleeps, fault):
+    ScriptedHandler.script = [(200, chat_payload("lost"), {}, fault), OK]
+    cfg = dataclasses.replace(config_for(server), timeout=0.2)
+    assert HttpChatTransport(api_key="sk-test").complete("p", cfg) == "ok"
+    assert len(ScriptedHandler.requests) == 2
+    assert sleeps == [1.0]
+
+
+def test_connection_faults_share_the_retry_budget(server, sleeps):
+    ScriptedHandler.script = [
+        (503, {"error": "busy"}, {}),
+        (200, chat_payload("lost"), {}, "reset"),
+        (200, chat_payload("lost"), {}, "truncate"),
+        OK,
+    ]
+    assert HttpChatTransport(api_key="sk-test").complete("p", config_for(server)) == "ok"
+    assert sleeps == [1.0, 2.0, 4.0]
+
+
+def test_connection_faults_exhaust_the_budget(server, sleeps):
+    retries = HttpChatTransport.MAX_TRANSIENT_RETRIES
+    ScriptedHandler.script = [(200, chat_payload("lost"), {}, "truncate")] * (retries + 1)
+    with pytest.raises(TransportError, match="IncompleteRead.*after 6 attempts"):
+        HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
+    assert len(ScriptedHandler.requests) == retries + 1
+    assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from multiref.metaeval import (
     leakage_gap,
     load_human_judgments,
     meta_evaluate,
+    meta_evaluate_all,
     midranks,
     pairwise_accuracy,
     pearson,
@@ -348,3 +350,106 @@ class TestMetaEvaluate:
             MetaEvalReport(metric="m", pairwise_accuracy=1.5, n_pairs_used=1, pearson=0.0)
         with pytest.raises(ValueError):
             MetaEvalReport(metric="m", pairwise_accuracy=0.5, n_pairs_used=1, pearson=2.0)
+
+
+class TestMetaEvaluateAll:
+    """One shared human side gives what separate per-metric calls give."""
+
+    systems = ["sys0", "sys1", "sys2", "sys3", "sys4"]
+    segments = [f"s{i}" for i in range(8)]
+    dimensions = ["fluency", "adequacy"]
+
+    def metric_scores(self, rng):
+        """Three metrics over different (system, segment) key sets."""
+        keys = [(s, g) for s in self.systems for g in self.segments]
+        subsets = {
+            "m-full": keys,
+            "m-sparse": [k for k in keys if rng.random() < 0.7],
+            "a-no-sys4": [k for k in keys if k[0] != "sys4"],
+        }
+        return {
+            name: {k: float(rng.randint(0, 9)) + 0.25 * i for k in subset}
+            for i, (name, subset) in enumerate(subsets.items())
+        }
+
+    def check(self, scores_by_metric, judgments, human_system, human_segment, human_dims):
+        reports = meta_evaluate_all(scores_by_metric, judgments, name="xx-yy")
+        assert [r.metric for r in reports] == sorted(scores_by_metric)
+        for report in reports:
+            metric_scores = scores_by_metric[report.metric]
+            alone = meta_evaluate(metric_scores, judgments, report.metric, name="xx-yy")
+            assert dataclasses.asdict(report) == dataclasses.asdict(alone)
+
+            by_system = {}
+            for (system, _segment), value in metric_scores.items():
+                by_system.setdefault(system, []).append(value)
+            metric_system = {s: sum(v) / len(v) for s, v in by_system.items()}
+            accuracy, used = oracles.pairwise_accuracy(metric_system, human_system)
+            assert report.pairwise_accuracy == pytest.approx(accuracy)
+            assert report.n_pairs_used == used
+            common = sorted(set(metric_system) & set(human_system))
+            assert report.n_systems == len(common)
+            assert report.pearson == pytest.approx(oracles.pearson(
+                [metric_system[s] for s in common], [human_system[s] for s in common]
+            ))
+            if human_segment:
+                keys = sorted(set(metric_scores) & set(human_segment))
+                assert report.kendall == pytest.approx(oracles.kendall_tau(
+                    [metric_scores[k] for k in keys], [human_segment[k] for k in keys]
+                ))
+            else:
+                assert report.kendall is None
+            if human_dims:
+                assert list(report.spearman) == sorted(human_dims)
+                for dim, table in human_dims.items():
+                    keys = sorted(set(metric_scores) & set(table))
+                    assert report.spearman[dim] == pytest.approx(oracles.spearman(
+                        [metric_scores[k] for k in keys], [table[k] for k in keys]
+                    ))
+            else:
+                assert report.spearman is None
+        return reports
+
+    def test_dimension_only_judgments_fall_back_to_their_mean(self, rng):
+        judgments = []
+        human_dims = {dim: {} for dim in self.dimensions}
+        totals = {}
+        for system in self.systems:
+            for segment in self.segments:
+                for dim in self.dimensions:
+                    score = float(rng.randint(1, 5))
+                    judgments.append(HumanJudgment(system, score, segment, dim))
+                    human_dims[dim][system, segment] = score
+                    totals.setdefault(system, []).append(score)
+        human_system = {s: sum(v) / len(v) for s, v in totals.items()}
+        self.check(self.metric_scores(rng), judgments, human_system, {}, human_dims)
+
+    def test_metrics_with_different_key_sets(self, rng):
+        judgments = []
+        human_segment = {}
+        human_dims = {dim: {} for dim in self.dimensions}
+        for system in self.systems:
+            for segment in self.segments:
+                score = float(rng.randint(1, 5))
+                judgments.append(HumanJudgment(system, score, segment))
+                human_segment[system, segment] = score
+                for dim in self.dimensions:
+                    dim_score = float(rng.randint(1, 5))
+                    judgments.append(HumanJudgment(system, dim_score, segment, dim))
+                    human_dims[dim][system, segment] = dim_score
+        human_system = {
+            s: sum(v for (t, _g), v in human_segment.items() if t == s) / len(self.segments)
+            for s in self.systems
+        }
+        # An explicit system-level score wins over the segment mean.
+        judgments.append(HumanJudgment("sys2", 9.5))
+        human_system["sys2"] = 9.5
+        reports = self.check(self.metric_scores(rng), judgments, human_system, human_segment,
+                             human_dims)
+        assert [r.n_systems for r in reports] == [4, 5, 5]
+
+    def test_no_segment_level_human_scores_means_no_kendall(self, rng):
+        human_system = {s: float(i) for i, s in enumerate(self.systems)}
+        judgments = [HumanJudgment(s, v) for s, v in human_system.items()]
+        reports = self.check(self.metric_scores(rng), judgments, human_system, {}, {})
+        assert all(r.kendall is None for r in reports)
