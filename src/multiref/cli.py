@@ -148,8 +148,44 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str):
     return None
 
 
+# The JSON types a config value may have, by the argparse `type` of its flag;
+# any other `type` gets a string, as on the command line.
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
+def _config_scalar(action: argparse.Action, value):
+    """One config value, converted as argparse converts the flag's argument."""
+    accepted, expected = _CONFIG_TYPES.get(action.type, ((str,), "a string"))
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"expected {expected}, got {json.dumps(value)}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"invalid choice {json.dumps(value)} (choose from {', '.join(map(str, action.choices))})"
+        )
+    return value
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value checked against the flag's argparse action, as the flag would store it."""
+    if action.nargs == 0:  # store_true and --flag/--no-flag
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {json.dumps(value)}")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {json.dumps(value)}")
+        return [_config_scalar(action, item) for item in value]
+    return _config_scalar(action, value)
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill flags the user left at their default from the --config JSON."""
+    """Fill flags the user left at their default from the --config JSON.
+
+    Every value for a flag of this command is checked against the flag's
+    argparse action first; a bad one fails as `<config path>: <key>: <reason>`.
+    """
     if not args.config:
         return
     with open(args.config, encoding="utf-8") as handle:
@@ -157,12 +193,17 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
     sub = _subparser_for(parser, args.command)
-    sub_dests = {action.dest for action in sub._actions} if sub is not None else set()
+    sub_actions = {action.dest: action for action in sub._actions} if sub is not None else {}
+    actions = {action.dest: action for action in parser._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest == "func":
             continue
-        owner = sub if dest in sub_dests else parser
+        owner, action = (sub, sub_actions[dest]) if dest in sub_actions else (parser, actions[dest])
+        try:
+            value = _config_value(action, value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.config}: {key}: {exc}") from None
         if getattr(args, dest) == owner.get_default(dest):
             setattr(args, dest, value)
 

@@ -1,12 +1,18 @@
-"""Pure-Python counting kernels.
+"""Counting kernels behind the sentence and corpus metrics.
 
-Reference implementation of the hot loops behind every metric: n-gram
-counting, clipped multi-reference matching, character n-gram overlap, and
-longest-common-subsequence length. `_speedups.pyx` implements the exact same
-contracts in Cython; parity is enforced by tests/test_kernels.py.
+N-gram counting, clipped multi-reference matching, character n-gram overlap,
+and longest-common-subsequence length, in pure Python. Callers look the
+functions up as module attributes (``kernels.lcs_length(...)``) so that
+tracing and tests can wrap them here. tests/test_kernels.py checks each one
+against the brute-force oracles in tests/oracles.py.
 """
 
 from collections import Counter
+
+
+def active_backend() -> str:
+    """Always "pure"; kept only because pipebench records it in its results."""
+    return "pure"
 
 
 def ngram_counts(tokens, n):

@@ -256,7 +256,7 @@ def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
                     if record.get("dimension") is None
                     else str(record["dimension"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"invalid judgment: {exc}", str(path), lineno)
             key = (judgment.system, judgment.segment, judgment.dimension)
             if key in seen:

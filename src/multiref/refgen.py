@@ -479,7 +479,7 @@ def load_generation_records(path: str | Path) -> list[GenerationRecord]:
                 continue
             try:
                 records.append(GenerationRecord.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"invalid generation record: {exc}", str(path), lineno)
     return records
 

@@ -3,17 +3,6 @@ import random
 
 import pytest
 
-from multiref import kernels
-
-
-@pytest.fixture(params=kernels.available_backends())
-def kernel_backend(request):
-    """Run the test once per available kernel backend."""
-    previous = kernels.active_backend()
-    kernels.use_backend(request.param)
-    yield request.param
-    kernels.use_backend(previous)
-
 
 @pytest.fixture
 def rng():

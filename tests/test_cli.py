@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from multiref.cli import main
+from multiref.cli import _apply_config, build_parser, main
 from multiref.diversity import select_diverse, CandidateSet
 from multiref.metrics import bleu_corpus
 from multiref.refgen import load_generation_records
@@ -733,3 +733,75 @@ class TestConfigFile:
         )
         records = load_generation_records(out)
         assert all(len(r.candidates) == 1 for r in records)
+
+    @pytest.mark.parametrize(
+        "command, config, reason",
+        [
+            ("select", {"threshold": "x"}, 'expected a number, got "x"'),
+            ("generate", {"n_references": "3"}, 'expected an integer, got "3"'),
+            ("generate", {"n-references": 2.5}, "expected an integer, got 2.5"),
+            ("select", {"threshold": True}, "expected a number, got true"),
+            ("select", {"jobs": False}, "expected an integer, got false"),
+            ("generate", {"template": "klingon"},
+             'invalid choice "klingon" (choose from english, chinese, custom)'),
+            ("generate", {"mock": 1}, "expected true or false, got 1"),
+            ("generate", {"ground_truth": "no"}, 'expected true or false, got "no"'),
+            ("leakage-report", {"pair": "a,b"}, 'expected a list, got "a,b"'),
+            ("leakage-report", {"pair": ["a,b", 3]}, "expected a string, got 3"),
+        ],
+        ids=["float-given-string", "int-given-string", "int-given-float", "float-given-bool",
+             "global-int-given-bool", "outside-choices", "store-true-given-int",
+             "optional-bool-given-string", "append-given-string", "append-given-int-item"],
+    )
+    def test_bad_value_fails_with_config_path_and_key(
+        self, pipeline, tmp_path, capsys, command, config, reason
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "select": ["--refs", str(pipeline["refs"]), "--out", str(out)],
+            "generate": ["--segments", str(pipeline["segments"]), "--out", str(out), "--mock"],
+            "leakage-report": ["--single", "s.json", "--multi", "m.json", "--pair", "a,b"],
+        }[command]
+        assert main(["--config", str(path), command, *argv]) == 1
+        (key,) = config
+        assert capsys.readouterr().err.strip() == f"multiref: error: {path}: {key}: {reason}"
+        assert not out.exists()
+
+    def test_values_are_stored_as_the_flag_would_store_them(self, pipeline, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"threshold": 101, "lowercase": True}))
+        out = pipeline["dir"] / "selected.jsonl"
+        parser = build_parser()
+        args = parser.parse_args(
+            ["--config", str(path), "select", "--refs", str(pipeline["refs"]), "--out", str(out)]
+        )
+        _apply_config(parser, args)
+        assert args.threshold == 101.0 and isinstance(args.threshold, float)
+        assert args.lowercase is True
+
+
+@pytest.mark.parametrize(
+    "command, name, line, reason",
+    [
+        ("metaeval", "human.jsonl", '{"system": "copy", "segment": null, "score": 1%s}' % ("0" * 400),
+         "invalid judgment: int too large to convert to float"),
+        ("select", "refs.jsonl", '{"segment_id": "s1", "candidates": ["a"], "attempt_count": Infinity}',
+         "invalid generation record: cannot convert float infinity to integer"),
+    ],
+    ids=["human-score-beyond-float", "refs-attempt-count-infinity"],
+)
+def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, command, name, line, reason):
+    path = pipeline[name.split(".")[0]]
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    matrix = tmp_path / "matrix.jsonl"
+    matrix.write_text(json.dumps({"system": "copy", "segment": "s1", "scores": {"r0": 1.0}, "metric": "m"}) + "\n")
+    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    argv = {
+        "metaeval": ["metaeval", "--matrix", str(matrix), "--human", str(path)],
+        "select": ["select", "--refs", str(path), "--out", str(tmp_path / "out.jsonl")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"multiref: error: {path}:{lineno}: {reason}"

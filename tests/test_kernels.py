@@ -1,108 +1,76 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python ones."""
+"""The counting kernels, each checked against the brute-force oracles.
 
-import random
+Tokens are drawn from a small alphabet with multi-character and non-ASCII
+entries, so that n-grams repeat; sequences may be empty and orders may be
+longer than the input.
+"""
+
+from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multiref import kernels
 
-pytestmark = pytest.mark.skipif(
-    "c" not in kernels.available_backends(),
-    reason="compiled kernels not built; only the pure backend is available",
-)
-
-PURE = kernels._BACKENDS["pure"]
-FAST = kernels._BACKENDS.get("c")
+import oracles
 
 ALPHABET = ["a", "bb", "c", "猫", "e e"]  # multi-char and non-ASCII tokens
 
-
-def random_tokens(rng, lo=0, hi=15):
-    return [rng.choice(ALPHABET) for _ in range(rng.randint(lo, hi))]
-
-
-def test_backend_selection_api():
-    assert set(kernels.available_backends()) == {"c", "pure"}
-    previous = kernels.active_backend()
-    assert kernels.use_backend("pure") == "pure"
-    assert kernels.active_backend() == "pure"
-    assert kernels.ngram_counts is PURE.ngram_counts
-    kernels.use_backend(previous)
-    with pytest.raises(ValueError):
-        kernels.use_backend("gpu")
+tokens = st.lists(st.sampled_from(ALPHABET), max_size=12)
+orders = st.integers(1, 8)
+# chrF sees text with its whitespace already stripped.
+chars = st.lists(st.sampled_from(["a", "bb", "c", "猫"]), max_size=12).map("".join)
 
 
-def test_bleu_segment_stats_parity():
-    rng = random.Random(1)
-    for _ in range(300):
-        hyp = random_tokens(rng)
-        refs = [random_tokens(rng, 1, 15) for _ in range(rng.randint(1, 4))]
-        order = rng.randint(1, 5)
-        assert PURE.bleu_segment_stats(hyp, refs, order) == FAST.bleu_segment_stats(
-            hyp, refs, order
-        )
+@given(tokens, orders)
+def test_ngram_counts_matches_oracle(seq, n):
+    assert kernels.ngram_counts(seq, n) == Counter(oracles.ngram_list(seq, n))
 
 
-def test_rouge_overlap_parity():
-    rng = random.Random(2)
-    for _ in range(300):
-        hyp = random_tokens(rng)
-        ref = random_tokens(rng)
-        n = rng.randint(1, 4)
-        assert PURE.rouge_overlap(hyp, ref, n) == FAST.rouge_overlap(hyp, ref, n)
-
-
-def test_chrf_segment_stats_parity():
-    rng = random.Random(3)
-    for _ in range(300):
-        hyp = "".join(rng.choice("abc猫") for _ in range(rng.randint(0, 20)))
-        ref = "".join(rng.choice("abc猫") for _ in range(rng.randint(0, 20)))
-        assert PURE.chrf_segment_stats(hyp, ref, 6) == FAST.chrf_segment_stats(
-            hyp, ref, 6
-        )
-
-
-def test_lcs_parity():
-    rng = random.Random(4)
-    for _ in range(300):
-        a = random_tokens(rng, 0, 25)
-        b = random_tokens(rng, 0, 25)
-        assert PURE.lcs_length(a, b) == FAST.lcs_length(a, b)
-
-
-def test_ngram_counts_parity():
-    rng = random.Random(5)
-    for _ in range(100):
-        tokens = random_tokens(rng)
-        n = rng.randint(1, 4)
-        assert PURE.ngram_counts(tokens, n) == FAST.ngram_counts(tokens, n)
-
-
-def test_empty_refs_rejected_by_both():
-    for backend in (PURE, FAST):
-        with pytest.raises(ValueError):
-            backend.bleu_segment_stats(["a"], [], 4)
-
-
-def test_zero_order_rejected_by_both():
-    for backend in (PURE, FAST):
-        with pytest.raises(ValueError):
-            backend.ngram_counts(["a"], 0)
-
-
-def test_benchmark_script_runs():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run(
-        [sys.executable, "benchmarks/bench_kernels.py", "--segments", "10", "--refs", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
+@given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
+@example(["a", "a"], [["a"] * 3, ["a"]], 2)  # closest-length tie: the shorter wins
+def test_bleu_segment_stats_matches_oracle(hyp, refs, max_order):
+    matched, totals, hyp_len, closest, shortest = kernels.bleu_segment_stats(
+        hyp, refs, max_order
     )
-    assert result.returncode == 0, result.stderr
-    assert "score agreement across backends: OK" in result.stdout
+    order_range = range(1, max_order + 1)
+    assert matched == [oracles.clipped_matches(hyp, refs, n) for n in order_range]
+    assert totals == [len(oracles.ngram_list(hyp, n)) for n in order_range]
+    assert hyp_len == len(hyp)
+    ref_lens = [len(ref) for ref in refs]
+    assert closest == oracles.effective_ref_len(len(hyp), ref_lens, "closest")
+    assert shortest == oracles.effective_ref_len(len(hyp), ref_lens, "shortest")
+
+
+@given(tokens, tokens, orders)
+def test_rouge_overlap_matches_oracle(hyp, ref, n):
+    hyp_grams = oracles.ngram_list(hyp, n)
+    ref_grams = oracles.ngram_list(ref, n)
+    overlap = sum(min(hyp_grams.count(g), ref_grams.count(g)) for g in set(hyp_grams))
+    assert kernels.rouge_overlap(hyp, ref, n) == (overlap, len(hyp_grams), len(ref_grams))
+
+
+@given(chars, chars, orders)
+def test_chrf_segment_stats_matches_oracle(hyp, ref, n_max):
+    match, hyp_total, ref_total = kernels.chrf_segment_stats(hyp, ref, n_max)
+    assert list(zip(match, hyp_total, ref_total)) == oracles.chrf_pair_counts(hyp, ref, n_max)
+
+
+@given(tokens, tokens)
+def test_lcs_length_matches_oracle(a, b):
+    assert kernels.lcs_length(a, b) == oracles.lcs_table(a, b)
+
+
+def test_empty_refs_rejected():
+    with pytest.raises(ValueError):
+        kernels.bleu_segment_stats(["a"], [], 4)
+
+
+def test_zero_order_rejected():
+    with pytest.raises(ValueError):
+        kernels.ngram_counts(["a"], 0)
+
+
+def test_only_backend_is_pure():
+    assert kernels.active_backend() == "pure"

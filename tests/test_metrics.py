@@ -75,7 +75,7 @@ class TestBleuSentence:
         with pytest.raises(ValueError):
             bleu_sentence(["a"], [])
 
-    def test_oracle_equivalence(self, kernel_backend, rng):
+    def test_oracle_equivalence(self, rng):
         for smoothing in ("exp", "none"):
             cfg = BleuConfig(smoothing=smoothing)
             for _ in range(100):
@@ -116,7 +116,7 @@ class TestBleuCorpus:
         with pytest.raises(ValueError):
             bleu_corpus([])
 
-    def test_oracle_equivalence(self, kernel_backend, rng):
+    def test_oracle_equivalence(self, rng):
         for _ in range(40):
             pairs = [random_case(rng) for _ in range(rng.randint(1, 5))]
             expected = oracles.corpus_bleu(pairs)
@@ -183,14 +183,14 @@ class TestChrf:
         with pytest.raises(ValueError):
             chrf_corpus([])
 
-    def test_sentence_oracle_equivalence(self, kernel_backend, rng):
+    def test_sentence_oracle_equivalence(self, rng):
         for _ in range(100):
             hyp = "".join(random_tokens(rng))
             refs = ["".join(random_tokens(rng)) for _ in range(rng.randint(1, 4))]
             expected = oracles.chrf_sentence(hyp, refs)
             assert chrf_sentence(hyp, refs).value == pytest.approx(expected, abs=1e-9)
 
-    def test_corpus_oracle_equivalence(self, kernel_backend, rng):
+    def test_corpus_oracle_equivalence(self, rng):
         for _ in range(30):
             pairs = [
                 (
@@ -232,7 +232,7 @@ class TestRouge:
         with pytest.raises(ValueError):
             rouge_n(["a"], [["a"]], 0)
 
-    def test_oracle_equivalence(self, kernel_backend, rng):
+    def test_oracle_equivalence(self, rng):
         for _ in range(100):
             hyp, refs = random_case(rng)
             for n in (1, 2):
