@@ -66,10 +66,8 @@ from .refgen import (
     parse_candidates,
 )
 from .textproc import (
-    NgramCounts,
     SubwordVocab,
     TokenSequence,
-    extract_ngrams,
     load_subword_vocab,
     tokenize_chars,
     tokenize_subwords,
@@ -98,7 +96,6 @@ __all__ = [
     "MetricScore",
     "MockTransport",
     "MultirefError",
-    "NgramCounts",
     "PromptTemplate",
     "ScoreMatrix",
     "Segment",
@@ -113,7 +110,6 @@ __all__ = [
     "combine_matrix",
     "combine_row",
     "distinct_n",
-    "extract_ngrams",
     "generate_references",
     "kendall_tau",
     "leakage_gap",

@@ -141,11 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subparser_for(parser: argparse.ArgumentParser, command: str):
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return action.choices.get(command)
-    return None
+            return action.choices
+    return {}
 
 
 # The JSON types a config value may have, by the argparse `type` of its flag;
@@ -185,6 +185,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
     Every value for a flag of this command is checked against the flag's
     argparse action first; a bad one fails as `<config path>: <key>: <reason>`.
+    A key for another command's flag is skipped, so one config can serve
+    every command; a key that names no flag of any command fails.
     """
     if not args.config:
         return
@@ -192,12 +194,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
-    sub = _subparser_for(parser, args.command)
+    subparsers = _subparsers(parser)
+    sub = subparsers.get(args.command)
     sub_actions = {action.dest: action for action in sub._actions} if sub is not None else {}
     actions = {action.dest: action for action in parser._actions}
+    flags = {action.dest for p in (parser, *subparsers.values()) for action in p._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest == "func":
+        if dest not in flags:
+            raise ValueError(f"{args.config}: {key}: names no flag of any command")
+        if not hasattr(args, dest):
             continue
         owner, action = (sub, sub_actions[dest]) if dest in sub_actions else (parser, actions[dest])
         try:

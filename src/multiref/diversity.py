@@ -13,16 +13,11 @@ count, the first candidate holding it, and its second-highest count.
 
 from dataclasses import dataclass
 
+from . import kernels
+
 # bleu_sentence is no longer called here; it stays importable under this
 # module's name because pipebench/tracer.py wraps it.
-from .metrics import (  # noqa: F401
-    BleuConfig,
-    CorpusStats,
-    _bleu_from_stats,
-    _Profile,
-    _ref_len,
-    bleu_sentence,
-)
+from .metrics import BleuConfig, CorpusStats, _bleu_from_stats, bleu_sentence  # noqa: F401
 from .textproc import TokenSequence, tokenize_words, tokens_of
 
 PROVENANCES = frozenset({"llm", "gold", "external"})
@@ -72,7 +67,7 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
     cfg = cfg or BleuConfig()
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least two candidates")
-    profiles = [_Profile(tuple(tokens_of(c)), cfg.max_order) for c in candidates]
+    profiles = [kernels.Profile(tuple(tokens_of(c)), cfg.max_order) for c in candidates]
     matched = [[0] * cfg.max_order for _ in profiles]
     for order in range(cfg.max_order):
         table = {}
@@ -97,9 +92,11 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
         _bleu_from_stats(
             CorpusStats(
                 matched=matched[i],
-                totals=[max(0, length - n) for n in range(cfg.max_order)],
+                totals=[profiles[i].total(n) for n in range(1, cfg.max_order + 1)],
                 hyp_len=length,
-                ref_len=_ref_len(length, lengths[:i] + lengths[i + 1 :], cfg),
+                ref_len=kernels.ref_len(
+                    length, lengths[:i] + lengths[i + 1 :], cfg.effective_ref_length
+                ),
             ),
             cfg,
         ).value
@@ -162,10 +159,9 @@ def distinct_n(corpus, n: int = 6) -> float:
     seen = set()
     total = 0
     for seq in corpus:
-        tokens = tuple(tokens_of(seq))
-        for i in range(len(tokens) - n + 1):
-            seen.add(tokens[i : i + n])
-            total += 1
+        profile = kernels.Profile(tuple(tokens_of(seq)), n)
+        seen.update(profile.counts[n - 1])
+        total += profile.total(n)
     return len(seen) / total if total else 0.0
 
 

@@ -1,10 +1,17 @@
-"""Counting kernels behind the sentence and corpus metrics.
+"""The one counting module behind every metric.
 
-N-gram counting, clipped multi-reference matching, character n-gram overlap,
-and longest-common-subsequence length, in pure Python. Callers look the
-functions up as module attributes (``kernels.lcs_length(...)``) so that
-tracing and tests can wrap them here. tests/test_kernels.py checks each one
-against the brute-force oracles in tests/oracles.py.
+`Profile` holds one text's tokens and its n-gram counts; its constructor is
+the only place in the package that slides an n-gram window. Everything else
+compares profiles: `overlap` (clipped overlap of two count tables),
+`clip_table` (multi-reference clipping), `ref_len` (the brevity-penalty
+reference length), `chrf_stats` (character n-gram statistics of a pair) and
+`lcs_length`. `bleu_segment_stats` and `chrf_segment_stats` compose them for
+one segment given as plain token sequences.
+
+Callers look the segment functions and `lcs_length` up as module attributes
+(``kernels.lcs_length(...)``) so that tracing and tests can wrap them here.
+tests/test_kernels.py checks each helper against the brute-force oracles in
+tests/oracles.py.
 """
 
 from collections import Counter
@@ -15,12 +22,63 @@ def active_backend() -> str:
     return "pure"
 
 
-def ngram_counts(tokens, n):
-    """Sliding-window n-gram counts as a Counter keyed by token tuples."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    tokens = tuple(tokens)
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+class Profile:
+    """One text's tokens and its n-gram counts for orders 1..max_order.
+
+    `tokens` is a tuple of tokens or, at character level, a string, so that
+    its slices are hashable n-gram keys. `counts[n - 1]` counts order n.
+    """
+
+    __slots__ = ("tokens", "counts")
+
+    def __init__(self, tokens, max_order: int):
+        self.tokens = tokens
+        self.counts = [
+            Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+            for n in range(1, max_order + 1)
+        ]
+
+    def total(self, n: int) -> int:
+        """Number of n-grams of order n."""
+        return max(0, len(self.tokens) - n + 1)
+
+
+def overlap(a, b) -> int:
+    """Clipped overlap of two n-gram count tables: the sum of min counts."""
+    common = a.keys() & b.keys()
+    return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
+
+
+def clip_table(refs, max_order: int) -> list[dict]:
+    """Per order, the maximum count of each n-gram in any single reference profile."""
+    table = [dict(counts) for counts in refs[0].counts[:max_order]]
+    for ref in refs[1:]:
+        for clip, counts in zip(table, ref.counts):
+            for gram, count in counts.items():
+                if count > clip.get(gram, 0):
+                    clip[gram] = count
+    return table
+
+
+def ref_len(hyp_len: int, ref_lens, mode: str) -> int:
+    """The brevity-penalty reference length.
+
+    "closest" minimizes the distance to `hyp_len`, ties toward the shorter
+    length; "shortest" takes the minimum.
+    """
+    if mode == "closest":
+        return min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
+    return min(ref_lens)
+
+
+def chrf_stats(hyp: Profile, ref: Profile):
+    """(match, hyp_total, ref_total), each a list indexed by order-1."""
+    orders = range(1, len(hyp.counts) + 1)
+    return (
+        [overlap(h, r) for h, r in zip(hyp.counts, ref.counts)],
+        [hyp.total(n) for n in orders],
+        [ref.total(n) for n in orders],
+    )
 
 
 def bleu_segment_stats(hyp, refs, max_order):
@@ -32,62 +90,19 @@ def bleu_segment_stats(hyp, refs, max_order):
     matched/totals are lists indexed by order-1 and closest_ref_len breaks
     ties toward the shorter reference.
     """
-    hyp = list(hyp)
-    hyp_len = len(hyp)
-    matched = [0] * max_order
-    totals = [0] * max_order
-
-    best_key = None
-    shortest = None
-    ref_lists = []
-    for ref in refs:
-        ref = list(ref)
-        ref_lists.append(ref)
-        rl = len(ref)
-        key = (abs(rl - hyp_len), rl)
-        if best_key is None or key < best_key:
-            best_key = key
-        if shortest is None or rl < shortest:
-            shortest = rl
-    if best_key is None:
+    refs = [Profile(tuple(ref), max_order) for ref in refs]
+    if not refs:
         raise ValueError("refs must be non-empty")
-
-    for n in range(1, max_order + 1):
-        total = max(0, hyp_len - n + 1)
-        totals[n - 1] = total
-        if total == 0:
-            continue
-        hyp_counts = Counter(tuple(hyp[i : i + n]) for i in range(total))
-        clip = {}
-        for ref in ref_lists:
-            ref_counts = Counter(
-                tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)
-            )
-            for gram, count in ref_counts.items():
-                if gram in hyp_counts and count > clip.get(gram, 0):
-                    clip[gram] = count
-        matched[n - 1] = sum(
-            min(count, clip.get(gram, 0)) for gram, count in hyp_counts.items()
-        )
-
-    return matched, totals, hyp_len, best_key[1], shortest
-
-
-def rouge_overlap(hyp, ref, n):
-    """Clipped n-gram overlap of hypothesis and one reference.
-
-    Returns (overlap, hyp_total, ref_total).
-    """
-    hyp = tuple(hyp)
-    ref = tuple(ref)
-    hyp_total = max(0, len(hyp) - n + 1)
-    ref_total = max(0, len(ref) - n + 1)
-    if hyp_total == 0 or ref_total == 0:
-        return 0, hyp_total, ref_total
-    hyp_counts = Counter(hyp[i : i + n] for i in range(hyp_total))
-    ref_counts = Counter(ref[i : i + n] for i in range(ref_total))
-    overlap = sum(min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items())
-    return overlap, hyp_total, ref_total
+    hyp = Profile(tuple(hyp), max_order)
+    hyp_len = len(hyp.tokens)
+    ref_lens = [len(ref.tokens) for ref in refs]
+    return (
+        [overlap(h, clip) for h, clip in zip(hyp.counts, clip_table(refs, max_order))],
+        [hyp.total(n) for n in range(1, max_order + 1)],
+        hyp_len,
+        ref_len(hyp_len, ref_lens, "closest"),
+        min(ref_lens),
+    )
 
 
 def chrf_segment_stats(hyp, ref, n_max):
@@ -95,22 +110,7 @@ def chrf_segment_stats(hyp, ref, n_max):
 
     Returns (match, hyp_total, ref_total), each a list indexed by order-1.
     """
-    match = [0] * n_max
-    hyp_total = [0] * n_max
-    ref_total = [0] * n_max
-    for n in range(1, n_max + 1):
-        ht = max(0, len(hyp) - n + 1)
-        rt = max(0, len(ref) - n + 1)
-        hyp_total[n - 1] = ht
-        ref_total[n - 1] = rt
-        if ht == 0 or rt == 0:
-            continue
-        hyp_counts = Counter(hyp[i : i + n] for i in range(ht))
-        ref_counts = Counter(ref[i : i + n] for i in range(rt))
-        match[n - 1] = sum(
-            min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
-        )
-    return match, hyp_total, ref_total
+    return chrf_stats(Profile(hyp, n_max), Profile(ref, n_max))
 
 
 def lcs_length(a, b):

@@ -211,7 +211,12 @@ def pairwise_accuracy(metric_scores, human_scores) -> tuple[float, int]:
 
 def segment_kendall(metric_scores, human_scores) -> float:
     """Kendall tau-b over the aligned (system, segment) score vectors."""
-    common = sorted(set(metric_scores) & set(human_scores))
+    return _segment_kendall(sorted(human_scores), metric_scores, human_scores)
+
+
+def _segment_kendall(human_keys, metric_scores, human_scores) -> float:
+    """`segment_kendall` over the keys of the sorted `human_keys` that the metric shares."""
+    common = [k for k in human_keys if k in metric_scores]
     if len(common) < 2:
         raise ValueError("segment kendall needs at least two common (system, segment) keys")
     return kendall_tau(
@@ -323,6 +328,9 @@ def meta_evaluate_all(
     """
     human_system = system_human_scores(judgments)
     human_segment, human_dimensions = _human_segment_tables(judgments)
+    # Sorted once; each metric keeps the keys it shares, still in sorted order.
+    segment_keys = sorted(human_segment)
+    dimension_keys = {dim: sorted(table) for dim, table in human_dimensions.items()}
     reports = []
     for metric_name in sorted(scores_by_metric):
         metric_segment_scores = scores_by_metric[metric_name]
@@ -344,13 +352,13 @@ def meta_evaluate_all(
 
         tau = None
         if human_segment:
-            tau = segment_kendall(metric_segment_scores, human_segment)
+            tau = _segment_kendall(segment_keys, metric_segment_scores, human_segment)
 
         spearman_by_dim = None
         if human_dimensions:
             spearman_by_dim = {}
             for dim, human_dim in human_dimensions.items():
-                keys = sorted(set(metric_segment_scores) & set(human_dim))
+                keys = [k for k in dimension_keys[dim] if k in metric_segment_scores]
                 if len(keys) < 2:
                     raise ValueError(f"dimension {dim!r} shares fewer than two samples")
                 spearman_by_dim[dim] = spearman(

@@ -7,7 +7,6 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 """
 
 import math
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -264,47 +263,53 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _rouge_n_pr(hyp: kernels.Profile, ref: kernels.Profile, n: int) -> tuple[float, float]:
+    """ROUGE-N (precision, recall) of two profiles counted to order n or beyond."""
+    overlap = kernels.overlap(hyp.counts[n - 1], ref.counts[n - 1])
+    hyp_total, ref_total = hyp.total(n), ref.total(n)
+    return (
+        overlap / hyp_total if hyp_total > 0 else 0.0,
+        overlap / ref_total if ref_total > 0 else 0.0,
+    )
+
+
+def _rouge_l_pr(hyp: kernels.Profile, ref: kernels.Profile) -> tuple[float, float]:
+    """ROUGE-L (precision, recall) from the longest common subsequence."""
+    lcs = kernels.lcs_length(hyp.tokens, ref.tokens)
+    return (
+        lcs / len(hyp.tokens) if hyp.tokens else 0.0,
+        lcs / len(ref.tokens) if ref.tokens else 0.0,
+    )
+
+
+def _best_rouge(hyp, refs, order: int, pr, *args) -> MetricScore:
+    """Max F1 over the references, with the precision and recall behind it."""
+    if not refs:
+        raise ValueError("at least one reference is required")
+    hyp = kernels.Profile(tuple(tokens_of(hyp)), order)
+    best_f = 0.0
+    best_pr = (0.0, 0.0)
+    for ref in refs:
+        precision, recall = pr(hyp, kernels.Profile(tuple(tokens_of(ref)), order), *args)
+        fscore = _f1(precision, recall)
+        if fscore > best_f:
+            best_f = fscore
+            best_pr = (precision, recall)
+    return MetricScore(
+        best_f * 100.0, None, {"precision": best_pr[0], "recall": best_pr[1]}
+    )
+
+
 def rouge_n(hyp, refs, n: int) -> MetricScore:
     """ROUGE-N: max clipped-overlap F1 over the reference set."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    if not refs:
-        raise ValueError("at least one reference is required")
-    hyp_tokens = tokens_of(hyp)
-    best_f = 0.0
-    best_pr = (0.0, 0.0)
-    for ref in refs:
-        overlap, hyp_tot, ref_tot = kernels.rouge_overlap(hyp_tokens, tokens_of(ref), n)
-        precision = overlap / hyp_tot if hyp_tot > 0 else 0.0
-        recall = overlap / ref_tot if ref_tot > 0 else 0.0
-        fscore = _f1(precision, recall)
-        if fscore > best_f:
-            best_f = fscore
-            best_pr = (precision, recall)
-    return MetricScore(
-        best_f * 100.0, None, {"precision": best_pr[0], "recall": best_pr[1]}
-    )
+    return _best_rouge(hyp, refs, n, _rouge_n_pr, n)
 
 
 def rouge_l(hyp, refs) -> MetricScore:
     """ROUGE-L: max LCS-based F1 over the reference set."""
-    if not refs:
-        raise ValueError("at least one reference is required")
-    hyp_tokens = tokens_of(hyp)
-    best_f = 0.0
-    best_pr = (0.0, 0.0)
-    for ref in refs:
-        ref_tokens = tokens_of(ref)
-        lcs = kernels.lcs_length(hyp_tokens, ref_tokens)
-        precision = lcs / len(hyp_tokens) if hyp_tokens else 0.0
-        recall = lcs / len(ref_tokens) if ref_tokens else 0.0
-        fscore = _f1(precision, recall)
-        if fscore > best_f:
-            best_f = fscore
-            best_pr = (precision, recall)
-    return MetricScore(
-        best_f * 100.0, None, {"precision": best_pr[0], "recall": best_pr[1]}
-    )
+    return _best_rouge(hyp, refs, 0, _rouge_l_pr)
 
 
 # ------------------------------------------------- shared reference profiles
@@ -314,86 +319,15 @@ _WORD_METRICS = ("bleu", "rouge1", "rouge2", "rougeL")
 _ROUGE_N_ORDER = {"rouge1": 1, "rouge2": 2}
 
 
-class _Profile:
-    """One text's tokens and its n-gram counts for orders 1..max_order.
-
-    `tokens` is a tuple of tokens or, at character level, a string, so that
-    its slices are hashable n-gram keys.
-    """
-
-    __slots__ = ("tokens", "counts")
-
-    def __init__(self, tokens, max_order: int):
-        self.tokens = tokens
-        self.counts = [
-            Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-            for n in range(1, max_order + 1)
-        ]
-
-
-def _overlap(a: Counter, b) -> int:
-    """Clipped overlap of two n-gram count tables: the sum of min counts."""
-    common = a.keys() & b.keys()
-    return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
-
-
-def _clip_table(refs, max_order: int) -> list[dict]:
-    """Per order, the maximum count of each n-gram in any single reference."""
-    table = [dict(counts) for counts in refs[0].counts[:max_order]]
-    for ref in refs[1:]:
-        for clip, counts in zip(table, ref.counts):
-            for gram, count in counts.items():
-                if count > clip.get(gram, 0):
-                    clip[gram] = count
-    return table
-
-
-def _ref_len(hyp_len: int, ref_lens, cfg: BleuConfig) -> int:
-    """The brevity-penalty reference length, as `kernels.bleu_segment_stats` picks it.
-
-    "closest" minimizes the distance to `hyp_len`, ties toward the shorter
-    length; "shortest" takes the minimum.
-    """
-    if cfg.effective_ref_length == "closest":
-        return min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
-    return min(ref_lens)
-
-
-def _bleu_stats(hyp: _Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
+def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
     """The clipped-match statistics `corpus_stats_for_segment` computes."""
     hyp_len = len(hyp.tokens)
     return CorpusStats(
-        matched=[_overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
-        totals=[max(0, hyp_len - i) for i in range(cfg.max_order)],
+        matched=[kernels.overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
+        totals=[hyp.total(n) for n in range(1, cfg.max_order + 1)],
         hyp_len=hyp_len,
-        ref_len=_ref_len(hyp_len, ref_lens, cfg),
+        ref_len=kernels.ref_len(hyp_len, ref_lens, cfg.effective_ref_length),
     )
-
-
-def _chrf_stats(hyp: _Profile, ref: _Profile):
-    """(match, hyp_total, ref_total) per order, as `kernels.chrf_segment_stats`."""
-    orders = range(len(hyp.counts))
-    return (
-        [_overlap(h, r) for h, r in zip(hyp.counts, ref.counts)],
-        [max(0, len(hyp.tokens) - n) for n in orders],
-        [max(0, len(ref.tokens) - n) for n in orders],
-    )
-
-
-def _rouge_n_f1(hyp: _Profile, ref: _Profile, n: int) -> float:
-    hyp_total = max(0, len(hyp.tokens) - n + 1)
-    ref_total = max(0, len(ref.tokens) - n + 1)
-    overlap = _overlap(hyp.counts[n - 1], ref.counts[n - 1])
-    precision = overlap / hyp_total if hyp_total > 0 else 0.0
-    recall = overlap / ref_total if ref_total > 0 else 0.0
-    return _f1(precision, recall)
-
-
-def _rouge_l_f1(hyp: _Profile, ref: _Profile) -> float:
-    lcs = kernels.lcs_length(hyp.tokens, ref.tokens)
-    precision = lcs / len(hyp.tokens) if hyp.tokens else 0.0
-    recall = lcs / len(ref.tokens) if ref.tokens else 0.0
-    return _f1(precision, recall)
 
 
 class MultiRefScorer:
@@ -485,11 +419,11 @@ class SegmentScores:
         self._profiles = {}
         if scorer.word_order is not None:
             self._profiles["words"] = {
-                t: _Profile(tuple(scorer.words(t)), scorer.word_order) for t in texts
+                t: kernels.Profile(tuple(scorer.words(t)), scorer.word_order) for t in texts
             }
         if "spbleu" in scorer.metrics:
             self._profiles["pieces"] = {
-                t: _Profile(tuple(scorer.pieces(t)), scorer.bleu_cfg.max_order) for t in texts
+                t: kernels.Profile(tuple(scorer.pieces(t)), scorer.bleu_cfg.max_order) for t in texts
             }
         self._clips = {}
         # metric -> system -> one statistic per distinct reference.
@@ -498,15 +432,15 @@ class SegmentScores:
             if metric == "chrf":
                 self._pairs[metric] = self._chrf_pairs()
             elif metric in _ROUGE_N_ORDER:
-                self._pairs[metric] = self._word_pairs(_rouge_n_f1, _ROUGE_N_ORDER[metric])
+                self._pairs[metric] = self._word_pairs(_rouge_n_pr, _ROUGE_N_ORDER[metric])
             elif metric == "rougeL":
-                self._pairs[metric] = self._word_pairs(_rouge_l_f1)
+                self._pairs[metric] = self._word_pairs(_rouge_l_pr)
 
-    def _word_pairs(self, f1, *args) -> dict[str, list[float]]:
+    def _word_pairs(self, pr, *args) -> dict[str, list[float]]:
         words = self._profiles["words"]
         refs = [words[text] for text in self.refs]
         return {
-            system: [f1(words[hyp], ref, *args) for ref in refs]
+            system: [_f1(*pr(words[hyp], ref, *args)) for ref in refs]
             for system, hyp in self.hyps.items()
         }
 
@@ -515,14 +449,14 @@ class SegmentScores:
 
         def profile(text):
             chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase).tokens)
-            return _Profile(chars, scorer.chrf_order)
+            return kernels.Profile(chars, scorer.chrf_order)
 
         hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
         pairs = {system: [] for system in self.hyps}
         for text in self.refs:
             ref = hyp_profiles[text] if text in hyp_profiles else profile(text)
             for system, hyp in self.hyps.items():
-                stats = _chrf_stats(hyp_profiles[hyp], ref)
+                stats = kernels.chrf_stats(hyp_profiles[hyp], ref)
                 pairs[system].append((_chrf_fscore(*stats, scorer.chrf_beta)[0], stats))
         return pairs
 
@@ -543,7 +477,7 @@ class SegmentScores:
             if key not in self._clips:
                 refs = [profiles[self.refs[i]] for i in dict.fromkeys(slots)]
                 lens = [len(profiles[self.refs[i]].tokens) for i in slots]
-                self._clips[key] = (_clip_table(refs, self.scorer.bleu_cfg.max_order), lens)
+                self._clips[key] = (kernels.clip_table(refs, self.scorer.bleu_cfg.max_order), lens)
             clip, lens = self._clips[key]
             stats = _bleu_stats(profiles[self.hyps[system]], clip, lens, self.scorer.bleu_cfg)
             return _bleu_from_stats(stats, self.scorer.bleu_cfg).value, stats

@@ -13,11 +13,10 @@ import http.client
 import json
 import math
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -400,11 +399,14 @@ def generate_references(
 ) -> list[GenerationRecord]:
     """Generate candidates for every segment not in skip_ids.
 
-    `segments` yields (segment_id, source, gold_or_None). Records are
-    appended to out_path (one JSON object per line, flushed per record) so a
-    kill mid-run loses at most the in-flight segments; rerunning with the
-    completed ids in skip_ids is idempotent. Transport failures abort the
-    run; parse failures only mark their own segment as failed.
+    `segments` yields (segment_id, source, gold_or_None); `cfg.concurrency`
+    segments are in flight at a time, in segment order. Records are appended
+    to out_path as they complete (one JSON object per line, flushed per
+    record) so a kill mid-run loses at most the in-flight segments;
+    rerunning with the completed ids in skip_ids is idempotent. A transport
+    failure aborts the run: queued segments are never sent, and what the
+    calls in flight return is still persisted before the error is raised.
+    Parse failures only mark their own segment as failed.
     """
     skip = set(skip_ids)
     todo = [item for item in segments if item[0] not in skip]
@@ -415,35 +417,35 @@ def generate_references(
                 f"template expects ground truth but segments lack gold refs: {missing[:5]}"
             )
     records: list[GenerationRecord] = []
-    lock = threading.Lock()
     handle = None
     if out_path is not None:
         repair_truncated_tail(out_path)
         handle = open(out_path, "a", encoding="utf-8")
 
     def persist(record: GenerationRecord):
-        with lock:
-            records.append(record)
-            if handle is not None:
-                handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                handle.flush()
+        records.append(record)
+        if handle is not None:
+            handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+            handle.flush()
 
     try:
-        if cfg.concurrency == 1:
-            for segment_id, source, gold in todo:
-                persist(
-                    generate_for_segment(segment_id, source, gold, template, cfg, transport)
-                )
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-                futures = [
-                    pool.submit(
-                        generate_for_segment, sid, src, gold, template, cfg, transport
-                    )
-                    for sid, src, gold in todo
-                ]
-                for future in futures:
+        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+            futures = [
+                pool.submit(generate_for_segment, sid, src, gold, template, cfg, transport)
+                for sid, src, gold in todo
+            ]
+            unread = set(futures)
+            try:
+                for future in as_completed(futures):
+                    unread.discard(future)
                     persist(future.result())
+            except BaseException:
+                # Send nothing more, but keep what the calls in flight return.
+                pool.shutdown(cancel_futures=True)
+                for future in futures:
+                    if future in unread and not future.cancelled() and future.exception() is None:
+                        persist(future.result())
+                raise
     finally:
         if handle is not None:
             handle.close()

@@ -1,4 +1,4 @@
-"""Deterministic tokenization and n-gram extraction shared by all metrics.
+"""Deterministic tokenization shared by all metrics.
 
 Three granularities are supported: whitespace/punctuation word tokens,
 whitespace-stripped character tokens, and greedy longest-match subword pieces
@@ -7,11 +7,9 @@ same input always produces the same output.
 """
 
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import kernels
 from .errors import CorpusFormatError
 
 WORD = "word"
@@ -49,17 +47,6 @@ class TokenSequence:
 
     def __getitem__(self, idx):
         return self.tokens[idx]
-
-
-@dataclass(frozen=True)
-class NgramCounts:
-    """Multiset of n-grams (token tuples) of a single order."""
-
-    order: int
-    counts: Counter
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -162,13 +149,6 @@ def _longest_match(stream: str, pos: int, entries: frozenset[str], max_len: int)
         if candidate in entries:
             return candidate
     return None
-
-
-def extract_ngrams(seq, n: int) -> NgramCounts:
-    """Sliding-window n-gram counts; empty when the sequence is shorter than n."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return NgramCounts(order=n, counts=kernels.ngram_counts(tokens_of(seq), n))
 
 
 def tokens_of(seq) -> list[str]:

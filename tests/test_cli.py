@@ -748,10 +748,12 @@ class TestConfigFile:
             ("generate", {"ground_truth": "no"}, 'expected true or false, got "no"'),
             ("leakage-report", {"pair": "a,b"}, 'expected a list, got "a,b"'),
             ("leakage-report", {"pair": ["a,b", 3]}, "expected a string, got 3"),
+            ("select", {"treshold": 101}, "names no flag of any command"),
         ],
         ids=["float-given-string", "int-given-string", "int-given-float", "float-given-bool",
              "global-int-given-bool", "outside-choices", "store-true-given-int",
-             "optional-bool-given-string", "append-given-string", "append-given-int-item"],
+             "optional-bool-given-string", "append-given-string", "append-given-int-item",
+             "unknown-key"],
     )
     def test_bad_value_fails_with_config_path_and_key(
         self, pipeline, tmp_path, capsys, command, config, reason
@@ -768,6 +770,14 @@ class TestConfigFile:
         (key,) = config
         assert capsys.readouterr().err.strip() == f"multiref: error: {path}: {key}: {reason}"
         assert not out.exists()
+
+    def test_other_commands_keys_are_skipped(self, pipeline, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_references": 3, "metrics": "chrf", "threshold": 101.0}))
+        out = pipeline["dir"] / "selected.jsonl"
+        argv = ["--config", str(config), "select", "--refs", str(pipeline["refs"]), "--out", str(out)]
+        assert main(argv) == 0
+        assert all(len(r.candidates) == 3 for r in load_generation_records(out))
 
     def test_values_are_stored_as_the_flag_would_store_them(self, pipeline, tmp_path):
         path = tmp_path / "config.json"

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiref import kernels
+from multiref.metrics import rouge_n
 
 import oracles
 
@@ -23,9 +24,48 @@ orders = st.integers(1, 8)
 chars = st.lists(st.sampled_from(["a", "bb", "c", "猫"]), max_size=12).map("".join)
 
 
-@given(tokens, orders)
-def test_ngram_counts_matches_oracle(seq, n):
-    assert kernels.ngram_counts(seq, n) == Counter(oracles.ngram_list(seq, n))
+def profile(seq):
+    return kernels.Profile(tuple(seq), 8)
+
+
+@given(tokens)
+def test_ngram_counts_matches_oracle(seq):
+    """Profile.counts and Profile.total, for every order up to 8."""
+    counted = profile(seq)
+    assert len(counted.counts) == 8
+    for n in range(1, 9):
+        grams = oracles.ngram_list(seq, n)
+        assert counted.counts[n - 1] == Counter(grams)
+        assert counted.total(n) == len(grams)
+
+
+@given(tokens, tokens, orders)
+def test_overlap_matches_oracle(a, b, n):
+    a_grams = oracles.ngram_list(a, n)
+    b_grams = oracles.ngram_list(b, n)
+    expected = sum(min(a_grams.count(g), b_grams.count(g)) for g in set(a_grams))
+    assert kernels.overlap(Counter(a_grams), Counter(b_grams)) == expected
+
+
+@given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
+def test_clip_table_matches_oracle(hyp, refs, max_order):
+    table = kernels.clip_table([profile(ref) for ref in refs], max_order)
+    assert len(table) == max_order
+    for n, clip in enumerate(table, 1):
+        grams = {g for ref in refs for g in oracles.ngram_list(ref, n)}
+        assert clip == {g: max(oracles.ngram_list(ref, n).count(g) for ref in refs) for g in grams}
+        assert kernels.overlap(profile(hyp).counts[n - 1], clip) == oracles.clipped_matches(
+            hyp, refs, n
+        )
+
+
+@given(st.integers(0, 12), st.lists(st.integers(0, 12), min_size=1, max_size=5))
+@example(2, [3, 1])  # closest-length tie: the shorter wins
+def test_ref_len_matches_oracle(hyp_len, ref_lens):
+    for mode in ("closest", "shortest"):
+        assert kernels.ref_len(hyp_len, ref_lens, mode) == oracles.effective_ref_len(
+            hyp_len, ref_lens, mode
+        )
 
 
 @given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
@@ -45,10 +85,13 @@ def test_bleu_segment_stats_matches_oracle(hyp, refs, max_order):
 
 @given(tokens, tokens, orders)
 def test_rouge_overlap_matches_oracle(hyp, ref, n):
+    """rouge_n's precision and recall: the clipped overlap over each side's n-grams."""
     hyp_grams = oracles.ngram_list(hyp, n)
     ref_grams = oracles.ngram_list(ref, n)
     overlap = sum(min(hyp_grams.count(g), ref_grams.count(g)) for g in set(hyp_grams))
-    assert kernels.rouge_overlap(hyp, ref, n) == (overlap, len(hyp_grams), len(ref_grams))
+    detail = rouge_n(hyp, [ref], n).detail
+    assert detail["precision"] == (overlap / len(hyp_grams) if hyp_grams else 0.0)
+    assert detail["recall"] == (overlap / len(ref_grams) if ref_grams else 0.0)
 
 
 @given(chars, chars, orders)
@@ -65,11 +108,6 @@ def test_lcs_length_matches_oracle(a, b):
 def test_empty_refs_rejected():
     with pytest.raises(ValueError):
         kernels.bleu_segment_stats(["a"], [], 4)
-
-
-def test_zero_order_rejected():
-    with pytest.raises(ValueError):
-        kernels.ngram_counts(["a"], 0)
 
 
 def test_only_backend_is_pure():

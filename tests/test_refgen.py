@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -31,6 +33,23 @@ TEMPLATE_GT = PromptTemplate(
 
 def numbered(*items):
     return "\n".join(f"{i + 1}. {text}" for i, text in enumerate(items))
+
+
+class FailsFirstTransport:
+    """Raises TransportError on its first call; every later call answers after 50 ms."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.prompts = []
+
+    def complete(self, prompt, cfg):
+        with self.lock:
+            self.prompts.append(prompt)
+            first = len(self.prompts) == 1
+        if first:
+            raise TransportError("connection refused")
+        time.sleep(0.05)
+        return numbered("a", "b")
 
 
 class TestBuildPrompt:
@@ -200,6 +219,29 @@ class TestGenerateReferences:
         )
         assert {r.segment_id for r in records} == {s[0] for s in segments}
         assert completed_segment_ids(out) == {s[0] for s in segments}
+
+    def test_transport_failure_keeps_in_flight_results_and_sends_no_more(self, tmp_path):
+        out = tmp_path / "refs.jsonl"
+        segments = [(f"s{i}", f"text {i}", None) for i in range(20)]
+        transport = FailsFirstTransport()
+        with pytest.raises(TransportError):
+            generate_references(
+                segments, TEMPLATE, self.config(concurrency=2), transport, out_path=out
+            )
+        assert 2 <= len(transport.prompts) <= 2 * 2
+        persisted = {r.prompt_used for r in load_generation_records(out)}
+        assert persisted == set(transport.prompts[1:])
+
+    def test_one_worker_sends_segments_in_order(self, tmp_path):
+        out = tmp_path / "refs.jsonl"
+        segments = [(f"s{i}", f"text {i}", None) for i in range(6)]
+        cfg = self.config(concurrency=1)
+        transport = MockTransport()
+        generate_references(segments, TEMPLATE, cfg, transport, out_path=out)
+        assert transport.calls == [
+            build_prompt(TEMPLATE, src, None, cfg.n_references) for _, src, _ in segments
+        ]
+        assert [r.segment_id for r in load_generation_records(out)] == [s[0] for s in segments]
 
     def test_ground_truth_required_when_template_expects_it(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from multiref.textproc import (
     SubwordVocab,
     TokenSequence,
     WORD_MARKER,
-    extract_ngrams,
     load_subword_vocab,
     tokenize_chars,
     tokenize_subwords,
@@ -121,28 +120,6 @@ class TestTokenizeSubwords:
         pieces = tokenize_subwords(text, vocab).tokens
         rebuilt = "".join(pieces).replace(WORD_MARKER, " ").strip()
         assert rebuilt == " ".join(text.split())
-
-
-class TestExtractNgrams:
-    def test_unigrams(self):
-        counts = extract_ngrams(["a", "b", "a"], 1)
-        assert counts.counts == {("a",): 2, ("b",): 1}
-
-    def test_bigrams(self):
-        counts = extract_ngrams(["a", "b", "a"], 2)
-        assert counts.counts == {("a", "b"): 1, ("b", "a"): 1}
-
-    def test_too_short(self):
-        assert extract_ngrams(["a"], 2).counts == {}
-
-    def test_zero_order_rejected(self):
-        with pytest.raises(ValueError):
-            extract_ngrams(["a"], 0)
-
-    @given(st.lists(st.sampled_from("abcde"), max_size=20), st.integers(1, 5))
-    def test_total_count_law(self, tokens, n):
-        counts = extract_ngrams(tokens, n)
-        assert counts.total() == max(0, len(tokens) - n + 1)
 
 
 class TestTokenSequence:
