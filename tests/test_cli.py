@@ -189,7 +189,7 @@ class TestScore:
         )
         refs_by_seg = {
             r["segment_id"]: r["candidates"]
-            for r in map(json.loads, open(pipeline["refs"], encoding="utf-8"))
+            for r in map(json.loads, pipeline["refs"].read_text(encoding="utf-8").splitlines())
         }
         def words(text):
             return list(tokenize_words(text).tokens)
@@ -213,7 +213,7 @@ class TestScore:
                 "--out", str(matrix_path),
             ]
         )
-        rows = [json.loads(line) for line in open(matrix_path, encoding="utf-8")]
+        rows = [json.loads(line) for line in matrix_path.read_text(encoding="utf-8").splitlines()]
         assert len(rows) == 6  # 2 systems x 3 segments
         for row in rows:
             assert set(row) == {"system", "segment", "scores", "metric"}
@@ -232,7 +232,7 @@ class TestScore:
                 "--out", str(matrix_path),
             ]
         )
-        rows = [json.loads(line) for line in open(matrix_path, encoding="utf-8")]
+        rows = [json.loads(line) for line in matrix_path.read_text(encoding="utf-8").splitlines()]
         assert all(set(r["scores"]) == {"gold:0", "gen:0", "gen:1", "gen:2"} for r in rows)
 
     def test_sweep_emits_one_row_per_count(self, pipeline):

@@ -2,7 +2,9 @@
 
 Tokens are drawn from a small alphabet with multi-character and non-ASCII
 entries, so that n-grams repeat; sequences may be empty and orders may be
-longer than the input.
+longer than the input. The LCS and chrF tests also draw long sequences from
+two or three symbols, so that LCS bit masks span several 64-bit words and
+character n-grams repeat on both sides.
 """
 
 from collections import Counter
@@ -22,6 +24,8 @@ tokens = st.lists(st.sampled_from(ALPHABET), max_size=12)
 orders = st.integers(1, 8)
 # chrF sees text with its whitespace already stripped.
 chars = st.lists(st.sampled_from(["a", "bb", "c", "猫"]), max_size=12).map("".join)
+long_tokens = st.lists(st.sampled_from(ALPHABET[:3]), max_size=150)
+repeating_chars = st.lists(st.sampled_from(["a", "b"]), max_size=40).map("".join)
 
 
 def profile(seq):
@@ -30,12 +34,13 @@ def profile(seq):
 
 @given(tokens)
 def test_ngram_counts_matches_oracle(seq):
-    """Profile.counts and Profile.total, for every order up to 8."""
+    """Profile.counts, Profile.repeats and Profile.total, for every order up to 8."""
     counted = profile(seq)
-    assert len(counted.counts) == 8
+    assert len(counted.counts) == len(counted.repeats) == 8
     for n in range(1, 9):
         grams = oracles.ngram_list(seq, n)
         assert counted.counts[n - 1] == Counter(grams)
+        assert counted.repeats[n - 1] == {g: grams.count(g) for g in grams if grams.count(g) > 1}
         assert counted.total(n) == len(grams)
 
 
@@ -94,13 +99,18 @@ def test_rouge_overlap_matches_oracle(hyp, ref, n):
     assert detail["recall"] == (overlap / len(ref_grams) if ref_grams else 0.0)
 
 
-@given(chars, chars, orders)
+@given(chars | repeating_chars, chars | repeating_chars, orders)
+@example("aaaa", "aa", 3)  # "a" and "aa" repeat on both sides, with different counts
 def test_chrf_segment_stats_matches_oracle(hyp, ref, n_max):
     match, hyp_total, ref_total = kernels.chrf_segment_stats(hyp, ref, n_max)
     assert list(zip(match, hyp_total, ref_total)) == oracles.chrf_pair_counts(hyp, ref, n_max)
 
 
-@given(tokens, tokens)
+@given(tokens | long_tokens, tokens | long_tokens)
+@example([], ["a"] * 70)  # an empty side
+@example(["a"] * 70, [])
+@example(["a"] * 100, ["a"] * 90)  # all tokens equal
+@example(["c", "a"] * 20, ["a", "bb", "c"] * 30)  # b spans two 64-bit words
 def test_lcs_length_matches_oracle(a, b):
     assert kernels.lcs_length(a, b) == oracles.lcs_table(a, b)
 

@@ -242,6 +242,10 @@ class TestRouge:
             assert rouge_l(hyp, refs).value == pytest.approx(
                 oracles.rouge_l(hyp, refs), abs=1e-9
             )
+        # Longer than 64 tokens, so the LCS bit masks span several machine words.
+        hyp = random_tokens(rng, 65, 130)
+        refs = [random_tokens(rng, 65, 130) for _ in range(3)]
+        assert rouge_l(hyp, refs).value == pytest.approx(oracles.rouge_l(hyp, refs), abs=1e-9)
 
 
 class TestMultiReferenceMonotonicity:
