@@ -426,7 +426,7 @@ def cmd_score(args) -> int:
 
     corpus = corpus_io.load_corpus(args.segments, args.outputs)
     if args.generated_refs:
-        records = refgen.load_generation_records(args.generated_refs)
+        records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
         corpus = corpus_io.merge_references(corpus, records, use_gold=True)
     mode = args.refs or ("generated" if args.generated_refs else "gold")
     if mode in ("generated", "both") and not args.generated_refs:

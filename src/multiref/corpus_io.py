@@ -64,6 +64,35 @@ class EvalCorpus:
         raise KeyError(segment_id)
 
 
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def text_field(value, name: str) -> str:
+    """`value` if it is a string; a TypeError naming the field otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {_json_type(value)}")
+    return value
+
+
+def text_list(value, name: str) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list of strings; a TypeError naming the field otherwise."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list of strings, got {_json_type(value)}")
+    return tuple(text_field(item, f"{name}[{i}]") for i, item in enumerate(value))
+
+
 def _iter_jsonl(path: Path):
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -84,8 +113,8 @@ def load_segments(path: str | Path) -> list[Segment]:
         try:
             segment = Segment(
                 id=str(record["id"]),
-                source=str(record["source"]),
-                gold_refs=tuple(str(r) for r in record.get("gold_refs", [])),
+                source=text_field(record["source"], "source"),
+                gold_refs=text_list(record.get("gold_refs", []), "gold_refs"),
             )
         except (KeyError, TypeError) as exc:
             raise CorpusFormatError(f"invalid segment: {exc}", str(path), lineno)
@@ -108,7 +137,7 @@ def load_outputs(
         try:
             system = str(record["system"])
             segment = str(record["segment"])
-            hypothesis = str(record["hypothesis"])
+            hypothesis = text_field(record["hypothesis"], "hypothesis")
         except (KeyError, TypeError) as exc:
             raise CorpusFormatError(f"invalid output record: {exc}", str(path), lineno)
         if known_ids is not None and segment not in known_ids:

@@ -92,7 +92,7 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
         _bleu_from_stats(
             CorpusStats(
                 matched=matched[i],
-                totals=[profiles[i].total(n) for n in range(1, cfg.max_order + 1)],
+                totals=profiles[i].totals,
                 hyp_len=length,
                 ref_len=kernels.ref_len(
                     length, lengths[:i] + lengths[i + 1 :], cfg.effective_ref_length
@@ -161,7 +161,7 @@ def distinct_n(corpus, n: int = 6) -> float:
     for seq in corpus:
         profile = kernels.Profile(tuple(tokens_of(seq)), n)
         seen.update(profile.counts[n - 1])
-        total += profile.total(n)
+        total += profile.totals[n - 1]
     return len(seen) / total if total else 0.0
 
 

@@ -1,19 +1,23 @@
 """The one counting module behind every metric.
 
-`Profile` holds one text's tokens, its n-gram counts and the part of those
-counts above 1; its constructor is the only place in the package that
-slides an n-gram window. Everything else compares profiles: `overlap`
-(clipped overlap of two count tables), `clip_table` (multi-reference
-clipping), `ref_len` (the brevity-penalty reference length), `chrf_stats`
-(character n-gram statistics of a pair) and `lcs_length`.
-`bleu_segment_stats` and `chrf_segment_stats` compose them for one segment
-given as plain token sequences.
+`Profile` holds one text's tokens and, per order, its n-gram counts, their
+number (`totals`) and the part of each count above 1 (`excess`), all filled
+once when the profile is built; its constructor is the only place in the
+package that slides an n-gram window. Everything else compares profiles:
+`overlap` (clipped overlap of two count tables), `clip_table`
+(multi-reference clipping), `ref_len` (the brevity-penalty reference
+length), `chrf_stats` (character n-gram statistics of a pair) and
+`lcs_length`. `bleu_segment_stats` and `chrf_segment_stats` compose them for
+one segment given as plain token sequences.
 
 Two kernels avoid per-element Python work, because `score` spends most of
-its time in them. `chrf_stats` counts the shared n-grams with one set
-intersection and adds a correction only for the n-grams that repeat on
-both sides. `lcs_length` is the bit-parallel LCS length of Allison & Dix
-(1986) and Hyyrö (2004): one Python int holds a whole row of the LCS table.
+its time in them. `chrf_stats` runs once per (hypothesis, reference) pair,
+so it recomputes nothing a profile already holds: per order it takes one
+set intersection of the n-grams and adds the overlap of the two `excess`
+tables only when both sides repeat something. `lcs_length` is the
+bit-parallel LCS length of Allison & Dix (1986) and Hyyrö (2004): one
+Python int holds a whole row of the LCS table. Nothing here is cached
+between calls, and there is no flag or alternative implementation.
 
 Callers look the segment functions and `lcs_length` up as module attributes
 (``kernels.lcs_length(...)``) so that tracing and tests can wrap them here.
@@ -30,15 +34,16 @@ def active_backend() -> str:
 
 
 class Profile:
-    """One text's tokens and its n-gram counts for orders 1..max_order.
+    """One text's tokens and its n-gram statistics for orders 1..max_order.
 
     `tokens` is a tuple of tokens or, at character level, a string, so that
-    its slices are hashable n-gram keys. `counts[n - 1]` counts order n, and
-    `repeats[n - 1]` holds the part of it with counts above 1, which
-    `chrf_stats` needs on its own.
+    its slices are hashable n-gram keys. Each list is indexed by order-1:
+    `counts` counts the n-grams, `totals` holds their number, and `excess`
+    maps each n-gram that repeats to its count minus 1, which `chrf_stats`
+    needs on its own. All are filled once here; callers must not mutate them.
     """
 
-    __slots__ = ("tokens", "counts", "repeats")
+    __slots__ = ("tokens", "counts", "totals", "excess")
 
     def __init__(self, tokens, max_order: int):
         self.tokens = tokens
@@ -46,18 +51,15 @@ class Profile:
             Counter([tokens[i : i + n] for i in range(len(tokens) - n + 1)])
             for n in range(1, max_order + 1)
         ]
+        self.totals = [max(0, len(tokens) - n + 1) for n in range(1, max_order + 1)]
         # Most higher orders have no repeats; skip their scan, which BLEU
         # profiles (built in bulk by `select`) would pay for nothing.
-        self.repeats = [
-            {gram: count for gram, count in counts.items() if count > 1}
-            if len(counts) < self.total(n)
+        self.excess = [
+            {gram: count - 1 for gram, count in counts.items() if count > 1}
+            if len(counts) < total
             else {}
-            for n, counts in enumerate(self.counts, 1)
+            for counts, total in zip(self.counts, self.totals)
         ]
-
-    def total(self, n: int) -> int:
-        """Number of n-grams of order n."""
-        return max(0, len(self.tokens) - n + 1)
 
 
 def overlap(a, b) -> int:
@@ -91,22 +93,19 @@ def ref_len(hyp_len: int, ref_lens, mode: str) -> int:
 def chrf_stats(hyp: Profile, ref: Profile):
     """(match, hyp_total, ref_total), each a list indexed by order-1.
 
-    An n-gram on both sides adds min(h, r) = 1 + (min(h, r) - 1) to the
+    An n-gram on both sides adds min(h, r) = 1 + min(h - 1, r - 1) to the
     match, and the second term is 0 unless it repeats on both sides. So the
-    match is the number of shared n-grams plus a sum over the shared
-    repeats only: the same as `overlap`, with per-n-gram work only for the
-    few n-grams that repeat.
+    match is the number of shared n-grams plus the overlap of the two
+    `excess` tables: per-n-gram work only for the few n-grams that repeat.
+    The totals are the profiles' own lists, not copies.
     """
-    orders = range(1, len(hyp.counts) + 1)
     match = []
-    for h, r, h_rep, r_rep in zip(hyp.counts, ref.counts, hyp.repeats, ref.repeats):
-        both = h_rep.keys() & r_rep.keys()
-        match.append(len(h.keys() & r.keys()) + overlap(h_rep, r_rep) - len(both))
-    return (
-        match,
-        [hyp.total(n) for n in orders],
-        [ref.total(n) for n in orders],
-    )
+    for h, r, h_excess, r_excess in zip(hyp.counts, ref.counts, hyp.excess, ref.excess):
+        shared = len(h.keys() & r.keys())
+        if h_excess and r_excess:
+            shared += overlap(h_excess, r_excess)
+        match.append(shared)
+    return match, hyp.totals, ref.totals
 
 
 def bleu_segment_stats(hyp, refs, max_order):
@@ -126,7 +125,7 @@ def bleu_segment_stats(hyp, refs, max_order):
     ref_lens = [len(ref.tokens) for ref in refs]
     return (
         [overlap(h, clip) for h, clip in zip(hyp.counts, clip_table(refs, max_order))],
-        [hyp.total(n) for n in range(1, max_order + 1)],
+        hyp.totals,
         hyp_len,
         ref_len(hyp_len, ref_lens, "closest"),
         min(ref_lens),

@@ -211,13 +211,18 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
     return math.fsum(used) / len(used), tuple(per_order), len(used)
 
 
+def _chrf_profile(text: str, n_max: int, lowercase: bool) -> kernels.Profile:
+    """Character profile of a text, whitespace stripped."""
+    return kernels.Profile("".join(tokenize_chars(text, lowercase=lowercase).tokens), n_max)
+
+
 def _chrf_best_ref_stats(hyp_text: str, ref_texts, n_max: int, beta: float, lowercase: bool):
-    hyp = "".join(tokenize_chars(hyp_text, lowercase=lowercase).tokens)
+    """Counts against the best reference (the first among equal scores)."""
+    hyp = _chrf_profile(hyp_text, n_max, lowercase)
     best = None
     best_score = -1.0
     for ref_text in ref_texts:
-        ref = "".join(tokenize_chars(ref_text, lowercase=lowercase).tokens)
-        stats = kernels.chrf_segment_stats(hyp, ref, n_max)
+        stats = kernels.chrf_stats(hyp, _chrf_profile(ref_text, n_max, lowercase))
         score, _, _ = _chrf_fscore(*stats, beta)
         if score > best_score:
             best_score = score
@@ -266,7 +271,7 @@ def _f1(precision: float, recall: float) -> float:
 def _rouge_n_pr(hyp: kernels.Profile, ref: kernels.Profile, n: int) -> tuple[float, float]:
     """ROUGE-N (precision, recall) of two profiles counted to order n or beyond."""
     overlap = kernels.overlap(hyp.counts[n - 1], ref.counts[n - 1])
-    hyp_total, ref_total = hyp.total(n), ref.total(n)
+    hyp_total, ref_total = hyp.totals[n - 1], ref.totals[n - 1]
     return (
         overlap / hyp_total if hyp_total > 0 else 0.0,
         overlap / ref_total if ref_total > 0 else 0.0,
@@ -324,7 +329,7 @@ def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> Corpus
     hyp_len = len(hyp.tokens)
     return CorpusStats(
         matched=[kernels.overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
-        totals=[hyp.total(n) for n in range(1, cfg.max_order + 1)],
+        totals=hyp.totals[: cfg.max_order],
         hyp_len=hyp_len,
         ref_len=kernels.ref_len(hyp_len, ref_lens, cfg.effective_ref_length),
     )
@@ -448,8 +453,7 @@ class SegmentScores:
         scorer = self.scorer
 
         def profile(text):
-            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase).tokens)
-            return kernels.Profile(chars, scorer.chrf_order)
+            return _chrf_profile(text, scorer.chrf_order, scorer.lowercase)
 
         hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
         pairs = {system: [] for system in self.hyps}

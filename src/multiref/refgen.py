@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .corpus_io import text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
 
 LANGUAGES = ("english", "chinese", "custom")
@@ -152,7 +153,7 @@ class GenerationRecord:
             segment_id=str(record["segment_id"]),
             prompt_used=str(record.get("prompt_used", "")),
             raw_response=str(record.get("raw_response", "")),
-            candidates=tuple(str(c) for c in record.get("candidates", [])),
+            candidates=text_list(record.get("candidates", []), "candidates"),
             attempt_count=int(record.get("attempt_count", 1)),
             timestamp=str(record.get("timestamp", "")),
             error=record.get("error"),
@@ -470,8 +471,13 @@ def repair_truncated_tail(path: str | Path) -> bool:
     return True
 
 
-def load_generation_records(path: str | Path) -> list[GenerationRecord]:
-    """Read a refs.jsonl file of GenerationRecord objects."""
+def load_generation_records(
+    path: str | Path, known_ids: set[str] | None = None
+) -> list[GenerationRecord]:
+    """Read a refs.jsonl file of GenerationRecord objects.
+
+    Segment ids are validated when `known_ids` is given.
+    """
     path = Path(path)
     records = []
     with open(path, encoding="utf-8") as handle:
@@ -480,9 +486,14 @@ def load_generation_records(path: str | Path) -> list[GenerationRecord]:
             if not line:
                 continue
             try:
-                records.append(GenerationRecord.from_json(json.loads(line)))
+                record = GenerationRecord.from_json(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"invalid generation record: {exc}", str(path), lineno)
+            if known_ids is not None and record.segment_id not in known_ids:
+                raise CorpusFormatError(
+                    f"record references unknown segment {record.segment_id!r}", str(path), lineno
+                )
+            records.append(record)
     return records
 
 

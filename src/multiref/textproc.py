@@ -4,10 +4,22 @@ Three granularities are supported: whitespace/punctuation word tokens,
 whitespace-stripped character tokens, and greedy longest-match subword pieces
 against a user-supplied vocabulary. All tokenizers are pure functions; the
 same input always produces the same output.
+
+Multi-reference scoring tokenizes many near-paraphrases, so most words recur.
+Two bounded caches keep the per-word work to once per distinct word:
+`tokenize_words` peels the punctuation of each distinct whitespace chunk once
+(a module-level `functools.lru_cache` of `WORD_CACHE_SIZE` chunks), and
+`tokenize_subwords` segments each distinct word once per vocabulary (an
+`lru_cache` of `SUBWORD_CACHE_SIZE` words held by the `SubwordVocab`
+instance, so a lookup never compares vocabularies). Normalization and
+lowercasing apply to the whole text before it is split, so a chunk alone
+determines its tokens. The caches change no result, and no flag turns them off.
 """
 
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 
 from .errors import CorpusFormatError
@@ -23,6 +35,12 @@ WORD_MARKER = "▁"
 #: Default unknown piece when a vocabulary file declares none.
 DEFAULT_UNK_PIECE = "<unk>"
 
+#: Distinct whitespace chunks whose word tokens are kept, least recently used first out.
+WORD_CACHE_SIZE = 1 << 16
+
+#: Distinct words whose subword pieces each vocabulary keeps.
+SUBWORD_CACHE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -34,9 +52,9 @@ class TokenSequence:
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if any(tok == "" for tok in self.tokens):
+        if "" in self.tokens:
             raise ValueError("token sequences must not contain empty strings")
-        if self.granularity == CHAR and any(tok.isspace() for tok in self.tokens):
+        if self.granularity == CHAR and any(map(str.isspace, self.tokens)):
             raise ValueError("char sequences must not contain whitespace tokens")
 
     def __len__(self) -> int:
@@ -62,10 +80,17 @@ class SubwordVocab:
         if "" in self.entries:
             raise ValueError("subword vocabulary must not contain the empty string")
         object.__setattr__(self, "_max_len", max(len(e) for e in self.entries))
+        # word -> its pieces; bound to this instance's entries, not keyed by them.
+        segment = partial(_segment_word, self.entries, self._max_len, self.unk_piece)
+        object.__setattr__(self, "_segment", lru_cache(maxsize=SUBWORD_CACHE_SIZE)(segment))
 
     @property
     def max_piece_len(self) -> int:
         return self._max_len
+
+    def __reduce__(self):
+        # Pickle and copy the fields only; the copy builds its own cache.
+        return SubwordVocab, (self.entries, self.unk_piece)
 
 
 def _is_punct(ch: str) -> bool:
@@ -82,23 +107,20 @@ def tokenize_words(text: str, lowercase: bool = False) -> TokenSequence:
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
-    tokens: list[str] = []
-    for chunk in text.split():
-        start = 0
-        end = len(chunk)
-        leading: list[str] = []
-        trailing: list[str] = []
-        while start < end and _is_punct(chunk[start]):
-            leading.append(chunk[start])
-            start += 1
-        while end > start and _is_punct(chunk[end - 1]):
-            trailing.append(chunk[end - 1])
-            end -= 1
-        tokens.extend(leading)
-        if start < end:
-            tokens.append(chunk[start:end])
-        tokens.extend(reversed(trailing))
-    return TokenSequence(tuple(tokens), WORD)
+    return TokenSequence(tuple(chain.from_iterable(map(_peel, text.split()))), WORD)
+
+
+@lru_cache(maxsize=WORD_CACHE_SIZE)
+def _peel(chunk: str) -> tuple[str, ...]:
+    """Word tokens of one whitespace-free chunk: its edge punctuation peeled off."""
+    start = 0
+    end = len(chunk)
+    while start < end and _is_punct(chunk[start]):
+        start += 1
+    while end > start and _is_punct(chunk[end - 1]):
+        end -= 1
+    core = (chunk[start:end],) if start < end else ()
+    return (*chunk[:start], *core, *chunk[end:])
 
 
 def tokenize_chars(text: str, lowercase: bool = False) -> TokenSequence:
@@ -106,7 +128,7 @@ def tokenize_chars(text: str, lowercase: bool = False) -> TokenSequence:
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
-    return TokenSequence(tuple(ch for ch in text if not ch.isspace()), CHAR)
+    return TokenSequence(tuple("".join(text.split())), CHAR)
 
 
 def tokenize_subwords(
@@ -123,23 +145,25 @@ def tokenize_subwords(
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
+    return TokenSequence(tuple(chain.from_iterable(map(vocab._segment, text.split()))), SUBWORD)
+
+
+def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):
+    """Pieces of one whitespace-free word; `SubwordVocab` caches it per word."""
+    stream = WORD_MARKER + word
+    if _longest_match(stream, 0, entries, max_len) is None:
+        stream = word  # no marked match: drop the boundary marker
     pieces: list[str] = []
-    max_len = vocab.max_piece_len
-    entries = vocab.entries
-    for word in text.split():
-        stream = WORD_MARKER + word
-        pos = 0
-        if _longest_match(stream, 0, entries, max_len) is None:
-            stream = word  # no marked match: drop the boundary marker
-        while pos < len(stream):
-            match = _longest_match(stream, pos, entries, max_len)
-            if match is None:
-                pieces.append(vocab.unk_piece)
-                pos += 1
-            else:
-                pieces.append(match)
-                pos += len(match)
-    return TokenSequence(tuple(pieces), SUBWORD)
+    pos = 0
+    while pos < len(stream):
+        match = _longest_match(stream, pos, entries, max_len)
+        if match is None:
+            pieces.append(unk_piece)
+            pos += 1
+        else:
+            pieces.append(match)
+            pos += len(match)
+    return tuple(pieces)
 
 
 def _longest_match(stream: str, pos: int, entries: frozenset[str], max_len: int):

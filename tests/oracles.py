@@ -2,11 +2,75 @@
 
 Everything here is written from the scoring definitions by direct
 enumeration: n-grams are materialized as explicit lists and counted with
-list.count, LCS uses a full DP table, and the correlation statistics run
-over every pair. Nothing imports from the package under test.
+list.count, LCS uses a full DP table, the correlation statistics run over
+every pair, and the subword oracle tries every vocabulary entry at every
+position. Nothing imports from the package under test.
 """
 
 import math
+import unicodedata
+
+WORD_MARKER = "\u2581"
+
+
+def _normalized(text, lowercase):
+    text = unicodedata.normalize("NFC", text)
+    return text.lower() if lowercase else text
+
+
+def _is_punct(ch):
+    return unicodedata.category(ch).startswith("P")
+
+
+def char_tokens(text, lowercase=False):
+    """NFC, optionally lowercase, then one token per non-whitespace character."""
+    return [ch for ch in _normalized(text, lowercase) if not ch.isspace()]
+
+
+def word_tokens(text, lowercase=False):
+    """NFC, optionally lowercase, split on whitespace, then peel edge punctuation.
+
+    Each punctuation character at the start or end of a chunk becomes a token
+    of its own; what lies between the first and last non-punctuation
+    characters stays one token.
+    """
+    tokens = []
+    for chunk in _normalized(text, lowercase).split():
+        kept = [i for i, ch in enumerate(chunk) if not _is_punct(ch)]
+        if not kept:
+            tokens.extend(chunk)
+            continue
+        first, last = kept[0], kept[-1]
+        tokens.extend(chunk[:first])
+        tokens.append(chunk[first : last + 1])
+        tokens.extend(chunk[last + 1 :])
+    return tokens
+
+
+def subword_pieces(text, entries, unk_piece, lowercase=False):
+    """Greedy longest match per whitespace-delimited word.
+
+    A word is matched with the word marker prefixed, unless no entry is a
+    prefix of the marked word; then the marker is dropped. At each position
+    the longest entry that starts there is taken; where none does, the unk
+    piece is emitted and matching moves one character on.
+    """
+    pieces = []
+    for word in _normalized(text, lowercase).split():
+        stream = WORD_MARKER + word
+        if not any(stream.startswith(entry) for entry in entries):
+            stream = word
+        pos = 0
+        while pos < len(stream):
+            matches = [entry for entry in entries if stream.startswith(entry, pos)]
+            if matches:
+                best = max(matches, key=len)
+                pieces.append(best)
+                pos += len(best)
+            else:
+                pieces.append(unk_piece)
+                pos += 1
+    return pieces
 
 
 def ngram_list(tokens, n):

@@ -422,6 +422,57 @@ class TestScore:
         assert code == 1
         assert "generated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "file, line, record, reason",
+        [
+            # Each of these used to be scored: null as the text "None" (chrF
+            # 2.98), a string as one reference per character, [null, 3] as
+            # ("None", "3").
+            ("outputs", 2, {"system": "a", "segment": "s1", "hypothesis": None},
+             "hypothesis must be a string, got null"),
+            ("outputs", 2, {"system": "a", "segment": "s1", "hypothesis": ["the cat"]},
+             "hypothesis must be a string, got array"),
+            ("segments", 2, {"id": "s2", "source": "x", "gold_refs": "the cat"},
+             "gold_refs must be a list of strings, got string"),
+            ("segments", 2, {"id": "s2", "source": "x", "gold_refs": [None, 3]},
+             "gold_refs[0] must be a string, got null"),
+            ("segments", 2, {"id": "s2", "source": 7, "gold_refs": []},
+             "source must be a string, got number"),
+            ("refs", 2, make_record("s2", "the dog"),
+             "candidates must be a list of strings, got string"),
+            ("refs", 2, make_record("s2", ["the dog", 3]),
+             "candidates[1] must be a string, got number"),
+            ("refs", 2, make_record("zz", ["the dog"]), "record references unknown segment 'zz'"),
+        ],
+    )
+    def test_bad_text_fields_fail_with_location(
+        self, pipeline, jsonl_writer, capsys, file, line, record, reason
+    ):
+        paths = {name: pipeline["dir"] / f"bad.{name}.jsonl" for name in ("segments", "outputs", "refs")}
+        good = {
+            "segments": {"id": "s1", "source": "x", "gold_refs": ["the cat sat"]},
+            "outputs": {"system": "b", "segment": "s1", "hypothesis": "the cat sat"},
+            "refs": make_record("s1", ["the cat sat"]),
+        }
+        for name, path in paths.items():
+            jsonl_writer(path, [good[name], record] if name == file else [good[name]])
+        summary = pipeline["dir"] / "bad.summary.json"
+        code = main(
+            [
+                "score",
+                "--segments", str(paths["segments"]),
+                "--outputs", str(paths["outputs"]),
+                "--generated-refs", str(paths["refs"]),
+                "--refs", "both",
+                "--summary", str(summary),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{paths[file]}:{line}: " in err
+        assert reason in err
+        assert not summary.exists()
+
 
 class TestCombine:
     def write_matrix(self, path, jsonl_writer):

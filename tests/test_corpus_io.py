@@ -12,7 +12,7 @@ from multiref.corpus_io import (
     segments_from_tsv,
 )
 from multiref.errors import CorpusFormatError
-from multiref.refgen import GenerationRecord
+from multiref.refgen import GenerationRecord, load_generation_records
 
 
 def record(segment_id, candidates, error=None):
@@ -110,6 +110,63 @@ class TestLoadCorpus:
         corpus = load_corpus(seg_path, out_path)
         assert corpus.segments == segments
         assert corpus.systems == systems
+
+    def test_ids_are_still_converted_to_strings(self, tmp_path, jsonl_writer):
+        seg_path = tmp_path / "segments.jsonl"
+        out_path = tmp_path / "outputs.jsonl"
+        jsonl_writer(seg_path, [{"id": 3, "source": "x", "gold_refs": ["g"]}])
+        jsonl_writer(out_path, [{"system": 1, "segment": 3, "hypothesis": "h"}])
+        corpus = load_corpus(seg_path, out_path)
+        assert corpus.segment_ids() == ["3"]
+        assert corpus.systems == {"1": {"3": "h"}}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("source", None), ("gold_refs", "g"), ("gold_refs", ["g", None]), ("gold_refs", None)],
+    )
+    def test_non_string_segment_text_reports_line(self, tmp_path, jsonl_writer, field, value):
+        path = tmp_path / "segments.jsonl"
+        jsonl_writer(path, [{"id": "s1", "source": "x"}, {"id": "s2", "source": "y", field: value}])
+        with pytest.raises(CorpusFormatError) as err:
+            load_segments(path)
+        assert err.value.line == 2
+        assert field in str(err.value)
+
+    @pytest.mark.parametrize("value", [None, 3, ["h"]])
+    def test_non_string_hypothesis_reports_line(self, tmp_path, jsonl_writer, value):
+        path = tmp_path / "outputs.jsonl"
+        jsonl_writer(
+            path,
+            [
+                {"system": "a", "segment": "s1", "hypothesis": "h"},
+                {"system": "a", "segment": "s2", "hypothesis": value},
+            ],
+        )
+        with pytest.raises(CorpusFormatError) as err:
+            load_outputs(path)
+        assert err.value.line == 2
+        assert "hypothesis must be a string" in str(err.value)
+
+
+class TestLoadGenerationRecords:
+    def test_unknown_segment_reports_line(self, tmp_path, jsonl_writer):
+        path = tmp_path / "refs.jsonl"
+        jsonl_writer(path, [record("s1", ["c"]).to_json(), record("zz", ["c"]).to_json()])
+        assert [r.segment_id for r in load_generation_records(path)] == ["s1", "zz"]
+        with pytest.raises(CorpusFormatError) as err:
+            load_generation_records(path, {"s1"})
+        assert err.value.line == 2
+        assert "'zz'" in str(err.value)
+
+    @pytest.mark.parametrize("candidates", ["the dog", [None], ["a", 3], None])
+    def test_non_string_candidates_report_line(self, tmp_path, jsonl_writer, candidates):
+        path = tmp_path / "refs.jsonl"
+        bad = {**record("s1", ["c"]).to_json(), "candidates": candidates}
+        jsonl_writer(path, [record("s0", ["c"]).to_json(), bad])
+        with pytest.raises(CorpusFormatError) as err:
+            load_generation_records(path)
+        assert err.value.line == 2
+        assert "candidates" in str(err.value)
 
 
 class TestMergeReferences:

@@ -34,14 +34,16 @@ def profile(seq):
 
 @given(tokens)
 def test_ngram_counts_matches_oracle(seq):
-    """Profile.counts, Profile.repeats and Profile.total, for every order up to 8."""
+    """Profile.counts, Profile.totals and Profile.excess, for every order up to 8."""
     counted = profile(seq)
-    assert len(counted.counts) == len(counted.repeats) == 8
+    assert len(counted.counts) == len(counted.totals) == len(counted.excess) == 8
     for n in range(1, 9):
         grams = oracles.ngram_list(seq, n)
         assert counted.counts[n - 1] == Counter(grams)
-        assert counted.repeats[n - 1] == {g: grams.count(g) for g in grams if grams.count(g) > 1}
-        assert counted.total(n) == len(grams)
+        assert counted.totals[n - 1] == len(grams)
+        assert counted.excess[n - 1] == {
+            g: grams.count(g) - 1 for g in grams if grams.count(g) > 1
+        }
 
 
 @given(tokens, tokens, orders)

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from multiref import kernels
 from multiref.metrics import (
     BleuConfig,
     CorpusStats,
@@ -178,6 +179,23 @@ class TestChrf:
     def test_best_reference_wins(self):
         near = chrf_sentence("abcd", ["abcd", "zzzz"]).value
         assert near == 100.0
+
+    def test_hypothesis_profiled_once_per_segment(self, monkeypatch):
+        built = []
+
+        class CountingProfile(kernels.Profile):
+            __slots__ = ()
+
+            def __init__(self, tokens, max_order):
+                built.append(tokens)
+                super().__init__(tokens, max_order)
+
+        monkeypatch.setattr(kernels, "Profile", CountingProfile)
+        chrf_sentence("abc d", ["abd", "ab c", "x"])
+        assert built == ["abcd", "abd", "abc", "x"]
+        built.clear()
+        chrf_corpus([("ab", ["a", "b"]), ("cd", ["c"])])
+        assert built == ["ab", "a", "b", "cd", "c"]
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiref import textproc
 from multiref.errors import CorpusFormatError
 from multiref.textproc import (
+    SUBWORD_CACHE_SIZE,
+    WORD_CACHE_SIZE,
     SubwordVocab,
     TokenSequence,
     WORD_MARKER,
@@ -12,6 +18,8 @@ from multiref.textproc import (
     tokenize_subwords,
     tokenize_words,
 )
+
+import oracles
 
 texts = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FFF),
@@ -76,6 +84,10 @@ class TestTokenizeChars:
     def test_never_emits_whitespace(self, text):
         assert not any(tok.isspace() for tok in tokenize_chars(text).tokens)
 
+    @given(texts, st.booleans())
+    def test_matches_oracle(self, text, lowercase):
+        assert list(tokenize_chars(text, lowercase).tokens) == oracles.char_tokens(text, lowercase)
+
 
 class TestTokenizeSubwords:
     vocab = SubwordVocab(
@@ -120,6 +132,72 @@ class TestTokenizeSubwords:
         pieces = tokenize_subwords(text, vocab).tokens
         rebuilt = "".join(pieces).replace(WORD_MARKER, " ").strip()
         assert rebuilt == " ".join(text.split())
+
+
+def joined(alphabet, **sizes):
+    return st.lists(st.sampled_from(alphabet), **sizes).map("".join)
+
+
+# Cased, punctuation, composed/decomposed and case-expanding characters
+# ("İ" lowercases to two code points) and several kinds of whitespace.
+word_texts = joined(
+    [*"aAbBzZ.,!'(-)\"", " ", "\t", "\n", "\u3000", "é", "e\u0301", "İ", "ß", "Σ", "。"],
+    max_size=40,
+)
+subword_texts = joined([*"abAB x", "é", "e\u0301"], max_size=30)
+subword_entries = st.frozensets(
+    joined([*"abAB", WORD_MARKER, "é"], min_size=1, max_size=3), min_size=1, max_size=12
+)
+
+
+class TestTokenizerCaches:
+    """The cached tokenizers against the oracles, before and after their caches fill."""
+
+    @given(word_texts, st.booleans())
+    def test_words_match_oracle_cold_and_warm(self, text, lowercase):
+        textproc._peel.cache_clear()
+        expected = oracles.word_tokens(text, lowercase)
+        assert list(tokenize_words(text, lowercase).tokens) == expected
+        misses = textproc._peel.cache_info().misses
+        assert list(tokenize_words(text, lowercase).tokens) == expected
+        assert textproc._peel.cache_info().misses == misses
+
+    @given(subword_texts, subword_entries, st.booleans())
+    def test_subwords_match_oracle_cold_and_warm(self, text, entries, lowercase):
+        vocab = SubwordVocab(entries, unk_piece="<unk>")  # a new vocabulary starts cold
+        expected = oracles.subword_pieces(text, entries, "<unk>", lowercase)
+        assert list(tokenize_subwords(text, vocab, lowercase).tokens) == expected
+        misses = vocab._segment.cache_info().misses
+        assert list(tokenize_subwords(text, vocab, lowercase).tokens) == expected
+        assert vocab._segment.cache_info().misses == misses
+
+    @given(subword_texts, subword_entries, subword_entries)
+    def test_two_vocabularies_keep_their_own_pieces(self, text, first, second):
+        vocabs = [(SubwordVocab(entries), entries) for entries in (first, second)]
+        for _ in range(2):  # the second round is served from both caches
+            for vocab, entries in vocabs:
+                expected = oracles.subword_pieces(text, entries, vocab.unk_piece)
+                assert list(tokenize_subwords(text, vocab).tokens) == expected
+
+    def test_same_word_segmented_per_vocabulary(self):
+        whole = SubwordVocab(frozenset({f"{WORD_MARKER}unhappy"}))
+        split = SubwordVocab(frozenset({f"{WORD_MARKER}un", "happy"}))
+        for _ in range(2):
+            assert tokenize_subwords("unhappy", whole).tokens == (f"{WORD_MARKER}unhappy",)
+            assert tokenize_subwords("unhappy", split).tokens == (f"{WORD_MARKER}un", "happy")
+
+    def test_copies_and_pickles_get_their_own_cache(self):
+        vocab = SubwordVocab(frozenset({"a", f"{WORD_MARKER}b"}), unk_piece="?")
+        tokenize_subwords("ab", vocab)
+        for clone in (copy.copy(vocab), copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))):
+            assert clone == vocab and clone.unk_piece == "?"
+            assert clone._segment is not vocab._segment
+            assert tokenize_subwords("ab ba", clone).tokens == tokenize_subwords("ab ba", vocab).tokens
+
+    def test_caches_are_bounded(self):
+        assert textproc._peel.cache_info().maxsize == WORD_CACHE_SIZE
+        vocab = SubwordVocab(frozenset({"a"}))
+        assert vocab._segment.cache_info().maxsize == SUBWORD_CACHE_SIZE
 
 
 class TestTokenSequence:
