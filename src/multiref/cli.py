@@ -297,6 +297,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_select(args) -> int:
+    diversity.check_threshold(args.threshold)
     records = refgen.load_generation_records(args.refs)
     report: dict[str, dict] = {}
     kept_total = 0
@@ -458,7 +459,7 @@ def cmd_score(args) -> int:
         del scores  # drop this segment's profiles before the next segment's are built
 
     summary = {
-        metric: {system: scorer.corpus(metric, parts[metric, system]) for system in systems}
+        metric: {system: scorer.corpus(metric, parts[metric, system]).value for system in systems}
         for metric in metrics
     }
     table = [
@@ -511,7 +512,8 @@ def _score_sweep(args, corpus, mode: str, scorer: MultiRefScorer, systems: list[
         del scores  # drop this segment's profiles before the next segment's are built
 
     series = [
-        {"metric": metric, "system": system, "refs": k, "score": scorer.corpus(metric, values)}
+        {"metric": metric, "system": system, "refs": k,
+         "score": scorer.corpus(metric, values).value}
         for (k, system, metric), values in parts.items()
     ]
     print(_format_table(

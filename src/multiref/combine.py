@@ -55,7 +55,6 @@ class ScoreMatrix:
 
     metric_name: str
     rows: list[MatrixRow] = field(default_factory=list)
-    scale: tuple[float, float] | None = None
 
     def __post_init__(self):
         seen = set()

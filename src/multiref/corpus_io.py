@@ -50,7 +50,6 @@ class Segment:
 class EvalCorpus:
     """Segments plus per-system hypotheses for one language pair or task."""
 
-    name: str
     segments: list[Segment] = field(default_factory=list)
     systems: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -156,14 +155,13 @@ def load_outputs(
 def load_corpus(
     segments_path: str | Path,
     outputs_path: str | Path | None = None,
-    name: str = "corpus",
 ) -> EvalCorpus:
     """Load and cross-validate a corpus from its JSONL files."""
     segments = load_segments(segments_path)
     systems = {}
     if outputs_path is not None:
         systems = load_outputs(outputs_path, {s.id for s in segments})
-    return EvalCorpus(name=name, segments=segments, systems=systems)
+    return EvalCorpus(segments=segments, systems=systems)
 
 
 def save_segments(path: str | Path, segments) -> None:
@@ -211,7 +209,7 @@ def merge_references(corpus: EvalCorpus, records, use_gold: bool) -> EvalCorpus:
         )
         for segment in corpus.segments
     ]
-    return EvalCorpus(name=corpus.name, segments=merged, systems=dict(corpus.systems))
+    return EvalCorpus(segments=merged, systems=dict(corpus.systems))
 
 
 def segments_from_tsv(

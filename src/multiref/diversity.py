@@ -11,6 +11,7 @@ counted once, and the leave-one-out clip of every n-gram comes from its top
 count, the first candidate holding it, and its second-highest count.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import kernels
@@ -48,7 +49,6 @@ class DiversityReport:
     distinct_n: float
     n: int
     unique_tokens: int
-    self_bleu: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.distinct_n <= 1.0:
@@ -104,6 +104,12 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
     ]
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a NaN threshold, which no score is below and which would keep only the argmin."""
+    if math.isnan(threshold):
+        raise ValueError("selection threshold must be a number, got nan")
+
+
 def selection_survivors(
     scores: list[float], threshold: float = DEFAULT_SELF_BLEU_THRESHOLD
 ) -> list[int]:
@@ -125,6 +131,7 @@ def score_and_select(
     Each text is word-tokenized once. A single candidate has no siblings to
     score against: it gets no scores and is kept (`([], [0])`).
     """
+    check_threshold(threshold)
     if len(texts) == 1:
         return [], [0]
     scores = self_bleu([tokenize_words(t, lowercase=lowercase) for t in texts], cfg)
@@ -173,13 +180,10 @@ def unique_tokens(corpus) -> int:
     return len(vocab)
 
 
-def diversity_report(
-    corpus: list[TokenSequence], n: int = 6, self_bleu_scores=()
-) -> DiversityReport:
+def diversity_report(corpus: list[TokenSequence], n: int = 6) -> DiversityReport:
     """Bundle DistinctN and unique-token counts for one corpus."""
     return DiversityReport(
         distinct_n=distinct_n(corpus, n),
         n=n,
         unique_tokens=unique_tokens(corpus),
-        self_bleu=tuple(self_bleu_scores),
     )

@@ -7,8 +7,7 @@ package that slides an n-gram window. Everything else compares profiles:
 `overlap` (clipped overlap of two count tables), `clip_table`
 (multi-reference clipping), `ref_len` (the brevity-penalty reference
 length), `chrf_stats` (character n-gram statistics of a pair) and
-`lcs_length`. `bleu_segment_stats` and `chrf_segment_stats` compose them for
-one segment given as plain token sequences.
+`lcs_length`.
 
 Two kernels avoid per-element Python work, because `score` spends most of
 its time in them. `chrf_stats` runs once per (hypothesis, reference) pair,
@@ -19,8 +18,14 @@ bit-parallel LCS length of Allison & Dix (1986) and Hyyrö (2004): one
 Python int holds a whole row of the LCS table. Nothing here is cached
 between calls, and there is no flag or alternative implementation.
 
-Callers look the segment functions and `lcs_length` up as module attributes
-(``kernels.lcs_length(...)``) so that tracing and tests can wrap them here.
+`bleu_segment_stats` and `chrf_segment_stats` compose the helpers for one
+segment given as plain token sequences. Nothing in the package calls them:
+every metric, the public sentence and corpus functions included, runs on
+`metrics.MultiRefScorer`. They remain only because pipebench/tracer.py
+wraps them, and tests/test_kernels.py checks them against the oracles.
+
+Callers look `lcs_length` up as a module attribute
+(``kernels.lcs_length(...)``) so that tracing and tests can wrap it here.
 tests/test_kernels.py checks each helper against the brute-force oracles in
 tests/oracles.py.
 """

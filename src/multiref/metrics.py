@@ -97,18 +97,6 @@ class CorpusStats:
         )
 
 
-def corpus_stats_for_segment(hyp, refs, cfg: BleuConfig | None = None) -> CorpusStats:
-    """Clipped-match statistics of one segment, ready for corpus summation."""
-    cfg = cfg or BleuConfig()
-    if not refs:
-        raise ValueError("at least one reference is required")
-    matched, totals, hyp_len, closest, shortest = kernels.bleu_segment_stats(
-        tokens_of(hyp), [tokens_of(r) for r in refs], cfg.max_order
-    )
-    ref_len = closest if cfg.effective_ref_length == "closest" else shortest
-    return CorpusStats(matched=matched, totals=totals, hyp_len=hyp_len, ref_len=ref_len)
-
-
 def _bleu_from_stats(stats: CorpusStats, cfg: BleuConfig) -> MetricScore:
     hyp_len, ref_len = stats.hyp_len, stats.ref_len
     if hyp_len >= ref_len:
@@ -144,48 +132,6 @@ def _bleu_from_stats(stats: CorpusStats, cfg: BleuConfig) -> MetricScore:
     return MetricScore(bp * math.exp(log_mean) * 100.0, tuple(precisions), detail)
 
 
-def bleu_sentence(hyp, refs, cfg: BleuConfig | None = None) -> MetricScore:
-    """BLEU of one hypothesis against one or more references."""
-    cfg = cfg or BleuConfig()
-    return _bleu_from_stats(corpus_stats_for_segment(hyp, refs, cfg), cfg)
-
-
-def bleu_corpus(pairs, cfg: BleuConfig | None = None) -> MetricScore:
-    """Micro-averaged corpus BLEU over (hypothesis, references) pairs."""
-    cfg = cfg or BleuConfig()
-    if not pairs:
-        raise ValueError("at least one (hypothesis, references) pair is required")
-    stats = CorpusStats.zero(cfg.max_order)
-    for hyp, refs in pairs:
-        stats = stats + corpus_stats_for_segment(hyp, refs, cfg)
-    return _bleu_from_stats(stats, cfg)
-
-
-def spbleu_corpus(
-    pairs,
-    vocab=None,
-    cfg: BleuConfig | None = None,
-    pretokenized: bool = False,
-    lowercase: bool = False,
-) -> MetricScore:
-    """Corpus BLEU over subword tokens.
-
-    `pairs` holds raw text: (hyp_text, [ref_text, ...]) per segment. With
-    `pretokenized=True` the texts are taken as already-segmented pieces
-    joined by spaces and the vocabulary is not consulted.
-    """
-    if not pretokenized and vocab is None:
-        raise ValueError("a subword vocabulary is required unless pretokenized=True")
-
-    def pieces(text: str) -> list[str]:
-        if pretokenized:
-            return text.split()
-        return list(tokenize_subwords(text, vocab, lowercase=lowercase).tokens)
-
-    token_pairs = [(pieces(hyp), [pieces(r) for r in refs]) for hyp, refs in pairs]
-    return bleu_corpus(token_pairs, cfg)
-
-
 def _chrf_fscore(match, hyp_total, ref_total, beta: float):
     """chrF from accumulated per-order counts.
 
@@ -209,57 +155,6 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
     if not used:
         return 0.0, tuple(per_order), 0
     return math.fsum(used) / len(used), tuple(per_order), len(used)
-
-
-def _chrf_profile(text: str, n_max: int, lowercase: bool) -> kernels.Profile:
-    """Character profile of a text, whitespace stripped."""
-    return kernels.Profile("".join(tokenize_chars(text, lowercase=lowercase).tokens), n_max)
-
-
-def _chrf_best_ref_stats(hyp_text: str, ref_texts, n_max: int, beta: float, lowercase: bool):
-    """Counts against the best reference (the first among equal scores)."""
-    hyp = _chrf_profile(hyp_text, n_max, lowercase)
-    best = None
-    best_score = -1.0
-    for ref_text in ref_texts:
-        stats = kernels.chrf_stats(hyp, _chrf_profile(ref_text, n_max, lowercase))
-        score, _, _ = _chrf_fscore(*stats, beta)
-        if score > best_score:
-            best_score = score
-            best = stats
-    return best
-
-
-def chrf_sentence(
-    hyp_text: str, ref_texts, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
-) -> MetricScore:
-    """Character n-gram F-score of one segment against its best reference."""
-    if not ref_texts:
-        raise ValueError("at least one reference is required")
-    stats = _chrf_best_ref_stats(hyp_text, ref_texts, n_max, beta, lowercase)
-    score, per_order, used = _chrf_fscore(*stats, beta)
-    return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
-
-
-def chrf_corpus(
-    pairs, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
-) -> MetricScore:
-    """Corpus chrF. Each segment contributes the counts of its best reference."""
-    if not pairs:
-        raise ValueError("at least one (hypothesis, references) pair is required")
-    match = [0] * n_max
-    hyp_total = [0] * n_max
-    ref_total = [0] * n_max
-    for hyp_text, ref_texts in pairs:
-        if not ref_texts:
-            raise ValueError("every segment needs at least one reference")
-        m, ht, rt = _chrf_best_ref_stats(hyp_text, ref_texts, n_max, beta, lowercase)
-        for i in range(n_max):
-            match[i] += m[i]
-            hyp_total[i] += ht[i]
-            ref_total[i] += rt[i]
-    score, per_order, used = _chrf_fscore(match, hyp_total, ref_total, beta)
-    return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -325,7 +220,7 @@ _ROUGE_N_ORDER = {"rouge1": 1, "rouge2": 2}
 
 
 def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
-    """The clipped-match statistics `corpus_stats_for_segment` computes."""
+    """Clipped-match statistics of a hypothesis profile against a clip table."""
     hyp_len = len(hyp.tokens)
     return CorpusStats(
         matched=[kernels.overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
@@ -338,14 +233,18 @@ def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> Corpus
 class MultiRefScorer:
     """Scores several systems against shared references, one segment at a time.
 
+    The one implementation of multi-reference BLEU, spBLEU and chrF: `score`
+    runs on it, and `bleu_sentence`, `bleu_corpus`, `spbleu_corpus`,
+    `chrf_sentence`, `chrf_corpus` and `corpus_stats_for_segment` are thin
+    calls into it (a sentence score is the corpus score of one pair).
     `segment` builds every statistic of a segment once; `corpus` sums the
     per-segment parts that `SegmentScores.joint` returns into the corpus
-    value. The values equal those of `bleu_sentence`/`bleu_corpus`,
-    `chrf_sentence`/`chrf_corpus`, `rouge_n` and `rouge_l` (ROUGE's corpus
-    value is the mean segment value). `words` and `pieces` map a text to
-    its word and subword tokens; the word-level metrics (bleu, rouge1,
-    rouge2, rougeL) need `words` and spbleu needs `pieces`. chrF takes
-    characters from `tokenize_chars`, honouring `lowercase`.
+    score. ROUGE values equal those of `rouge_n` and `rouge_l`, and ROUGE's
+    corpus value is the mean segment value. `words` and `pieces` map a text
+    (any hashable value they accept) to its word and subword tokens; the
+    word-level metrics (bleu, rouge1, rouge2, rougeL) need `words` and
+    spbleu needs `pieces`. chrF takes characters from `tokenize_chars`,
+    honouring `lowercase`.
     """
 
     def __init__(
@@ -364,6 +263,8 @@ class MultiRefScorer:
                 raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
         if chrf_order < 1:
             raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
+        if not math.isfinite(chrf_beta):
+            raise ValueError(f"chrf_beta must be finite, got {chrf_beta}")
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.chrf_order = chrf_order
         self.chrf_beta = chrf_beta
@@ -386,20 +287,22 @@ class MultiRefScorer:
         """Statistics of each hypothesis (by system) against the references."""
         return SegmentScores(self, hyps, refs)
 
-    def corpus(self, metric: str, parts: list) -> float:
-        """Corpus value from the parts of each segment, in segment order."""
+    def corpus(self, metric: str, parts: list) -> MetricScore:
+        """Corpus score from the parts of each segment, in segment order."""
+        if not parts:
+            raise ValueError("at least one (hypothesis, references) pair is required")
         if metric in ("bleu", "spbleu"):
             stats = CorpusStats.zero(self.bleu_cfg.max_order)
             for part in parts:
                 stats = stats + part
-            return _bleu_from_stats(stats, self.bleu_cfg).value
+            return _bleu_from_stats(stats, self.bleu_cfg)
         if metric == "chrf":
             # Each part is the best reference's (match, hyp_total, ref_total).
             sums = [[sum(col) for col in zip(*lists)] for lists in zip(*parts)]
             score, per_order, used = _chrf_fscore(*sums, self.chrf_beta)
-            return MetricScore(score * 100.0, per_order, {"orders_used": float(used)}).value
+            return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
         # ROUGE has no closed corpus form; report the mean segment score.
-        return sum(parts) / len(parts)
+        return MetricScore(sum(parts) / len(parts))
 
 
 class SegmentScores:
@@ -453,7 +356,8 @@ class SegmentScores:
         scorer = self.scorer
 
         def profile(text):
-            return _chrf_profile(text, scorer.chrf_order, scorer.lowercase)
+            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase).tokens)
+            return kernels.Profile(chars, scorer.chrf_order)
 
         hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
         pairs = {system: [] for system in self.hyps}
@@ -512,3 +416,79 @@ class SegmentScores:
         else:
             values = [MetricScore(f * 100.0).value for f in self._pairs[metric][system]]
         return [values[i] for i in self._slots]
+
+
+# ------------------------------ sentence and corpus functions on the scorer
+
+
+def _part(scorer: MultiRefScorer, metric: str, hyp, refs):
+    """The corpus part of one (hypothesis, references) pair, scored as one segment."""
+    return scorer.segment({"": hyp}, list(refs)).joint("", metric)[1]
+
+
+def _corpus(scorer: MultiRefScorer, metric: str, pairs) -> MetricScore:
+    """Corpus score of (hypothesis, references) pairs."""
+    return scorer.corpus(metric, [_part(scorer, metric, hyp, refs) for hyp, refs in pairs])
+
+
+def _bleu_scorer(cfg: BleuConfig | None) -> MultiRefScorer:
+    return MultiRefScorer(["bleu"], bleu_cfg=cfg, words=tuple)
+
+
+def _token_pair(hyp, refs) -> tuple:
+    """A (hypothesis, references) pair of token tuples, hashable as the scorer needs."""
+    return tuple(tokens_of(hyp)), [tuple(tokens_of(ref)) for ref in refs]
+
+
+def corpus_stats_for_segment(hyp, refs, cfg: BleuConfig | None = None) -> CorpusStats:
+    """Clipped-match statistics of one segment, ready for corpus summation."""
+    return _part(_bleu_scorer(cfg), "bleu", *_token_pair(hyp, refs))
+
+
+def bleu_sentence(hyp, refs, cfg: BleuConfig | None = None) -> MetricScore:
+    """BLEU of one hypothesis against one or more references."""
+    return bleu_corpus([(hyp, refs)], cfg)
+
+
+def bleu_corpus(pairs, cfg: BleuConfig | None = None) -> MetricScore:
+    """Micro-averaged corpus BLEU over (hypothesis, references) pairs."""
+    return _corpus(_bleu_scorer(cfg), "bleu", [_token_pair(hyp, refs) for hyp, refs in pairs])
+
+
+def spbleu_corpus(
+    pairs,
+    vocab=None,
+    cfg: BleuConfig | None = None,
+    pretokenized: bool = False,
+    lowercase: bool = False,
+) -> MetricScore:
+    """Corpus BLEU over subword tokens.
+
+    `pairs` holds raw text: (hyp_text, [ref_text, ...]) per segment. With
+    `pretokenized=True` the texts are taken as already-segmented pieces
+    joined by spaces and the vocabulary is not consulted.
+    """
+    if not pretokenized and vocab is None:
+        raise ValueError("a subword vocabulary is required unless pretokenized=True")
+
+    def pieces(text: str):
+        if pretokenized:
+            return text.split()
+        return tokenize_subwords(text, vocab, lowercase=lowercase).tokens
+
+    return _corpus(MultiRefScorer(["spbleu"], bleu_cfg=cfg, pieces=pieces), "spbleu", pairs)
+
+
+def chrf_sentence(
+    hyp_text: str, ref_texts, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
+) -> MetricScore:
+    """Character n-gram F-score of one segment against its best reference."""
+    return chrf_corpus([(hyp_text, ref_texts)], n_max, beta, lowercase)
+
+
+def chrf_corpus(
+    pairs, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
+) -> MetricScore:
+    """Corpus chrF. Each segment contributes the counts of its best reference."""
+    scorer = MultiRefScorer(["chrf"], chrf_order=n_max, chrf_beta=beta, lowercase=lowercase)
+    return _corpus(scorer, "chrf", pairs)

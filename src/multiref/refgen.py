@@ -118,6 +118,8 @@ class GenerationConfig:
             raise ValueError("max_retries must be >= 0")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite number of seconds > 0, got {self.timeout}")
 
 
 @dataclass(frozen=True)

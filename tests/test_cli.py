@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multiref import refgen
 from multiref.cli import _apply_config, build_parser, main
 from multiref.diversity import select_diverse, CandidateSet
 from multiref.metrics import bleu_corpus
@@ -108,6 +109,33 @@ class TestGenerate:
         records = load_generation_records(out)
         assert all(len(r.candidates) == 10 for r in records)
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_timeout_fails_before_any_request(self, pipeline, capsys, monkeypatch, timeout):
+        # 0 used to fail as an unreachable endpoint, nan and -1 inside a worker
+        # thread after --out was opened.
+        transports = []
+
+        class RecordingTransport(refgen.MockTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                transports.append(self)
+
+        monkeypatch.setattr(refgen, "MockTransport", RecordingTransport)
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main(
+            [
+                "generate",
+                "--segments", str(pipeline["segments"]),
+                "--out", str(out),
+                "--mock",
+                "--timeout", timeout,
+            ]
+        )
+        assert code == 1
+        assert "timeout" in capsys.readouterr().err
+        assert all(t.calls == [] for t in transports)
+        assert not out.exists()
+
     def test_missing_api_key_diagnostic(self, pipeline, capsys, monkeypatch):
         monkeypatch.delenv("MULTIREF_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)
@@ -137,6 +165,16 @@ class TestSelect:
         )
         assert code == 0
         return load_generation_records(out), json.loads(report.read_text())
+
+    def test_nan_threshold_fails_before_writing(self, pipeline, capsys):
+        # NaN used to keep one candidate per segment and exit 0.
+        out = pipeline["dir"] / "selected.jsonl"
+        code = main(
+            ["select", "--refs", str(pipeline["refs"]), "--out", str(out), "--threshold", "nan"]
+        )
+        assert code == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threshold_zero_keeps_single_fallback(self, pipeline):
         records, _report = self.run_select(pipeline, 0.0)
@@ -308,6 +346,25 @@ class TestScore:
         )
         assert code == 1
         assert "--chrf-order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_non_finite_chrf_beta_is_rejected(self, pipeline, capsys, beta):
+        # nan used to score every chrF 0.00 and exit 0; inf failed as "out of [0, 100]".
+        summary_path = pipeline["dir"] / "summary.json"
+        code = main(
+            [
+                "score",
+                "--segments", str(pipeline["segments"]),
+                "--outputs", str(pipeline["outputs"]),
+                "--refs", "gold",
+                "--metrics", "chrf",
+                f"--chrf-beta={beta}",
+                "--summary", str(summary_path),
+            ]
+        )
+        assert code == 1
+        assert "chrf_beta" in capsys.readouterr().err
+        assert not summary_path.exists()
 
     def test_jobs_flag_gives_identical_results(self, pipeline):
         summaries = []
@@ -768,6 +825,24 @@ class TestConfigFile:
         )
         records = load_generation_records(out)
         assert all(len(r.candidates) == 3 for r in records)
+
+    def test_nan_threshold_in_config_fails_before_writing(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": float("nan")}))
+        out = pipeline["dir"] / "selected.jsonl"
+        code = main(["--config", str(config), "select", "--refs", str(pipeline["refs"]),
+                     "--out", str(out)])
+        assert code == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_chrf_beta_in_config_is_rejected(self, pipeline, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"chrf_beta": float("nan")}))
+        code = main(["--config", str(config), "score", "--segments", str(pipeline["segments"]),
+                     "--outputs", str(pipeline["outputs"]), "--metrics", "chrf"])
+        assert code == 1
+        assert "chrf_beta" in capsys.readouterr().err
 
     def test_explicit_flag_beats_config(self, pipeline, tmp_path):
         config = tmp_path / "config.json"

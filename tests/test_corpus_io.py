@@ -45,7 +45,7 @@ class TestLoadCorpus:
                 {"system": "sysA", "segment": "s2", "hypothesis": "h2"},
             ],
         )
-        corpus = load_corpus(seg_path, out_path, name="test")
+        corpus = load_corpus(seg_path, out_path)
         assert len(corpus.segments) == 2
         assert corpus.systems["sysA"]["s2"] == "h2"
 
@@ -172,7 +172,6 @@ class TestLoadGenerationRecords:
 class TestMergeReferences:
     def corpus(self):
         return EvalCorpus(
-            name="t",
             segments=[
                 Segment(id="s1", source="x", gold_refs=("gold1",)),
                 Segment(id="s2", source="y", gold_refs=("gold2",)),

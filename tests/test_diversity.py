@@ -7,6 +7,7 @@ from multiref.diversity import (
     DiversityReport,
     distinct_n,
     diversity_report,
+    score_and_select,
     select_diverse,
     self_bleu,
     unique_tokens,
@@ -60,6 +61,15 @@ class TestSelectDiverse:
     def test_threshold_above_scale_keeps_all(self):
         selected = select_diverse(cset("a b c d", "a b c d"), threshold=101.0)
         assert len(selected.candidates) == 2
+
+    def test_nan_threshold_rejected(self):
+        # NaN used to keep only the lowest-scoring candidate, as no score is below it.
+        with pytest.raises(ValueError, match="threshold"):
+            select_diverse(cset("a b", "c d"), threshold=float("nan"))
+        with pytest.raises(ValueError, match="threshold"):
+            select_diverse(cset("only one"), threshold=float("nan"))
+        with pytest.raises(ValueError, match="threshold"):
+            score_and_select(["a b", "c d"], float("nan"))
 
     def test_single_candidate_unchanged(self):
         selected = select_diverse(cset("only one"))

@@ -8,6 +8,7 @@ from multiref.metrics import (
     BleuConfig,
     CorpusStats,
     MetricScore,
+    MultiRefScorer,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
@@ -201,6 +202,21 @@ class TestChrf:
         with pytest.raises(ValueError):
             chrf_corpus([])
 
+    def test_zero_order_rejected(self):
+        # An order below 1 used to score 0.0 with an empty per-order vector.
+        with pytest.raises(ValueError, match="chrf_order"):
+            chrf_corpus([("abc", ["abd"])], n_max=0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        # beta=nan used to score every segment 0.0.
+        with pytest.raises(ValueError, match="chrf_beta"):
+            chrf_sentence("abc", ["abd"], beta=beta)
+        with pytest.raises(ValueError, match="chrf_beta"):
+            chrf_corpus([("abc", ["abd"])], beta=beta)
+        with pytest.raises(ValueError, match="chrf_beta"):
+            MultiRefScorer(["chrf"], chrf_beta=beta)
+
     def test_sentence_oracle_equivalence(self, rng):
         for _ in range(100):
             hyp = "".join(random_tokens(rng))
@@ -311,3 +327,23 @@ class TestScoreBounds:
     def test_corpus_stats_validates_counts(self):
         with pytest.raises(ValueError):
             CorpusStats(matched=[2], totals=[1])
+
+
+def test_public_functions_never_call_segment_kernels(monkeypatch):
+    """The sentence and corpus functions run on MultiRefScorer, not the per-segment kernels."""
+    calls = []
+    for name in ("bleu_segment_stats", "chrf_segment_stats"):
+        monkeypatch.setattr(kernels, name, lambda *a, name=name, **k: calls.append(name))
+    vocab = SubwordVocab(frozenset({"▁a", "▁b", "▁c"}))
+    text = "a b c a b"
+    hyp, refs = text.split(), [["b", "a"], text.split()]
+    stats = corpus_stats_for_segment(hyp, refs)
+    assert (stats.matched, stats.hyp_len, stats.ref_len) == ([5, 4, 3, 2], 5, 5)
+    assert bleu_sentence(hyp, refs).value == 100.0
+    assert bleu_corpus([(hyp, refs), (hyp, refs[1:])]).value == 100.0
+    assert spbleu_corpus([(text, ["b a", text])], vocab).value == 100.0
+    assert spbleu_corpus([(text, [text])], pretokenized=True).value == 100.0
+    assert chrf_sentence("abc", ["abd", "abc"]).value == 100.0
+    assert 0.0 < chrf_corpus([("abc", ["abd"]), ("xy", ["xy"])]).value < 100.0
+    assert calls == []
+

@@ -120,6 +120,17 @@ class TestParseCandidates:
             parse_candidates("1.\n2. b", 2)
 
 
+class TestGenerationConfig:
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # 0 used to fail as an unreachable endpoint, nan and -1 inside a worker thread.
+        with pytest.raises(ValueError, match="timeout"):
+            GenerationConfig(timeout=timeout)
+
+    def test_positive_timeout_accepted(self):
+        assert GenerationConfig(timeout=0.5).timeout == 0.5
+
+
 class TestGenerateReferences:
     def segments(self):
         return [("s1", "source one", None), ("s2", "source two", None)]
