@@ -6,10 +6,12 @@ re-evaluate as often as needed.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
+from .corpus_io import json_object, read_json
 # combine and metaeval no longer call load_score_matrices or combine_matrix,
 # and score no longer calls the sentence/corpus functions; they stay
 # importable here because pipebench/tracer.py wraps them under this module's
@@ -24,7 +26,7 @@ from .combine import (  # noqa: F401
     system_score,
     write_score_matrix,
 )
-from .errors import MultirefError
+from .errors import CorpusFormatError, MultirefError
 from .metrics import (  # noqa: F401
     METRICS,
     BleuConfig,
@@ -190,10 +192,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     """
     if not args.config:
         return
-    with open(args.config, encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("--config must hold a JSON object")
+    config = read_json(args.config, dict, "config")
     subparsers = _subparsers(parser)
     sub = subparsers.get(args.command)
     sub_actions = {action.dest: action for action in sub._actions} if sub is not None else {}
@@ -202,14 +201,14 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     for key, value in config.items():
         dest = key.replace("-", "_")
         if dest not in flags:
-            raise ValueError(f"{args.config}: {key}: names no flag of any command")
+            raise CorpusFormatError(f"{key}: names no flag of any command", args.config)
         if not hasattr(args, dest):
             continue
         owner, action = (sub, sub_actions[dest]) if dest in sub_actions else (parser, actions[dest])
         try:
             value = _config_value(action, value)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.config}: {key}: {exc}") from None
+            raise CorpusFormatError(f"{key}: {exc}", args.config) from None
         if getattr(args, dest) == owner.get_default(dest):
             setattr(args, dest, value)
 
@@ -234,14 +233,7 @@ def _resolve_template(args) -> refgen.PromptTemplate:
     if args.template == "custom":
         if not args.template_file:
             raise ValueError("--template custom requires --template-file")
-        with open(args.template_file, encoding="utf-8") as handle:
-            spec = json.load(handle)
-        return refgen.PromptTemplate(
-            rules=spec["rules"],
-            task_description=spec["task_description"],
-            include_ground_truth=bool(spec.get("include_ground_truth", True)),
-            language="custom",
-        )
+        return read_json(args.template_file, refgen.PromptTemplate.from_json, "template")
     try:
         return refgen.BUILTIN_TEMPLATES[(args.task, args.template)]
     except KeyError:
@@ -255,13 +247,7 @@ def cmd_generate(args) -> int:
     include_gt = args.ground_truth
     if include_gt is None:
         include_gt = all(segment.gold_refs for segment in segments)
-    if include_gt != template.include_ground_truth:
-        template = refgen.PromptTemplate(
-            rules=template.rules,
-            task_description=template.task_description,
-            include_ground_truth=include_gt,
-            language=template.language,
-        )
+    template = dataclasses.replace(template, include_ground_truth=include_gt)
 
     n_references = args.n_references
     if n_references is None:
@@ -310,15 +296,7 @@ def cmd_select(args) -> int:
                 continue
             candidates = list(record.candidates)
             scores, kept = diversity.score_and_select(candidates, args.threshold, args.lowercase)
-            survivors = [candidates[i] for i in kept]
-            filtered = refgen.GenerationRecord(
-                segment_id=record.segment_id,
-                prompt_used=record.prompt_used,
-                raw_response=record.raw_response,
-                candidates=tuple(survivors),
-                attempt_count=record.attempt_count,
-                timestamp=record.timestamp,
-            )
+            filtered = dataclasses.replace(record, candidates=tuple(candidates[i] for i in kept))
             handle.write(json.dumps(filtered.to_json(), ensure_ascii=False) + "\n")
             report[record.segment_id] = {"self_bleu": scores, "kept_indices": kept}
             kept_total += len(kept)
@@ -385,21 +363,12 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
     return low, high
 
 
-def _ref_ids(segment: corpus_io.Segment, mode: str, max_generated) -> list[str]:
-    """Matrix column ids, parallel to `segment.scoring_refs(mode, max_generated)`."""
-    generated = list(segment.generated_refs)
-    if max_generated is not None:
-        generated = generated[:max_generated]
-    ids = []
-    if mode in ("gold", "both"):
-        ids.extend(f"gold:{i}" for i in range(len(segment.gold_refs)))
-    if mode in ("generated", "both"):
-        ids.extend(f"gen:{i}" for i in range(len(generated)))
-    return ids
-
-
 def _segments(corpus, mode: str, max_generated):
-    """(segment, hypothesis by system, references) in segment-id order."""
+    """(segment id, hypothesis by system, references, gold count) in segment-id order.
+
+    The references are the gold ones first (none under `--refs generated`),
+    then the generated ones up to `max_generated`.
+    """
     segments_by_id = {segment.id: segment for segment in corpus.segments}
     systems = sorted(corpus.systems)
     for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
@@ -412,7 +381,7 @@ def _segments(corpus, mode: str, max_generated):
             for system in systems
             if segment_id in corpus.systems[system]
         }
-        yield segment, hyps, refs
+        yield segment_id, hyps, refs, 0 if mode == "generated" else len(segment.gold_refs)
 
 
 def cmd_score(args) -> int:
@@ -428,38 +397,66 @@ def cmd_score(args) -> int:
     corpus = corpus_io.load_corpus(args.segments, args.outputs)
     if args.generated_refs:
         records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
-        corpus = corpus_io.merge_references(corpus, records, use_gold=True)
+        corpus = corpus_io.merge_references(corpus, records)
     mode = args.refs or ("generated" if args.generated_refs else "gold")
     if mode in ("generated", "both") and not args.generated_refs:
         raise ValueError(f"--refs {mode} requires --generated-refs")
     if not corpus.systems:
         raise ValueError("no system outputs to score")
 
-    systems = sorted(corpus.systems)
+    # Generated-reference counts to score; a plain run is the sweep of the one count --max-refs.
+    counts = [args.max_refs]
     if args.sweep_refs:
-        return _score_sweep(args, corpus, mode, scorer, systems)
+        if mode == "gold":
+            raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
+        if args.max_refs is not None:
+            raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
+        if args.per_reference or args.out:
+            raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
+        low, high = _parse_sweep(args.sweep_refs)
+        counts = range(low, high + 1)
 
-    # (metric, system) -> that system's matrix rows and corpus parts, in segment order.
+    systems = sorted(corpus.systems)
+    # (count, system, metric) -> corpus parts, and (metric, system) -> matrix rows, in segment order.
+    parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
     rows = {(metric, system): [] for metric in metrics for system in systems}
-    parts = {key: [] for key in rows}
-    for segment, hyps, refs in _segments(corpus, mode, args.max_refs):
+    for segment_id, hyps, refs, n_gold in _segments(corpus, mode, counts[-1]):
         scores = scorer.segment(hyps, refs)
-        ref_ids = _ref_ids(segment, mode, args.max_refs) if args.per_reference else None
-        for system in hyps:
-            for metric in metrics:
-                value, part = scores.joint(system, metric)
-                parts[metric, system].append(part)
-                if args.per_reference:
-                    cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
-                else:
-                    cells = {"all": value}
-                rows[metric, system].append(
-                    MatrixRow(system=system, segment=segment.id, scores=cells)
-                )
+        ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(refs) - n_gold)]
+        for k in counts:
+            # The references for count k are the first n_gold + k of those for the largest count.
+            n_refs = None if k is None else n_gold + k
+            for system in hyps:
+                for metric in metrics:
+                    value, part = scores.joint(system, metric, n_refs)
+                    parts[k, system, metric].append(part)
+                    if args.out:
+                        cells = {"all": value}
+                        if args.per_reference:
+                            cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
+                        rows[metric, system].append(MatrixRow(system, segment_id, cells))
         del scores  # drop this segment's profiles before the next segment's are built
 
+    if args.sweep_refs:
+        series = [
+            {"metric": metric, "system": system, "refs": k,
+             "score": scorer.corpus(metric, values).value}
+            for (k, system, metric), values in parts.items()
+        ]
+        print(_format_table(
+            ["metric", "system", "refs", "score"],
+            [[r["metric"], r["system"], r["refs"], f"{r['score']:.2f}"] for r in series],
+        ))
+        if args.summary:
+            with open(args.summary, "w", encoding="utf-8") as handle:
+                json.dump({"sweep": series}, handle, ensure_ascii=False, indent=2)
+        return 0
+
     summary = {
-        metric: {system: scorer.corpus(metric, parts[metric, system]).value for system in systems}
+        metric: {
+            system: scorer.corpus(metric, parts[args.max_refs, system, metric]).value
+            for system in systems
+        }
         for metric in metrics
     }
     table = [
@@ -484,45 +481,6 @@ def cmd_score(args) -> int:
                 ensure_ascii=False,
                 indent=2,
             )
-    return 0
-
-
-def _score_sweep(args, corpus, mode: str, scorer: MultiRefScorer, systems: list[str]) -> int:
-    """Corpus scores for each generated-reference count in --sweep-refs A..B."""
-    if mode == "gold":
-        raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
-    if args.max_refs is not None:
-        raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
-    if args.per_reference or args.out:
-        raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
-    low, high = _parse_sweep(args.sweep_refs)
-    counts = range(low, high + 1)
-    metrics = scorer.metrics
-
-    # (count, system, metric) -> corpus parts in segment order.
-    parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
-    for segment, hyps, refs in _segments(corpus, mode, high):
-        # The references for count k are the first n_refs of those for `high`.
-        scores = scorer.segment(hyps, refs)
-        for k in counts:
-            n_refs = len(segment.scoring_refs(mode, k))
-            for system in hyps:
-                for metric in metrics:
-                    parts[k, system, metric].append(scores.joint(system, metric, n_refs)[1])
-        del scores  # drop this segment's profiles before the next segment's are built
-
-    series = [
-        {"metric": metric, "system": system, "refs": k,
-         "score": scorer.corpus(metric, values).value}
-        for (k, system, metric), values in parts.items()
-    ]
-    print(_format_table(
-        ["metric", "system", "refs", "score"],
-        [[r["metric"], r["system"], r["refs"], f"{r['score']:.2f}"] for r in series],
-    ))
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
-            json.dump({"sweep": series}, handle, ensure_ascii=False, indent=2)
     return 0
 
 
@@ -661,22 +619,22 @@ def cmd_diversity(args) -> int:
 
 
 def _load_system_scores(path: str, metric: str | None) -> tuple[str, dict[str, float]]:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if isinstance(data, dict) and "metrics" in data:
-        metrics = data["metrics"]
-        if metric is None:
-            if len(metrics) != 1:
-                raise ValueError(
-                    f"{path} holds {sorted(metrics)}; pick one with --metric"
-                )
-            metric = next(iter(metrics))
-        if metric not in metrics:
-            raise ValueError(f"metric {metric!r} not present in {path}")
-        return metric, {str(k): float(v) for k, v in metrics[metric].items()}
-    if isinstance(data, dict):
-        return metric or "score", {str(k): float(v) for k, v in data.items()}
-    raise ValueError(f"{path} is not a summary JSON")
+    """(metric, score by system) from a `score`/`combine` summary or a flat `{system: score}` object."""
+
+    def parse(data: dict):
+        name, scores = metric or "score", data
+        if "metrics" in data:
+            metrics = json_object(data["metrics"], "metrics")
+            if metric is None:
+                if len(metrics) != 1:
+                    raise ValueError(f"holds {sorted(metrics)}; pick one with --metric")
+                name = next(iter(metrics))
+            if name not in metrics:
+                raise ValueError(f"metric {name!r} not present")
+            scores = json_object(metrics[name], f"metrics[{name!r}]")
+        return name, {system: float(score) for system, score in scores.items()}
+
+    return read_json(path, parse, "summary")
 
 
 def cmd_leakage_report(args) -> int:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus_io import read_jsonl
 from .errors import CorpusFormatError
 
 COMBINE_KINDS = ("max", "mean", "top_k_mean")
@@ -111,6 +112,24 @@ def system_score(per_segment) -> float:
     return math.fsum(values) / len(values)
 
 
+def _matrix_row(record: dict):
+    """(metric, (system, segment), cells, values) of one matrix line."""
+    metric = record["metric"]
+    system = str(record["system"])
+    segment = str(record["segment"])
+    cells = record["scores"]
+    values = list(map(float, cells.values()))
+    if not values:
+        raise ValueError("matrix row must have at least one score")
+    # A finite sum proves every value finite; a sum that is not may still
+    # come from finite values that overflow together.
+    if not math.isfinite(sum(values)):
+        for ref_id, value in zip(cells, values):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite score for ({system}, {segment}, {ref_id})")
+    return str(metric), (system, segment), cells, values
+
+
 def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], object]]:
     """Read a matrix JSONL file row by row, keeping only `reduce(cells, values)`.
 
@@ -120,43 +139,15 @@ def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], ob
     (system, segment) rows of a metric and rows `reduce` rejects are reported
     with file and line number.
     """
-    path = Path(path)
     matrices: dict[str, dict[tuple[str, str], object]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc}", str(path), lineno)
-            try:
-                metric = record["metric"]
-                system = str(record["system"])
-                segment = str(record["segment"])
-                cells = record["scores"]
-                values = list(map(float, cells.values()))
-                if not values:
-                    raise ValueError("matrix row must have at least one score")
-                # A finite sum proves every value finite; a sum that is not
-                # may still come from finite values that overflow together.
-                if not math.isfinite(sum(values)):
-                    for ref_id, value in zip(cells, values):
-                        if not math.isfinite(value):
-                            raise ValueError(
-                                f"non-finite score for ({system}, {segment}, {ref_id})"
-                            )
-            except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"invalid matrix row: {exc}", str(path), lineno)
-            rows = matrices.setdefault(str(metric), {})
-            key = (system, segment)
-            if key in rows:
-                raise CorpusFormatError(f"duplicate matrix row for {key}", str(path), lineno)
-            try:
-                rows[key] = reduce(cells, values)
-            except (ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"cannot combine row: {exc}", str(path), lineno)
+    for lineno, (metric, key, cells, values) in read_jsonl(path, _matrix_row, "matrix row"):
+        rows = matrices.setdefault(metric, {})
+        if key in rows:
+            raise CorpusFormatError(f"duplicate matrix row for {key}", str(path), lineno)
+        try:
+            rows[key] = reduce(cells, values)
+        except (ValueError, OverflowError) as exc:
+            raise CorpusFormatError(f"cannot combine row: {exc}", str(path), lineno)
     return matrices
 
 

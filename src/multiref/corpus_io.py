@@ -1,6 +1,7 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-All interchange formats are JSONL, one UTF-8 record per line:
+All interchange formats are JSONL, one UTF-8 JSON object per line, read
+through `read_jsonl`:
 
 - segments.jsonl: ``{"id", "source", "gold_refs": [..]}``
 - outputs.jsonl:  ``{"system", "segment", "hypothesis"}``
@@ -85,6 +86,13 @@ def text_field(value, name: str) -> str:
     return value
 
 
+def bool_field(value, name: str) -> bool:
+    """`value` if it is true or false; a TypeError naming the field otherwise."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a boolean, got {_json_type(value)}")
+    return value
+
+
 def text_list(value, name: str) -> tuple[str, ...]:
     """`value` as a tuple if it is a list of strings; a TypeError naming the field otherwise."""
     if not isinstance(value, list):
@@ -92,31 +100,72 @@ def text_list(value, name: str) -> tuple[str, ...]:
     return tuple(text_field(item, f"{name}[{i}]") for i, item in enumerate(value))
 
 
-def _iter_jsonl(path: Path):
-    with open(path, encoding="utf-8") as handle:
+def json_object(value, name: str) -> dict:
+    """`value` if it is a JSON object; a TypeError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {_json_type(value)}")
+    return value
+
+
+# What decoding, `json.loads` (RecursionError for nesting too deep) or a
+# `parse` callback raise for input they reject.
+_PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"bad JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+
+
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot open: {exc.strerror}", str(path)) from None
+
+
+def read_jsonl(path: str | Path, parse, what: str):
+    """Yield `(lineno, parse(record))` for each non-blank line of a JSONL file.
+
+    Each line is decoded as UTF-8 on its own and must hold one JSON object,
+    which `parse` turns into a value. A file that cannot be opened fails at
+    `path`; a line that is not UTF-8 or not a JSON object, or that `parse`
+    rejects with one of `_PARSE_ERRORS`, fails as `invalid <what>: <reason>`
+    at `path:lineno`.
+    """
+    with _open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc}", str(path), lineno)
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                value = parse(json_object(json.loads(line), "record"))
+            except _PARSE_ERRORS as exc:
+                raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
+            yield lineno, value
+
+
+def read_json(path: str | Path, parse, what: str):
+    """`parse(document)` of a UTF-8 file holding one JSON object; errors as `read_jsonl`'s, at `path`."""
+    with _open(path) as handle:
+        data = handle.read()
+    try:
+        return parse(json_object(json.loads(data.decode("utf-8")), "document"))
+    except _PARSE_ERRORS as exc:
+        raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path)) from None
+
+
+def _segment(record: dict) -> Segment:
+    return Segment(
+        id=str(record["id"]),
+        source=text_field(record["source"], "source"),
+        gold_refs=text_list(record.get("gold_refs", []), "gold_refs"),
+    )
 
 
 def load_segments(path: str | Path) -> list[Segment]:
-    path = Path(path)
     segments: list[Segment] = []
     seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        try:
-            segment = Segment(
-                id=str(record["id"]),
-                source=text_field(record["source"], "source"),
-                gold_refs=text_list(record.get("gold_refs", []), "gold_refs"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise CorpusFormatError(f"invalid segment: {exc}", str(path), lineno)
+    for lineno, segment in read_jsonl(path, _segment, "segment"):
         if segment.id in seen:
             raise CorpusFormatError(f"duplicate segment id {segment.id!r}", str(path), lineno)
         seen.add(segment.id)
@@ -126,19 +175,20 @@ def load_segments(path: str | Path) -> list[Segment]:
     return segments
 
 
+def _output(record: dict) -> tuple[str, str, str]:
+    return (
+        str(record["system"]),
+        str(record["segment"]),
+        text_field(record["hypothesis"], "hypothesis"),
+    )
+
+
 def load_outputs(
     path: str | Path, known_ids: set[str] | None = None
 ) -> dict[str, dict[str, str]]:
     """Load outputs.jsonl; segment ids are validated when known_ids is given."""
-    path = Path(path)
     systems: dict[str, dict[str, str]] = {}
-    for lineno, record in _iter_jsonl(path):
-        try:
-            system = str(record["system"])
-            segment = str(record["segment"])
-            hypothesis = text_field(record["hypothesis"], "hypothesis")
-        except (KeyError, TypeError) as exc:
-            raise CorpusFormatError(f"invalid output record: {exc}", str(path), lineno)
+    for lineno, (system, segment, hypothesis) in read_jsonl(path, _output, "output record"):
         if known_ids is not None and segment not in known_ids:
             raise CorpusFormatError(
                 f"hypothesis references unknown segment {segment!r}", str(path), lineno
@@ -187,12 +237,13 @@ def save_outputs(path: str | Path, systems: dict[str, dict[str, str]]) -> None:
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def merge_references(corpus: EvalCorpus, records, use_gold: bool) -> EvalCorpus:
-    """Attach generated candidates to segments and fix the scoring reference set.
+def merge_references(corpus: EvalCorpus, records) -> EvalCorpus:
+    """Attach generated candidates to segments.
 
-    Successful records populate generated_refs; gold references are kept for
-    scoring only when use_gold is true. Records for unknown segment ids are
-    an error; segments without a record keep an empty generated list.
+    Successful records populate generated_refs; `Segment.scoring_refs`
+    chooses between gold and generated references. Records for unknown
+    segment ids are an error; segments without a record keep an empty
+    generated list.
     """
     known = set(corpus.segment_ids())
     by_segment: dict[str, tuple[str, ...]] = {}
@@ -202,11 +253,7 @@ def merge_references(corpus: EvalCorpus, records, use_gold: bool) -> EvalCorpus:
         if record.succeeded:
             by_segment[record.segment_id] = tuple(record.candidates)
     merged = [
-        replace(
-            segment,
-            generated_refs=by_segment.get(segment.id, ()),
-            gold_refs=segment.gold_refs if use_gold else (),
-        )
+        replace(segment, generated_refs=by_segment.get(segment.id, ()))
         for segment in corpus.segments
     ]
     return EvalCorpus(segments=merged, systems=dict(corpus.systems))

@@ -67,7 +67,7 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
     cfg = cfg or BleuConfig()
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least two candidates")
-    profiles = [kernels.Profile(tuple(tokens_of(c)), cfg.max_order) for c in candidates]
+    profiles = [kernels.Profile(tokens_of(c), cfg.max_order) for c in candidates]
     matched = [[0] * cfg.max_order for _ in profiles]
     for order in range(cfg.max_order):
         table = {}
@@ -166,7 +166,7 @@ def distinct_n(corpus, n: int = 6) -> float:
     seen = set()
     total = 0
     for seq in corpus:
-        profile = kernels.Profile(tuple(tokens_of(seq)), n)
+        profile = kernels.Profile(tokens_of(seq), n)
         seen.update(profile.counts[n - 1])
         total += profile.totals[n - 1]
     return len(seen) / total if total else 0.0

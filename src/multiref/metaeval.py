@@ -5,13 +5,13 @@ sample-level Spearman, and the leakage-gap report. Degenerate inputs (all
 ties, zero variance) raise DegenerateDataError instead of returning NaN.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
+from .corpus_io import read_jsonl
 from .errors import CorpusFormatError, DegenerateDataError
 
 
@@ -238,36 +238,25 @@ def leakage_gap(scores_single, scores_multi, a: str, b: str) -> LeakageGapReport
     )
 
 
+def _judgment(record: dict) -> HumanJudgment:
+    return HumanJudgment(
+        system=str(record["system"]),
+        score=float(record["score"]),
+        segment=None if record.get("segment") is None else str(record["segment"]),
+        dimension=None if record.get("dimension") is None else str(record["dimension"]),
+    )
+
+
 def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
     """Read human.jsonl: `{"system", "segment"|null, "dimension"|null, "score"}`."""
-    path = Path(path)
     judgments: list[HumanJudgment] = []
     seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc}", str(path), lineno)
-            try:
-                judgment = HumanJudgment(
-                    system=str(record["system"]),
-                    score=float(record["score"]),
-                    segment=None if record.get("segment") is None else str(record["segment"]),
-                    dimension=None
-                    if record.get("dimension") is None
-                    else str(record["dimension"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"invalid judgment: {exc}", str(path), lineno)
-            key = (judgment.system, judgment.segment, judgment.dimension)
-            if key in seen:
-                raise CorpusFormatError(f"duplicate judgment for {key}", str(path), lineno)
-            seen.add(key)
-            judgments.append(judgment)
+    for lineno, judgment in read_jsonl(path, _judgment, "judgment"):
+        key = (judgment.system, judgment.segment, judgment.dimension)
+        if key in seen:
+            raise CorpusFormatError(f"duplicate judgment for {key}", str(path), lineno)
+        seen.add(key)
+        judgments.append(judgment)
     return judgments
 
 

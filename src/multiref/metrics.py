@@ -186,11 +186,11 @@ def _best_rouge(hyp, refs, order: int, pr, *args) -> MetricScore:
     """Max F1 over the references, with the precision and recall behind it."""
     if not refs:
         raise ValueError("at least one reference is required")
-    hyp = kernels.Profile(tuple(tokens_of(hyp)), order)
+    hyp = kernels.Profile(tokens_of(hyp), order)
     best_f = 0.0
     best_pr = (0.0, 0.0)
     for ref in refs:
-        precision, recall = pr(hyp, kernels.Profile(tuple(tokens_of(ref)), order), *args)
+        precision, recall = pr(hyp, kernels.Profile(tokens_of(ref), order), *args)
         fscore = _f1(precision, recall)
         if fscore > best_f:
             best_f = fscore
@@ -263,8 +263,8 @@ class MultiRefScorer:
                 raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
         if chrf_order < 1:
             raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
-        if not math.isfinite(chrf_beta):
-            raise ValueError(f"chrf_beta must be finite, got {chrf_beta}")
+        if not (math.isfinite(chrf_beta) and chrf_beta >= 0):
+            raise ValueError(f"chrf_beta must be finite and >= 0, got {chrf_beta}")
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.chrf_order = chrf_order
         self.chrf_beta = chrf_beta
@@ -437,7 +437,7 @@ def _bleu_scorer(cfg: BleuConfig | None) -> MultiRefScorer:
 
 def _token_pair(hyp, refs) -> tuple:
     """A (hypothesis, references) pair of token tuples, hashable as the scorer needs."""
-    return tuple(tokens_of(hyp)), [tuple(tokens_of(ref)) for ref in refs]
+    return tokens_of(hyp), [tokens_of(ref) for ref in refs]
 
 
 def corpus_stats_for_segment(hyp, refs, cfg: BleuConfig | None = None) -> CorpusStats:

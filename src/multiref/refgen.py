@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus_io import text_list
+from .corpus_io import bool_field, read_jsonl, text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
-
-LANGUAGES = ("english", "chinese", "custom")
 
 #: Environment variables consulted for the API key, in order.
 API_KEY_ENV_VARS = ("MULTIREF_API_KEY", "OPENAI_API_KEY")
@@ -44,16 +42,24 @@ class PromptTemplate:
     rules: str
     task_description: str
     include_ground_truth: bool = True
-    language: str = "english"
 
     def __post_init__(self):
-        if self.language not in LANGUAGES:
-            raise ValueError(f"unknown template language {self.language!r}")
         for placeholder in (N_PLACEHOLDER, SOURCE_PLACEHOLDER):
             if self.task_description.count(placeholder) != 1:
                 raise ValueError(
                     f"task_description must contain exactly one {placeholder!r}"
                 )
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "PromptTemplate":
+        """A template from a `{"rules", "task_description", "include_ground_truth"?}` object."""
+        return cls(
+            rules=text_field(spec["rules"], "rules"),
+            task_description=text_field(spec["task_description"], "task_description"),
+            include_ground_truth=bool_field(
+                spec.get("include_ground_truth", True), "include_ground_truth"
+            ),
+        )
 
 
 ENGLISH_TRANSLATION = PromptTemplate(
@@ -67,7 +73,6 @@ ENGLISH_TRANSLATION = PromptTemplate(
         "Please provide {n} high-quality, diverse translations of the "
         "following source text:\n{source}"
     ),
-    language="english",
 )
 
 ENGLISH_SUMMARIZATION = PromptTemplate(
@@ -80,7 +85,6 @@ ENGLISH_SUMMARIZATION = PromptTemplate(
         "Please provide {n} high-quality, diverse summaries of the following "
         "text:\n{source}"
     ),
-    language="english",
 )
 
 CHINESE_TRANSLATION = PromptTemplate(
@@ -89,7 +93,6 @@ CHINESE_TRANSLATION = PromptTemplate(
         "的译文。按编号列表输出，每行一条，不要附加任何说明。"
     ),
     task_description="请为下面的原文提供{n}条高质量且多样化的译文：\n{source}",
-    language="chinese",
 )
 
 BUILTIN_TEMPLATES = {
@@ -480,22 +483,13 @@ def load_generation_records(
 
     Segment ids are validated when `known_ids` is given.
     """
-    path = Path(path)
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = GenerationRecord.from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"invalid generation record: {exc}", str(path), lineno)
-            if known_ids is not None and record.segment_id not in known_ids:
-                raise CorpusFormatError(
-                    f"record references unknown segment {record.segment_id!r}", str(path), lineno
-                )
-            records.append(record)
+    for lineno, record in read_jsonl(path, GenerationRecord.from_json, "generation record"):
+        if known_ids is not None and record.segment_id not in known_ids:
+            raise CorpusFormatError(
+                f"record references unknown segment {record.segment_id!r}", str(path), lineno
+            )
+        records.append(record)
     return records
 
 

@@ -84,10 +84,6 @@ class SubwordVocab:
         segment = partial(_segment_word, self.entries, self._max_len, self.unk_piece)
         object.__setattr__(self, "_segment", lru_cache(maxsize=SUBWORD_CACHE_SIZE)(segment))
 
-    @property
-    def max_piece_len(self) -> int:
-        return self._max_len
-
     def __reduce__(self):
         # Pickle and copy the fields only; the copy builds its own cache.
         return SubwordVocab, (self.entries, self.unk_piece)
@@ -175,11 +171,16 @@ def _longest_match(stream: str, pos: int, entries: frozenset[str], max_len: int)
     return None
 
 
-def tokens_of(seq) -> list[str]:
-    """Accept a TokenSequence or any iterable of token strings."""
+def tokens_of(seq) -> tuple[str, ...]:
+    """The tokens of a TokenSequence or of any other iterable of token strings.
+
+    A plain string is rejected: iterating it would yield its characters.
+    """
+    if isinstance(seq, str):
+        raise TypeError("expected a token sequence, got a str; tokenize the text first")
     if isinstance(seq, TokenSequence):
-        return list(seq.tokens)
-    return list(seq)
+        seq = seq.tokens
+    return tuple(seq)
 
 
 def load_subword_vocab(path: str | Path) -> SubwordVocab:

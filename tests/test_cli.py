@@ -80,6 +80,42 @@ class TestGenerate:
         assert all(len(r.candidates) == 4 for r in records)
         assert "3 segments done" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (b'{"rules": "r", "task_description": "{n} of {source}"', "bad JSON: Expecting ',' delimiter"),
+            (b'{"rules": "r"}', "'task_description'"),
+            (b'{"rules": ["r"], "task_description": "{n} of {source}"}', "rules must be a string, got array"),
+            (b'{"rules": "r", "task_description": "{n} of {source}", "include_ground_truth": "no"}',
+             "include_ground_truth must be a boolean, got string"),
+            (b'["r", "{n} of {source}"]', "document must be a JSON object, got array"),
+            (b'{"rules": "\xff", "task_description": "{n} of {source}"}', "'utf-8' codec can't decode"),
+        ],
+        ids=["bad-json", "missing-key", "non-string-rules", "non-boolean-flag", "array-body", "invalid-utf8"],
+    )
+    def test_bad_template_file_fails_with_path(self, pipeline, capsys, body, reason):
+        # A missing key, a non-string field or an array body used to end in a traceback.
+        template = pipeline["dir"] / "template.json"
+        template.write_bytes(body)
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
+                     "--mock", "--template", "custom", "--template-file", str(template)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"multiref: error: {template}: invalid template: {reason}")
+        assert not out.exists()
+
+    def test_custom_template_file_is_used(self, pipeline):
+        template = pipeline["dir"] / "template.json"
+        template.write_text(json.dumps({"rules": "RULES", "task_description": "Give {n}: {source}"}))
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
+                     "--mock", "--n-references", "2", "--template", "custom",
+                     "--template-file", str(template)])
+        assert code == 0
+        prompt = load_generation_records(out)[0].prompt_used
+        assert prompt.startswith("RULES\n\nGive 2: src s1")
+
     def test_resume_skips_done_ids(self, pipeline, capsys):
         out = pipeline["dir"] / "gen.jsonl"
         args = [
@@ -283,14 +319,19 @@ class TestScore:
                 "--generated-refs", str(pipeline["refs"]),
                 "--refs", "generated",
                 "--sweep-refs", "1..5",
+                "--metrics", "chrf,bleu",
                 "--summary", str(summary_path),
             ]
         )
         assert code == 0
         series = json.loads(summary_path.read_text())["sweep"]
-        for system in ("copy", "noise"):
-            rows = [r for r in series if r["system"] == system and r["metric"] == "bleu"]
-            assert [r["refs"] for r in rows] == [1, 2, 3, 4, 5]
+        # One row per (count, system, metric), in that order; metrics as given.
+        assert [(r["refs"], r["system"], r["metric"]) for r in series] == [
+            (k, system, metric)
+            for k in (1, 2, 3, 4, 5)
+            for system in ("copy", "noise")
+            for metric in ("chrf", "bleu")
+        ]
 
     def test_max_refs_caps_generated_references(self, pipeline):
         # With --max-refs 1 only the first generated candidate (the gold
@@ -347,9 +388,10 @@ class TestScore:
         assert code == 1
         assert "--chrf-order" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-2"])
     def test_non_finite_chrf_beta_is_rejected(self, pipeline, capsys, beta):
-        # nan used to score every chrF 0.00 and exit 0; inf failed as "out of [0, 100]".
+        # nan used to score every chrF 0.00 and exit 0; inf failed as "out of [0, 100]";
+        # -2 scored exactly as 2.
         summary_path = pipeline["dir"] / "summary.json"
         code = main(
             [
@@ -769,6 +811,26 @@ class TestLeakageReport:
             ["leakage-report", "--single", str(scores), "--multi", str(scores), "--pair", "A,B"]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "summary, reason",
+        [
+            (b'{"metrics": {"bleu": {"A": null, "B": 1.0}}}', "float() argument"),
+            (b'{"metrics": {"bleu": {"A": [1.0], "B": 1.0}}}', "float() argument"),
+            (b'{"metrics": {"bleu": [1.0, 2.0]}}', "metrics['bleu'] must be a JSON object, got array"),
+            (b'{"metrics": {"bleu": {}, "chrf": {}}}', "holds ['bleu', 'chrf']; pick one with --metric"),
+            (b'[{"A": 1.0}]', "document must be a JSON object, got array"),
+            (b'{"A": 1.0,}', "bad JSON: Expecting property name"),
+        ],
+        ids=["null-score", "list-score", "array-scores", "two-metrics", "array-summary", "bad-json"],
+    )
+    def test_bad_summary_fails_with_path(self, tmp_path, capsys, summary, reason):
+        # A null or list score used to end in a traceback.
+        path = tmp_path / "summary.json"
+        path.write_bytes(summary)
+        code = main(["leakage-report", "--single", str(path), "--multi", str(path), "--pair", "A,B"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid summary: {reason}")
+
     def test_synthetic_leak_shrinks_through_pipeline(self, tmp_path, jsonl_writer):
         # System L copies the gold reference verbatim; system H paraphrases.
         # Rescoring against generated references must shrink the L-H gap.
@@ -897,6 +959,25 @@ class TestConfigFile:
         assert capsys.readouterr().err.strip() == f"multiref: error: {path}: {key}: {reason}"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (b'{"threshold": 101', "bad JSON: Expecting ',' delimiter"),
+            (b'[["threshold", 101]]', "document must be a JSON object, got array"),
+            (b'{"report": "r\xe9.json"}', "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["bad-json", "array", "invalid-utf8"],
+    )
+    def test_unreadable_config_fails_with_path(self, pipeline, tmp_path, capsys, body, reason):
+        # Bad JSON used to fail with no path.
+        path = tmp_path / "config.json"
+        path.write_bytes(body)
+        out = tmp_path / "out.jsonl"
+        assert main(["--config", str(path), "select", "--refs", str(pipeline["refs"]),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid config: {reason}")
+        assert not out.exists()
+
     def test_other_commands_keys_are_skipped(self, pipeline, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_references": 3, "metrics": "chrf", "threshold": 101.0}))
@@ -925,19 +1006,55 @@ class TestConfigFile:
          "invalid judgment: int too large to convert to float"),
         ("select", "refs.jsonl", '{"segment_id": "s1", "candidates": ["a"], "attempt_count": Infinity}',
          "invalid generation record: cannot convert float infinity to integer"),
+        ("score", "segments.jsonl", b'{"id": "s9", "source": "\xff"}',
+         "invalid segment: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
+        ("score", "outputs.jsonl", b'{"system": "copy", "segment": "s1", "hypothesis": "\xc3"}',
+         "invalid output record: 'utf-8' codec can't decode byte 0xc3 in position 51: "
+         "invalid continuation byte"),
+        ("score", "refs.jsonl", b'{"segment_id": "s1", "candidates": ["\xe9t\xe9"]}',
+         "invalid generation record: 'utf-8' codec can't decode byte 0xe9 in position 37: "
+         "invalid continuation byte"),
+        ("metaeval", "human.jsonl", b'{"system": "\xff", "segment": null, "score": 1}',
+         "invalid judgment: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+        ("combine", "matrix.jsonl", b'{"system": "\xff", "segment": "s2", "scores": {"r0": 1.0}, "metric": "m"}',
+         "invalid matrix row: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": [}',
+         "invalid generation record: bad JSON: Expecting value: line 1 column 37 (char 36)"),
+        ("score", "outputs.jsonl", '["copy", "s1", "the cat"]',
+         "invalid output record: record must be a JSON object, got array"),
+        ("combine", "matrix.jsonl", "[" * 200000,
+         "invalid matrix row: maximum recursion depth exceeded while decoding a JSON array "
+         "from a unicode string"),
     ],
-    ids=["human-score-beyond-float", "refs-attempt-count-infinity"],
+    ids=["human-score-beyond-float", "refs-attempt-count-infinity", "segments-invalid-utf8",
+         "outputs-invalid-utf8", "refs-invalid-utf8", "human-invalid-utf8", "matrix-invalid-utf8",
+         "refs-bad-json", "outputs-array-line", "matrix-nested-too-deep"],
 )
 def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, command, name, line, reason):
-    path = pipeline[name.split(".")[0]]
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
     matrix = tmp_path / "matrix.jsonl"
     matrix.write_text(json.dumps({"system": "copy", "segment": "s1", "scores": {"r0": 1.0}, "metric": "m"}) + "\n")
-    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    path = matrix if name == "matrix.jsonl" else pipeline[name.split(".")[0]]
+    with open(path, "ab") as handle:
+        handle.write((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n")
+    lineno = path.read_bytes().count(b"\n")
     argv = {
         "metaeval": ["metaeval", "--matrix", str(matrix), "--human", str(path)],
         "select": ["select", "--refs", str(path), "--out", str(tmp_path / "out.jsonl")],
+        "score": ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                  "--generated-refs", str(pipeline["refs"])],
+        "combine": ["combine", "--matrix", str(path)],
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.strip() == f"multiref: error: {path}:{lineno}: {reason}"
+
+
+def test_crlf_line_ends_load_as_lf(pipeline):
+    argv = ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+            "--generated-refs", str(pipeline["refs"]), "--refs", "both", "--metrics", "bleu,chrf",
+            "--summary", str(pipeline["dir"] / "summary.json")]
+    assert main(argv) == 0
+    lf = (pipeline["dir"] / "summary.json").read_bytes()
+    for name in ("segments", "outputs", "refs"):
+        pipeline[name].write_bytes(pipeline[name].read_bytes().replace(b"\n", b"\r\n"))
+    assert main(argv) == 0
+    assert (pipeline["dir"] / "summary.json").read_bytes() == lf

@@ -179,32 +179,26 @@ class TestMergeReferences:
         )
 
     def test_generated_only(self):
-        merged = merge_references(
-            self.corpus(), [record("s1", ["c1", "c2"])], use_gold=False
-        )
+        merged = merge_references(self.corpus(), [record("s1", ["c1", "c2"])])
         seg = merged.segment("s1")
         assert seg.generated_refs == ("c1", "c2")
-        assert seg.scoring_refs("both") == ["c1", "c2"]
+        assert seg.scoring_refs("generated") == ["c1", "c2"]
 
     def test_gold_included_when_requested(self):
-        merged = merge_references(
-            self.corpus(), [record("s1", ["c1"])], use_gold=True
-        )
+        merged = merge_references(self.corpus(), [record("s1", ["c1"])])
         assert merged.segment("s1").scoring_refs("both") == ["gold1", "c1"]
 
     def test_failed_records_contribute_nothing(self):
-        merged = merge_references(
-            self.corpus(), [record("s1", [], error="bad")], use_gold=False
-        )
-        assert merged.segment("s1").scoring_refs("both") == []
+        merged = merge_references(self.corpus(), [record("s1", [], error="bad")])
+        assert merged.segment("s1").scoring_refs("generated") == []
 
     def test_unknown_segment_rejected(self):
         with pytest.raises(ValueError):
-            merge_references(self.corpus(), [record("sX", ["c"])], use_gold=True)
+            merge_references(self.corpus(), [record("sX", ["c"])])
 
     def test_original_untouched(self):
         corpus = self.corpus()
-        merge_references(corpus, [record("s1", ["c"])], use_gold=False)
+        merge_references(corpus, [record("s1", ["c"])])
         assert corpus.segment("s1").gold_refs == ("gold1",)
         assert corpus.segment("s1").generated_refs == ()
 
