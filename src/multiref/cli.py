@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
-from .corpus_io import json_object, read_json
+from .corpus_io import json_object, number_field, read_json
 # combine and metaeval no longer call load_score_matrices or combine_matrix,
 # and score no longer calls the sentence/corpus functions; they stay
 # importable here because pipebench/tracer.py wraps them under this module's
@@ -632,7 +632,7 @@ def _load_system_scores(path: str, metric: str | None) -> tuple[str, dict[str, f
             if name not in metrics:
                 raise ValueError(f"metric {name!r} not present")
             scores = json_object(metrics[name], f"metrics[{name!r}]")
-        return name, {system: float(score) for system, score in scores.items()}
+        return name, {system: number_field(v, f"score of {system!r}") for system, v in scores.items()}
 
     return read_json(path, parse, "summary")
 

@@ -14,6 +14,7 @@ segment) and treated as immutable afterwards.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -84,6 +85,16 @@ def text_field(value, name: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a string, got {_json_type(value)}")
     return value
+
+
+def number_field(value, name: str) -> float:
+    """`value` as a float if it is a finite JSON number, not a boolean or string; an error naming it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {_json_type(value)}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
 
 
 def bool_field(value, name: str) -> bool:
@@ -258,35 +269,3 @@ def merge_references(corpus: EvalCorpus, records) -> EvalCorpus:
     ]
     return EvalCorpus(segments=merged, systems=dict(corpus.systems))
 
-
-def segments_from_tsv(
-    source_path: str | Path, reference_paths=()
-) -> list[Segment]:
-    """Thin converter for ``id<TAB>text`` files into Segment records.
-
-    The source file defines the segment ids; each reference file contributes
-    one gold reference per id it covers.
-    """
-
-    def read_tsv(path: Path) -> dict[str, str]:
-        rows: dict[str, str] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise CorpusFormatError("expected id<TAB>text", str(path), lineno)
-                key, text = line.split("\t", 1)
-                if key in rows:
-                    raise CorpusFormatError(f"duplicate id {key!r}", str(path), lineno)
-                rows[key] = text
-        return rows
-
-    sources = read_tsv(Path(source_path))
-    references = [read_tsv(Path(p)) for p in reference_paths]
-    segments = []
-    for key, text in sources.items():
-        gold = tuple(ref[key] for ref in references if key in ref)
-        segments.append(Segment(id=key, source=text, gold_refs=gold))
-    return segments

@@ -4,19 +4,20 @@
 number (`totals`) and the part of each count above 1 (`excess`), all filled
 once when the profile is built; its constructor is the only place in the
 package that slides an n-gram window. Everything else compares profiles:
-`overlap` (clipped overlap of two count tables), `clip_table`
-(multi-reference clipping), `ref_len` (the brevity-penalty reference
-length), `chrf_stats` (character n-gram statistics of a pair) and
-`lcs_length`.
+`matches`, `clip_table`, `ref_len` (the brevity-penalty reference length)
+and `lcs_length`.
 
-Two kernels avoid per-element Python work, because `score` spends most of
-its time in them. `chrf_stats` runs once per (hypothesis, reference) pair,
-so it recomputes nothing a profile already holds: per order it takes one
-set intersection of the n-grams and adds the overlap of the two `excess`
-tables only when both sides repeat something. `lcs_length` is the
-bit-parallel LCS length of Allison & Dix (1986) and Hyyrö (2004): one
-Python int holds a whole row of the LCS table. Nothing here is cached
-between calls, and there is no flag or alternative implementation.
+`matches` is the one clipped match count: BLEU (joint and per reference),
+ROUGE-N and chrF all count through it. An n-gram on both sides adds
+min(a, b) = 1 + min(a - 1, b - 1), and the second term is 0 unless it
+repeats on both sides, so per order the match is one set intersection plus
+the `overlap` of the two `excess` tables, taken only when both sides repeat
+something. A `ClipTable` holds just what `matches` reads of a reference
+set: per order, the n-grams any reference holds and the largest excess of
+each repeated one. `lcs_length` is the bit-parallel LCS length of Allison &
+Dix (1986) and Hyyrö (2004): one Python int holds a whole row of the LCS
+table. Nothing here is cached between calls, and there is no flag or
+alternative implementation.
 
 `bleu_segment_stats` and `chrf_segment_stats` compose the helpers for one
 segment given as plain token sequences. Nothing in the package calls them:
@@ -30,7 +31,7 @@ tests/test_kernels.py checks each helper against the brute-force oracles in
 tests/oracles.py.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 
 def active_backend() -> str:
@@ -44,7 +45,7 @@ class Profile:
     `tokens` is a tuple of tokens or, at character level, a string, so that
     its slices are hashable n-gram keys. Each list is indexed by order-1:
     `counts` counts the n-grams, `totals` holds their number, and `excess`
-    maps each n-gram that repeats to its count minus 1, which `chrf_stats`
+    maps each n-gram that repeats to its count minus 1, which `matches`
     needs on its own. All are filled once here; callers must not mutate them.
     """
 
@@ -73,15 +74,43 @@ def overlap(a, b) -> int:
     return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
 
 
-def clip_table(refs, max_order: int) -> list[dict]:
-    """Per order, the maximum count of each n-gram in any single reference profile."""
-    table = [dict(counts) for counts in refs[0].counts[:max_order]]
-    for ref in refs[1:]:
-        for clip, counts in zip(table, ref.counts):
-            for gram, count in counts.items():
-                if count > clip.get(gram, 0):
-                    clip[gram] = count
-    return table
+def matches(a, b, orders: slice = slice(None)) -> list[int]:
+    """Per order, the clipped match count of `a` against `b`: the sum of min counts.
+
+    Both hold `counts` and `excess` lists indexed by order-1: `a` is a
+    `Profile`, `b` a `Profile` or a `ClipTable` (whose `counts` are sets).
+    `orders` slices the orders counted; by default, all that both hold.
+    """
+    match = []
+    for a_counts, b_counts, a_excess, b_excess in zip(
+        a.counts[orders], b.counts[orders], a.excess[orders], b.excess[orders]
+    ):
+        shared = len(a_counts.keys() & b_counts)
+        if a_excess and b_excess:
+            shared += overlap(a_excess, b_excess)
+        match.append(shared)
+    return match
+
+
+#: Several reference profiles as one `matches` operand (see `clip_table`).
+ClipTable = namedtuple("ClipTable", ["counts", "excess"])
+
+
+def clip_table(refs, max_order: int) -> ClipTable:
+    """The references' n-grams and largest excesses, for orders 1..max_order.
+
+    Per order, `counts` is the set of n-grams any reference holds, and
+    `excess` maps each n-gram that repeats in some reference to its largest
+    count minus 1; only repeated n-grams are visited.
+    """
+    counts = [set().union(*[ref.counts[i] for ref in refs]) for i in range(max_order)]
+    excess = [{} for _ in range(max_order)]
+    for ref in refs:
+        for clip, ref_excess in zip(excess, ref.excess):
+            for gram, extra in ref_excess.items():
+                if extra > clip.get(gram, 0):
+                    clip[gram] = extra
+    return ClipTable(counts, excess)
 
 
 def ref_len(hyp_len: int, ref_lens, mode: str) -> int:
@@ -93,24 +122,6 @@ def ref_len(hyp_len: int, ref_lens, mode: str) -> int:
     if mode == "closest":
         return min(ref_lens, key=lambda length: (abs(length - hyp_len), length))
     return min(ref_lens)
-
-
-def chrf_stats(hyp: Profile, ref: Profile):
-    """(match, hyp_total, ref_total), each a list indexed by order-1.
-
-    An n-gram on both sides adds min(h, r) = 1 + min(h - 1, r - 1) to the
-    match, and the second term is 0 unless it repeats on both sides. So the
-    match is the number of shared n-grams plus the overlap of the two
-    `excess` tables: per-n-gram work only for the few n-grams that repeat.
-    The totals are the profiles' own lists, not copies.
-    """
-    match = []
-    for h, r, h_excess, r_excess in zip(hyp.counts, ref.counts, hyp.excess, ref.excess):
-        shared = len(h.keys() & r.keys())
-        if h_excess and r_excess:
-            shared += overlap(h_excess, r_excess)
-        match.append(shared)
-    return match, hyp.totals, ref.totals
 
 
 def bleu_segment_stats(hyp, refs, max_order):
@@ -129,7 +140,7 @@ def bleu_segment_stats(hyp, refs, max_order):
     hyp_len = len(hyp.tokens)
     ref_lens = [len(ref.tokens) for ref in refs]
     return (
-        [overlap(h, clip) for h, clip in zip(hyp.counts, clip_table(refs, max_order))],
+        matches(hyp, clip_table(refs, max_order)),
         hyp.totals,
         hyp_len,
         ref_len(hyp_len, ref_lens, "closest"),
@@ -142,7 +153,8 @@ def chrf_segment_stats(hyp, ref, n_max):
 
     Returns (match, hyp_total, ref_total), each a list indexed by order-1.
     """
-    return chrf_stats(Profile(hyp, n_max), Profile(ref, n_max))
+    hyp, ref = Profile(hyp, n_max), Profile(ref, n_max)
+    return matches(hyp, ref), hyp.totals, ref.totals
 
 
 def lcs_length(a, b):

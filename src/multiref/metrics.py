@@ -165,11 +165,11 @@ def _f1(precision: float, recall: float) -> float:
 
 def _rouge_n_pr(hyp: kernels.Profile, ref: kernels.Profile, n: int) -> tuple[float, float]:
     """ROUGE-N (precision, recall) of two profiles counted to order n or beyond."""
-    overlap = kernels.overlap(hyp.counts[n - 1], ref.counts[n - 1])
+    (match,) = kernels.matches(hyp, ref, slice(n - 1, n))
     hyp_total, ref_total = hyp.totals[n - 1], ref.totals[n - 1]
     return (
-        overlap / hyp_total if hyp_total > 0 else 0.0,
-        overlap / ref_total if ref_total > 0 else 0.0,
+        match / hyp_total if hyp_total > 0 else 0.0,
+        match / ref_total if ref_total > 0 else 0.0,
     )
 
 
@@ -219,11 +219,11 @@ _WORD_METRICS = ("bleu", "rouge1", "rouge2", "rougeL")
 _ROUGE_N_ORDER = {"rouge1": 1, "rouge2": 2}
 
 
-def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
-    """Clipped-match statistics of a hypothesis profile against a clip table."""
+def _bleu_stats(hyp: kernels.Profile, refs, ref_lens, cfg: BleuConfig) -> CorpusStats:
+    """Clipped-match statistics of a hypothesis profile against a reference profile or clip table."""
     hyp_len = len(hyp.tokens)
     return CorpusStats(
-        matched=[kernels.overlap(hyp.counts[i], clip[i]) for i in range(cfg.max_order)],
+        matched=kernels.matches(hyp, refs, slice(cfg.max_order)),
         totals=hyp.totals[: cfg.max_order],
         hyp_len=hyp_len,
         ref_len=kernels.ref_len(hyp_len, ref_lens, cfg.effective_ref_length),
@@ -363,8 +363,9 @@ class SegmentScores:
         pairs = {system: [] for system in self.hyps}
         for text in self.refs:
             ref = hyp_profiles[text] if text in hyp_profiles else profile(text)
-            for system, hyp in self.hyps.items():
-                stats = kernels.chrf_stats(hyp_profiles[hyp], ref)
+            for system, hyp_text in self.hyps.items():
+                hyp = hyp_profiles[hyp_text]
+                stats = (kernels.matches(hyp, ref), hyp.totals, ref.totals)
                 pairs[system].append((_chrf_fscore(*stats, scorer.chrf_beta)[0], stats))
         return pairs
 
@@ -409,7 +410,7 @@ class SegmentScores:
             values = []
             for text in self.refs:
                 ref = profiles[text]
-                stats = _bleu_stats(hyp, ref.counts, [len(ref.tokens)], cfg)
+                stats = _bleu_stats(hyp, ref, [len(ref.tokens)], cfg)
                 values.append(_bleu_from_stats(stats, cfg).value)
         elif metric == "chrf":
             values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]

@@ -154,14 +154,19 @@ class GenerationRecord:
 
     @classmethod
     def from_json(cls, record: dict) -> "GenerationRecord":
+        """A record from its JSON object; a successful one (`error` null) must hold candidates."""
+        error = record.get("error")
+        candidates = text_list(record.get("candidates", []), "candidates")
+        if error is None and not candidates:
+            raise ValueError("a record without an error must hold candidates")
         return cls(
             segment_id=str(record["segment_id"]),
             prompt_used=str(record.get("prompt_used", "")),
             raw_response=str(record.get("raw_response", "")),
-            candidates=text_list(record.get("candidates", []), "candidates"),
+            candidates=candidates,
             attempt_count=int(record.get("attempt_count", 1)),
             timestamp=str(record.get("timestamp", "")),
-            error=record.get("error"),
+            error=error if error is None else text_field(error, "error"),
         )
 
 

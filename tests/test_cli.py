@@ -814,17 +814,23 @@ class TestLeakageReport:
     @pytest.mark.parametrize(
         "summary, reason",
         [
-            (b'{"metrics": {"bleu": {"A": null, "B": 1.0}}}', "float() argument"),
-            (b'{"metrics": {"bleu": {"A": [1.0], "B": 1.0}}}', "float() argument"),
+            (b'{"metrics": {"bleu": {"A": null, "B": 1.0}}}', "score of 'A' must be a number, got null"),
+            (b'{"metrics": {"bleu": {"A": [1.0], "B": 1.0}}}', "score of 'A' must be a number, got array"),
+            (b'{"A": "nan", "B": 1.0}', "score of 'A' must be a number, got string"),
+            (b'{"A": 1.0, "B": "2"}', "score of 'B' must be a number, got string"),
+            (b'{"A": true, "B": 1.0}', "score of 'A' must be a number, got boolean"),
+            (b'{"A": NaN, "B": 1.0}', "score of 'A' must be finite, got nan"),
             (b'{"metrics": {"bleu": [1.0, 2.0]}}', "metrics['bleu'] must be a JSON object, got array"),
             (b'{"metrics": {"bleu": {}, "chrf": {}}}', "holds ['bleu', 'chrf']; pick one with --metric"),
             (b'[{"A": 1.0}]', "document must be a JSON object, got array"),
             (b'{"A": 1.0,}', "bad JSON: Expecting property name"),
         ],
-        ids=["null-score", "list-score", "array-scores", "two-metrics", "array-summary", "bad-json"],
+        ids=["null-score", "list-score", "nan-string-score", "numeric-string-score", "bool-score",
+             "nan-score", "array-scores", "two-metrics", "array-summary", "bad-json"],
     )
     def test_bad_summary_fails_with_path(self, tmp_path, capsys, summary, reason):
-        # A null or list score used to end in a traceback.
+        # A null or list score used to end in a traceback; a string, boolean or
+        # NaN score used to be taken as a number.
         path = tmp_path / "summary.json"
         path.write_bytes(summary)
         code = main(["leakage-report", "--single", str(path), "--multi", str(path), "--pair", "A,B"])
@@ -1006,6 +1012,16 @@ class TestConfigFile:
          "invalid judgment: int too large to convert to float"),
         ("select", "refs.jsonl", '{"segment_id": "s1", "candidates": ["a"], "attempt_count": Infinity}',
          "invalid generation record: cannot convert float infinity to integer"),
+        ("metaeval", "human.jsonl", '{"system": "copy", "segment": "s9", "score": "5"}',
+         "invalid judgment: score must be a number, got string"),
+        ("metaeval", "human.jsonl", '{"system": "copy", "segment": "s9", "score": true}',
+         "invalid judgment: score must be a number, got boolean"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "error": null}',
+         "invalid generation record: a record without an error must hold candidates"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": [], "error": null}',
+         "invalid generation record: a record without an error must hold candidates"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": [], "error": 5}',
+         "invalid generation record: error must be a string, got number"),
         ("score", "segments.jsonl", b'{"id": "s9", "source": "\xff"}',
          "invalid segment: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"),
         ("score", "outputs.jsonl", b'{"system": "copy", "segment": "s1", "hypothesis": "\xc3"}',
@@ -1026,7 +1042,9 @@ class TestConfigFile:
          "invalid matrix row: maximum recursion depth exceeded while decoding a JSON array "
          "from a unicode string"),
     ],
-    ids=["human-score-beyond-float", "refs-attempt-count-infinity", "segments-invalid-utf8",
+    ids=["human-score-beyond-float", "refs-attempt-count-infinity", "human-score-string",
+         "human-score-bool", "refs-success-without-candidates", "refs-success-with-empty-candidates",
+         "refs-error-not-string", "segments-invalid-utf8",
          "outputs-invalid-utf8", "refs-invalid-utf8", "human-invalid-utf8", "matrix-invalid-utf8",
          "refs-bad-json", "outputs-array-line", "matrix-nested-too-deep"],
 )

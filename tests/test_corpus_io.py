@@ -9,7 +9,6 @@ from multiref.corpus_io import (
     merge_references,
     save_outputs,
     save_segments,
-    segments_from_tsv,
 )
 from multiref.errors import CorpusFormatError
 from multiref.refgen import GenerationRecord, load_generation_records
@@ -221,22 +220,3 @@ class TestScoringRefs:
         with pytest.raises(ValueError):
             self.segment.scoring_refs("everything")
 
-
-class TestTsvImport:
-    def test_source_and_two_reference_files(self, tmp_path):
-        src = tmp_path / "src.tsv"
-        ref_a = tmp_path / "ref_a.tsv"
-        ref_b = tmp_path / "ref_b.tsv"
-        src.write_text("s1\thello\ns2\tworld\n", encoding="utf-8")
-        ref_a.write_text("s1\tbonjour\ns2\tmonde\n", encoding="utf-8")
-        ref_b.write_text("s1\tsalut\n", encoding="utf-8")
-        segments = segments_from_tsv(src, [ref_a, ref_b])
-        assert segments[0].gold_refs == ("bonjour", "salut")
-        assert segments[1].gold_refs == ("monde",)
-
-    def test_missing_tab_reports_line(self, tmp_path):
-        src = tmp_path / "src.tsv"
-        src.write_text("s1\thello\nbroken line\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError) as err:
-            segments_from_tsv(src)
-        assert err.value.line == 2

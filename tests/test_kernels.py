@@ -2,9 +2,9 @@
 
 Tokens are drawn from a small alphabet with multi-character and non-ASCII
 entries, so that n-grams repeat; sequences may be empty and orders may be
-longer than the input. The LCS and chrF tests also draw long sequences from
-two or three symbols, so that LCS bit masks span several 64-bit words and
-character n-grams repeat on both sides.
+longer than the input. The LCS, chrF and `matches` tests also draw from two
+or three symbols, so that LCS bit masks span several 64-bit words and
+n-grams repeat on both sides of a pair.
 """
 
 from collections import Counter
@@ -56,14 +56,41 @@ def test_overlap_matches_oracle(a, b, n):
 
 @given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
 def test_clip_table_matches_oracle(hyp, refs, max_order):
+    """Per order: the n-grams of any reference, and each one's max count minus 1 where above 1."""
     table = kernels.clip_table([profile(ref) for ref in refs], max_order)
-    assert len(table) == max_order
-    for n, clip in enumerate(table, 1):
+    assert len(table.counts) == len(table.excess) == max_order
+    for n in range(1, max_order + 1):
         grams = {g for ref in refs for g in oracles.ngram_list(ref, n)}
-        assert clip == {g: max(oracles.ngram_list(ref, n).count(g) for ref in refs) for g in grams}
-        assert kernels.overlap(profile(hyp).counts[n - 1], clip) == oracles.clipped_matches(
-            hyp, refs, n
-        )
+        best = {g: max(oracles.ngram_list(ref, n).count(g) for ref in refs) for g in grams}
+        assert table.counts[n - 1] == grams
+        assert table.excess[n - 1] == {g: count - 1 for g, count in best.items() if count > 1}
+        assert kernels.matches(profile(hyp), table, slice(n - 1, n)) == [
+            oracles.clipped_matches(hyp, refs, n)
+        ]
+
+
+# Two symbols, so that n-grams repeat on both sides of most pairs.
+binary = st.lists(st.sampled_from(["a", "b"]), max_size=16)
+
+
+@given(binary, st.lists(binary, min_size=1, max_size=5), orders)
+@example(["a"] * 4, [["a"] * 2, ["a"] * 3], 2)  # hyp repeats more than every reference
+@example(["a", "b", "a"], [["a", "a"], ["b", "b"]], 1)  # each reference repeats a different symbol
+def test_matches_matches_oracle(hyp, refs, max_order):
+    """`matches` of a hypothesis against one reference profile and against a clip table of 1-5."""
+    hyp_profile = kernels.Profile(tuple(hyp), max_order)
+    ref_profiles = [kernels.Profile(tuple(ref), max_order) for ref in refs]
+    order_range = range(1, max_order + 1)
+    assert kernels.matches(hyp_profile, ref_profiles[0]) == [
+        oracles.clipped_matches(hyp, refs[:1], n) for n in order_range
+    ]
+    assert kernels.matches(hyp_profile, kernels.clip_table(ref_profiles, max_order)) == [
+        oracles.clipped_matches(hyp, refs, n) for n in order_range
+    ]
+    for n in order_range:
+        assert kernels.matches(hyp_profile, ref_profiles[-1], slice(n - 1, n)) == [
+            oracles.clipped_matches(hyp, refs[-1:], n)
+        ]
 
 
 @given(st.integers(0, 12), st.lists(st.integers(0, 12), min_size=1, max_size=5))
