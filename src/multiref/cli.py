@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
-from .corpus_io import json_object, number_field, read_json
+from .corpus_io import json_object, number_field, read_json, write_json, write_jsonl
 # combine and metaeval no longer call load_score_matrices or combine_matrix,
 # and score no longer calls the sentence/corpus functions; they stay
 # importable here because pipebench/tracer.py wraps them under this module's
@@ -289,35 +289,26 @@ def cmd_select(args) -> int:
     kept_total = 0
     candidate_total = 0
     rows = []
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for record in records:
-            if not record.succeeded:
-                handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                continue
+    selected = []
+    for record in records:
+        if record.succeeded:
             candidates = list(record.candidates)
             scores, kept = diversity.score_and_select(candidates, args.threshold, args.lowercase)
-            filtered = dataclasses.replace(record, candidates=tuple(candidates[i] for i in kept))
-            handle.write(json.dumps(filtered.to_json(), ensure_ascii=False) + "\n")
+            record = dataclasses.replace(record, candidates=tuple(candidates[i] for i in kept))
             report[record.segment_id] = {"self_bleu": scores, "kept_indices": kept}
             kept_total += len(kept)
             candidate_total += len(candidates)
-            rows.append(
-                [
-                    record.segment_id,
-                    len(candidates),
-                    len(kept),
-                    f"{min(scores):.2f}" if scores else "-",
-                    f"{max(scores):.2f}" if scores else "-",
-                ]
-            )
+            low, high = (f"{min(scores):.2f}", f"{max(scores):.2f}") if scores else ("-", "-")
+            rows.append([record.segment_id, len(candidates), len(kept), low, high])
+        selected.append(record)
+    write_jsonl(args.out, (record.to_json() for record in selected))
     shown = rows[:40]
     print(_format_table(["segment", "in", "kept", "min self-bleu", "max self-bleu"], shown))
     if len(rows) > len(shown):
         print(f"... {len(rows) - len(shown)} more segments (full report via --report)")
     print(f"select: kept {kept_total}/{candidate_total} candidates (threshold {args.threshold})")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, ensure_ascii=False, indent=2)
+        write_json(args.report, report)
     return 0
 
 
@@ -448,8 +439,7 @@ def cmd_score(args) -> int:
             [[r["metric"], r["system"], r["refs"], f"{r['score']:.2f}"] for r in series],
         ))
         if args.summary:
-            with open(args.summary, "w", encoding="utf-8") as handle:
-                json.dump({"sweep": series}, handle, ensure_ascii=False, indent=2)
+            write_json(args.summary, {"sweep": series})
         return 0
 
     summary = {
@@ -474,13 +464,7 @@ def cmd_score(args) -> int:
             )
             write_score_matrix(args.out, matrix, append=i > 0)
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"metrics": summary, "refs_mode": mode, "max_refs": args.max_refs},
-                handle,
-                ensure_ascii=False,
-                indent=2,
-            )
+        write_json(args.summary, {"metrics": summary, "refs_mode": mode, "max_refs": args.max_refs})
     return 0
 
 
@@ -502,28 +486,17 @@ def cmd_combine(args) -> int:
     combined_by_metric = load_combined(args.matrix, policy)
     if not combined_by_metric:
         raise ValueError(f"no rows found in {args.matrix}")
+    metrics = sorted(combined_by_metric)
+    if args.out:
+        write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
+                               for metric in metrics
+                               for (system, segment), score in combined_by_metric[metric].items()))
     summary: dict[str, dict[str, float]] = {}
-    encoder = json.JSONEncoder(ensure_ascii=False)
-    out_handle = open(args.out, "w", encoding="utf-8") if args.out else None
-    try:
-        for metric, combined in sorted(combined_by_metric.items()):
-            per_system_segments: dict[str, dict[str, float]] = {}
-            for (system, segment), score in combined.items():
-                per_system_segments.setdefault(system, {})[segment] = score
-                if out_handle is not None:
-                    out_handle.write(
-                        encoder.encode(
-                            {"system": system, "segment": segment, "score": score, "metric": metric}
-                        )
-                        + "\n"
-                    )
-            summary[metric] = {
-                system: system_score(scores)
-                for system, scores in per_system_segments.items()
-            }
-    finally:
-        if out_handle is not None:
-            out_handle.close()
+    for metric in metrics:
+        per_system: dict[str, dict[str, float]] = {}
+        for (system, segment), score in combined_by_metric[metric].items():
+            per_system.setdefault(system, {})[segment] = score
+        summary[metric] = {system: system_score(scores) for system, scores in per_system.items()}
     table = [
         [metric, system, f"{score:.2f}"]
         for metric, per_system in summary.items()
@@ -531,8 +504,7 @@ def cmd_combine(args) -> int:
     ]
     print(_format_table(["metric", "system", "score"], table))
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
-            json.dump({"metrics": summary, "policy": args.policy, "k": args.k}, handle, indent=2)
+        write_json(args.summary, {"metrics": summary, "policy": args.policy, "k": args.k})
     return 0
 
 
@@ -579,8 +551,7 @@ def cmd_metaeval(args) -> int:
         )
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump([_report_to_json(r) for r in reports], handle, indent=2)
+        write_json(args.out, [_report_to_json(r) for r in reports])
     return 0
 
 
@@ -610,8 +581,7 @@ def cmd_diversity(args) -> int:
         rows.append([system, f"{summary.distinct_n:.4f}", str(summary.unique_tokens)])
     print(_format_table(["system", f"distinct-{args.n}", "unique tokens"], rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
+        write_json(args.out, report)
     return 0
 
 
@@ -674,8 +644,7 @@ def cmd_leakage_report(args) -> int:
         )
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(out, handle, indent=2)
+        write_json(args.out, out)
     return 0
 
 

@@ -6,12 +6,11 @@ combined with max (the default), mean, or top-k mean. The row scores average
 into a system-level score.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus_io import read_jsonl
+from .corpus_io import id_field, number_field, read_jsonl, write_jsonl
 from .errors import CorpusFormatError
 
 COMBINE_KINDS = ("max", "mean", "top_k_mean")
@@ -112,13 +111,22 @@ def system_score(per_segment) -> float:
     return math.fsum(values) / len(values)
 
 
+# Exact types, as `json.loads` builds numbers: a bool is no number.
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _matrix_row(record: dict):
     """(metric, (system, segment), cells, values) of one matrix line."""
-    metric = record["metric"]
-    system = str(record["system"])
-    segment = str(record["segment"])
+    metric = id_field(record["metric"], "metric")
+    system = id_field(record["system"], "system")
+    segment = id_field(record["segment"], "segment")
     cells = record["scores"]
-    values = list(map(float, cells.values()))
+    types = {*map(type, cells.values())}
+    if not types <= _NUMBER_TYPES:
+        for ref_id, value in cells.items():
+            number_field(value, f"score {ref_id!r}")
+    # float() of a float is the float itself, so only integer cells need it.
+    values = list(map(float, cells.values()) if int in types else cells.values())
     if not values:
         raise ValueError("matrix row must have at least one score")
     # A finite sum proves every value finite; a sum that is not may still
@@ -127,7 +135,7 @@ def _matrix_row(record: dict):
         for ref_id, value in zip(cells, values):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite score for ({system}, {segment}, {ref_id})")
-    return str(metric), (system, segment), cells, values
+    return metric, (system, segment), cells, values
 
 
 def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], object]]:
@@ -176,18 +184,9 @@ def load_combined(
 
 
 def write_score_matrix(path: str | Path, matrix: ScoreMatrix, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as handle:
-        for row in matrix.rows:
-            handle.write(
-                json.dumps(
-                    {
-                        "system": row.system,
-                        "segment": row.segment,
-                        "scores": row.scores,
-                        "metric": matrix.metric_name,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    metric = matrix.metric_name
+    rows = (
+        {"system": row.system, "segment": row.segment, "scores": row.scores, "metric": metric}
+        for row in matrix.rows
+    )
+    write_jsonl(path, rows, append)

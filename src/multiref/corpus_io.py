@@ -1,13 +1,17 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-All interchange formats are JSONL, one UTF-8 JSON object per line, read
-through `read_jsonl`:
+This module alone encodes and decodes files. `read_lines` decodes each line
+as UTF-8 on its own; `read_jsonl` (one JSON object per line) and the subword
+vocabulary read through it, and JSON documents through `read_json`:
 
 - segments.jsonl: ``{"id", "source", "gold_refs": [..]}``
 - outputs.jsonl:  ``{"system", "segment", "hypothesis"}``
 - refs.jsonl:     generation records (see refgen)
 - human.jsonl:    human judgments (see metaeval)
 - matrix.jsonl:   score matrices (see combine)
+
+Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
+(one record per line) or `write_json` (one document, indented by 2).
 
 Loaded corpora are fully cross-validated (every hypothesis keyed to a known
 segment) and treated as immutable afterwards.
@@ -87,6 +91,15 @@ def text_field(value, name: str) -> str:
     return value
 
 
+def id_field(value, name: str) -> str:
+    """`value` if it is a string, `str(value)` if it is a JSON integer; a TypeError naming the field otherwise."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a string or an integer, got {_json_type(value)}")
+    return str(value)
+
+
 def number_field(value, name: str) -> float:
     """`value` as a float if it is a finite JSON number, not a boolean or string; an error naming it otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -134,25 +147,37 @@ def _open(path):
         raise CorpusFormatError(f"cannot open: {exc.strerror}", str(path)) from None
 
 
-def read_jsonl(path: str | Path, parse, what: str):
-    """Yield `(lineno, parse(record))` for each non-blank line of a JSONL file.
+def read_lines(path: str | Path, what: str):
+    """Yield `(lineno, line)` for each `\\n`-ended line of a file, decoded as UTF-8 with its end kept.
 
-    Each line is decoded as UTF-8 on its own and must hold one JSON object,
-    which `parse` turns into a value. A file that cannot be opened fails at
-    `path`; a line that is not UTF-8 or not a JSON object, or that `parse`
-    rejects with one of `_PARSE_ERRORS`, fails as `invalid <what>: <reason>`
-    at `path:lineno`.
+    A file that cannot be opened fails at `path`; a line that is not UTF-8
+    fails as `invalid <what>: <reason>` at `path:lineno`.
     """
     with _open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                value = parse(json_object(json.loads(line), "record"))
-            except _PARSE_ERRORS as exc:
-                raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
-            yield lineno, value
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"invalid {what}: {exc}", str(path), lineno) from None
+            yield lineno, line
+
+
+def read_jsonl(path: str | Path, parse, what: str):
+    """Yield `(lineno, parse(record))` for each non-blank line of a JSONL file.
+
+    Each line from `read_lines` must hold one JSON object, which `parse`
+    turns into a value; one that does not, or that `parse` rejects with one of
+    `_PARSE_ERRORS`, fails as `read_lines` errors do.
+    """
+    for lineno, line in read_lines(path, what):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = parse(json_object(json.loads(line), "record"))
+        except _PARSE_ERRORS as exc:
+            raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
+        yield lineno, value
 
 
 def read_json(path: str | Path, parse, what: str):
@@ -165,9 +190,29 @@ def read_json(path: str | Path, parse, what: str):
         raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path)) from None
 
 
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def jsonl_line(record) -> str:
+    """`record` as one compact JSONL line, non-ASCII text unescaped, newline included."""
+    return _encode_line(record) + "\n"
+
+
+def write_jsonl(path: str | Path, records, append: bool = False) -> None:
+    """Write each of `records` (any iterable, consumed once) as one UTF-8 JSONL line."""
+    with open(path, "a" if append else "w", encoding="utf-8") as handle:
+        handle.writelines(map(jsonl_line, records))
+
+
+def write_json(path: str | Path, document) -> None:
+    """Write `document` as UTF-8 JSON indented by 2, with no trailing newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document, ensure_ascii=False, indent=2))
+
+
 def _segment(record: dict) -> Segment:
     return Segment(
-        id=str(record["id"]),
+        id=id_field(record["id"], "id"),
         source=text_field(record["source"], "source"),
         gold_refs=text_list(record.get("gold_refs", []), "gold_refs"),
     )
@@ -188,8 +233,8 @@ def load_segments(path: str | Path) -> list[Segment]:
 
 def _output(record: dict) -> tuple[str, str, str]:
     return (
-        str(record["system"]),
-        str(record["segment"]),
+        id_field(record["system"], "system"),
+        id_field(record["segment"], "segment"),
         text_field(record["hypothesis"], "hypothesis"),
     )
 
@@ -223,29 +268,6 @@ def load_corpus(
     if outputs_path is not None:
         systems = load_outputs(outputs_path, {s.id for s in segments})
     return EvalCorpus(segments=segments, systems=systems)
-
-
-def save_segments(path: str | Path, segments) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for segment in segments:
-            record = {
-                "id": segment.id,
-                "source": segment.source,
-                "gold_refs": list(segment.gold_refs),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def save_outputs(path: str | Path, systems: dict[str, dict[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for system in sorted(systems):
-            for segment in sorted(systems[system]):
-                record = {
-                    "system": system,
-                    "segment": segment,
-                    "hypothesis": systems[system][segment],
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def merge_references(corpus: EvalCorpus, records) -> EvalCorpus:

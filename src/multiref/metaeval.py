@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .corpus_io import number_field, read_jsonl
+from .corpus_io import id_field, number_field, read_jsonl
 from .errors import CorpusFormatError, DegenerateDataError
 
 
@@ -240,10 +240,10 @@ def leakage_gap(scores_single, scores_multi, a: str, b: str) -> LeakageGapReport
 
 def _judgment(record: dict) -> HumanJudgment:
     return HumanJudgment(
-        system=str(record["system"]),
+        system=id_field(record["system"], "system"),
         score=number_field(record["score"], "score"),
-        segment=None if record.get("segment") is None else str(record["segment"]),
-        dimension=None if record.get("dimension") is None else str(record["dimension"]),
+        segment=None if record.get("segment") is None else id_field(record["segment"], "segment"),
+        dimension=None if record.get("dimension") is None else id_field(record["dimension"], "dimension"),
     )
 
 

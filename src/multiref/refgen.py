@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus_io import bool_field, read_jsonl, text_field, text_list
+from .corpus_io import bool_field, id_field, jsonl_line, read_jsonl, text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
 
 #: Environment variables consulted for the API key, in order.
@@ -154,18 +154,25 @@ class GenerationRecord:
 
     @classmethod
     def from_json(cls, record: dict) -> "GenerationRecord":
-        """A record from its JSON object; a successful one (`error` null) must hold candidates."""
+        """A record from its JSON object; a successful one (`error` null) must hold candidates.
+
+        `attempt_count` is a whole number >= 1, `3` or `3.0` (JSON Schema's "integer").
+        """
         error = record.get("error")
         candidates = text_list(record.get("candidates", []), "candidates")
         if error is None and not candidates:
             raise ValueError("a record without an error must hold candidates")
+        attempts = record.get("attempt_count", 1)
+        number = isinstance(attempts, (int, float)) and not isinstance(attempts, bool)
+        if not (number and int(attempts) == attempts and attempts >= 1):
+            raise ValueError(f"attempt_count must be an integer >= 1, got {json.dumps(attempts)}")
         return cls(
-            segment_id=str(record["segment_id"]),
-            prompt_used=str(record.get("prompt_used", "")),
-            raw_response=str(record.get("raw_response", "")),
+            segment_id=id_field(record["segment_id"], "segment_id"),
+            prompt_used=text_field(record.get("prompt_used", ""), "prompt_used"),
+            raw_response=text_field(record.get("raw_response", ""), "raw_response"),
             candidates=candidates,
-            attempt_count=int(record.get("attempt_count", 1)),
-            timestamp=str(record.get("timestamp", "")),
+            attempt_count=int(attempts),
+            timestamp=text_field(record.get("timestamp", ""), "timestamp"),
             error=error if error is None else text_field(error, "error"),
         )
 
@@ -436,7 +443,7 @@ def generate_references(
     def persist(record: GenerationRecord):
         records.append(record)
         if handle is not None:
-            handle.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+            handle.write(jsonl_line(record.to_json()))
             handle.flush()
 
     try:

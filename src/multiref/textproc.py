@@ -22,6 +22,7 @@ from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 
+from .corpus_io import read_lines
 from .errors import CorpusFormatError
 
 WORD = "word"
@@ -184,21 +185,19 @@ def tokens_of(seq) -> tuple[str, ...]:
 
 
 def load_subword_vocab(path: str | Path) -> SubwordVocab:
-    """Load a vocabulary file: one piece per line, optional `#unk=<piece>` header."""
-    path = Path(path)
+    """Load a vocabulary file: one piece per line (`\\n` or `\\r\\n`), optional `#unk=<piece>` header."""
     unk_piece = DEFAULT_UNK_PIECE
     entries: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n")
-            if lineno == 1 and line.startswith("#unk="):
-                unk_piece = line[len("#unk=") :]
-                if not unk_piece:
-                    raise CorpusFormatError("empty unk piece in header", str(path), lineno)
-                continue
-            if not line:
-                continue
-            entries.add(line)
+    for lineno, line in read_lines(path, "vocabulary"):
+        line = line.rstrip("\r\n")
+        if lineno == 1 and line.startswith("#unk="):
+            unk_piece = line[len("#unk=") :]
+            if not unk_piece:
+                raise CorpusFormatError("empty unk piece in header", str(path), lineno)
+            continue
+        if not line:
+            continue
+        entries.add(line)
     if not entries:
         raise CorpusFormatError("vocabulary file contains no pieces", str(path))
     return SubwordVocab(entries=frozenset(entries), unk_piece=unk_piece)

@@ -4,6 +4,7 @@ import pytest
 
 from multiref import refgen
 from multiref.cli import _apply_config, build_parser, main
+from multiref.corpus_io import read_jsonl
 from multiref.diversity import select_diverse, CandidateSet
 from multiref.metrics import bleu_corpus
 from multiref.refgen import load_generation_records
@@ -626,10 +627,23 @@ def bad_matrix_cases(tmp_path, jsonl_writer):
     jsonl_writer(duplicate, [row, dict(row, segment="s2"), dict(row, scores={"r0": 0.5})])
     short = tmp_path / "short.jsonl"
     jsonl_writer(short, [dict(row, scores={"r0": 0.1, "r1": 0.2, "r2": 0.3}), dict(row, segment="s2")])
+    # float() used to read "5" as 5.0 and true as 1.0, and str() null as "None".
+    text_cell = tmp_path / "text_cell.jsonl"
+    jsonl_writer(text_cell, [row, dict(row, segment="s2", scores={"r0": "5", "r1": True})])
+    bool_cell = tmp_path / "bool_cell.jsonl"
+    jsonl_writer(bool_cell, [dict(row, scores={"r0": 0.5, "r1": True})])
+    null_metric = tmp_path / "null_metric.jsonl"
+    jsonl_writer(null_metric, [row, dict(row, segment="s2", metric=None)])
     return [
         (duplicate, [], f"multiref: error: {duplicate}:3: duplicate matrix row for ('A', 's1')"),
         (short, ["--policy", "top_k_mean", "--k", "3"],
          f"multiref: error: {short}:2: cannot combine row: k=3 exceeds the 2 available scores"),
+        (text_cell, [],
+         f"multiref: error: {text_cell}:2: invalid matrix row: score 'r0' must be a number, got string"),
+        (bool_cell, [],
+         f"multiref: error: {bool_cell}:1: invalid matrix row: score 'r1' must be a number, got boolean"),
+        (null_metric, [], f"multiref: error: {null_metric}:2: invalid matrix row: "
+         "metric must be a string or an integer, got null"),
     ]
 
 
@@ -1041,17 +1055,56 @@ class TestConfigFile:
         ("combine", "matrix.jsonl", "[" * 200000,
          "invalid matrix row: maximum recursion depth exceeded while decoding a JSON array "
          "from a unicode string"),
+        ("spbleu", "vocab.txt", b"\xe2\x96\x81ca\xfft",
+         "invalid vocabulary: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "attempt_count": "3"}',
+         'invalid generation record: attempt_count must be an integer >= 1, got "3"'),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "attempt_count": true}',
+         "invalid generation record: attempt_count must be an integer >= 1, got true"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "attempt_count": 2.9}',
+         "invalid generation record: attempt_count must be an integer >= 1, got 2.9"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "attempt_count": 0}',
+         "invalid generation record: attempt_count must be an integer >= 1, got 0"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "prompt_used": 5}',
+         "invalid generation record: prompt_used must be a string, got number"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "raw_response": null}',
+         "invalid generation record: raw_response must be a string, got null"),
+        ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "timestamp": []}',
+         "invalid generation record: timestamp must be a string, got array"),
+        ("select", "refs.jsonl", '{"segment_id": null, "candidates": ["a"]}',
+         "invalid generation record: segment_id must be a string or an integer, got null"),
+        ("score", "segments.jsonl", '{"id": true, "source": "x"}',
+         "invalid segment: id must be a string or an integer, got boolean"),
+        ("score", "outputs.jsonl", '{"system": null, "segment": "s1", "hypothesis": "x"}',
+         "invalid output record: system must be a string or an integer, got null"),
+        ("score", "outputs.jsonl", '{"system": "copy", "segment": 1.5, "hypothesis": "x"}',
+         "invalid output record: segment must be a string or an integer, got number"),
+        ("metaeval", "human.jsonl", '{"system": ["copy"], "segment": null, "score": 1}',
+         "invalid judgment: system must be a string or an integer, got array"),
+        ("metaeval", "human.jsonl", '{"system": "copy", "segment": false, "score": 1}',
+         "invalid judgment: segment must be a string or an integer, got boolean"),
+        ("metaeval", "human.jsonl", '{"system": "copy", "segment": "s1", "dimension": {}, "score": 1}',
+         "invalid judgment: dimension must be a string or an integer, got object"),
+        ("combine", "matrix.jsonl", '{"system": "A", "segment": null, "scores": {"r0": 1.0}, "metric": "m"}',
+         "invalid matrix row: segment must be a string or an integer, got null"),
     ],
     ids=["human-score-beyond-float", "refs-attempt-count-infinity", "human-score-string",
          "human-score-bool", "refs-success-without-candidates", "refs-success-with-empty-candidates",
          "refs-error-not-string", "segments-invalid-utf8",
          "outputs-invalid-utf8", "refs-invalid-utf8", "human-invalid-utf8", "matrix-invalid-utf8",
-         "refs-bad-json", "outputs-array-line", "matrix-nested-too-deep"],
+         "refs-bad-json", "outputs-array-line", "matrix-nested-too-deep", "vocab-invalid-utf8",
+         "refs-attempt-count-string", "refs-attempt-count-bool", "refs-attempt-count-fraction",
+         "refs-attempt-count-zero", "refs-prompt-not-string", "refs-response-null",
+         "refs-timestamp-array", "refs-segment-id-null", "segments-id-bool", "outputs-system-null",
+         "outputs-segment-float", "human-system-array", "human-segment-bool",
+         "human-dimension-object", "matrix-segment-null"],
 )
 def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, command, name, line, reason):
     matrix = tmp_path / "matrix.jsonl"
     matrix.write_text(json.dumps({"system": "copy", "segment": "s1", "scores": {"r0": 1.0}, "metric": "m"}) + "\n")
-    path = matrix if name == "matrix.jsonl" else pipeline[name.split(".")[0]]
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("#unk=<unk>\n▁the\n", encoding="utf-8")
+    path = {"matrix.jsonl": matrix, "vocab.txt": vocab}.get(name) or pipeline[name.split(".")[0]]
     with open(path, "ab") as handle:
         handle.write((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n")
     lineno = path.read_bytes().count(b"\n")
@@ -1061,9 +1114,63 @@ def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, comman
         "score": ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
                   "--generated-refs", str(pipeline["refs"])],
         "combine": ["combine", "--matrix", str(path)],
+        "spbleu": ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                   "--metrics", "spbleu", "--vocab", str(path)],
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.strip() == f"multiref: error: {path}:{lineno}: {reason}"
+
+
+def test_crlf_vocabulary_scores_as_lf(pipeline):
+    vocab = pipeline["dir"] / "vocab.txt"
+    # Every other word whole, the rest spelled out, so the pieces depend on the vocabulary.
+    pieces = {f"▁{w}" for text in GOLD.values() for w in text.split()[::2]}
+    pieces = sorted(pieces | set("abcdefghijklmnopqrstuvwxyz"))
+    vocab.write_bytes(("#unk=<unk>\n" + "\n".join(pieces) + "\n").encode("utf-8"))
+    summary = pipeline["dir"] / "summary.json"
+    argv = ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+            "--metrics", "spbleu", "--vocab", str(vocab), "--summary", str(summary)]
+    assert main(argv) == 0
+    lf = summary.read_bytes()
+    vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(argv) == 0
+    assert summary.read_bytes() == lf
+
+
+def test_outputs_keep_non_ascii_names_unescaped(pipeline, jsonl_writer):
+    names = {"copy": "système", "noise": "系统"}
+    outputs = pipeline["dir"] / "named.outputs.jsonl"
+    jsonl_writer(outputs, [dict(record, system=names[record["system"]])
+                           for _, record in read_jsonl(pipeline["outputs"], dict, "output")])
+    human = pipeline["dir"] / "named.human.jsonl"
+    jsonl_writer(human, [dict(record, system=names[record["system"]])
+                         for _, record in read_jsonl(pipeline["human"], dict, "judgment")])
+    d = pipeline["dir"]
+    assert main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(outputs),
+                 "--out", str(d / "score.jsonl"), "--summary", str(d / "score.json")]) == 0
+    matrix = d / "named.matrix.jsonl"
+    jsonl_writer(matrix, [dict(record, metric="métrique")
+                          for _, record in read_jsonl(d / "score.jsonl", dict, "matrix row")])
+    assert main(["combine", "--matrix", str(matrix),
+                 "--out", str(d / "combine.jsonl"), "--summary", str(d / "combine.json")]) == 0
+    assert main(["metaeval", "--matrix", str(matrix), "--human", str(human), "--name", "英中",
+                 "--out", str(d / "metaeval.json")]) == 0
+    assert main(["diversity", "--outputs", str(outputs), "--out", str(d / "diversity.json")]) == 0
+    assert main(["leakage-report", "--single", str(d / "score.json"), "--multi", str(d / "score.json"),
+                 "--pair", "système,系统", "--out", str(d / "leakage.json")]) == 0
+    expected = {
+        "score.jsonl": ["système", "系统"],
+        "score.json": ["système", "系统"],
+        "combine.jsonl": ["système", "系统", "métrique"],
+        "combine.json": ["système", "系统", "métrique"],
+        "metaeval.json": ["métrique", "英中"],
+        "diversity.json": ["système", "系统"],
+        "leakage.json": ["système", "系统"],
+    }
+    written = {name: (d / name).read_bytes().decode("utf-8") for name in expected}
+    assert [name for name, text in written.items() if "\\u" in text] == []
+    for name, texts in expected.items():
+        assert all(text in written[name] for text in texts), name
 
 
 def test_crlf_line_ends_load_as_lf(pipeline):

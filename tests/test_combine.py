@@ -181,13 +181,18 @@ class TestMatrixIo:
         assert err.value.line == 1
 
 
-# Cells as a matrix file may hold them: floats, ints, bools and numeric strings.
+# Cells as a matrix file may hold them: JSON numbers, that is floats and ints.
 matrix_cells = st.one_of(
     st.floats(min_value=-1e6, max_value=1e6),
     st.integers(min_value=-(10**6), max_value=10**6),
+)
+# Cells that are not JSON numbers; `float()` would take the first three.
+non_number_cells = st.one_of(
     st.booleans(),
     st.floats(min_value=-1e6, max_value=1e6).map(repr),
     st.integers(min_value=-100, max_value=100).map(str),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
 )
 # Rows draw their columns from a shared pool, so they differ in which they hold.
 matrix_rows = st.lists(
@@ -270,6 +275,22 @@ class TestLoadCombined:
                     load(path)
                 assert str(err.value) == (
                     f"{path}:2: invalid matrix row: non-finite score for (a, s1, r{position})"
+                )
+
+    @given(st.lists(matrix_cells, max_size=4), non_number_cells, st.data())
+    def test_non_number_cell_rejected_with_location(self, numbers, bad, data):
+        position = data.draw(st.integers(0, len(numbers)))
+        cells = [json.dumps(v) for v in numbers]
+        cells.insert(position, json.dumps(bad))
+        cells_json = ", ".join(f'"r{i}": {v}' for i, v in enumerate(cells))
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_lines(directory, [matrix_line("a", "s0", '"r0": 0.5'),
+                                           matrix_line("a", "s1", cells_json)])
+            for load in (load_combined, load_score_matrices):
+                with pytest.raises(CorpusFormatError) as err:
+                    load(path)
+                assert str(err.value).startswith(
+                    f"{path}:2: invalid matrix row: score 'r{position}' must be a number, got "
                 )
 
     def test_finite_cells_whose_sum_overflows_are_accepted(self, tmp_path):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from multiref.corpus_io import (
@@ -7,8 +10,7 @@ from multiref.corpus_io import (
     load_outputs,
     load_segments,
     merge_references,
-    save_outputs,
-    save_segments,
+    write_jsonl,
 )
 from multiref.errors import CorpusFormatError
 from multiref.refgen import GenerationRecord, load_generation_records
@@ -104,8 +106,18 @@ class TestLoadCorpus:
         systems = {"sysA": {"s1": "h1", "s2": "h2"}, "sysB": {"s1": "h3"}}
         seg_path = tmp_path / "segments.jsonl"
         out_path = tmp_path / "outputs.jsonl"
-        save_segments(seg_path, segments)
-        save_outputs(out_path, systems)
+        write_jsonl(
+            seg_path,
+            ({"id": s.id, "source": s.source, "gold_refs": list(s.gold_refs)} for s in segments),
+        )
+        write_jsonl(
+            out_path,
+            (
+                {"system": system, "segment": segment, "hypothesis": hypothesis}
+                for system, hypotheses in systems.items()
+                for segment, hypothesis in hypotheses.items()
+            ),
+        )
         corpus = load_corpus(seg_path, out_path)
         assert corpus.segments == segments
         assert corpus.systems == systems
@@ -220,3 +232,50 @@ class TestScoringRefs:
         with pytest.raises(ValueError):
             self.segment.scoring_refs("everything")
 
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multiref"
+
+# Functions outside corpus_io that may open a file for writing: generate's
+# append-and-flush loop, and the repair of a line a kill cut short.
+WRITERS_ALLOWED = {("refgen.py", "generate_references"), ("refgen.py", "repair_truncated_tail")}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` is `json.dump(...)`, or an `open(path, mode)`/`path.open(mode)` that may write."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "dump":
+        return isinstance(func.value, ast.Name) and func.value.id == "json"
+    if isinstance(func, ast.Name) and func.id == "open":
+        positional = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        positional = call.args[:1]
+    else:
+        return False
+    modes = positional + [k.value for k in call.keywords if k.arg == "mode"]
+    # A mode that is not a literal may write.
+    return any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value) for m in modes)
+
+
+def _write_sites(tree, function=None):
+    """(enclosing function, line) of each writing call in `tree`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and _writes(node):
+            yield function, node.lineno
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _write_sites(node, inner)
+
+
+def test_only_corpus_io_writes_files():
+    allowed_seen = set()
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "corpus_io.py":
+            continue
+        for function, line in _write_sites(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name, function) in WRITERS_ALLOWED:
+                allowed_seen.add((path.name, function))
+            else:
+                stray.append(f"{path.name}:{line} in {function}")
+    assert stray == [], "write files through corpus_io.write_jsonl/write_json"
+    # The check sees the writes it lets through, so it is not blind.
+    assert allowed_seen == WRITERS_ALLOWED
