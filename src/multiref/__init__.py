@@ -67,7 +67,6 @@ from .refgen import (
 )
 from .textproc import (
     SubwordVocab,
-    TokenSequence,
     load_subword_vocab,
     tokenize_chars,
     tokenize_subwords,
@@ -100,7 +99,6 @@ __all__ = [
     "ScoreMatrix",
     "Segment",
     "SubwordVocab",
-    "TokenSequence",
     "TransportError",
     "bleu_corpus",
     "bleu_sentence",

@@ -213,6 +213,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             setattr(args, dest, value)
 
 
+def _print_summary(summary: dict[str, dict[str, float]]) -> None:
+    """Print the metric/system/score table of a {metric: {system: score}} summary."""
+    table = [
+        [metric, system, f"{score:.2f}"]
+        for metric, per_system in summary.items()
+        for system, score in sorted(per_system.items())
+    ]
+    print(_format_table(["metric", "system", "score"], table))
+
+
 def _format_table(headers, rows) -> str:
     rows = [[str(c) for c in row] for row in rows]
     widths = [
@@ -321,12 +331,12 @@ def _scorer(args, metrics: list[str]) -> MultiRefScorer:
     vocab = load_subword_vocab(args.vocab) if args.vocab else None
 
     def words(text: str):
-        return tokenize_words(text, lowercase=lowercase).tokens
+        return tokenize_words(text, lowercase=lowercase)
 
     def pieces(text: str):
         if args.pretokenized:
             return text.split()
-        return tokenize_subwords(text, vocab, lowercase=lowercase).tokens
+        return tokenize_subwords(text, vocab, lowercase=lowercase)
 
     return MultiRefScorer(
         metrics,
@@ -449,12 +459,7 @@ def cmd_score(args) -> int:
         }
         for metric in metrics
     }
-    table = [
-        [metric, system, f"{score:.2f}"]
-        for metric, per_system in summary.items()
-        for system, score in sorted(per_system.items())
-    ]
-    print(_format_table(["metric", "system", "score"], table))
+    _print_summary(summary)
 
     if args.out:
         for i, metric in enumerate(metrics):
@@ -481,11 +486,16 @@ def _policy_from(args) -> CombinePolicy:
     return CombinePolicy(args.policy)
 
 
-def cmd_combine(args) -> int:
-    policy = _policy_from(args)
-    combined_by_metric = load_combined(args.matrix, policy)
+def _combined_matrix(args) -> dict:
+    """The --matrix file combined under the --policy/--k flags, by metric."""
+    combined_by_metric = load_combined(args.matrix, _policy_from(args))
     if not combined_by_metric:
         raise ValueError(f"no rows found in {args.matrix}")
+    return combined_by_metric
+
+
+def cmd_combine(args) -> int:
+    combined_by_metric = _combined_matrix(args)
     metrics = sorted(combined_by_metric)
     if args.out:
         write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
@@ -497,12 +507,7 @@ def cmd_combine(args) -> int:
         for (system, segment), score in combined_by_metric[metric].items():
             per_system.setdefault(system, {})[segment] = score
         summary[metric] = {system: system_score(scores) for system, scores in per_system.items()}
-    table = [
-        [metric, system, f"{score:.2f}"]
-        for metric, per_system in summary.items()
-        for system, score in sorted(per_system.items())
-    ]
-    print(_format_table(["metric", "system", "score"], table))
+    _print_summary(summary)
     if args.summary:
         write_json(args.summary, {"metrics": summary, "policy": args.policy, "k": args.k})
     return 0
@@ -526,10 +531,7 @@ def _report_to_json(report: metaeval.MetaEvalReport) -> dict:
 
 
 def cmd_metaeval(args) -> int:
-    policy = _policy_from(args)
-    combined_by_metric = load_combined(args.matrix, policy)
-    if not combined_by_metric:
-        raise ValueError(f"no rows found in {args.matrix}")
+    combined_by_metric = _combined_matrix(args)
     judgments = metaeval.load_human_judgments(args.human)
     reports = metaeval.meta_evaluate_all(combined_by_metric, judgments, name=args.name)
     rows = []

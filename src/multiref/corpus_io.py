@@ -1,8 +1,9 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-This module alone encodes and decodes files. `read_lines` decodes each line
-as UTF-8 on its own; `read_jsonl` (one JSON object per line) and the subword
-vocabulary read through it, and JSON documents through `read_json`:
+This module alone encodes and decodes files. `read_lines` skips one leading
+byte-order mark and decodes each line as UTF-8 on its own; `read_jsonl` (one
+JSON object per line) and the subword vocabulary read through it, and JSON
+documents through `read_json`:
 
 - segments.jsonl: ``{"id", "source", "gold_refs": [..]}``
 - outputs.jsonl:  ``{"system", "segment", "hypothesis"}``
@@ -17,6 +18,7 @@ Loaded corpora are fully cross-validated (every hypothesis keyed to a known
 segment) and treated as immutable afterwards.
 """
 
+import codecs
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -150,10 +152,13 @@ def _open(path):
 def read_lines(path: str | Path, what: str):
     """Yield `(lineno, line)` for each `\\n`-ended line of a file, decoded as UTF-8 with its end kept.
 
-    A file that cannot be opened fails at `path`; a line that is not UTF-8
-    fails as `invalid <what>: <reason>` at `path:lineno`.
+    One leading byte-order mark is skipped. A file that cannot be opened
+    fails at `path`; a line that is not UTF-8 fails as
+    `invalid <what>: <reason>` at `path:lineno`.
     """
     with _open(path) as handle:
+        if handle.peek(3).startswith(codecs.BOM_UTF8):
+            handle.read(3)
         for lineno, raw in enumerate(handle, 1):
             try:
                 line = raw.decode("utf-8")
@@ -181,11 +186,14 @@ def read_jsonl(path: str | Path, parse, what: str):
 
 
 def read_json(path: str | Path, parse, what: str):
-    """`parse(document)` of a UTF-8 file holding one JSON object; errors as `read_jsonl`'s, at `path`."""
+    """`parse(document)` of a UTF-8 file holding one JSON object, a leading BOM skipped.
+
+    Errors are `read_jsonl`'s, at `path`.
+    """
     with _open(path) as handle:
         data = handle.read()
     try:
-        return parse(json_object(json.loads(data.decode("utf-8")), "document"))
+        return parse(json_object(json.loads(data.decode("utf-8-sig")), "document"))
     except _PARSE_ERRORS as exc:
         raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path)) from None
 

@@ -19,7 +19,7 @@ from . import kernels
 # bleu_sentence is no longer called here; it stays importable under this
 # module's name because pipebench/tracer.py wraps it.
 from .metrics import BleuConfig, CorpusStats, _bleu_from_stats, bleu_sentence  # noqa: F401
-from .textproc import TokenSequence, tokenize_words, tokens_of
+from .textproc import tokenize_words, tokens_of
 
 PROVENANCES = frozenset({"llm", "gold", "external"})
 
@@ -180,7 +180,7 @@ def unique_tokens(corpus) -> int:
     return len(vocab)
 
 
-def diversity_report(corpus: list[TokenSequence], n: int = 6) -> DiversityReport:
+def diversity_report(corpus: list[tuple[str, ...]], n: int = 6) -> DiversityReport:
     """Bundle DistinctN and unique-token counts for one corpus."""
     return DiversityReport(
         distinct_n=distinct_n(corpus, n),

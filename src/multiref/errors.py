@@ -14,7 +14,7 @@ class DegenerateDataError(MultirefError, ValueError):
 
 
 class MalformedResponseError(MultirefError, RuntimeError):
-    """A chat response could not be parsed into the expected candidate list."""
+    """A chat reply is not a string or could not be parsed into the expected candidate list."""
 
 
 class TransportError(MultirefError, RuntimeError):

@@ -356,7 +356,7 @@ class SegmentScores:
         scorer = self.scorer
 
         def profile(text):
-            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase).tokens)
+            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase))
             return kernels.Profile(chars, scorer.chrf_order)
 
         hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
@@ -475,7 +475,7 @@ def spbleu_corpus(
     def pieces(text: str):
         if pretokenized:
             return text.split()
-        return tokenize_subwords(text, vocab, lowercase=lowercase).tokens
+        return tokenize_subwords(text, vocab, lowercase=lowercase)
 
     return _corpus(MultiRefScorer(["spbleu"], bleu_cfg=cfg, pieces=pieces), "spbleu", pairs)
 

@@ -312,7 +312,7 @@ class HttpChatTransport:
             try:
                 with urllib.request.urlopen(request, timeout=cfg.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
-                return payload["choices"][0]["message"]["content"]
+                return _reply_text(payload["choices"][0]["message"]["content"])
             except urllib.error.HTTPError as exc:
                 failure = f"endpoint returned HTTP {exc.code}: {exc.reason}"
                 if exc.code not in self.TRANSIENT_STATUS:
@@ -329,6 +329,14 @@ class HttpChatTransport:
                 raise TransportError(f"{failure} (gave up after {attempt + 1} attempts)")
             time.sleep(wait)
             delay *= 2.0
+
+
+def _reply_text(content) -> str:
+    """A reply's `content` if it is a string; a MalformedResponseError naming its JSON type otherwise."""
+    try:
+        return text_field(content, "reply content")
+    except TypeError as exc:
+        raise MalformedResponseError(str(exc)) from None
 
 
 def _retry_wait(retry_after: str | None, backoff: float) -> float:
@@ -376,15 +384,15 @@ def generate_for_segment(
     cfg: GenerationConfig,
     transport,
 ) -> GenerationRecord:
-    """One segment: a single call for all candidates, retried on parse failure."""
+    """One segment: a single call for all candidates, retried on a malformed reply."""
     ground_truth = gold if template.include_ground_truth else None
     prompt = build_prompt(template, source, ground_truth, cfg.n_references)
-    raw = ""
     error = None
     attempts = 0
     for attempts in range(1, cfg.max_retries + 2):
-        raw = transport.complete(prompt, cfg)
+        raw = ""
         try:
+            raw = transport.complete(prompt, cfg)
             candidates = parse_candidates(raw, cfg.n_references)
             return GenerationRecord(
                 segment_id=segment_id,
@@ -424,7 +432,7 @@ def generate_references(
     rerunning with the completed ids in skip_ids is idempotent. A transport
     failure aborts the run: queued segments are never sent, and what the
     calls in flight return is still persisted before the error is raised.
-    Parse failures only mark their own segment as failed.
+    Malformed replies only mark their own segment as failed.
     """
     skip = set(skip_ids)
     todo = [item for item in segments if item[0] not in skip]
@@ -493,14 +501,23 @@ def load_generation_records(
 ) -> list[GenerationRecord]:
     """Read a refs.jsonl file of GenerationRecord objects.
 
-    Segment ids are validated when `known_ids` is given.
+    Segment ids are validated when `known_ids` is given. A segment may have
+    any number of failed records (a resumed run writes them), but at most
+    one successful record.
     """
     records = []
+    succeeded = set()
     for lineno, record in read_jsonl(path, GenerationRecord.from_json, "generation record"):
         if known_ids is not None and record.segment_id not in known_ids:
             raise CorpusFormatError(
                 f"record references unknown segment {record.segment_id!r}", str(path), lineno
             )
+        if record.succeeded:
+            if record.segment_id in succeeded:
+                raise CorpusFormatError(
+                    f"duplicate successful record for segment {record.segment_id!r}", str(path), lineno
+                )
+            succeeded.add(record.segment_id)
         records.append(record)
     return records
 

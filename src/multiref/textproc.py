@@ -1,9 +1,10 @@
 """Deterministic tokenization shared by all metrics.
 
-Three granularities are supported: whitespace/punctuation word tokens,
-whitespace-stripped character tokens, and greedy longest-match subword pieces
-against a user-supplied vocabulary. All tokenizers are pure functions; the
-same input always produces the same output.
+Three tokenizers, each a pure function from text to a tuple of token
+strings: whitespace/punctuation word tokens, whitespace-stripped character
+tokens, and greedy longest-match subword pieces against a user-supplied
+vocabulary. Each NFC-normalizes and optionally lowercases the text first.
+None emits an empty or whitespace token.
 
 Multi-reference scoring tokenizes many near-paraphrases, so most words recur.
 Two bounded caches keep the per-word work to once per distinct word:
@@ -25,11 +26,6 @@ from pathlib import Path
 from .corpus_io import read_lines
 from .errors import CorpusFormatError
 
-WORD = "word"
-CHAR = "char"
-SUBWORD = "subword"
-GRANULARITIES = frozenset({WORD, CHAR, SUBWORD})
-
 #: SentencePiece-style word-boundary marker prefixed to every word.
 WORD_MARKER = "▁"
 
@@ -44,31 +40,6 @@ SUBWORD_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
-class TokenSequence:
-    """An immutable tokenized text at one granularity."""
-
-    tokens: tuple[str, ...]
-    granularity: str
-
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if "" in self.tokens:
-            raise ValueError("token sequences must not contain empty strings")
-        if self.granularity == CHAR and any(map(str.isspace, self.tokens)):
-            raise ValueError("char sequences must not contain whitespace tokens")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, idx):
-        return self.tokens[idx]
-
-
-@dataclass(frozen=True)
 class SubwordVocab:
     """Subword inventory used for greedy longest-match segmentation."""
 
@@ -80,6 +51,8 @@ class SubwordVocab:
             raise ValueError("subword vocabulary must not be empty")
         if "" in self.entries:
             raise ValueError("subword vocabulary must not contain the empty string")
+        if not self.unk_piece:
+            raise ValueError("the unk piece must not be empty")
         object.__setattr__(self, "_max_len", max(len(e) for e in self.entries))
         # word -> its pieces; bound to this instance's entries, not keyed by them.
         segment = partial(_segment_word, self.entries, self._max_len, self.unk_piece)
@@ -94,17 +67,19 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def tokenize_words(text: str, lowercase: bool = False) -> TokenSequence:
+def _normalize(text: str, lowercase: bool) -> str:
+    text = unicodedata.normalize("NFC", text)
+    return text.lower() if lowercase else text
+
+
+def tokenize_words(text: str, lowercase: bool = False) -> tuple[str, ...]:
     """Split text into word tokens, mteval-13a style.
 
     NFC-normalizes, optionally lowercases, splits on whitespace, then peels
     leading and trailing punctuation off each chunk as standalone tokens.
     Interior punctuation (don't, e-mail, 3.5) is left in place.
     """
-    text = unicodedata.normalize("NFC", text)
-    if lowercase:
-        text = text.lower()
-    return TokenSequence(tuple(chain.from_iterable(map(_peel, text.split()))), WORD)
+    return tuple(chain.from_iterable(map(_peel, _normalize(text, lowercase).split())))
 
 
 @lru_cache(maxsize=WORD_CACHE_SIZE)
@@ -120,17 +95,14 @@ def _peel(chunk: str) -> tuple[str, ...]:
     return (*chunk[:start], *core, *chunk[end:])
 
 
-def tokenize_chars(text: str, lowercase: bool = False) -> TokenSequence:
+def tokenize_chars(text: str, lowercase: bool = False) -> tuple[str, ...]:
     """Strip all whitespace and emit one token per Unicode scalar value."""
-    text = unicodedata.normalize("NFC", text)
-    if lowercase:
-        text = text.lower()
-    return TokenSequence(tuple("".join(text.split())), CHAR)
+    return tuple("".join(_normalize(text, lowercase).split()))
 
 
 def tokenize_subwords(
     text: str, vocab: SubwordVocab, lowercase: bool = False
-) -> TokenSequence:
+) -> tuple[str, ...]:
     """Greedy longest-match segmentation against a subword vocabulary.
 
     Each whitespace-delimited word is prefixed with the word-boundary marker
@@ -139,10 +111,7 @@ def tokenize_subwords(
     and matching restarts on the bare word; any position with no match at all
     emits the vocabulary's unk piece and advances one character.
     """
-    text = unicodedata.normalize("NFC", text)
-    if lowercase:
-        text = text.lower()
-    return TokenSequence(tuple(chain.from_iterable(map(vocab._segment, text.split()))), SUBWORD)
+    return tuple(chain.from_iterable(map(vocab._segment, _normalize(text, lowercase).split())))
 
 
 def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):
@@ -173,14 +142,12 @@ def _longest_match(stream: str, pos: int, entries: frozenset[str], max_len: int)
 
 
 def tokens_of(seq) -> tuple[str, ...]:
-    """The tokens of a TokenSequence or of any other iterable of token strings.
+    """The tokens of any iterable of token strings, as a tuple.
 
     A plain string is rejected: iterating it would yield its characters.
     """
     if isinstance(seq, str):
         raise TypeError("expected a token sequence, got a str; tokenize the text first")
-    if isinstance(seq, TokenSequence):
-        seq = seq.tokens
     return tuple(seq)
 
 

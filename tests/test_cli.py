@@ -267,7 +267,7 @@ class TestScore:
             for r in map(json.loads, pipeline["refs"].read_text(encoding="utf-8").splitlines())
         }
         def words(text):
-            return list(tokenize_words(text).tokens)
+            return list(tokenize_words(text))
         expected = bleu_corpus(
             [
                 (words(NOISE), [words(GOLD[sid])] + [words(c) for c in refs_by_seg[sid]])
@@ -1087,6 +1087,10 @@ class TestConfigFile:
          "invalid judgment: dimension must be a string or an integer, got object"),
         ("combine", "matrix.jsonl", '{"system": "A", "segment": null, "scores": {"r0": 1.0}, "metric": "m"}',
          "invalid matrix row: segment must be a string or an integer, got null"),
+        ("select", "refs.jsonl", json.dumps(make_record("s1", ["a b"])),
+         "duplicate successful record for segment 's1'"),
+        ("score", "refs.jsonl", json.dumps(make_record("s1", ["a b"])),
+         "duplicate successful record for segment 's1'"),
     ],
     ids=["human-score-beyond-float", "refs-attempt-count-infinity", "human-score-string",
          "human-score-bool", "refs-success-without-candidates", "refs-success-with-empty-candidates",
@@ -1097,7 +1101,8 @@ class TestConfigFile:
          "refs-attempt-count-zero", "refs-prompt-not-string", "refs-response-null",
          "refs-timestamp-array", "refs-segment-id-null", "segments-id-bool", "outputs-system-null",
          "outputs-segment-float", "human-system-array", "human-segment-bool",
-         "human-dimension-object", "matrix-segment-null"],
+         "human-dimension-object", "matrix-segment-null", "refs-second-success-select",
+         "refs-second-success-score"],
 )
 def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, command, name, line, reason):
     matrix = tmp_path / "matrix.jsonl"
@@ -1119,6 +1124,21 @@ def test_number_too_large_fails_with_location(pipeline, tmp_path, capsys, comman
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.strip() == f"multiref: error: {path}:{lineno}: {reason}"
+
+
+def test_byte_order_mark_is_skipped(pipeline):
+    summary = pipeline["dir"] / "summary.json"
+    config = pipeline["dir"] / "config.json"
+    config.write_text(json.dumps({"metrics": "bleu,chrf"}), encoding="utf-8")
+    argv = ["--config", str(config), "score", "--segments", str(pipeline["segments"]),
+            "--outputs", str(pipeline["outputs"]), "--summary", str(summary)]
+    assert main(argv) == 0
+    plain = summary.read_bytes()
+    for path in (config, pipeline["segments"]):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == 0
+    assert summary.read_bytes() == plain
+    assert set(json.loads(plain)["metrics"]) == {"bleu", "chrf"}
 
 
 def test_crlf_vocabulary_scores_as_lf(pipeline):

@@ -12,8 +12,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from multiref import refgen
-from multiref.errors import TransportError
-from multiref.refgen import MAX_RETRY_SLEEP_S, GenerationConfig, HttpChatTransport
+from multiref.cli import main
+from multiref.errors import MalformedResponseError, TransportError
+from multiref.refgen import (
+    MAX_RETRY_SLEEP_S,
+    GenerationConfig,
+    HttpChatTransport,
+    completed_segment_ids,
+    load_generation_records,
+)
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -250,3 +257,36 @@ def test_connection_faults_exhaust_the_budget(server, sleeps):
         HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
     assert len(ScriptedHandler.requests) == retries + 1
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+# OpenAI-compatible servers send "content": null with a tool call or a refusal.
+NON_STRING_CONTENT = pytest.mark.parametrize("content, json_type", [(None, "null"), (7, "number")])
+
+
+@NON_STRING_CONTENT
+def test_non_string_content_is_a_malformed_response(server, content, json_type):
+    ScriptedHandler.script = [(200, chat_payload(content), {})]
+    with pytest.raises(MalformedResponseError, match=f"content must be a string, got {json_type}"):
+        HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
+    assert len(ScriptedHandler.requests) == 1
+
+
+@NON_STRING_CONTENT
+def test_generate_records_non_string_content_as_a_failed_segment(
+    server, tmp_path, monkeypatch, content, json_type
+):
+    monkeypatch.setenv("MULTIREF_API_KEY", "sk-test")
+    segments = tmp_path / "segments.jsonl"
+    segments.write_text('{"id": "s1", "source": "one"}\n{"id": "s2", "source": "two"}\n')
+    out = tmp_path / "refs.jsonl"
+    # s1 gets the bad reply on both attempts, s2 a good one.
+    ScriptedHandler.script = [(200, chat_payload(content), {})] * 2 + [(200, chat_payload("1. a\n2. b"), {})]
+    argv = ["generate", "--segments", str(segments), "--out", str(out), "--n-references", "2",
+            "--max-retries", "1", "--endpoint", config_for(server).endpoint_url]
+    assert main(argv) == 0
+    failed, done = load_generation_records(out)
+    assert (failed.segment_id, failed.succeeded, failed.attempt_count) == ("s1", False, 2)
+    assert failed.raw_response == ""
+    assert failed.error == f"reply content must be a string, got {json_type}"
+    assert (done.segment_id, done.candidates) == ("s2", ("a", "b"))
+    assert completed_segment_ids(out) == {"s2"}

@@ -221,6 +221,16 @@ class TestGenerateReferences:
         )
         assert completed_segment_ids(out) == set()
 
+    def test_failed_record_then_successful_record_loads(self, tmp_path):
+        out = tmp_path / "refs.jsonl"
+        segment = self.segments()[:1]
+        cfg = self.config(max_retries=0)
+        generate_references(segment, TEMPLATE, cfg, MockTransport(scripted=["bad"]), out_path=out)
+        resume = MockTransport(scripted=[numbered("a", "b")])
+        generate_references(segment, TEMPLATE, cfg, resume, out_path=out)
+        assert [r.succeeded for r in load_generation_records(out)] == [False, True]
+        assert completed_segment_ids(out) == {"s1"}
+
     def test_concurrent_generation_keeps_all_records(self, tmp_path):
         out = tmp_path / "refs.jsonl"
         segments = [(f"s{i}", f"text {i}", None) for i in range(12)]
