@@ -58,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", required=True, help="segments.jsonl")
     p.add_argument("--out", required=True, help="refs.jsonl to write/append")
     p.add_argument("--task", choices=("translation", "summarization"), default="translation")
-    p.add_argument("--template", choices=("english", "chinese", "custom"), default="english")
-    p.add_argument("--template-file", help="JSON template (required for --template custom)")
+    p.add_argument("--template", choices=("english", "chinese"), help="built-in template (default: english)")
+    p.add_argument("--template-file", help="JSON template to use instead of a built-in one")
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
     p.add_argument("--n-references", type=int, help="candidates per segment (40 translation, 10 summarization)")
@@ -183,15 +183,14 @@ def _config_value(action: argparse.Action, value):
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill flags the user left at their default from the --config JSON.
+    """Make the --config JSON values the defaults of their flags; parse argv again to apply them.
 
     Every value for a flag of this command is checked against the flag's
     argparse action first; a bad one fails as `<config path>: <key>: <reason>`.
     A key for another command's flag is skipped, so one config can serve
-    every command; a key that names no flag of any command fails.
+    every command; a key that names no flag of any command fails. A
+    required flag is always given, so its value is checked but not used.
     """
-    if not args.config:
-        return
     config = read_json(args.config, dict, "config")
     subparsers = _subparsers(parser)
     sub = subparsers.get(args.command)
@@ -209,8 +208,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             value = _config_value(action, value)
         except (TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{key}: {exc}", args.config) from None
-        if getattr(args, dest) == owner.get_default(dest):
-            setattr(args, dest, value)
+        if not action.required:
+            owner.set_defaults(**{dest: value})
 
 
 def _print_summary(summary: dict[str, dict[str, float]]) -> None:
@@ -240,14 +239,15 @@ def _format_table(headers, rows) -> str:
 
 
 def _resolve_template(args) -> refgen.PromptTemplate:
-    if args.template == "custom":
-        if not args.template_file:
-            raise ValueError("--template custom requires --template-file")
+    if args.template_file:
+        if args.template is not None:
+            raise ValueError("--template and --template-file are mutually exclusive")
         return read_json(args.template_file, refgen.PromptTemplate.from_json, "template")
+    name = args.template or "english"
     try:
-        return refgen.BUILTIN_TEMPLATES[(args.task, args.template)]
+        return refgen.BUILTIN_TEMPLATES[(args.task, name)]
     except KeyError:
-        raise ValueError(f"no built-in {args.template} template for task {args.task!r}")
+        raise ValueError(f"no built-in {name} template for task {args.task!r}")
 
 
 def cmd_generate(args) -> int:
@@ -272,17 +272,14 @@ def cmd_generate(args) -> int:
     )
     transport = refgen.MockTransport() if args.mock else refgen.HttpChatTransport()
 
-    done = refgen.completed_segment_ids(args.out)
     items = [
         (s.id, s.source, s.gold_refs[0] if s.gold_refs else None) for s in segments
     ]
-    records = refgen.generate_references(
-        items, template, cfg, transport, out_path=args.out, skip_ids=done
-    )
+    records = refgen.generate_references(items, template, cfg, transport, out_path=args.out)
     failed = [r.segment_id for r in records if not r.succeeded]
     print(
         f"generate: {len(records) - len(failed)} segments done, "
-        f"{len(done)} skipped (already complete), {len(failed)} failed"
+        f"{len(items) - len(records)} skipped (already complete), {len(failed)} failed"
     )
     if failed:
         print(f"generate: failed segments: {', '.join(failed[:10])}", file=sys.stderr)
@@ -387,6 +384,8 @@ def _segments(corpus, mode: str, max_generated):
 
 def cmd_score(args) -> int:
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
+    if not metrics:
+        raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
     if "spbleu" in metrics and not args.vocab and not args.pretokenized:
         raise ValueError("spbleu requires --vocab unless --pretokenized is set")
     if args.max_refs is not None and args.max_refs < 1:
@@ -476,19 +475,9 @@ def cmd_score(args) -> int:
 # ----------------------------------------------------------------- combine
 
 
-def _policy_from(args) -> CombinePolicy:
-    if args.policy == "top_k_mean":
-        if args.k is None:
-            raise ValueError("--policy top_k_mean requires --k")
-        return CombinePolicy("top_k_mean", args.k)
-    if args.k is not None:
-        raise ValueError("--k is only valid with --policy top_k_mean")
-    return CombinePolicy(args.policy)
-
-
 def _combined_matrix(args) -> dict:
     """The --matrix file combined under the --policy/--k flags, by metric."""
-    combined_by_metric = load_combined(args.matrix, _policy_from(args))
+    combined_by_metric = load_combined(args.matrix, CombinePolicy(args.policy, args.k))
     if not combined_by_metric:
         raise ValueError(f"no rows found in {args.matrix}")
     return combined_by_metric
@@ -657,7 +646,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (MultirefError, ValueError, OSError) as exc:
         print(f"multiref: error: {exc}", file=sys.stderr)

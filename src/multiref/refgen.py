@@ -17,6 +17,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -387,28 +388,19 @@ def generate_for_segment(
     """One segment: a single call for all candidates, retried on a malformed reply."""
     ground_truth = gold if template.include_ground_truth else None
     prompt = build_prompt(template, source, ground_truth, cfg.n_references)
-    error = None
-    attempts = 0
     for attempts in range(1, cfg.max_retries + 2):
-        raw = ""
+        raw, candidates, error = "", (), None
         try:
             raw = transport.complete(prompt, cfg)
-            candidates = parse_candidates(raw, cfg.n_references)
-            return GenerationRecord(
-                segment_id=segment_id,
-                prompt_used=prompt,
-                raw_response=raw,
-                candidates=tuple(candidates),
-                attempt_count=attempts,
-                timestamp=_now(),
-            )
+            candidates = tuple(parse_candidates(raw, cfg.n_references))
+            break
         except MalformedResponseError as exc:
             error = str(exc)
     return GenerationRecord(
         segment_id=segment_id,
         prompt_used=prompt,
         raw_response=raw,
-        candidates=(),
+        candidates=candidates,
         attempt_count=attempts,
         timestamp=_now(),
         error=error,
@@ -421,21 +413,21 @@ def generate_references(
     cfg: GenerationConfig,
     transport,
     out_path: str | Path | None = None,
-    skip_ids=(),
 ) -> list[GenerationRecord]:
-    """Generate candidates for every segment not in skip_ids.
+    """Generate candidates for every segment without a successful record in out_path.
 
     `segments` yields (segment_id, source, gold_or_None); `cfg.concurrency`
     segments are in flight at a time, in segment order. Records are appended
     to out_path as they complete (one JSON object per line, flushed per
-    record) so a kill mid-run loses at most the in-flight segments;
-    rerunning with the completed ids in skip_ids is idempotent. A transport
-    failure aborts the run: queued segments are never sent, and what the
-    calls in flight return is still persisted before the error is raised.
-    Malformed replies only mark their own segment as failed.
+    record) so a kill mid-run loses at most the in-flight segments, and a
+    rerun on the same out_path resumes: its completed segments are neither
+    requested nor written again, and only this run's records are returned.
+    A transport failure aborts the run: queued segments are never sent, and
+    what the calls in flight return is still persisted before the error is
+    raised. Malformed replies only mark their own segment as failed.
     """
-    skip = set(skip_ids)
-    todo = [item for item in segments if item[0] not in skip]
+    done = completed_segment_ids(out_path) if out_path is not None else set()
+    todo = [item for item in segments if item[0] not in done]
     if template.include_ground_truth:
         missing = [sid for sid, _src, gold in todo if gold is None]
         if missing:
@@ -443,57 +435,44 @@ def generate_references(
                 f"template expects ground truth but segments lack gold refs: {missing[:5]}"
             )
     records: list[GenerationRecord] = []
-    handle = None
-    if out_path is not None:
-        repair_truncated_tail(out_path)
-        handle = open(out_path, "a", encoding="utf-8")
+    sink = open(out_path, "a", encoding="utf-8") if out_path is not None else nullcontext()
+    with sink as handle, ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
 
-    def persist(record: GenerationRecord):
-        records.append(record)
-        if handle is not None:
-            handle.write(jsonl_line(record.to_json()))
-            handle.flush()
+        def persist(record: GenerationRecord):
+            records.append(record)
+            if handle is not None:
+                handle.write(jsonl_line(record.to_json()))
+                handle.flush()
 
-    try:
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            futures = [
-                pool.submit(generate_for_segment, sid, src, gold, template, cfg, transport)
-                for sid, src, gold in todo
-            ]
-            unread = set(futures)
-            try:
-                for future in as_completed(futures):
-                    unread.discard(future)
+        futures = [
+            pool.submit(generate_for_segment, sid, src, gold, template, cfg, transport)
+            for sid, src, gold in todo
+        ]
+        unread = set(futures)
+        try:
+            for future in as_completed(futures):
+                unread.discard(future)
+                persist(future.result())
+        except BaseException:
+            # Send nothing more, but keep what the calls in flight return.
+            pool.shutdown(cancel_futures=True)
+            for future in futures:
+                if future in unread and not future.cancelled() and future.exception() is None:
                     persist(future.result())
-            except BaseException:
-                # Send nothing more, but keep what the calls in flight return.
-                pool.shutdown(cancel_futures=True)
-                for future in futures:
-                    if future in unread and not future.cancelled() and future.exception() is None:
-                        persist(future.result())
-                raise
-    finally:
-        if handle is not None:
-            handle.close()
+            raise
     return records
 
 
-def repair_truncated_tail(path: str | Path) -> bool:
+def repair_truncated_tail(path: Path) -> None:
     """Drop a partial trailing line left behind by a crash mid-append.
 
-    Returns True when the file was trimmed. Only the final line is ever
-    touched; corruption anywhere else still surfaces as a load error.
+    Only the final line is ever touched; corruption anywhere else still
+    surfaces as a load error.
     """
-    path = Path(path)
-    if not path.exists():
-        return False
     data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return False
-    cut = data.rfind(b"\n") + 1
-    with open(path, "r+b") as handle:
-        handle.truncate(cut)
-    return True
+    if data and not data.endswith(b"\n"):
+        with open(path, "r+b") as handle:
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def load_generation_records(

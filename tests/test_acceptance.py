@@ -34,7 +34,6 @@ from multiref.refgen import (
     GenerationConfig,
     MockTransport,
     PromptTemplate,
-    completed_segment_ids,
     generate_references,
 )
 from multiref.textproc import tokenize_words
@@ -297,16 +296,10 @@ def test_criterion_09_generation_robustness(tmp_path):
     assert len(hopeless.calls) == 2 * (1 + cfg.max_retries)
 
     recovery = MockTransport(scripted=[valid, valid])
-    records = generate_references(
-        segments, template, cfg, recovery, out_path=out,
-        skip_ids=completed_segment_ids(out),
-    )
+    records = generate_references(segments, template, cfg, recovery, out_path=out)
     assert len(records) == 2  # failed ids retry on resume
     silent = MockTransport(scripted=[])
-    records = generate_references(
-        segments, template, cfg, silent, out_path=out,
-        skip_ids=completed_segment_ids(out),
-    )
+    records = generate_references(segments, template, cfg, silent, out_path=out)
     assert records == [] and silent.calls == []
     _passed(9, "mock transports: parse, bounded retries, idempotent resume, no network")
 

@@ -100,7 +100,7 @@ class TestGenerate:
         template.write_bytes(body)
         out = pipeline["dir"] / "gen.jsonl"
         code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
-                     "--mock", "--template", "custom", "--template-file", str(template)])
+                     "--mock", "--template-file", str(template)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"multiref: error: {template}: invalid template: {reason}")
@@ -111,11 +111,32 @@ class TestGenerate:
         template.write_text(json.dumps({"rules": "RULES", "task_description": "Give {n}: {source}"}))
         out = pipeline["dir"] / "gen.jsonl"
         code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
-                     "--mock", "--n-references", "2", "--template", "custom",
-                     "--template-file", str(template)])
+                     "--mock", "--n-references", "2", "--template-file", str(template)])
         assert code == 0
         prompt = load_generation_records(out)[0].prompt_used
         assert prompt.startswith("RULES\n\nGive 2: src s1")
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--template", "english", "--template-file", "T"], {}),
+         (["--template-file", "T"], {"template": "chinese"}),
+         (["--template", "english"], {"template_file": "T"})],
+        ids=["both-flags", "template-in-config", "template-file-in-config"],
+    )
+    def test_template_and_template_file_together_fail(self, pipeline, capsys, flags, config):
+        # --template used to win silently, whatever --template-file said.
+        template = pipeline["dir"] / "template.json"
+        template.write_text(json.dumps({"rules": "RULES", "task_description": "Give {n}: {source}"}))
+        path = pipeline["dir"] / "config.json"
+        path.write_text(json.dumps({key: str(template) if value == "T" else value
+                                    for key, value in config.items()}))
+        out = pipeline["dir"] / "gen.jsonl"
+        flags = [str(template) if flag == "T" else flag for flag in flags]
+        code = main(["--config", str(path), "generate", "--segments", str(pipeline["segments"]),
+                     "--out", str(out), "--mock", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == "multiref: error: --template and --template-file are mutually exclusive\n"
+        assert not out.exists()
 
     def test_resume_skips_done_ids(self, pipeline, capsys):
         out = pipeline["dir"] / "gen.jsonl"
@@ -497,6 +518,20 @@ class TestScore:
         assert scores["cased"] == 0.0
         assert scores["lowered"] == pytest.approx(100.0)
 
+    def test_empty_metric_list_is_rejected_before_reading(self, pipeline, capsys):
+        # An empty list used to print an empty table, write an empty summary and exit 0.
+        summary = pipeline["dir"] / "summary.json"
+        config = pipeline["dir"] / "config.json"
+        config.write_text(json.dumps({"metrics": ""}))
+        missing = str(pipeline["dir"] / "missing.jsonl")
+        cases = [([], ["--metrics", ","], ","), ([], ["--metrics", ""], ""), (["--config", str(config)], [], "")]
+        for global_flags, flags, value in cases:
+            code = main([*global_flags, "score", "--segments", missing, "--outputs", missing,
+                         "--summary", str(summary), *flags])
+            assert code == 1
+            assert capsys.readouterr().err == f"multiref: error: --metrics names no metric, got {value!r}\n"
+            assert not summary.exists()
+
     def test_spbleu_requires_vocab(self, pipeline, capsys):
         code = main(
             [
@@ -614,10 +649,18 @@ class TestCombine:
         err = capsys.readouterr().err
         assert "matrix.jsonl:1" in err
 
-    def test_top_k_requires_k(self, tmp_path, jsonl_writer, capsys):
+    def test_top_k_requires_k(self, pipeline, tmp_path, jsonl_writer, capsys):
         matrix = tmp_path / "matrix.jsonl"
         self.write_matrix(matrix, jsonl_writer)
-        assert main(["combine", "--matrix", str(matrix), "--policy", "top_k_mean"]) == 1
+        cases = [
+            (["--policy", "top_k_mean"], "top_k_mean requires k >= 1"),
+            (["--k", "2", "--policy", "max"], "k is only valid for top_k_mean, not 'max'"),
+            (["--policy", "top_k_mean", "--k", "0"], "top_k_mean requires k >= 1"),
+        ]
+        for command in (["combine"], ["metaeval", "--human", str(pipeline["human"])]):
+            for policy, reason in cases:
+                assert main([*command, "--matrix", str(matrix), *policy]) == 1
+                assert capsys.readouterr().err == f"multiref: error: {reason}\n"
 
 
 def bad_matrix_cases(tmp_path, jsonl_writer):
@@ -942,6 +985,18 @@ class TestConfigFile:
         records = load_generation_records(out)
         assert all(len(r.candidates) == 1 for r in records)
 
+    def test_explicit_flag_equal_to_its_default_beats_config(self, pipeline, tmp_path):
+        # A flag given at its default value used to be overridden by the config.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_order": 2, "metrics": "chrf", "smoothing": "none"}))
+        summary = tmp_path / "summary.json"
+        argv = ["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                "--max-order", "4", "--metrics", "bleu", "--smoothing", "exp", "--summary", str(summary)]
+        assert main(argv) == 0
+        plain = summary.read_bytes()
+        assert main(["--config", str(config), *argv]) == 0
+        assert summary.read_bytes() == plain
+
     @pytest.mark.parametrize(
         "command, config, reason",
         [
@@ -951,7 +1006,7 @@ class TestConfigFile:
             ("select", {"threshold": True}, "expected a number, got true"),
             ("select", {"jobs": False}, "expected an integer, got false"),
             ("generate", {"template": "klingon"},
-             'invalid choice "klingon" (choose from english, chinese, custom)'),
+             'invalid choice "klingon" (choose from english, chinese)'),
             ("generate", {"mock": 1}, "expected true or false, got 1"),
             ("generate", {"ground_truth": "no"}, 'expected true or false, got "no"'),
             ("leakage-report", {"pair": "a,b"}, 'expected a list, got "a,b"'),
@@ -1011,10 +1066,9 @@ class TestConfigFile:
         path.write_text(json.dumps({"threshold": 101, "lowercase": True}))
         out = pipeline["dir"] / "selected.jsonl"
         parser = build_parser()
-        args = parser.parse_args(
-            ["--config", str(path), "select", "--refs", str(pipeline["refs"]), "--out", str(out)]
-        )
-        _apply_config(parser, args)
+        argv = ["--config", str(path), "select", "--refs", str(pipeline["refs"]), "--out", str(out)]
+        _apply_config(parser, parser.parse_args(argv))
+        args = parser.parse_args(argv)
         assert args.threshold == 101.0 and isinstance(args.threshold, float)
         assert args.lowercase is True
 

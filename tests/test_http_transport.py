@@ -1,13 +1,19 @@
 """HttpChatTransport against a loopback HTTP server; no external network."""
 
+import collections
 import dataclasses
 import email.utils
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +296,80 @@ def test_generate_records_non_string_content_as_a_failed_segment(
     assert failed.error == f"reply content must be a string, got {json_type}"
     assert (done.segment_id, done.candidates) == ("s2", ("a", "b"))
     assert completed_segment_ids(out) == {"s2"}
+
+
+class SourceEchoHandler(BaseHTTPRequestHandler):
+    """Answers each prompt, after a fixed delay, with two candidates built from its source.
+
+    The source is the prompt's last line (the built-in template without a
+    ground truth); `requests` counts the prompts received per source.
+    """
+
+    DELAY_S = 0.03
+    requests = collections.Counter()
+    lock = threading.Lock()
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        source = body["messages"][0]["content"].splitlines()[-1]
+        with self.lock:
+            self.requests[source] += 1
+        time.sleep(self.DELAY_S)
+        data = json.dumps(chat_payload(f"1. {source} a\n2. {source} b")).encode("utf-8")
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client was killed while this request was in flight
+
+    def log_message(self, *args):
+        pass
+
+
+def test_killed_generate_resumes_without_repeating_completed_segments(tmp_path):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), SourceEchoHandler)
+    SourceEchoHandler.requests.clear()
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    sources = {f"s{i}": f"source text {i}" for i in range(40)}
+    segments = tmp_path / "segments.jsonl"
+    segments.write_text("".join(json.dumps({"id": sid, "source": text}) + "\n" for sid, text in sources.items()))
+    out = tmp_path / "refs.jsonl"
+    argv = [sys.executable, "-m", "multiref", "--jobs", "4", "generate", "--segments", str(segments),
+            "--out", str(out), "--n-references", "2",
+            "--endpoint", f"http://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, MULTIREF_API_KEY="sk-test",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (out.exists() and out.read_bytes().count(b"\n") >= 8):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.002)
+        finally:
+            child.kill()
+            child.wait()
+        done_before_kill = completed_segment_ids(out)
+        assert 8 <= len(done_before_kill) < len(sources)
+        # A kill in the middle of a write leaves a partial last line.
+        partial = b'{"segment_id": "s39", "candidates": ["cut short'
+        with open(out, "ab") as handle:
+            handle.write(partial)
+
+        rerun = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30.0)
+        assert rerun.returncode == 0, rerun.stderr
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join()
+    assert f"{len(done_before_kill)} skipped (already complete)" in rerun.stdout
+    assert partial not in out.read_bytes()
+    records = load_generation_records(out)
+    assert all(r.succeeded for r in records)
+    assert sorted(r.segment_id for r in records) == sorted(sources)
+    assert all(SourceEchoHandler.requests[sources[sid]] == 1 for sid in done_before_kill)

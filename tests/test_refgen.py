@@ -185,33 +185,41 @@ class TestGenerateReferences:
         generate_references(self.segments(), TEMPLATE, self.config(), transport, out_path=out)
         assert completed_segment_ids(out) == {"s1", "s2"}
 
-        # A rerun skipping completed ids must not touch the transport.
+        # A rerun on the same file must not touch the transport.
         quiet = MockTransport(scripted=[])
-        records = generate_references(
-            self.segments(), TEMPLATE, self.config(), quiet,
-            out_path=out, skip_ids=completed_segment_ids(out),
-        )
+        records = generate_references(self.segments(), TEMPLATE, self.config(), quiet, out_path=out)
         assert records == []
         assert quiet.calls == []
         assert len(load_generation_records(out)) == 2
 
-    def test_resume_with_many_completed_ids(self, tmp_path):
+    def test_rerun_on_the_same_file_sends_and_writes_nothing(self, tmp_path):
+        # A second call used to request every segment again and append a second
+        # successful record for each, so the file no longer loaded.
+        out = tmp_path / "refs.jsonl"
+        cfg = self.config(concurrency=2)
+        generate_references(self.segments(), TEMPLATE, cfg, MockTransport(), out_path=out)
+        written = out.read_bytes()
+        transport = MockTransport()
+        assert generate_references(self.segments(), TEMPLATE, cfg, transport, out_path=out) == []
+        assert transport.calls == []
+        assert out.read_bytes() == written
+        assert {r.segment_id for r in load_generation_records(out)} == {"s1", "s2"}
+
+    def test_resume_with_many_completed_ids(self, tmp_path, jsonl_writer):
         done = [(f"done{i}", f"text {i}", None) for i in range(5000)]
         pending = [(f"new{i}", f"fresh text {i}", None) for i in range(3)]
         segments = done[:2500] + pending[:2] + done[2500:] + pending[2:]
         fresh = generate_references(pending, TEMPLATE, self.config(), MockTransport())
 
-        # skip_ids may be any iterable, a one-shot generator included.
+        out = tmp_path / "refs.jsonl"
+        jsonl_writer(out, (GenerationRecord(sid, "p", "1. a", ("a",), 1, "t").to_json() for sid, _, _ in done))
         transport = MockTransport()
-        records = generate_references(
-            segments, TEMPLATE, self.config(), transport,
-            out_path=tmp_path / "refs.jsonl", skip_ids=(sid for sid, _, _ in done),
-        )
+        records = generate_references(segments, TEMPLATE, self.config(), transport, out_path=out)
         assert len(transport.calls) == 3
         assert [(r.segment_id, r.candidates, r.attempt_count) for r in records] == [
             (r.segment_id, r.candidates, r.attempt_count) for r in fresh
         ]
-        assert completed_segment_ids(tmp_path / "refs.jsonl") == {sid for sid, _, _ in pending}
+        assert completed_segment_ids(out) == {sid for sid, _, _ in segments}
 
     def test_failed_segments_resume_as_pending(self, tmp_path):
         out = tmp_path / "refs.jsonl"
@@ -280,10 +288,7 @@ class TestGenerateReferences:
         assert completed_segment_ids(out) == {"s1"}
 
         resume = MockTransport(scripted=[numbered("c", "d")])
-        records = generate_references(
-            self.segments(), TEMPLATE, self.config(), resume,
-            out_path=out, skip_ids=completed_segment_ids(out),
-        )
+        records = generate_references(self.segments(), TEMPLATE, self.config(), resume, out_path=out)
         assert [r.segment_id for r in records] == ["s2"]
         loaded = load_generation_records(out)
         assert [r.segment_id for r in loaded] == ["s1", "s2"]
