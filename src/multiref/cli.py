@@ -238,24 +238,33 @@ def _format_table(headers, rows) -> str:
 # ---------------------------------------------------------------- generate
 
 
-def _resolve_template(args) -> refgen.PromptTemplate:
+def _template_from_file(spec: dict):
+    """The file's template, and its `include_ground_truth` key (None when absent)."""
+    return refgen.PromptTemplate.from_json(spec), spec.get("include_ground_truth")
+
+
+def _resolve_template(args):
+    """The prompt template, and whether it was told to include the gold reference (None if not)."""
     if args.template_file:
         if args.template is not None:
             raise ValueError("--template and --template-file are mutually exclusive")
-        return read_json(args.template_file, refgen.PromptTemplate.from_json, "template")
+        return read_json(args.template_file, _template_from_file, "template")
     name = args.template or "english"
     try:
-        return refgen.BUILTIN_TEMPLATES[(args.task, name)]
+        return refgen.BUILTIN_TEMPLATES[(args.task, name)], None
     except KeyError:
         raise ValueError(f"no built-in {name} template for task {args.task!r}")
 
 
 def cmd_generate(args) -> int:
     segments = corpus_io.load_segments(args.segments)
-    template = _resolve_template(args)
+    template, include_gt = _resolve_template(args)
 
-    include_gt = args.ground_truth
-    if include_gt is None:
+    # --ground-truth/--no-ground-truth, else the template file's key, else
+    # whether every segment has a gold reference.
+    if args.ground_truth is not None:
+        include_gt = args.ground_truth
+    elif include_gt is None:
         include_gt = all(segment.gold_refs for segment in segments)
     template = dataclasses.replace(template, include_ground_truth=include_gt)
 
@@ -522,7 +531,12 @@ def _report_to_json(report: metaeval.MetaEvalReport) -> dict:
 def cmd_metaeval(args) -> int:
     combined_by_metric = _combined_matrix(args)
     judgments = metaeval.load_human_judgments(args.human)
-    reports = metaeval.meta_evaluate_all(combined_by_metric, judgments, name=args.name)
+    try:
+        reports = metaeval.meta_evaluate_all(combined_by_metric, judgments, name=args.name)
+    except ValueError as exc:
+        # Both files are well-formed; what the matrix's metrics share with the
+        # human judgments does not support a statistic.
+        raise CorpusFormatError(f"cannot evaluate against {args.human}: {exc}", args.matrix) from None
     rows = []
     for report in reports:
         rows.append(

@@ -11,6 +11,10 @@ documents through `read_json`:
 - human.jsonl:    human judgments (see metaeval)
 - matrix.jsonl:   score matrices (see combine)
 
+`read_jsonl` strips each line and decodes it with one call of the C scanner
+under `json.loads`. A line that `json.loads` rejects fails with the same
+message, position included.
+
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
 (one record per line) or `write_json` (one document, indented by 2).
 
@@ -133,9 +137,20 @@ def json_object(value, name: str) -> dict:
     return value
 
 
-# What decoding, `json.loads` (RecursionError for nesting too deep) or a
-# `parse` callback raise for input they reject.
+# What decoding (RecursionError for nesting too deep) or a `parse` callback
+# raise for input they reject.
 _PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError)
+
+# The C scanner under `json.loads`: `(value, end)` of the JSON value at an index.
+_scan_once = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+
+
+def _no_value(line: str, stopped_at: int) -> json.JSONDecodeError:
+    """The error `json.loads(line)` raises where `_scan_once` found no value at `stopped_at`."""
+    if line.startswith("\ufeff"):
+        return json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    return json.JSONDecodeError("Expecting value", line, stopped_at)
 
 
 def _reason(exc: Exception) -> str:
@@ -179,7 +194,15 @@ def read_jsonl(path: str | Path, parse, what: str):
         if not line:
             continue
         try:
-            value = parse(json_object(json.loads(line), "record"))
+            # `json.loads(line)`, values and errors alike, in one C call: the
+            # line has no JSON whitespace at either end.
+            try:
+                record, end = _scan_once(line, 0)
+            except StopIteration as stop:
+                raise _no_value(line, stop.value) from None
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
+            value = parse(json_object(record, "record"))
         except _PARSE_ERRORS as exc:
             raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
         yield lineno, value

@@ -8,7 +8,8 @@ ties, zero variance) raise DegenerateDataError instead of returning NaN.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus_io import id_field, number_field, read_jsonl
@@ -109,45 +110,35 @@ def _tie_pairs(values) -> int:
 def _kendall_pair_counts(x, y):
     """Concordant/discordant and tied-pair counts, exact, in O(n log n).
 
-    Iterates items in x order; a Fenwick tree over rank-compressed y counts,
-    for each equal-x block, how many previously inserted items (strictly
-    smaller x) have smaller or larger y.
+    Walks the sorted (x, y) pairs one equal-x block at a time. A Fenwick tree
+    over rank-compressed y, and `at_rank` per rank, count the items of the
+    earlier blocks (strictly smaller x): an item of y rank r is concordant
+    with the ones below r and discordant with the rest but those at r.
     """
-    n = len(x)
-    rank = {v: i + 1 for i, v in enumerate(sorted(set(y)))}
+    rank = {v: r for r, v in enumerate(sorted(set(y)), 1)}
     size = len(rank)
     tree = [0] * (size + 1)
-
-    def add(i):
-        while i <= size:
-            tree[i] += 1
-            i += i & (-i)
-
-    def count_le(i):
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    order = sorted(range(n), key=lambda i: (x[i], y[i]))
-    concordant = discordant = 0
-    inserted = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and x[order[j]] == x[order[i]]:
-            j += 1
-        for k in range(i, j):
-            r = rank[y[order[k]]]
-            below = count_le(r - 1)
+    at_rank = [0] * (size + 1)
+    concordant = discordant = inserted = ties_x = 0
+    for _x, block in groupby(sorted(zip(x, y)), key=itemgetter(0)):
+        block_ranks = [rank[v] for _, v in block]
+        for r in block_ranks:
+            below = 0
+            i = r - 1
+            while i:
+                below += tree[i]
+                i &= i - 1
             concordant += below
-            discordant += inserted - count_le(r)
-        for k in range(i, j):
-            add(rank[y[order[k]]])
-        inserted = j
-        i = j
-    return concordant, discordant, _tie_pairs(x), _tie_pairs(y)
+            discordant += inserted - below - at_rank[r]
+        for r in block_ranks:
+            at_rank[r] += 1
+            while r <= size:
+                tree[r] += 1
+                r += r & -r
+        count = len(block_ranks)
+        inserted += count
+        ties_x += count * (count - 1) // 2
+    return concordant, discordant, ties_x, _tie_pairs(y)
 
 
 def kendall_tau(x, y) -> float:
@@ -162,18 +153,14 @@ def kendall_tau(x, y) -> float:
 
 def midranks(values) -> list[float]:
     """Ranks starting at 1, with tied values receiving their average rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[order[j]] == values[order[i]]:
-            j += 1
-        average = (i + 1 + j) / 2.0
-        for k in range(i, j):
-            ranks[order[k]] = average
-        i = j
-    return ranks
+    counts = Counter(values)
+    rank = {}
+    start = 0
+    for value in sorted(counts):
+        count = counts[value]
+        rank[value] = (2 * start + 1 + count) / 2.0
+        start += count
+    return [rank[value] for value in values]
 
 
 def spearman(x, y) -> float:

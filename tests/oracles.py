@@ -291,7 +291,8 @@ def pearson(x, y):
     return num / den
 
 
-def kendall_tau(x, y):
+def kendall_pair_counts(x, y):
+    """(concordant, discordant, pairs tied in x, pairs tied in y) over every pair."""
     n = len(x)
     concordant = discordant = ties_x = ties_y = 0
     for i in range(n):
@@ -308,7 +309,12 @@ def kendall_tau(x, y):
                 concordant += 1
             else:
                 discordant += 1
-    n0 = n * (n - 1) // 2
+    return concordant, discordant, ties_x, ties_y
+
+
+def kendall_tau(x, y):
+    concordant, discordant, ties_x, ties_y = kendall_pair_counts(x, y)
+    n0 = len(x) * (len(x) - 1) // 2
     return (concordant - discordant) / math.sqrt((n0 - ties_x) * (n0 - ties_y))
 
 

@@ -117,6 +117,30 @@ class TestGenerate:
         assert prompt.startswith("RULES\n\nGive 2: src s1")
 
     @pytest.mark.parametrize(
+        "key, flags, with_gold",
+        [({"include_ground_truth": False}, [], False),
+         ({"include_ground_truth": True}, [], True),
+         ({}, [], True),
+         ({"include_ground_truth": False}, ["--ground-truth"], True),
+         ({"include_ground_truth": True}, ["--no-ground-truth"], False)],
+        ids=["key-false", "key-true", "no-key", "flag-over-key-false", "flag-over-key-true"],
+    )
+    def test_template_file_key_decides_unless_flag_given(self, pipeline, key, flags, with_gold):
+        # Every segment has a gold reference; the CLI used to include it
+        # whatever the file's include_ground_truth said.
+        template = pipeline["dir"] / "template.json"
+        template.write_text(json.dumps({"rules": "R", "task_description": "{n} of {source}", **key}))
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
+                     "--mock", "--n-references", "2", "--template-file", str(template), *flags])
+        assert code == 0
+        prompt = load_generation_records(out)[0].prompt_used
+        expected = "R\n\n2 of src s1"
+        if with_gold:
+            expected += f"\n\n{refgen.GROUND_TRUTH_LABEL}\n{GOLD['s1']}"
+        assert prompt == expected
+
+    @pytest.mark.parametrize(
         "flags, config",
         [(["--template", "english", "--template-file", "T"], {}),
          (["--template-file", "T"], {"template": "chinese"}),
@@ -795,7 +819,9 @@ class TestMetaeval:
             [{"system": s, "segment": "s1", "score": 3.0} for s in ("A", "B")],
         )
         assert main(["metaeval", "--matrix", str(matrix), "--human", str(human)]) == 1
-        assert "tied" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"multiref: error: {matrix}: cannot evaluate against {human}: all human score pairs are tied\n"
+        )
 
 
 class TestDiversity:

@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from multiref.corpus_io import (
     load_outputs,
     load_segments,
     merge_references,
+    read_jsonl,
     write_jsonl,
 )
 from multiref.errors import CorpusFormatError
@@ -157,6 +159,54 @@ class TestLoadCorpus:
             load_outputs(path)
         assert err.value.line == 2
         assert "hypothesis must be a string" in str(err.value)
+
+
+def _loads_reason(line):
+    """The reason `json.loads` gives for a stripped line, as a read_jsonl error words it."""
+    try:
+        json.loads(line.strip())
+    except json.JSONDecodeError as exc:
+        return f"bad JSON: {exc}"
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"json.loads accepted {line!r}")
+
+
+class TestDecodeParity:
+    """read_jsonl rejects a malformed line with the message `json.loads` gives it."""
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"a": 1}  x', "bad JSON: Extra data: line 1 column 11 (char 10)"),
+            ('{"a":1}{"b":2}', "bad JSON: Extra data: line 1 column 8 (char 7)"),
+            ('\ufeff{"a": 1}', "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ("nul", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1", "bad JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+            ('"', "bad JSON: Unterminated string starting at: line 1 column 1 (char 0)"),
+            # The wording of these two depends on the Python version.
+            ("\t" + "7" * 5000 + " ", None),
+            ("[" * 100_000 + "]" * 100_000, None),
+        ],
+        ids=["trailing-garbage", "two-objects", "bom-on-line-2", "truncated-literal",
+             "unclosed-array", "lone-quote", "5000-digit-int", "deep-nesting"],
+    )
+    def test_message_equals_json_loads(self, tmp_path, line, reason):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 0}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            list(read_jsonl(path, dict, "record"))
+        expected = _loads_reason(line)
+        if reason is not None:
+            assert expected == reason
+        assert str(err.value) == f"{path}:2: invalid record: {expected}"
+
+    def test_valid_lines_decode_as_json_loads(self, tmp_path):
+        lines = ['{"a": 1} \t', '\x0c{"a": [1, 2.5, -0.0, 1e400, NaN]}\x0b', '{"\\ud800": "é", "b": null}']
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = [record for _lineno, record in read_jsonl(path, dict, "record")]
+        assert repr(got) == repr([json.loads(line.strip()) for line in lines])
 
 
 class TestLoadGenerationRecords:

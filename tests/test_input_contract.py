@@ -1,0 +1,169 @@
+"""The input contract of the JSONL readers, under seeded field mutations.
+
+Small `score`, `select`, `combine` and `metaeval` inputs are built here; each
+case changes one field of one record (a wrong type, a missing key, a
+non-finite or huge number) or one whole line, and runs the command. The run
+must either exit 0 and write only finite numbers, or exit 1 with one
+`multiref: error: <path>[:<line>]: ...` line naming an input file. Any other
+exception escapes `main` and fails the case with its traceback.
+"""
+
+import json
+import math
+import random
+import re
+
+import pytest
+
+from multiref.cli import main
+
+N_CASES = 40
+
+SEGMENTS = [
+    {"id": f"s{i}", "source": f"source text number {i}", "gold_refs": [f"the gold text {i} of this set"]}
+    for i in range(4)
+]
+SYSTEMS = ("alpha", "beta", "gamma")
+OUTPUTS = [
+    {"system": system, "segment": segment["id"], "hypothesis": f"the {system} text {j} of a set"}
+    for j, system in enumerate(SYSTEMS)
+    for segment in SEGMENTS
+]
+REFS = [
+    {
+        "segment_id": segment["id"],
+        "prompt_used": "p",
+        "raw_response": "r",
+        "candidates": [f"a text {i} of this set", f"the text {i} of that set", f"one more text {i}"],
+        "attempt_count": 1,
+        "timestamp": "2024-01-01T00:00:00+00:00",
+        "error": None,
+    }
+    for i, segment in enumerate(SEGMENTS)
+]
+MATRIX = [
+    {
+        "system": system,
+        "segment": segment["id"],
+        "scores": {f"r{k}": round(0.1 * (j + 1) + 0.03 * i + 0.01 * k, 4) for k in range(3)},
+        "metric": metric,
+    }
+    for metric in ("m1", "m2")
+    for j, system in enumerate(SYSTEMS)
+    for i, segment in enumerate(SEGMENTS)
+]
+HUMAN = [
+    {"system": system, "segment": segment["id"], "score": float(j + (i % 2))}
+    for j, system in enumerate(SYSTEMS)
+    for i, segment in enumerate(SEGMENTS)
+] + [
+    {"system": system, "segment": segment["id"], "dimension": "fluency", "score": float(j * 2 + i % 3)}
+    for j, system in enumerate(SYSTEMS)
+    for i, segment in enumerate(SEGMENTS)
+]
+
+# Input files and the command line of each stage; the first file is mutated
+# most often, since each stage reads it first.
+STAGES = {
+    "score": (
+        {"outputs": OUTPUTS, "segments": SEGMENTS, "refs": REFS},
+        lambda p: ["score", "--segments", p["segments"], "--outputs", p["outputs"],
+                   "--generated-refs", p["refs"], "--refs", "both", "--metrics", "bleu,chrf,rougeL",
+                   "--per-reference", "--out", p["out"], "--summary", p["summary"]],
+    ),
+    "select": (
+        {"refs": REFS},
+        lambda p: ["select", "--refs", p["refs"], "--out", p["out"], "--report", p["summary"]],
+    ),
+    "combine": (
+        {"matrix": MATRIX},
+        lambda p: ["combine", "--matrix", p["matrix"], "--policy", "mean",
+                   "--out", p["out"], "--summary", p["summary"]],
+    ),
+    "metaeval": (
+        {"matrix": MATRIX, "human": HUMAN},
+        lambda p: ["metaeval", "--matrix", p["matrix"], "--human", p["human"], "--out", p["summary"]],
+    ),
+}
+
+REPLACEMENTS = [
+    None, True, False, 0, -1, 3, 2.5, -0.0, 1e308, -1e308, 5e-324, 10**30,
+    float("nan"), float("inf"), float("-inf"),
+    "", "x", "s1", "alpha", [], ["x"], [1.5], {}, {"r0": 1}, {"r0": "x"},
+]
+
+
+def _mutate_value(rng, record):
+    """Replace or delete one field of `record`, at the top level or one level down."""
+    holder = record
+    key = rng.choice(sorted(holder))
+    if isinstance(holder[key], (dict, list)) and holder[key] and rng.random() < 0.5:
+        holder = holder[key]
+        key = rng.choice(sorted(holder) if isinstance(holder, dict) else range(len(holder)))
+    if isinstance(holder, dict) and rng.random() < 0.2:
+        del holder[key]
+    else:
+        holder[key] = rng.choice(REPLACEMENTS)
+
+
+def _mutated_lines(rng, records):
+    lines = [json.dumps(record) for record in records]
+    index = rng.randrange(len(lines))
+    kind = rng.random()
+    if kind < 0.75:
+        record = json.loads(lines[index])
+        _mutate_value(rng, record)
+        lines[index] = json.dumps(record)
+    elif kind < 0.85:
+        lines[index] = lines[index][: rng.randrange(len(lines[index]))]
+    elif kind < 0.95:
+        lines.insert(index, lines[index])
+    else:
+        lines[index] = rng.choice(["[]", '"x"', "1", "null", "\ufeff" + lines[index], "{}"])
+    return lines
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def _documents(path):
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return [json.loads(text)]
+
+
+@pytest.mark.parametrize("seed", range(N_CASES))
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, capsys, stage, seed):
+    rng = random.Random(f"{stage}/{seed}")
+    inputs, command = STAGES[stage]
+    names = list(inputs)
+    target = names[0] if rng.random() < 0.5 else rng.choice(names)
+    paths = {"out": str(tmp_path / "out.jsonl"), "summary": str(tmp_path / "summary.json")}
+    for name, records in inputs.items():
+        path = tmp_path / f"{name}.jsonl"
+        lines = _mutated_lines(rng, records) if name == target else [json.dumps(r) for r in records]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths[name] = str(path)
+
+    code = main(command(paths))
+
+    err = capsys.readouterr().err
+    if code == 0:
+        for path in (tmp_path / "out.jsonl", tmp_path / "summary.json"):
+            if path.exists():
+                for document in _documents(path):
+                    assert all(math.isfinite(n) for n in _numbers(document)), document
+    else:
+        assert code == 1
+        located = "|".join(re.escape(paths[name]) for name in names)
+        assert re.fullmatch(rf"multiref: error: ({located})(:\d+)?: [^\n]+\n", err), err

@@ -11,6 +11,7 @@ from multiref.metaeval import (
     HumanJudgment,
     LeakageGapReport,
     MetaEvalReport,
+    _kendall_pair_counts,
     kendall_tau,
     leakage_gap,
     load_human_judgments,
@@ -34,6 +35,11 @@ tied_vectors = st.lists(tied_values, min_size=2, max_size=30)
 
 def random_tied_vector(rng, n):
     return [float(rng.randint(0, 6)) for _ in range(n)]
+
+
+# Three distinct values, each written several ways: equal ints and floats,
+# and 0.0 next to -0.0, must share one rank.
+three_values = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5])
 
 
 class TestPairwiseAccuracy:
@@ -163,6 +169,15 @@ class TestKendallTau:
                 continue
             assert kendall_tau(x, y) == oracles.kendall_tau(x, y)
 
+    def test_pair_counts_match_pair_enumeration(self, rng):
+        # Heavy ties on both sides, and blocks of equal x whose y values
+        # repeat those of earlier blocks.
+        for _ in range(300):
+            n = rng.randint(0, 60)
+            x = [rng.choice([0, 1.0, 2, -0.0, 3.5]) for _ in range(n)]
+            y = [rng.choice([0.0, 1, 1.0, -0.0, 2]) for _ in range(n)]
+            assert _kendall_pair_counts(x, y) == oracles.kendall_pair_counts(x, y)
+
     @given(tied_vectors, tied_vectors)
     def test_invariant_under_increasing_transforms(self, x, y):
         n = min(len(x), len(y))
@@ -188,6 +203,10 @@ class TestSpearman:
 
     def test_midranks(self):
         assert midranks([10.0, 20.0, 20.0, 30.0]) == [1.0, 2.5, 2.5, 4.0]
+
+    @given(st.lists(three_values, max_size=40))
+    def test_midranks_match_oracle_exactly(self, values):
+        assert midranks(values) == oracles.rank_with_ties(values)
 
     def test_matches_rank_then_pearson_oracle(self, rng):
         for _ in range(100):
