@@ -6,7 +6,6 @@ re-evaluate as often as needed.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -266,7 +265,7 @@ def cmd_generate(args) -> int:
         include_gt = args.ground_truth
     elif include_gt is None:
         include_gt = all(segment.gold_refs for segment in segments)
-    template = dataclasses.replace(template, include_ground_truth=include_gt)
+    template = template._replace(include_ground_truth=include_gt)
 
     n_references = args.n_references
     if n_references is None:
@@ -310,7 +309,7 @@ def cmd_select(args) -> int:
         if record.succeeded:
             candidates = list(record.candidates)
             scores, kept = diversity.score_and_select(candidates, args.threshold, args.lowercase)
-            record = dataclasses.replace(record, candidates=tuple(candidates[i] for i in kept))
+            record = record._replace(candidates=tuple(candidates[i] for i in kept))
             report[record.segment_id] = {"self_bleu": scores, "kept_indices": kept}
             kept_total += len(kept)
             candidate_total += len(candidates)

@@ -7,62 +7,58 @@ into a system-level score.
 """
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus_io import id_field, number_field, read_jsonl, write_jsonl
 from .errors import CorpusFormatError
+from .records import Fields, record
 
 COMBINE_KINDS = ("max", "mean", "top_k_mean")
 
 
-@dataclass(frozen=True)
-class CombinePolicy:
-    kind: str = "max"
-    k: int | None = None
+class CombinePolicy(record("CombinePolicy", "kind k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in COMBINE_KINDS:
-            raise ValueError(f"unknown combine kind {self.kind!r}")
-        if self.kind == "top_k_mean":
-            if self.k is None or self.k < 1:
+    def __new__(cls, kind: str = "max", k: int | None = None):
+        if kind not in COMBINE_KINDS:
+            raise ValueError(f"unknown combine kind {kind!r}")
+        if kind == "top_k_mean":
+            if k is None or k < 1:
                 raise ValueError("top_k_mean requires k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"k is only valid for top_k_mean, not {self.kind!r}")
+        elif k is not None:
+            raise ValueError(f"k is only valid for top_k_mean, not {kind!r}")
+        return tuple.__new__(cls, (kind, k))
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(record("MatrixRow", "system segment scores")):
     """Per-reference scores of one hypothesis."""
 
-    system: str
-    segment: str
-    scores: dict[str, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.scores:
+    def __new__(cls, system: str, segment: str, scores: dict[str, float]):
+        if not scores:
             raise ValueError("matrix row must have at least one score")
-        for ref_id, score in self.scores.items():
+        for ref_id, score in scores.items():
             if not math.isfinite(score):
-                raise ValueError(
-                    f"non-finite score for ({self.system}, {self.segment}, {ref_id})"
-                )
+                raise ValueError(f"non-finite score for ({system}, {segment}, {ref_id})")
+        return tuple.__new__(cls, (system, segment, scores))
 
 
-@dataclass
-class ScoreMatrix:
+class ScoreMatrix(Fields):
     """All rows of one metric, keyed by (system, segment)."""
 
-    metric_name: str
-    rows: list[MatrixRow] = field(default_factory=list)
+    __slots__ = _fields = ("metric_name", "rows")
 
-    def __post_init__(self):
+    def __init__(self, metric_name: str, rows: list[MatrixRow] | None = None):
+        rows = [] if rows is None else rows
         seen = set()
-        for row in self.rows:
+        for row in rows:
             key = (row.system, row.segment)
             if key in seen:
                 raise ValueError(f"duplicate matrix row for {key}")
             seen.add(key)
+        self.metric_name = metric_name
+        self.rows = rows
 
 
 def _reducer(policy: CombinePolicy | None):

@@ -25,20 +25,16 @@ segment) and treated as immutable afterwards.
 import codecs
 import json
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import CorpusFormatError
+from .records import Fields, record
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(record("Segment", "id source gold_refs generated_refs", defaults=((), ()))):
     """One source item with its gold and generated references."""
 
-    id: str
-    source: str
-    gold_refs: tuple[str, ...] = ()
-    generated_refs: tuple[str, ...] = ()
+    __slots__ = ()
 
     def scoring_refs(self, mode: str = "both", max_generated: int | None = None):
         """Reference texts used for scoring: 'gold', 'generated', or 'both'.
@@ -58,12 +54,18 @@ class Segment:
         return list(self.gold_refs) + generated
 
 
-@dataclass
-class EvalCorpus:
+class EvalCorpus(Fields):
     """Segments plus per-system hypotheses for one language pair or task."""
 
-    segments: list[Segment] = field(default_factory=list)
-    systems: dict[str, dict[str, str]] = field(default_factory=dict)
+    __slots__ = _fields = ("segments", "systems")
+
+    def __init__(
+        self,
+        segments: list[Segment] | None = None,
+        systems: dict[str, dict[str, str]] | None = None,
+    ):
+        self.segments = [] if segments is None else segments
+        self.systems = {} if systems is None else systems
 
     def segment_ids(self) -> list[str]:
         return [segment.id for segment in self.segments]
@@ -221,12 +223,26 @@ def read_json(path: str | Path, parse, what: str):
         raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path)) from None
 
 
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+# The C encoder under `json.dumps(value, ensure_ascii=False)`, built once; it
+# returns the encoded chunks. It keeps no circular-reference markers: a shared
+# markers dict would keep the containers of a failed encode, and encoding one
+# of them again would report a false cycle.
+_encode_chunks = json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring,
+    None,  # indent
+    ": ",
+    ", ",
+    False,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
 
 
 def jsonl_line(record) -> str:
-    """`record` as one compact JSONL line, non-ASCII text unescaped, newline included."""
-    return _encode_line(record) + "\n"
+    """`record` as one JSONL line, as `json.dumps(record, ensure_ascii=False)` writes it, newline included."""
+    return "".join(_encode_chunks(record, 0)) + "\n"
 
 
 def write_jsonl(path: str | Path, records, append: bool = False) -> None:
@@ -317,7 +333,7 @@ def merge_references(corpus: EvalCorpus, records) -> EvalCorpus:
         if record.succeeded:
             by_segment[record.segment_id] = tuple(record.candidates)
     merged = [
-        replace(segment, generated_refs=by_segment.get(segment.id, ()))
+        segment._replace(generated_refs=by_segment.get(segment.id, ()))
         for segment in corpus.segments
     ]
     return EvalCorpus(segments=merged, systems=dict(corpus.systems))

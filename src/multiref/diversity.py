@@ -12,13 +12,13 @@ count, the first candidate holding it, and its second-highest count.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import kernels
 
 # bleu_sentence is no longer called here; it stays importable under this
 # module's name because pipebench/tracer.py wraps it.
 from .metrics import BleuConfig, CorpusStats, _bleu_from_stats, bleu_sentence  # noqa: F401
+from .records import record
 from .textproc import tokenize_words, tokens_of
 
 PROVENANCES = frozenset({"llm", "gold", "external"})
@@ -27,32 +27,28 @@ PROVENANCES = frozenset({"llm", "gold", "external"})
 DEFAULT_SELF_BLEU_THRESHOLD = 35.0
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(record("CandidateSet", "segment_id candidates provenance")):
     """Ordered reference candidates for one segment."""
 
-    segment_id: str
-    candidates: tuple[str, ...]
-    provenance: str = "llm"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.candidates:
+    def __new__(cls, segment_id: str, candidates: tuple[str, ...], provenance: str = "llm"):
+        if not candidates:
             raise ValueError("candidate set must not be empty")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return tuple.__new__(cls, (segment_id, candidates, provenance))
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(record("DiversityReport", "distinct_n n unique_tokens")):
     """Lexical-diversity summary of a candidate or output corpus."""
 
-    distinct_n: float
-    n: int
-    unique_tokens: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.distinct_n <= 1.0:
-            raise ValueError(f"distinct_n out of [0, 1]: {self.distinct_n}")
+    def __new__(cls, distinct_n: float, n: int, unique_tokens: int):
+        if not 0.0 <= distinct_n <= 1.0:
+            raise ValueError(f"distinct_n out of [0, 1]: {distinct_n}")
+        return tuple.__new__(cls, (distinct_n, n, unique_tokens))
 
 
 def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:

@@ -7,67 +7,70 @@ ties, zero variance) raise DegenerateDataError instead of returning NaN.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
 from .corpus_io import id_field, number_field, read_jsonl
 from .errors import CorpusFormatError, DegenerateDataError
+from .records import record
 
 
-@dataclass(frozen=True)
-class HumanJudgment:
+class HumanJudgment(record("HumanJudgment", "system score segment dimension")):
     """One human quality score, at system level (segment None) or segment level."""
 
-    system: str
-    score: float
-    segment: str | None = None
-    dimension: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError(f"human score must be finite, got {self.score}")
+    def __new__(
+        cls, system: str, score: float, segment: str | None = None, dimension: str | None = None
+    ):
+        if not math.isfinite(score):
+            raise ValueError(f"human score must be finite, got {score}")
+        return tuple.__new__(cls, (system, score, segment, dimension))
 
 
-@dataclass(frozen=True)
-class MetaEvalReport:
+class MetaEvalReport(
+    record(
+        "MetaEvalReport",
+        "metric pairwise_accuracy n_pairs_used pearson kendall spearman name n_systems n_segments",
+    )
+):
     """Agreement of one metric with human judgments on one language pair / task."""
 
-    metric: str
-    pairwise_accuracy: float
-    n_pairs_used: int
-    pearson: float
-    kendall: float | None = None
-    spearman: dict[str, float] | None = None
-    name: str | None = None
-    n_systems: int = 0
-    n_segments: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.pairwise_accuracy <= 1.0:
-            raise ValueError(f"accuracy out of [0, 1]: {self.pairwise_accuracy}")
-        for value in self._correlations():
+    def __new__(
+        cls,
+        metric: str,
+        pairwise_accuracy: float,
+        n_pairs_used: int,
+        pearson: float,
+        kendall: float | None = None,
+        spearman: dict[str, float] | None = None,
+        name: str | None = None,
+        n_systems: int = 0,
+        n_segments: int = 0,
+    ):
+        if not 0.0 <= pairwise_accuracy <= 1.0:
+            raise ValueError(f"accuracy out of [0, 1]: {pairwise_accuracy}")
+        correlations = [pearson]
+        if kendall is not None:
+            correlations.append(kendall)
+        if spearman:
+            correlations.extend(spearman.values())
+        for value in correlations:
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"correlation out of [-1, 1]: {value}")
-
-    def _correlations(self):
-        values = [self.pearson]
-        if self.kendall is not None:
-            values.append(self.kendall)
-        if self.spearman:
-            values.extend(self.spearman.values())
-        return values
+        return tuple.__new__(
+            cls,
+            (metric, pairwise_accuracy, n_pairs_used, pearson, kendall, spearman, name, n_systems, n_segments),
+        )
 
 
-@dataclass(frozen=True)
-class LeakageGapReport:
+class LeakageGapReport(record("LeakageGapReport", "system_a system_b delta_single delta_multi")):
     """How much a between-system score gap changes from single- to multi-reference."""
 
-    system_a: str
-    system_b: str
-    delta_single: float
-    delta_multi: float
+    __slots__ = ()
 
     @property
     def shrinkage(self) -> float:

@@ -8,17 +8,16 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from . import kernels
+from .records import Fields, record
 from .textproc import tokenize_chars, tokenize_subwords, tokens_of
 
 SMOOTHING_METHODS = ("none", "exp")
 REF_LENGTH_MODES = ("closest", "shortest")
 
 
-@dataclass(frozen=True)
-class BleuConfig:
+class BleuConfig(record("BleuConfig", "max_order smoothing effective_ref_length")):
     """BLEU scoring knobs.
 
     `smoothing="exp"` is the doubling scheme: a running factor s starts at 1
@@ -29,60 +28,63 @@ class BleuConfig:
     "shortest" always takes the minimum.
     """
 
-    max_order: int = 4
-    smoothing: str = "exp"
-    effective_ref_length: str = "closest"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
-        if self.smoothing not in SMOOTHING_METHODS:
-            raise ValueError(f"unknown smoothing {self.smoothing!r}")
-        if self.effective_ref_length not in REF_LENGTH_MODES:
-            raise ValueError(
-                f"unknown effective_ref_length {self.effective_ref_length!r}"
-            )
+    def __new__(
+        cls, max_order: int = 4, smoothing: str = "exp", effective_ref_length: str = "closest"
+    ):
+        if max_order < 1:
+            raise ValueError(f"max_order must be >= 1, got {max_order}")
+        if smoothing not in SMOOTHING_METHODS:
+            raise ValueError(f"unknown smoothing {smoothing!r}")
+        if effective_ref_length not in REF_LENGTH_MODES:
+            raise ValueError(f"unknown effective_ref_length {effective_ref_length!r}")
+        return tuple.__new__(cls, (max_order, smoothing, effective_ref_length))
 
 
-@dataclass(frozen=True)
-class MetricScore:
-    """A scalar metric value in [0, 100] plus per-order diagnostics."""
+class MetricScore(record("MetricScore", "value per_order detail")):
+    """A scalar metric value in [0, 100] plus per-order diagnostics.
 
-    value: float
-    per_order: tuple[float, ...] | None = None
-    detail: dict = field(default_factory=dict)
+    A value within 1e-9 outside [0, 100] is clamped into it; `detail`
+    defaults to a new empty dict.
+    """
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"metric value must be finite, got {self.value}")
-        if self.value < -1e-9 or self.value > 100.0 + 1e-9:
-            raise ValueError(f"metric value out of [0, 100]: {self.value}")
-        object.__setattr__(self, "value", min(max(self.value, 0.0), 100.0))
-        if self.per_order is not None:
-            for p in self.per_order:
+    __slots__ = ()
+
+    def __new__(
+        cls, value: float, per_order: tuple[float, ...] | None = None, detail: dict | None = None
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"metric value must be finite, got {value}")
+        if value < -1e-9 or value > 100.0 + 1e-9:
+            raise ValueError(f"metric value out of [0, 100]: {value}")
+        if per_order is not None:
+            for p in per_order:
                 if p < -1e-12 or p > 1.0 + 1e-12:
                     raise ValueError(f"per-order entry out of [0, 1]: {p}")
+        value = min(max(value, 0.0), 100.0)
+        return tuple.__new__(cls, (value, per_order, {} if detail is None else detail))
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(Fields):
     """Additive sufficient statistics for corpus-level BLEU.
 
     Segment stats combine by summation, so corpus aggregation is an
     associative, commutative reduction.
     """
 
-    matched: list[int]
-    totals: list[int]
-    hyp_len: int = 0
-    ref_len: int = 0
+    __slots__ = _fields = ("matched", "totals", "hyp_len", "ref_len")
 
-    def __post_init__(self):
-        if len(self.matched) != len(self.totals):
+    def __init__(self, matched: list[int], totals: list[int], hyp_len: int = 0, ref_len: int = 0):
+        if len(matched) != len(totals):
             raise ValueError("matched and totals must have the same length")
-        for m, t in zip(self.matched, self.totals):
+        for m, t in zip(matched, totals):
             if m < 0 or t < 0 or m > t:
                 raise ValueError(f"invalid counts: matched={m}, total={t}")
+        self.matched = matched
+        self.totals = totals
+        self.hyp_len = hyp_len
+        self.ref_len = ref_len
 
     @classmethod
     def zero(cls, max_order: int) -> "CorpusStats":

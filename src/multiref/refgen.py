@@ -18,12 +18,12 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .corpus_io import bool_field, id_field, jsonl_line, read_jsonl, text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
+from .records import record
 
 #: Environment variables consulted for the API key, in order.
 API_KEY_ENV_VARS = ("MULTIREF_API_KEY", "OPENAI_API_KEY")
@@ -36,20 +36,16 @@ GROUND_TRUTH_LABEL = "Ground Truth:"
 MAX_RETRY_SLEEP_S = 60.0
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(record("PromptTemplate", "rules task_description include_ground_truth")):
     """Rules + parameterized task description, optionally with a gold block."""
 
-    rules: str
-    task_description: str
-    include_ground_truth: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rules: str, task_description: str, include_ground_truth: bool = True):
         for placeholder in (N_PLACEHOLDER, SOURCE_PLACEHOLDER):
-            if self.task_description.count(placeholder) != 1:
-                raise ValueError(
-                    f"task_description must contain exactly one {placeholder!r}"
-                )
+            if task_description.count(placeholder) != 1:
+                raise ValueError(f"task_description must contain exactly one {placeholder!r}")
+        return tuple.__new__(cls, (rules, task_description, include_ground_truth))
 
     @classmethod
     def from_json(cls, spec: dict) -> "PromptTemplate":
@@ -106,37 +102,46 @@ BUILTIN_TEMPLATES = {
 DEFAULT_N_REFERENCES = {"translation": 40, "summarization": 10}
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    model_name: str = "gpt-3.5-turbo"
-    n_references: int = 40
-    endpoint_url: str = "https://api.openai.com/v1/chat/completions"
-    max_retries: int = 3
-    timeout: float = 120.0
-    concurrency: int = 1
+class GenerationConfig(
+    record(
+        "GenerationConfig",
+        "model_name n_references endpoint_url max_retries timeout concurrency",
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_references < 1:
+    def __new__(
+        cls,
+        model_name: str = "gpt-3.5-turbo",
+        n_references: int = 40,
+        endpoint_url: str = "https://api.openai.com/v1/chat/completions",
+        max_retries: int = 3,
+        timeout: float = 120.0,
+        concurrency: int = 1,
+    ):
+        if n_references < 1:
             raise ValueError("n_references must be >= 1")
-        if self.max_retries < 0:
+        if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.concurrency < 1:
+        if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a finite number of seconds > 0, got {self.timeout}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout}")
+        return tuple.__new__(
+            cls, (model_name, n_references, endpoint_url, max_retries, timeout, concurrency)
+        )
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(
+    record(
+        "GenerationRecord",
+        "segment_id prompt_used raw_response candidates attempt_count timestamp error",
+        defaults=(None,),
+    )
+):
     """Audit record of one segment's generation attempt(s)."""
 
-    segment_id: str
-    prompt_used: str
-    raw_response: str
-    candidates: tuple[str, ...]
-    attempt_count: int
-    timestamp: str
-    error: str | None = None
+    __slots__ = ()
 
     @property
     def succeeded(self) -> bool:

@@ -18,13 +18,13 @@ determines its tokens. The caches change no result, and no flag turns them off.
 """
 
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 
 from .corpus_io import read_lines
 from .errors import CorpusFormatError
+from .records import Fields
 
 #: SentencePiece-style word-boundary marker prefixed to every word.
 WORD_MARKER = "▁"
@@ -39,24 +39,34 @@ WORD_CACHE_SIZE = 1 << 16
 SUBWORD_CACHE_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class SubwordVocab:
-    """Subword inventory used for greedy longest-match segmentation."""
+class SubwordVocab(Fields):
+    """Subword inventory used for greedy longest-match segmentation; immutable and hashable."""
 
-    entries: frozenset[str]
-    unk_piece: str = DEFAULT_UNK_PIECE
+    _fields = ("entries", "unk_piece")
+    __slots__ = (*_fields, "_segment")
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: frozenset[str], unk_piece: str = DEFAULT_UNK_PIECE):
+        if not entries:
             raise ValueError("subword vocabulary must not be empty")
-        if "" in self.entries:
+        if "" in entries:
             raise ValueError("subword vocabulary must not contain the empty string")
-        if not self.unk_piece:
+        if not unk_piece:
             raise ValueError("the unk piece must not be empty")
-        object.__setattr__(self, "_max_len", max(len(e) for e in self.entries))
+        max_len = max(len(e) for e in entries)
         # word -> its pieces; bound to this instance's entries, not keyed by them.
-        segment = partial(_segment_word, self.entries, self._max_len, self.unk_piece)
+        segment = partial(_segment_word, entries, max_len, unk_piece)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "unk_piece", unk_piece)
         object.__setattr__(self, "_segment", lru_cache(maxsize=SUBWORD_CACHE_SIZE)(segment))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __reduce__(self):
         # Pickle and copy the fields only; the copy builds its own cache.

@@ -7,6 +7,7 @@ import pytest
 from multiref.corpus_io import (
     EvalCorpus,
     Segment,
+    jsonl_line,
     load_corpus,
     load_outputs,
     load_segments,
@@ -207,6 +208,32 @@ class TestDecodeParity:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got = [record for _lineno, record in read_jsonl(path, dict, "record")]
         assert repr(got) == repr([json.loads(line.strip()) for line in lines])
+
+
+class TestEncodeParity:
+    """jsonl_line writes what `json.dumps(record, ensure_ascii=False)` writes, plus a newline."""
+
+    RECORDS = [
+        {"text": "é 中文 \u2028 \ud800 \"quoted\"\n", "emoji": "🙂"},
+        {"nested": {"a": [1, [2, {"b": None}]], "empty": {}, "none": []}},
+        {"floats": [-0.0, 0.0, 1e16, 1e-7, 2.5, float("nan"), float("inf"), -float("inf")]},
+        {"ints": [0, -1, 10**30], "bools": [True, False], "null": None},
+        {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+        [1, "top-level list"],
+    ]
+
+    @pytest.mark.parametrize("value", RECORDS, ids=range(len(RECORDS)))
+    def test_line_equals_json_dumps(self, value):
+        assert jsonl_line(value) == json.dumps(value, ensure_ascii=False) + "\n"
+
+    def test_failed_encode_leaves_no_state(self):
+        record = {"segment_id": "s1", "candidates": {"a", "b"}, "inner": {"x": [1.5]}}
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            jsonl_line(record)
+        # The same dict, mended: an encoder that kept the failed encode's
+        # circular-reference markers would see a cycle here.
+        record["candidates"] = sorted(record["candidates"])
+        assert jsonl_line(record) == json.dumps(record, ensure_ascii=False) + "\n"
 
 
 class TestLoadGenerationRecords:

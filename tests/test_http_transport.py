@@ -1,7 +1,6 @@
 """HttpChatTransport against a loopback HTTP server; no external network."""
 
 import collections
-import dataclasses
 import email.utils
 import json
 import os
@@ -239,7 +238,7 @@ OK = (200, chat_payload("ok"), {})
 @pytest.mark.parametrize("fault", ["stall", "reset", "truncate"])
 def test_connection_fault_retried_with_backoff(server, sleeps, fault):
     ScriptedHandler.script = [(200, chat_payload("lost"), {}, fault), OK]
-    cfg = dataclasses.replace(config_for(server), timeout=0.2)
+    cfg = config_for(server)._replace(timeout=0.2)
     assert HttpChatTransport(api_key="sk-test").complete("p", cfg) == "ok"
     assert len(ScriptedHandler.requests) == 2
     assert sleeps == [1.0]

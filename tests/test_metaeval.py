@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -397,7 +396,7 @@ class TestMetaEvaluateAll:
         for report in reports:
             metric_scores = scores_by_metric[report.metric]
             alone = meta_evaluate(metric_scores, judgments, report.metric, name="xx-yy")
-            assert dataclasses.asdict(report) == dataclasses.asdict(alone)
+            assert report._asdict() == alone._asdict()
 
             by_system = {}
             for (system, _segment), value in metric_scores.items():
