@@ -7,6 +7,7 @@ re-evaluate as often as needed.
 
 import argparse
 import json
+import math
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
@@ -494,16 +495,24 @@ def _combined_matrix(args) -> dict:
 def cmd_combine(args) -> int:
     combined_by_metric = _combined_matrix(args)
     metrics = sorted(combined_by_metric)
-    if args.out:
-        write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
-                               for metric in metrics
-                               for (system, segment), score in combined_by_metric[metric].items()))
+    # The summary comes first, so that a matrix it fails on writes nothing.
     summary: dict[str, dict[str, float]] = {}
     for metric in metrics:
         per_system: dict[str, dict[str, float]] = {}
         for (system, segment), score in combined_by_metric[metric].items():
             per_system.setdefault(system, {})[segment] = score
-        summary[metric] = {system: system_score(scores) for system, scores in per_system.items()}
+        summary[metric] = {}
+        for system, scores in per_system.items():
+            try:
+                summary[metric][system] = system_score(scores)
+            except ValueError as exc:
+                raise CorpusFormatError(
+                    f"cannot score system {system!r} on metric {metric!r}: {exc}", args.matrix
+                ) from None
+    if args.out:
+        write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
+                               for metric in metrics
+                               for (system, segment), score in combined_by_metric[metric].items()))
     _print_summary(summary)
     if args.summary:
         write_json(args.summary, {"metrics": summary, "policy": args.policy, "k": args.k})
@@ -622,6 +631,18 @@ def cmd_leakage_report(args) -> int:
         except ValueError:
             raise ValueError(f"--pair expects A,B, got {pair!r}")
         report = metaeval.leakage_gap(single, multi, a, b)
+        # Finite scores can still give gaps, or a gap ratio, past the float range.
+        against = f" against {args.multi}"
+        for path, field, value, other in (
+            (args.single, "delta_single", report.delta_single, ""),
+            (args.multi, "delta_multi", report.delta_multi, ""),
+            (args.single, "shrinkage", report.shrinkage, against),
+            (args.single, "ratio", report.ratio, against),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise CorpusFormatError(
+                    f"invalid summary: {field} of {a!r} over {b!r}{other} overflows to {value}", path
+                )
         rows.append(
             [
                 f"{a} vs {b}",

@@ -61,19 +61,31 @@ class ScoreMatrix(Fields):
         self.rows = rows
 
 
+def mean(scores) -> float:
+    """The mean of a non-empty list of finite scores: their `math.fsum` over their number.
+
+    Raises ValueError, not OverflowError, where finite scores sum past the
+    float range, so that callers report it as bad input.
+    """
+    try:
+        return math.fsum(scores) / len(scores)
+    except OverflowError:
+        raise ValueError(f"the sum of {len(scores)} scores overflows") from None
+
+
 def _reducer(policy: CombinePolicy | None):
     """The policy's reduction of one non-empty list of row scores."""
     policy = policy or CombinePolicy()
     if policy.kind == "max":
         return max
     if policy.kind == "mean":
-        return lambda scores: math.fsum(scores) / len(scores)
+        return mean
     k = policy.k
 
     def top_k_mean(scores):
         if k > len(scores):
             raise ValueError(f"k={k} exceeds the {len(scores)} available scores")
-        return math.fsum(sorted(scores, reverse=True)[:k]) / k
+        return mean(sorted(scores, reverse=True)[:k])
 
     return top_k_mean
 
@@ -103,8 +115,7 @@ def system_score(per_segment) -> float:
     """Arithmetic mean of per-segment scores; the system-level score."""
     if not per_segment:
         raise ValueError("cannot average an empty score map")
-    values = list(per_segment.values())
-    return math.fsum(values) / len(values)
+    return mean(list(per_segment.values()))
 
 
 # Exact types, as `json.loads` builds numbers: a bool is no number.
@@ -150,7 +161,7 @@ def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], ob
             raise CorpusFormatError(f"duplicate matrix row for {key}", str(path), lineno)
         try:
             rows[key] = reduce(cells, values)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise CorpusFormatError(f"cannot combine row: {exc}", str(path), lineno)
     return matrices
 

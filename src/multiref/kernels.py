@@ -2,8 +2,10 @@
 
 `Profile` holds one text's tokens and, per order, its n-gram counts, their
 number (`totals`) and the part of each count above 1 (`excess`), all filled
-once when the profile is built; its constructor is the only place in the
-package that slides an n-gram window. Everything else compares profiles:
+once when the profile is built. Its constructor is the only place in the
+package that forms n-grams: it takes the order-1 units once and builds each
+order n from order n - 1, extending every n-gram by the unit that follows it,
+so each n-gram costs one concatenation. Everything else compares profiles:
 `matches`, `clip_table`, `ref_len` (the brevity-penalty reference length)
 and `lcs_length`.
 
@@ -32,6 +34,7 @@ tests/oracles.py.
 """
 
 from collections import Counter, namedtuple
+from operator import add
 
 
 def active_backend() -> str:
@@ -42,8 +45,9 @@ def active_backend() -> str:
 class Profile:
     """One text's tokens and its n-gram statistics for orders 1..max_order.
 
-    `tokens` is a tuple of tokens or, at character level, a string, so that
-    its slices are hashable n-gram keys. Each list is indexed by order-1:
+    `tokens` is a tuple of tokens or, at character level, a string; an
+    n-gram key is then a tuple of n tokens or a string of n characters, equal
+    to the slice `tokens[i : i + n]`. Each list is indexed by order-1:
     `counts` counts the n-grams, `totals` holds their number, and `excess`
     maps each n-gram that repeats to its count minus 1, which `matches`
     needs on its own. All are filled once here; callers must not mutate them.
@@ -53,11 +57,17 @@ class Profile:
 
     def __init__(self, tokens, max_order: int):
         self.tokens = tokens
-        self.counts = [
-            Counter([tokens[i : i + n] for i in range(len(tokens) - n + 1)])
-            for n in range(1, max_order + 1)
-        ]
-        self.totals = [max(0, len(tokens) - n + 1) for n in range(1, max_order + 1)]
+        # Order 1 holds each unit as a key (a character, or a 1-tuple); order n
+        # extends each n-gram of order n - 1 by the unit n - 1 places on, one
+        # C-level concatenation per n-gram, in the same order as a sliding window.
+        units = list(tokens) if isinstance(tokens, str) else list(zip(tokens))
+        grams = units
+        self.counts, self.totals = [], []
+        for n in range(1, max_order + 1):
+            if n > 1:
+                grams = list(map(add, grams, units[n - 1 :]))
+            self.counts.append(Counter(grams))
+            self.totals.append(len(grams))
         # Most higher orders have no repeats; skip their scan, which BLEU
         # profiles (built in bulk by `select`) would pay for nothing.
         self.excess = [

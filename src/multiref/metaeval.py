@@ -11,6 +11,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
+from .combine import mean
 from .corpus_io import id_field, number_field, read_jsonl
 from .errors import CorpusFormatError, DegenerateDataError
 from .records import record
@@ -93,9 +94,8 @@ def _check_paired(x, y):
 def pearson(x, y) -> float:
     """Sample Pearson product-moment correlation."""
     _check_paired(x, y)
-    n = len(x)
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
+    mean_x = mean(x)
+    mean_y = mean(y)
     dx = [v - mean_x for v in x]
     dy = [v - mean_y for v in y]
     sxx = math.fsum(a * a for a in dx)
@@ -270,10 +270,12 @@ def system_human_scores(judgments) -> dict[str, float]:
             segment_sums.setdefault(j.system, []).append(j.score)
     if not explicit and not segment_sums:
         segment_sums = dimension_sums
-    scores = {
-        system: math.fsum(values) / len(values)
-        for system, values in segment_sums.items()
-    }
+    scores = {}
+    for system, values in segment_sums.items():
+        try:
+            scores[system] = mean(values)
+        except ValueError as exc:
+            raise ValueError(f"cannot average the human scores of system {system!r}: {exc}") from None
     scores.update(explicit)
     return scores
 
@@ -318,9 +320,14 @@ def meta_evaluate_all(
         by_system: dict[str, list[float]] = {}
         for (system, _segment), score in metric_segment_scores.items():
             by_system.setdefault(system, []).append(score)
-        metric_system = {
-            system: math.fsum(values) / len(values) for system, values in by_system.items()
-        }
+        metric_system = {}
+        for system, values in by_system.items():
+            try:
+                metric_system[system] = mean(values)
+            except ValueError as exc:
+                raise ValueError(
+                    f"cannot score system {system!r} on metric {metric_name!r}: {exc}"
+                ) from None
 
         accuracy, pairs_used = pairwise_accuracy(metric_system, human_system)
         common_systems = sorted(set(metric_system) & set(human_system))

@@ -686,6 +686,23 @@ class TestCombine:
                 assert main([*command, "--matrix", str(matrix), *policy]) == 1
                 assert capsys.readouterr().err == f"multiref: error: {reason}\n"
 
+    def test_system_mean_overflow_fails_before_writing(self, tmp_path, jsonl_writer, capsys):
+        # Each row is finite, but the system's two scores sum past the float
+        # range: math.fsum raised OverflowError, a traceback after --out was written.
+        matrix = tmp_path / "matrix.jsonl"
+        row = {"system": "a", "segment": "s1", "scores": {"r": 1e308}, "metric": "m"}
+        jsonl_writer(matrix, [row, dict(row, segment="s2")])
+        out, summary = tmp_path / "combined.jsonl", tmp_path / "summary.json"
+        code = main(["combine", "--matrix", str(matrix), "--out", str(out), "--summary", str(summary)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"multiref: error: {matrix}: cannot score system 'a' on metric 'm': "
+            "the sum of 2 scores overflows\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not summary.exists()
+
 
 def bad_matrix_cases(tmp_path, jsonl_writer):
     """(matrix path, extra CLI args, expected error) for matrix rows that fail as read."""
@@ -823,6 +840,31 @@ class TestMetaeval:
             f"multiref: error: {matrix}: cannot evaluate against {human}: all human score pairs are tied\n"
         )
 
+    def test_system_mean_overflow_fails_with_path(self, tmp_path, jsonl_writer, capsys):
+        # System A's two finite scores sum past the float range; math.fsum
+        # raised OverflowError, which ended the run in a traceback.
+        matrix = tmp_path / "matrix.jsonl"
+        human = tmp_path / "human.jsonl"
+        jsonl_writer(
+            matrix,
+            [
+                {"system": s, "segment": seg, "scores": {"r": v}, "metric": "m"}
+                for s, v in (("A", 1e308), ("B", 1.0))
+                for seg in ("s1", "s2")
+            ],
+        )
+        jsonl_writer(human, [{"system": s, "segment": None, "score": v} for s, v in (("A", 2), ("B", 1))])
+        out = tmp_path / "report.json"
+        code = main(["metaeval", "--matrix", str(matrix), "--human", str(human), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"multiref: error: {matrix}: cannot evaluate against {human}: "
+            "cannot score system 'A' on metric 'm': the sum of 2 scores overflows\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDiversity:
     def test_single_token_corpus(self, tmp_path, jsonl_writer, capsys):
@@ -907,18 +949,33 @@ class TestLeakageReport:
             (b'{"metrics": {"bleu": {}, "chrf": {}}}', "holds ['bleu', 'chrf']; pick one with --metric"),
             (b'[{"A": 1.0}]', "document must be a JSON object, got array"),
             (b'{"A": 1.0,}', "bad JSON: Expecting property name"),
+            (b'{"A": 1e308, "B": -1e308}', "delta_single of 'A' over 'B' overflows to inf"),
+            # A (single, multi) pair: the ratio of the two gaps overflows.
+            ((b'{"A": 5e-324, "B": 0}', b'{"A": 1.0, "B": 0.0}'), "ratio of 'A' over 'B' against "),
         ],
         ids=["null-score", "list-score", "nan-string-score", "numeric-string-score", "bool-score",
-             "nan-score", "array-scores", "two-metrics", "array-summary", "bad-json"],
+             "nan-score", "array-scores", "two-metrics", "array-summary", "bad-json",
+             "gap-overflow", "ratio-overflow"],
     )
     def test_bad_summary_fails_with_path(self, tmp_path, capsys, summary, reason):
         # A null or list score used to end in a traceback; a string, boolean or
-        # NaN score used to be taken as a number.
+        # NaN score used to be taken as a number; finite scores whose gap or gap
+        # ratio overflowed wrote Infinity into the report.
         path = tmp_path / "summary.json"
+        multi = path
+        if isinstance(summary, tuple):
+            summary, multi_summary = summary
+            multi = tmp_path / "multi.json"
+            multi.write_bytes(multi_summary)
         path.write_bytes(summary)
-        code = main(["leakage-report", "--single", str(path), "--multi", str(path), "--pair", "A,B"])
+        out = tmp_path / "leak.json"
+        code = main(
+            ["leakage-report", "--single", str(path), "--multi", str(multi), "--pair", "A,B",
+             "--out", str(out)]
+        )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid summary: {reason}")
+        assert not out.exists()
 
     def test_synthetic_leak_shrinks_through_pipeline(self, tmp_path, jsonl_writer):
         # System L copies the gold reference verbatim; system H paraphrases.

@@ -32,14 +32,27 @@ def profile(seq):
     return kernels.Profile(tuple(seq), 8)
 
 
-@given(tokens)
+@given(st.one_of(tokens, chars, repeating_chars))
+@example("")
+@example([])
 def test_ngram_counts_matches_oracle(seq):
-    """Profile.counts, Profile.totals and Profile.excess, for every order up to 8."""
-    counted = profile(seq)
+    """Profile.counts, Profile.totals and Profile.excess, for every order up to 8.
+
+    A list of tokens is profiled as a tuple, with tuple keys; a string is
+    profiled as chrF passes it, with each n-gram key the string of its n
+    characters. Keys must come in the order of a sliding window.
+    """
+    if isinstance(seq, str):
+        counted = kernels.Profile(seq, 8)
+        key = "".join
+    else:
+        counted = profile(seq)
+        key = tuple
     assert len(counted.counts) == len(counted.totals) == len(counted.excess) == 8
     for n in range(1, 9):
-        grams = oracles.ngram_list(seq, n)
+        grams = [key(gram) for gram in oracles.ngram_list(list(seq), n)]
         assert counted.counts[n - 1] == Counter(grams)
+        assert list(counted.counts[n - 1]) == list(dict.fromkeys(grams))
         assert counted.totals[n - 1] == len(grams)
         assert counted.excess[n - 1] == {
             g: grams.count(g) - 1 for g in grams if grams.count(g) > 1

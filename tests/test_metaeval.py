@@ -299,6 +299,12 @@ class TestHumanJudgmentIo:
         with pytest.raises(ValueError):
             HumanJudgment(system="a", score=float("inf"))
 
+    def test_overflowing_mean_rejected(self):
+        # math.fsum raised OverflowError, which no command catches.
+        judgments = [HumanJudgment("a", 1e308, segment) for segment in ("s1", "s2")]
+        with pytest.raises(ValueError, match="human scores of system 'a': the sum of 2 scores overflows"):
+            system_human_scores(judgments)
+
 
 class TestMetaEvaluate:
     def judgments(self):
