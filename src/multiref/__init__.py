@@ -8,11 +8,10 @@ human judgments.
 
 from .combine import (
     CombinePolicy,
-    MatrixRow,
-    ScoreMatrix,
     combine_matrix,
     combine_row,
     system_score,
+    system_scores,
 )
 from .corpus_io import EvalCorpus, Segment, load_corpus, merge_references
 from .diversity import (
@@ -47,12 +46,14 @@ from .metrics import (
     BleuConfig,
     CorpusStats,
     MetricScore,
+    MultiRefScorer,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
     chrf_sentence,
     rouge_l,
     rouge_n,
+    score_corpus,
     spbleu_corpus,
 )
 from .refgen import (
@@ -90,13 +91,12 @@ __all__ = [
     "HumanJudgment",
     "LeakageGapReport",
     "MalformedResponseError",
-    "MatrixRow",
     "MetaEvalReport",
     "MetricScore",
     "MockTransport",
+    "MultiRefScorer",
     "MultirefError",
     "PromptTemplate",
-    "ScoreMatrix",
     "Segment",
     "SubwordVocab",
     "TransportError",
@@ -121,12 +121,14 @@ __all__ = [
     "pearson",
     "rouge_l",
     "rouge_n",
+    "score_corpus",
     "segment_kendall",
     "select_diverse",
     "self_bleu",
     "spbleu_corpus",
     "spearman",
     "system_score",
+    "system_scores",
     "tokenize_chars",
     "tokenize_subwords",
     "tokenize_words",

@@ -7,23 +7,22 @@ re-evaluate as often as needed.
 
 import argparse
 import json
-import math
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
 from .corpus_io import json_object, number_field, read_json, write_json, write_jsonl
-# combine and metaeval no longer call load_score_matrices or combine_matrix,
-# and score no longer calls the sentence/corpus functions; they stay
-# importable here because pipebench/tracer.py wraps them under this module's
-# names.
+# pipebench/tracer.py wraps each name it traces in the module where the
+# package looks it up. load_score_matrices, combine_matrix, bleu_sentence,
+# bleu_corpus, chrf_sentence, chrf_corpus and rouge_l have no caller here:
+# they are imported only so that the tracer finds them under this module.
+# score calls write_score_matrix through this module, so the tracer's span
+# still times the matrix write.
 from .combine import (  # noqa: F401
     CombinePolicy,
-    MatrixRow,
-    ScoreMatrix,
     combine_matrix,
     load_combined,
     load_score_matrices,
-    system_score,
+    system_scores,
     write_score_matrix,
 )
 from .errors import CorpusFormatError, MultirefError
@@ -36,6 +35,7 @@ from .metrics import (  # noqa: F401
     chrf_corpus,
     chrf_sentence,
     rouge_l,
+    score_corpus,
 )
 from .textproc import load_subword_vocab, tokenize_subwords, tokenize_words
 
@@ -370,27 +370,6 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
     return low, high
 
 
-def _segments(corpus, mode: str, max_generated):
-    """(segment id, hypothesis by system, references, gold count) in segment-id order.
-
-    The references are the gold ones first (none under `--refs generated`),
-    then the generated ones up to `max_generated`.
-    """
-    segments_by_id = {segment.id: segment for segment in corpus.segments}
-    systems = sorted(corpus.systems)
-    for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
-        segment = segments_by_id[segment_id]
-        refs = segment.scoring_refs(mode, max_generated)
-        if not refs:
-            raise ValueError(f"segment {segment_id!r} has no references under --refs {mode}")
-        hyps = {
-            system: corpus.systems[system][segment_id]
-            for system in systems
-            if segment_id in corpus.systems[system]
-        }
-        yield segment_id, hyps, refs, 0 if mode == "generated" else len(segment.gold_refs)
-
-
 def cmd_score(args) -> int:
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     if not metrics:
@@ -425,32 +404,11 @@ def cmd_score(args) -> int:
         low, high = _parse_sweep(args.sweep_refs)
         counts = range(low, high + 1)
 
-    systems = sorted(corpus.systems)
-    # (count, system, metric) -> corpus parts, and (metric, system) -> matrix rows, in segment order.
-    parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
-    rows = {(metric, system): [] for metric in metrics for system in systems}
-    for segment_id, hyps, refs, n_gold in _segments(corpus, mode, counts[-1]):
-        scores = scorer.segment(hyps, refs)
-        ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(refs) - n_gold)]
-        for k in counts:
-            # The references for count k are the first n_gold + k of those for the largest count.
-            n_refs = None if k is None else n_gold + k
-            for system in hyps:
-                for metric in metrics:
-                    value, part = scores.joint(system, metric, n_refs)
-                    parts[k, system, metric].append(part)
-                    if args.out:
-                        cells = {"all": value}
-                        if args.per_reference:
-                            cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
-                        rows[metric, system].append(MatrixRow(system, segment_id, cells))
-        del scores  # drop this segment's profiles before the next segment's are built
-
+    scores, rows = score_corpus(scorer, corpus, mode, counts, args.per_reference and bool(args.out))
     if args.sweep_refs:
         series = [
-            {"metric": metric, "system": system, "refs": k,
-             "score": scorer.corpus(metric, values).value}
-            for (k, system, metric), values in parts.items()
+            {"metric": metric, "system": system, "refs": k, "score": score.value}
+            for (k, system, metric), score in scores.items()
         ]
         print(_format_table(
             ["metric", "system", "refs", "score"],
@@ -460,22 +418,12 @@ def cmd_score(args) -> int:
             write_json(args.summary, {"sweep": series})
         return 0
 
-    summary = {
-        metric: {
-            system: scorer.corpus(metric, parts[args.max_refs, system, metric]).value
-            for system in systems
-        }
-        for metric in metrics
-    }
+    summary = {metric: {} for metric in metrics}
+    for (_k, system, metric), score in scores.items():
+        summary[metric][system] = score.value
     _print_summary(summary)
-
     if args.out:
-        for i, metric in enumerate(metrics):
-            matrix = ScoreMatrix(
-                metric_name=metric,
-                rows=[row for system in systems for row in rows[metric, system]],
-            )
-            write_score_matrix(args.out, matrix, append=i > 0)
+        write_score_matrix(args.out, rows)
     if args.summary:
         write_json(args.summary, {"metrics": summary, "refs_mode": mode, "max_refs": args.max_refs})
     return 0
@@ -496,19 +444,10 @@ def cmd_combine(args) -> int:
     combined_by_metric = _combined_matrix(args)
     metrics = sorted(combined_by_metric)
     # The summary comes first, so that a matrix it fails on writes nothing.
-    summary: dict[str, dict[str, float]] = {}
-    for metric in metrics:
-        per_system: dict[str, dict[str, float]] = {}
-        for (system, segment), score in combined_by_metric[metric].items():
-            per_system.setdefault(system, {})[segment] = score
-        summary[metric] = {}
-        for system, scores in per_system.items():
-            try:
-                summary[metric][system] = system_score(scores)
-            except ValueError as exc:
-                raise CorpusFormatError(
-                    f"cannot score system {system!r} on metric {metric!r}: {exc}", args.matrix
-                ) from None
+    try:
+        summary = {metric: system_scores(combined_by_metric[metric], metric) for metric in metrics}
+    except ValueError as exc:
+        raise CorpusFormatError(str(exc), args.matrix) from None
     if args.out:
         write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
                                for metric in metrics
@@ -630,19 +569,15 @@ def cmd_leakage_report(args) -> int:
             a, b = (part.strip() for part in pair.split(",", 1))
         except ValueError:
             raise ValueError(f"--pair expects A,B, got {pair!r}")
-        report = metaeval.leakage_gap(single, multi, a, b)
-        # Finite scores can still give gaps, or a gap ratio, past the float range.
-        against = f" against {args.multi}"
-        for path, field, value, other in (
-            (args.single, "delta_single", report.delta_single, ""),
-            (args.multi, "delta_multi", report.delta_multi, ""),
-            (args.single, "shrinkage", report.shrinkage, against),
-            (args.single, "ratio", report.ratio, against),
-        ):
-            if value is not None and not math.isfinite(value):
-                raise CorpusFormatError(
-                    f"invalid summary: {field} of {a!r} over {b!r}{other} overflows to {value}", path
-                )
+        try:
+            report = metaeval.leakage_gap(single, multi, a, b)
+        except metaeval.GapOverflowError as exc:
+            # A gap is one summary's fault; the shrinkage and the ratio are both summaries'.
+            path = args.multi if exc.field == "delta_multi" else args.single
+            against = f" against {args.multi}" if exc.field in ("shrinkage", "ratio") else ""
+            raise CorpusFormatError(
+                f"invalid summary: {exc.field} of {a!r} over {b!r}{against} overflows to {exc.value}", path
+            ) from None
         rows.append(
             [
                 f"{a} vs {b}",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .corpus_io import id_field, number_field, read_jsonl, write_jsonl
 from .errors import CorpusFormatError
-from .records import Fields, record
+from .records import record
 
 COMBINE_KINDS = ("max", "mean", "top_k_mean")
 
@@ -28,37 +28,6 @@ class CombinePolicy(record("CombinePolicy", "kind k")):
         elif k is not None:
             raise ValueError(f"k is only valid for top_k_mean, not {kind!r}")
         return tuple.__new__(cls, (kind, k))
-
-
-class MatrixRow(record("MatrixRow", "system segment scores")):
-    """Per-reference scores of one hypothesis."""
-
-    __slots__ = ()
-
-    def __new__(cls, system: str, segment: str, scores: dict[str, float]):
-        if not scores:
-            raise ValueError("matrix row must have at least one score")
-        for ref_id, score in scores.items():
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score for ({system}, {segment}, {ref_id})")
-        return tuple.__new__(cls, (system, segment, scores))
-
-
-class ScoreMatrix(Fields):
-    """All rows of one metric, keyed by (system, segment)."""
-
-    __slots__ = _fields = ("metric_name", "rows")
-
-    def __init__(self, metric_name: str, rows: list[MatrixRow] | None = None):
-        rows = [] if rows is None else rows
-        seen = set()
-        for row in rows:
-            key = (row.system, row.segment)
-            if key in seen:
-                raise ValueError(f"duplicate matrix row for {key}")
-            seen.add(key)
-        self.metric_name = metric_name
-        self.rows = rows
 
 
 def mean(scores) -> float:
@@ -100,15 +69,12 @@ def combine_row(scores, policy: CombinePolicy | None = None) -> float:
 
 
 def combine_matrix(
-    matrix: ScoreMatrix, policy: CombinePolicy | None = None
+    rows: dict[tuple[str, str], dict[str, float]], policy: CombinePolicy | None = None
 ) -> dict[tuple[str, str], float]:
-    """Apply combine_row per row; keys are (system, segment)."""
-    if not matrix.rows:
+    """Apply combine_row to each `{(system, segment): {ref: score}}` row, keeping the keys."""
+    if not rows:
         raise ValueError("cannot combine an empty matrix")
-    return {
-        (row.system, row.segment): combine_row(row.scores.values(), policy)
-        for row in matrix.rows
-    }
+    return {key: combine_row(cells.values(), policy) for key, cells in rows.items()}
 
 
 def system_score(per_segment) -> float:
@@ -116,6 +82,23 @@ def system_score(per_segment) -> float:
     if not per_segment:
         raise ValueError("cannot average an empty score map")
     return mean(list(per_segment.values()))
+
+
+def system_scores(combined: dict[tuple[str, str], float], metric: str) -> dict[str, float]:
+    """The mean score of each system of `{(system, segment): score}`, in first-seen order.
+
+    Raises ValueError naming the system and `metric` where the mean overflows.
+    """
+    by_system: dict[str, list[float]] = {}
+    for (system, _segment), score in combined.items():
+        by_system.setdefault(system, []).append(score)
+    scores = {}
+    for system, values in by_system.items():
+        try:
+            scores[system] = mean(values)
+        except ValueError as exc:
+            raise ValueError(f"cannot score system {system!r} on metric {metric!r}: {exc}") from None
+    return scores
 
 
 # Exact types, as `json.loads` builds numbers: a bool is no number.
@@ -166,16 +149,9 @@ def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], ob
     return matrices
 
 
-def load_score_matrices(path: str | Path) -> dict[str, ScoreMatrix]:
-    """Read a matrix JSONL file, grouping rows by metric name, in file order."""
-    matrices = _read_matrix(path, lambda cells, values: dict(zip(cells, values)))
-    return {
-        metric: ScoreMatrix(
-            metric,
-            [MatrixRow(system, segment, scores) for (system, segment), scores in rows.items()],
-        )
-        for metric, rows in matrices.items()
-    }
+def load_score_matrices(path: str | Path) -> dict[str, dict[tuple[str, str], dict[str, float]]]:
+    """Read a matrix JSONL file as `{metric: {(system, segment): {ref: score}}}`, in file order."""
+    return _read_matrix(path, lambda cells, values: dict(zip(cells, values)))
 
 
 def load_combined(
@@ -190,10 +166,9 @@ def load_combined(
     return _read_matrix(path, lambda _cells, values: reduce(values))
 
 
-def write_score_matrix(path: str | Path, matrix: ScoreMatrix, append: bool = False) -> None:
-    metric = matrix.metric_name
-    rows = (
-        {"system": row.system, "segment": row.segment, "scores": row.scores, "metric": metric}
-        for row in matrix.rows
-    )
-    write_jsonl(path, rows, append)
+def write_score_matrix(path: str | Path, rows) -> None:
+    """Write `(metric, system, segment, {ref: score})` rows as a matrix JSONL file, in order."""
+    write_jsonl(path, (
+        {"system": system, "segment": segment, "scores": cells, "metric": metric}
+        for metric, system, segment, cells in rows
+    ))

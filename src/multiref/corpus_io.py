@@ -245,9 +245,9 @@ def jsonl_line(record) -> str:
     return "".join(_encode_chunks(record, 0)) + "\n"
 
 
-def write_jsonl(path: str | Path, records, append: bool = False) -> None:
+def write_jsonl(path: str | Path, records) -> None:
     """Write each of `records` (any iterable, consumed once) as one UTF-8 JSONL line."""
-    with open(path, "a" if append else "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(map(jsonl_line, records))
 
 

@@ -11,7 +11,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
 
-from .combine import mean
+from .combine import mean, system_scores
 from .corpus_io import id_field, number_field, read_jsonl
 from .errors import CorpusFormatError, DegenerateDataError
 from .records import record
@@ -68,6 +68,15 @@ class MetaEvalReport(
         )
 
 
+class GapOverflowError(ValueError):
+    """A leakage gap, or gap ratio, of finite scores that is past the float range."""
+
+    def __init__(self, field: str, value: float, a: str, b: str):
+        super().__init__(f"{field} of {a!r} over {b!r} overflows to {value}")
+        self.field = field
+        self.value = value
+
+
 class LeakageGapReport(record("LeakageGapReport", "system_a system_b delta_single delta_multi")):
     """How much a between-system score gap changes from single- to multi-reference."""
 
@@ -102,7 +111,11 @@ def pearson(x, y) -> float:
     syy = math.fsum(b * b for b in dy)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("pearson is undefined for zero-variance input")
-    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
+    product = sxx * syy
+    if not math.isfinite(product):
+        # A deviation, sxx or syy past the float range makes this infinite too.
+        raise ValueError(f"pearson of {len(x)} pairs overflows the float range")
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(product)
     return min(max(r, -1.0), 1.0)
 
 
@@ -215,17 +228,26 @@ def _segment_kendall(human_keys, metric_scores, human_scores) -> float:
 
 
 def leakage_gap(scores_single, scores_multi, a: str, b: str) -> LeakageGapReport:
-    """Score gap of system a over system b under single- vs multi-reference scoring."""
+    """Score gap of system a over system b under single- vs multi-reference scoring.
+
+    Raises GapOverflowError where finite scores give a gap, shrinkage or
+    ratio past the float range.
+    """
     for name, scores in (("single", scores_single), ("multi", scores_multi)):
         for system in (a, b):
             if system not in scores:
                 raise ValueError(f"system {system!r} missing from {name}-reference scores")
-    return LeakageGapReport(
+    report = LeakageGapReport(
         system_a=a,
         system_b=b,
         delta_single=scores_single[a] - scores_single[b],
         delta_multi=scores_multi[a] - scores_multi[b],
     )
+    for field in ("delta_single", "delta_multi", "shrinkage", "ratio"):
+        value = getattr(report, field)
+        if value is not None and not math.isfinite(value):
+            raise GapOverflowError(field, value, a, b)
+    return report
 
 
 def _judgment(record: dict) -> HumanJudgment:
@@ -317,17 +339,7 @@ def meta_evaluate_all(
         metric_segment_scores = scores_by_metric[metric_name]
         if not metric_segment_scores:
             raise ValueError("no metric scores given")
-        by_system: dict[str, list[float]] = {}
-        for (system, _segment), score in metric_segment_scores.items():
-            by_system.setdefault(system, []).append(score)
-        metric_system = {}
-        for system, values in by_system.items():
-            try:
-                metric_system[system] = mean(values)
-            except ValueError as exc:
-                raise ValueError(
-                    f"cannot score system {system!r} on metric {metric_name!r}: {exc}"
-                ) from None
+        metric_system = system_scores(metric_segment_scores, metric_name)
 
         accuracy, pairs_used = pairwise_accuracy(metric_system, human_system)
         common_systems = sorted(set(metric_system) & set(human_system))

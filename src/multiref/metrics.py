@@ -421,6 +421,56 @@ class SegmentScores:
         return [values[i] for i in self._slots]
 
 
+def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(None,),
+                 per_reference: bool = False):
+    """Corpus scores at each generated-reference count, and the matrix rows of the largest.
+
+    `corpus` is an `EvalCorpus`. A segment's references are its gold ones
+    (none under mode "generated") followed by the first k of its generated
+    ones (none under mode "gold") for each k of `counts`, ascending, where
+    None keeps them all. Returns `({(k, system, metric): MetricScore}` in
+    (k, sorted system, metric) order, `[(metric, system, segment, cells)]`
+    metric-major, then by system, then by segment id). A row's cells are
+    `{"all": value}` against the references of the largest count or, with
+    `per_reference`, one single-reference value each under the id
+    `gold:i` or `gen:i`.
+    """
+    metrics = scorer.metrics
+    systems = sorted(corpus.systems)
+    largest = counts[-1]
+    parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
+    rows = {(metric, system): [] for metric in metrics for system in systems}
+    segments_by_id = {segment.id: segment for segment in corpus.segments}
+    for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
+        segment = segments_by_id[segment_id]
+        refs = segment.scoring_refs(mode, largest)
+        if not refs:
+            raise ValueError(f"segment {segment_id!r} has no references under --refs {mode}")
+        n_gold = 0 if mode == "generated" else len(segment.gold_refs)
+        hyps = {
+            system: corpus.systems[system][segment_id]
+            for system in systems
+            if segment_id in corpus.systems[system]
+        }
+        scores = scorer.segment(hyps, refs)
+        ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(refs) - n_gold)]
+        for k in counts:
+            # The references for count k are the first n_gold + k of those for the largest count.
+            n_refs = None if k is None else n_gold + k
+            for system in hyps:
+                for metric in metrics:
+                    value, part = scores.joint(system, metric, n_refs)
+                    parts[k, system, metric].append(part)
+                    if k == largest:
+                        cells = {"all": value}
+                        if per_reference:
+                            cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
+                        rows[metric, system].append((metric, system, segment_id, cells))
+        del scores  # drop this segment's profiles before the next segment's are built
+    corpus_scores = {key: scorer.corpus(key[2], values) for key, values in parts.items()}
+    return corpus_scores, [row for system_rows in rows.values() for row in system_rows]
+
+
 # ------------------------------ sentence and corpus functions on the scorer
 
 

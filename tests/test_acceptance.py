@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from multiref.cli import main
-from multiref.combine import CombinePolicy, MatrixRow, combine_row
+from multiref.combine import CombinePolicy, combine_matrix, combine_row
 from multiref.diversity import distinct_n, select_diverse, self_bleu, CandidateSet
 from multiref.errors import DegenerateDataError
 from multiref.metaeval import (
@@ -140,8 +140,8 @@ def test_criterion_04_max_combination():
     rng = random.Random(104)
     for _ in range(120):
         scores = {f"r{i}": rng.uniform(-3, 3) for i in range(rng.randint(1, 8))}
-        row = MatrixRow("sys", "seg", dict(scores))
-        combined = combine_row(row.scores.values(), CombinePolicy("max"))
+        rows = {("sys", "seg"): dict(scores)}
+        combined = combine_matrix(rows, CombinePolicy("max"))["sys", "seg"]
         assert all(combined >= s for s in scores.values())
         grown = combine_row(
             list(scores.values()) + [rng.uniform(-3, 3)], CombinePolicy("max")

@@ -865,6 +865,29 @@ class TestMetaeval:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_pearson_overflow_fails_with_path(self, tmp_path, jsonl_writer, capsys):
+        # The system scores' squared deviations overflow; pearson was printed
+        # as -0.000 (the values scaled to 1, -1, 0 give -1.000) with exit 0.
+        matrix = tmp_path / "matrix.jsonl"
+        human = tmp_path / "human.jsonl"
+        jsonl_writer(matrix, [
+            {"system": s, "segment": "s1", "scores": {"r": v}, "metric": "m"}
+            for s, v in (("A", 1e200), ("B", -1e200), ("C", 0.0))
+        ])
+        jsonl_writer(human, [
+            {"system": s, "segment": None, "score": v} for s, v in (("A", 1), ("B", 3), ("C", 2))
+        ])
+        out = tmp_path / "report.json"
+        code = main(["metaeval", "--matrix", str(matrix), "--human", str(human), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"multiref: error: {matrix}: cannot evaluate against {human}: "
+            "pearson of 3 pairs overflows the float range\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestDiversity:
     def test_single_token_corpus(self, tmp_path, jsonl_writer, capsys):
@@ -976,6 +999,28 @@ class TestLeakageReport:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid summary: {reason}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("single, multi, culprit, reason", [
+        ({"A": 1e308, "B": -1e308}, {"A": 1.0, "B": 0.0}, "single",
+         "delta_single of 'A' over 'B' overflows to inf"),
+        ({"A": 1.0, "B": 0.0}, {"A": -1e308, "B": 1e308}, "multi",
+         "delta_multi of 'A' over 'B' overflows to -inf"),
+        ({"A": 1e308, "B": 0.0}, {"A": -1e308, "B": 0.0}, "single",
+         "shrinkage of 'A' over 'B' against {multi} overflows to -inf"),
+        ({"A": 5e-324, "B": 0.0}, {"A": 1.0, "B": 0.0}, "single",
+         "ratio of 'A' over 'B' against {multi} overflows to inf"),
+    ], ids=["delta-single", "delta-multi", "shrinkage", "ratio"])
+    def test_overflowing_gap_names_its_summary(self, tmp_path, capsys, single, multi, culprit, reason):
+        paths = {"single": tmp_path / "single.json", "multi": tmp_path / "multi.json"}
+        paths["single"].write_text(json.dumps(single))
+        paths["multi"].write_text(json.dumps(multi))
+        code = main(["leakage-report", "--single", str(paths["single"]), "--multi", str(paths["multi"]),
+                     "--pair", "A,B"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"multiref: error: {paths[culprit]}: invalid summary: "
+            f"{reason.format(multi=paths['multi'])}\n"
+        )
 
     def test_synthetic_leak_shrinks_through_pipeline(self, tmp_path, jsonl_writer):
         # System L copies the gold reference verbatim; system H paraphrases.

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 import oracles
 from multiref.combine import (
     CombinePolicy,
-    MatrixRow,
-    ScoreMatrix,
     combine_matrix,
     combine_row,
     load_combined,
     load_score_matrices,
     system_score,
+    system_scores,
     write_score_matrix,
 )
 from multiref.errors import CorpusFormatError
@@ -71,17 +70,13 @@ class TestCombineRow:
 
 class TestCombineMatrix:
     def matrix(self):
-        return ScoreMatrix(
-            "bleurt",
-            [
-                MatrixRow("sysA", "s1", {"r0": 0.1, "r1": 0.9, "r2": 0.4}),
-                MatrixRow("sysA", "s2", {"r0": 0.7, "r1": 0.2, "r2": 0.3}),
-            ],
-        )
+        return {
+            ("sysA", "s1"): {"r0": 0.1, "r1": 0.9, "r2": 0.4},
+            ("sysA", "s2"): {"r0": 0.7, "r1": 0.2, "r2": 0.3},
+        }
 
     def test_single_column_is_identity(self):
-        matrix = ScoreMatrix("m", [MatrixRow("a", "s1", {"only": 0.42})])
-        assert combine_matrix(matrix) == {("a", "s1"): 0.42}
+        assert combine_matrix({("a", "s1"): {"only": 0.42}}) == {("a", "s1"): 0.42}
 
     def test_per_row_maxima(self):
         combined = combine_matrix(self.matrix(), CombinePolicy("max"))
@@ -91,31 +86,36 @@ class TestCombineMatrix:
         assert len(combine_matrix(self.matrix())) == 2
 
     def test_column_permutation_invariance(self):
-        rows = [MatrixRow("a", "s1", {"x": 0.3, "y": 0.6, "z": 0.1})]
-        permuted = [MatrixRow("a", "s1", {"z": 0.1, "x": 0.3, "y": 0.6})]
+        rows = {("a", "s1"): {"x": 0.3, "y": 0.6, "z": 0.1}}
+        permuted = {("a", "s1"): {"z": 0.1, "x": 0.3, "y": 0.6}}
         for policy in (CombinePolicy("max"), CombinePolicy("mean"), CombinePolicy("top_k_mean", 2)):
-            assert combine_matrix(ScoreMatrix("m", rows), policy) == combine_matrix(
-                ScoreMatrix("m", permuted), policy
-            )
+            assert combine_matrix(rows, policy) == combine_matrix(permuted, policy)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            combine_matrix(ScoreMatrix("m", []))
+            combine_matrix({})
 
-    def test_duplicate_rows_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix("m", [MatrixRow("a", "s1", {"r": 1.0}), MatrixRow("a", "s1", {"r": 2.0})])
+    def test_duplicate_rows_rejected(self, tmp_path):
+        # A dict holds one row per key, so a duplicate can only come from a file.
+        path = tmp_path / "matrix.jsonl"
+        write_score_matrix(path, [("m", "a", "s1", {"r": 1.0}), ("m", "a", "s1", {"r": 2.0})])
+        with pytest.raises(CorpusFormatError) as err:
+            load_score_matrices(path)
+        assert str(err.value) == f"{path}:2: duplicate matrix row for ('a', 's1')"
 
-    def test_non_finite_cell_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixRow("a", "s1", {"r": float("nan")})
+    def test_non_finite_cell_rejected(self, tmp_path):
+        path = tmp_path / "matrix.jsonl"
+        write_score_matrix(path, [("m", "a", "s1", {"r": float("nan")})])
+        with pytest.raises(CorpusFormatError) as err:
+            load_score_matrices(path)
+        assert str(err.value) == f"{path}:1: invalid matrix row: non-finite score for (a, s1, r)"
 
     def test_adding_column_never_decreases_max(self, rng):
         for _ in range(50):
             scores = {f"r{i}": rng.uniform(-5, 5) for i in range(rng.randint(1, 6))}
-            row = MatrixRow("a", "s", dict(scores))
-            grown = MatrixRow("a", "s", {**scores, "extra": rng.uniform(-5, 5)})
-            assert combine_row(grown.scores.values()) >= combine_row(row.scores.values())
+            row = {("a", "s"): dict(scores)}
+            grown = {("a", "s"): {**scores, "extra": rng.uniform(-5, 5)}}
+            assert combine_matrix(grown)["a", "s"] >= combine_matrix(row)["a", "s"]
 
 
 class TestSystemScore:
@@ -135,20 +135,44 @@ class TestSystemScore:
         assert system_score(values) == pytest.approx(naive, abs=1e-12)
 
 
+class TestSystemScores:
+    def test_matches_naive_mean_per_system(self, rng):
+        combined = {}
+        for i in range(200):
+            combined[rng.choice("cab"), f"s{i}"] = rng.uniform(-100, 100)
+        naive = {}
+        for (system, _segment), score in combined.items():
+            naive.setdefault(system, []).append(score)
+        scores = system_scores(combined, "m")
+        # Systems come in the order of their first row.
+        assert list(scores) == list(naive)
+        for system, values in naive.items():
+            assert scores[system] == pytest.approx(sum(values) / len(values), abs=1e-12)
+
+    def test_overflowing_mean_names_system_and_metric(self):
+        combined = {("b", "s1"): 1.0, ("a", "s1"): 1e308, ("a", "s2"): 1e308}
+        with pytest.raises(ValueError) as err:
+            system_scores(combined, "bleurt")
+        assert str(err.value) == (
+            "cannot score system 'a' on metric 'bleurt': the sum of 2 scores overflows"
+        )
+
+
 class TestMatrixIo:
     def test_roundtrip(self, tmp_path):
-        matrix = ScoreMatrix(
-            "comet",
-            [
-                MatrixRow("a", "s1", {"r0": 0.25, "r1": -1.5}),
-                MatrixRow("b", "s1", {"r0": 0.75}),
-            ],
-        )
+        rows = [
+            ("comet", "a", "s1", {"r0": 0.25, "r1": -1.5}),
+            ("comet", "b", "s1", {"r0": 0.75}),
+            ("chrf", "a", "s1", {"all": 12.5}),
+        ]
         path = tmp_path / "matrix.jsonl"
-        write_score_matrix(path, matrix)
+        write_score_matrix(path, rows)
         loaded = load_score_matrices(path)
-        assert set(loaded) == {"comet"}
-        assert loaded["comet"].rows == matrix.rows
+        assert loaded == {
+            "comet": {("a", "s1"): {"r0": 0.25, "r1": -1.5}, ("b", "s1"): {"r0": 0.75}},
+            "chrf": {("a", "s1"): {"all": 12.5}},
+        }
+        assert [(m, *key, cells) for m, matrix in loaded.items() for key, cells in matrix.items()] == rows
 
     def test_multiple_metrics_grouped(self, tmp_path, jsonl_writer):
         path = tmp_path / "matrix.jsonl"
@@ -300,7 +324,7 @@ class TestLoadCombined:
         ])
         assert load_combined(path) == {"m": {("a", "s1"): 1e308, ("a", "s2"): 1e308}}
         matrix = load_score_matrices(path)["m"]
-        assert matrix.rows[0].scores == {"r0": 1e308, "r1": 1e308}
+        assert matrix["a", "s1"] == {"r0": 1e308, "r1": 1e308}
 
     def test_overflowing_mean_fails_with_location(self, tmp_path):
         path = write_lines(tmp_path, [matrix_line("a", "s1", '"r0": 1e308, "r1": 1e308')])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from multiref.errors import CorpusFormatError, DegenerateDataError
 from multiref.metaeval import (
+    GapOverflowError,
     HumanJudgment,
     LeakageGapReport,
     MetaEvalReport,
@@ -137,6 +138,23 @@ class TestPearson:
         warped = [2.5 * v + 4.0 for v in x]
         assert pearson(warped, y) == pytest.approx(pearson(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("x, y", [
+        # sxx overflows, so the correlation was a finite sum over inf: -0.0 instead of -1.0.
+        ([1e200, -1e200, 0.0], [1.0, 3.0, 2.0]),
+        # A deviation itself overflows.
+        ([1.5e308, -1.5e308, -1.5e308], [1.0, 2.0, 3.0]),
+        # sxx and syy are finite, their product is not: 0.0 instead of 1.0.
+        ([1e100, -1e100, 0.0], [1e100, -1e100, 0.0]),
+    ])
+    def test_overflow_is_an_error_not_a_wrong_value(self, x, y):
+        with pytest.raises(ValueError) as err:
+            pearson(x, y)
+        assert str(err.value) == "pearson of 3 pairs overflows the float range"
+        # The same shape, scaled into range, is an ordinary correlation.
+        scale = max(map(abs, x))
+        expected = oracles.pearson([v / scale for v in x], y)
+        assert pearson([v / scale for v in x], y) == pytest.approx(expected, abs=1e-12)
+
 
 class TestKendallTau:
     def test_monotone_agreement(self):
@@ -258,6 +276,19 @@ class TestLeakageGap:
     def test_missing_system_rejected(self):
         with pytest.raises(ValueError):
             leakage_gap({"A": 1.0}, {"A": 1.0, "B": 2.0}, "A", "B")
+
+    @pytest.mark.parametrize("single, multi, field, value", [
+        ({"A": 1e308, "B": -1e308}, {"A": 1.0, "B": 0.0}, "delta_single", math.inf),
+        ({"A": 1.0, "B": 0.0}, {"A": -1e308, "B": 1e308}, "delta_multi", -math.inf),
+        ({"A": 1e308, "B": 0.0}, {"A": -1e308, "B": 0.0}, "shrinkage", -math.inf),
+        ({"A": 5e-324, "B": 0.0}, {"A": 1.0, "B": 0.0}, "ratio", math.inf),
+    ])
+    def test_non_finite_result_rejected(self, single, multi, field, value):
+        with pytest.raises(GapOverflowError) as err:
+            leakage_gap(single, multi, "A", "B")
+        assert isinstance(err.value, ValueError)
+        assert (err.value.field, err.value.value) == (field, value)
+        assert str(err.value) == f"{field} of 'A' over 'B' overflows to {value}"
 
     def test_zero_single_delta_has_no_ratio(self):
         report = LeakageGapReport("a", "b", 0.0, 1.0)

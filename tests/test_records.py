@@ -1,4 +1,4 @@
-"""The package's record classes: named tuples checked in `__new__`, and four plain `__slots__` classes.
+"""The package's record classes: named tuples checked in `__new__`, and three plain `__slots__` classes.
 
 Importing the package must generate and compile no code: each record class
 is built from `records.record` (a named tuple) or `records.Fields`, never
@@ -25,11 +25,9 @@ from multiref import (
     GenerationRecord,
     HumanJudgment,
     LeakageGapReport,
-    MatrixRow,
     MetaEvalReport,
     MetricScore,
     PromptTemplate,
-    ScoreMatrix,
     Segment,
     SubwordVocab,
     tokenize_subwords,
@@ -46,16 +44,6 @@ CASES = [
         ({"k": None}, "top_k_mean requires k >= 1"),
         ({"k": 0}, "top_k_mean requires k >= 1"),
         ({"kind": "max"}, "k is only valid for top_k_mean, not 'max'"),
-    ]),
-    (MatrixRow, {"system": "A", "segment": "s1", "scores": {"r0": 0.5, "r1": 0.25}}, True, False, [
-        ({"scores": {}}, "matrix row must have at least one score"),
-        ({"scores": {"r0": 0.5, "r1": math.nan}}, "non-finite score for (A, s1, r1)"),
-    ]),
-    (ScoreMatrix, {"metric_name": "m", "rows": [MatrixRow("A", "s1", {"r0": 1.0})]}, False, False, [
-        (
-            {"rows": [MatrixRow("A", "s1", {"r0": 1.0}), MatrixRow("A", "s1", {"r0": 2.0})]},
-            "duplicate matrix row for ('A', 's1')",
-        ),
     ]),
     (Segment, {"id": "s1", "source": "src", "gold_refs": ("g",), "generated_refs": ("a", "b")}, True, True, []),
     (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, False, False, []),
@@ -143,9 +131,9 @@ NAMED_TUPLES = [cls for cls, *_ in CASES if issubclass(cls, tuple)]
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(CASES) == 17
+    assert len(CASES) == 15
     assert {cls for cls, *_ in CASES if not issubclass(cls, tuple)} == {
-        EvalCorpus, ScoreMatrix, CorpusStats, SubwordVocab,
+        EvalCorpus, CorpusStats, SubwordVocab,
     }
 
 

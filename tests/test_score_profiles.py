@@ -1,10 +1,12 @@
-"""`score` on shared reference profiles, checked against the brute-force oracles.
+"""`score` and `metrics.score_corpus` on shared reference profiles, checked
+against the brute-force oracles.
 
 Texts are single-space-joined words without punctuation, so the word
 tokenizer is `str.split` (after lowercasing under --lowercase) and the
 oracles can tokenize on their own.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -20,7 +22,8 @@ import multiref.cli
 import multiref.metrics
 from multiref import kernels
 from multiref.cli import main
-from multiref.metrics import MultiRefScorer
+from multiref.corpus_io import EvalCorpus, Segment
+from multiref.metrics import BleuConfig, MultiRefScorer, score_corpus
 
 import oracles
 
@@ -205,6 +208,100 @@ def test_matrix_and_summary_match_oracles(
             assert summary["metrics"][metric][system] == pytest.approx(
                 oracle.corpus(metric, pairs), abs=1e-9
             ), (metric, system)
+
+
+def eval_corpus(corpus):
+    """The EvalCorpus of a {segment id: (gold, generated, {system: hypothesis})} corpus."""
+    segments = [Segment(sid, "src", tuple(gold), tuple(generated))
+                for sid, (gold, generated, _) in corpus.items()]
+    systems = {}
+    for sid, (_, _, hyps) in corpus.items():
+        for system, hyp in hyps.items():
+            systems.setdefault(system, {})[sid] = hyp
+    return EvalCorpus(segments, systems)
+
+
+def check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference):
+    """score_corpus over `corpus` under `mode` against the oracle, and against one call per count."""
+    scores, rows = score_corpus(scorer, eval_corpus(corpus), mode, counts, per_reference)
+    systems = sorted({system for _, _, hyps in corpus.values() for system in hyps})
+    assert list(scores) == [(k, system, metric)
+                            for k in counts for system in systems for metric in ALL_METRICS]
+    expected_rows = []
+    for metric in ALL_METRICS:
+        for system in systems:
+            for k in counts:
+                pairs = []
+                for sid, (gold, generated, hyps) in sorted(corpus.items()):
+                    # Gold first (none under "generated"), then the first k generated (none under "gold").
+                    refs = scoring_refs(gold, [] if mode == "gold" else generated,
+                                        "generated" if mode == "generated" else "both", k)
+                    pairs.append((hyps[system], [r for _, r in refs]))
+                    if k == counts[-1]:
+                        if per_reference:
+                            cells = {ref_id: oracle.segment(metric, hyps[system], [ref])
+                                     for ref_id, ref in refs}
+                        else:
+                            cells = {"all": oracle.segment(metric, hyps[system], [r for _, r in refs])}
+                        expected_rows.append((metric, system, sid, cells))
+                assert scores[k, system, metric].value == pytest.approx(
+                    oracle.corpus(metric, pairs), abs=1e-9
+                ), (mode, k, metric, system)
+    # Metric-major, then by system, then by segment; keys and ids exactly, values to 1e-9.
+    assert [row[:3] for row in rows] == [row[:3] for row in expected_rows]
+    for row, expected in zip(rows, expected_rows):
+        assert list(row[3]) == list(expected[3])
+        assert row[3] == pytest.approx(expected[3], abs=1e-9), (mode, *row[:3])
+
+    # Counts 1..K in one call give what K one-count calls give.
+    for k in counts:
+        alone, alone_rows = score_corpus(scorer, eval_corpus(corpus), mode, [k], per_reference)
+        assert alone == {key: value for key, value in scores.items() if key[0] == k}
+        if k == counts[-1]:
+            assert alone_rows == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpus=corpora(),
+    counts=st.one_of(st.just((None,)), st.integers(1, 3).map(lambda high: range(1, high + 1))),
+    max_order=st.integers(1, 4),
+    smoothing=st.sampled_from(("exp", "none")),
+    ref_length=st.sampled_from(("closest", "shortest")),
+    chrf_order=st.integers(1, 6),
+    chrf_beta=st.sampled_from((1.0, 2.0, 3.0)),
+    lowercase=st.booleans(),
+    per_reference=st.booleans(),
+)
+def test_score_corpus_matches_oracles_without_the_cli(
+    corpus, counts, max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase, per_reference,
+):
+    oracle = Oracle(max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase)
+    scorer = MultiRefScorer(
+        ALL_METRICS, BleuConfig(max_order, smoothing, ref_length), chrf_order, chrf_beta,
+        lowercase, words=lambda text: oracle.tokens("bleu", text), pieces=str.split,
+    )
+    for mode in ("generated", "both"):
+        check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference)
+    if all(gold for gold, _, _ in corpus.values()):
+        check_score_corpus(oracle, scorer, corpus, "gold", counts, per_reference)
+    else:
+        with pytest.raises(ValueError, match="has no references under --refs gold"):
+            score_corpus(scorer, eval_corpus(corpus), "gold", counts, per_reference)
+
+
+def test_cli_leaves_the_scoring_loop_to_the_library():
+    # score_corpus owns the reference rule and the per-segment loop; cli.py only calls it.
+    source = Path(multiref.cli.__file__).read_text(encoding="utf-8")
+    calls = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    loop_methods = {"segment", "joint", "per_reference", "corpus", "scoring_refs"}
+    assert [(name, line) for name, line in calls if name in loop_methods] == []
+    # The walk sees attribute calls, so it is not blind.
+    assert {"load_corpus", "merge_references"} <= {name for name, _ in calls}
 
 
 def test_chrf_tie_picks_first_reference_for_corpus_counts(tmp_path):
