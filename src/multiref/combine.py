@@ -103,6 +103,7 @@ def system_scores(combined: dict[tuple[str, str], float], metric: str) -> dict[s
 
 # Exact types, as `json.loads` builds numbers: a bool is no number.
 _NUMBER_TYPES = frozenset({int, float})
+_FLOAT = frozenset({float})
 
 
 def _matrix_row(record: dict):
@@ -111,14 +112,17 @@ def _matrix_row(record: dict):
     system = id_field(record["system"], "system")
     segment = id_field(record["segment"], "segment")
     cells = record["scores"]
-    types = {*map(type, cells.values())}
-    if not types <= _NUMBER_TYPES:
-        for ref_id, value in cells.items():
-            number_field(value, f"score {ref_id!r}")
-    # float() of a float is the float itself, so only integer cells need it.
-    values = list(map(float, cells.values()) if int in types else cells.values())
-    if not values:
-        raise ValueError("matrix row must have at least one score")
+    values = cells.values()
+    types = {*map(type, values)}
+    # A row of floats is used through its view, uncopied; any other row is
+    # checked, and copied with its integers as floats.
+    if types != _FLOAT:
+        if not types <= _NUMBER_TYPES:
+            for ref_id, value in cells.items():
+                number_field(value, f"score {ref_id!r}")
+        values = list(map(float, values))
+        if not values:
+            raise ValueError("matrix row must have at least one score")
     # A finite sum proves every value finite; a sum that is not may still
     # come from finite values that overflow together.
     if not math.isfinite(sum(values)):

@@ -1,9 +1,9 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-This module alone encodes and decodes files. `read_lines` skips one leading
-byte-order mark and decodes each line as UTF-8 on its own; `read_jsonl` (one
-JSON object per line) and the subword vocabulary read through it, and JSON
-documents through `read_json`:
+This module alone encodes and decodes files. Each line reader skips one
+leading byte-order mark and decodes each line as UTF-8 on its own:
+`read_lines` for the subword vocabulary, and `read_jsonl` (one JSON object
+per line) for the JSONL files; JSON documents go through `read_json`:
 
 - segments.jsonl: ``{"id", "source", "gold_refs": [..]}``
 - outputs.jsonl:  ``{"system", "segment", "hypothesis"}``
@@ -13,7 +13,11 @@ documents through `read_json`:
 
 `read_jsonl` strips each line and decodes it with one call of the C scanner
 under `json.loads`. A line that `json.loads` rejects fails with the same
-message, position included.
+message, position included. `read_jsonl` is the one path that reports a
+bad line. `read_jsonl_chunks`, which only `metaeval.load_human_judgments`
+uses, decodes about `JSONL_CHUNK_BYTES` of lines at a time with no Python
+code per line; it reports nothing itself, and a chunk it cannot decode
+cleanly sends its caller back to `read_jsonl`.
 
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
 (one record per line) or `write_json` (one document, indented by 2).
@@ -25,6 +29,8 @@ segment) and treated as immutable afterwards.
 import codecs
 import json
 import math
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorpusFormatError
@@ -147,6 +153,11 @@ _PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError,
 _scan_once = json.JSONDecoder().scan_once
 _skip_space = json.decoder.WHITESPACE.match
 
+# `read_jsonl_chunks` decodes lines of about this many bytes together: enough
+# to make its per-chunk work small, few enough to hold only a small part of a
+# large file's records at a time.
+JSONL_CHUNK_BYTES = 1 << 16
+
 
 def _no_value(line: str, stopped_at: int) -> json.JSONDecodeError:
     """The error `json.loads(line)` raises where `_scan_once` found no value at `stopped_at`."""
@@ -166,6 +177,14 @@ def _open(path):
         raise CorpusFormatError(f"cannot open: {exc.strerror}", str(path)) from None
 
 
+def _open_lines(path):
+    """`path` opened for reading its lines, past one leading byte-order mark."""
+    handle = _open(path)
+    if handle.peek(3).startswith(codecs.BOM_UTF8):
+        handle.read(3)
+    return handle
+
+
 def read_lines(path: str | Path, what: str):
     """Yield `(lineno, line)` for each `\\n`-ended line of a file, decoded as UTF-8 with its end kept.
 
@@ -173,9 +192,7 @@ def read_lines(path: str | Path, what: str):
     fails at `path`; a line that is not UTF-8 fails as
     `invalid <what>: <reason>` at `path:lineno`.
     """
-    with _open(path) as handle:
-        if handle.peek(3).startswith(codecs.BOM_UTF8):
-            handle.read(3)
+    with _open_lines(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
                 line = raw.decode("utf-8")
@@ -187,27 +204,61 @@ def read_lines(path: str | Path, what: str):
 def read_jsonl(path: str | Path, parse, what: str):
     """Yield `(lineno, parse(record))` for each non-blank line of a JSONL file.
 
-    Each line from `read_lines` must hold one JSON object, which `parse`
-    turns into a value; one that does not, or that `parse` rejects with one of
-    `_PARSE_ERRORS`, fails as `read_lines` errors do.
+    Lines are read as `read_lines` reads them, and fail as it does. Each
+    must hold one JSON object, which `parse` turns into a value; one that
+    does not, or that `parse` rejects with one of `_PARSE_ERRORS`, fails as
+    `invalid <what>: <reason>` at `path:lineno`.
     """
-    for lineno, line in read_lines(path, what):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            # `json.loads(line)`, values and errors alike, in one C call: the
-            # line has no JSON whitespace at either end.
+    # `read_lines`' loop, inlined: each line passes through one generator.
+    with _open_lines(path) as handle:
+        for lineno, raw in enumerate(handle, 1):
             try:
-                record, end = _scan_once(line, 0)
-            except StopIteration as stop:
-                raise _no_value(line, stop.value) from None
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
-            value = parse(json_object(record, "record"))
-        except _PARSE_ERRORS as exc:
-            raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
-        yield lineno, value
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                # `json.loads(line)`, values and errors alike, in one C call:
+                # the line has no JSON whitespace at either end.
+                try:
+                    record, end = _scan_once(line, 0)
+                except StopIteration as stop:
+                    raise _no_value(line, stop.value) from None
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
+                value = parse(json_object(record, "record"))
+            except _PARSE_ERRORS as exc:
+                raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
+            yield lineno, value
+
+
+class ChunkRejected(Exception):
+    """A chunk of lines that only `read_jsonl` may reject: it alone words the error and finds the line."""
+
+
+def read_jsonl_chunks(path: str | Path):
+    """Yield the JSON objects of a JSONL file's non-blank lines, a list per `JSONL_CHUNK_BYTES` of lines.
+
+    Each chunk is decoded as `read_jsonl` decodes each line, in C-level
+    passes over all of its lines, with no Python code per line. Where any
+    line of a chunk would fail `read_jsonl` (not UTF-8, not exactly one JSON
+    value, not an object), this raises ChunkRejected, and the caller reads
+    the file with `read_jsonl` to report the error at its line. A file that
+    cannot be opened fails as in `read_jsonl`.
+    """
+    with _open_lines(path) as handle:
+        while raws := handle.readlines(JSONL_CHUNK_BYTES):
+            try:
+                lines = list(filter(None, map(str.strip, map(bytes.decode, raws))))
+                scanned = list(map(_scan_once, lines, repeat(0)))
+            except (ValueError, RecursionError):  # not UTF-8, bad JSON, nesting too deep
+                raise ChunkRejected from None
+            # Each value must end its line. A line with no value raises
+            # StopIteration, which ends `map` early and leaves a shorter list.
+            if list(map(itemgetter(1), scanned)) != list(map(len, lines)):
+                raise ChunkRejected
+            records = list(map(itemgetter(0), scanned))
+            if not {*map(type, records)} <= {dict}:
+                raise ChunkRejected
+            yield records
 
 
 def read_json(path: str | Path, parse, what: str):

@@ -7,12 +7,12 @@ ties, zero variance) raise DegenerateDataError instead of returning NaN.
 
 import math
 from collections import Counter
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .combine import mean, system_scores
-from .corpus_io import id_field, number_field, read_jsonl
+from .corpus_io import ChunkRejected, id_field, number_field, read_jsonl, read_jsonl_chunks
 from .errors import CorpusFormatError, DegenerateDataError
 from .records import record
 
@@ -112,6 +112,14 @@ def pearson(x, y) -> float:
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("pearson is undefined for zero-variance input")
     product = sxx * syy
+    if product == 0.0:
+        # The product underflows. Dividing each side by its largest deviation
+        # leaves r as it is and brings both sums to at least 1.
+        scale_x = max(map(abs, dx))
+        scale_y = max(map(abs, dy))
+        dx = [a / scale_x for a in dx]
+        dy = [b / scale_y for b in dy]
+        product = math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy)
     if not math.isfinite(product):
         # A deviation, sxx or syy past the float range makes this infinite too.
         raise ValueError(f"pearson of {len(x)} pairs overflows the float range")
@@ -259,8 +267,8 @@ def _judgment(record: dict) -> HumanJudgment:
     )
 
 
-def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
-    """Read human.jsonl: `{"system", "segment"|null, "dimension"|null, "score"}`."""
+def _judgments_by_line(path: str | Path) -> list[HumanJudgment]:
+    """`load_human_judgments`, one line at a time: the path that reports every error."""
     judgments: list[HumanJudgment] = []
     seen = set()
     for lineno, judgment in read_jsonl(path, _judgment, "judgment"):
@@ -269,6 +277,71 @@ def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
             raise CorpusFormatError(f"duplicate judgment for {key}", str(path), lineno)
         seen.add(key)
         judgments.append(judgment)
+    return judgments
+
+
+_SCORE_TYPES = frozenset({float, int})
+_ID_TYPES = frozenset({str, int})
+_OPTIONAL_ID_TYPES = frozenset({str, int, type(None)})
+
+
+def _id_column(values: list, allowed) -> list:
+    """The `id_field` of each of `values` (None kept); ChunkRejected where one would fail it."""
+    types = {*map(type, values)}
+    if not types <= allowed:
+        raise ChunkRejected
+    if int in types:
+        return [None if v is None else str(v) for v in values]
+    return values
+
+
+def _judgment_chunk(records: list[dict], keys: set) -> list[HumanJudgment]:
+    """The `_judgment` of every record of a chunk, checked a column at a time.
+
+    Adds each judgment's (system, segment, dimension) to `keys`. Raises
+    ChunkRejected where `_judgment` might reject a record.
+    """
+    try:
+        systems = list(map(itemgetter("system"), records))
+        scores = list(map(itemgetter("score"), records))
+    except KeyError:
+        raise ChunkRejected from None
+    systems = _id_column(systems, _ID_TYPES)
+    segments = _id_column(list(map(dict.get, records, repeat("segment"))), _OPTIONAL_ID_TYPES)
+    dimensions = _id_column(list(map(dict.get, records, repeat("dimension"))), _OPTIONAL_ID_TYPES)
+    score_types = {*map(type, scores)}
+    if not score_types <= _SCORE_TYPES:
+        raise ChunkRejected
+    if int in score_types:
+        try:
+            scores = list(map(float, scores))
+        except OverflowError:
+            raise ChunkRejected from None
+    # Not finite where a score is not, or where finite ones overflow together.
+    if not math.isfinite(sum(scores)):
+        raise ChunkRejected
+    keys.update(zip(systems, segments, dimensions))
+    # `HumanJudgment` without its `__new__`, whose one check is done above.
+    return list(map(tuple.__new__, repeat(HumanJudgment), zip(systems, scores, segments, dimensions)))
+
+
+def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
+    """Read human.jsonl: `{"system", "segment"|null, "dimension"|null, "score"}`.
+
+    Records are decoded and checked a chunk of lines at a time. Where a
+    chunk holds anything `_judgment` might reject, or two judgments share a
+    key, the file is read again one line at a time, and that path alone
+    raises the error, at its line.
+    """
+    judgments: list[HumanJudgment] = []
+    keys = set()
+    try:
+        for records in read_jsonl_chunks(path):
+            judgments += _judgment_chunk(records, keys)
+    except ChunkRejected:
+        return _judgments_by_line(path)
+    if len(keys) != len(judgments):
+        return _judgments_by_line(path)
     return judgments
 
 

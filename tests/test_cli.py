@@ -865,6 +865,27 @@ class TestMetaeval:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_pearson_of_underflowing_scores_is_reported(self, tmp_path, jsonl_writer, capsys):
+        # sxx * syy underflows to 0.0; the division raised ZeroDivisionError
+        # and the command ended in a traceback.
+        matrix = tmp_path / "matrix.jsonl"
+        human = tmp_path / "human.jsonl"
+        jsonl_writer(matrix, [
+            {"system": s, "segment": "s1", "scores": {"r": v}, "metric": "m"}
+            for s, v in (("A", 1e-160), ("B", -1e-160), ("C", 0.0))
+        ])
+        jsonl_writer(human, [
+            {"system": s, "segment": None, "score": v} for s, v in (("A", 1e-160), ("B", 0.0), ("C", -1e-160))
+        ])
+        out = tmp_path / "report.json"
+        code = main(["metaeval", "--matrix", str(matrix), "--human", str(human), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        (report,) = json.loads(out.read_text())
+        assert report["pearson"] == pytest.approx(0.5, abs=1e-12)
+        assert report["pairwise_accuracy"] == pytest.approx(2 / 3)
+        assert "0.500" in captured.out
+
     def test_pearson_overflow_fails_with_path(self, tmp_path, jsonl_writer, capsys):
         # The system scores' squared deviations overflow; pearson was printed
         # as -0.000 (the values scaled to 1, -1, 0 give -1.000) with exit 0.

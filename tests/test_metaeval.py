@@ -1,10 +1,14 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from multiref import corpus_io, metaeval
 from multiref.errors import CorpusFormatError, DegenerateDataError
 from multiref.metaeval import (
     GapOverflowError,
@@ -137,6 +141,12 @@ class TestPearson:
         y = [rng.uniform(-5, 5) for _ in range(20)]
         warped = [2.5 * v + 4.0 for v in x]
         assert pearson(warped, y) == pytest.approx(pearson(x, y), abs=1e-12)
+
+    def test_underflowing_product_is_rescaled(self):
+        # sxx and syy are each about 2e-320, and their product underflows to
+        # 0.0; dividing by sqrt(0.0) raised ZeroDivisionError.
+        assert pearson([1e-160, -1e-160, 0.0], [1e-160, 0.0, -1e-160]) == pytest.approx(0.5, abs=1e-12)
+        assert pearson([1.0, -1.0, 0.0], [1.0, 0.0, -1.0]) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("x, y", [
         # sxx overflows, so the correlation was a finite sum over inf: -0.0 instead of -1.0.
@@ -335,6 +345,134 @@ class TestHumanJudgmentIo:
         judgments = [HumanJudgment("a", 1e308, segment) for segment in ("s1", "s2")]
         with pytest.raises(ValueError, match="human scores of system 'a': the sum of 2 scores overflows"):
             system_human_scores(judgments)
+
+
+def _judgment_lines(n, start=0):
+    """`n` distinct, well-formed judgment lines."""
+    return [
+        json.dumps({"system": f"sys{i % 7}", "segment": f"seg{i // 7:05d}", "dimension": None, "score": i % 5 + 0.5})
+        for i in range(start, start + n)
+    ]
+
+
+def _loaded(load, path):
+    """What `load(path)` returns, as reprs (so a 1 is not a 1.0), or the message it raises."""
+    try:
+        return list(map(repr, load(path)))
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+class TestChunkedJudgments:
+    """`load_human_judgments` decodes a chunk of lines at a time; `_judgments_by_line` is the per-line path."""
+
+    def lines_past_first_chunk(self):
+        lines = _judgment_lines(1)
+        while sum(len(line) + 1 for line in lines) <= 2 * corpus_io.JSONL_CHUNK_BYTES:
+            lines += _judgment_lines(1, len(lines))
+        return lines
+
+    def write(self, path, lines, end="\n", head=""):
+        path.write_bytes((head + "".join(line + end for line in lines)).encode("utf-8"))
+        return path
+
+    def test_bad_line_past_the_first_chunk_is_located(self, tmp_path):
+        lines = self.lines_past_first_chunk()
+        lineno = len(lines) - 3
+        lines[lineno - 1] = '{"system": "sysX", "segment": "s", "score": "5"}'
+        path = self.write(tmp_path / "human.jsonl", lines)
+        with pytest.raises(CorpusFormatError) as err:
+            load_human_judgments(path)
+        assert str(err.value) == f"{path}:{lineno}: invalid judgment: score must be a number, got string"
+
+    def test_duplicate_in_a_later_chunk_is_located(self, tmp_path):
+        lines = self.lines_past_first_chunk()
+        lines.append(lines[1])
+        path = self.write(tmp_path / "human.jsonl", lines)
+        with pytest.raises(CorpusFormatError) as err:
+            load_human_judgments(path)
+        key = ("sys1", "seg00000", None)
+        assert str(err.value) == f"{path}:{len(lines)}: duplicate judgment for {key}"
+
+    @pytest.mark.parametrize("end, head, blank", [
+        ("\n", "\ufeff", False),
+        ("\r\n", "", False),
+        ("\n", "", True),
+        ("\r\n", "\ufeff", True),
+    ], ids=["bom", "crlf", "blank-lines", "all-three"])
+    def test_valid_variants_load_by_chunk_as_by_line(self, tmp_path, monkeypatch, end, head, blank):
+        lines = self.lines_past_first_chunk()
+        lines[3] = '{"system": 12, "segment": 4, "dimension": 5, "score": 3}'
+        lines[4] = '{"system": "sysY", "score": -0.0}'
+        if blank:
+            lines[5:5] = ["", "  ", "\t"]
+            lines.append("")
+        path = self.write(tmp_path / "human.jsonl", lines, end, head)
+        expected = metaeval._judgments_by_line(path)
+
+        def no_second_read(path):
+            raise AssertionError("a valid file was read again line by line")
+
+        monkeypatch.setattr(metaeval, "_judgments_by_line", no_second_read)
+        assert list(map(repr, load_human_judgments(path))) == list(map(repr, expected))
+        assert expected[3] == HumanJudgment("12", 3.0, "4", "5")
+
+    MISSING = object()
+    good_records = st.fixed_dictionaries({
+        "system": st.sampled_from(["a", "b", 1, "\u732b"]),
+        "segment": st.sampled_from([MISSING, None, "s1", "s2", 3]),
+        "dimension": st.sampled_from([MISSING, None, "fluency", 7]),
+        "score": st.sampled_from([1.0, -0.0, 2, 0.5, 1e308, -1e308, 4e-320]),
+    }).map(lambda r: {k: v for k, v in r.items() if v is not TestChunkedJudgments.MISSING})
+    bad_values = st.sampled_from([
+        None, True, False, 1.5, "", "x", [], {}, float("nan"), float("inf"), float("-inf"), 10**400, -(10**400),
+    ])
+    bad_lines = st.sampled_from([
+        "", "   ", "[]", "1", "null", "{", '{"system": "a"} x', '{"system": "a", "score": 1} {}',
+        '{"system": "a", "score": NaN}', '{"system": "a", "score": -Infinity}', "\ufeff{}",
+        '{"system": "a", "score": 1' + "0" * 400 + "}",
+    ])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.lists(good_records, max_size=25,
+                         unique_by=lambda r: (r["system"], r.get("segment"), r.get("dimension"))),
+        mutations=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["value", "line", "bytes", "bom", "tail", "copy"]),
+                                     st.sampled_from(["system", "segment", "dimension", "score"]),
+                                     bad_values, bad_lines), max_size=2),
+        end=st.sampled_from(["\n", "\r\n"]),
+        bom=st.booleans(),
+        chunk_bytes=st.sampled_from([1, 40, 150, 1 << 16]),
+    )
+    def test_chunked_loader_returns_or_raises_what_the_per_line_loader_does(
+        self, records, mutations, end, bom, chunk_bytes
+    ):
+        lines = [json.dumps(record).encode() for record in records]
+        for index, kind, field, value, line in mutations:
+            if not lines:
+                lines.append(b"")
+            index %= len(lines)
+            if kind == "value":
+                record = {**records[index % len(records)]} if records else {}
+                record[field] = value
+                lines[index] = json.dumps(record).encode()
+            elif kind == "line":
+                lines[index] = line.encode()
+            elif kind == "bytes":
+                lines[index] = lines[index][:3] + b"\xff" + lines[index][3:]
+            elif kind == "bom":
+                lines[index] = "\ufeff".encode() + lines[index]
+            elif kind == "tail":
+                lines[index] += b" {}"
+            else:
+                lines.insert(index, lines[-1])
+        data = (b"\xef\xbb\xbf" if bom else b"") + b"".join(line + end.encode() for line in lines)
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            path = Path(directory) / "human.jsonl"
+            path.write_bytes(data)
+            expected = _loaded(metaeval._judgments_by_line, path)
+            patch.setattr(corpus_io, "JSONL_CHUNK_BYTES", chunk_bytes)
+            assert _loaded(load_human_judgments, path) == expected
 
 
 class TestMetaEvaluate:
