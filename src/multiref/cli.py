@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-refs", type=int, help="cap on generated references per segment")
     p.add_argument("--sweep-refs", help="A..B: emit one score series per generated-reference count")
-    p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRICS)}")
+    p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRICS)} or rouge<n>")
     p.add_argument("--vocab", help="subword vocabulary file (required for spbleu)")
     p.add_argument("--pretokenized", action="store_true", help="treat text as subword pieces joined by spaces")
     p.add_argument("--max-order", type=int, default=4)

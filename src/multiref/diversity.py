@@ -5,13 +5,16 @@ taken jointly as a multi-reference set; low scores mean high diversity.
 Selection keeps candidates scoring strictly below a threshold, computed in a
 single pass over the full input set.
 
-Self-BLEU is computed from one count table per n-gram order and candidate
-set, so its cost is linear in the candidates' n-grams: each candidate is
-counted once, and the leave-one-out clip of every n-gram comes from its top
-count, the first candidate holding it, and its second-highest count.
+Self-BLEU is computed from one count of occurrence keys per n-gram order and
+candidate set, so its cost is linear in the candidates' n-grams: each
+candidate is profiled once, and its leave-one-out match is the number of its
+occurrence keys that some other candidate also holds.
 """
 
 import math
+from collections import Counter
+from itertools import chain, repeat
+from operator import ge
 
 from . import kernels
 
@@ -55,34 +58,19 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
     """Score each candidate against all others jointly as its reference set.
 
     Equal to `bleu_sentence(c_i, candidates without c_i, cfg)` for every i,
-    but each candidate's n-grams are counted once. Per order, a table maps
-    each n-gram to (top count, first candidate holding it, second-highest
-    count); a tie for the top makes the second count equal to the top. The
-    clip for candidate i is the second count if i holds the top, else the top.
+    but each candidate's n-grams are counted once: per order, candidate i's
+    match is the number of its occurrence keys that at least two candidates
+    hold, read from one `Counter` over every candidate's keys.
     """
     cfg = cfg or BleuConfig()
     if len(candidates) < 2:
         raise ValueError("self-BLEU needs at least two candidates")
     profiles = [kernels.Profile(tokens_of(c), cfg.max_order) for c in candidates]
-    matched = [[0] * cfg.max_order for _ in profiles]
-    for order in range(cfg.max_order):
-        table = {}
-        for i, profile in enumerate(profiles):
-            for gram, count in profile.counts[order].items():
-                entry = table.get(gram)
-                if entry is None:
-                    table[gram] = (count, i, 0)
-                elif count > entry[0]:
-                    table[gram] = (count, i, entry[0])
-                elif count > entry[2]:
-                    table[gram] = (entry[0], entry[1], count)
-        for i, profile in enumerate(profiles):
-            total = 0
-            for gram, count in profile.counts[order].items():
-                top, holder, second = table[gram]
-                clip = second if holder == i else top
-                total += count if count < clip else clip
-            matched[i][order] = total
+    holders = [Counter(chain.from_iterable(keys)) for keys in zip(*[p.keys for p in profiles])]
+    matched = [
+        [sum(map(ge, map(table.__getitem__, keys), repeat(2))) for table, keys in zip(holders, p.keys)]
+        for p in profiles
+    ]
     lengths = [len(profile.tokens) for profile in profiles]
     return [
         _bleu_from_stats(
@@ -163,7 +151,8 @@ def distinct_n(corpus, n: int = 6) -> float:
     total = 0
     for seq in corpus:
         profile = kernels.Profile(tokens_of(seq), n)
-        seen.update(profile.counts[n - 1])
+        # A repeat's occurrence key is longer than n tokens; the others are the distinct n-grams.
+        seen.update(key for key in profile.keys[n - 1] if len(key) == n)
         total += profile.totals[n - 1]
     return len(seen) / total if total else 0.0
 

@@ -1,39 +1,32 @@
 """The one counting module behind every metric.
 
-`Profile` holds one text's tokens and, per order, its n-gram counts, their
-number (`totals`) and the part of each count above 1 (`excess`), all filled
-once when the profile is built. Its constructor is the only place in the
-package that forms n-grams: it takes the order-1 units once and builds each
-order n from order n - 1, extending every n-gram by the unit that follows it,
-so each n-gram costs one concatenation. Everything else compares profiles:
-`matches`, `clip_table`, `ref_len` (the brevity-penalty reference length)
-and `lcs_length`.
+`Profile` holds one text's tokens and, per order, its n-gram *occurrence
+keys* and their number (`totals`), filled once when the profile is built: each
+distinct n-gram once, as itself, and one distinct key for each repeat. Its
+constructor is the only place in the package that forms n-grams: it takes the
+order-1 units once and builds each order n from order n - 1, extending every
+n-gram by the unit that follows it, so each n-gram costs one concatenation.
 
-`matches` is the one clipped match count: BLEU (joint and per reference),
-ROUGE-N and chrF all count through it. An n-gram on both sides adds
-min(a, b) = 1 + min(a - 1, b - 1), and the second term is 0 unless it
-repeats on both sides, so per order the match is one set intersection plus
-the `overlap` of the two `excess` tables, taken only when both sides repeat
-something. A `ClipTable` holds just what `matches` reads of a reference
-set: per order, the n-grams any reference holds and the largest excess of
-each repeated one. `lcs_length` is the bit-parallel LCS length of Allison &
-Dix (1986) and Hyyrö (2004): one Python int holds a whole row of the LCS
-table. Nothing here is cached between calls, and there is no flag or
-alternative implementation.
+Every clipped match is counted on these keys. The clipped count min(a, b) of
+an n-gram is the number of its occurrence keys both sides hold, and a
+multi-reference clip table (`clip_table`) is the plain union of the
+references' keys, so `matches` is one set intersection per order: BLEU (joint
+and per reference) and ROUGE-N count through it. `PackedHypotheses` counts
+chrF: each hypothesis of a segment owns a bit field of one int per
+occurrence key, so one sum over a reference's keys counts every hypothesis's
+matches at once. `ref_len` is the brevity-penalty reference length, and
+`lcs_length` the bit-parallel LCS length of Allison & Dix (1986) and Hyyrö
+(2004): one Python int holds a whole row of the LCS table. Nothing here is
+cached between calls, and there is no flag or alternative implementation.
 
-`bleu_segment_stats` and `chrf_segment_stats` compose the helpers for one
-segment given as plain token sequences. Nothing in the package calls them:
-every metric, the public sentence and corpus functions included, runs on
-`metrics.MultiRefScorer`. They remain only because pipebench/tracer.py
-wraps them, and tests/test_kernels.py checks them against the oracles.
-
-Callers look `lcs_length` up as a module attribute
-(``kernels.lcs_length(...)``) so that tracing and tests can wrap it here.
-tests/test_kernels.py checks each helper against the brute-force oracles in
-tests/oracles.py.
+Nothing in the package calls `bleu_segment_stats` and `chrf_segment_stats`;
+they remain only because pipebench/tracer.py wraps them. Callers look up
+`lcs_length` as a module attribute so that tracing and tests can wrap it
+here. tests/test_kernels.py checks each helper against tests/oracles.py.
 """
 
-from collections import Counter, namedtuple
+from collections import Counter
+from itertools import repeat
 from operator import add
 
 
@@ -43,84 +36,101 @@ def active_backend() -> str:
 
 
 class Profile:
-    """One text's tokens and its n-gram statistics for orders 1..max_order.
+    """One text's tokens and its n-gram occurrence keys for orders 1..max_order.
 
     `tokens` is a tuple of tokens or, at character level, a string; an
-    n-gram key is then a tuple of n tokens or a string of n characters, equal
-    to the slice `tokens[i : i + n]`. Each list is indexed by order-1:
-    `counts` counts the n-grams, `totals` holds their number, and `excess`
-    maps each n-gram that repeats to its count minus 1, which `matches`
-    needs on its own. All are filled once here; callers must not mutate them.
+    n-gram is then a tuple of n tokens or a string of n characters, equal to
+    the slice `tokens[i : i + n]`. Each list is indexed by order-1: `keys`
+    holds a list of the order's occurrence keys, no two equal, and `totals`
+    their number. The first occurrences come first, in the order of a sliding
+    window; the k-th occurrence of an n-gram is `gram + str(k)` for a string
+    and `gram + (k,)` for a tuple, so the keys of exactly n units are the
+    distinct n-grams. Callers must not mutate the lists.
     """
 
-    __slots__ = ("tokens", "counts", "totals", "excess")
+    __slots__ = ("tokens", "keys", "totals")
 
     def __init__(self, tokens, max_order: int):
         self.tokens = tokens
+        text = isinstance(tokens, str)
+        mark = str if text else lambda k: (k,)
         # Order 1 holds each unit as a key (a character, or a 1-tuple); order n
         # extends each n-gram of order n - 1 by the unit n - 1 places on, one
         # C-level concatenation per n-gram, in the same order as a sliding window.
-        units = list(tokens) if isinstance(tokens, str) else list(zip(tokens))
+        units = list(tokens) if text else list(zip(tokens))
         grams = units
-        self.counts, self.totals = [], []
+        self.keys, self.totals = [], []
+        repeats = True
         for n in range(1, max_order + 1):
             if n > 1:
                 grams = list(map(add, grams, units[n - 1 :]))
-            self.counts.append(Counter(grams))
+            keys = grams
+            # A repeated n-gram extends a repeated (n - 1)-gram, so from the
+            # first order without repeats on, the n-grams are the keys.
+            if repeats:
+                counts = Counter(grams)
+                repeats = len(counts) < len(grams)
+            if repeats:
+                keys = list(counts)
+                keys += [gram + mark(k) for gram, count in counts.items() if count > 1
+                         for k in range(2, count + 1)]
+            self.keys.append(keys)
             self.totals.append(len(grams))
-        # Most higher orders have no repeats; skip their scan, which BLEU
-        # profiles (built in bulk by `select`) would pay for nothing.
-        self.excess = [
-            {gram: count - 1 for gram, count in counts.items() if count > 1}
-            if len(counts) < total
-            else {}
-            for counts, total in zip(self.counts, self.totals)
-        ]
 
 
-def overlap(a, b) -> int:
-    """Clipped overlap of two n-gram count tables: the sum of min counts."""
-    common = a.keys() & b.keys()
-    return sum(map(min, map(a.__getitem__, common), map(b.__getitem__, common)))
+def clip_table(refs, max_order: int, table: list[set] | None = None) -> list[set]:
+    """Per order 1..max_order, the union of the references' occurrence keys.
 
-
-def matches(a, b, orders: slice = slice(None)) -> list[int]:
-    """Per order, the clipped match count of `a` against `b`: the sum of min counts.
-
-    Both hold `counts` and `excess` lists indexed by order-1: `a` is a
-    `Profile`, `b` a `Profile` or a `ClipTable` (whose `counts` are sets).
-    `orders` slices the orders counted; by default, all that both hold.
+    It caps each n-gram at its largest count in any one reference. Given a
+    `table`, adds the references' keys to it in place and returns it.
     """
-    match = []
-    for a_counts, b_counts, a_excess, b_excess in zip(
-        a.counts[orders], b.counts[orders], a.excess[orders], b.excess[orders]
-    ):
-        shared = len(a_counts.keys() & b_counts)
-        if a_excess and b_excess:
-            shared += overlap(a_excess, b_excess)
-        match.append(shared)
-    return match
-
-
-#: Several reference profiles as one `matches` operand (see `clip_table`).
-ClipTable = namedtuple("ClipTable", ["counts", "excess"])
-
-
-def clip_table(refs, max_order: int) -> ClipTable:
-    """The references' n-grams and largest excesses, for orders 1..max_order.
-
-    Per order, `counts` is the set of n-grams any reference holds, and
-    `excess` maps each n-gram that repeats in some reference to its largest
-    count minus 1; only repeated n-grams are visited.
-    """
-    counts = [set().union(*[ref.counts[i] for ref in refs]) for i in range(max_order)]
-    excess = [{} for _ in range(max_order)]
+    if table is None:
+        table = [set() for _ in range(max_order)]
     for ref in refs:
-        for clip, ref_excess in zip(excess, ref.excess):
-            for gram, extra in ref_excess.items():
-                if extra > clip.get(gram, 0):
-                    clip[gram] = extra
-    return ClipTable(counts, excess)
+        for keys, ref_keys in zip(table, ref.keys):
+            keys.update(ref_keys)
+    return table
+
+
+def matches(hyp: Profile, table: list[set], orders: slice = slice(None)) -> list[int]:
+    """Clipped match counts: per order (all both hold, or `orders`), `hyp`'s keys `table` holds."""
+    pairs = zip(table[orders], hyp.keys[orders])
+    return [len(keys.intersection(hyp_keys)) for keys, hyp_keys in pairs]
+
+
+def field_width(hyps) -> int:
+    """Bits per packed hypothesis: those of the largest order-1 total, which no match exceeds."""
+    return max(hyp.totals[0] for hyp in hyps).bit_length()
+
+
+class PackedHypotheses:
+    """Several hypothesis profiles, counted against a reference in one pass per order.
+
+    Per order, `tables` maps each occurrence key of any hypothesis to the sum
+    of 1 << (`width` * i) over the hypotheses i that hold it. Summing the
+    table over a reference's keys then adds, in field i, the number of keys
+    hypothesis i shares with the reference: its clipped match count.
+    """
+
+    __slots__ = ("tables", "width", "count")
+
+    def __init__(self, hyps):
+        self.width = field_width(hyps)
+        self.count = len(hyps)
+        self.tables = []
+        for order_keys in zip(*[hyp.keys for hyp in hyps]):
+            table = {}
+            for i, keys in enumerate(order_keys):
+                # A hypothesis's keys are distinct, so each is read before its one write.
+                bits = repeat(1 << self.width * i)
+                table.update(zip(keys, map(add, map(table.get, keys, repeat(0)), bits)))
+            self.tables.append(table)
+
+    def matches(self, ref: Profile) -> list[list[int]]:
+        """Per hypothesis, per order, the clipped match count against `ref`."""
+        packed = [sum(map(table.get, keys, repeat(0))) for table, keys in zip(self.tables, ref.keys)]
+        mask = (1 << self.width) - 1
+        return [[total >> self.width * i & mask for total in packed] for i in range(self.count)]
 
 
 def ref_len(hyp_len: int, ref_lens, mode: str) -> int:
@@ -164,7 +174,8 @@ def chrf_segment_stats(hyp, ref, n_max):
     Returns (match, hyp_total, ref_total), each a list indexed by order-1.
     """
     hyp, ref = Profile(hyp, n_max), Profile(ref, n_max)
-    return matches(hyp, ref), hyp.totals, ref.totals
+    (match,) = PackedHypotheses([hyp]).matches(ref)
+    return match, hyp.totals, ref.totals
 
 
 def lcs_length(a, b):

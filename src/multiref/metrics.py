@@ -165,67 +165,41 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _rouge_n_pr(hyp: kernels.Profile, ref: kernels.Profile, n: int) -> tuple[float, float]:
-    """ROUGE-N (precision, recall) of two profiles counted to order n or beyond."""
-    (match,) = kernels.matches(hyp, ref, slice(n - 1, n))
-    hyp_total, ref_total = hyp.totals[n - 1], ref.totals[n - 1]
-    return (
-        match / hyp_total if hyp_total > 0 else 0.0,
-        match / ref_total if ref_total > 0 else 0.0,
-    )
-
-
-def _rouge_l_pr(hyp: kernels.Profile, ref: kernels.Profile) -> tuple[float, float]:
-    """ROUGE-L (precision, recall) from the longest common subsequence."""
-    lcs = kernels.lcs_length(hyp.tokens, ref.tokens)
-    return (
-        lcs / len(hyp.tokens) if hyp.tokens else 0.0,
-        lcs / len(ref.tokens) if ref.tokens else 0.0,
-    )
-
-
-def _best_rouge(hyp, refs, order: int, pr, *args) -> MetricScore:
-    """Max F1 over the references, with the precision and recall behind it."""
-    if not refs:
-        raise ValueError("at least one reference is required")
-    hyp = kernels.Profile(tokens_of(hyp), order)
-    best_f = 0.0
-    best_pr = (0.0, 0.0)
-    for ref in refs:
-        precision, recall = pr(hyp, kernels.Profile(tokens_of(ref), order), *args)
-        fscore = _f1(precision, recall)
-        if fscore > best_f:
-            best_f = fscore
-            best_pr = (precision, recall)
-    return MetricScore(
-        best_f * 100.0, None, {"precision": best_pr[0], "recall": best_pr[1]}
-    )
+def _rouge_pr(match: int, hyp_total: int, ref_total: int) -> tuple[float, float]:
+    """ROUGE (precision, recall) of a match count; 0 on an empty side."""
+    return (match / hyp_total if hyp_total > 0 else 0.0, match / ref_total if ref_total > 0 else 0.0)
 
 
 def rouge_n(hyp, refs, n: int) -> MetricScore:
     """ROUGE-N: max clipped-overlap F1 over the reference set."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return _best_rouge(hyp, refs, n, _rouge_n_pr, n)
+    return _part(MultiRefScorer([f"rouge{n}"], words=tuple), f"rouge{n}", *_token_pair(hyp, refs))
 
 
 def rouge_l(hyp, refs) -> MetricScore:
     """ROUGE-L: max LCS-based F1 over the reference set."""
-    return _best_rouge(hyp, refs, 0, _rouge_l_pr)
+    return _part(MultiRefScorer(["rougeL"], words=tuple), "rougeL", *_token_pair(hyp, refs))
 
 
 # ------------------------------------------------- shared reference profiles
 
 METRICS = ("bleu", "spbleu", "chrf", "rouge1", "rouge2", "rougeL")
-_WORD_METRICS = ("bleu", "rouge1", "rouge2", "rougeL")
-_ROUGE_N_ORDER = {"rouge1": 1, "rouge2": 2}
 
 
-def _bleu_stats(hyp: kernels.Profile, refs, ref_lens, cfg: BleuConfig) -> CorpusStats:
-    """Clipped-match statistics of a hypothesis profile against a reference profile or clip table."""
+def _rouge_n_order(metric: str) -> int | None:
+    """n of a ROUGE-N name, "rouge<n>" with n >= 1 in ASCII digits; None for any other name."""
+    digits = metric[5:]
+    if metric[:5] == "rouge" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits)
+    return None
+
+
+def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
+    """Clipped-match statistics of a hypothesis profile against a clip table."""
     hyp_len = len(hyp.tokens)
     return CorpusStats(
-        matched=kernels.matches(hyp, refs, slice(cfg.max_order)),
+        matched=kernels.matches(hyp, clip),
         totals=hyp.totals[: cfg.max_order],
         hyp_len=hyp_len,
         ref_len=kernels.ref_len(hyp_len, ref_lens, cfg.effective_ref_length),
@@ -241,10 +215,11 @@ class MultiRefScorer:
     calls into it (a sentence score is the corpus score of one pair).
     `segment` builds every statistic of a segment once; `corpus` sums the
     per-segment parts that `SegmentScores.joint` returns into the corpus
-    score. ROUGE values equal those of `rouge_n` and `rouge_l`, and ROUGE's
-    corpus value is the mean segment value. `words` and `pieces` map a text
-    (any hashable value they accept) to its word and subword tokens; the
-    word-level metrics (bleu, rouge1, rouge2, rougeL) need `words` and
+    score. `rouge_n` and `rouge_l` are thin calls into it too, and ROUGE's
+    corpus value is the mean segment value. Besides `METRICS`, it scores
+    ROUGE-N of any order n >= 1 under the name "rouge<n>". `words` and
+    `pieces` map a text (any hashable value they accept) to its word and
+    subword tokens; the word-level metrics (bleu and ROUGE) need `words` and
     spbleu needs `pieces`. chrF takes characters from `tokenize_chars`,
     honouring `lowercase`.
     """
@@ -261,8 +236,10 @@ class MultiRefScorer:
     ):
         self.metrics = tuple(metrics)
         for metric in self.metrics:
-            if metric not in METRICS:
-                raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
+            if metric not in METRICS and _rouge_n_order(metric) is None:
+                raise ValueError(
+                    f"unknown metric {metric!r}; choose from {', '.join(METRICS)} or rouge<n>"
+                )
         if chrf_order < 1:
             raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
         if not (math.isfinite(chrf_beta) and chrf_beta >= 0):
@@ -273,9 +250,9 @@ class MultiRefScorer:
         self.lowercase = lowercase
         # Highest word n-gram order any metric counts; None when no metric uses words.
         orders = [
-            self.bleu_cfg.max_order if m == "bleu" else _ROUGE_N_ORDER.get(m, 0)
+            self.bleu_cfg.max_order if m == "bleu" else _rouge_n_order(m) or 0
             for m in self.metrics
-            if m in _WORD_METRICS
+            if m == "bleu" or m.startswith("rouge")
         ]
         self.word_order = max(orders) if orders else None
         if words is None and self.word_order is not None:
@@ -304,7 +281,7 @@ class MultiRefScorer:
             score, per_order, used = _chrf_fscore(*sums, self.chrf_beta)
             return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
         # ROUGE has no closed corpus form; report the mean segment score.
-        return MetricScore(sum(parts) / len(parts))
+        return MetricScore(sum(part.value for part in parts) / len(parts))
 
 
 class SegmentScores:
@@ -313,8 +290,8 @@ class SegmentScores:
     Each distinct text is tokenized and counted once per granularity, and
     each (hypothesis, distinct reference) statistic is computed once; all
     systems and metrics share them. Character profiles are the largest, so
-    chrF streams the references: one reference profile at a time is scored
-    against every hypothesis and then dropped.
+    chrF packs the hypotheses once and streams the references: each one is
+    counted against every hypothesis in one pass per order, then dropped.
     """
 
     def __init__(self, scorer: MultiRefScorer, hyps: dict[str, str], refs: list[str]):
@@ -335,24 +312,34 @@ class SegmentScores:
             self._profiles["pieces"] = {
                 t: kernels.Profile(tuple(scorer.pieces(t)), scorer.bleu_cfg.max_order) for t in texts
             }
+        # metric -> (references counted, clip table, their lengths), grown by `joint`.
         self._clips = {}
+        # metric -> (clip table, [length]) of each distinct reference alone.
+        self._singles = {}
         # metric -> system -> one statistic per distinct reference.
         self._pairs = {}
         for metric in scorer.metrics:
             if metric == "chrf":
                 self._pairs[metric] = self._chrf_pairs()
-            elif metric in _ROUGE_N_ORDER:
-                self._pairs[metric] = self._word_pairs(_rouge_n_pr, _ROUGE_N_ORDER[metric])
-            elif metric == "rougeL":
-                self._pairs[metric] = self._word_pairs(_rouge_l_pr)
+            elif metric.startswith("rouge"):
+                self._pairs[metric] = self._rouge_pairs(_rouge_n_order(metric))
 
-    def _word_pairs(self, pr, *args) -> dict[str, list[float]]:
+    def _rouge_pairs(self, n: int | None) -> dict[str, list]:
+        """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
         words = self._profiles["words"]
         refs = [words[text] for text in self.refs]
-        return {
-            system: [_f1(*pr(words[hyp], ref, *args)) for ref in refs]
-            for system, hyp in self.hyps.items()
-        }
+        tables = [kernels.clip_table([ref], n or 0) for ref in refs]
+        pairs = {system: [] for system in self.hyps}
+        for system, text in self.hyps.items():
+            hyp = words[text]
+            for ref, table in zip(refs, tables):
+                if n is None:
+                    counts = kernels.lcs_length(hyp.tokens, ref.tokens), len(hyp.tokens), len(ref.tokens)
+                else:
+                    counts = *kernels.matches(hyp, table, slice(n - 1, n)), hyp.totals[n - 1], ref.totals[n - 1]
+                pr = _rouge_pr(*counts)
+                pairs[system].append((_f1(*pr), pr))
+        return pairs
 
     def _chrf_pairs(self) -> dict[str, list]:
         scorer = self.scorer
@@ -362,12 +349,16 @@ class SegmentScores:
             return kernels.Profile(chars, scorer.chrf_order)
 
         hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
+        index = {text: i for i, text in enumerate(hyp_profiles)}
+        hyps = list(hyp_profiles.values())
+        packed = kernels.PackedHypotheses(hyps)
         pairs = {system: [] for system in self.hyps}
         for text in self.refs:
             ref = hyp_profiles[text] if text in hyp_profiles else profile(text)
+            match = packed.matches(ref)
             for system, hyp_text in self.hyps.items():
-                hyp = hyp_profiles[hyp_text]
-                stats = (kernels.matches(hyp, ref), hyp.totals, ref.totals)
+                i = index[hyp_text]
+                stats = (match[i], hyps[i].totals, ref.totals)
                 pairs[system].append((_chrf_fscore(*stats, scorer.chrf_beta)[0], stats))
         return pairs
 
@@ -379,29 +370,34 @@ class SegmentScores:
 
         The part is what `MultiRefScorer.corpus` sums: `CorpusStats` for bleu
         and spbleu, the best reference's counts for chrF (the first among
-        equal scores), and the segment value for ROUGE.
+        equal scores), and for ROUGE the best reference's `MetricScore`, with
+        its precision and recall in `detail` (the first among equal F1).
         """
         slots = self._slots[:n_refs]
         if metric in ("bleu", "spbleu"):
             profiles = self._bleu_profiles(metric)
-            key = (metric, len(slots))
-            if key not in self._clips:
-                refs = [profiles[self.refs[i]] for i in dict.fromkeys(slots)]
-                lens = [len(profiles[self.refs[i]].tokens) for i in slots]
-                self._clips[key] = (kernels.clip_table(refs, self.scorer.bleu_cfg.max_order), lens)
-            clip, lens = self._clips[key]
+            # Counts come in ascending order, so each clip table grows from the
+            # last one by the keys of the references it lacks.
+            counted, clip, lens = self._clips.get(metric, (0, None, []))
+            if counted > len(slots):
+                counted, clip, lens = 0, None, []
+            added = [profiles[self.refs[i]] for i in slots[counted:]]
+            clip = kernels.clip_table(added, self.scorer.bleu_cfg.max_order, clip)
+            lens += [len(ref.tokens) for ref in added]
+            self._clips[metric] = (len(slots), clip, lens)
             stats = _bleu_stats(profiles[self.hyps[system]], clip, lens, self.scorer.bleu_cfg)
             return _bleu_from_stats(stats, self.scorer.bleu_cfg).value, stats
         pairs = self._pairs[metric][system]
+        best_score, best = -1.0 if metric == "chrf" else 0.0, None
+        for i in slots:
+            score, stats = pairs[i]
+            if score > best_score:
+                best_score, best = score, stats
         if metric == "chrf":
-            best_score, best = -1.0, None
-            for i in slots:
-                score, stats = pairs[i]
-                if score > best_score:
-                    best_score, best = score, stats
             return MetricScore(best_score * 100.0).value, best
-        value = MetricScore(max(0.0, *(pairs[i] for i in slots)) * 100.0).value
-        return value, value
+        precision, recall = best or (0.0, 0.0)
+        part = MetricScore(best_score * 100.0, None, {"precision": precision, "recall": recall})
+        return part.value, part
 
     def per_reference(self, system: str, metric: str) -> list[float]:
         """Single-reference segment values, one per reference as given."""
@@ -409,15 +405,17 @@ class SegmentScores:
             profiles = self._bleu_profiles(metric)
             hyp = profiles[self.hyps[system]]
             cfg = self.scorer.bleu_cfg
-            values = []
-            for text in self.refs:
-                ref = profiles[text]
-                stats = _bleu_stats(hyp, ref, [len(ref.tokens)], cfg)
-                values.append(_bleu_from_stats(stats, cfg).value)
-        elif metric == "chrf":
-            values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]
+            if metric not in self._singles:
+                self._singles[metric] = [
+                    (kernels.clip_table([profiles[text]], cfg.max_order), [len(profiles[text].tokens)])
+                    for text in self.refs
+                ]
+            values = [
+                _bleu_from_stats(_bleu_stats(hyp, clip, lens, cfg), cfg).value
+                for clip, lens in self._singles[metric]
+            ]
         else:
-            values = [MetricScore(f * 100.0).value for f in self._pairs[metric][system]]
+            values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]
         return [values[i] for i in self._slots]
 
 

@@ -14,6 +14,8 @@ from multiref.diversity import (
 )
 from multiref.metrics import bleu_sentence
 
+import oracles
+
 word_lists = st.lists(st.sampled_from("abcde"), min_size=1, max_size=10)
 
 
@@ -122,6 +124,13 @@ class TestSelectDiverse:
 
 
 class TestDistinctN:
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "2"]), max_size=10), max_size=4),
+           st.integers(1, 4))
+    def test_matches_oracle(self, corpus, n):
+        # Distinct n-grams over the corpus divided by their occurrences, from explicit n-gram lists.
+        grams = [gram for seq in corpus for gram in oracles.ngram_list(seq, n)]
+        assert distinct_n(corpus, n) == (len(set(grams)) / len(grams) if grams else 0.0)
+
     def test_repeated_tokens(self):
         assert distinct_n([["a", "a", "a", "b"]], 1) == pytest.approx(0.5)
 

@@ -4,7 +4,8 @@ Tokens are drawn from a small alphabet with multi-character and non-ASCII
 entries, so that n-grams repeat; sequences may be empty and orders may be
 longer than the input. The LCS, chrF and `matches` tests also draw from two
 or three symbols, so that LCS bit masks span several 64-bit words and
-n-grams repeat on both sides of a pair.
+n-grams repeat on both sides of a pair; the packed chrF counts take one to
+eight hypotheses, empty ones included, over two symbols.
 """
 
 from collections import Counter
@@ -32,15 +33,22 @@ def profile(seq):
     return kernels.Profile(tuple(seq), 8)
 
 
+def grams_of(key, n):
+    """The n-gram an occurrence key stands for: its first n units."""
+    return key[:n]
+
+
 @given(st.one_of(tokens, chars, repeating_chars))
 @example("")
 @example([])
 def test_ngram_counts_matches_oracle(seq):
-    """Profile.counts, Profile.totals and Profile.excess, for every order up to 8.
+    """Profile.keys and Profile.totals, for every order up to 8.
 
     A list of tokens is profiled as a tuple, with tuple keys; a string is
-    profiled as chrF passes it, with each n-gram key the string of its n
-    characters. Keys must come in the order of a sliding window.
+    profiled as chrF passes it, with string keys. Per order, the keys are
+    distinct, each n-gram stands behind as many keys as it occurs, the keys of
+    exactly n units are the distinct n-grams, and they come first, in the
+    order of a sliding window.
     """
     if isinstance(seq, str):
         counted = kernels.Profile(seq, 8)
@@ -48,35 +56,51 @@ def test_ngram_counts_matches_oracle(seq):
     else:
         counted = profile(seq)
         key = tuple
-    assert len(counted.counts) == len(counted.totals) == len(counted.excess) == 8
+    assert len(counted.keys) == len(counted.totals) == 8
     for n in range(1, 9):
         grams = [key(gram) for gram in oracles.ngram_list(list(seq), n)]
-        assert counted.counts[n - 1] == Counter(grams)
-        assert list(counted.counts[n - 1]) == list(dict.fromkeys(grams))
-        assert counted.totals[n - 1] == len(grams)
-        assert counted.excess[n - 1] == {
-            g: grams.count(g) - 1 for g in grams if grams.count(g) > 1
-        }
+        keys = counted.keys[n - 1]
+        distinct = list(dict.fromkeys(grams))
+        assert len(set(keys)) == len(keys) == len(grams) == counted.totals[n - 1]
+        assert Counter(grams_of(k, n) for k in keys) == Counter(grams)
+        assert [k for k in keys if len(k) == n] == keys[: len(distinct)] == distinct
+
+
+# Digits, so that a repeat mark (the string of its occurrence number) could
+# be mistaken for text if keys were not distinct by construction.
+digit_chars = st.lists(st.sampled_from(["1", "2", "12", "a"]), max_size=40).map("".join)
+digit_tokens = st.lists(st.sampled_from(["1", "2", "a", "12"]), max_size=40)
+
+
+@given(st.one_of(digit_chars, digit_tokens), orders)
+@example("1" * 12 + "11" * 3, 2)  # "1" + "11" and "11" + "1" must stay apart
+def test_no_two_occurrence_keys_of_one_order_are_equal(seq, max_order):
+    counted = kernels.Profile(seq if isinstance(seq, str) else tuple(seq), max_order)
+    for keys in counted.keys:
+        assert len(set(keys)) == len(keys)
 
 
 @given(tokens, tokens, orders)
 def test_overlap_matches_oracle(a, b, n):
+    """Two texts share as many occurrence keys of an order as their clipped n-gram overlap."""
     a_grams = oracles.ngram_list(a, n)
     b_grams = oracles.ngram_list(b, n)
     expected = sum(min(a_grams.count(g), b_grams.count(g)) for g in set(a_grams))
-    assert kernels.overlap(Counter(a_grams), Counter(b_grams)) == expected
+    assert len(set(profile(a).keys[n - 1]) & set(profile(b).keys[n - 1])) == expected
+    assert kernels.matches(profile(a), kernels.clip_table([profile(b)], 8), slice(n - 1, n)) == [
+        expected
+    ]
 
 
 @given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
 def test_clip_table_matches_oracle(hyp, refs, max_order):
-    """Per order: the n-grams of any reference, and each one's max count minus 1 where above 1."""
+    """Per order, the union clip holds each n-gram as often as the reference holding it most."""
     table = kernels.clip_table([profile(ref) for ref in refs], max_order)
-    assert len(table.counts) == len(table.excess) == max_order
+    assert len(table) == max_order
     for n in range(1, max_order + 1):
         grams = {g for ref in refs for g in oracles.ngram_list(ref, n)}
         best = {g: max(oracles.ngram_list(ref, n).count(g) for ref in refs) for g in grams}
-        assert table.counts[n - 1] == grams
-        assert table.excess[n - 1] == {g: count - 1 for g, count in best.items() if count > 1}
+        assert Counter(grams_of(k, n) for k in table[n - 1]) == best
         assert kernels.matches(profile(hyp), table, slice(n - 1, n)) == [
             oracles.clipped_matches(hyp, refs, n)
         ]
@@ -86,24 +110,72 @@ def test_clip_table_matches_oracle(hyp, refs, max_order):
 binary = st.lists(st.sampled_from(["a", "b"]), max_size=16)
 
 
+@given(binary, st.lists(binary, min_size=1, max_size=8), orders)
+def test_clip_table_grown_one_reference_at_a_time(hyp, refs, max_order):
+    """A clip table grown in place equals the union clip of each prefix of the references."""
+    profiles = [profile(ref) for ref in refs]
+    grown = kernels.clip_table([], max_order)
+    for k, ref in enumerate(profiles, 1):
+        assert kernels.clip_table([ref], max_order, grown) is grown
+        assert grown == kernels.clip_table(profiles[:k], max_order)
+        assert kernels.matches(profile(hyp), grown) == [
+            oracles.clipped_matches(hyp, refs[:k], n) for n in range(1, max_order + 1)
+        ]
+
+
 @given(binary, st.lists(binary, min_size=1, max_size=5), orders)
 @example(["a"] * 4, [["a"] * 2, ["a"] * 3], 2)  # hyp repeats more than every reference
 @example(["a", "b", "a"], [["a", "a"], ["b", "b"]], 1)  # each reference repeats a different symbol
 def test_matches_matches_oracle(hyp, refs, max_order):
-    """`matches` of a hypothesis against one reference profile and against a clip table of 1-5."""
+    """`matches` of a hypothesis against the clip table of one reference and of 1-5."""
     hyp_profile = kernels.Profile(tuple(hyp), max_order)
     ref_profiles = [kernels.Profile(tuple(ref), max_order) for ref in refs]
     order_range = range(1, max_order + 1)
-    assert kernels.matches(hyp_profile, ref_profiles[0]) == [
+    assert kernels.matches(hyp_profile, kernels.clip_table(ref_profiles[:1], max_order)) == [
         oracles.clipped_matches(hyp, refs[:1], n) for n in order_range
     ]
     assert kernels.matches(hyp_profile, kernels.clip_table(ref_profiles, max_order)) == [
         oracles.clipped_matches(hyp, refs, n) for n in order_range
     ]
+    last = kernels.clip_table(ref_profiles[-1:], max_order)
     for n in order_range:
-        assert kernels.matches(hyp_profile, ref_profiles[-1], slice(n - 1, n)) == [
+        assert kernels.matches(hyp_profile, last, slice(n - 1, n)) == [
             oracles.clipped_matches(hyp, refs[-1:], n)
         ]
+
+
+binary_text = st.lists(st.sampled_from("ab"), max_size=16).map("".join)
+
+
+def packed_counts(hyps, ref, max_order):
+    packed = kernels.PackedHypotheses([kernels.Profile(hyp, max_order) for hyp in hyps])
+    return packed.matches(kernels.Profile(ref, max_order))
+
+
+def oracle_counts(hyps, ref, max_order):
+    return [
+        [match for match, _, _ in oracles.chrf_pair_counts(hyp, ref, max_order)] for hyp in hyps
+    ]
+
+
+@given(st.lists(binary_text, min_size=1, max_size=8), binary_text, orders)
+@example(["ab", "b"], "ab", 1)  # a field filled to its width: 2 matches in 2 bits
+@example(["", "aaaa", ""], "aaaa", 3)  # empty hypotheses around a full field
+@example([""], "ab", 2)  # every hypothesis empty: zero-width fields
+def test_packed_counts_match_oracle(hyps, ref, max_order):
+    """One packed pass gives each hypothesis's min-count sums against the reference, per order."""
+    assert packed_counts(hyps, ref, max_order) == oracle_counts(hyps, ref, max_order)
+
+
+@pytest.mark.parametrize(
+    "hyps, ref, max_order", [(["ab", "b"], "ab", 1), (["", "aaaa", ""], "aaaa", 3), (["a"], "a", 1)]
+)
+def test_packed_counts_need_the_full_field_width(monkeypatch, hyps, ref, max_order):
+    """One bit less than `field_width` lets a full field carry into the next and miscount."""
+    assert packed_counts(hyps, ref, max_order) == oracle_counts(hyps, ref, max_order)
+    width = kernels.field_width
+    monkeypatch.setattr(kernels, "field_width", lambda profiles: width(profiles) - 1)
+    assert packed_counts(hyps, ref, max_order) != oracle_counts(hyps, ref, max_order)
 
 
 @given(st.integers(0, 12), st.lists(st.integers(0, 12), min_size=1, max_size=5))

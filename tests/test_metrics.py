@@ -207,6 +207,8 @@ class TestChrf:
         assert near == 100.0
 
     def test_hypothesis_profiled_once_per_segment(self, monkeypatch):
+        """Each distinct text is profiled once per segment; the hypotheses are packed once
+        per segment and each distinct reference is summed against them in one pass."""
         built = []
 
         class CountingProfile(kernels.Profile):
@@ -216,12 +218,35 @@ class TestChrf:
                 built.append(tokens)
                 super().__init__(tokens, max_order)
 
+        class CountingPacked(kernels.PackedHypotheses):
+            __slots__ = ()
+
+            def __init__(self, hyps):
+                built.append(("packed", [hyp.tokens for hyp in hyps]))
+                super().__init__(hyps)
+
+            def matches(self, ref):
+                built.append(("summed", ref.tokens))
+                return super().matches(ref)
+
         monkeypatch.setattr(kernels, "Profile", CountingProfile)
-        chrf_sentence("abc d", ["abd", "ab c", "x"])
-        assert built == ["abcd", "abd", "abc", "x"]
+        monkeypatch.setattr(kernels, "PackedHypotheses", CountingPacked)
+        chrf_sentence("abc d", ["abd", "ab c", "x", "abd"])
+        assert built == [
+            "abcd", ("packed", ["abcd"]),
+            "abd", ("summed", "abd"), "abc", ("summed", "abc"), "x", ("summed", "x"),
+        ]
         built.clear()
-        chrf_corpus([("ab", ["a", "b"]), ("cd", ["c"])])
-        assert built == ["ab", "a", "b", "cd", "c"]
+        chrf_corpus([("ab", ["a", "ab"]), ("cd", ["c"])])
+        assert built == [
+            "ab", ("packed", ["ab"]), "a", ("summed", "a"), ("summed", "ab"),
+            "cd", ("packed", ["cd"]), "c", ("summed", "c"),
+        ]
+        built.clear()
+        scorer = MultiRefScorer(["chrf"])
+        # System C repeats A's text; the reference "x" is B's text, and "a b" a text of its own.
+        scorer.segment({"A": "ab", "B": "x", "C": "ab"}, ["x", "a b", "x"])
+        assert built == ["ab", "x", ("packed", ["ab", "x"]), ("summed", "x"), "ab", ("summed", "ab")]
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -295,6 +320,14 @@ class TestRouge:
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             rouge_n(["a"], [["a"]], 0)
+
+    def test_detail_is_the_first_best_references(self):
+        # Both references give F1 = 2/3: one by precision 1/2, the other by recall 1/2.
+        hyp, refs = ["a", "b"], [["a"], ["a", "b", "c", "d"]]
+        assert rouge_n(hyp, refs, 1).detail == {"precision": 0.5, "recall": 1.0}
+        assert rouge_n(hyp, refs[::-1], 1).detail == {"precision": 1.0, "recall": 0.5}
+        assert rouge_l(hyp, refs).detail == {"precision": 0.5, "recall": 1.0}
+        assert rouge_n(hyp, [["c"], ["d"]], 1).detail == {"precision": 0.0, "recall": 0.0}
 
     def test_oracle_equivalence(self, rng):
         for _ in range(100):

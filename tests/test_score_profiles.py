@@ -290,6 +290,22 @@ def test_score_corpus_matches_oracles_without_the_cli(
             score_corpus(scorer, eval_corpus(corpus), "gold", counts, per_reference)
 
 
+@settings(max_examples=60, deadline=None)
+@given(corpus=corpora(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
+def test_joint_in_any_count_order_matches_a_fresh_segment(corpus, counts):
+    # A BLEU clip table grows while counts ascend and starts over when one falls.
+    scorer = MultiRefScorer(["bleu", "spbleu"], BleuConfig(), words=str.split, pieces=str.split)
+    for gold, generated, hyps in corpus.values():
+        refs = gold + generated
+        scores = scorer.segment(hyps, refs)
+        for n_refs in counts:
+            fresh = scorer.segment(hyps, refs)
+            for system in hyps:
+                for metric in scorer.metrics:
+                    expected = fresh.joint(system, metric, n_refs)
+                    assert scores.joint(system, metric, n_refs) == expected, (n_refs, metric)
+
+
 def test_cli_leaves_the_scoring_loop_to_the_library():
     # score_corpus owns the reference rule and the per-segment loop; cli.py only calls it.
     source = Path(multiref.cli.__file__).read_text(encoding="utf-8")
@@ -340,7 +356,8 @@ def test_closest_reference_length_ties_go_to_the_shorter_reference(tmp_path):
     assert summary["metrics"]["bleu"]["p"] == pytest.approx(100.0)
 
 
-def random_corpus(seed, segments=4, systems=3):
+def random_corpus(seed, segments=4, systems=3, generated=None):
+    """Random segments; each has `generated` generated references (3-7 if None), one a duplicate."""
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(12)]
 
@@ -350,22 +367,23 @@ def random_corpus(seed, segments=4, systems=3):
     corpus = {}
     for i in range(segments):
         gold = [sentence()]
-        generated = [sentence() for _ in range(rng.randint(2, 6))]
-        generated.insert(1, generated[0])  # duplicate reference
+        refs = [sentence() for _ in range(rng.randint(2, 6) if generated is None else generated - 1)]
+        refs.insert(1, refs[0])  # duplicate reference
         hyps = {f"sys{j}": sentence() for j in range(systems)}
         hyps["sys0"] = gold[0]
-        corpus[f"seg{i}"] = (gold, generated, hyps)
+        corpus[f"seg{i}"] = (gold, refs, hyps)
     return corpus
 
 
 @pytest.mark.parametrize("mode", ["generated", "both"])
 def test_sweep_matches_separate_max_refs_runs(tmp_path, mode):
-    paths = write_corpus(tmp_path, random_corpus(3))
+    # The sweep grows each BLEU clip table by the references each count adds.
+    paths = write_corpus(tmp_path, random_corpus(3, generated=20))
     common = ["--refs", mode, "--metrics", ",".join(ALL_METRICS), "--pretokenized"]
-    _, sweep = run_score(tmp_path, paths, common + ["--sweep-refs", "1..8"])
+    _, sweep = run_score(tmp_path, paths, common + ["--sweep-refs", "1..20"])
     series = {(r["refs"], r["metric"], r["system"]): r["score"] for r in sweep["sweep"]}
-    assert len(series) == 8 * len(ALL_METRICS) * 3
-    for k in range(1, 9):
+    assert len(series) == 20 * len(ALL_METRICS) * 3
+    for k in range(1, 21):
         _, summary = run_score(tmp_path, paths, common + ["--max-refs", str(k)])
         for metric, per_system in summary["metrics"].items():
             for system, score in per_system.items():
