@@ -93,14 +93,14 @@ def clip_table(refs, max_order: int, table: list[set] | None = None) -> list[set
 
 
 def matches(hyp: Profile, table: list[set], orders: slice = slice(None)) -> list[int]:
-    """Clipped match counts: per order (all both hold, or `orders`), `hyp`'s keys `table` holds."""
+    """Clipped match count per order (all both hold, or `orders`): `hyp`'s keys in `table`."""
     pairs = zip(table[orders], hyp.keys[orders])
     return [len(keys.intersection(hyp_keys)) for keys, hyp_keys in pairs]
 
 
 def field_width(hyps) -> int:
     """Bits per packed hypothesis: those of the largest order-1 total, which no match exceeds."""
-    return max(hyp.totals[0] for hyp in hyps).bit_length()
+    return max((hyp.totals[0] for hyp in hyps), default=0).bit_length()
 
 
 class PackedHypotheses:

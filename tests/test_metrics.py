@@ -252,6 +252,11 @@ class TestChrf:
         with pytest.raises(ValueError):
             chrf_corpus([])
 
+    def test_segment_without_hypotheses(self):
+        # Nothing to pack: the hypotheses' bit fields have width 0.
+        assert MultiRefScorer(["chrf"]).segment({}, ["ab"]).refs == ["ab"]
+        assert kernels.PackedHypotheses([]).matches(kernels.Profile("ab", 2)) == []
+
     def test_zero_order_rejected(self):
         # An order below 1 used to score 0.0 with an empty per-order vector.
         with pytest.raises(ValueError, match="chrf_order"):
