@@ -326,7 +326,7 @@ class TestRouge:
         with pytest.raises(ValueError):
             rouge_n(["a"], [["a"]], 0)
 
-    def test_detail_is_the_first_best_references(self):
+    def test_detail_comes_from_the_first_best_reference(self):
         # Both references give F1 = 2/3: one by precision 1/2, the other by recall 1/2.
         hyp, refs = ["a", "b"], [["a"], ["a", "b", "c", "d"]]
         assert rouge_n(hyp, refs, 1).detail == {"precision": 0.5, "recall": 1.0}
