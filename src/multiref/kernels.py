@@ -14,14 +14,17 @@ references' keys, so `matches` is one set intersection per order: BLEU (joint
 and per reference) and ROUGE-N count through it. `PackedHypotheses` counts
 chrF: each hypothesis of a segment owns a bit field of one int per
 occurrence key, so one sum over a reference's keys counts every hypothesis's
-matches at once. `ref_len` is the brevity-penalty reference length, and
-`lcs_length` the bit-parallel LCS length of Allison & Dix (1986) and Hyyrö
-(2004): one Python int holds a whole row of the LCS table. Nothing here is
-cached between calls, and there is no flag or alternative implementation.
+matches at once. `ref_len` is the brevity-penalty reference length.
+`PackedLcs` is the bit-parallel LCS length of Allison & Dix (1986) and Hyyrö
+(2004) for several sequences at once: one Python int holds a row of the LCS
+table of every sequence, each in its own bit field, so ROUGE-L makes one pass
+per hypothesis over all of a segment's references. `lcs_length` is its
+one-field case. Nothing here is cached between calls, and there is no flag or
+alternative implementation.
 
-Nothing in the package calls `bleu_segment_stats` and `chrf_segment_stats`;
-they remain only because pipebench/tracer.py wraps them. Callers look up
-`lcs_length` as a module attribute so that tracing and tests can wrap it
+Nothing in the package calls `bleu_segment_stats`, `chrf_segment_stats` and
+`lcs_length`; they remain only because pipebench/tracer.py wraps them.
+Callers look up `PackedLcs` as a module attribute so that tests can wrap it
 here. tests/test_kernels.py checks each helper against tests/oracles.py.
 """
 
@@ -43,9 +46,9 @@ class Profile:
     the slice `tokens[i : i + n]`. Each list is indexed by order-1: `keys`
     holds a list of the order's occurrence keys, no two equal, and `totals`
     their number. The first occurrences come first, in the order of a sliding
-    window; the k-th occurrence of an n-gram is `gram + str(k)` for a string
-    and `gram + (k,)` for a tuple, so the keys of exactly n units are the
-    distinct n-grams. Callers must not mutate the lists.
+    window; the k-th occurrence of an n-gram is `gram * k`, k·n units long, so
+    the keys of exactly n units are the distinct n-grams and `key[:n]` is the
+    n-gram of any key. Callers must not mutate the lists.
     """
 
     __slots__ = ("tokens", "keys", "totals")
@@ -53,7 +56,6 @@ class Profile:
     def __init__(self, tokens, max_order: int):
         self.tokens = tokens
         text = isinstance(tokens, str)
-        mark = str if text else lambda k: (k,)
         # Order 1 holds each unit as a key (a character, or a 1-tuple); order n
         # extends each n-gram of order n - 1 by the unit n - 1 places on, one
         # C-level concatenation per n-gram, in the same order as a sliding window.
@@ -72,7 +74,7 @@ class Profile:
                 repeats = len(counts) < len(grams)
             if repeats:
                 keys = list(counts)
-                keys += [gram + mark(k) for gram, count in counts.items() if count > 1
+                keys += [gram * k for gram, count in counts.items() if count > 1
                          for k in range(2, count + 1)]
             self.keys.append(keys)
             self.totals.append(len(grams))
@@ -178,21 +180,41 @@ def chrf_segment_stats(hyp, ref, n_max):
     return match, hyp.totals, ref.totals
 
 
-def lcs_length(a, b):
-    """Length of the longest common subsequence of two token sequences.
+class PackedLcs:
+    """Several token sequences, each LCS-matched against a sequence in one pass.
 
-    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): bit j of `v` is 0 where
-    the current row of the LCS table steps up from column j to j + 1. Each
-    token of `a` updates the whole row with a few operations on one Python
-    int of len(b) bits, however long `b` is, and the LCS length is the
-    number of 0 bits.
+    Each sequence owns a bit field of its length with one guard bit above it.
+    Bit j of a field of the row `v` is 0 where that sequence's row of the LCS
+    table steps up from column j to j + 1, and each token of `a` updates every
+    field at once with a few operations on one Python int. A carry out of a
+    field in `v + u` stops in its guard bit, which `& full` clears, and
+    `v - u` never borrows, since `u` holds only bits of `v`.
     """
-    masks = {}
-    for j, tok in enumerate(b):
-        masks[tok] = masks.get(tok, 0) | 1 << j
-    full = (1 << len(b)) - 1
-    v = full
-    for tok in a:
-        u = v & masks.get(tok, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+
+    __slots__ = ("masks", "full", "fields")
+
+    def __init__(self, seqs):
+        self.masks = {}
+        self.fields = []
+        offset = 0
+        for seq in seqs:
+            for j, tok in enumerate(seq, offset):
+                self.masks[tok] = self.masks.get(tok, 0) | 1 << j
+            self.fields.append((offset, (1 << len(seq)) - 1))
+            offset += len(seq) + 1
+        self.full = sum(mask << shift for shift, mask in self.fields)
+
+    def lengths(self, a) -> list[int]:
+        """LCS length of `a` and each packed sequence: the 0 bits of its field."""
+        masks, full = self.masks, self.full
+        v = full
+        for tok in a:
+            u = v & masks.get(tok, 0)
+            v = ((v + u) | (v - u)) & full
+        steps = v ^ full
+        return [(steps >> shift & mask).bit_count() for shift, mask in self.fields]
+
+
+def lcs_length(a, b) -> int:
+    """Length of the longest common subsequence of two token sequences."""
+    return PackedLcs([b]).lengths(a)[0]

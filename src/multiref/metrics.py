@@ -242,8 +242,9 @@ class MultiRefScorer:
                 )
         if chrf_order < 1:
             raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
-        if not (math.isfinite(chrf_beta) and chrf_beta >= 0):
-            raise ValueError(f"chrf_beta must be finite and >= 0, got {chrf_beta}")
+        # chrF weighs recall by beta squared; where that overflows, every F-score is NaN.
+        if not (chrf_beta >= 0 and math.isfinite(chrf_beta * chrf_beta)):
+            raise ValueError(f"chrf_beta must be >= 0 with a finite square, got {chrf_beta}")
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.chrf_order = chrf_order
         self.chrf_beta = chrf_beta
@@ -292,6 +293,8 @@ class SegmentScores:
     systems and metrics share them. Character profiles are the largest, so
     chrF packs the hypotheses once and streams the references: each one is
     counted against every hypothesis in one pass per order, then dropped.
+    ROUGE-L packs the references once and makes one LCS pass per distinct
+    hypothesis.
     """
 
     def __init__(self, scorer: MultiRefScorer, hyps: dict[str, str], refs: list[str]):
@@ -328,15 +331,20 @@ class SegmentScores:
         """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
         words = self._profiles["words"]
         refs = [words[text] for text in self.refs]
-        tables = [kernels.clip_table([ref], n or 0) for ref in refs]
+        if n is None:
+            # One packed LCS pass per distinct hypothesis covers every reference.
+            packed = kernels.PackedLcs([ref.tokens for ref in refs])
+            lcs = {text: packed.lengths(words[text].tokens) for text in dict.fromkeys(self.hyps.values())}
+        else:
+            tables = [kernels.clip_table([ref], n) for ref in refs]
         pairs = {system: [] for system in self.hyps}
         for system, text in self.hyps.items():
             hyp = words[text]
-            for ref, table in zip(refs, tables):
+            for j, ref in enumerate(refs):
                 if n is None:
-                    counts = kernels.lcs_length(hyp.tokens, ref.tokens), len(hyp.tokens), len(ref.tokens)
+                    counts = lcs[text][j], len(hyp.tokens), len(ref.tokens)
                 else:
-                    counts = *kernels.matches(hyp, table, slice(n - 1, n)), hyp.totals[n - 1], ref.totals[n - 1]
+                    counts = *kernels.matches(hyp, tables[j], slice(n - 1, n)), hyp.totals[n - 1], ref.totals[n - 1]
                 pr = _rouge_pr(*counts)
                 pairs[system].append((_f1(*pr), pr))
         return pairs

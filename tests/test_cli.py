@@ -434,10 +434,10 @@ class TestScore:
         assert code == 1
         assert "--chrf-order" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-2"])
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-2", "1e200"])
     def test_non_finite_chrf_beta_is_rejected(self, pipeline, capsys, beta):
-        # nan used to score every chrF 0.00 and exit 0; inf failed as "out of [0, 100]";
-        # -2 scored exactly as 2.
+        # nan used to score every chrF 0.00 and exit 0; inf, and 1e200 whose
+        # square overflows, failed as "out of [0, 100]"; -2 scored exactly as 2.
         summary_path = pipeline["dir"] / "summary.json"
         code = main(
             [

@@ -5,7 +5,8 @@ entries, so that n-grams repeat; sequences may be empty and orders may be
 longer than the input. The LCS, chrF and `matches` tests also draw from two
 or three symbols, so that LCS bit masks span several 64-bit words and
 n-grams repeat on both sides of a pair; the packed chrF counts take one to
-eight hypotheses, empty ones included, over two symbols.
+eight hypotheses, empty ones included, over two symbols, and the packed LCS
+one to six sequences.
 """
 
 from collections import Counter
@@ -66,14 +67,15 @@ def test_ngram_counts_matches_oracle(seq):
         assert [k for k in keys if len(k) == n] == keys[: len(distinct)] == distinct
 
 
-# Digits, so that a repeat mark (the string of its occurrence number) could
-# be mistaken for text if keys were not distinct by construction.
+# Digits and one-unit repeats, so that a repeat key (the n-gram repeated k
+# times) could be mistaken for another n-gram if keys were not distinct by
+# construction.
 digit_chars = st.lists(st.sampled_from(["1", "2", "12", "a"]), max_size=40).map("".join)
 digit_tokens = st.lists(st.sampled_from(["1", "2", "a", "12"]), max_size=40)
 
 
 @given(st.one_of(digit_chars, digit_tokens), orders)
-@example("1" * 12 + "11" * 3, 2)  # "1" + "11" and "11" + "1" must stay apart
+@example("1" * 12 + "11" * 3, 2)  # runs of "1": every repeat key is a longer run
 def test_no_two_occurrence_keys_of_one_order_are_equal(seq, max_order):
     counted = kernels.Profile(seq if isinstance(seq, str) else tuple(seq), max_order)
     for keys in counted.keys:
@@ -227,6 +229,23 @@ def test_chrf_segment_stats_matches_oracle(hyp, ref, n_max):
 @example(["c", "a"] * 20, ["a", "bb", "c"] * 30)  # b spans two 64-bit words
 def test_lcs_length_matches_oracle(a, b):
     assert kernels.lcs_length(a, b) == oracles.lcs_table(a, b)
+
+
+def lcs_sequences(symbols):
+    """Short sequences, empty ones included, or ones longer than a 64-bit word."""
+    symbol = st.sampled_from(symbols)
+    return st.lists(symbol, max_size=12) | st.lists(symbol, min_size=65, max_size=80)
+
+
+lcs_sequence = lcs_sequences(["a", "b"]) | lcs_sequences(["a", "b", "c"])
+
+
+@given(lcs_sequence, st.lists(lcs_sequence, min_size=1, max_size=6))
+@example(["a"], [["a", "a"], ["a"], ["b", "a", "b"]])  # a carry out of field 1 must stop in its guard bit
+@example(["a"] * 70, [[], ["a"] * 70, [], ["b"]])  # empty fields around a full one
+def test_packed_lcs_matches_oracle(a, seqs):
+    """One packed pass gives the LCS length of `a` and every packed sequence, one per field."""
+    assert kernels.PackedLcs(seqs).lengths(a) == [oracles.lcs_table(a, b) for b in seqs]
 
 
 def test_empty_refs_rejected():

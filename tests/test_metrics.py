@@ -272,6 +272,17 @@ class TestChrf:
         with pytest.raises(ValueError, match="chrf_beta"):
             MultiRefScorer(["chrf"], chrf_beta=beta)
 
+    def test_beta_whose_square_overflows_rejected(self):
+        # beta * beta = inf made every F-score NaN, and the best-reference pick
+        # kept its -1.0 start: "metric value out of [0, 100]: -100.0".
+        with pytest.raises(ValueError, match="chrf_beta"):
+            chrf_sentence("abc", ["abd"], beta=1e200)
+        with pytest.raises(ValueError, match="chrf_beta"):
+            MultiRefScorer(["chrf"], chrf_beta=1.35e154)
+        assert chrf_sentence("abc", ["abd"], beta=1e150).value == pytest.approx(
+            oracles.chrf_sentence("abc", ["abd"], beta=1e150)
+        )
+
     def test_zero_beta_weighs_precision_only(self):
         expected = oracles.chrf_sentence("ab", ["abcdef"], beta=0.0)
         assert chrf_sentence("ab", ["abcdef"], beta=0.0).value == pytest.approx(expected, abs=1e-9)

@@ -405,9 +405,14 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
                         counting("subword", multiref.cli.tokenize_subwords))
     monkeypatch.setattr(multiref.metrics, "tokenize_chars",
                         counting("char", multiref.metrics.tokenize_chars))
-    lcs_calls = []
-    lcs = kernels.lcs_length
-    monkeypatch.setattr(kernels, "lcs_length", lambda a, b: lcs_calls.append(1) or lcs(a, b))
+    lcs_passes = []
+
+    class CountingLcs(kernels.PackedLcs):
+        def lengths(self, a):
+            lcs_passes.append(a)
+            return super().lengths(a)
+
+    monkeypatch.setattr(kernels, "PackedLcs", CountingLcs)
     segment_stat_calls = []
     for name in ("bleu_segment_stats", "chrf_segment_stats"):
         monkeypatch.setattr(kernels, name, lambda *a, name=name: segment_stat_calls.append(name))
@@ -429,13 +434,14 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
                                 "--vocab", str(vocab)])
 
     expected = []
-    distinct_refs = 0
+    distinct_hyps = 0
     for gold, generated, hyps in corpus.values():
         texts = set(gold) | set(generated) | set(hyps.values())
         expected += [(g, t) for g in ("word", "subword", "char") for t in texts]
-        distinct_refs += len(hyps) * len(set(gold) | set(generated))
+        distinct_hyps += len(set(hyps.values()))
     assert sorted(seen) == sorted(expected)
-    assert len(lcs_calls) == distinct_refs == 3 * 4 + 3 * 4
+    # ROUGE-L: one packed LCS pass per distinct hypothesis covers every reference.
+    assert len(set(lcs_passes)) == len(lcs_passes) == distinct_hyps == 3 + 3
     assert segment_stat_calls == []
 
 
