@@ -46,9 +46,11 @@ class Profile:
     the slice `tokens[i : i + n]`. Each list is indexed by order-1: `keys`
     holds a list of the order's occurrence keys, no two equal, and `totals`
     their number. The first occurrences come first, in the order of a sliding
-    window; the k-th occurrence of an n-gram is `gram * k`, k·n units long, so
-    the keys of exactly n units are the distinct n-grams and `key[:n]` is the
-    n-gram of any key. Callers must not mutate the lists.
+    window; the k-th occurrence of an n-gram is `gram + str(k)` for a string
+    and `gram + (k,)` for a tuple, so the keys of exactly n units are the
+    distinct n-grams and `key[:n]` is the n-gram of any key. The suffixes are
+    made once per profile, so a repeat key costs one concatenation and is at
+    most a few units longer than its n-gram. Callers must not mutate the lists.
     """
 
     __slots__ = ("tokens", "keys", "totals")
@@ -73,8 +75,12 @@ class Profile:
                 counts = Counter(grams)
                 repeats = len(counts) < len(grams)
             if repeats:
+                if n == 1:
+                    # No n-gram occurs more often than the most frequent unit.
+                    ks = range(max(counts.values()) + 1)
+                    suffixes = list(map(str, ks)) if text else list(zip(ks))
                 keys = list(counts)
-                keys += [gram * k for gram, count in counts.items() if count > 1
+                keys += [gram + suffixes[k] for gram, count in counts.items() if count > 1
                          for k in range(2, count + 1)]
             self.keys.append(keys)
             self.totals.append(len(grams))

@@ -331,22 +331,22 @@ class SegmentScores:
         """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
         words = self._profiles["words"]
         refs = [words[text] for text in self.refs]
+        texts = dict.fromkeys(self.hyps.values())
+        # Per distinct hypothesis, its count against each reference; per text, what it is divided by.
         if n is None:
             # One packed LCS pass per distinct hypothesis covers every reference.
             packed = kernels.PackedLcs([ref.tokens for ref in refs])
-            lcs = {text: packed.lengths(words[text].tokens) for text in dict.fromkeys(self.hyps.values())}
+            hits = {text: packed.lengths(words[text].tokens) for text in texts}
+            totals = {text: len(profile.tokens) for text, profile in words.items()}
         else:
             tables = [kernels.clip_table([ref], n) for ref in refs]
-        pairs = {system: [] for system in self.hyps}
+            orders = slice(n - 1, n)
+            hits = {text: [kernels.matches(words[text], table, orders)[0] for table in tables] for text in texts}
+            totals = {text: profile.totals[n - 1] for text, profile in words.items()}
+        pairs = {}
         for system, text in self.hyps.items():
-            hyp = words[text]
-            for j, ref in enumerate(refs):
-                if n is None:
-                    counts = lcs[text][j], len(hyp.tokens), len(ref.tokens)
-                else:
-                    counts = *kernels.matches(hyp, tables[j], slice(n - 1, n)), hyp.totals[n - 1], ref.totals[n - 1]
-                pr = _rouge_pr(*counts)
-                pairs[system].append((_f1(*pr), pr))
+            prs = [_rouge_pr(hit, totals[text], totals[ref]) for hit, ref in zip(hits[text], self.refs)]
+            pairs[system] = [(_f1(*pr), pr) for pr in prs]
         return pairs
 
     def _chrf_pairs(self) -> dict[str, list]:

@@ -67,19 +67,26 @@ def test_ngram_counts_matches_oracle(seq):
         assert [k for k in keys if len(k) == n] == keys[: len(distinct)] == distinct
 
 
-# Digits and one-unit repeats, so that a repeat key (the n-gram repeated k
-# times) could be mistaken for another n-gram if keys were not distinct by
-# construction.
+# Digits, so that a repeat mark (the string of its occurrence number) could
+# be mistaken for text if keys were not distinct by construction.
 digit_chars = st.lists(st.sampled_from(["1", "2", "12", "a"]), max_size=40).map("".join)
 digit_tokens = st.lists(st.sampled_from(["1", "2", "a", "12"]), max_size=40)
 
 
 @given(st.one_of(digit_chars, digit_tokens), orders)
-@example("1" * 12 + "11" * 3, 2)  # runs of "1": every repeat key is a longer run
+@example("1" * 12 + "11" * 3, 2)  # "1" + "11" and "11" + "1" must stay apart
 def test_no_two_occurrence_keys_of_one_order_are_equal(seq, max_order):
     counted = kernels.Profile(seq if isinstance(seq, str) else tuple(seq), max_order)
     for keys in counted.keys:
         assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("seq, max_order", [("a" * 2000, 6), (("the",) * 500, 4)], ids=["chars", "words"])
+def test_repeat_keys_stay_short(seq, max_order):
+    """A text of one repeated unit: its keys grow with the digits of the count, not the count."""
+    counted = kernels.Profile(seq, max_order)
+    for n, keys in enumerate(counted.keys, 1):
+        assert max(map(len, keys)) <= n + len(str(len(seq)))
 
 
 @given(tokens, tokens, orders)

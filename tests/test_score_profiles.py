@@ -405,11 +405,15 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
                         counting("subword", multiref.cli.tokenize_subwords))
     monkeypatch.setattr(multiref.metrics, "tokenize_chars",
                         counting("char", multiref.metrics.tokenize_chars))
-    lcs_passes = []
+    lcs_passes = []  # per packed reference set, the hypotheses passed over it
 
     class CountingLcs(kernels.PackedLcs):
+        def __init__(self, seqs):
+            super().__init__(seqs)
+            lcs_passes.append([])
+
         def lengths(self, a):
-            lcs_passes.append(a)
+            lcs_passes[-1].append(a)
             return super().lengths(a)
 
     monkeypatch.setattr(kernels, "PackedLcs", CountingLcs)
@@ -424,6 +428,7 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
         refs = [" ".join(words[j:j + 5]) for j in range(4)]
         gold, generated = refs[:1], refs[1:] + [refs[1]] * i  # segment 1 repeats a reference
         hyps = {"copy": gold[0], "p": " ".join(words[::2]), "q": " ".join(words[1::2])}
+        hyps["r"] = hyps["p"] if i else " ".join(words[::3])  # segment 1 repeats a hypothesis
         corpus[f"seg{i}"] = (gold, generated, hyps)
     paths = write_corpus(tmp_path, corpus)
     vocab = tmp_path / "pieces.txt"
@@ -434,14 +439,16 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
                                 "--vocab", str(vocab)])
 
     expected = []
-    distinct_hyps = 0
+    distinct_hyps = []
     for gold, generated, hyps in corpus.values():
         texts = set(gold) | set(generated) | set(hyps.values())
         expected += [(g, t) for g in ("word", "subword", "char") for t in texts]
-        distinct_hyps += len(set(hyps.values()))
+        distinct_hyps.append(len(set(hyps.values())))
     assert sorted(seen) == sorted(expected)
-    # ROUGE-L: one packed LCS pass per distinct hypothesis covers every reference.
-    assert len(set(lcs_passes)) == len(lcs_passes) == distinct_hyps == 3 + 3
+    # ROUGE-L: each segment packs its references once and makes one pass per
+    # distinct hypothesis, none of them repeated.
+    assert [len(passes) for passes in lcs_passes] == distinct_hyps == [4, 3]
+    assert [len(set(passes)) for passes in lcs_passes] == distinct_hyps
     assert segment_stat_calls == []
 
 
