@@ -6,13 +6,7 @@ external per-reference score matrices), and meta-evaluate metrics against
 human judgments.
 """
 
-from .combine import (
-    CombinePolicy,
-    combine_matrix,
-    combine_row,
-    system_score,
-    system_scores,
-)
+from .combine import CombinePolicy, load_combined, system_scores
 from .corpus_io import EvalCorpus, Segment, load_corpus, merge_references
 from .diversity import (
     CandidateSet,
@@ -35,11 +29,9 @@ from .metaeval import (
     MetaEvalReport,
     kendall_tau,
     leakage_gap,
-    meta_evaluate,
     meta_evaluate_all,
     pairwise_accuracy,
     pearson,
-    segment_kendall,
     spearman,
 )
 from .metrics import (
@@ -62,9 +54,7 @@ from .refgen import (
     HttpChatTransport,
     MockTransport,
     PromptTemplate,
-    build_prompt,
     generate_references,
-    parse_candidates,
 )
 from .textproc import (
     SubwordVocab,
@@ -102,32 +92,26 @@ __all__ = [
     "TransportError",
     "bleu_corpus",
     "bleu_sentence",
-    "build_prompt",
     "chrf_corpus",
     "chrf_sentence",
-    "combine_matrix",
-    "combine_row",
     "distinct_n",
     "generate_references",
     "kendall_tau",
     "leakage_gap",
+    "load_combined",
     "load_corpus",
     "load_subword_vocab",
     "merge_references",
-    "meta_evaluate",
     "meta_evaluate_all",
     "pairwise_accuracy",
-    "parse_candidates",
     "pearson",
     "rouge_l",
     "rouge_n",
     "score_corpus",
-    "segment_kendall",
     "select_diverse",
     "self_bleu",
     "spbleu_corpus",
     "spearman",
-    "system_score",
     "system_scores",
     "tokenize_chars",
     "tokenize_subwords",

@@ -18,6 +18,7 @@ from .corpus_io import json_object, number_field, read_json, write_json, write_j
 # score calls write_score_matrix through this module, so the tracer's span
 # still times the matrix write.
 from .combine import (  # noqa: F401
+    COMBINE_KINDS,
     CombinePolicy,
     combine_matrix,
     load_combined,
@@ -28,6 +29,8 @@ from .combine import (  # noqa: F401
 from .errors import CorpusFormatError, MultirefError
 from .metrics import (  # noqa: F401
     METRICS,
+    REF_LENGTH_MODES,
+    SMOOTHING_METHODS,
     BleuConfig,
     MultiRefScorer,
     bleu_corpus,
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate reference candidates via an LLM endpoint")
     p.add_argument("--segments", required=True, help="segments.jsonl")
     p.add_argument("--out", required=True, help="refs.jsonl to write/append")
-    p.add_argument("--task", choices=("translation", "summarization"), default="translation")
+    p.add_argument("--task", choices=tuple(refgen.DEFAULT_N_REFERENCES), default="translation")
     p.add_argument("--template", choices=("english", "chinese"), help="built-in template (default: english)")
     p.add_argument("--template-file", help="JSON template to use instead of a built-in one")
     p.add_argument("--model", default="gpt-3.5-turbo")
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated-refs", help="refs.jsonl from generate/select")
     p.add_argument(
         "--refs",
-        choices=("gold", "generated", "both"),
+        choices=corpus_io.REF_MODES,
         default=None,
         help="reference set (default: generated when --generated-refs is given, else gold)",
     )
@@ -97,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="subword vocabulary file (required for spbleu)")
     p.add_argument("--pretokenized", action="store_true", help="treat text as subword pieces joined by spaces")
     p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--smoothing", choices=("none", "exp"), default="exp")
-    p.add_argument("--ref-length", choices=("closest", "shortest"), default="closest")
+    p.add_argument("--smoothing", choices=SMOOTHING_METHODS, default="exp")
+    p.add_argument("--ref-length", choices=REF_LENGTH_MODES, default="closest")
     p.add_argument("--chrf-order", type=int, default=6)
     p.add_argument("--chrf-beta", type=float, default=2.0)
     p.add_argument("--per-reference", action="store_true",
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("combine", help="combine per-reference score matrices")
     p.add_argument("--matrix", required=True, help="matrix.jsonl")
-    p.add_argument("--policy", choices=("max", "mean", "top_k_mean"), default="max")
+    p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
     p.add_argument("--k", type=int, help="k for top_k_mean")
     p.add_argument("--out", help="combined per-segment scores JSONL")
     p.add_argument("--summary", help="per-system summary JSON")
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metaeval", help="correlate metric scores with human judgments")
     p.add_argument("--matrix", required=True, help="matrix.jsonl of metric scores")
     p.add_argument("--human", required=True, help="human.jsonl")
-    p.add_argument("--policy", choices=("max", "mean", "top_k_mean"), default="max")
+    p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
     p.add_argument("--k", type=int)
     p.add_argument("--name", help="language pair / task label for the report")
     p.add_argument("--out", help="report JSON")
@@ -403,8 +406,10 @@ def cmd_score(args) -> int:
             raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
         low, high = _parse_sweep(args.sweep_refs)
         counts = range(low, high + 1)
+    elif args.per_reference and not args.out:
+        raise ValueError("--per-reference sets the cells of the --out matrix; it needs --out")
 
-    scores, rows = score_corpus(scorer, corpus, mode, counts, args.per_reference and bool(args.out))
+    scores, rows = score_corpus(scorer, corpus, mode, counts, args.per_reference)
     if args.sweep_refs:
         series = [
             {"metric": metric, "system": system, "refs": k, "score": score.value}

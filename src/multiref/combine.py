@@ -59,29 +59,23 @@ def _reducer(policy: CombinePolicy | None):
     return top_k_mean
 
 
-def combine_row(scores, policy: CombinePolicy | None = None) -> float:
-    """Reduce one row's per-reference scores to a single value."""
-    reduce = _reducer(policy)
-    scores = list(scores)
-    if not scores:
-        raise ValueError("cannot combine an empty score list")
-    return reduce(scores)
-
-
 def combine_matrix(
     rows: dict[tuple[str, str], dict[str, float]], policy: CombinePolicy | None = None
 ) -> dict[tuple[str, str], float]:
-    """Apply combine_row to each `{(system, segment): {ref: score}}` row, keeping the keys."""
+    """Reduce each `{(system, segment): {ref: score}}` row with `policy`, keeping the keys.
+
+    `combine` and `metaeval` run `load_combined`, which reduces each row as it
+    is read; this stays only because pipebench/tracer.py wraps it.
+    """
     if not rows:
         raise ValueError("cannot combine an empty matrix")
-    return {key: combine_row(cells.values(), policy) for key, cells in rows.items()}
-
-
-def system_score(per_segment) -> float:
-    """Arithmetic mean of per-segment scores; the system-level score."""
-    if not per_segment:
-        raise ValueError("cannot average an empty score map")
-    return mean(list(per_segment.values()))
+    reduce = _reducer(policy)
+    combined = {}
+    for key, cells in rows.items():
+        if not cells:
+            raise ValueError("cannot combine an empty score list")
+        combined[key] = reduce(list(cells.values()))
+    return combined
 
 
 def system_scores(combined: dict[tuple[str, str], float], metric: str) -> dict[str, float]:

@@ -37,6 +37,10 @@ from .errors import CorpusFormatError
 from .records import Fields, record
 
 
+#: Reference modes of `Segment.scoring_refs`, in the order `score --refs` lists them.
+REF_MODES = ("gold", "generated", "both")
+
+
 class Segment(record("Segment", "id source gold_refs generated_refs", defaults=((), ()))):
     """One source item with its gold and generated references."""
 
@@ -48,7 +52,7 @@ class Segment(record("Segment", "id source gold_refs generated_refs", defaults=(
         `max_generated` caps the generated list (generation order) for
         reference-count sweeps; gold references are never capped.
         """
-        if mode not in ("gold", "generated", "both"):
+        if mode not in REF_MODES:
             raise ValueError(f"unknown reference mode {mode!r}")
         generated = list(self.generated_refs)
         if max_generated is not None:
@@ -75,12 +79,6 @@ class EvalCorpus(Fields):
 
     def segment_ids(self) -> list[str]:
         return [segment.id for segment in self.segments]
-
-    def segment(self, segment_id: str) -> Segment:
-        for segment in self.segments:
-            if segment.id == segment_id:
-                return segment
-        raise KeyError(segment_id)
 
 
 _JSON_TYPES = {

@@ -24,23 +24,19 @@ from .metrics import BleuConfig, CorpusStats, _bleu_from_stats, bleu_sentence  #
 from .records import record
 from .textproc import tokenize_words, tokens_of
 
-PROVENANCES = frozenset({"llm", "gold", "external"})
-
 #: Default selection threshold.
 DEFAULT_SELF_BLEU_THRESHOLD = 35.0
 
 
-class CandidateSet(record("CandidateSet", "segment_id candidates provenance")):
+class CandidateSet(record("CandidateSet", "segment_id candidates")):
     """Ordered reference candidates for one segment."""
 
     __slots__ = ()
 
-    def __new__(cls, segment_id: str, candidates: tuple[str, ...], provenance: str = "llm"):
+    def __new__(cls, segment_id: str, candidates: tuple[str, ...]):
         if not candidates:
             raise ValueError("candidate set must not be empty")
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        return tuple.__new__(cls, (segment_id, candidates, provenance))
+        return tuple.__new__(cls, (segment_id, candidates))
 
 
 class DiversityReport(record("DiversityReport", "distinct_n n unique_tokens")):
@@ -136,11 +132,7 @@ def select_diverse(
     returned unchanged.
     """
     _, kept = score_and_select(cset.candidates, threshold, lowercase, cfg)
-    return CandidateSet(
-        segment_id=cset.segment_id,
-        candidates=tuple(cset.candidates[i] for i in kept),
-        provenance=cset.provenance,
-    )
+    return CandidateSet(cset.segment_id, tuple(cset.candidates[i] for i in kept))
 
 
 def distinct_n(corpus, n: int = 6) -> float:

@@ -220,13 +220,8 @@ def pairwise_accuracy(metric_scores, human_scores) -> tuple[float, int]:
     return correct / used, used
 
 
-def segment_kendall(metric_scores, human_scores) -> float:
-    """Kendall tau-b over the aligned (system, segment) score vectors."""
-    return _segment_kendall(sorted(human_scores), metric_scores, human_scores)
-
-
 def _segment_kendall(human_keys, metric_scores, human_scores) -> float:
-    """`segment_kendall` over the keys of the sorted `human_keys` that the metric shares."""
+    """Kendall tau-b over the (system, segment) keys of the sorted `human_keys` that the metric shares."""
     common = [k for k in human_keys if k in metric_scores]
     if len(common) < 2:
         raise ValueError("segment kendall needs at least two common (system, segment) keys")
@@ -460,6 +455,10 @@ def meta_evaluate(
     metric_name: str,
     name: str | None = None,
 ) -> MetaEvalReport:
-    """Build a full agreement report from per-(system, segment) metric scores."""
+    """Build a full agreement report from per-(system, segment) metric scores.
+
+    `metaeval` runs `meta_evaluate_all`, which this calls for one metric; it
+    stays only because pipebench/tracer.py wraps it.
+    """
     (report,) = meta_evaluate_all({metric_name: metric_segment_scores}, judgments, name)
     return report

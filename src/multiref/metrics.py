@@ -209,19 +209,19 @@ def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> Corpus
 class MultiRefScorer:
     """Scores several systems against shared references, one segment at a time.
 
-    The one implementation of multi-reference BLEU, spBLEU and chrF: `score`
-    runs on it, and `bleu_sentence`, `bleu_corpus`, `spbleu_corpus`,
-    `chrf_sentence`, `chrf_corpus` and `corpus_stats_for_segment` are thin
-    calls into it (a sentence score is the corpus score of one pair).
-    `segment` builds every statistic of a segment once; `corpus` sums the
-    per-segment parts that `SegmentScores.joint` returns into the corpus
-    score. `rouge_n` and `rouge_l` are thin calls into it too, and ROUGE's
+    The one implementation of multi-reference BLEU, spBLEU, chrF and ROUGE:
+    `score_corpus` runs on it, and `bleu_sentence`, `bleu_corpus`,
+    `spbleu_corpus`, `chrf_sentence`, `chrf_corpus`, `rouge_n` and `rouge_l`
+    are thin calls into it (a sentence score is the corpus score of one
+    pair). `segment` builds every statistic of a segment once; `corpus` sums
+    the per-segment parts that `SegmentScores.joint` returns into the corpus
+    score, and a segment's BLEU `CorpusStats` is its bleu part. ROUGE's
     corpus value is the mean segment value. Besides `METRICS`, it scores
-    ROUGE-N of any order n >= 1 under the name "rouge<n>". `words` and
-    `pieces` map a text (any hashable value they accept) to its word and
-    subword tokens; the word-level metrics (bleu and ROUGE) need `words` and
-    spbleu needs `pieces`. chrF takes characters from `tokenize_chars`,
-    honouring `lowercase`.
+    ROUGE-N of any order n >= 1 under the name "rouge<n>"; each metric may be
+    named once. `words` and `pieces` map a text (any hashable value they
+    accept) to its word and subword tokens; the word-level metrics (bleu and
+    ROUGE) need `words` and spbleu needs `pieces`. chrF takes characters from
+    `tokenize_chars`, honouring `lowercase`.
     """
 
     def __init__(
@@ -235,11 +235,13 @@ class MultiRefScorer:
         pieces: Callable[[str], Sequence[str]] | None = None,
     ):
         self.metrics = tuple(metrics)
-        for metric in self.metrics:
+        for i, metric in enumerate(self.metrics):
             if metric not in METRICS and _rouge_n_order(metric) is None:
                 raise ValueError(
                     f"unknown metric {metric!r}; choose from {', '.join(METRICS)} or rouge<n>"
                 )
+            if metric in self.metrics[:i]:
+                raise ValueError(f"metric {metric!r} is named twice")
         if chrf_order < 1:
             raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
         # chrF weighs recall by beta squared; where that overflows, every F-score is NaN.
@@ -439,8 +441,20 @@ def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(Non
     metric-major, then by system, then by segment id). A row's cells are
     `{"all": value}` against the references of the largest count or, with
     `per_reference`, one single-reference value each under the id
-    `gold:i` or `gen:i`.
+    `gold:i` or `gen:i`. Raises ValueError unless `counts` is non-empty and
+    strictly ascending, of integers >= 1 with None only last.
     """
+    counts = list(counts)
+    if not counts:
+        raise ValueError("counts must hold at least one count")
+    for i, k in enumerate(counts):
+        if k is None:
+            if i < len(counts) - 1:
+                raise ValueError(f"None may only be the last count, got {counts}")
+        elif isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"each count must be an integer >= 1 or None, got {k!r}")
+        elif i and k <= counts[i - 1]:
+            raise ValueError(f"counts must be strictly ascending, got {counts}")
     metrics = scorer.metrics
     systems = sorted(corpus.systems)
     largest = counts[-1]
@@ -497,11 +511,6 @@ def _bleu_scorer(cfg: BleuConfig | None) -> MultiRefScorer:
 def _token_pair(hyp, refs) -> tuple:
     """A (hypothesis, references) pair of token tuples, hashable as the scorer needs."""
     return tokens_of(hyp), [tokens_of(ref) for ref in refs]
-
-
-def corpus_stats_for_segment(hyp, refs, cfg: BleuConfig | None = None) -> CorpusStats:
-    """Clipped-match statistics of one segment, ready for corpus summation."""
-    return _part(_bleu_scorer(cfg), "bleu", *_token_pair(hyp, refs))
 
 
 def bleu_sentence(hyp, refs, cfg: BleuConfig | None = None) -> MetricScore:

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from multiref.cli import main
-from multiref.combine import CombinePolicy, combine_matrix, combine_row
+from multiref.combine import CombinePolicy, combine_matrix
 from multiref.diversity import distinct_n, select_diverse, self_bleu, CandidateSet
 from multiref.errors import DegenerateDataError
 from multiref.metaeval import (
@@ -23,10 +23,10 @@ from multiref.metaeval import (
     spearman,
 )
 from multiref.metrics import (
+    MultiRefScorer,
     bleu_corpus,
     bleu_sentence,
     chrf_sentence,
-    corpus_stats_for_segment,
     rouge_l,
     rouge_n,
 )
@@ -51,6 +51,12 @@ def random_tokens(rng, lo=1, hi=12):
 
 def random_case(rng):
     return random_tokens(rng), [random_tokens(rng) for _ in range(rng.randint(1, 4))]
+
+
+def bleu_stats(hyp, refs):
+    """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
+    scores = MultiRefScorer(["bleu"], words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
+    return scores.joint("", "bleu")[1]
 
 
 def test_criterion_01_metric_oracle_equivalence():
@@ -85,8 +91,8 @@ def test_criterion_02_multi_reference_monotonicity():
     for _ in range(200):
         hyp, refs = random_case(rng)
         extra = random_tokens(rng)
-        before = corpus_stats_for_segment(hyp, refs)
-        after = corpus_stats_for_segment(hyp, refs + [extra])
+        before = bleu_stats(hyp, refs)
+        after = bleu_stats(hyp, refs + [extra])
         if any(b > a for b, a in zip(before.matched, after.matched)):
             violations += 1
         for metric in (lambda h, r: rouge_n(h, r, 1), lambda h, r: rouge_n(h, r, 2), rouge_l):
@@ -143,9 +149,8 @@ def test_criterion_04_max_combination():
         rows = {("sys", "seg"): dict(scores)}
         combined = combine_matrix(rows, CombinePolicy("max"))["sys", "seg"]
         assert all(combined >= s for s in scores.values())
-        grown = combine_row(
-            list(scores.values()) + [rng.uniform(-3, 3)], CombinePolicy("max")
-        )
+        rows["sys", "seg"]["extra"] = rng.uniform(-3, 3)
+        grown = combine_matrix(rows, CombinePolicy("max"))["sys", "seg"]
         assert grown >= combined
     _passed(4, "max combination dominates inputs and grows with extra columns (120 matrices)")
 

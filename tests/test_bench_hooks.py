@@ -5,6 +5,7 @@ under src/ that renames or drops a wrapped function would otherwise only show
 up in pipebench/selfcheck.py.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +13,9 @@ from pathlib import Path
 from multiref import kernels
 from multiref.cli import main
 
-TRACER = Path(__file__).resolve().parent.parent / "pipebench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "pipebench" / "tracer.py"
+PACKAGE = ROOT / "src" / "multiref"
 
 
 def tracer_module():
@@ -66,3 +69,28 @@ def test_metaeval_calls_the_names_its_per_layer_metrics_trace(tmp_path, jsonl_wr
     spans = tracer.report()["spans"]
     for name in ("metaeval.load_human_judgments", "metaeval.kendall_tau", "metaeval.spearman"):
         assert spans.get(name, {}).get("calls", 0) >= 1, name
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; `__init__.py` reads its names through `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_unused_import_is_a_wrap_point():
+    # No linter runs here: a module may import a name it never reads only so
+    # that the tracer finds it there.
+    wrapped = {(module, attr) for module, owner, attr, _span, _options in wrap_points() if owner is None}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = f"multiref.{path.stem}"
+        assert [name for name in unused_imports(path) if (module, name) not in wrapped] == [], path.name

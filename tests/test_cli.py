@@ -355,6 +355,24 @@ class TestScore:
         rows = [json.loads(line) for line in matrix_path.read_text(encoding="utf-8").splitlines()]
         assert all(set(r["scores"]) == {"gold:0", "gen:0", "gen:1", "gen:2"} for r in rows)
 
+    def test_per_reference_without_out_rejected(self, pipeline, capsys):
+        summary_path = pipeline["dir"] / "summary.json"
+        code = main(
+            [
+                "score",
+                "--segments", str(pipeline["segments"]),
+                "--outputs", str(pipeline["outputs"]),
+                "--refs", "gold",
+                "--per-reference",
+                "--summary", str(summary_path),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "multiref: error: --per-reference sets the cells of the --out matrix; it needs --out\n"
+        )
+        assert not summary_path.exists()
+
     def test_sweep_emits_one_row_per_count(self, pipeline):
         summary_path = pipeline["dir"] / "sweep.json"
         code = main(

@@ -10,10 +10,8 @@ import oracles
 from multiref.combine import (
     CombinePolicy,
     combine_matrix,
-    combine_row,
     load_combined,
     load_score_matrices,
-    system_score,
     system_scores,
     write_score_matrix,
 )
@@ -24,27 +22,38 @@ score_lists = st.lists(
 )
 
 
+def one_row(scores, policy=None):
+    """One row's scores combined by `combine_matrix`."""
+    return combine_matrix({("a", "s"): {f"r{i}": s for i, s in enumerate(scores)}}, policy)["a", "s"]
+
+
+def one_system(per_segment):
+    """One system's mean over its `{segment: score}` from `system_scores`."""
+    (score,) = system_scores({("a", segment): s for segment, s in per_segment.items()}, "m").values()
+    return score
+
+
 class TestCombineRow:
     def test_max(self):
-        assert combine_row([0.2, 0.8, 0.5], CombinePolicy("max")) == 0.8
+        assert one_row([0.2, 0.8, 0.5], CombinePolicy("max")) == 0.8
 
     def test_mean(self):
-        assert combine_row([0.2, 0.8, 0.5], CombinePolicy("mean")) == pytest.approx(0.5)
+        assert one_row([0.2, 0.8, 0.5], CombinePolicy("mean")) == pytest.approx(0.5)
 
     def test_top_k_mean(self):
         policy = CombinePolicy("top_k_mean", k=2)
-        assert combine_row([0.2, 0.8, 0.5], policy) == pytest.approx(0.65)
+        assert one_row([0.2, 0.8, 0.5], policy) == pytest.approx(0.65)
 
     def test_default_policy_is_max(self):
-        assert combine_row([1.0, 3.0, 2.0]) == 3.0
+        assert one_row([1.0, 3.0, 2.0]) == 3.0
 
     def test_empty_scores_rejected(self):
-        with pytest.raises(ValueError):
-            combine_row([], CombinePolicy("max"))
+        with pytest.raises(ValueError, match="cannot combine an empty score list"):
+            one_row([], CombinePolicy("max"))
 
     def test_k_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            combine_row([0.5], CombinePolicy("top_k_mean", k=2))
+            one_row([0.5], CombinePolicy("top_k_mean", k=2))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -56,15 +65,15 @@ class TestCombineRow:
 
     @given(score_lists)
     def test_max_dominates_inputs(self, scores):
-        combined = combine_row(scores, CombinePolicy("max"))
+        combined = one_row(scores, CombinePolicy("max"))
         assert all(combined >= s for s in scores)
 
     @given(score_lists)
     def test_mean_and_topk_within_bounds(self, scores):
-        mean = combine_row(scores, CombinePolicy("mean"))
+        mean = one_row(scores, CombinePolicy("mean"))
         assert min(scores) - 1e-9 <= mean <= max(scores) + 1e-9
         for k in range(1, len(scores) + 1):
-            topk = combine_row(scores, CombinePolicy("top_k_mean", k=k))
+            topk = one_row(scores, CombinePolicy("top_k_mean", k=k))
             assert min(scores) - 1e-9 <= topk <= max(scores) + 1e-9
 
 
@@ -120,19 +129,19 @@ class TestCombineMatrix:
 
 class TestSystemScore:
     def test_mean(self):
-        assert system_score({"s1": 0.4, "s2": 0.6}) == pytest.approx(0.5)
+        assert one_system({"s1": 0.4, "s2": 0.6}) == pytest.approx(0.5)
 
     def test_single_segment(self):
-        assert system_score({"s1": 0.73}) == 0.73
+        assert one_system({"s1": 0.73}) == 0.73
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            system_score({})
+    def test_empty_map_has_no_system(self):
+        # Each mean is over a system's own segments, so none is ever empty.
+        assert system_scores({}, "m") == {}
 
     def test_matches_naive_sum(self, rng):
         values = {f"s{i}": rng.uniform(0, 100) for i in range(100)}
         naive = sum(values.values()) / len(values)
-        assert system_score(values) == pytest.approx(naive, abs=1e-12)
+        assert one_system(values) == pytest.approx(naive, abs=1e-12)
 
 
 class TestSystemScores:

@@ -268,17 +268,17 @@ class TestMergeReferences:
 
     def test_generated_only(self):
         merged = merge_references(self.corpus(), [record("s1", ["c1", "c2"])])
-        seg = merged.segment("s1")
+        seg = merged.segments[0]
         assert seg.generated_refs == ("c1", "c2")
         assert seg.scoring_refs("generated") == ["c1", "c2"]
 
     def test_gold_included_when_requested(self):
         merged = merge_references(self.corpus(), [record("s1", ["c1"])])
-        assert merged.segment("s1").scoring_refs("both") == ["gold1", "c1"]
+        assert merged.segments[0].scoring_refs("both") == ["gold1", "c1"]
 
     def test_failed_records_contribute_nothing(self):
         merged = merge_references(self.corpus(), [record("s1", [], error="bad")])
-        assert merged.segment("s1").scoring_refs("generated") == []
+        assert merged.segments[0].scoring_refs("generated") == []
 
     def test_unknown_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -287,8 +287,8 @@ class TestMergeReferences:
     def test_original_untouched(self):
         corpus = self.corpus()
         merge_references(corpus, [record("s1", ["c"])])
-        assert corpus.segment("s1").gold_refs == ("gold1",)
-        assert corpus.segment("s1").generated_refs == ()
+        assert corpus.segments[0].gold_refs == ("gold1",)
+        assert corpus.segments[0].generated_refs == ()
 
 
 class TestScoringRefs:

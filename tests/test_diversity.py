@@ -96,10 +96,9 @@ class TestSelectDiverse:
         assert "zebras wander somewhere else entirely" in selected.candidates
 
     def test_metadata_preserved(self):
-        original = CandidateSet("seg9", ("a b", "c d"), provenance="external")
+        original = CandidateSet("seg9", ("a b", "c d"))
         selected = select_diverse(original)
         assert selected.segment_id == "seg9"
-        assert selected.provenance == "external"
 
     @given(st.lists(st.text("abc xyz", min_size=1, max_size=12), min_size=1, max_size=6))
     def test_output_is_nonempty_subset_in_order(self, texts):

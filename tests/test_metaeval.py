@@ -24,7 +24,6 @@ from multiref.metaeval import (
     midranks,
     pairwise_accuracy,
     pearson,
-    segment_kendall,
     spearman,
     system_human_scores,
 )
@@ -245,6 +244,13 @@ class TestSpearman:
             assert spearman(x, y) == pytest.approx(oracles.spearman(x, y), abs=1e-12)
 
 
+def segment_kendall(metric_scores, human_scores):
+    """The segment-level Kendall tau of `meta_evaluate_all` on segment-level human scores."""
+    judgments = [HumanJudgment(system, score, segment) for (system, segment), score in human_scores.items()]
+    (report,) = meta_evaluate_all({"m": metric_scores}, judgments)
+    return report.kendall
+
+
 class TestSegmentKendall:
     def test_identical_ordering(self):
         metric = {("a", "s1"): 1.0, ("a", "s2"): 2.0, ("b", "s1"): 3.0}
@@ -262,8 +268,9 @@ class TestSegmentKendall:
         assert segment_kendall(metric, human) == expected
 
     def test_disjoint_keys_rejected(self):
-        with pytest.raises(ValueError):
-            segment_kendall({("a", "s1"): 1.0}, {("b", "s2"): 1.0})
+        # The systems are shared, so only the (system, segment) keys are disjoint.
+        with pytest.raises(ValueError, match="segment kendall needs"):
+            segment_kendall({("a", "s1"): 1.0, ("b", "s1"): 2.0}, {("a", "s2"): 1.0, ("b", "s2"): 2.0})
 
 
 class TestLeakageGap:

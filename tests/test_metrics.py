@@ -14,7 +14,6 @@ from multiref.metrics import (
     bleu_sentence,
     chrf_corpus,
     chrf_sentence,
-    corpus_stats_for_segment,
     rouge_l,
     rouge_n,
     spbleu_corpus,
@@ -36,6 +35,12 @@ def random_case(rng):
     return hyp, refs
 
 
+def bleu_stats(hyp, refs):
+    """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
+    scores = MultiRefScorer(["bleu"], words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
+    return scores.joint("", "bleu")[1]
+
+
 class TestTokenSequences:
     # A plain string used to be scored character by character: this pair
     # scored BLEU 61.63 as strings against 35.36 as words.
@@ -45,7 +50,7 @@ class TestTokenSequences:
             lambda: bleu_sentence("the cat sat on", ["the dog sat on"]),
             lambda: bleu_sentence("the cat sat on".split(), ["the dog sat on"]),
             lambda: bleu_corpus([("the cat sat on", ["the dog sat on"])]),
-            lambda: corpus_stats_for_segment("the cat", ["the dog"]),
+            lambda: bleu_corpus([(["the"], ["the"]), ("the cat", ["the dog"])]),
             lambda: rouge_n("the cat", ["the dog"], 1),
             lambda: rouge_l(["the", "cat"], ["the dog"]),
             lambda: self_bleu(["the cat sat", "the dog sat"]),
@@ -151,7 +156,7 @@ class TestBleuCorpus:
 
     def test_stats_reduction_is_order_independent(self, rng):
         pairs = [random_case(rng) for _ in range(6)]
-        stats = [corpus_stats_for_segment(h, r) for h, r in pairs]
+        stats = [bleu_stats(h, r) for h, r in pairs]
         forward = sum(stats[1:], stats[0])
         backward = sum(list(reversed(stats))[1:], stats[-1])
         assert forward == backward
@@ -366,8 +371,8 @@ class TestMultiReferenceMonotonicity:
         for _ in range(60):
             hyp, refs = random_case(rng)
             extra = random_tokens(rng)
-            before = corpus_stats_for_segment(hyp, refs)
-            after = corpus_stats_for_segment(hyp, refs + [extra])
+            before = bleu_stats(hyp, refs)
+            after = bleu_stats(hyp, refs + [extra])
             assert all(b <= a for b, a in zip(before.matched, after.matched))
 
     def test_rouge_and_chrf_never_decrease(self, rng):
@@ -416,7 +421,7 @@ def test_public_functions_never_call_segment_kernels(monkeypatch):
     vocab = SubwordVocab(frozenset({"▁a", "▁b", "▁c"}))
     text = "a b c a b"
     hyp, refs = text.split(), [["b", "a"], text.split()]
-    stats = corpus_stats_for_segment(hyp, refs)
+    stats = bleu_stats(hyp, refs)
     assert (stats.matched, stats.hyp_len, stats.ref_len) == ([5, 4, 3, 2], 5, 5)
     assert bleu_sentence(hyp, refs).value == 100.0
     assert bleu_corpus([(hyp, refs), (hyp, refs[1:])]).value == 100.0

@@ -8,6 +8,66 @@ from multiref import SubwordVocab, tokenize_chars, tokenize_subwords, tokenize_w
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# One name per job. combine_matrix and meta_evaluate stay in their modules
+# for the benchmark's tracer only; build_prompt and parse_candidates are
+# steps of generate_references.
+PUBLIC_API = [
+    "BleuConfig",
+    "CandidateSet",
+    "CombinePolicy",
+    "CorpusFormatError",
+    "CorpusStats",
+    "DegenerateDataError",
+    "DiversityReport",
+    "EvalCorpus",
+    "GenerationConfig",
+    "GenerationRecord",
+    "HttpChatTransport",
+    "HumanJudgment",
+    "LeakageGapReport",
+    "MalformedResponseError",
+    "MetaEvalReport",
+    "MetricScore",
+    "MockTransport",
+    "MultiRefScorer",
+    "MultirefError",
+    "PromptTemplate",
+    "Segment",
+    "SubwordVocab",
+    "TransportError",
+    "bleu_corpus",
+    "bleu_sentence",
+    "chrf_corpus",
+    "chrf_sentence",
+    "distinct_n",
+    "generate_references",
+    "kendall_tau",
+    "leakage_gap",
+    "load_combined",
+    "load_corpus",
+    "load_subword_vocab",
+    "merge_references",
+    "meta_evaluate_all",
+    "pairwise_accuracy",
+    "pearson",
+    "rouge_l",
+    "rouge_n",
+    "score_corpus",
+    "select_diverse",
+    "self_bleu",
+    "spbleu_corpus",
+    "spearman",
+    "system_scores",
+    "tokenize_chars",
+    "tokenize_subwords",
+    "tokenize_words",
+    "unique_tokens",
+]
+
+
+def test_exports_are_pinned():
+    assert multiref.__all__ == PUBLIC_API
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in multiref.__all__ if not hasattr(multiref, name)]

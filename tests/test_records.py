@@ -47,9 +47,8 @@ CASES = [
     ]),
     (Segment, {"id": "s1", "source": "src", "gold_refs": ("g",), "generated_refs": ("a", "b")}, True, True, []),
     (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, False, False, []),
-    (CandidateSet, {"segment_id": "s1", "candidates": ("a", "b"), "provenance": "gold"}, True, True, [
+    (CandidateSet, {"segment_id": "s1", "candidates": ("a", "b")}, True, True, [
         ({"candidates": ()}, "candidate set must not be empty"),
-        ({"provenance": "web"}, "unknown provenance 'web'"),
     ]),
     (DiversityReport, {"distinct_n": 0.5, "n": 2, "unique_tokens": 7}, True, True, [
         ({"distinct_n": 1.5}, "distinct_n out of [0, 1]: 1.5"),

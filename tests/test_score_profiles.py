@@ -464,3 +464,25 @@ def test_scorer_rejects_bad_configuration():
     scorer = MultiRefScorer(("chrf",))
     with pytest.raises(ValueError, match="at least one reference"):
         scorer.segment({"p": "a"}, [])
+
+
+def test_scorer_rejects_a_metric_named_twice():
+    with pytest.raises(ValueError, match="metric 'bleu' is named twice"):
+        MultiRefScorer(["bleu", "bleu"], words=str.split)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([2, 1], "strictly ascending"),
+        ([None, None], "None may only be the last count"),
+        ([], "at least one count"),
+        ([-1], "integer >= 1"),
+    ],
+    ids=["descending", "none-twice", "empty", "negative"],
+)
+def test_score_corpus_rejects_bad_counts(counts, message):
+    corpus = EvalCorpus([Segment("s1", "src", ("a b",), ("a b", "b a"))], {"A": {"s1": "a b"}})
+    scorer = MultiRefScorer(["bleu"], words=str.split)
+    with pytest.raises(ValueError, match=message):
+        score_corpus(scorer, corpus, "both", counts)
