@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", required=True, help="segments.jsonl")
     p.add_argument("--out", required=True, help="refs.jsonl to write/append")
     p.add_argument("--task", choices=tuple(refgen.DEFAULT_N_REFERENCES), default="translation")
-    p.add_argument("--template", choices=("english", "chinese"), help="built-in template (default: english)")
+    p.add_argument("--template", choices=tuple(dict.fromkeys(name for _, name in refgen.BUILTIN_TEMPLATES)),
+                   help="built-in template (default: english)")
     p.add_argument("--template-file", help="JSON template to use instead of a built-in one")
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
@@ -260,8 +261,8 @@ def _resolve_template(args):
 
 
 def cmd_generate(args) -> int:
-    segments = corpus_io.load_segments(args.segments)
     template, include_gt = _resolve_template(args)
+    segments = corpus_io.load_segments(args.segments)
 
     # --ground-truth/--no-ground-truth, else the template file's key, else
     # whether every segment has a gold reference.

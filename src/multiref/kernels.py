@@ -8,13 +8,13 @@ order-1 units once and builds each order n from order n - 1, extending every
 n-gram by the unit that follows it, so each n-gram costs one concatenation.
 
 Every clipped match is counted on these keys. The clipped count min(a, b) of
-an n-gram is the number of its occurrence keys both sides hold, and a
-multi-reference clip table (`clip_table`) is the plain union of the
-references' keys, so `matches` is one set intersection per order: BLEU (joint
-and per reference) and ROUGE-N count through it. `PackedHypotheses` counts
-chrF: each hypothesis of a segment owns a bit field of one int per
-occurrence key, so one sum over a reference's keys counts every hypothesis's
-matches at once. `ref_len` is the brevity-penalty reference length.
+an n-gram is the number of its occurrence keys both sides hold. Against one
+reference, `PackedHypotheses` counts every hypothesis of a segment at once:
+each owns a bit field of one int per occurrence key, so one sum over the
+reference's keys counts every hypothesis's matches; chrF, ROUGE-N and
+per-reference BLEU count through it. Against several references, joint BLEU
+clips at the plain union of their keys (`clip_table`), so `matches` is one set
+intersection per order. `ref_len` is the brevity-penalty reference length.
 `PackedLcs` is the bit-parallel LCS length of Allison & Dix (1986) and Hyyrö
 (2004) for several sequences at once: one Python int holds a row of the LCS
 table of every sequence, each in its own bit field, so ROUGE-L makes one pass
@@ -24,8 +24,8 @@ alternative implementation.
 
 Nothing in the package calls `bleu_segment_stats`, `chrf_segment_stats` and
 `lcs_length`; they remain only because pipebench/tracer.py wraps them.
-Callers look up `PackedLcs` as a module attribute so that tests can wrap it
-here. tests/test_kernels.py checks each helper against tests/oracles.py.
+Callers look up `PackedLcs`, `PackedHypotheses` and `clip_table` as module
+attributes so that tests can wrap them here. tests/test_kernels.py checks each helper against tests/oracles.py.
 """
 
 from collections import Counter
@@ -100,10 +100,9 @@ def clip_table(refs, max_order: int, table: list[set] | None = None) -> list[set
     return table
 
 
-def matches(hyp: Profile, table: list[set], orders: slice = slice(None)) -> list[int]:
-    """Clipped match count per order (all both hold, or `orders`): `hyp`'s keys in `table`."""
-    pairs = zip(table[orders], hyp.keys[orders])
-    return [len(keys.intersection(hyp_keys)) for keys, hyp_keys in pairs]
+def matches(hyp: Profile, table: list[set]) -> list[int]:
+    """Clipped match count per order both hold: `hyp`'s keys in `table`."""
+    return [len(keys.intersection(hyp_keys)) for keys, hyp_keys in zip(table, hyp.keys)]
 
 
 def field_width(hyps) -> int:

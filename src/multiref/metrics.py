@@ -159,15 +159,13 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
     return math.fsum(used) / len(used), tuple(per_order), len(used)
 
 
-def _f1(precision: float, recall: float) -> float:
+def _rouge(match: int, hyp_total: int, ref_total: int) -> tuple[float, tuple[float, float]]:
+    """ROUGE (F1, (precision, recall)) of a match count; 0 on an empty side."""
+    precision = match / hyp_total if hyp_total > 0 else 0.0
+    recall = match / ref_total if ref_total > 0 else 0.0
     if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def _rouge_pr(match: int, hyp_total: int, ref_total: int) -> tuple[float, float]:
-    """ROUGE (precision, recall) of a match count; 0 on an empty side."""
-    return (match / hyp_total if hyp_total > 0 else 0.0, match / ref_total if ref_total > 0 else 0.0)
+        return 0.0, (precision, recall)
+    return 2.0 * precision * recall / (precision + recall), (precision, recall)
 
 
 def rouge_n(hyp, refs, n: int) -> MetricScore:
@@ -193,17 +191,6 @@ def _rouge_n_order(metric: str) -> int | None:
     if metric[:5] == "rouge" and digits.isascii() and digits.isdigit() and digits[0] != "0":
         return int(digits)
     return None
-
-
-def _bleu_stats(hyp: kernels.Profile, clip, ref_lens, cfg: BleuConfig) -> CorpusStats:
-    """Clipped-match statistics of a hypothesis profile against a clip table."""
-    hyp_len = len(hyp.tokens)
-    return CorpusStats(
-        matched=kernels.matches(hyp, clip),
-        totals=hyp.totals[: cfg.max_order],
-        hyp_len=hyp_len,
-        ref_len=kernels.ref_len(hyp_len, ref_lens, cfg.effective_ref_length),
-    )
 
 
 class MultiRefScorer:
@@ -292,11 +279,12 @@ class SegmentScores:
 
     Each distinct text is tokenized and counted once per granularity, and
     each (hypothesis, distinct reference) statistic is computed once; all
-    systems and metrics share them. Character profiles are the largest, so
-    chrF packs the hypotheses once and streams the references: each one is
-    counted against every hypothesis in one pass per order, then dropped.
-    ROUGE-L packs the references once and makes one LCS pass per distinct
-    hypothesis.
+    systems and metrics share them. Against one reference at a time, the
+    hypotheses are counted in one packed pass (`_counts`): chrF on
+    characters, ROUGE-N on words, and per-reference BLEU on words or pieces,
+    built on the first `per_reference` call. Joint BLEU clips at the union
+    of the references instead. ROUGE-L packs the references once and makes
+    one LCS pass per distinct hypothesis.
     """
 
     def __init__(self, scorer: MultiRefScorer, hyps: dict[str, str], refs: list[str]):
@@ -319,61 +307,65 @@ class SegmentScores:
             }
         # metric -> (references counted, clip table, their lengths), grown by `joint`.
         self._clips = {}
-        # metric -> (clip table, [length]) of each distinct reference alone.
-        self._singles = {}
-        # metric -> system -> one statistic per distinct reference.
+        # granularity -> what `_counts` returned for it.
+        self._counted = {}
+        # metric -> system -> (score in [0, 1], statistic) per distinct reference.
         self._pairs = {}
         for metric in scorer.metrics:
             if metric == "chrf":
-                self._pairs[metric] = self._chrf_pairs()
+                beta = scorer.chrf_beta
+                self._pairs[metric] = {
+                    system: [(_chrf_fscore(*stats, beta)[0], stats) for stats in counts]
+                    for system, counts in self._counts("chars").items()
+                }
             elif metric.startswith("rouge"):
                 self._pairs[metric] = self._rouge_pairs(_rouge_n_order(metric))
 
-    def _rouge_pairs(self, n: int | None) -> dict[str, list]:
-        """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
-        words = self._profiles["words"]
-        refs = [words[text] for text in self.refs]
-        texts = dict.fromkeys(self.hyps.values())
-        # Per distinct hypothesis, its count against each reference; per text, what it is divided by.
-        if n is None:
-            # One packed LCS pass per distinct hypothesis covers every reference.
-            packed = kernels.PackedLcs([ref.tokens for ref in refs])
-            hits = {text: packed.lengths(words[text].tokens) for text in texts}
-            totals = {text: len(profile.tokens) for text, profile in words.items()}
+    def _counts(self, granularity: str) -> dict[str, list]:
+        """Per system and distinct reference, (matches, hyp totals, ref totals) by order-1.
+
+        The distinct hypotheses are packed once, then each distinct reference
+        is counted against all of them in one pass. "chars" profiles each
+        reference only for its pass, as character profiles are the largest.
+        """
+        if granularity in self._counted:
+            return self._counted[granularity]
+        if granularity == "chars":
+            scorer = self.scorer
+
+            def profile(text):
+                chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase))
+                return kernels.Profile(chars, scorer.chrf_order)
         else:
-            tables = [kernels.clip_table([ref], n) for ref in refs]
-            orders = slice(n - 1, n)
-            hits = {text: [kernels.matches(words[text], table, orders)[0] for table in tables] for text in texts}
-            totals = {text: profile.totals[n - 1] for text, profile in words.items()}
-        pairs = {}
-        for system, text in self.hyps.items():
-            prs = [_rouge_pr(hit, totals[text], totals[ref]) for hit, ref in zip(hits[text], self.refs)]
-            pairs[system] = [(_f1(*pr), pr) for pr in prs]
-        return pairs
-
-    def _chrf_pairs(self) -> dict[str, list]:
-        scorer = self.scorer
-
-        def profile(text):
-            chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase))
-            return kernels.Profile(chars, scorer.chrf_order)
-
-        hyp_profiles = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
-        index = {text: i for i, text in enumerate(hyp_profiles)}
-        hyps = list(hyp_profiles.values())
-        packed = kernels.PackedHypotheses(hyps)
-        pairs = {system: [] for system in self.hyps}
+            profile = self._profiles[granularity].__getitem__
+        hyps = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
+        packed = kernels.PackedHypotheses(list(hyps.values()))
+        index = {text: i for i, text in enumerate(hyps)}
+        counts = {system: [] for system in self.hyps}
         for text in self.refs:
-            ref = hyp_profiles[text] if text in hyp_profiles else profile(text)
+            ref = hyps[text] if text in hyps else profile(text)
             match = packed.matches(ref)
             for system, hyp_text in self.hyps.items():
-                i = index[hyp_text]
-                stats = (match[i], hyps[i].totals, ref.totals)
-                pairs[system].append((_chrf_fscore(*stats, scorer.chrf_beta)[0], stats))
-        return pairs
+                counts[system].append((match[index[hyp_text]], hyps[hyp_text].totals, ref.totals))
+        self._counted[granularity] = counts
+        return counts
 
-    def _bleu_profiles(self, metric: str) -> dict:
-        return self._profiles["words" if metric == "bleu" else "pieces"]
+    def _rouge_pairs(self, n: int | None) -> dict[str, list]:
+        """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
+        if n is not None:
+            return {
+                system: [_rouge(match[n - 1], hyp[n - 1], ref[n - 1]) for match, hyp, ref in counts]
+                for system, counts in self._counts("words").items()
+            }
+        # One packed LCS pass per distinct hypothesis covers every reference.
+        words = self._profiles["words"]
+        packed = kernels.PackedLcs([words[text].tokens for text in self.refs])
+        hits = {text: packed.lengths(words[text].tokens) for text in dict.fromkeys(self.hyps.values())}
+        lens = [len(words[text].tokens) for text in self.refs]
+        return {
+            system: [_rouge(hit, len(words[text].tokens), ref_len) for hit, ref_len in zip(hits[text], lens)]
+            for system, text in self.hyps.items()
+        }
 
     def joint(self, system: str, metric: str, n_refs: int | None = None):
         """(segment value, corpus part) against the first `n_refs` references (default all).
@@ -385,18 +377,26 @@ class SegmentScores:
         """
         slots = self._slots[:n_refs]
         if metric in ("bleu", "spbleu"):
-            profiles = self._bleu_profiles(metric)
+            cfg = self.scorer.bleu_cfg
+            profiles = self._profiles["words" if metric == "bleu" else "pieces"]
             # Counts come in ascending order, so each clip table grows from the
             # last one by the keys of the references it lacks.
             counted, clip, lens = self._clips.get(metric, (0, None, []))
             if counted > len(slots):
                 counted, clip, lens = 0, None, []
             added = [profiles[self.refs[i]] for i in slots[counted:]]
-            clip = kernels.clip_table(added, self.scorer.bleu_cfg.max_order, clip)
+            clip = kernels.clip_table(added, cfg.max_order, clip)
             lens += [len(ref.tokens) for ref in added]
             self._clips[metric] = (len(slots), clip, lens)
-            stats = _bleu_stats(profiles[self.hyps[system]], clip, lens, self.scorer.bleu_cfg)
-            return _bleu_from_stats(stats, self.scorer.bleu_cfg).value, stats
+            hyp = profiles[self.hyps[system]]
+            hyp_len = len(hyp.tokens)
+            stats = CorpusStats(
+                matched=kernels.matches(hyp, clip),
+                totals=hyp.totals[: cfg.max_order],
+                hyp_len=hyp_len,
+                ref_len=kernels.ref_len(hyp_len, lens, cfg.effective_ref_length),
+            )
+            return _bleu_from_stats(stats, cfg).value, stats
         pairs = self._pairs[metric][system]
         best_score, best = -1.0 if metric == "chrf" else 0.0, None
         for i in slots:
@@ -412,17 +412,12 @@ class SegmentScores:
     def per_reference(self, system: str, metric: str) -> list[float]:
         """Single-reference segment values, one per reference as given."""
         if metric in ("bleu", "spbleu"):
-            profiles = self._bleu_profiles(metric)
-            hyp = profiles[self.hyps[system]]
             cfg = self.scorer.bleu_cfg
-            if metric not in self._singles:
-                self._singles[metric] = [
-                    (kernels.clip_table([profiles[text]], cfg.max_order), [len(profiles[text].tokens)])
-                    for text in self.refs
-                ]
+            n = cfg.max_order
+            # Against one reference, its length is the brevity-penalty length: totals[0].
             values = [
-                _bleu_from_stats(_bleu_stats(hyp, clip, lens, cfg), cfg).value
-                for clip, lens in self._singles[metric]
+                _bleu_from_stats(CorpusStats(match[:n], hyp[:n], hyp[0], ref[0]), cfg).value
+                for match, hyp, ref in self._counts("words" if metric == "bleu" else "pieces")[system]
             ]
         else:
             values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]

@@ -162,6 +162,18 @@ class TestGenerate:
         assert capsys.readouterr().err == "multiref: error: --template and --template-file are mutually exclusive\n"
         assert not out.exists()
 
+    def test_template_without_its_task_fails_before_segments_are_read(self, pipeline, capsys):
+        # The template used to be resolved only after --segments was loaded,
+        # so a missing segments file hid the bad (task, template) pair.
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main(["generate", "--segments", str(pipeline["dir"] / "missing.jsonl"), "--out", str(out),
+                     "--mock", "--task", "summarization", "--template", "chinese"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "multiref: error: no built-in chinese template for task 'summarization'\n"
+        )
+        assert not out.exists()
+
     def test_resume_skips_done_ids(self, pipeline, capsys):
         out = pipeline["dir"] / "gen.jsonl"
         args = [

@@ -4,9 +4,9 @@ Tokens are drawn from a small alphabet with multi-character and non-ASCII
 entries, so that n-grams repeat; sequences may be empty and orders may be
 longer than the input. The LCS, chrF and `matches` tests also draw from two
 or three symbols, so that LCS bit masks span several 64-bit words and
-n-grams repeat on both sides of a pair; the packed chrF counts take one to
-eight hypotheses, empty ones included, over two symbols, and the packed LCS
-one to six sequences.
+n-grams repeat on both sides of a pair; the packed counts take one to eight
+hypotheses, empty ones included, over two characters or two words, and the
+packed LCS one to six sequences.
 """
 
 from collections import Counter
@@ -96,9 +96,7 @@ def test_overlap_matches_oracle(a, b, n):
     b_grams = oracles.ngram_list(b, n)
     expected = sum(min(a_grams.count(g), b_grams.count(g)) for g in set(a_grams))
     assert len(set(profile(a).keys[n - 1]) & set(profile(b).keys[n - 1])) == expected
-    assert kernels.matches(profile(a), kernels.clip_table([profile(b)], 8), slice(n - 1, n)) == [
-        expected
-    ]
+    assert kernels.matches(profile(a), kernels.clip_table([profile(b)], 8))[n - 1] == expected
 
 
 @given(tokens, st.lists(tokens, min_size=1, max_size=4), orders)
@@ -110,9 +108,7 @@ def test_clip_table_matches_oracle(hyp, refs, max_order):
         grams = {g for ref in refs for g in oracles.ngram_list(ref, n)}
         best = {g: max(oracles.ngram_list(ref, n).count(g) for ref in refs) for g in grams}
         assert Counter(grams_of(k, n) for k in table[n - 1]) == best
-        assert kernels.matches(profile(hyp), table, slice(n - 1, n)) == [
-            oracles.clipped_matches(hyp, refs, n)
-        ]
+        assert kernels.matches(profile(hyp), table)[n - 1] == oracles.clipped_matches(hyp, refs, n)
 
 
 # Two symbols, so that n-grams repeat on both sides of most pairs.
@@ -148,36 +144,50 @@ def test_matches_matches_oracle(hyp, refs, max_order):
     ]
     last = kernels.clip_table(ref_profiles[-1:], max_order)
     for n in order_range:
-        assert kernels.matches(hyp_profile, last, slice(n - 1, n)) == [
-            oracles.clipped_matches(hyp, refs[-1:], n)
-        ]
+        assert kernels.matches(hyp_profile, last)[n - 1] == oracles.clipped_matches(hyp, refs[-1:], n)
 
 
 binary_text = st.lists(st.sampled_from("ab"), max_size=16).map("".join)
+binary_words = st.lists(st.sampled_from(["a", "bb"]), max_size=16)
 
 
 def packed_counts(hyps, ref, max_order):
-    packed = kernels.PackedHypotheses([kernels.Profile(hyp, max_order) for hyp in hyps])
-    return packed.matches(kernels.Profile(ref, max_order))
+    def profile(text):  # a string, or a list of words profiled as a tuple
+        return kernels.Profile(text if isinstance(text, str) else tuple(text), max_order)
+
+    return kernels.PackedHypotheses([profile(hyp) for hyp in hyps]).matches(profile(ref))
 
 
 def oracle_counts(hyps, ref, max_order):
-    return [
-        [match for match, _, _ in oracles.chrf_pair_counts(hyp, ref, max_order)] for hyp in hyps
-    ]
+    if isinstance(ref, str):
+        return [
+            [match for match, _, _ in oracles.chrf_pair_counts(hyp, ref, max_order)] for hyp in hyps
+        ]
+    return [[oracles.clipped_matches(hyp, [ref], n) for n in range(1, max_order + 1)] for hyp in hyps]
 
 
-@given(st.lists(binary_text, min_size=1, max_size=8), binary_text, orders)
-@example(["ab", "b"], "ab", 1)  # a field filled to its width: 2 matches in 2 bits
-@example(["", "aaaa", ""], "aaaa", 3)  # empty hypotheses around a full field
-@example([""], "ab", 2)  # every hypothesis empty: zero-width fields
-def test_packed_counts_match_oracle(hyps, ref, max_order):
+# Character strings, or word lists profiled as tuples, whose repeat keys are `gram + (k,)`.
+packed_inputs = (st.tuples(st.lists(binary_text, min_size=1, max_size=8), binary_text)
+                 | st.tuples(st.lists(binary_words, min_size=1, max_size=8), binary_words))
+
+
+@given(packed_inputs, orders)
+@example((["ab", "b"], "ab"), 1)  # a field filled to its width: 2 matches in 2 bits
+@example((["", "aaaa", ""], "aaaa"), 3)  # empty hypotheses around a full field
+@example(([""], "ab"), 2)  # every hypothesis empty: zero-width fields
+@example(([["a", "bb"], ["bb"]], ["a", "bb"]), 1)  # the same three, in words
+@example(([[], ["a"] * 4, []], ["a"] * 4), 3)
+@example(([[]], ["a", "bb"]), 2)
+def test_packed_counts_match_oracle(inputs, max_order):
     """One packed pass gives each hypothesis's min-count sums against the reference, per order."""
+    hyps, ref = inputs
     assert packed_counts(hyps, ref, max_order) == oracle_counts(hyps, ref, max_order)
 
 
 @pytest.mark.parametrize(
-    "hyps, ref, max_order", [(["ab", "b"], "ab", 1), (["", "aaaa", ""], "aaaa", 3), (["a"], "a", 1)]
+    "hyps, ref, max_order",
+    [(["ab", "b"], "ab", 1), (["", "aaaa", ""], "aaaa", 3), (["a"], "a", 1),
+     ([["a", "bb"], ["bb"]], ["a", "bb"], 1), ([[], ["a"] * 4, []], ["a"] * 4, 3)],
 )
 def test_packed_counts_need_the_full_field_width(monkeypatch, hyps, ref, max_order):
     """One bit less than `field_width` lets a full field carry into the next and miscount."""

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multiref.cli
@@ -290,6 +290,39 @@ def test_score_corpus_matches_oracles_without_the_cli(
             score_corpus(scorer, eval_corpus(corpus), "gold", counts, per_reference)
 
 
+# Two symbols, so that n-grams repeat and fill a hypothesis's bit field in the packed pass.
+two_symbols = st.lists(st.sampled_from(("a", "b")), max_size=8).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hyps=st.lists(two_symbols, min_size=1, max_size=8),
+    refs=st.lists(two_symbols, min_size=1, max_size=5),
+    max_order=st.integers(1, 4),
+    smoothing=st.sampled_from(("exp", "none")),
+)
+@example(hyps=["a b", "b"], refs=["a b"], max_order=1, smoothing="exp")  # a full 2-bit field
+@example(hyps=["a", "b a b"], refs=["a a", "b a b a"], max_order=2, smoothing="exp")  # brevity penalty
+def test_per_reference_cells_at_up_to_eight_systems(hyps, refs, max_order, smoothing):
+    """Every system's per-reference cell is its single-reference oracle score.
+
+    Each of up to 8 systems, empty hypotheses included, is one field of the
+    packed pass per reference, so a miscounted field shows in its own cells.
+    """
+    metrics = ("bleu", "spbleu", "chrf", "rouge1", "rouge3", "rougeL")
+    oracle = Oracle(max_order, smoothing, "closest", 6, 2.0, False)
+    scorer = MultiRefScorer(metrics, BleuConfig(max_order, smoothing), words=str.split, pieces=str.split)
+    systems = {f"sys{i}": hyp for i, hyp in enumerate(hyps)}
+    corpus = EvalCorpus([Segment("s1", "src", (), tuple(refs))],
+                        {system: {"s1": hyp} for system, hyp in systems.items()})
+    _, rows = score_corpus(scorer, corpus, "generated", per_reference=True)
+    assert len(rows) == len(metrics) * len(systems)
+    for metric, system, _, cells in rows:
+        expected = {f"gen:{i}": oracle.segment(metric, systems[system], [ref]) for i, ref in enumerate(refs)}
+        assert list(cells) == list(expected)
+        assert cells == pytest.approx(expected, abs=1e-9), (metric, system)
+
+
 @settings(max_examples=60, deadline=None)
 @given(corpus=corpora(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
 def test_joint_in_any_count_order_matches_a_fresh_segment(corpus, counts):
@@ -417,6 +450,26 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
             return super().lengths(a)
 
     monkeypatch.setattr(kernels, "PackedLcs", CountingLcs)
+    packs = []  # each packed hypothesis set, with the references counted against it
+
+    class CountingPacked(kernels.PackedHypotheses):
+        def __init__(self, hyps):
+            super().__init__(hyps)
+            tokens = hyps[0].tokens
+            self.segment = "seg1" if "s1" in "".join(tokens) else "seg0"
+            self.granularity = ("char" if isinstance(tokens, str)
+                                else "subword" if tokens[0].startswith("▁") else "word")
+            self.passes = []
+            packs.append(self)
+
+        def matches(self, ref):
+            self.passes.append(ref.tokens)
+            return super().matches(ref)
+
+    monkeypatch.setattr(kernels, "PackedHypotheses", CountingPacked)
+    clip_tables = []
+    clip_table = kernels.clip_table
+    monkeypatch.setattr(kernels, "clip_table", lambda *a: clip_tables.append(a) or clip_table(*a))
     segment_stat_calls = []
     for name in ("bleu_segment_stats", "chrf_segment_stats"):
         monkeypatch.setattr(kernels, name, lambda *a, name=name: segment_stat_calls.append(name))
@@ -435,21 +488,39 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
     vocab.write_text("\n".join(sorted({f"▁s{i}w" for i in range(2)} | set("0123456789"))) + "\n",
                      encoding="utf-8")
 
-    run_score(tmp_path, paths, ["--refs", "both", "--metrics", "bleu,spbleu,chrf,rougeL",
-                                "--vocab", str(vocab)])
-
     expected = []
     distinct_hyps = []
-    for gold, generated, hyps in corpus.values():
+    distinct_refs = {}
+    for sid, (gold, generated, hyps) in corpus.items():
         texts = set(gold) | set(generated) | set(hyps.values())
         expected += [(g, t) for g in ("word", "subword", "char") for t in texts]
         distinct_hyps.append(len(set(hyps.values())))
-    assert sorted(seen) == sorted(expected)
-    # ROUGE-L: each segment packs its references once and makes one pass per
-    # distinct hypothesis, none of them repeated.
-    assert [len(passes) for passes in lcs_passes] == distinct_hyps == [4, 3]
-    assert [len(set(passes)) for passes in lcs_passes] == distinct_hyps
-    assert segment_stat_calls == []
+        distinct_refs[sid] = len(set(gold + generated))
+
+    clip_table_calls = []
+    for per_reference in ([], ["--per-reference"]):
+        for calls in (seen, lcs_passes, packs, clip_tables):
+            calls.clear()
+        run_score(tmp_path, paths, ["--refs", "both", "--metrics", "bleu,spbleu,chrf,rougeL",
+                                    "--vocab", str(vocab), *per_reference])
+
+        assert sorted(seen) == sorted(expected)
+        # ROUGE-L: each segment packs its references once and makes one pass per
+        # distinct hypothesis, none of them repeated.
+        assert [len(passes) for passes in lcs_passes] == distinct_hyps == [4, 3]
+        assert [len(set(passes)) for passes in lcs_passes] == distinct_hyps
+        # chrF, and per-reference BLEU and spBLEU: each segment packs its hypotheses
+        # once per granularity and makes one pass per distinct reference.
+        granularities = ["char", "subword", "word"] if per_reference else ["char"]
+        assert sorted((pack.segment, pack.granularity) for pack in packs) == [
+            (sid, g) for sid in corpus for g in granularities
+        ]
+        for pack in packs:
+            assert len(set(pack.passes)) == len(pack.passes) == distinct_refs[pack.segment]
+        clip_table_calls.append(len(clip_tables))
+        assert segment_stat_calls == []
+    # Only joint BLEU builds clip tables, with or without per-reference cells.
+    assert clip_table_calls[0] == clip_table_calls[1] > 0
 
 
 def test_scorer_rejects_bad_configuration():
