@@ -6,7 +6,9 @@ re-evaluate as often as needed.
 """
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 
 from . import corpus_io, diversity, metaeval, refgen
@@ -44,9 +46,13 @@ from .textproc import load_subword_vocab, tokenize_subwords, tokenize_words
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a HelpFormatter in every add_argument, and each one reads
+    # the terminal width; read it once here, as HelpFormatter reads it.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="multiref",
         description="Multi-reference evaluation pipeline for NLG systems.",
+        formatter_class=formatter,
     )
     parser.add_argument("--config", help="JSON file with default values for flags")
     parser.add_argument(
@@ -56,8 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--lowercase", action="store_true", help="lowercase text before tokenization"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("generate", help="generate reference candidates via an LLM endpoint")
+    p = add_parser("generate", help="generate reference candidates via an LLM endpoint")
     p.add_argument("--segments", required=True, help="segments.jsonl")
     p.add_argument("--out", required=True, help="refs.jsonl to write/append")
     p.add_argument("--task", choices=tuple(refgen.DEFAULT_N_REFERENCES), default="translation")
@@ -78,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", action="store_true", help="use the built-in offline mock endpoint")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("select", help="filter candidates by diversity")
+    p = add_parser("select", help="filter candidates by diversity")
     p.add_argument("--refs", required=True, help="refs.jsonl to filter")
     p.add_argument("--out", required=True, help="filtered refs.jsonl")
     p.add_argument("--threshold", type=float, default=diversity.DEFAULT_SELF_BLEU_THRESHOLD)
     p.add_argument("--report", help="write the per-segment diversity-score report JSON here")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("score", help="score system outputs with n-gram metrics")
+    p = add_parser("score", help="score system outputs with n-gram metrics")
     p.add_argument("--segments", required=True)
     p.add_argument("--outputs", required=True)
     p.add_argument("--generated-refs", help="refs.jsonl from generate/select")
@@ -111,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="per-system summary JSON to write")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("combine", help="combine per-reference score matrices")
+    p = add_parser("combine", help="combine per-reference score matrices")
     p.add_argument("--matrix", required=True, help="matrix.jsonl")
     p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
     p.add_argument("--k", type=int, help="k for top_k_mean")
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="per-system summary JSON")
     p.set_defaults(func=cmd_combine)
 
-    p = sub.add_parser("metaeval", help="correlate metric scores with human judgments")
+    p = add_parser("metaeval", help="correlate metric scores with human judgments")
     p.add_argument("--matrix", required=True, help="matrix.jsonl of metric scores")
     p.add_argument("--human", required=True, help="human.jsonl")
     p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
@@ -128,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON")
     p.set_defaults(func=cmd_metaeval)
 
-    p = sub.add_parser("diversity", help="per-system lexical diversity table")
+    p = add_parser("diversity", help="per-system lexical diversity table")
     p.add_argument("--outputs", required=True)
     p.add_argument("--segments", help="validate output segment ids against this file")
     p.add_argument("--n", type=int, default=6, help="n-gram order for the distinct-n ratio")
     p.add_argument("--out", help="report JSON")
     p.set_defaults(func=cmd_diversity)
 
-    p = sub.add_parser("leakage-report", help="score-gap shift from single- to multi-reference scoring")
+    p = add_parser("leakage-report", help="score-gap shift from single- to multi-reference scoring")
     p.add_argument("--single", required=True, help="summary JSON scored with the single gold reference")
     p.add_argument("--multi", required=True, help="summary JSON scored with multiple references")
     p.add_argument("--metric", help="metric to compare (required when summaries hold several)")

@@ -68,20 +68,45 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
         for p in profiles
     ]
     lengths = [len(profile.tokens) for profile in profiles]
+    ref_lens = _leave_one_out_ref_lens(lengths, cfg.effective_ref_length)
     return [
         _bleu_from_stats(
             CorpusStats(
                 matched=matched[i],
                 totals=profiles[i].totals,
                 hyp_len=length,
-                ref_len=kernels.ref_len(
-                    length, lengths[:i] + lengths[i + 1 :], cfg.effective_ref_length
-                ),
+                ref_len=ref_lens[i],
             ),
             cfg,
         ).value
         for i, length in enumerate(lengths)
     ]
+
+
+def _leave_one_out_ref_lens(lengths: list[int], mode: str) -> list[int]:
+    """`kernels.ref_len(lengths[i], lengths without item i, mode)` for every i, from one sort.
+
+    Without one copy of its own length, a length's closest other length is
+    itself when it occurs twice, else the nearer of its neighbours among the
+    sorted distinct lengths, the shorter on a tie.
+    """
+    counts = Counter(lengths)
+    distinct = sorted(counts)
+    if mode != "closest":
+        shortest = distinct[0]
+        second = shortest if counts[shortest] > 1 else distinct[1]
+        return [second if length == shortest else shortest for length in lengths]
+    closest = {}
+    for i, length in enumerate(distinct):
+        below = distinct[i - 1] if i else None
+        above = distinct[i + 1] if i + 1 < len(distinct) else None
+        if counts[length] > 1:
+            closest[length] = length
+        elif above is None or (below is not None and length - below <= above - length):
+            closest[length] = below
+        else:
+            closest[length] = above
+    return [closest[length] for length in lengths]
 
 
 def check_threshold(threshold: float) -> None:

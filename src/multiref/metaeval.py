@@ -132,7 +132,7 @@ def _tie_pairs(values) -> int:
 
 
 def _kendall_pair_counts(x, y):
-    """Concordant/discordant and tied-pair counts, exact, in O(n log n).
+    """Concordant/discordant pair counts and the pairs tied in x, exact, in O(n log n).
 
     Walks the sorted (x, y) pairs one equal-x block at a time. A Fenwick tree
     over rank-compressed y, and `at_rank` per rank, count the items of the
@@ -162,13 +162,18 @@ def _kendall_pair_counts(x, y):
         count = len(block_ranks)
         inserted += count
         ties_x += count * (count - 1) // 2
-    return concordant, discordant, ties_x, _tie_pairs(y)
+    return concordant, discordant, ties_x
 
 
-def kendall_tau(x, y) -> float:
-    """Tie-corrected Kendall tau-b."""
+def kendall_tau(x, y, ties_y: int | None = None) -> float:
+    """Tie-corrected Kendall tau-b.
+
+    `ties_y`, the number of pairs tied in `y`, is counted from `y` when not given.
+    """
     _check_paired(x, y)
-    concordant, discordant, ties_x, ties_y = _kendall_pair_counts(list(x), list(y))
+    concordant, discordant, ties_x = _kendall_pair_counts(list(x), list(y))
+    if ties_y is None:
+        ties_y = _tie_pairs(y)
     n0 = len(x) * (len(x) - 1) // 2
     if ties_x == n0 or ties_y == n0:
         raise DegenerateDataError("kendall tau is undefined when one side is all ties")
@@ -187,11 +192,14 @@ def midranks(values) -> list[float]:
     return [rank[value] for value in values]
 
 
-def spearman(x, y) -> float:
-    """Pearson correlation of mid-ranks."""
+def spearman(x, y, y_ranks: list[float] | None = None) -> float:
+    """Pearson correlation of mid-ranks.
+
+    `y_ranks`, the `midranks` of `y`, are computed when not given.
+    """
     _check_paired(x, y)
     try:
-        return pearson(midranks(x), midranks(y))
+        return pearson(midranks(x), midranks(y) if y_ranks is None else y_ranks)
     except DegenerateDataError:
         raise DegenerateDataError("spearman is undefined for zero rank-variance input")
 
@@ -218,16 +226,6 @@ def pairwise_accuracy(metric_scores, human_scores) -> tuple[float, int]:
     if used == 0:
         raise DegenerateDataError("all human score pairs are tied")
     return correct / used, used
-
-
-def _segment_kendall(human_keys, metric_scores, human_scores) -> float:
-    """Kendall tau-b over the (system, segment) keys of the sorted `human_keys` that the metric shares."""
-    common = [k for k in human_keys if k in metric_scores]
-    if len(common) < 2:
-        raise ValueError("segment kendall needs at least two common (system, segment) keys")
-    return kendall_tau(
-        [metric_scores[k] for k in common], [human_scores[k] for k in common]
-    )
 
 
 def leakage_gap(scores_single, scores_multi, a: str, b: str) -> LeakageGapReport:
@@ -395,13 +393,23 @@ def meta_evaluate_all(
 
     `scores_by_metric` maps a metric name to its per-(system, segment)
     scores. The human side is built from `judgments` once and shared by
-    every metric.
+    every metric: the human scores on the keys a metric shares, with their
+    Kendall tie count or their ranks, are computed once per set of keys.
     """
     human_system = system_human_scores(judgments)
     human_segment, human_dimensions = _human_segment_tables(judgments)
     # Sorted once; each metric keeps the keys it shares, still in sorted order.
     segment_keys = sorted(human_segment)
     dimension_keys = {dim: sorted(table) for dim, table in human_dimensions.items()}
+    shared = {}
+
+    def human_side(dim, table, keys, summary):
+        """The human scores of `table` on `keys`, and their `summary`, once per dimension and keys."""
+        if (dim, keys) not in shared:
+            values = [table[k] for k in keys]
+            shared[dim, keys] = values, summary(values)
+        return shared[dim, keys]
+
     reports = []
     for metric_name in sorted(scores_by_metric):
         metric_segment_scores = scores_by_metric[metric_name]
@@ -418,19 +426,21 @@ def meta_evaluate_all(
 
         tau = None
         if human_segment:
-            tau = _segment_kendall(segment_keys, metric_segment_scores, human_segment)
+            keys = tuple(k for k in segment_keys if k in metric_segment_scores)
+            if len(keys) < 2:
+                raise ValueError("segment kendall needs at least two common (system, segment) keys")
+            human, ties = human_side(None, human_segment, keys, _tie_pairs)
+            tau = kendall_tau([metric_segment_scores[k] for k in keys], human, ties)
 
         spearman_by_dim = None
         if human_dimensions:
             spearman_by_dim = {}
             for dim, human_dim in human_dimensions.items():
-                keys = [k for k in dimension_keys[dim] if k in metric_segment_scores]
+                keys = tuple(k for k in dimension_keys[dim] if k in metric_segment_scores)
                 if len(keys) < 2:
                     raise ValueError(f"dimension {dim!r} shares fewer than two samples")
-                spearman_by_dim[dim] = spearman(
-                    [metric_segment_scores[k] for k in keys],
-                    [human_dim[k] for k in keys],
-                )
+                human, ranks = human_side(dim, human_dim, keys, midranks)
+                spearman_by_dim[dim] = spearman([metric_segment_scores[k] for k in keys], human, ranks)
 
         segments = {segment for (_system, segment) in metric_segment_scores}
         reports.append(

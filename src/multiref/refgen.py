@@ -6,6 +6,9 @@ text, and an optional labeled ground-truth block. All candidates for a
 segment are requested in a single completion (asking for many at once
 measurably improves their quality), parsed from a numbered list, and
 persisted append-only so interrupted runs resume where they stopped.
+`generate_references` sends the requests from `cfg.concurrency` plain
+worker threads, which take segments in order; the calling thread writes
+each record as it arrives.
 """
 
 import email.utils
@@ -13,10 +16,11 @@ import http.client
 import json
 import math
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
@@ -421,15 +425,17 @@ def generate_references(
 ) -> list[GenerationRecord]:
     """Generate candidates for every segment without a successful record in out_path.
 
-    `segments` yields (segment_id, source, gold_or_None); `cfg.concurrency`
-    segments are in flight at a time, in segment order. Records are appended
-    to out_path as they complete (one JSON object per line, flushed per
-    record) so a kill mid-run loses at most the in-flight segments, and a
-    rerun on the same out_path resumes: its completed segments are neither
-    requested nor written again, and only this run's records are returned.
-    A transport failure aborts the run: queued segments are never sent, and
-    what the calls in flight return is still persisted before the error is
-    raised. Malformed replies only mark their own segment as failed.
+    `segments` yields (segment_id, source, gold_or_None). `cfg.concurrency`
+    worker threads send the requests, each taking the next segment in
+    segment order. Records are appended to out_path as they complete (one
+    JSON object per line, flushed per record) so a kill mid-run loses at
+    most the in-flight segments, and a rerun on the same out_path resumes:
+    its completed segments are neither requested nor written again, and
+    only this run's records are returned. A transport failure, or an
+    exception in the calling thread such as KeyboardInterrupt, aborts the
+    run: once the calling thread sees it, no further segment is sent, and
+    what the calls in flight return is still persisted before the first
+    error is raised. Malformed replies only mark their own segment as failed.
     """
     done = completed_segment_ids(out_path) if out_path is not None else set()
     todo = [item for item in segments if item[0] not in done]
@@ -439,9 +445,42 @@ def generate_references(
             raise ValueError(
                 f"template expects ground truth but segments lack gold refs: {missing[:5]}"
             )
+    # Each finished call's record, or the exception it raised, in the order they finish.
+    outcomes = deque()
+    changed = threading.Condition()
+    stop = False  # set once the calling thread fails; no segment is taken after it
+    taken = read = 0  # segments handed to a worker; outcomes the calling thread has read
+
+    def work():
+        nonlocal taken
+        while True:
+            with changed:
+                if stop or taken == len(todo):
+                    return
+                item = todo[taken]
+                taken += 1
+            try:
+                outcome = generate_for_segment(*item, template, cfg, transport)
+            except BaseException as exc:  # handed to the calling thread, which raises it
+                outcome = exc
+            with changed:
+                outcomes.append(outcome)
+                changed.notify()
+
+    def next_outcome():
+        """The next finished call's outcome; None once every segment sent has one."""
+        nonlocal read
+        with changed:
+            while not outcomes and read < (taken if stop else len(todo)):
+                changed.wait()
+            if not outcomes:
+                return None
+            read += 1
+            return outcomes.popleft()
+
     records: list[GenerationRecord] = []
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else nullcontext()
-    with sink as handle, ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+    with sink as handle:
 
         def persist(record: GenerationRecord):
             records.append(record)
@@ -449,21 +488,20 @@ def generate_references(
                 handle.write(jsonl_line(record.to_json()))
                 handle.flush()
 
-        futures = [
-            pool.submit(generate_for_segment, sid, src, gold, template, cfg, transport)
-            for sid, src, gold in todo
-        ]
-        unread = set(futures)
         try:
-            for future in as_completed(futures):
-                unread.discard(future)
-                persist(future.result())
+            for _ in range(min(cfg.concurrency, len(todo))):
+                threading.Thread(target=work).start()
+            while (outcome := next_outcome()) is not None:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                persist(outcome)
         except BaseException:
             # Send nothing more, but keep what the calls in flight return.
-            pool.shutdown(cancel_futures=True)
-            for future in futures:
-                if future in unread and not future.cancelled() and future.exception() is None:
-                    persist(future.result())
+            with changed:
+                stop = True
+            while (outcome := next_outcome()) is not None:
+                if not isinstance(outcome, BaseException):
+                    persist(outcome)
             raise
     return records
 

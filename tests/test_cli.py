@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from multiref import refgen
-from multiref.cli import _apply_config, build_parser, main
+from multiref.cli import _apply_config, _subparsers, build_parser, main
 from multiref.corpus_io import read_jsonl
 from multiref.diversity import select_diverse, CandidateSet
 from multiref.metrics import bleu_corpus
@@ -1436,3 +1437,20 @@ def test_crlf_line_ends_load_as_lf(pipeline):
         pipeline[name].write_bytes(pipeline[name].read_bytes().replace(b"\n", b"\r\n"))
     assert main(argv) == 0
     assert (pipeline["dir"] / "summary.json").read_bytes() == lf
+
+
+@pytest.mark.parametrize("columns", [60, 132])
+def test_help_is_formatted_as_argparse_formats_it_by_default(monkeypatch, capsys, columns):
+    # build_parser reads the terminal width once for every formatter it makes;
+    # each help text must be what argparse's own default formatter prints.
+    monkeypatch.setenv("COLUMNS", str(columns))
+    parser = build_parser()
+    commands = {(): parser, **{(name,): sub for name, sub in _subparsers(parser).items()}}
+    assert len(commands) == 8
+    for argv, command in commands.items():
+        with pytest.raises(SystemExit) as exit:
+            main([*argv, "--help"])
+        assert exit.value.code == 0
+        shown = capsys.readouterr().out
+        command.formatter_class = argparse.HelpFormatter
+        assert shown == command.format_help()

@@ -16,6 +16,7 @@ from multiref.metaeval import (
     LeakageGapReport,
     MetaEvalReport,
     _kendall_pair_counts,
+    _tie_pairs,
     kendall_tau,
     leakage_gap,
     load_human_judgments,
@@ -202,7 +203,7 @@ class TestKendallTau:
             n = rng.randint(0, 60)
             x = [rng.choice([0, 1.0, 2, -0.0, 3.5]) for _ in range(n)]
             y = [rng.choice([0.0, 1, 1.0, -0.0, 2]) for _ in range(n)]
-            assert _kendall_pair_counts(x, y) == oracles.kendall_pair_counts(x, y)
+            assert (*_kendall_pair_counts(x, y), _tie_pairs(y)) == oracles.kendall_pair_counts(x, y)
 
     @given(tied_vectors, tied_vectors)
     def test_invariant_under_increasing_transforms(self, x, y):
@@ -647,6 +648,32 @@ class TestMetaEvaluateAll:
         reports = self.check(self.metric_scores(rng), judgments, human_system, human_segment,
                              human_dims)
         assert [r.n_systems for r in reports] == [4, 5, 5]
+
+    def test_human_side_is_ranked_once_per_dimension(self, rng, monkeypatch):
+        judgments = []
+        human_dims = {dim: {} for dim in self.dimensions}
+        for system in self.systems:
+            for segment in self.segments:
+                judgments.append(HumanJudgment(system, float(rng.randint(1, 5)), segment))
+                for dim in self.dimensions:
+                    human_dims[dim][system, segment] = float(rng.randint(1, 5))
+                    judgments.append(HumanJudgment(system, human_dims[dim][system, segment], segment, dim))
+        keys = sorted(human_dims[self.dimensions[0]])
+        scores_by_metric = {name: {k: rng.random() for k in keys} for name in ("m1", "m2", "m3")}
+        ranked, tie_counts = [], []
+        rank, count_ties = metaeval.midranks, metaeval._tie_pairs
+        monkeypatch.setattr(metaeval, "midranks", lambda values: ranked.append(values) or rank(values))
+        monkeypatch.setattr(metaeval, "_tie_pairs", lambda values: tie_counts.append(values) or count_ties(values))
+        reports = meta_evaluate_all(scores_by_metric, judgments)
+        # Each metric's scores are ranked once per dimension; the human side once in all.
+        for dim, table in human_dims.items():
+            assert ranked.count([table[k] for k in keys]) == 1
+        assert len(ranked) == len(self.dimensions) * (len(scores_by_metric) + 1)
+        assert len(tie_counts) == 1
+        monkeypatch.undo()
+        for report in reports:
+            alone = meta_evaluate(scores_by_metric[report.metric], judgments, report.metric)
+            assert report._asdict() == alone._asdict()
 
     def test_no_segment_level_human_scores_means_no_kendall(self, rng):
         human_system = {s: float(i) for i, s in enumerate(self.systems)}

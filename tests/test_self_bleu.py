@@ -89,6 +89,22 @@ def test_statistics_and_scores_match_oracles(candidates, cfg):
         check_against_oracle(monkeypatch, candidates, cfg)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    # A narrow range of lengths gives many ties, of equal lengths and of equal distances.
+    lengths=st.integers(1, 80).flatmap(
+        lambda top: st.lists(st.integers(0, top), min_size=2, max_size=60)
+    ),
+    mode=st.sampled_from(("closest", "shortest")),
+)
+def test_leave_one_out_ref_lens_match_ref_len_on_the_other_lengths(lengths, mode):
+    expected = [
+        kernels.ref_len(length, lengths[:i] + lengths[i + 1 :], mode)
+        for i, length in enumerate(lengths)
+    ]
+    assert multiref.diversity._leave_one_out_ref_lens(lengths, mode) == expected
+
+
 def words(*texts):
     return [text.split() for text in texts]
 
