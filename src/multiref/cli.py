@@ -32,6 +32,7 @@ from .errors import CorpusFormatError, MultirefError
 from .metrics import (  # noqa: F401
     METRICS,
     REF_LENGTH_MODES,
+    REF_MODES,
     SMOOTHING_METHODS,
     BleuConfig,
     MultiRefScorer,
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated-refs", help="refs.jsonl from generate/select")
     p.add_argument(
         "--refs",
-        choices=corpus_io.REF_MODES,
+        choices=REF_MODES,
         default=None,
         help="reference set (default: generated when --generated-refs is given, else gold)",
     )
@@ -328,7 +329,7 @@ def cmd_select(args) -> int:
             low, high = (f"{min(scores):.2f}", f"{max(scores):.2f}") if scores else ("-", "-")
             rows.append([record.segment_id, len(candidates), len(kept), low, high])
         selected.append(record)
-    write_jsonl(args.out, (record.to_json() for record in selected))
+    write_jsonl(args.out, (record._asdict() for record in selected))
     shown = rows[:40]
     print(_format_table(["segment", "in", "kept", "min self-bleu", "max self-bleu"], shown))
     if len(rows) > len(shown):
@@ -400,6 +401,8 @@ def cmd_score(args) -> int:
     mode = args.refs or ("generated" if args.generated_refs else "gold")
     if mode in ("generated", "both") and not args.generated_refs:
         raise ValueError(f"--refs {mode} requires --generated-refs")
+    if mode == "gold" and args.max_refs is not None:
+        raise ValueError("--max-refs caps generated references; it does not apply to --refs gold")
     if not corpus.systems:
         raise ValueError("no system outputs to score")
 
@@ -474,20 +477,6 @@ def cmd_combine(args) -> int:
 # ---------------------------------------------------------------- metaeval
 
 
-def _report_to_json(report: metaeval.MetaEvalReport) -> dict:
-    return {
-        "metric": report.metric,
-        "name": report.name,
-        "pairwise_accuracy": report.pairwise_accuracy,
-        "n_pairs_used": report.n_pairs_used,
-        "pearson": report.pearson,
-        "kendall": report.kendall,
-        "spearman": report.spearman,
-        "n_systems": report.n_systems,
-        "n_segments": report.n_segments,
-    }
-
-
 def cmd_metaeval(args) -> int:
     combined_by_metric = _combined_matrix(args)
     judgments = metaeval.load_human_judgments(args.human)
@@ -516,7 +505,7 @@ def cmd_metaeval(args) -> int:
         )
     )
     if args.out:
-        write_json(args.out, [_report_to_json(r) for r in reports])
+        write_json(args.out, [{"metric": r.metric, "name": r.name, **r._asdict()} for r in reports])
     return 0
 
 
@@ -538,11 +527,7 @@ def cmd_diversity(args) -> int:
             for _segment, text in sorted(systems[system].items())
         ]
         summary = diversity.diversity_report(tokenized, n=args.n)
-        report[system] = {
-            "distinct_n": summary.distinct_n,
-            "n": summary.n,
-            "unique_tokens": summary.unique_tokens,
-        }
+        report[system] = summary._asdict()
         rows.append([system, f"{summary.distinct_n:.4f}", str(summary.unique_tokens)])
     print(_format_table(["system", f"distinct-{args.n}", "unique tokens"], rows))
     if args.out:
@@ -557,6 +542,8 @@ def _load_system_scores(path: str, metric: str | None) -> tuple[str, dict[str, f
     """(metric, score by system) from a `score`/`combine` summary or a flat `{system: score}` object."""
 
     def parse(data: dict):
+        if "sweep" in data:
+            raise ValueError("holds a --sweep-refs series, not one score per system")
         name, scores = metric or "score", data
         if "metrics" in data:
             metrics = json_object(data["metrics"], "metrics")
@@ -600,17 +587,7 @@ def cmd_leakage_report(args) -> int:
                 f"{report.ratio:.3f}" if report.ratio is not None else "-",
             ]
         )
-        out.append(
-            {
-                "metric": metric,
-                "system_a": a,
-                "system_b": b,
-                "delta_single": report.delta_single,
-                "delta_multi": report.delta_multi,
-                "shrinkage": report.shrinkage,
-                "ratio": report.ratio,
-            }
-        )
+        out.append({"metric": metric, **report._asdict(), "shrinkage": report.shrinkage, "ratio": report.ratio})
     print(
         _format_table(
             ["pair", "delta single-ref", "delta multi-ref", "shrinkage", "ratio"], rows

@@ -37,31 +37,10 @@ from .errors import CorpusFormatError
 from .records import Fields, record
 
 
-#: Reference modes of `Segment.scoring_refs`, in the order `score --refs` lists them.
-REF_MODES = ("gold", "generated", "both")
-
-
 class Segment(record("Segment", "id source gold_refs generated_refs", defaults=((), ()))):
     """One source item with its gold and generated references."""
 
     __slots__ = ()
-
-    def scoring_refs(self, mode: str = "both", max_generated: int | None = None):
-        """Reference texts used for scoring: 'gold', 'generated', or 'both'.
-
-        `max_generated` caps the generated list (generation order) for
-        reference-count sweeps; gold references are never capped.
-        """
-        if mode not in REF_MODES:
-            raise ValueError(f"unknown reference mode {mode!r}")
-        generated = list(self.generated_refs)
-        if max_generated is not None:
-            generated = generated[:max_generated]
-        if mode == "gold":
-            return list(self.gold_refs)
-        if mode == "generated":
-            return generated
-        return list(self.gold_refs) + generated
 
 
 class EvalCorpus(Fields):
@@ -369,7 +348,7 @@ def load_corpus(
 def merge_references(corpus: EvalCorpus, records) -> EvalCorpus:
     """Attach generated candidates to segments.
 
-    Successful records populate generated_refs; `Segment.scoring_refs`
+    Successful records populate generated_refs; `metrics.score_corpus`
     chooses between gold and generated references. Records for unknown
     segment ids are an error; segments without a record keep an empty
     generated list.

@@ -424,6 +424,10 @@ class SegmentScores:
         return [values[i] for i in self._slots]
 
 
+#: Reference modes of `score_corpus`, in the order `score --refs` lists them.
+REF_MODES = ("gold", "generated", "both")
+
+
 def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(None,),
                  per_reference: bool = False):
     """Corpus scores at each generated-reference count, and the matrix rows of the largest.
@@ -436,9 +440,12 @@ def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(Non
     metric-major, then by system, then by segment id). A row's cells are
     `{"all": value}` against the references of the largest count or, with
     `per_reference`, one single-reference value each under the id
-    `gold:i` or `gen:i`. Raises ValueError unless `counts` is non-empty and
-    strictly ascending, of integers >= 1 with None only last.
+    `gold:i` or `gen:i`. Raises ValueError unless `mode` is one of
+    `REF_MODES` and `counts` is non-empty and strictly ascending, of
+    integers >= 1 with None only last.
     """
+    if mode not in REF_MODES:
+        raise ValueError(f"unknown reference mode {mode!r}")
     counts = list(counts)
     if not counts:
         raise ValueError("counts must hold at least one count")
@@ -458,17 +465,19 @@ def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(Non
     segments_by_id = {segment.id: segment for segment in corpus.segments}
     for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
         segment = segments_by_id[segment_id]
-        refs = segment.scoring_refs(mode, largest)
+        gold = () if mode == "generated" else segment.gold_refs
+        generated = () if mode == "gold" else segment.generated_refs[:largest]
+        n_gold = len(gold)
+        refs = [*gold, *generated]
         if not refs:
             raise ValueError(f"segment {segment_id!r} has no references under --refs {mode}")
-        n_gold = 0 if mode == "generated" else len(segment.gold_refs)
         hyps = {
             system: corpus.systems[system][segment_id]
             for system in systems
             if segment_id in corpus.systems[system]
         }
         scores = scorer.segment(hyps, refs)
-        ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(refs) - n_gold)]
+        ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(generated))]
         for k in counts:
             # The references for count k are the first n_gold + k of those for the largest count.
             n_refs = None if k is None else n_gold + k

@@ -151,17 +151,6 @@ class GenerationRecord(
     def succeeded(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "segment_id": self.segment_id,
-            "prompt_used": self.prompt_used,
-            "raw_response": self.raw_response,
-            "candidates": list(self.candidates),
-            "attempt_count": self.attempt_count,
-            "timestamp": self.timestamp,
-            "error": self.error,
-        }
-
     @classmethod
     def from_json(cls, record: dict) -> "GenerationRecord":
         """A record from its JSON object; a successful one (`error` null) must hold candidates.
@@ -485,7 +474,7 @@ def generate_references(
         def persist(record: GenerationRecord):
             records.append(record)
             if handle is not None:
-                handle.write(jsonl_line(record.to_json()))
+                handle.write(jsonl_line(record._asdict()))
                 handle.flush()
 
         try:

@@ -450,6 +450,21 @@ class TestScore:
         assert "--max-refs" in capsys.readouterr().err
         assert not summary_path.exists()
 
+    @pytest.mark.parametrize("given_refs", [False, True], ids=["gold-by-default", "gold-given"])
+    def test_max_refs_under_gold_is_rejected(self, pipeline, capsys, given_refs):
+        # The cap used to be ignored under --refs gold, and the run exited 0.
+        summary_path = pipeline["dir"] / "summary.json"
+        flags = ["--max-refs", "2"]
+        if given_refs:
+            flags = ["--refs", "gold", "--generated-refs", str(pipeline["refs"]), "--max-refs", "1"]
+        code = main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                     "--summary", str(summary_path), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "multiref: error: --max-refs caps generated references; it does not apply to --refs gold\n"
+        )
+        assert not summary_path.exists()
+
     def test_chrf_order_below_one_is_rejected(self, pipeline, capsys):
         # --chrf-order 0 used to score chrF 0.00 even for identical text.
         code = main(
@@ -1027,10 +1042,13 @@ class TestLeakageReport:
             (b'{"A": 1e308, "B": -1e308}', "delta_single of 'A' over 'B' overflows to inf"),
             # A (single, multi) pair: the ratio of the two gaps overflows.
             ((b'{"A": 5e-324, "B": 0}', b'{"A": 1.0, "B": 0.0}'), "ratio of 'A' over 'B' against "),
+            # A score --sweep-refs summary used to fail as "score of 'sweep' must be a number, got array".
+            (b'{"sweep": [{"metric": "bleu", "system": "A", "refs": 1, "score": 1.0}]}',
+             "holds a --sweep-refs series, not one score per system"),
         ],
         ids=["null-score", "list-score", "nan-string-score", "numeric-string-score", "bool-score",
              "nan-score", "array-scores", "two-metrics", "array-summary", "bad-json",
-             "gap-overflow", "ratio-overflow"],
+             "gap-overflow", "ratio-overflow", "sweep-series"],
     )
     def test_bad_summary_fails_with_path(self, tmp_path, capsys, summary, reason):
         # A null or list score used to end in a traceback; a string, boolean or
@@ -1425,6 +1443,45 @@ def test_outputs_keep_non_ascii_names_unescaped(pipeline, jsonl_writer):
     assert [name for name, text in written.items() if "\\u" in text] == []
     for name, texts in expected.items():
         assert all(text in written[name] for text in texts), name
+
+
+def test_written_records_keep_their_keys_in_order(pipeline):
+    # The fields of each record a command writes, in the order it writes them.
+    d = pipeline["dir"]
+    record_keys = ["segment_id", "prompt_used", "raw_response", "candidates", "attempt_count", "timestamp",
+                   "error"]
+    assert main(["generate", "--segments", str(pipeline["segments"]), "--out", str(d / "gen.jsonl"),
+                 "--n-references", "3", "--mock"]) == 0
+    assert main(["select", "--refs", str(d / "gen.jsonl"), "--out", str(d / "sel.jsonl"),
+                 "--report", str(d / "sel.json")]) == 0
+    for name in ("gen.jsonl", "sel.jsonl"):
+        lines = [json.loads(line) for line in (d / name).read_text(encoding="utf-8").splitlines()]
+        assert [list(line) for line in lines] == [record_keys] * len(GOLD), name
+    assert [list(entry) for entry in json.loads((d / "sel.json").read_text()).values()] == (
+        [["self_bleu", "kept_indices"]] * len(GOLD)
+    )
+
+    assert main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                 "--out", str(d / "matrix.jsonl"), "--summary", str(d / "single.json")]) == 0
+    assert main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                 "--generated-refs", str(pipeline["refs"]), "--summary", str(d / "multi.json")]) == 0
+    assert main(["metaeval", "--matrix", str(d / "matrix.jsonl"), "--human", str(pipeline["human"]),
+                 "--name", "fixture", "--out", str(d / "metaeval.json")]) == 0
+    assert main(["diversity", "--outputs", str(pipeline["outputs"]), "--out", str(d / "diversity.json")]) == 0
+    assert main(["leakage-report", "--single", str(d / "single.json"), "--multi", str(d / "multi.json"),
+                 "--pair", "copy,noise", "--out", str(d / "leakage.json")]) == 0
+    assert [list(report) for report in json.loads((d / "metaeval.json").read_text())] == [
+        ["metric", "name", "pairwise_accuracy", "n_pairs_used", "pearson", "kendall", "spearman",
+         "n_systems", "n_segments"],
+    ]
+    diversity = json.loads((d / "diversity.json").read_text())
+    assert {system: list(summary) for system, summary in diversity.items()} == {
+        "copy": ["distinct_n", "n", "unique_tokens"],
+        "noise": ["distinct_n", "n", "unique_tokens"],
+    }
+    assert [list(report) for report in json.loads((d / "leakage.json").read_text())] == [
+        ["metric", "system_a", "system_b", "delta_single", "delta_multi", "shrinkage", "ratio"],
+    ]
 
 
 def test_crlf_line_ends_load_as_lf(pipeline):

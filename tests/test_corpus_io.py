@@ -239,7 +239,7 @@ class TestEncodeParity:
 class TestLoadGenerationRecords:
     def test_unknown_segment_reports_line(self, tmp_path, jsonl_writer):
         path = tmp_path / "refs.jsonl"
-        jsonl_writer(path, [record("s1", ["c"]).to_json(), record("zz", ["c"]).to_json()])
+        jsonl_writer(path, [record("s1", ["c"])._asdict(), record("zz", ["c"])._asdict()])
         assert [r.segment_id for r in load_generation_records(path)] == ["s1", "zz"]
         with pytest.raises(CorpusFormatError) as err:
             load_generation_records(path, {"s1"})
@@ -249,8 +249,8 @@ class TestLoadGenerationRecords:
     @pytest.mark.parametrize("candidates", ["the dog", [None], ["a", 3], None])
     def test_non_string_candidates_report_line(self, tmp_path, jsonl_writer, candidates):
         path = tmp_path / "refs.jsonl"
-        bad = {**record("s1", ["c"]).to_json(), "candidates": candidates}
-        jsonl_writer(path, [record("s0", ["c"]).to_json(), bad])
+        bad = {**record("s1", ["c"])._asdict(), "candidates": candidates}
+        jsonl_writer(path, [record("s0", ["c"])._asdict(), bad])
         with pytest.raises(CorpusFormatError) as err:
             load_generation_records(path)
         assert err.value.line == 2
@@ -270,15 +270,16 @@ class TestMergeReferences:
         merged = merge_references(self.corpus(), [record("s1", ["c1", "c2"])])
         seg = merged.segments[0]
         assert seg.generated_refs == ("c1", "c2")
-        assert seg.scoring_refs("generated") == ["c1", "c2"]
+        assert seg.gold_refs == ("gold1",)
 
     def test_gold_included_when_requested(self):
         merged = merge_references(self.corpus(), [record("s1", ["c1"])])
-        assert merged.segments[0].scoring_refs("both") == ["gold1", "c1"]
+        seg = merged.segments[0]
+        assert (seg.gold_refs, seg.generated_refs) == (("gold1",), ("c1",))
 
     def test_failed_records_contribute_nothing(self):
         merged = merge_references(self.corpus(), [record("s1", [], error="bad")])
-        assert merged.segments[0].scoring_refs("generated") == []
+        assert merged.segments[0].generated_refs == ()
 
     def test_unknown_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -289,25 +290,6 @@ class TestMergeReferences:
         merge_references(corpus, [record("s1", ["c"])])
         assert corpus.segments[0].gold_refs == ("gold1",)
         assert corpus.segments[0].generated_refs == ()
-
-
-class TestScoringRefs:
-    segment = Segment(
-        id="s", source="x", gold_refs=("g1",), generated_refs=("c1", "c2", "c3")
-    )
-
-    def test_modes(self):
-        assert self.segment.scoring_refs("gold") == ["g1"]
-        assert self.segment.scoring_refs("generated") == ["c1", "c2", "c3"]
-        assert self.segment.scoring_refs("both") == ["g1", "c1", "c2", "c3"]
-
-    def test_max_generated_caps_only_generated(self):
-        assert self.segment.scoring_refs("both", max_generated=2) == ["g1", "c1", "c2"]
-        assert self.segment.scoring_refs("generated", max_generated=0) == []
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            self.segment.scoring_refs("everything")
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multiref"

@@ -212,7 +212,7 @@ class TestGenerateReferences:
         fresh = generate_references(pending, TEMPLATE, self.config(), MockTransport())
 
         out = tmp_path / "refs.jsonl"
-        jsonl_writer(out, (GenerationRecord(sid, "p", "1. a", ("a",), 1, "t").to_json() for sid, _, _ in done))
+        jsonl_writer(out, (GenerationRecord(sid, "p", "1. a", ("a",), 1, "t")._asdict() for sid, _, _ in done))
         transport = MockTransport()
         records = generate_references(segments, TEMPLATE, self.config(), transport, out_path=out)
         assert len(transport.calls) == 3

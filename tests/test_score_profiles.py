@@ -557,3 +557,42 @@ def test_score_corpus_rejects_bad_counts(counts, message):
     scorer = MultiRefScorer(["bleu"], words=str.split)
     with pytest.raises(ValueError, match=message):
         score_corpus(scorer, corpus, "both", counts)
+
+
+class TestScoreCorpusReferences:
+    """The gold-then-generated reference rule, which `score_corpus` alone applies."""
+
+    segment = Segment("s", "x", gold_refs=("g1", "g2"), generated_refs=("c1", "c2", "c3"))
+
+    def scored_refs(self, mode, counts=(None,)):
+        """(reference id, reference text) of the segment's per-reference row, in cell order.
+
+        Each text is a system's hypothesis, so a text's ROUGE-1 is 100 only
+        against the reference that equals it.
+        """
+        texts = self.segment.gold_refs + self.segment.generated_refs
+        corpus = EvalCorpus([self.segment], {text: {"s": text} for text in texts})
+        scorer = MultiRefScorer(["rouge1"], words=str.split)
+        _, rows = score_corpus(scorer, corpus, mode, counts, per_reference=True)
+        text_of = {ref_id: system for _, system, _, cells in rows
+                   for ref_id, value in cells.items() if value == 100.0}
+        return [(ref_id, text_of[ref_id]) for ref_id in rows[0][3]]
+
+    def test_modes(self):
+        assert self.scored_refs("gold") == [("gold:0", "g1"), ("gold:1", "g2")]
+        assert self.scored_refs("generated") == [("gen:0", "c1"), ("gen:1", "c2"), ("gen:2", "c3")]
+        assert self.scored_refs("both") == [
+            ("gold:0", "g1"), ("gold:1", "g2"), ("gen:0", "c1"), ("gen:1", "c2"), ("gen:2", "c3"),
+        ]
+
+    def test_cap_applies_only_to_generated_references(self):
+        assert self.scored_refs("both", [1]) == [("gold:0", "g1"), ("gold:1", "g2"), ("gen:0", "c1")]
+        assert self.scored_refs("generated", [2]) == [("gen:0", "c1"), ("gen:1", "c2")]
+        assert self.scored_refs("gold", [1]) == [("gold:0", "g1"), ("gold:1", "g2")]
+
+    def test_unknown_mode_rejected(self):
+        scorer = MultiRefScorer(["bleu"], words=str.split)
+        # The mode is checked before any segment, so a corpus with nothing to score fails too.
+        for corpus in (EvalCorpus([self.segment], {"A": {"s": "c1"}}), EvalCorpus()):
+            with pytest.raises(ValueError, match="unknown reference mode 'everything'"):
+                score_corpus(scorer, corpus, "everything")
