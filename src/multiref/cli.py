@@ -269,6 +269,8 @@ def _resolve_template(args):
 
 
 def cmd_generate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     template, include_gt = _resolve_template(args)
     segments = corpus_io.load_segments(args.segments)
 

@@ -7,8 +7,8 @@ segment are requested in a single completion (asking for many at once
 measurably improves their quality), parsed from a numbered list, and
 persisted append-only so interrupted runs resume where they stopped.
 `generate_references` sends the requests from `cfg.concurrency` plain
-worker threads, which take segments in order; the calling thread writes
-each record as it arrives.
+worker threads, which take segments in order and each write their own
+record; the first failure stops every worker before its next segment.
 """
 
 import email.utils
@@ -20,7 +20,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from collections import deque
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
@@ -416,15 +415,17 @@ def generate_references(
 
     `segments` yields (segment_id, source, gold_or_None). `cfg.concurrency`
     worker threads send the requests, each taking the next segment in
-    segment order. Records are appended to out_path as they complete (one
-    JSON object per line, flushed per record) so a kill mid-run loses at
-    most the in-flight segments, and a rerun on the same out_path resumes:
-    its completed segments are neither requested nor written again, and
-    only this run's records are returned. A transport failure, or an
-    exception in the calling thread such as KeyboardInterrupt, aborts the
-    run: once the calling thread sees it, no further segment is sent, and
-    what the calls in flight return is still persisted before the first
-    error is raised. Malformed replies only mark their own segment as failed.
+    segment order. Each worker appends its own record to out_path as its
+    call completes (one JSON object per line, flushed per record), so a kill
+    mid-run loses at most the in-flight segments, and a rerun on the same
+    out_path resumes: its completed segments are neither requested nor
+    written again, and only this run's records are returned, in the order
+    they were written. A transport failure or a failed write stops every
+    worker before its next segment; an exception in the calling thread, such
+    as KeyboardInterrupt, does the same once the calling thread sees it,
+    which it does when the next call ends at the latest. The records of the
+    calls in flight are still written, then the first failure is raised.
+    Malformed replies only mark their own segment as failed.
     """
     done = completed_segment_ids(out_path) if out_path is not None else set()
     todo = [item for item in segments if item[0] not in done]
@@ -434,64 +435,54 @@ def generate_references(
             raise ValueError(
                 f"template expects ground truth but segments lack gold refs: {missing[:5]}"
             )
-    # Each finished call's record, or the exception it raised, in the order they finish.
-    outcomes = deque()
+    records: list[GenerationRecord] = []
+    # Guards every name below, `records` and the output file; notified as each call ends.
     changed = threading.Condition()
-    stop = False  # set once the calling thread fails; no segment is taken after it
-    taken = read = 0  # segments handed to a worker; outcomes the calling thread has read
+    taken = busy = 0  # segments handed to a worker; those whose call or write is not over
+    failure = None  # the first exception raised; no segment is taken once it is set
 
     def work():
-        nonlocal taken
+        nonlocal taken, busy, failure
         while True:
             with changed:
-                if stop or taken == len(todo):
+                if failure is not None or taken == len(todo):
                     return
                 item = todo[taken]
                 taken += 1
+                busy += 1
             try:
-                outcome = generate_for_segment(*item, template, cfg, transport)
-            except BaseException as exc:  # handed to the calling thread, which raises it
-                outcome = exc
-            with changed:
-                outcomes.append(outcome)
-                changed.notify()
+                record = generate_for_segment(*item, template, cfg, transport)
+                with changed:
+                    records.append(record)
+                    if handle is not None:
+                        handle.write(jsonl_line(record._asdict()))
+                        handle.flush()
+            except BaseException as exc:  # the calling thread raises the first one
+                with changed:
+                    if failure is None:
+                        failure = exc
+            finally:
+                with changed:
+                    busy -= 1
+                    changed.notify()
 
-    def next_outcome():
-        """The next finished call's outcome; None once every segment sent has one."""
-        nonlocal read
-        with changed:
-            while not outcomes and read < (taken if stop else len(todo)):
-                changed.wait()
-            if not outcomes:
-                return None
-            read += 1
-            return outcomes.popleft()
-
-    records: list[GenerationRecord] = []
     sink = open(out_path, "a", encoding="utf-8") if out_path is not None else nullcontext()
-    with sink as handle:
-
-        def persist(record: GenerationRecord):
-            records.append(record)
-            if handle is not None:
-                handle.write(jsonl_line(record._asdict()))
-                handle.flush()
-
+    with sink as handle, changed:
+        # Wait on the Condition, which wakes this thread as each call ends, so
+        # it sees an interrupt between two records; not in Thread.join, where
+        # an interrupt can mark a running worker as stopped (Python 3.11).
         try:
             for _ in range(min(cfg.concurrency, len(todo))):
                 threading.Thread(target=work).start()
-            while (outcome := next_outcome()) is not None:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                persist(outcome)
-        except BaseException:
-            # Send nothing more, but keep what the calls in flight return.
-            with changed:
-                stop = True
-            while (outcome := next_outcome()) is not None:
-                if not isinstance(outcome, BaseException):
-                    persist(outcome)
-            raise
+            while busy or (failure is None and taken < len(todo)):
+                changed.wait()
+        except BaseException as exc:  # KeyboardInterrupt: take no further segment
+            if failure is None:
+                failure = exc
+            while busy:
+                changed.wait()
+    if failure is not None:
+        raise failure
     return records
 
 

@@ -231,6 +231,18 @@ class TestGenerate:
         assert all(t.calls == [] for t in transports)
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_jobs_below_one_fails_naming_the_flag(self, pipeline, capsys, tmp_path, via):
+        # It used to fail as "concurrency must be >= 1", which names no flag.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 0}))
+        jobs = ["--jobs", "0"] if via == "flag" else ["--config", str(config)]
+        out = pipeline["dir"] / "gen.jsonl"
+        code = main([*jobs, "generate", "--segments", str(pipeline["segments"]), "--out", str(out), "--mock"])
+        assert code == 1
+        assert capsys.readouterr().err == "multiref: error: --jobs must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_missing_api_key_diagnostic(self, pipeline, capsys, monkeypatch):
         monkeypatch.delenv("MULTIREF_API_KEY", raising=False)
         monkeypatch.delenv("OPENAI_API_KEY", raising=False)

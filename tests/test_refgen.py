@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from multiref import refgen
 from multiref.errors import MalformedResponseError, TransportError
 from multiref.refgen import (
     ENGLISH_TRANSLATION,
@@ -49,6 +50,30 @@ class FailsFirstTransport:
         if first:
             raise TransportError("connection refused")
         time.sleep(0.05)
+        return numbered("a", "b")
+
+
+class FailsAfterSecondStartsTransport:
+    """s0's call raises TransportError once s1's call has started; s1's answers once s0's worker has stopped."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.prompts = []
+        self.second_started = threading.Event()
+        self.first_raises = threading.Event()
+        self.first_worker = None
+
+    def complete(self, prompt, cfg):
+        with self.lock:
+            self.prompts.append(prompt)
+        if prompt.endswith("text 0"):
+            self.first_worker = threading.current_thread()
+            self.second_started.wait(timeout=5)
+            self.first_raises.set()
+            raise TransportError("connection reset")
+        self.second_started.set()
+        self.first_raises.wait(timeout=5)
+        self.first_worker.join(timeout=5)
         return numbered("a", "b")
 
 
@@ -257,9 +282,57 @@ class TestGenerateReferences:
             generate_references(
                 segments, TEMPLATE, self.config(concurrency=2), transport, out_path=out
             )
-        assert 2 <= len(transport.prompts) <= 2 * 2
+        # The failing worker takes nothing more; the other has taken at most one segment.
+        assert 1 <= len(transport.prompts) <= 2
         persisted = {r.prompt_used for r in load_generation_records(out)}
         assert persisted == set(transport.prompts[1:])
+
+    def test_transport_failure_stops_a_lone_worker_before_its_next_segment(self, tmp_path):
+        # The worker used to go on taking segments until the calling thread saw
+        # the failure: 3 calls and 2 records here.
+        out = tmp_path / "refs.jsonl"
+        segments = [(f"s{i}", f"text {i}", None) for i in range(3)]
+        transport = MockTransport(
+            scripted=[TransportError("connection refused"), numbered("a", "b"), numbered("c", "d")]
+        )
+        with pytest.raises(TransportError):
+            generate_references(
+                segments, TEMPLATE, self.config(concurrency=1), transport, out_path=out
+            )
+        assert len(transport.calls) == 1
+        assert load_generation_records(out) == []
+
+    def test_failure_in_flight_keeps_the_other_workers_record(self, tmp_path):
+        out = tmp_path / "refs.jsonl"
+        segments = [(f"s{i}", f"text {i}", None) for i in range(6)]
+        transport = FailsAfterSecondStartsTransport()
+        with pytest.raises(TransportError):
+            generate_references(
+                segments, TEMPLATE, self.config(concurrency=2), transport, out_path=out
+            )
+        assert len(transport.prompts) == 2
+        assert [r.segment_id for r in load_generation_records(out)] == ["s1"]
+
+    def test_failed_write_stops_the_workers_and_is_raised(self, tmp_path, monkeypatch):
+        lines = []
+        jsonl_line = refgen.jsonl_line
+
+        def failing_jsonl_line(obj):
+            lines.append(obj["segment_id"])
+            if len(lines) == 2:
+                raise OSError(28, "No space left on device")
+            return jsonl_line(obj)
+
+        monkeypatch.setattr(refgen, "jsonl_line", failing_jsonl_line)
+        out = tmp_path / "refs.jsonl"
+        segments = [(f"s{i}", f"text {i}", None) for i in range(4)]
+        transport = MockTransport()
+        with pytest.raises(OSError, match="No space left on device"):
+            generate_references(
+                segments, TEMPLATE, self.config(concurrency=1), transport, out_path=out
+            )
+        assert len(transport.calls) == 2
+        assert [r.segment_id for r in load_generation_records(out)] == ["s0"]
 
     def test_one_worker_sends_segments_in_order(self, tmp_path):
         out = tmp_path / "refs.jsonl"
