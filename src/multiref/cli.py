@@ -43,7 +43,7 @@ from .metrics import (  # noqa: F401
     rouge_l,
     score_corpus,
 )
-from .textproc import load_subword_vocab, tokenize_subwords, tokenize_words
+from .textproc import load_subword_vocab, tokenize_pieces, tokenize_subwords, tokenize_words
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,17 +271,6 @@ def _resolve_template(args):
 def cmd_generate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    template, include_gt = _resolve_template(args)
-    segments = corpus_io.load_segments(args.segments)
-
-    # --ground-truth/--no-ground-truth, else the template file's key, else
-    # whether every segment has a gold reference.
-    if args.ground_truth is not None:
-        include_gt = args.ground_truth
-    elif include_gt is None:
-        include_gt = all(segment.gold_refs for segment in segments)
-    template = template._replace(include_ground_truth=include_gt)
-
     n_references = args.n_references
     if n_references is None:
         n_references = refgen.DEFAULT_N_REFERENCES[args.task]
@@ -293,6 +282,17 @@ def cmd_generate(args) -> int:
         timeout=args.timeout,
         concurrency=args.jobs,
     )
+    template, include_gt = _resolve_template(args)
+    segments = corpus_io.load_segments(args.segments)
+
+    # --ground-truth/--no-ground-truth, else the template file's key, else
+    # whether every segment has a gold reference.
+    if args.ground_truth is not None:
+        include_gt = args.ground_truth
+    elif include_gt is None:
+        include_gt = all(segment.gold_refs for segment in segments)
+    template = template._replace(include_ground_truth=include_gt)
+
     transport = refgen.MockTransport() if args.mock else refgen.HttpChatTransport()
 
     items = [
@@ -355,7 +355,7 @@ def _scorer(args, metrics: list[str]) -> MultiRefScorer:
 
     def pieces(text: str):
         if args.pretokenized:
-            return text.split()
+            return tokenize_pieces(text, lowercase=lowercase)
         return tokenize_subwords(text, vocab, lowercase=lowercase)
 
     return MultiRefScorer(
@@ -385,7 +385,8 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
 
 
 def cmd_score(args) -> int:
-    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
+    # Checked before any file is read; a repeated metric fails in MultiRefScorer, once --vocab is read.
+    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
     if "spbleu" in metrics and not args.vocab and not args.pretokenized:
@@ -394,19 +395,11 @@ def cmd_score(args) -> int:
         raise ValueError(f"--max-refs must be >= 1, got {args.max_refs}")
     if args.chrf_order < 1:
         raise ValueError(f"--chrf-order must be >= 1, got {args.chrf_order}")
-    scorer = _scorer(args, metrics)
-
-    corpus = corpus_io.load_corpus(args.segments, args.outputs)
-    if args.generated_refs:
-        records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
-        corpus = corpus_io.merge_references(corpus, records)
     mode = args.refs or ("generated" if args.generated_refs else "gold")
     if mode in ("generated", "both") and not args.generated_refs:
         raise ValueError(f"--refs {mode} requires --generated-refs")
     if mode == "gold" and args.max_refs is not None:
         raise ValueError("--max-refs caps generated references; it does not apply to --refs gold")
-    if not corpus.systems:
-        raise ValueError("no system outputs to score")
 
     # Generated-reference counts to score; a plain run is the sweep of the one count --max-refs.
     counts = [args.max_refs]
@@ -421,6 +414,14 @@ def cmd_score(args) -> int:
         counts = range(low, high + 1)
     elif args.per_reference and not args.out:
         raise ValueError("--per-reference sets the cells of the --out matrix; it needs --out")
+    scorer = _scorer(args, metrics)
+
+    corpus = corpus_io.load_corpus(args.segments, args.outputs)
+    if args.generated_refs:
+        records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
+        corpus = corpus_io.merge_references(corpus, records)
+    if not corpus.systems:
+        raise ValueError("no system outputs to score")
 
     scores, rows = score_corpus(scorer, corpus, mode, counts, args.per_reference)
     if args.sweep_refs:

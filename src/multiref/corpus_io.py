@@ -34,7 +34,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorpusFormatError
-from .records import Fields, record
+from .records import record
 
 
 class Segment(record("Segment", "id source gold_refs generated_refs", defaults=((), ()))):
@@ -43,18 +43,17 @@ class Segment(record("Segment", "id source gold_refs generated_refs", defaults=(
     __slots__ = ()
 
 
-class EvalCorpus(Fields):
-    """Segments plus per-system hypotheses for one language pair or task."""
+class EvalCorpus(record("EvalCorpus", "segments systems")):
+    """Segments plus per-system hypotheses for one language pair or task; each defaults to a new empty one."""
 
-    __slots__ = _fields = ("segments", "systems")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         segments: list[Segment] | None = None,
         systems: dict[str, dict[str, str]] | None = None,
     ):
-        self.segments = [] if segments is None else segments
-        self.systems = {} if systems is None else systems
+        return tuple.__new__(cls, ([] if segments is None else segments, {} if systems is None else systems))
 
     def segment_ids(self) -> list[str]:
         return [segment.id for segment in self.segments]

@@ -10,8 +10,8 @@ import math
 from collections.abc import Callable, Sequence
 
 from . import kernels
-from .records import Fields, record
-from .textproc import tokenize_chars, tokenize_subwords, tokens_of
+from .records import record
+from .textproc import tokenize_chars, tokenize_pieces, tokenize_subwords, tokens_of
 
 SMOOTHING_METHODS = ("none", "exp")
 REF_LENGTH_MODES = ("closest", "shortest")
@@ -66,25 +66,22 @@ class MetricScore(record("MetricScore", "value per_order detail")):
         return tuple.__new__(cls, (value, per_order, {} if detail is None else detail))
 
 
-class CorpusStats(Fields):
+class CorpusStats(record("CorpusStats", "matched totals hyp_len ref_len")):
     """Additive sufficient statistics for corpus-level BLEU.
 
     Segment stats combine by summation, so corpus aggregation is an
     associative, commutative reduction.
     """
 
-    __slots__ = _fields = ("matched", "totals", "hyp_len", "ref_len")
+    __slots__ = ()
 
-    def __init__(self, matched: list[int], totals: list[int], hyp_len: int = 0, ref_len: int = 0):
+    def __new__(cls, matched: list[int], totals: list[int], hyp_len: int = 0, ref_len: int = 0):
         if len(matched) != len(totals):
             raise ValueError("matched and totals must have the same length")
         for m, t in zip(matched, totals):
             if m < 0 or t < 0 or m > t:
                 raise ValueError(f"invalid counts: matched={m}, total={t}")
-        self.matched = matched
-        self.totals = totals
-        self.hyp_len = hyp_len
-        self.ref_len = ref_len
+        return tuple.__new__(cls, (matched, totals, hyp_len, ref_len))
 
     @classmethod
     def zero(cls, max_order: int) -> "CorpusStats":
@@ -538,14 +535,15 @@ def spbleu_corpus(
 
     `pairs` holds raw text: (hyp_text, [ref_text, ...]) per segment. With
     `pretokenized=True` the texts are taken as already-segmented pieces
-    joined by spaces and the vocabulary is not consulted.
+    joined by spaces and the vocabulary is not consulted; either way they
+    are NFC-normalized and, with `lowercase`, lowercased.
     """
     if not pretokenized and vocab is None:
         raise ValueError("a subword vocabulary is required unless pretokenized=True")
 
     def pieces(text: str):
         if pretokenized:
-            return text.split()
+            return tokenize_pieces(text, lowercase=lowercase)
         return tokenize_subwords(text, vocab, lowercase=lowercase)
 
     return _corpus(MultiRefScorer(["spbleu"], bleu_cfg=cfg, pieces=pieces), "spbleu", pairs)

@@ -1,10 +1,11 @@
-"""The two bases of the package's record classes.
+"""The one base of the package's record classes.
 
-An immutable record subclasses `record(name, fields)`, a named tuple, with
-`__slots__ = ()`, and checks its fields in `__new__`. A record with mutable
-or cached state is a plain `__slots__` class that subclasses `Fields`.
-Neither base generates and compiles `__init__`, `__eq__` and `__repr__`
-source for each class, which took about 1 ms a class at import.
+A record subclasses `record(name, fields)`, a named tuple, with
+`__slots__ = ()`, and checks its fields and fills its `None` defaults in
+`__new__`. The base does not generate and compile `__init__`, `__eq__` and
+`__repr__` source for each class, which took about 1 ms a class at import.
+`textproc.SubwordVocab` alone is a plain `__slots__` class, because it holds
+a per-instance word cache that a named tuple has no room for.
 """
 
 from collections import namedtuple
@@ -23,28 +24,3 @@ def record(name: str, fields: str, defaults=()):
     base = namedtuple(name, fields, defaults=defaults, module=__name__)
     base._replace = _replace
     return base
-
-
-class Fields:
-    """Equality and repr over the attributes named in `_fields`, for a plain `__slots__` class.
-
-    Two instances are equal when they are of the same class and their fields
-    are equal; an instance is unhashable unless its class defines `__hash__`.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"

@@ -1,10 +1,11 @@
 """Deterministic tokenization shared by all metrics.
 
-Three tokenizers, each a pure function from text to a tuple of token
+Four tokenizers, each a pure function from text to a tuple of token
 strings: whitespace/punctuation word tokens, whitespace-stripped character
-tokens, and greedy longest-match subword pieces against a user-supplied
-vocabulary. Each NFC-normalizes and optionally lowercases the text first.
-None emits an empty or whitespace token.
+tokens, greedy longest-match subword pieces against a user-supplied
+vocabulary, and the pieces of text already segmented into subword pieces.
+Each NFC-normalizes and optionally lowercases the text first. None emits an
+empty or whitespace token.
 
 Multi-reference scoring tokenizes many near-paraphrases, so most words recur.
 Two bounded caches keep the per-word work to once per distinct word:
@@ -24,7 +25,6 @@ from pathlib import Path
 
 from .corpus_io import read_lines
 from .errors import CorpusFormatError
-from .records import Fields
 
 #: SentencePiece-style word-boundary marker prefixed to every word.
 WORD_MARKER = "▁"
@@ -39,8 +39,11 @@ WORD_CACHE_SIZE = 1 << 16
 SUBWORD_CACHE_SIZE = 1 << 16
 
 
-class SubwordVocab(Fields):
-    """Subword inventory used for greedy longest-match segmentation; immutable and hashable."""
+class SubwordVocab:
+    """Subword inventory used for greedy longest-match segmentation; immutable and hashable.
+
+    The one record that is not a named tuple, as each instance holds its own word cache.
+    """
 
     _fields = ("entries", "unk_piece")
     __slots__ = (*_fields, "_segment")
@@ -65,8 +68,20 @@ class SubwordVocab(Fields):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
     def __hash__(self):
         return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
         # Pickle and copy the fields only; the copy builds its own cache.
@@ -83,11 +98,13 @@ def _normalize(text: str, lowercase: bool) -> str:
 
 
 def tokenize_words(text: str, lowercase: bool = False) -> tuple[str, ...]:
-    """Split text into word tokens, mteval-13a style.
+    """Split text into word tokens: whitespace chunks with their edge punctuation peeled off.
 
     NFC-normalizes, optionally lowercases, splits on whitespace, then peels
-    leading and trailing punctuation off each chunk as standalone tokens.
-    Interior punctuation (don't, e-mail, 3.5) is left in place.
+    leading and trailing punctuation (Unicode category P) off each chunk as
+    standalone tokens. Interior punctuation (don't, e-mail, 3.5) and symbols
+    are left in place. This is not mteval-13a: `a+b costs $5.` gives
+    `a+b costs $5 .`, where 13a gives `a + b costs $ 5 .`.
     """
     return tuple(chain.from_iterable(map(_peel, _normalize(text, lowercase).split())))
 
@@ -122,6 +139,11 @@ def tokenize_subwords(
     emits the vocabulary's unk piece and advances one character.
     """
     return tuple(chain.from_iterable(map(vocab._segment, _normalize(text, lowercase).split())))
+
+
+def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
+    """The pieces of text already segmented into subword pieces joined by whitespace."""
+    return tuple(_normalize(text, lowercase).split())
 
 
 def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):

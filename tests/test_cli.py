@@ -577,6 +577,42 @@ class TestScore:
         summary = json.loads(summary_path.read_text())
         assert summary["metrics"]["spbleu"]["a"] == pytest.approx(100.0)
 
+    def test_pretokenized_spbleu_honours_lowercase(self, pipeline, jsonl_writer):
+        # spbleu used to split the raw pieces and read 4.06 here, while bleu read 100.
+        seg = pipeline["dir"] / "pieces.segments.jsonl"
+        out = pipeline["dir"] / "pieces.outputs.jsonl"
+        jsonl_writer(seg, [{"id": "s1", "source": "x", "gold_refs": ["▁the ▁cat ▁sat ▁on ▁the ▁mat"]}])
+        jsonl_writer(out, [{"system": "a", "segment": "s1", "hypothesis": "▁The ▁Cat ▁Sat ▁On ▁The ▁Mat"}])
+        summary_path = pipeline["dir"] / "summary.json"
+        code = main(
+            [
+                "--lowercase",
+                "score",
+                "--segments", str(seg),
+                "--outputs", str(out),
+                "--pretokenized",
+                "--metrics", "spbleu,bleu",
+                "--summary", str(summary_path),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(summary_path.read_text())["metrics"]
+        assert summary == {"spbleu": {"a": 100.0}, "bleu": {"a": 100.0}}
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_metric_named_twice_fails(self, pipeline, capsys, tmp_path, via):
+        # Repeats used to be dropped, so the run exited 0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metrics": "bleu, chrf,,bleu"}))
+        metrics = ["--metrics", "bleu, chrf,,bleu"] if via == "flag" else []
+        global_flags = ["--config", str(config)] if via == "config" else []
+        summary = pipeline["dir"] / "summary.json"
+        code = main([*global_flags, "score", "--segments", str(pipeline["segments"]),
+                     "--outputs", str(pipeline["outputs"]), "--summary", str(summary), *metrics])
+        assert code == 1
+        assert capsys.readouterr().err == "multiref: error: metric 'bleu' is named twice\n"
+        assert not summary.exists()
+
     def test_lowercase_flag_applies_before_tokenization(self, pipeline, jsonl_writer):
         seg = pipeline["dir"] / "case.segments.jsonl"
         out = pipeline["dir"] / "case.outputs.jsonl"
@@ -689,6 +725,35 @@ class TestScore:
         assert f"{paths[file]}:{line}: " in err
         assert reason in err
         assert not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--generated-refs", "missing.refs.jsonl", "--sweep-refs", "1..3", "--out", "m.jsonl"],
+         "--sweep-refs emits a score series; --per-reference/--out do not apply"),
+        (["score", "--generated-refs", "missing.refs.jsonl", "--sweep-refs", "3..1"],
+         "invalid sweep range '3..1'"),
+        (["score", "--refs", "generated"], "--refs generated requires --generated-refs"),
+        (["score", "--metrics", "spbleu", "--vocab", "missing.vocab", "--refs", "both"],
+         "--refs both requires --generated-refs"),
+        (["score", "--per-reference"], "--per-reference sets the cells of the --out matrix; it needs --out"),
+        (["score", "--refs", "gold", "--max-refs", "2"],
+         "--max-refs caps generated references; it does not apply to --refs gold"),
+        (["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "n_references must be >= 1"),
+    ],
+    ids=["sweep-out", "sweep-range", "generated-no-refs", "both-no-refs-before-vocab", "per-reference-no-out",
+         "max-refs-gold", "generate-n-references"],
+)
+def test_bad_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    # Each used to fail as "missing.jsonl: cannot open" instead.
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    inputs = ["--outputs", "missing.outputs.jsonl"] if command == "score" else []
+    code = main([command, "--segments", "missing.jsonl", *inputs, *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"multiref: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCombine:

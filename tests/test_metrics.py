@@ -185,6 +185,17 @@ class TestSpbleu:
         with pytest.raises(ValueError):
             spbleu_corpus([("a", ["a"])])
 
+    def test_pretokenized_pieces_are_lowercased(self):
+        # Pieces used to be split from the raw text, ignoring lowercase (4.06).
+        pairs = [("▁The ▁Cat ▁Sat ▁On ▁The ▁Mat", ["▁the ▁cat ▁sat ▁on ▁the ▁mat"])]
+        assert spbleu_corpus(pairs, pretokenized=True, lowercase=True).value == 100.0
+        assert spbleu_corpus(pairs, pretokenized=True).value < 100.0
+
+    def test_pretokenized_pieces_are_nfc_normalized(self):
+        # A decomposed é (e + combining acute) used to miss the composed one in the reference.
+        pairs = [("▁cafe\u0301 ▁au ▁lait ▁noir", ["▁caf\u00e9 ▁au ▁lait ▁noir"])]
+        assert spbleu_corpus(pairs, pretokenized=True).value == 100.0
+
     def test_matches_oracle_on_pieces(self, rng):
         # Subword scoring is plain BLEU over the piece sequences.
         for _ in range(20):

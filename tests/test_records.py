@@ -1,8 +1,9 @@
-"""The package's record classes: named tuples checked in `__new__`, and three plain `__slots__` classes.
+"""The package's record classes: named tuples checked in `__new__`, and one plain `__slots__` class.
 
 Importing the package must generate and compile no code: each record class
-is built from `records.record` (a named tuple) or `records.Fields`, never
-from `dataclasses`.
+but `SubwordVocab` is built from `records.record` (a named tuple), never
+from `dataclasses`; `SubwordVocab` is a plain class because it holds a
+per-instance word cache.
 """
 
 import copy
@@ -46,7 +47,7 @@ CASES = [
         ({"kind": "max"}, "k is only valid for top_k_mean, not 'max'"),
     ]),
     (Segment, {"id": "s1", "source": "src", "gold_refs": ("g",), "generated_refs": ("a", "b")}, True, True, []),
-    (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, False, False, []),
+    (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, True, False, []),
     (CandidateSet, {"segment_id": "s1", "candidates": ("a", "b")}, True, True, [
         ({"candidates": ()}, "candidate set must not be empty"),
     ]),
@@ -84,7 +85,7 @@ CASES = [
         ({"value": -0.5}, "metric value out of [0, 100]: -0.5"),
         ({"per_order": (0.5, 1.5)}, "per-order entry out of [0, 1]: 1.5"),
     ]),
-    (CorpusStats, {"matched": [2, 1], "totals": [3, 2], "hyp_len": 3, "ref_len": 4}, False, False, [
+    (CorpusStats, {"matched": [2, 1], "totals": [3, 2], "hyp_len": 3, "ref_len": 4}, True, False, [
         ({"totals": [3]}, "matched and totals must have the same length"),
         ({"matched": [4, 1]}, "invalid counts: matched=4, total=3"),
         ({"matched": [-1, 1]}, "invalid counts: matched=-1, total=3"),
@@ -131,9 +132,7 @@ NAMED_TUPLES = [cls for cls, *_ in CASES if issubclass(cls, tuple)]
 
 def test_every_former_dataclass_is_covered():
     assert len(CASES) == 15
-    assert {cls for cls, *_ in CASES if not issubclass(cls, tuple)} == {
-        EvalCorpus, CorpusStats, SubwordVocab,
-    }
+    assert {cls for cls, *_ in CASES if not issubclass(cls, tuple)} == {SubwordVocab}
 
 
 @pytest.mark.parametrize("cls, kwargs, frozen, hashable, checks", CASES, ids=IDS)
@@ -203,6 +202,14 @@ def test_metric_score_clamps_and_defaults_through_every_path():
     assert MetricScore(1.0).detail is not MetricScore(1.0).detail
     assert score._replace(value=-1e-10).value == 0.0
     assert score._replace(detail=None).detail == {}
+
+
+def test_corpus_records_default_and_combine_as_their_class():
+    a, b = EvalCorpus(), EvalCorpus()
+    assert a == ([], {}) and a.segments is not b.segments and a.systems is not b.systems
+    total = CorpusStats.zero(2) + CorpusStats([1, 0], [2, 1], 2, 3)
+    assert type(total) is CorpusStats and total == ([1, 0], [2, 1], 2, 3)
+    assert total._replace(ref_len=5) == CorpusStats([1, 0], [2, 1], 2, 5)
 
 
 def test_replace_keeps_the_other_fields():

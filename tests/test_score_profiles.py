@@ -101,8 +101,8 @@ class Oracle:
         return text.lower() if self.lowercase else text
 
     def tokens(self, metric, text):
-        # spbleu under --pretokenized splits the raw text and ignores --lowercase.
-        return text.split() if metric == "spbleu" else self.norm(text).split()
+        # Words, and spbleu's pieces under --pretokenized, split the lowercased text alike.
+        return self.norm(text).split()
 
     def segment(self, metric, hyp, refs):
         if metric == "chrf":
@@ -279,7 +279,8 @@ def test_score_corpus_matches_oracles_without_the_cli(
     oracle = Oracle(max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase)
     scorer = MultiRefScorer(
         ALL_METRICS, BleuConfig(max_order, smoothing, ref_length), chrf_order, chrf_beta,
-        lowercase, words=lambda text: oracle.tokens("bleu", text), pieces=str.split,
+        lowercase, words=lambda text: oracle.tokens("bleu", text),
+        pieces=lambda text: oracle.tokens("spbleu", text),
     )
     for mode in ("generated", "both"):
         check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference)
