@@ -30,6 +30,8 @@ from .combine import (  # noqa: F401
 )
 from .errors import CorpusFormatError, MultirefError
 from .metrics import (  # noqa: F401
+    DEFAULT_CHRF_BETA,
+    DEFAULT_CHRF_ORDER,
     METRICS,
     REF_LENGTH_MODES,
     REF_MODES,
@@ -50,15 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse builds a HelpFormatter in every add_argument, and each one reads
     # the terminal width; read it once here, as HelpFormatter reads it.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    # Flag defaults are the library's own, so each is stated once.
+    generation, bleu, policy = refgen.GenerationConfig(), BleuConfig(), CombinePolicy()
     parser = argparse.ArgumentParser(
         prog="multiref",
         description="Multi-reference evaluation pipeline for NLG systems.",
         formatter_class=formatter,
     )
     parser.add_argument("--config", help="JSON file with default values for flags")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="concurrent requests in generate; other stages ignore it"
-    )
+    parser.add_argument("--jobs", type=int, default=generation.concurrency,
+                        help="concurrent requests in generate; other stages ignore it")
     parser.add_argument(
         "--lowercase", action="store_true", help="lowercase text before tokenization"
     )
@@ -72,11 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", choices=tuple(dict.fromkeys(name for _, name in refgen.BUILTIN_TEMPLATES)),
                    help="built-in template (default: english)")
     p.add_argument("--template-file", help="JSON template to use instead of a built-in one")
-    p.add_argument("--model", default="gpt-3.5-turbo")
-    p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
-    p.add_argument("--n-references", type=int, help="candidates per segment (40 translation, 10 summarization)")
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--model", default=generation.model_name)
+    p.add_argument("--endpoint", default=generation.endpoint_url)
+    counts = ", ".join(f"{n} {task}" for task, n in refgen.DEFAULT_N_REFERENCES.items())
+    p.add_argument("--n-references", type=int, help=f"candidates per segment ({counts})")
+    p.add_argument("--max-retries", type=int, default=generation.max_retries)
+    p.add_argument("--timeout", type=float, default=generation.timeout)
     p.add_argument(
         "--ground-truth",
         action=argparse.BooleanOptionalAction,
@@ -108,11 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRICS)} or rouge<n>")
     p.add_argument("--vocab", help="subword vocabulary file (required for spbleu)")
     p.add_argument("--pretokenized", action="store_true", help="treat text as subword pieces joined by spaces")
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--smoothing", choices=SMOOTHING_METHODS, default="exp")
-    p.add_argument("--ref-length", choices=REF_LENGTH_MODES, default="closest")
-    p.add_argument("--chrf-order", type=int, default=6)
-    p.add_argument("--chrf-beta", type=float, default=2.0)
+    p.add_argument("--max-order", type=int, default=bleu.max_order)
+    p.add_argument("--smoothing", choices=SMOOTHING_METHODS, default=bleu.smoothing)
+    p.add_argument("--ref-length", choices=REF_LENGTH_MODES, default=bleu.effective_ref_length)
+    p.add_argument("--chrf-order", type=int, default=DEFAULT_CHRF_ORDER)
+    p.add_argument("--chrf-beta", type=float, default=DEFAULT_CHRF_BETA)
     p.add_argument("--per-reference", action="store_true",
                    help="matrix cells hold single-reference scores instead of one joint multi-reference column")
     p.add_argument("--out", help="matrix.jsonl to write")
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("combine", help="combine per-reference score matrices")
     p.add_argument("--matrix", required=True, help="matrix.jsonl")
-    p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
+    p.add_argument("--policy", choices=COMBINE_KINDS, default=policy.kind)
     p.add_argument("--k", type=int, help="k for top_k_mean")
     p.add_argument("--out", help="combined per-segment scores JSONL")
     p.add_argument("--summary", help="per-system summary JSON")
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("metaeval", help="correlate metric scores with human judgments")
     p.add_argument("--matrix", required=True, help="matrix.jsonl of metric scores")
     p.add_argument("--human", required=True, help="human.jsonl")
-    p.add_argument("--policy", choices=COMBINE_KINDS, default="max")
+    p.add_argument("--policy", choices=COMBINE_KINDS, default=policy.kind)
     p.add_argument("--k", type=int)
     p.add_argument("--name", help="language pair / task label for the report")
     p.add_argument("--out", help="report JSON")
@@ -139,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("diversity", help="per-system lexical diversity table")
     p.add_argument("--outputs", required=True)
     p.add_argument("--segments", help="validate output segment ids against this file")
-    p.add_argument("--n", type=int, default=6, help="n-gram order for the distinct-n ratio")
+    p.add_argument("--n", type=int, default=diversity.DEFAULT_DISTINCT_N,
+                   help="n-gram order for the distinct-n ratio")
     p.add_argument("--out", help="report JSON")
     p.set_defaults(func=cmd_diversity)
 

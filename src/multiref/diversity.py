@@ -8,7 +8,9 @@ single pass over the full input set.
 Self-BLEU is computed from one count of occurrence keys per n-gram order and
 candidate set, so its cost is linear in the candidates' n-grams: each
 candidate is profiled once, and its leave-one-out match is the number of its
-occurrence keys that some other candidate also holds.
+occurrence keys that some other candidate also holds. Its brevity-penalty
+reference length is BLEU's own, `kernels.ref_len` over the other
+candidates' lengths, asked once per distinct length.
 """
 
 import math
@@ -26,6 +28,8 @@ from .textproc import tokenize_words, tokens_of
 
 #: Default selection threshold.
 DEFAULT_SELF_BLEU_THRESHOLD = 35.0
+#: Default n-gram order of the distinct-n ratio.
+DEFAULT_DISTINCT_N = 6
 
 
 class CandidateSet(record("CandidateSet", "segment_id candidates")):
@@ -84,29 +88,16 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
 
 
 def _leave_one_out_ref_lens(lengths: list[int], mode: str) -> list[int]:
-    """`kernels.ref_len(lengths[i], lengths without item i, mode)` for every i, from one sort.
+    """`kernels.ref_len(lengths[i], lengths without item i, mode)` for every i, once per distinct length.
 
-    Without one copy of its own length, a length's closest other length is
-    itself when it occurs twice, else the nearer of its neighbours among the
-    sorted distinct lengths, the shorter on a tie.
+    A length's others are the other distinct lengths, and itself when it occurs twice.
     """
     counts = Counter(lengths)
-    distinct = sorted(counts)
-    if mode != "closest":
-        shortest = distinct[0]
-        second = shortest if counts[shortest] > 1 else distinct[1]
-        return [second if length == shortest else shortest for length in lengths]
-    closest = {}
-    for i, length in enumerate(distinct):
-        below = distinct[i - 1] if i else None
-        above = distinct[i + 1] if i + 1 < len(distinct) else None
-        if counts[length] > 1:
-            closest[length] = length
-        elif above is None or (below is not None and length - below <= above - length):
-            closest[length] = below
-        else:
-            closest[length] = above
-    return [closest[length] for length in lengths]
+    table = {
+        length: kernels.ref_len(length, [other for other in counts if other != length or count > 1], mode)
+        for length, count in counts.items()
+    }
+    return [table[length] for length in lengths]
 
 
 def check_threshold(threshold: float) -> None:
@@ -160,7 +151,7 @@ def select_diverse(
     return CandidateSet(cset.segment_id, tuple(cset.candidates[i] for i in kept))
 
 
-def distinct_n(corpus, n: int = 6) -> float:
+def distinct_n(corpus, n: int = DEFAULT_DISTINCT_N) -> float:
     """Distinct n-grams divided by total n-gram occurrences across the corpus."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
@@ -182,7 +173,7 @@ def unique_tokens(corpus) -> int:
     return len(vocab)
 
 
-def diversity_report(corpus: list[tuple[str, ...]], n: int = 6) -> DiversityReport:
+def diversity_report(corpus: list[tuple[str, ...]], n: int = DEFAULT_DISTINCT_N) -> DiversityReport:
     """Bundle DistinctN and unique-token counts for one corpus."""
     return DiversityReport(
         distinct_n=distinct_n(corpus, n),

@@ -3,6 +3,8 @@
 System-level pairwise accuracy and Pearson, segment-level Kendall tau-b,
 sample-level Spearman, and the leakage-gap report. Degenerate inputs (all
 ties, zero variance) raise DegenerateDataError instead of returning NaN.
+`human_score_tables` sorts human judgments into their three classes in one
+walk: system level, overall segment level and per dimension.
 """
 
 import math
@@ -338,24 +340,32 @@ def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
     return judgments
 
 
-def system_human_scores(judgments) -> dict[str, float]:
-    """System-level human scores; averages finer-grained ones when needed.
+def human_score_tables(judgments):
+    """System-level human scores, the overall segment-level table and one table per dimension.
 
-    Explicit system-level judgments (segment None, dimension None) win;
-    systems without one fall back to the mean of their overall segment-level
-    scores. When a corpus carries only per-dimension judgments, the mean
-    across all dimensions and samples serves as the overall proxy.
+    System scores: explicit system-level judgments (segment None, dimension
+    None) win; systems without one fall back to the mean of their overall
+    segment-level scores. When a corpus carries only per-dimension judgments,
+    the mean across all dimensions and samples serves as the overall proxy.
+    The segment tables are keyed by (system, segment). Dimensions come in
+    sorted order; one with only system-level judgments gets an empty table.
     """
     explicit: dict[str, float] = {}
     segment_sums: dict[str, list[float]] = {}
     dimension_sums: dict[str, list[float]] = {}
+    overall: dict[tuple[str, str], float] = {}
+    by_dimension: dict[str, dict[tuple[str, str], float]] = {}
     for j in judgments:
         if j.dimension is not None:
             dimension_sums.setdefault(j.system, []).append(j.score)
+            table = by_dimension.setdefault(j.dimension, {})
+            if j.segment is not None:
+                table[(j.system, j.segment)] = j.score
         elif j.segment is None:
             explicit[j.system] = j.score
         else:
             segment_sums.setdefault(j.system, []).append(j.score)
+            overall[(j.system, j.segment)] = j.score
     if not explicit and not segment_sums:
         segment_sums = dimension_sums
     scores = {}
@@ -365,25 +375,7 @@ def system_human_scores(judgments) -> dict[str, float]:
         except ValueError as exc:
             raise ValueError(f"cannot average the human scores of system {system!r}: {exc}") from None
     scores.update(explicit)
-    return scores
-
-
-def _human_segment_tables(judgments):
-    """Overall segment-level human scores, and one table per dimension.
-
-    Keys are (system, segment). Dimensions come in sorted order; one with
-    only system-level judgments gets an empty table.
-    """
-    overall: dict[tuple[str, str], float] = {}
-    by_dimension: dict[str, dict[tuple[str, str], float]] = {}
-    for j in judgments:
-        if j.dimension is not None:
-            table = by_dimension.setdefault(j.dimension, {})
-            if j.segment is not None:
-                table[(j.system, j.segment)] = j.score
-        elif j.segment is not None:
-            overall[(j.system, j.segment)] = j.score
-    return overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)}
+    return scores, overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)}
 
 
 def meta_evaluate_all(
@@ -396,8 +388,7 @@ def meta_evaluate_all(
     every metric: the human scores on the keys a metric shares, with their
     Kendall tie count or their ranks, are computed once per set of keys.
     """
-    human_system = system_human_scores(judgments)
-    human_segment, human_dimensions = _human_segment_tables(judgments)
+    human_system, human_segment, human_dimensions = human_score_tables(judgments)
     # Sorted once; each metric keeps the keys it shares, still in sorted order.
     segment_keys = sorted(human_segment)
     dimension_keys = {dim: sorted(table) for dim, table in human_dimensions.items()}

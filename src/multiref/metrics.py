@@ -8,6 +8,8 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 
 import math
 from collections.abc import Callable, Sequence
+from functools import reduce
+from operator import add
 
 from . import kernels
 from .records import record
@@ -15,6 +17,9 @@ from .textproc import tokenize_chars, tokenize_pieces, tokenize_subwords, tokens
 
 SMOOTHING_METHODS = ("none", "exp")
 REF_LENGTH_MODES = ("closest", "shortest")
+#: Default chrF character n-gram order and recall weight beta (chrF2).
+DEFAULT_CHRF_ORDER = 6
+DEFAULT_CHRF_BETA = 2.0
 
 
 class BleuConfig(record("BleuConfig", "max_order smoothing effective_ref_length")):
@@ -212,8 +217,8 @@ class MultiRefScorer:
         self,
         metrics: Sequence[str],
         bleu_cfg: BleuConfig | None = None,
-        chrf_order: int = 6,
-        chrf_beta: float = 2.0,
+        chrf_order: int = DEFAULT_CHRF_ORDER,
+        chrf_beta: float = DEFAULT_CHRF_BETA,
         lowercase: bool = False,
         words: Callable[[str], Sequence[str]] | None = None,
         pieces: Callable[[str], Sequence[str]] | None = None,
@@ -267,8 +272,9 @@ class MultiRefScorer:
             sums = [[sum(col) for col in zip(*lists)] for lists in zip(*parts)]
             score, per_order, used = _chrf_fscore(*sums, self.chrf_beta)
             return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
-        # ROUGE has no closed corpus form; report the mean segment score.
-        return MetricScore(sum(part.value for part in parts) / len(parts))
+        # ROUGE has no closed corpus form; report the mean segment score, added left to
+        # right: `sum` compensates rounding from Python 3.12 on, so its mean varies by version.
+        return MetricScore(reduce(add, (part.value for part in parts), 0.0) / len(parts))
 
 
 class SegmentScores:
@@ -550,14 +556,15 @@ def spbleu_corpus(
 
 
 def chrf_sentence(
-    hyp_text: str, ref_texts, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
+    hyp_text: str, ref_texts, n_max: int = DEFAULT_CHRF_ORDER, beta: float = DEFAULT_CHRF_BETA,
+    lowercase: bool = False,
 ) -> MetricScore:
     """Character n-gram F-score of one segment against its best reference."""
     return chrf_corpus([(hyp_text, ref_texts)], n_max, beta, lowercase)
 
 
 def chrf_corpus(
-    pairs, n_max: int = 6, beta: float = 2.0, lowercase: bool = False
+    pairs, n_max: int = DEFAULT_CHRF_ORDER, beta: float = DEFAULT_CHRF_BETA, lowercase: bool = False
 ) -> MetricScore:
     """Corpus chrF. Each segment contributes the counts of its best reference."""
     scorer = MultiRefScorer(["chrf"], chrf_order=n_max, chrf_beta=beta, lowercase=lowercase)

@@ -149,12 +149,15 @@ def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
 def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):
     """Pieces of one whitespace-free word; `SubwordVocab` caches it per word."""
     stream = WORD_MARKER + word
-    if _longest_match(stream, 0, entries, max_len) is None:
+    match = _longest_match(stream, 0, entries, max_len)
+    if match is None:
         stream = word  # no marked match: drop the boundary marker
+        match = _longest_match(stream, 0, entries, max_len)
     pieces: list[str] = []
     pos = 0
     while pos < len(stream):
-        match = _longest_match(stream, pos, entries, max_len)
+        if pos:
+            match = _longest_match(stream, pos, entries, max_len)
         if match is None:
             pieces.append(unk_piece)
             pos += 1

@@ -5,9 +5,10 @@ import pytest
 
 from multiref import refgen
 from multiref.cli import _apply_config, _subparsers, build_parser, main
+from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
-from multiref.diversity import select_diverse, CandidateSet
-from multiref.metrics import bleu_corpus
+from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, select_diverse, CandidateSet
+from multiref.metrics import DEFAULT_CHRF_BETA, DEFAULT_CHRF_ORDER, BleuConfig, bleu_corpus
 from multiref.refgen import load_generation_records
 from multiref.textproc import tokenize_words
 
@@ -1115,7 +1116,7 @@ class TestLeakageReport:
             (b'{"metrics": {"bleu": [1.0, 2.0]}}', "metrics['bleu'] must be a JSON object, got array"),
             (b'{"metrics": {"bleu": {}, "chrf": {}}}', "holds ['bleu', 'chrf']; pick one with --metric"),
             (b'[{"A": 1.0}]', "document must be a JSON object, got array"),
-            (b'{"A": 1.0,}', "bad JSON: Expecting property name"),
+            (b'{"A" 1.0}', "bad JSON: Expecting ':' delimiter"),
             (b'{"A": 1e308, "B": -1e308}', "delta_single of 'A' over 'B' overflows to inf"),
             # A (single, multi) pair: the ratio of the two gaps overflows.
             ((b'{"A": 5e-324, "B": 0}', b'{"A": 1.0, "B": 0.0}'), "ratio of 'A' over 'B' against "),
@@ -1588,3 +1589,39 @@ def test_help_is_formatted_as_argparse_formats_it_by_default(monkeypatch, capsys
         shown = capsys.readouterr().out
         command.formatter_class = argparse.HelpFormatter
         assert shown == command.format_help()
+
+
+# Every defaulted flag and the value it must take from the library, by command.
+_GENERATION = refgen.GenerationConfig()
+_BLEU = BleuConfig()
+_LIBRARY_DEFAULTS = {
+    "generate": {"jobs": _GENERATION.concurrency, "model": _GENERATION.model_name,
+                 "endpoint": _GENERATION.endpoint_url, "max_retries": _GENERATION.max_retries,
+                 "timeout": _GENERATION.timeout},
+    "select": {"threshold": DEFAULT_SELF_BLEU_THRESHOLD},
+    "score": {"max_order": _BLEU.max_order, "smoothing": _BLEU.smoothing,
+              "ref_length": _BLEU.effective_ref_length, "chrf_order": DEFAULT_CHRF_ORDER,
+              "chrf_beta": DEFAULT_CHRF_BETA},
+    "combine": {"policy": CombinePolicy().kind, "k": CombinePolicy().k},
+    "metaeval": {"policy": CombinePolicy().kind, "k": CombinePolicy().k},
+    "diversity": {"n": DEFAULT_DISTINCT_N},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LIBRARY_DEFAULTS))
+def test_flag_defaults_are_the_library_defaults(command):
+    # Each flag used to restate its default; a library default that changed left the flag behind.
+    parser = build_parser()
+    sub = _subparsers(parser)[command]
+    required = [arg for action in sub._actions if action.required for arg in (action.option_strings[0], "x")]
+    args = parser.parse_args([command, *required])
+    expected = _LIBRARY_DEFAULTS[command]
+    assert {dest: getattr(args, dest) for dest in expected} == expected
+    for dest, value in expected.items():
+        assert type(getattr(args, dest)) is type(value), dest
+
+
+def test_n_references_help_names_each_task_default():
+    (action,) = [a for a in _subparsers(build_parser())["generate"]._actions if a.dest == "n_references"]
+    for task, n in refgen.DEFAULT_N_REFERENCES.items():
+        assert f"{n} {task}" in action.help

@@ -17,6 +17,7 @@ from multiref.metaeval import (
     MetaEvalReport,
     _kendall_pair_counts,
     _tie_pairs,
+    human_score_tables,
     kendall_tau,
     leakage_gap,
     load_human_judgments,
@@ -26,7 +27,6 @@ from multiref.metaeval import (
     pairwise_accuracy,
     pearson,
     spearman,
-    system_human_scores,
 )
 
 score_values = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -327,7 +327,7 @@ class TestHumanJudgmentIo:
             ],
         )
         judgments = load_human_judgments(path)
-        scores = system_human_scores(judgments)
+        scores = human_score_tables(judgments)[0]
         assert scores["a"] == pytest.approx(3.0)
         assert scores["b"] == 9.0  # explicit system-level judgment wins
 
@@ -352,7 +352,7 @@ class TestHumanJudgmentIo:
         # math.fsum raised OverflowError, which no command catches.
         judgments = [HumanJudgment("a", 1e308, segment) for segment in ("s1", "s2")]
         with pytest.raises(ValueError, match="human scores of system 'a': the sum of 2 scores overflows"):
-            system_human_scores(judgments)
+            human_score_tables(judgments)
 
 
 def _judgment_lines(n, start=0):

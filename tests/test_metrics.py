@@ -376,6 +376,13 @@ class TestRouge:
         refs = [random_tokens(rng, 65, 130) for _ in range(3)]
         assert rouge_l(hyp, refs).value == pytest.approx(oracles.rouge_l(hyp, refs), abs=1e-9)
 
+    def test_corpus_mean_adds_segment_values_left_to_right(self):
+        # The built-in sum compensates float rounding from Python 3.12 on and
+        # gave 0.6 / 3 there, so the corpus score depended on the version.
+        scorer = MultiRefScorer(["rougeL"], words=tuple)
+        parts = [MetricScore(0.1), MetricScore(0.2), MetricScore(0.3)]
+        assert scorer.corpus("rougeL", parts).value == ((0.1 + 0.2) + 0.3) / 3
+
 
 class TestMultiReferenceMonotonicity:
     def test_clipped_numerators_never_decrease(self, rng):

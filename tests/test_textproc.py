@@ -96,6 +96,20 @@ class TestTokenizeSubwords:
     def test_longest_match_wins(self):
         assert tokenize_subwords("unhappy", self.vocab) == (f"{WORD_MARKER}unhappy",)
 
+    def test_first_marked_match_is_looked_up_once(self, monkeypatch):
+        # The marked match at position 0 used to be found once to test it and again as the first piece.
+        calls = []
+        longest_match = textproc._longest_match
+
+        def counted(stream, pos, *rest):
+            calls.append((stream, pos))
+            return longest_match(stream, pos, *rest)
+
+        monkeypatch.setattr(textproc, "_longest_match", counted)
+        vocab = SubwordVocab(frozenset({f"{WORD_MARKER}un", "happy"}))
+        assert tokenize_subwords("unhappy", vocab) == (f"{WORD_MARKER}un", "happy")
+        assert calls == [(f"{WORD_MARKER}unhappy", 0), (f"{WORD_MARKER}unhappy", 3)]
+
     def test_marker_dropped_when_unmatched(self):
         vocab = SubwordVocab(frozenset({"a", "b"}))
         assert tokenize_subwords("ab", vocab) == ("a", "b")
