@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="refs.jsonl to write/append")
     p.add_argument("--task", choices=tuple(refgen.DEFAULT_N_REFERENCES), default="translation")
     p.add_argument("--template", choices=tuple(dict.fromkeys(name for _, name in refgen.BUILTIN_TEMPLATES)),
-                   help="built-in template (default: english)")
+                   help=f"built-in template (default: {refgen.DEFAULT_TEMPLATE})")
     p.add_argument("--template-file", help="JSON template to use instead of a built-in one")
     p.add_argument("--model", default=generation.model_name)
     p.add_argument("--endpoint", default=generation.endpoint_url)
@@ -255,20 +255,15 @@ def _format_table(headers, rows) -> str:
 # ---------------------------------------------------------------- generate
 
 
-def _template_from_file(spec: dict):
-    """The file's template, and its `include_ground_truth` key (None when absent)."""
-    return refgen.PromptTemplate.from_json(spec), spec.get("include_ground_truth")
-
-
 def _resolve_template(args):
-    """The prompt template, and whether it was told to include the gold reference (None if not)."""
+    """The prompt template `--template-file`, or `--task` and `--template`, name."""
     if args.template_file:
         if args.template is not None:
             raise ValueError("--template and --template-file are mutually exclusive")
-        return read_json(args.template_file, _template_from_file, "template")
-    name = args.template or "english"
+        return read_json(args.template_file, refgen.PromptTemplate.from_json, "template")
+    name = args.template or refgen.DEFAULT_TEMPLATE
     try:
-        return refgen.BUILTIN_TEMPLATES[(args.task, name)], None
+        return refgen.BUILTIN_TEMPLATES[(args.task, name)]
     except KeyError:
         raise ValueError(f"no built-in {name} template for task {args.task!r}")
 
@@ -287,17 +282,10 @@ def cmd_generate(args) -> int:
         timeout=args.timeout,
         concurrency=args.jobs,
     )
-    template, include_gt = _resolve_template(args)
-    segments = corpus_io.load_segments(args.segments)
-
-    # --ground-truth/--no-ground-truth, else the template file's key, else
-    # whether every segment has a gold reference.
+    template = _resolve_template(args)
     if args.ground_truth is not None:
-        include_gt = args.ground_truth
-    elif include_gt is None:
-        include_gt = all(segment.gold_refs for segment in segments)
-    template = template._replace(include_ground_truth=include_gt)
-
+        template = template._replace(include_ground_truth=args.ground_truth)
+    segments = corpus_io.load_segments(args.segments)
     transport = refgen.MockTransport() if args.mock else refgen.HttpChatTransport()
 
     items = [

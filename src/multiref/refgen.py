@@ -16,6 +16,7 @@ import http.client
 import json
 import math
 import os
+import ssl
 import threading
 import time
 import urllib.error
@@ -40,11 +41,11 @@ MAX_RETRY_SLEEP_S = 60.0
 
 
 class PromptTemplate(record("PromptTemplate", "rules task_description include_ground_truth")):
-    """Rules + parameterized task description, optionally with a gold block."""
+    """Rules + parameterized task description; `include_ground_truth` None means the template does not say."""
 
     __slots__ = ()
 
-    def __new__(cls, rules: str, task_description: str, include_ground_truth: bool = True):
+    def __new__(cls, rules: str, task_description: str, include_ground_truth: bool | None = None):
         for placeholder in (N_PLACEHOLDER, SOURCE_PLACEHOLDER):
             if task_description.count(placeholder) != 1:
                 raise ValueError(f"task_description must contain exactly one {placeholder!r}")
@@ -53,12 +54,11 @@ class PromptTemplate(record("PromptTemplate", "rules task_description include_gr
     @classmethod
     def from_json(cls, spec: dict) -> "PromptTemplate":
         """A template from a `{"rules", "task_description", "include_ground_truth"?}` object."""
+        key = "include_ground_truth"
         return cls(
             rules=text_field(spec["rules"], "rules"),
             task_description=text_field(spec["task_description"], "task_description"),
-            include_ground_truth=bool_field(
-                spec.get("include_ground_truth", True), "include_ground_truth"
-            ),
+            include_ground_truth=bool_field(spec[key], key) if key in spec else None,
         )
 
 
@@ -101,6 +101,9 @@ BUILTIN_TEMPLATES = {
     ("summarization", "english"): ENGLISH_SUMMARIZATION,
 }
 
+#: The built-in template `generate` uses unless told otherwise.
+DEFAULT_TEMPLATE = "english"
+
 #: Candidates requested per segment, per task.
 DEFAULT_N_REFERENCES = {"translation": 40, "summarization": 10}
 
@@ -116,7 +119,7 @@ class GenerationConfig(
     def __new__(
         cls,
         model_name: str = "gpt-3.5-turbo",
-        n_references: int = 40,
+        n_references: int = DEFAULT_N_REFERENCES["translation"],
         endpoint_url: str = "https://api.openai.com/v1/chat/completions",
         max_retries: int = 3,
         timeout: float = 120.0,
@@ -178,18 +181,14 @@ class GenerationRecord(
 def build_prompt(
     template: PromptTemplate, source: str, ground_truth: str | None, n: int
 ) -> str:
-    """Deterministically assemble the full prompt string."""
+    """Deterministically assemble the full prompt; it has a gold block exactly when `ground_truth` is given."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if template.include_ground_truth and ground_truth is None:
-        raise ValueError("template expects a ground truth but none was given")
-    if not template.include_ground_truth and ground_truth is not None:
-        raise ValueError("template does not take a ground truth")
     task = template.task_description.replace(N_PLACEHOLDER, str(n)).replace(
         SOURCE_PLACEHOLDER, source
     )
     parts = [template.rules, task]
-    if template.include_ground_truth:
+    if ground_truth is not None:
         parts.append(f"{GROUND_TRUTH_LABEL}\n{ground_truth}")
     return "\n\n".join(parts)
 
@@ -268,6 +267,29 @@ class MockTransport:
         return "\n".join(lines)
 
 
+class _SharedContextHTTPSHandler(urllib.request.HTTPSHandler):
+    """An HTTPS handler whose requests share one TLS context, made on the first of them.
+
+    A default context loads the CA store, tens of ms with a system bundle.
+    `urlopen` without a context made one per request up to Python 3.11, and
+    `HTTPSHandler()` makes one as it is built from 3.12 on, which an
+    `http://` endpoint would pay for and never use.
+    """
+
+    def __init__(self):
+        urllib.request.AbstractHTTPHandler.__init__(self)
+        self._context = None
+        self._lock = threading.Lock()  # two workers may send the first request together
+
+    def https_open(self, req):
+        with self._lock:
+            if self._context is None:
+                self._context = ssl.create_default_context()
+                # As the context http.client makes when it is given none.
+                self._context.set_alpn_protocols(["http/1.1"])
+        return self.do_open(http.client.HTTPSConnection, req, context=self._context)
+
+
 class HttpChatTransport:
     """Minimal OpenAI-compatible chat completions client (stdlib only).
 
@@ -275,7 +297,9 @@ class HttpChatTransport:
     backoff, or after the wait the server's `Retry-After` header asks for.
     Read timeouts, connection resets and truncated bodies are retried with
     the same backoff and budget. Authentication and client errors, and an
-    endpoint that cannot be reached at all, abort immediately.
+    endpoint that cannot be reached at all, abort immediately. Requests go
+    through one opener per transport, with the default handlers (so the
+    `*_proxy` variables apply), and HTTPS requests share one TLS context.
     """
 
     TRANSIENT_STATUS = {429, 500, 502, 503, 504}
@@ -288,6 +312,7 @@ class HttpChatTransport:
             raise TransportError(
                 "no API key: set MULTIREF_API_KEY (or OPENAI_API_KEY)"
             )
+        self._opener = urllib.request.build_opener(_SharedContextHTTPSHandler())
 
     def complete(self, prompt: str, cfg: GenerationConfig) -> str:
         body = json.dumps(
@@ -308,7 +333,7 @@ class HttpChatTransport:
                 method="POST",
             )
             try:
-                with urllib.request.urlopen(request, timeout=cfg.timeout) as response:
+                with self._opener.open(fullurl=request, timeout=cfg.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
                 return _reply_text(payload["choices"][0]["message"]["content"])
             except urllib.error.HTTPError as exc:
@@ -383,8 +408,7 @@ def generate_for_segment(
     transport,
 ) -> GenerationRecord:
     """One segment: a single call for all candidates, retried on a malformed reply."""
-    ground_truth = gold if template.include_ground_truth else None
-    prompt = build_prompt(template, source, ground_truth, cfg.n_references)
+    prompt = build_prompt(template, source, gold, cfg.n_references)
     for attempts in range(1, cfg.max_retries + 2):
         raw, candidates, error = "", (), None
         try:
@@ -413,7 +437,11 @@ def generate_references(
 ) -> list[GenerationRecord]:
     """Generate candidates for every segment without a successful record in out_path.
 
-    `segments` yields (segment_id, source, gold_or_None). `cfg.concurrency`
+    `segments` yields (segment_id, source, gold_or_None). Every prompt
+    carries its segment's gold reference when `template.include_ground_truth`
+    is true, or when it is None and every segment, done or not, has one; a
+    segment still to do without one then raises ValueError before any
+    request. `cfg.concurrency`
     worker threads send the requests, each taking the next segment in
     segment order. Each worker appends its own record to out_path as its
     call completes (one JSON object per line, flushed per record), so a kill
@@ -427,9 +455,13 @@ def generate_references(
     calls in flight are still written, then the first failure is raised.
     Malformed replies only mark their own segment as failed.
     """
+    segments = list(segments)
+    include = template.include_ground_truth
+    if include is None:
+        include = all(gold is not None for _sid, _src, gold in segments)
     done = completed_segment_ids(out_path) if out_path is not None else set()
-    todo = [item for item in segments if item[0] not in done]
-    if template.include_ground_truth:
+    todo = [(sid, src, gold if include else None) for sid, src, gold in segments if sid not in done]
+    if include:
         missing = [sid for sid, _src, gold in todo if gold is None]
         if missing:
             raise ValueError(

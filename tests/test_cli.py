@@ -4,7 +4,7 @@ import json
 import pytest
 
 from multiref import refgen
-from multiref.cli import _apply_config, _subparsers, build_parser, main
+from multiref.cli import _apply_config, _resolve_template, _subparsers, build_parser, main
 from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
 from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, select_diverse, CandidateSet
@@ -141,6 +141,43 @@ class TestGenerate:
         if with_gold:
             expected += f"\n\n{refgen.GROUND_TRUTH_LABEL}\n{GOLD['s1']}"
         assert prompt == expected
+
+    @pytest.mark.parametrize(
+        "template, flags, fails",
+        [(None, [], False),
+         ({}, [], False),
+         ({"include_ground_truth": False}, [], False),
+         ({"include_ground_truth": True}, [], True),
+         (None, ["--ground-truth"], True),
+         ({}, ["--ground-truth"], True),
+         (None, ["--no-ground-truth"], False),
+         ({"include_ground_truth": True}, ["--no-ground-truth"], False)],
+        ids=["built-in", "no-key", "key-false", "key-true", "flag-on-built-in", "flag-on-no-key",
+             "flag-off-built-in", "flag-off-over-key-true"],
+    )
+    def test_gold_block_when_one_segment_lacks_gold(self, pipeline, jsonl_writer, capsys, template, flags, fails):
+        # One rule, in generate_references: the flag, else the template
+        # file's key, else whether every segment has a gold reference.
+        segments = pipeline["dir"] / "segments.jsonl"
+        jsonl_writer(segments, [{"id": "s1", "source": "src s1", "gold_refs": [GOLD["s1"]]},
+                                {"id": "s2", "source": "src s2"}])
+        argv = ["generate", "--segments", str(segments), "--out", str(pipeline["dir"] / "gen.jsonl"),
+                "--mock", "--n-references", "2", *flags]
+        if template is not None:
+            path = pipeline["dir"] / "template.json"
+            path.write_text(json.dumps({"rules": "R", "task_description": "{n} of {source}", **template}))
+            argv += ["--template-file", str(path)]
+        code = main(argv)
+        if fails:
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "multiref: error: template expects ground truth but segments lack gold refs: ['s2']\n"
+            )
+            assert not (pipeline["dir"] / "gen.jsonl").exists()
+        else:
+            assert code == 0
+            prompts = [r.prompt_used for r in load_generation_records(pipeline["dir"] / "gen.jsonl")]
+            assert len(prompts) == 2 and not any(refgen.GROUND_TRUTH_LABEL in p for p in prompts)
 
     @pytest.mark.parametrize(
         "flags, config",
@@ -1619,6 +1656,12 @@ def test_flag_defaults_are_the_library_defaults(command):
     assert {dest: getattr(args, dest) for dest in expected} == expected
     for dest, value in expected.items():
         assert type(getattr(args, dest)) is type(value), dest
+    if command == "generate":
+        # --template and --n-references default to None, and the library's defaults fill them in.
+        assert _resolve_template(args) is refgen.BUILTIN_TEMPLATES[(args.task, refgen.DEFAULT_TEMPLATE)]
+        (template,) = [action for action in sub._actions if action.dest == "template"]
+        assert template.help == f"built-in template (default: {refgen.DEFAULT_TEMPLATE})"
+        assert refgen.GenerationConfig().n_references == refgen.DEFAULT_N_REFERENCES[args.task]
 
 
 def test_n_references_help_names_each_task_default():

@@ -1,10 +1,11 @@
-"""HttpChatTransport against a loopback HTTP server; no external network."""
+"""HttpChatTransport against a loopback HTTP(S) server; no external network."""
 
 import collections
 import email.utils
 import json
 import os
 import socket
+import ssl
 import struct
 import subprocess
 import sys
@@ -20,12 +21,23 @@ from multiref import refgen
 from multiref.cli import main
 from multiref.errors import MalformedResponseError, TransportError
 from multiref.refgen import (
+    ENGLISH_TRANSLATION,
     MAX_RETRY_SLEEP_S,
     GenerationConfig,
     HttpChatTransport,
     completed_segment_ids,
+    generate_references,
     load_generation_records,
 )
+
+# A self-signed certificate for 127.0.0.1, valid 2000-2100, and its key, made once with
+#   openssl req -x509 -newkey rsa:2048 -nodes -not_before 20000101000000Z
+#     -not_after 21000101000000Z -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
+#     -addext basicConstraints=critical,CA:FALSE
+#     -addext keyUsage=critical,digitalSignature,keyEncipherment
+#     -addext extendedKeyUsage=serverAuth -keyout loopback-key.pem -out loopback-cert.pem
+DATA = Path(__file__).resolve().parent / "data"
+CERT, KEY = DATA / "loopback-cert.pem", DATA / "loopback-key.pem"
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -72,11 +84,16 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def server():
+def serve(tls_context=None):
+    """A running ScriptedHandler server, over TLS when given a server-side context."""
     # One thread per request, so a stalled reply does not hold up the retry;
     # a short poll interval, so shutdown() does not wait out the default 0.5 s.
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    scheme = "http"
+    if tls_context is not None:
+        httpd.socket = tls_context.wrap_socket(httpd.socket, server_side=True)
+        scheme = "https"
+    httpd.url = f"{scheme}://127.0.0.1:{httpd.server_address[1]}/v1/chat/completions"
     ScriptedHandler.script = []
     ScriptedHandler.requests = []
     ScriptedHandler.release.clear()
@@ -91,12 +108,25 @@ def server():
     thread.join()
 
 
+@pytest.fixture
+def server():
+    yield from serve()
+
+
+@pytest.fixture
+def tls_server(monkeypatch):
+    """`server` over HTTPS, with the loopback certificate as the clients' only trusted one."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(CERT, KEY)
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    yield from serve(context)
+
+
 def config_for(server, **kwargs):
-    port = server.server_address[1]
     return GenerationConfig(
         model_name="test-model",
         n_references=2,
-        endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+        endpoint_url=server.url,
         timeout=5.0,
         **kwargs,
     )
@@ -262,6 +292,44 @@ def test_connection_faults_exhaust_the_budget(server, sleeps):
         HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
     assert len(ScriptedHandler.requests) == retries + 1
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+@pytest.fixture
+def client_contexts(monkeypatch):
+    """Each client-side TLS context `ssl.SSLContext` makes from here on."""
+    built = []
+    make = ssl.SSLContext.__new__
+
+    def counted(cls, protocol=None, *args, **kwargs):
+        if protocol == ssl.PROTOCOL_TLS_CLIENT:
+            built.append(protocol)
+        return make(cls, protocol, *args, **kwargs)
+
+    # Not a subclass in place of the class: ssl's own properties name `ssl.SSLContext`.
+    monkeypatch.setattr(ssl.SSLContext, "__new__", staticmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("endpoint, contexts", [("server", 0), ("tls_server", 1)], ids=["http", "https"])
+def test_one_tls_context_per_transport_and_none_for_http(request, client_contexts, endpoint, contexts):
+    # `urlopen` without a context made one per HTTPS request, each loading
+    # the CA store again. Four workers, and a short switch interval, give the
+    # first requests every chance to race for the context.
+    server = request.getfixturevalue(endpoint)
+    ScriptedHandler.script = [(429, {"error": "slow down"}, {"Retry-After": "0"})] + [
+        (200, chat_payload("1. a\n2. b"), {})
+    ] * 8
+    segments = [(f"s{i}", f"text {i}", f"gold {i}") for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = generate_references(segments, ENGLISH_TRANSLATION, config_for(server, concurrency=4),
+                                      HttpChatTransport(api_key="sk-test"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(r.segment_id for r in records if r.candidates == ("a", "b")) == sorted(s[0] for s in segments)
+    assert len(ScriptedHandler.requests) == 9
+    assert len(client_contexts) == contexts
 
 
 # OpenAI-compatible servers send "content": null with a tool call or a refusal.

@@ -1,6 +1,7 @@
 """The input contract of the JSONL readers, under seeded field mutations.
 
-Small `score`, `select`, `combine` and `metaeval` inputs are built here; each
+Small `score`, `select`, `combine`, `metaeval`, `diversity` and `generate`
+(`--mock`, resuming from its `--out` file) inputs are built here; each
 case changes one field of one record (a wrong type, a missing key, a
 non-finite or huge number) or one whole line, and runs the command. The run
 must either exit 0 and write only finite numbers, or exit 1 with one
@@ -83,6 +84,15 @@ STAGES = {
     "metaeval": (
         {"matrix": MATRIX, "human": HUMAN},
         lambda p: ["metaeval", "--matrix", p["matrix"], "--human", p["human"], "--out", p["summary"]],
+    ),
+    "diversity": (
+        {"outputs": OUTPUTS, "segments": SEGMENTS},
+        lambda p: ["diversity", "--outputs", p["outputs"], "--segments", p["segments"], "--out", p["summary"]],
+    ),
+    # The "out" input is written to the path of --out, the file generate resumes from.
+    "generate": (
+        {"segments": SEGMENTS, "out": REFS[:2]},
+        lambda p: ["generate", "--segments", p["segments"], "--out", p["out"], "--mock", "--n-references", "3"],
     ),
 }
 

@@ -36,7 +36,7 @@ from multiref import (
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-TEMPLATE = {"rules": "R", "task_description": "{n} of {source}", "include_ground_truth": False}
+TEMPLATE = {"rules": "R", "task_description": "{n} of {source}", "include_ground_truth": None}
 
 # (class, valid keyword arguments, frozen, hashable, [(changes, message of the check they fail)])
 CASES = [
@@ -214,6 +214,7 @@ def test_corpus_records_default_and_combine_as_their_class():
 
 def test_replace_keeps_the_other_fields():
     template = PromptTemplate(**TEMPLATE)
+    assert PromptTemplate("R", "{n} of {source}") == template
     assert template._replace(include_ground_truth=True) == PromptTemplate(
         "R", "{n} of {source}", include_ground_truth=True
     )

@@ -93,11 +93,12 @@ class TestBuildPrompt:
         prompt = build_prompt(TEMPLATE_GT, "src", "X", 2)
         assert "Ground Truth:\nX" in prompt
 
-    def test_ground_truth_flag_mismatch(self):
-        with pytest.raises(ValueError):
-            build_prompt(TEMPLATE, "src", "gold", 2)
-        with pytest.raises(ValueError):
-            build_prompt(TEMPLATE_GT, "src", None, 2)
+    def test_gold_block_exactly_when_gold_is_given(self):
+        # generate_references decides whether a prompt carries the gold
+        # reference; build_prompt used to check that decision a second time.
+        for template in (TEMPLATE, TEMPLATE_GT, ENGLISH_TRANSLATION):
+            assert build_prompt(template, "src", "gold", 2).endswith("\n\nGround Truth:\ngold")
+            assert "Ground Truth" not in build_prompt(template, "src", None, 2)
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
