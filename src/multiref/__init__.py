@@ -9,10 +9,9 @@ human judgments.
 from .combine import CombinePolicy, load_combined, system_scores
 from .corpus_io import EvalCorpus, Segment, load_corpus, merge_references
 from .diversity import (
-    CandidateSet,
     DiversityReport,
     distinct_n,
-    select_diverse,
+    score_and_select,
     self_bleu,
     unique_tokens,
 )
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BleuConfig",
-    "CandidateSet",
     "CombinePolicy",
     "CorpusFormatError",
     "CorpusStats",
@@ -107,8 +105,8 @@ __all__ = [
     "pearson",
     "rouge_l",
     "rouge_n",
+    "score_and_select",
     "score_corpus",
-    "select_diverse",
     "self_bleu",
     "spbleu_corpus",
     "spearman",

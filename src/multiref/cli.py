@@ -15,8 +15,10 @@ from . import corpus_io, diversity, metaeval, refgen
 from .corpus_io import json_object, number_field, read_json, write_json, write_jsonl
 # pipebench/tracer.py wraps each name it traces in the module where the
 # package looks it up. load_score_matrices, combine_matrix, bleu_sentence,
-# bleu_corpus, chrf_sentence, chrf_corpus and rouge_l have no caller here:
-# they are imported only so that the tracer finds them under this module.
+# bleu_corpus, chrf_sentence, chrf_corpus, rouge_l and tokenize_subwords
+# have no caller here: they are imported only so that the tracer finds them
+# under this module (score's subword tokenizer comes from
+# metrics.piece_tokenizer).
 # score calls write_score_matrix through this module, so the tracer's span
 # still times the matrix write.
 from .combine import (  # noqa: F401
@@ -42,10 +44,11 @@ from .metrics import (  # noqa: F401
     bleu_sentence,
     chrf_corpus,
     chrf_sentence,
+    piece_tokenizer,
     rouge_l,
     score_corpus,
 )
-from .textproc import load_subword_vocab, tokenize_pieces, tokenize_subwords, tokenize_words
+from .textproc import load_subword_vocab, tokenize_subwords, tokenize_words  # noqa: F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +294,10 @@ def cmd_generate(args) -> int:
     items = [
         (s.id, s.source, s.gold_refs[0] if s.gold_refs else None) for s in segments
     ]
-    records = refgen.generate_references(items, template, cfg, transport, out_path=args.out)
+    try:
+        records = refgen.generate_references(items, template, cfg, transport, out_path=args.out)
+    except refgen.MissingGoldError as exc:
+        raise CorpusFormatError(str(exc), args.segments) from None
     failed = [r.segment_id for r in records if not r.succeeded]
     print(
         f"generate: {len(records) - len(failed)} segments done, "
@@ -340,17 +346,10 @@ def cmd_select(args) -> int:
 
 def _scorer(args, metrics: list[str]) -> MultiRefScorer:
     """The configured scorer, with the word and subword tokenizers the flags select."""
-    lowercase = args.lowercase
-    vocab = load_subword_vocab(args.vocab) if args.vocab else None
-
-    def words(text: str):
-        return tokenize_words(text, lowercase=lowercase)
-
-    def pieces(text: str):
-        if args.pretokenized:
-            return tokenize_pieces(text, lowercase=lowercase)
-        return tokenize_subwords(text, vocab, lowercase=lowercase)
-
+    pieces = None
+    if "spbleu" in metrics:
+        vocab = load_subword_vocab(args.vocab) if args.vocab else None
+        pieces = piece_tokenizer(vocab, args.pretokenized, args.lowercase)
     return MultiRefScorer(
         metrics,
         bleu_cfg=BleuConfig(
@@ -360,8 +359,8 @@ def _scorer(args, metrics: list[str]) -> MultiRefScorer:
         ),
         chrf_order=args.chrf_order,
         chrf_beta=args.chrf_beta,
-        lowercase=lowercase,
-        words=words,
+        lowercase=args.lowercase,
+        words=functools.partial(tokenize_words, lowercase=args.lowercase),
         pieces=pieces,
     )
 
@@ -382,6 +381,11 @@ def cmd_score(args) -> int:
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
+    if args.vocab and args.pretokenized:
+        raise ValueError("--vocab and --pretokenized are mutually exclusive")
+    if "spbleu" not in metrics and (args.vocab or args.pretokenized):
+        flag = "--vocab" if args.vocab else "--pretokenized"
+        raise ValueError(f"{flag} sets spbleu's tokenizer; --metrics names no spbleu")
     if "spbleu" in metrics and not args.vocab and not args.pretokenized:
         raise ValueError("spbleu requires --vocab unless --pretokenized is set")
     if args.max_refs is not None and args.max_refs < 1:
@@ -534,8 +538,11 @@ def cmd_diversity(args) -> int:
 # ---------------------------------------------------------- leakage-report
 
 
-def _load_system_scores(path: str, metric: str | None) -> tuple[str, dict[str, float]]:
-    """(metric, score by system) from a `score`/`combine` summary or a flat `{system: score}` object."""
+def _load_system_scores(path: str, metric: str | None, systems) -> tuple[str, dict[str, float]]:
+    """(metric, score by system) from a `score`/`combine` summary or a flat `{system: score}` object.
+
+    The scores must include each of `systems`.
+    """
 
     def parse(data: dict):
         if "sweep" in data:
@@ -550,21 +557,29 @@ def _load_system_scores(path: str, metric: str | None) -> tuple[str, dict[str, f
             if name not in metrics:
                 raise ValueError(f"metric {name!r} not present")
             scores = json_object(metrics[name], f"metrics[{name!r}]")
-        return name, {system: number_field(v, f"score of {system!r}") for system, v in scores.items()}
+        scores = {system: number_field(v, f"score of {system!r}") for system, v in scores.items()}
+        for system in systems:
+            if system not in scores:
+                raise ValueError(f"no score for system {system!r}")
+        return name, scores
 
     return read_json(path, parse, "summary")
 
 
 def cmd_leakage_report(args) -> int:
-    metric, single = _load_system_scores(args.single, args.metric)
-    _, multi = _load_system_scores(args.multi, args.metric or metric)
-    rows = []
-    out = []
+    pairs = []
     for pair in args.pair:
         try:
             a, b = (part.strip() for part in pair.split(",", 1))
         except ValueError:
             raise ValueError(f"--pair expects A,B, got {pair!r}")
+        pairs.append((a, b))
+    systems = list(dict.fromkeys(system for pair in pairs for system in pair))
+    metric, single = _load_system_scores(args.single, args.metric, systems)
+    _, multi = _load_system_scores(args.multi, args.metric or metric, systems)
+    rows = []
+    out = []
+    for a, b in pairs:
         try:
             report = metaeval.leakage_gap(single, multi, a, b)
         except metaeval.GapOverflowError as exc:

@@ -20,7 +20,9 @@ code per line; it reports nothing itself, and a chunk it cannot decode
 cleanly sends its caller back to `read_jsonl`.
 
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
-(one record per line) or `write_json` (one document, indented by 2).
+(one record per line) or `write_json` (one document, indented by 2). Each
+writes a temporary file and renames it onto its target, so a failed or
+killed run leaves the old output whole.
 
 Loaded corpora are fully cross-validated (every hypothesis keyed to a known
 segment) and treated as immutable afterwards.
@@ -29,6 +31,8 @@ segment) and treated as immutable afterwards.
 import codecs
 import json
 import math
+import os
+import stat
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -272,16 +276,51 @@ def jsonl_line(record) -> str:
     return "".join(_encode_chunks(record, 0)) + "\n"
 
 
+def _write_all_or_nothing(path: str | Path, chunks) -> None:
+    """Write the strings `chunks` to `path` as UTF-8: all of them, or leave `path` as it was.
+
+    They go to `.<name>.<random>.tmp` in `path`'s directory, made as `open`
+    makes a new file (and given the mode of an existing `path`), which is
+    then renamed onto `path`. An error while writing removes it; a kill can
+    leave it behind, but never a part-written `path`. A `path` that exists
+    and is not itself a regular file (a symlink such as `/dev/stdout`, a
+    FIFO) is written in place, as a rename would replace it instead of
+    writing through it.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        return
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # Name the target, as opening it would have.
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            handle.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_jsonl(path: str | Path, records) -> None:
-    """Write each of `records` (any iterable, consumed once) as one UTF-8 JSONL line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(map(jsonl_line, records))
+    """Write each of `records` (any iterable, consumed once) as one UTF-8 JSONL line, all or nothing."""
+    _write_all_or_nothing(path, map(jsonl_line, records))
 
 
 def write_json(path: str | Path, document) -> None:
-    """Write `document` as UTF-8 JSON indented by 2, with no trailing newline."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, ensure_ascii=False, indent=2))
+    """Write `document` as UTF-8 JSON indented by 2, with no trailing newline, all or nothing."""
+    _write_all_or_nothing(path, [json.dumps(document, ensure_ascii=False, indent=2)])
 
 
 def _segment(record: dict) -> Segment:

@@ -32,17 +32,6 @@ DEFAULT_SELF_BLEU_THRESHOLD = 35.0
 DEFAULT_DISTINCT_N = 6
 
 
-class CandidateSet(record("CandidateSet", "segment_id candidates")):
-    """Ordered reference candidates for one segment."""
-
-    __slots__ = ()
-
-    def __new__(cls, segment_id: str, candidates: tuple[str, ...]):
-        if not candidates:
-            raise ValueError("candidate set must not be empty")
-        return tuple.__new__(cls, (segment_id, candidates))
-
-
 class DiversityReport(record("DiversityReport", "distinct_n n unique_tokens")):
     """Lexical-diversity summary of a candidate or output corpus."""
 
@@ -124,31 +113,18 @@ def score_and_select(
 ) -> tuple[list[float], list[int]]:
     """Self-BLEU of raw candidate texts and the indices that survive selection.
 
-    Each text is word-tokenized once. A single candidate has no siblings to
-    score against: it gets no scores and is kept (`([], [0])`).
+    Each text is word-tokenized once, and the scores are computed once on the
+    full set (no recomputation after removals). The survivors are the
+    candidates scoring strictly below the threshold, in input order; if none
+    do, the lowest-scoring one (earliest index on ties). A single candidate
+    has no siblings to score against: it gets no scores and is kept
+    (`([], [0])`). No candidates raise ValueError.
     """
     check_threshold(threshold)
     if len(texts) == 1:
         return [], [0]
     scores = self_bleu([tokenize_words(t, lowercase=lowercase) for t in texts], cfg)
     return scores, selection_survivors(scores, threshold)
-
-
-def select_diverse(
-    cset: CandidateSet,
-    threshold: float = DEFAULT_SELF_BLEU_THRESHOLD,
-    cfg: BleuConfig | None = None,
-    lowercase: bool = False,
-) -> CandidateSet:
-    """Keep candidates whose diversity score beats the threshold.
-
-    Scores are computed once on the full input set (no recomputation after
-    removals). If everything is filtered out, the single lowest-scoring
-    candidate is retained (earliest index on ties). A single-candidate set is
-    returned unchanged.
-    """
-    _, kept = score_and_select(cset.candidates, threshold, lowercase, cfg)
-    return CandidateSet(cset.segment_id, tuple(cset.candidates[i] for i in kept))
 
 
 def distinct_n(corpus, n: int = DEFAULT_DISTINCT_N) -> float:

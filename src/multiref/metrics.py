@@ -8,7 +8,7 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 
 import math
 from collections.abc import Callable, Sequence
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 from . import kernels
@@ -136,6 +136,17 @@ def _bleu_from_stats(stats: CorpusStats, cfg: BleuConfig) -> MetricScore:
     return MetricScore(bp * math.exp(log_mean) * 100.0, tuple(precisions), detail)
 
 
+def _fscore(match: int, hyp_total: int, ref_total: int, beta2: float = 1.0):
+    """(F, (precision, recall)) of a match count, recall weighted by `beta2`; 0 on an empty side.
+
+    chrF's per-order score and, with the default beta2 = 1, ROUGE's F1.
+    """
+    precision = match / hyp_total if hyp_total > 0 else 0.0
+    recall = match / ref_total if ref_total > 0 else 0.0
+    denom = beta2 * precision + recall
+    return (1.0 + beta2) * precision * recall / denom if denom > 0 else 0.0, (precision, recall)
+
+
 def _chrf_fscore(match, hyp_total, ref_total, beta: float):
     """chrF from accumulated per-order counts.
 
@@ -150,24 +161,12 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
         if ht == 0 and rt == 0:
             per_order.append(0.0)
             continue
-        precision = m / ht if ht > 0 else 0.0
-        recall = m / rt if rt > 0 else 0.0
-        denom = beta2 * precision + recall
-        fscore = (1.0 + beta2) * precision * recall / denom if denom > 0 else 0.0
+        fscore = _fscore(m, ht, rt, beta2)[0]
         per_order.append(fscore)
         used.append(fscore)
     if not used:
         return 0.0, tuple(per_order), 0
     return math.fsum(used) / len(used), tuple(per_order), len(used)
-
-
-def _rouge(match: int, hyp_total: int, ref_total: int) -> tuple[float, tuple[float, float]]:
-    """ROUGE (F1, (precision, recall)) of a match count; 0 on an empty side."""
-    precision = match / hyp_total if hyp_total > 0 else 0.0
-    recall = match / ref_total if ref_total > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0, (precision, recall)
-    return 2.0 * precision * recall / (precision + recall), (precision, recall)
 
 
 def rouge_n(hyp, refs, n: int) -> MetricScore:
@@ -357,7 +356,7 @@ class SegmentScores:
         """Per system and distinct reference, ROUGE-N (ROUGE-L if n is None) as (F1, (P, R))."""
         if n is not None:
             return {
-                system: [_rouge(match[n - 1], hyp[n - 1], ref[n - 1]) for match, hyp, ref in counts]
+                system: [_fscore(match[n - 1], hyp[n - 1], ref[n - 1]) for match, hyp, ref in counts]
                 for system, counts in self._counts("words").items()
             }
         # One packed LCS pass per distinct hypothesis covers every reference.
@@ -366,7 +365,7 @@ class SegmentScores:
         hits = {text: packed.lengths(words[text].tokens) for text in dict.fromkeys(self.hyps.values())}
         lens = [len(words[text].tokens) for text in self.refs]
         return {
-            system: [_rouge(hit, len(words[text].tokens), ref_len) for hit, ref_len in zip(hits[text], lens)]
+            system: [_fscore(hit, len(words[text].tokens), ref_len) for hit, ref_len in zip(hits[text], lens)]
             for system, text in self.hyps.items()
         }
 
@@ -401,14 +400,14 @@ class SegmentScores:
             )
             return _bleu_from_stats(stats, cfg).value, stats
         pairs = self._pairs[metric][system]
-        best_score, best = -1.0 if metric == "chrf" else 0.0, None
+        best_score, best = -1.0, None
         for i in slots:
             score, stats = pairs[i]
             if score > best_score:
                 best_score, best = score, stats
         if metric == "chrf":
             return MetricScore(best_score * 100.0).value, best
-        precision, recall = best or (0.0, 0.0)
+        precision, recall = best
         part = MetricScore(best_score * 100.0, None, {"precision": precision, "recall": recall})
         return part.value, part
 
@@ -530,6 +529,21 @@ def bleu_corpus(pairs, cfg: BleuConfig | None = None) -> MetricScore:
     return _corpus(_bleu_scorer(cfg), "bleu", [_token_pair(hyp, refs) for hyp, refs in pairs])
 
 
+def piece_tokenizer(vocab=None, pretokenized: bool = False, lowercase: bool = False):
+    """spBLEU's tokenizer: `vocab`'s subwords, or with `pretokenized` the space-joined pieces as given.
+
+    The one place that picks it; `spbleu_corpus` and `score` both call this.
+    Raises ValueError unless exactly one of `vocab` and `pretokenized` is given.
+    """
+    if pretokenized:
+        if vocab is not None:
+            raise ValueError("a subword vocabulary does not apply when pretokenized=True")
+        return partial(tokenize_pieces, lowercase=lowercase)
+    if vocab is None:
+        raise ValueError("a subword vocabulary is required unless pretokenized=True")
+    return partial(tokenize_subwords, vocab=vocab, lowercase=lowercase)
+
+
 def spbleu_corpus(
     pairs,
     vocab=None,
@@ -541,17 +555,11 @@ def spbleu_corpus(
 
     `pairs` holds raw text: (hyp_text, [ref_text, ...]) per segment. With
     `pretokenized=True` the texts are taken as already-segmented pieces
-    joined by spaces and the vocabulary is not consulted; either way they
-    are NFC-normalized and, with `lowercase`, lowercased.
+    joined by spaces instead of being segmented against `vocab`; either way
+    they are NFC-normalized and, with `lowercase`, lowercased. Raises
+    ValueError unless exactly one of `vocab` and `pretokenized` is given.
     """
-    if not pretokenized and vocab is None:
-        raise ValueError("a subword vocabulary is required unless pretokenized=True")
-
-    def pieces(text: str):
-        if pretokenized:
-            return tokenize_pieces(text, lowercase=lowercase)
-        return tokenize_subwords(text, vocab, lowercase=lowercase)
-
+    pieces = piece_tokenizer(vocab, pretokenized, lowercase)
     return _corpus(MultiRefScorer(["spbleu"], bleu_cfg=cfg, pieces=pieces), "spbleu", pairs)
 
 

@@ -333,7 +333,7 @@ class HttpChatTransport:
                 method="POST",
             )
             try:
-                with self._opener.open(fullurl=request, timeout=cfg.timeout) as response:
+                with self._opener.open(request, timeout=cfg.timeout) as response:
                     payload = json.loads(response.read().decode("utf-8"))
                 return _reply_text(payload["choices"][0]["message"]["content"])
             except urllib.error.HTTPError as exc:
@@ -428,6 +428,10 @@ def generate_for_segment(
     )
 
 
+class MissingGoldError(ValueError):
+    """Segments still to generate lack the gold reference their prompts must carry."""
+
+
 def generate_references(
     segments,
     template: PromptTemplate,
@@ -464,7 +468,7 @@ def generate_references(
     if include:
         missing = [sid for sid, _src, gold in todo if gold is None]
         if missing:
-            raise ValueError(
+            raise MissingGoldError(
                 f"template expects ground truth but segments lack gold refs: {missing[:5]}"
             )
     records: list[GenerationRecord] = []

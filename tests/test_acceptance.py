@@ -13,7 +13,7 @@ import pytest
 import oracles
 from multiref.cli import main
 from multiref.combine import CombinePolicy, combine_matrix
-from multiref.diversity import distinct_n, select_diverse, self_bleu, CandidateSet
+from multiref.diversity import distinct_n, score_and_select, self_bleu
 from multiref.errors import DegenerateDataError
 from multiref.metaeval import (
     kendall_tau,
@@ -116,29 +116,27 @@ def test_criterion_03_diversity_selection():
             # All-identical candidates (long enough to own every 4-gram)
             # must collapse to a single survivor via the fallback rule.
             text = " ".join(random_tokens(rng, 4, 9))
-            candidates = CandidateSet("seg", tuple([text] * rng.randint(2, 5)))
+            candidates = [text] * rng.randint(2, 5)
         else:
-            candidates = CandidateSet(
-                "seg",
-                tuple(
-                    " ".join(random_tokens(rng, 1, 9))
-                    for _ in range(rng.randint(2, 6))
-                ),
-            )
-        scores = self_bleu([tokenize_words(c) for c in candidates.candidates])
-        selected = select_diverse(candidates, threshold)
-        assert selected.candidates, "selection must never come back empty"
-        leftovers = iter(candidates.candidates)
-        assert all(c in leftovers for c in selected.candidates), "not an ordered subset"
+            candidates = [
+                " ".join(random_tokens(rng, 1, 9))
+                for _ in range(rng.randint(2, 6))
+            ]
+        scores = self_bleu([tokenize_words(c) for c in candidates])
+        _, kept = score_and_select(candidates, threshold)
+        selected = [candidates[i] for i in kept]
+        assert selected, "selection must never come back empty"
+        leftovers = iter(candidates)
+        assert all(c in leftovers for c in selected), "not an ordered subset"
         survivors_by_score = [
-            candidates.candidates[i] for i, s in enumerate(scores) if s < threshold
+            candidates[i] for i, s in enumerate(scores) if s < threshold
         ]
         if survivors_by_score:
-            assert list(selected.candidates) == survivors_by_score
+            assert selected == survivors_by_score
         else:
-            assert len(selected.candidates) == 1
-        if len(set(candidates.candidates)) == 1:
-            assert len(selected.candidates) == 1
+            assert len(selected) == 1
+        if len(set(candidates)) == 1:
+            assert len(selected) == 1
     _passed(3, "120 random candidate sets: survivors under threshold, fallback exact")
 
 

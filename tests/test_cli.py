@@ -7,7 +7,7 @@ from multiref import refgen
 from multiref.cli import _apply_config, _resolve_template, _subparsers, build_parser, main
 from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
-from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, select_diverse, CandidateSet
+from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, score_and_select
 from multiref.metrics import DEFAULT_CHRF_BETA, DEFAULT_CHRF_ORDER, BleuConfig, bleu_corpus
 from multiref.refgen import load_generation_records
 from multiref.textproc import tokenize_words
@@ -171,7 +171,7 @@ class TestGenerate:
         if fails:
             assert code == 1
             assert capsys.readouterr().err == (
-                "multiref: error: template expects ground truth but segments lack gold refs: ['s2']\n"
+                f"multiref: error: {segments}: template expects ground truth but segments lack gold refs: ['s2']\n"
             )
             assert not (pipeline["dir"] / "gen.jsonl").exists()
         else:
@@ -333,10 +333,8 @@ class TestSelect:
         records, report = self.run_select(pipeline, 35.0)
         originals = load_generation_records(pipeline["refs"])
         for before, after in zip(originals, records):
-            expected = select_diverse(
-                CandidateSet(before.segment_id, before.candidates)
-            )
-            assert after.candidates == expected.candidates
+            _, kept = score_and_select(before.candidates)
+            assert after.candidates == tuple(before.candidates[i] for i in kept)
             assert report[before.segment_id]["kept_indices"]
 
 
@@ -637,6 +635,40 @@ class TestScore:
         summary = json.loads(summary_path.read_text())["metrics"]
         assert summary == {"spbleu": {"a": 100.0}, "bleu": {"a": 100.0}}
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--metrics", "spbleu", "--vocab", "V", "--pretokenized"], {},
+             "--vocab and --pretokenized are mutually exclusive"),
+            (["--metrics", "spbleu", "--vocab", "V"], {"pretokenized": True},
+             "--vocab and --pretokenized are mutually exclusive"),
+            (["--metrics", "bleu", "--vocab", "V"], {},
+             "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
+            (["--metrics", "bleu,chrf", "--pretokenized"], {},
+             "--pretokenized sets spbleu's tokenizer; --metrics names no spbleu"),
+            (["--metrics", "rougeL"], {"vocab": "V"},
+             "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
+        ],
+        ids=["both-flags", "pretokenized-in-config", "vocab-without-spbleu", "pretokenized-without-spbleu",
+             "vocab-in-config-without-spbleu"],
+    )
+    def test_tokenizer_flags_spbleu_does_not_use_fail(self, pipeline, capsys, flags, config, message):
+        # --pretokenized --vocab used to read the vocabulary and ignore it, and
+        # either flag without spbleu was ignored; each run exited 0.
+        vocab = pipeline["dir"] / "vocab.txt"
+        vocab.write_text("▁\n" + "".join(f"▁{w}\n" for w in sorted({w for t in GOLD.values() for w in t.split()})),
+                         encoding="utf-8")
+        config_path = pipeline["dir"] / "config.json"
+        config_path.write_text(json.dumps({key: str(vocab) if value == "V" else value
+                                           for key, value in config.items()}))
+        summary_path = pipeline["dir"] / "summary.json"
+        code = main(["--config", str(config_path), "score", "--segments", str(pipeline["segments"]),
+                     "--outputs", str(pipeline["outputs"]), "--refs", "gold", "--summary", str(summary_path),
+                     *[str(vocab) if flag == "V" else flag for flag in flags]])
+        assert code == 1
+        assert capsys.readouterr().err == f"multiref: error: {message}\n"
+        assert not summary_path.exists()
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_metric_named_twice_fails(self, pipeline, capsys, tmp_path, via):
         # Repeats used to be dropped, so the run exited 0.
@@ -776,12 +808,15 @@ class TestScore:
         (["score", "--metrics", "spbleu", "--vocab", "missing.vocab", "--refs", "both"],
          "--refs both requires --generated-refs"),
         (["score", "--per-reference"], "--per-reference sets the cells of the --out matrix; it needs --out"),
+        (["score", "--metrics", "spbleu", "--vocab", "missing.vocab", "--pretokenized"],
+         "--vocab and --pretokenized are mutually exclusive"),
+        (["score", "--vocab", "missing.vocab"], "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
         (["score", "--refs", "gold", "--max-refs", "2"],
          "--max-refs caps generated references; it does not apply to --refs gold"),
         (["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "n_references must be >= 1"),
     ],
     ids=["sweep-out", "sweep-range", "generated-no-refs", "both-no-refs-before-vocab", "per-reference-no-out",
-         "max-refs-gold", "generate-n-references"],
+         "vocab-and-pretokenized", "vocab-without-spbleu", "max-refs-gold", "generate-n-references"],
 )
 def test_bad_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
     # Each used to fail as "missing.jsonl: cannot open" instead.
@@ -1184,6 +1219,19 @@ class TestLeakageReport:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid summary: {reason}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("culprit", ["single", "multi"])
+    def test_missing_system_names_its_summary(self, tmp_path, capsys, culprit):
+        # It used to fail as "system 'B' missing from single-reference scores", naming no file.
+        paths = {name: tmp_path / f"{name}.json" for name in ("single", "multi")}
+        for name, path in paths.items():
+            path.write_text(json.dumps({"metrics": {"bleu": {"A": 2.0} if name == culprit else {"A": 2.0, "B": 1.0}}}))
+        code = main(["leakage-report", "--single", str(paths["single"]), "--multi", str(paths["multi"]),
+                     "--pair", "A,B"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"multiref: error: {paths[culprit]}: invalid summary: no score for system 'B'\n"
+        )
 
     @pytest.mark.parametrize("single, multi, culprit, reason", [
         ({"A": 1e308, "B": -1e308}, {"A": 1.0, "B": 0.0}, "single",

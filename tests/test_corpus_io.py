@@ -1,5 +1,10 @@
 import ast
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ from multiref.corpus_io import (
     load_segments,
     merge_references,
     read_jsonl,
+    write_json,
     write_jsonl,
 )
 from multiref.errors import CorpusFormatError
@@ -292,11 +298,91 @@ class TestMergeReferences:
         assert corpus.segments[0].generated_refs == ()
 
 
+class TestAllOrNothingWrites:
+    def failing_records(self, n):
+        for i in range(n):
+            yield {"row": i}
+        raise RuntimeError("records failed")
+
+    @pytest.mark.parametrize("kind", ["jsonl", "json"])
+    def test_a_failed_write_leaves_the_target_whole(self, tmp_path, kind):
+        # The target used to be truncated first, so it kept only the records before the failure.
+        target = tmp_path / "out"
+        target.write_bytes(b'{"old": 1}\n')
+        with pytest.raises((RuntimeError, TypeError)):
+            if kind == "jsonl":
+                write_jsonl(target, self.failing_records(3))
+            else:
+                write_json(target, {"rows": [1, 2], "bad": object()})
+        assert target.read_bytes() == b'{"old": 1}\n'
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_the_target_keeps_its_mode_and_no_temporary_file_stays(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        write_jsonl(target, [{"a": 1}, {"b": "é"}])
+        assert target.read_bytes() == '{"a": 1}\n{"b": "é"}\n'.encode()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_symlink_or_fifo_target_is_written_in_place(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        write_json(link, [1])
+        assert link.is_symlink() and real.read_bytes() == b"[\n  1\n]"
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        write_jsonl(fifo, [{"a": 1}])
+        reader.join(10)
+        assert received == [b'{"a": 1}\n']
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
+
+    def test_a_killed_score_leaves_the_old_matrix(self, tmp_path, jsonl_writer):
+        # `score --out` used to write the matrix in place, so a kill left some of its rows.
+        from multiref.cli import main
+
+        segments, outputs, matrix = (tmp_path / name for name in ("seg.jsonl", "out.jsonl", "matrix.jsonl"))
+        jsonl_writer(segments, [{"id": f"s{i}", "source": "x", "gold_refs": [f"a b c {i}"]} for i in range(3)])
+        jsonl_writer(outputs, [{"system": system, "segment": f"s{i}", "hypothesis": f"a b {system} {i}"}
+                               for system in ("A", "B") for i in range(3)])
+        flags = ["score", "--segments", str(segments), "--outputs", str(outputs), "--out", str(matrix)]
+        assert main([*flags, "--metrics", "chrf"]) == 0
+        old = matrix.read_bytes()
+        # Each matrix line takes 50 ms to encode, so the kill lands mid-write.
+        slow_score = (
+            "import sys, time\n"
+            "from multiref import corpus_io\n"
+            "from multiref.cli import main\n"
+            "line = corpus_io.jsonl_line\n"
+            "corpus_io.jsonl_line = lambda record: time.sleep(0.05) or line(record)\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", slow_score, *flags, "--metrics", "bleu,rouge1"],
+                                env=env, stdout=subprocess.DEVNULL)
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".matrix.jsonl.*.tmp")) and proc.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        proc.kill()
+        proc.wait()
+        assert list(tmp_path.glob(".matrix.jsonl.*.tmp")), "score wrote no temporary file before it ended"
+        assert matrix.read_bytes() == old
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "multiref"
 
 # Functions outside corpus_io that may open a file for writing: generate's
 # append-and-flush loop, and the repair of a line a kill cut short.
 WRITERS_ALLOWED = {("refgen.py", "generate_references"), ("refgen.py", "repair_truncated_tail")}
+# Functions whose `x.open(...)` calls open a URL through a urllib opener, not a file.
+URL_OPENERS = {("refgen.py", "complete")}
 
 
 def _writes(call: ast.Call) -> bool:
@@ -315,26 +401,33 @@ def _writes(call: ast.Call) -> bool:
     return any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value) for m in modes)
 
 
-def _write_sites(tree, function=None):
-    """(enclosing function, line) of each writing call in `tree`."""
+def _calls(tree, function=None):
+    """(enclosing function, call) of each call in `tree`."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Call) and _writes(node):
-            yield function, node.lineno
+        if isinstance(node, ast.Call):
+            yield function, node
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _write_sites(node, inner)
+        yield from _calls(node, inner)
 
 
 def test_only_corpus_io_writes_files():
     allowed_seen = set()
+    openers_seen = set()
     stray = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "corpus_io.py":
             continue
-        for function, line in _write_sites(ast.parse(path.read_text(encoding="utf-8"))):
-            if (path.name, function) in WRITERS_ALLOWED:
-                allowed_seen.add((path.name, function))
+        for function, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            site = (path.name, function)
+            if site in URL_OPENERS and isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+                openers_seen.add(site)
+            elif not _writes(call):
+                continue
+            elif site in WRITERS_ALLOWED:
+                allowed_seen.add(site)
             else:
-                stray.append(f"{path.name}:{line} in {function}")
+                stray.append(f"{path.name}:{call.lineno} in {function}")
     assert stray == [], "write files through corpus_io.write_jsonl/write_json"
-    # The check sees the writes it lets through, so it is not blind.
+    # The check sees the writes and URL opens it lets through, so it is not blind.
     assert allowed_seen == WRITERS_ALLOWED
+    assert openers_seen == URL_OPENERS

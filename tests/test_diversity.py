@@ -3,12 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiref.diversity import (
-    CandidateSet,
     DiversityReport,
     distinct_n,
     diversity_report,
     score_and_select,
-    select_diverse,
     self_bleu,
     unique_tokens,
 )
@@ -17,10 +15,6 @@ from multiref.metrics import bleu_sentence
 import oracles
 
 word_lists = st.lists(st.sampled_from("abcde"), min_size=1, max_size=10)
-
-
-def cset(*candidates):
-    return CandidateSet(segment_id="s1", candidates=tuple(candidates))
 
 
 class TestSelfBleu:
@@ -47,79 +41,68 @@ class TestSelfBleu:
             self_bleu([["a"]])
 
 
+def select(*texts, **kwargs):
+    """The candidates `score_and_select` keeps, in input order."""
+    _, kept = score_and_select(list(texts), **kwargs)
+    return tuple(texts[i] for i in kept)
+
+
 class TestSelectDiverse:
     def test_identical_candidates_collapse_to_first(self):
-        selected = select_diverse(cset("a b c d", "a b c d", "a b c d"))
-        assert selected.candidates == ("a b c d",)
+        assert select("a b c d", "a b c d", "a b c d") == ("a b c d",)
 
     def test_disjoint_candidates_all_kept(self):
-        selected = select_diverse(cset("a b", "c d", "e f"))
-        assert selected.candidates == ("a b", "c d", "e f")
+        assert select("a b", "c d", "e f") == ("a b", "c d", "e f")
 
     def test_threshold_zero_triggers_fallback(self):
-        selected = select_diverse(cset("a b", "c d"), threshold=0.0)
-        assert len(selected.candidates) == 1
+        assert len(select("a b", "c d", threshold=0.0)) == 1
 
     def test_threshold_above_scale_keeps_all(self):
-        selected = select_diverse(cset("a b c d", "a b c d"), threshold=101.0)
-        assert len(selected.candidates) == 2
+        assert len(select("a b c d", "a b c d", threshold=101.0)) == 2
 
     def test_nan_threshold_rejected(self):
         # NaN used to keep only the lowest-scoring candidate, as no score is below it.
         with pytest.raises(ValueError, match="threshold"):
-            select_diverse(cset("a b", "c d"), threshold=float("nan"))
-        with pytest.raises(ValueError, match="threshold"):
-            select_diverse(cset("only one"), threshold=float("nan"))
-        with pytest.raises(ValueError, match="threshold"):
             score_and_select(["a b", "c d"], float("nan"))
+        with pytest.raises(ValueError, match="threshold"):
+            score_and_select(["only one"], float("nan"))
 
     def test_single_candidate_unchanged(self):
-        selected = select_diverse(cset("only one"))
-        assert selected.candidates == ("only one",)
+        assert select("only one") == ("only one",)
 
     def test_mixed_set_keeps_exactly_sub_threshold(self):
         # Two near-identical candidates score high against each other; the
         # disjoint third scores 0 and survives alongside neither twin.
-        candidates = cset(
+        candidates = (
             "the cat sat on the mat",
             "the cat sat on the mat today",
             "zebras wander somewhere else entirely",
         )
-        scores = self_bleu(
-            [c.split() for c in candidates.candidates]
-        )
-        selected = select_diverse(candidates)
-        expected = tuple(
-            candidates.candidates[i] for i, s in enumerate(scores) if s < 35.0
-        )
-        assert selected.candidates == expected
-        assert "zebras wander somewhere else entirely" in selected.candidates
-
-    def test_metadata_preserved(self):
-        original = CandidateSet("seg9", ("a b", "c d"))
-        selected = select_diverse(original)
-        assert selected.segment_id == "seg9"
+        scores = self_bleu([c.split() for c in candidates])
+        selected = select(*candidates)
+        expected = tuple(candidates[i] for i, s in enumerate(scores) if s < 35.0)
+        assert selected == expected
+        assert "zebras wander somewhere else entirely" in selected
 
     @given(st.lists(st.text("abc xyz", min_size=1, max_size=12), min_size=1, max_size=6))
     def test_output_is_nonempty_subset_in_order(self, texts):
         texts = [t for t in texts if t.strip()] or ["a"]
-        original = cset(*texts)
-        selected = select_diverse(original)
-        assert selected.candidates
-        it = iter(original.candidates)
-        assert all(c in it for c in selected.candidates)  # subsequence check
+        selected = select(*texts)
+        assert selected
+        it = iter(texts)
+        assert all(c in it for c in selected)  # subsequence check
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            CandidateSet("s", ())
+            score_and_select([])
 
     @given(st.lists(st.sampled_from(["a b c", "d e f", "a b d", "x y z", "p q"]), min_size=2, max_size=6))
     def test_idempotent_when_survivors_stay_diverse(self, texts):
-        first = select_diverse(cset(*texts))
-        if len(first.candidates) >= 2:
-            rescored = self_bleu([c.split() for c in first.candidates])
+        first = select(*texts)
+        if len(first) >= 2:
+            rescored = self_bleu([c.split() for c in first])
             if all(s < 35.0 for s in rescored):
-                assert select_diverse(first) == first
+                assert select(*first) == first
 
 
 class TestDistinctN:

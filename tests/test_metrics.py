@@ -185,6 +185,25 @@ class TestSpbleu:
         with pytest.raises(ValueError):
             spbleu_corpus([("a", ["a"])])
 
+    def test_vocab_and_pretokenized_together_rejected(self):
+        # The vocabulary used to be ignored under pretokenized=True.
+        from multiref.metrics import piece_tokenizer
+
+        with pytest.raises(ValueError, match="does not apply when pretokenized=True"):
+            spbleu_corpus([("▁the", ["▁the"])], self.vocab, pretokenized=True)
+        with pytest.raises(ValueError, match="does not apply when pretokenized=True"):
+            piece_tokenizer(self.vocab, pretokenized=True)
+        with pytest.raises(ValueError, match="a subword vocabulary is required"):
+            piece_tokenizer()
+
+    def test_piece_tokenizer_picks_subwords_or_pieces(self):
+        from multiref.metrics import piece_tokenizer
+
+        assert piece_tokenizer(self.vocab)("the cats") == ("▁the", "▁cat", "s")
+        assert piece_tokenizer(self.vocab, lowercase=True)("The Cats") == ("▁the", "▁cat", "s")
+        assert piece_tokenizer(pretokenized=True)("▁The ▁cat s") == ("▁The", "▁cat", "s")
+        assert piece_tokenizer(pretokenized=True, lowercase=True)("▁The ▁cat s") == ("▁the", "▁cat", "s")
+
     def test_pretokenized_pieces_are_lowercased(self):
         # Pieces used to be split from the raw text, ignoring lowercase (4.06).
         pairs = [("▁The ▁Cat ▁Sat ▁On ▁The ▁Mat", ["▁the ▁cat ▁sat ▁on ▁the ▁mat"])]

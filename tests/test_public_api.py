@@ -13,7 +13,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # steps of generate_references.
 PUBLIC_API = [
     "BleuConfig",
-    "CandidateSet",
     "CombinePolicy",
     "CorpusFormatError",
     "CorpusStats",
@@ -52,8 +51,8 @@ PUBLIC_API = [
     "pearson",
     "rouge_l",
     "rouge_n",
+    "score_and_select",
     "score_corpus",
-    "select_diverse",
     "self_bleu",
     "spbleu_corpus",
     "spearman",

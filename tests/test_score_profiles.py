@@ -435,8 +435,8 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
 
     monkeypatch.setattr(multiref.cli, "tokenize_words",
                         counting("word", multiref.cli.tokenize_words))
-    monkeypatch.setattr(multiref.cli, "tokenize_subwords",
-                        counting("subword", multiref.cli.tokenize_subwords))
+    monkeypatch.setattr(multiref.metrics, "tokenize_subwords",
+                        counting("subword", multiref.metrics.tokenize_subwords))
     monkeypatch.setattr(multiref.metrics, "tokenize_chars",
                         counting("char", multiref.metrics.tokenize_chars))
     lcs_passes = []  # per packed reference set, the hypotheses passed over it
