@@ -38,6 +38,7 @@ from .metrics import (
     CorpusStats,
     MetricScore,
     MultiRefScorer,
+    ScoreSettings,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
@@ -85,6 +86,7 @@ __all__ = [
     "MultiRefScorer",
     "MultirefError",
     "PromptTemplate",
+    "ScoreSettings",
     "Segment",
     "SubwordVocab",
     "TransportError",

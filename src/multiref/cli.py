@@ -18,9 +18,9 @@ from .corpus_io import json_object, number_field, read_json, write_json, write_j
 # bleu_corpus, chrf_sentence, chrf_corpus, rouge_l and tokenize_subwords
 # have no caller here: they are imported only so that the tracer finds them
 # under this module (score's subword tokenizer comes from
-# metrics.piece_tokenizer).
-# score calls write_score_matrix through this module, so the tracer's span
-# still times the matrix write.
+# metrics.piece_tokenizer). score passes tokenize_words and the vocabulary
+# from load_subword_vocab, and calls write_score_matrix, through this module,
+# so the tracer's spans still count them.
 from .combine import (  # noqa: F401
     COMBINE_KINDS,
     CombinePolicy,
@@ -31,6 +31,7 @@ from .combine import (  # noqa: F401
     write_score_matrix,
 )
 from .errors import CorpusFormatError, MultirefError
+from .kernels import MAX_ORDER, check_order
 from .metrics import (  # noqa: F401
     DEFAULT_CHRF_BETA,
     DEFAULT_CHRF_ORDER,
@@ -39,12 +40,11 @@ from .metrics import (  # noqa: F401
     REF_MODES,
     SMOOTHING_METHODS,
     BleuConfig,
-    MultiRefScorer,
+    ScoreSettings,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
     chrf_sentence,
-    piece_tokenizer,
     rouge_l,
     score_corpus,
 )
@@ -112,13 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-refs", type=int, help="cap on generated references per segment")
     p.add_argument("--sweep-refs", help="A..B: emit one score series per generated-reference count")
-    p.add_argument("--metrics", default="bleu", help=f"comma list of {','.join(METRICS)} or rouge<n>")
+    p.add_argument("--metrics", default="bleu",
+                   help=f"comma list of {','.join(METRICS)} or rouge<n> (n <= {MAX_ORDER})")
     p.add_argument("--vocab", help="subword vocabulary file (required for spbleu)")
     p.add_argument("--pretokenized", action="store_true", help="treat text as subword pieces joined by spaces")
-    p.add_argument("--max-order", type=int, default=bleu.max_order)
+    p.add_argument("--max-order", type=int, default=bleu.max_order, help=f"BLEU n-gram order, 1..{MAX_ORDER}")
     p.add_argument("--smoothing", choices=SMOOTHING_METHODS, default=bleu.smoothing)
     p.add_argument("--ref-length", choices=REF_LENGTH_MODES, default=bleu.effective_ref_length)
-    p.add_argument("--chrf-order", type=int, default=DEFAULT_CHRF_ORDER)
+    p.add_argument("--chrf-order", type=int, default=DEFAULT_CHRF_ORDER,
+                   help=f"chrF character n-gram order, 1..{MAX_ORDER}")
     p.add_argument("--chrf-beta", type=float, default=DEFAULT_CHRF_BETA)
     p.add_argument("--per-reference", action="store_true",
                    help="matrix cells hold single-reference scores instead of one joint multi-reference column")
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", required=True)
     p.add_argument("--segments", help="validate output segment ids against this file")
     p.add_argument("--n", type=int, default=diversity.DEFAULT_DISTINCT_N,
-                   help="n-gram order for the distinct-n ratio")
+                   help=f"n-gram order for the distinct-n ratio, 1..{MAX_ORDER}")
     p.add_argument("--out", help="report JSON")
     p.set_defaults(func=cmd_diversity)
 
@@ -344,84 +346,47 @@ def cmd_select(args) -> int:
 # ------------------------------------------------------------------- score
 
 
-def _scorer(args, metrics: list[str]) -> MultiRefScorer:
-    """The configured scorer, with the word and subword tokenizers the flags select."""
-    pieces = None
-    if "spbleu" in metrics:
-        vocab = load_subword_vocab(args.vocab) if args.vocab else None
-        pieces = piece_tokenizer(vocab, args.pretokenized, args.lowercase)
-    return MultiRefScorer(
-        metrics,
-        bleu_cfg=BleuConfig(
-            max_order=args.max_order,
-            smoothing=args.smoothing,
-            effective_ref_length=args.ref_length,
-        ),
-        chrf_order=args.chrf_order,
-        chrf_beta=args.chrf_beta,
-        lowercase=args.lowercase,
-        words=functools.partial(tokenize_words, lowercase=args.lowercase),
-        pieces=pieces,
-    )
+def _parse_metrics(spec: str) -> tuple[str, ...]:
+    metrics = tuple(m.strip() for m in spec.split(",") if m.strip())
+    if not metrics:
+        raise ValueError(f"--metrics names no metric, got {spec!r}")
+    return metrics
 
 
 def _parse_sweep(spec: str) -> tuple[int, int]:
     try:
         low, high = spec.split("..", 1)
-        low, high = int(low), int(high)
+        return int(low), int(high)
     except ValueError:
         raise ValueError(f"--sweep-refs expects A..B, got {spec!r}")
-    if low < 1 or high < low:
-        raise ValueError(f"invalid sweep range {spec!r}")
-    return low, high
 
 
 def cmd_score(args) -> int:
-    # Checked before any file is read; a repeated metric fails in MultiRefScorer, once --vocab is read.
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    if not metrics:
-        raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
-    if args.vocab and args.pretokenized:
-        raise ValueError("--vocab and --pretokenized are mutually exclusive")
-    if "spbleu" not in metrics and (args.vocab or args.pretokenized):
-        flag = "--vocab" if args.vocab else "--pretokenized"
-        raise ValueError(f"{flag} sets spbleu's tokenizer; --metrics names no spbleu")
-    if "spbleu" in metrics and not args.vocab and not args.pretokenized:
-        raise ValueError("spbleu requires --vocab unless --pretokenized is set")
-    if args.max_refs is not None and args.max_refs < 1:
-        raise ValueError(f"--max-refs must be >= 1, got {args.max_refs}")
-    if args.chrf_order < 1:
-        raise ValueError(f"--chrf-order must be >= 1, got {args.chrf_order}")
-    mode = args.refs or ("generated" if args.generated_refs else "gold")
-    if mode in ("generated", "both") and not args.generated_refs:
-        raise ValueError(f"--refs {mode} requires --generated-refs")
-    if mode == "gold" and args.max_refs is not None:
-        raise ValueError("--max-refs caps generated references; it does not apply to --refs gold")
-
-    # Generated-reference counts to score; a plain run is the sweep of the one count --max-refs.
-    counts = [args.max_refs]
-    if args.sweep_refs:
-        if mode == "gold":
-            raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
-        if args.max_refs is not None:
-            raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
-        if args.per_reference or args.out:
-            raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
-        low, high = _parse_sweep(args.sweep_refs)
-        counts = range(low, high + 1)
-    elif args.per_reference and not args.out:
-        raise ValueError("--per-reference sets the cells of the --out matrix; it needs --out")
-    scorer = _scorer(args, metrics)
+    # ScoreSettings checks every rule of the flags, so a bad one fails before any file is read.
+    settings = ScoreSettings(
+        metrics=_parse_metrics(args.metrics),
+        refs=args.refs or ("generated" if args.generated_refs else "gold"),
+        max_refs=args.max_refs,
+        sweep_refs=_parse_sweep(args.sweep_refs) if args.sweep_refs else None,
+        per_reference=args.per_reference,
+        out=bool(args.out),
+        generated_refs=bool(args.generated_refs),
+        bleu=BleuConfig(args.max_order, args.smoothing, args.ref_length),
+        chrf_order=args.chrf_order,
+        chrf_beta=args.chrf_beta,
+        lowercase=args.lowercase,
+        vocab=args.vocab,
+        pretokenized=args.pretokenized,
+    )
+    scorer = settings.scorer(tokenize_words, load_subword_vocab(settings.vocab) if settings.vocab else None)
 
     corpus = corpus_io.load_corpus(args.segments, args.outputs)
     if args.generated_refs:
         records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
         corpus = corpus_io.merge_references(corpus, records)
-    if not corpus.systems:
-        raise ValueError("no system outputs to score")
 
-    scores, rows = score_corpus(scorer, corpus, mode, counts, args.per_reference)
-    if args.sweep_refs:
+    scores, rows = score_corpus(scorer, corpus, settings)
+    if settings.sweep_refs is not None:
         series = [
             {"metric": metric, "system": system, "refs": k, "score": score.value}
             for (k, system, metric), score in scores.items()
@@ -434,14 +399,14 @@ def cmd_score(args) -> int:
             write_json(args.summary, {"sweep": series})
         return 0
 
-    summary = {metric: {} for metric in metrics}
+    summary = {metric: {} for metric in settings.metrics}
     for (_k, system, metric), score in scores.items():
         summary[metric][system] = score.value
     _print_summary(summary)
     if args.out:
         write_score_matrix(args.out, rows)
     if args.summary:
-        write_json(args.summary, {"metrics": summary, "refs_mode": mode, "max_refs": args.max_refs})
+        write_json(args.summary, {"metrics": summary, "refs_mode": settings.refs, "max_refs": args.max_refs})
     return 0
 
 
@@ -513,6 +478,7 @@ def cmd_metaeval(args) -> int:
 
 
 def cmd_diversity(args) -> int:
+    check_order(args.n, "--n")
     known = None
     if args.segments:
         known = {s.id for s in corpus_io.load_segments(args.segments)}

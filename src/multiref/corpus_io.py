@@ -33,6 +33,7 @@ import json
 import math
 import os
 import stat
+import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -276,17 +277,40 @@ def jsonl_line(record) -> str:
     return "".join(_encode_chunks(record, 0)) + "\n"
 
 
+def _std_stream(path: str | Path):
+    """`sys.stdout` or `sys.stderr` if `path` names the same file as descriptor 1 or 2, else None."""
+    try:
+        target = os.stat(path)
+    except OSError:
+        return None
+    for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+        try:
+            if os.path.samestat(target, os.fstat(fd)):
+                return stream
+        except OSError:
+            pass
+    return None
+
+
 def _write_all_or_nothing(path: str | Path, chunks) -> None:
     """Write the strings `chunks` to `path` as UTF-8: all of them, or leave `path` as it was.
 
     They go to `.<name>.<random>.tmp` in `path`'s directory, made as `open`
     makes a new file (and given the mode of an existing `path`), which is
     then renamed onto `path`. An error while writing removes it; a kill can
-    leave it behind, but never a part-written `path`. A `path` that exists
-    and is not itself a regular file (a symlink such as `/dev/stdout`, a
-    FIFO) is written in place, as a rename would replace it instead of
-    writing through it.
+    leave it behind, but never a part-written `path`. A `path` that is the
+    file of the standard output or error (such as `/dev/stdout`) is written
+    through `sys.stdout` or `sys.stderr`, after what was printed before it:
+    opening it anew would truncate a redirected file. Any other `path` that
+    exists and is not itself a regular file (a symlink, a FIFO) is written
+    in place, as a rename would replace it instead of writing through it.
     """
+    stream = _std_stream(path)
+    if stream is not None:
+        sys.stdout.flush()
+        stream.writelines(chunks)
+        stream.flush()
+        return
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:

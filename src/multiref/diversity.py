@@ -129,8 +129,7 @@ def score_and_select(
 
 def distinct_n(corpus, n: int = DEFAULT_DISTINCT_N) -> float:
     """Distinct n-grams divided by total n-gram occurrences across the corpus."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    kernels.check_order(n, "n-gram order")
     seen = set()
     total = 0
     for seq in corpus:

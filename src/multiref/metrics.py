@@ -38,8 +38,7 @@ class BleuConfig(record("BleuConfig", "max_order smoothing effective_ref_length"
     def __new__(
         cls, max_order: int = 4, smoothing: str = "exp", effective_ref_length: str = "closest"
     ):
-        if max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {max_order}")
+        kernels.check_order(max_order, "max_order")
         if smoothing not in SMOOTHING_METHODS:
             raise ValueError(f"unknown smoothing {smoothing!r}")
         if effective_ref_length not in REF_LENGTH_MODES:
@@ -171,8 +170,7 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
 
 def rouge_n(hyp, refs, n: int) -> MetricScore:
     """ROUGE-N: max clipped-overlap F1 over the reference set."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
+    kernels.check_order(n, "n-gram order")
     return _part(MultiRefScorer([f"rouge{n}"], words=tuple), f"rouge{n}", *_token_pair(hyp, refs))
 
 
@@ -194,6 +192,24 @@ def _rouge_n_order(metric: str) -> int | None:
     return None
 
 
+def _check_metrics(metrics: tuple) -> None:
+    """Reject an unknown metric name, a ROUGE-N order above `kernels.MAX_ORDER`, and a name given twice."""
+    for i, metric in enumerate(metrics):
+        n = _rouge_n_order(metric)
+        if metric not in METRICS and n is None:
+            raise ValueError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)} or rouge<n>")
+        if n is not None:
+            kernels.check_order(n, f"the n-gram order of {metric!r}")
+        if metric in metrics[:i]:
+            raise ValueError(f"metric {metric!r} is named twice")
+
+
+def _check_chrf_beta(beta: float) -> None:
+    # chrF weighs recall by beta squared; where that overflows, every F-score is NaN.
+    if not (beta >= 0 and math.isfinite(beta * beta)):
+        raise ValueError(f"chrf_beta must be >= 0 with a finite square, got {beta}")
+
+
 class MultiRefScorer:
     """Scores several systems against shared references, one segment at a time.
 
@@ -205,11 +221,12 @@ class MultiRefScorer:
     the per-segment parts that `SegmentScores.joint` returns into the corpus
     score, and a segment's BLEU `CorpusStats` is its bleu part. ROUGE's
     corpus value is the mean segment value. Besides `METRICS`, it scores
-    ROUGE-N of any order n >= 1 under the name "rouge<n>"; each metric may be
-    named once. `words` and `pieces` map a text (any hashable value they
-    accept) to its word and subword tokens; the word-level metrics (bleu and
-    ROUGE) need `words` and spbleu needs `pieces`. chrF takes characters from
-    `tokenize_chars`, honouring `lowercase`.
+    ROUGE-N of any order n in 1..`kernels.MAX_ORDER` under the name
+    "rouge<n>"; each metric may be named once. `words` and `pieces` map a
+    text (any hashable value they accept) to its word and subword tokens; the
+    word-level metrics (bleu and ROUGE) need `words` and spbleu needs
+    `pieces`. chrF takes characters from `tokenize_chars`, honouring
+    `lowercase`.
     """
 
     def __init__(
@@ -223,18 +240,9 @@ class MultiRefScorer:
         pieces: Callable[[str], Sequence[str]] | None = None,
     ):
         self.metrics = tuple(metrics)
-        for i, metric in enumerate(self.metrics):
-            if metric not in METRICS and _rouge_n_order(metric) is None:
-                raise ValueError(
-                    f"unknown metric {metric!r}; choose from {', '.join(METRICS)} or rouge<n>"
-                )
-            if metric in self.metrics[:i]:
-                raise ValueError(f"metric {metric!r} is named twice")
-        if chrf_order < 1:
-            raise ValueError(f"chrf_order must be >= 1, got {chrf_order}")
-        # chrF weighs recall by beta squared; where that overflows, every F-score is NaN.
-        if not (chrf_beta >= 0 and math.isfinite(chrf_beta * chrf_beta)):
-            raise ValueError(f"chrf_beta must be >= 0 with a finite square, got {chrf_beta}")
+        _check_metrics(self.metrics)
+        kernels.check_order(chrf_order, "chrf_order")
+        _check_chrf_beta(chrf_beta)
         self.bleu_cfg = bleu_cfg or BleuConfig()
         self.chrf_order = chrf_order
         self.chrf_beta = chrf_beta
@@ -430,35 +438,124 @@ class SegmentScores:
 REF_MODES = ("gold", "generated", "both")
 
 
-def score_corpus(scorer: MultiRefScorer, corpus, mode: str = "both", counts=(None,),
-                 per_reference: bool = False):
+def _is_count(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
+class ScoreSettings(record(
+    "ScoreSettings",
+    "metrics refs max_refs sweep_refs per_reference out generated_refs bleu chrf_order chrf_beta"
+    " lowercase vocab pretokenized",
+)):
+    """Every setting of one `score` run, each field one of its flags, checked together.
+
+    `metrics` is a tuple of metric names and `refs` one of `REF_MODES`.
+    `max_refs` caps the generated references per segment (None keeps them
+    all); `sweep_refs`, a (low, high) pair, scores each count from low to
+    high instead; `counts` lists the counts scored. `per_reference` makes the
+    matrix cells single-reference values. `out` and `generated_refs` say
+    whether a matrix is written and whether the corpus has generated
+    references. `bleu` is a `BleuConfig` (default `BleuConfig()`),
+    `chrf_order` and `chrf_beta` are chrF's, and a vocabulary path `vocab`,
+    or `pretokenized`, picks spbleu's tokenizer. Every rule that ties flags
+    together is checked here, so `score` fails before it reads a file, and
+    each message names the flags as `score` spells them.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, metrics=("bleu",), refs: str = "both", max_refs: int | None = None, sweep_refs=None,
+        per_reference: bool = False, out: bool = False, generated_refs: bool = True,
+        bleu: BleuConfig | None = None, chrf_order: int = DEFAULT_CHRF_ORDER,
+        chrf_beta: float = DEFAULT_CHRF_BETA, lowercase: bool = False, vocab: str | None = None,
+        pretokenized: bool = False,
+    ):
+        metrics = tuple(metrics)
+        if vocab and pretokenized:
+            raise ValueError("--vocab and --pretokenized are mutually exclusive")
+        if "spbleu" not in metrics and (vocab or pretokenized):
+            flag = "--vocab" if vocab else "--pretokenized"
+            raise ValueError(f"{flag} sets spbleu's tokenizer; --metrics names no spbleu")
+        if "spbleu" in metrics and not vocab and not pretokenized:
+            raise ValueError("spbleu requires --vocab unless --pretokenized is set")
+        if max_refs is not None:
+            if not _is_count(max_refs):
+                raise ValueError(f"--max-refs must be an integer, got {max_refs!r}")
+            if max_refs < 1:
+                raise ValueError(f"--max-refs must be >= 1, got {max_refs}")
+        kernels.check_order(chrf_order, "--chrf-order")
+        if refs not in REF_MODES:
+            raise ValueError(f"unknown reference mode {refs!r}")
+        if refs in ("generated", "both") and not generated_refs:
+            raise ValueError(f"--refs {refs} requires --generated-refs")
+        if refs == "gold" and max_refs is not None:
+            raise ValueError("--max-refs caps generated references; it does not apply to --refs gold")
+        if sweep_refs is not None:
+            sweep_refs = tuple(sweep_refs)
+            if len(sweep_refs) != 2 or not all(map(_is_count, sweep_refs)):
+                raise ValueError(f"--sweep-refs must be a pair of integers, got {sweep_refs!r}")
+            if refs == "gold":
+                raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
+            if max_refs is not None:
+                raise ValueError("--sweep-refs and --max-refs are mutually exclusive")
+            if per_reference or out:
+                raise ValueError("--sweep-refs emits a score series; --per-reference/--out do not apply")
+            low, high = sweep_refs
+            if low < 1 or high < low:
+                raise ValueError(f"invalid sweep range '{low}..{high}'")
+        elif per_reference and not out:
+            raise ValueError("--per-reference sets the cells of the --out matrix; it needs --out")
+        _check_metrics(metrics)
+        _check_chrf_beta(chrf_beta)
+        return tuple.__new__(cls, (
+            metrics, refs, max_refs, sweep_refs, per_reference, out, generated_refs,
+            BleuConfig() if bleu is None else bleu, chrf_order, chrf_beta, lowercase, vocab, pretokenized,
+        ))
+
+    @property
+    def counts(self) -> tuple:
+        """The generated-reference counts scored, ascending; None keeps every generated reference."""
+        if self.sweep_refs is None:
+            return (self.max_refs,)
+        low, high = self.sweep_refs
+        return tuple(range(low, high + 1))
+
+    def scorer(self, words, vocab=None) -> MultiRefScorer:
+        """The scorer of these settings.
+
+        `words` is the word tokenizer, called as `words(text, lowercase=...)`,
+        and `vocab` the loaded subword vocabulary of `self.vocab`. spbleu's
+        tokenizer is `piece_tokenizer(vocab, pretokenized, lowercase)`.
+        """
+        pieces = None
+        if "spbleu" in self.metrics:
+            pieces = piece_tokenizer(vocab, self.pretokenized, self.lowercase)
+        return MultiRefScorer(
+            self.metrics, self.bleu, self.chrf_order, self.chrf_beta, self.lowercase,
+            words=partial(words, lowercase=self.lowercase), pieces=pieces,
+        )
+
+
+def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None = None):
     """Corpus scores at each generated-reference count, and the matrix rows of the largest.
 
-    `corpus` is an `EvalCorpus`. A segment's references are its gold ones
-    (none under mode "generated") followed by the first k of its generated
-    ones (none under mode "gold") for each k of `counts`, ascending, where
-    None keeps them all. Returns `({(k, system, metric): MetricScore}` in
-    (k, sorted system, metric) order, `[(metric, system, segment, cells)]`
-    metric-major, then by system, then by segment id). A row's cells are
-    `{"all": value}` against the references of the largest count or, with
-    `per_reference`, one single-reference value each under the id
-    `gold:i` or `gen:i`. Raises ValueError unless `mode` is one of
-    `REF_MODES` and `counts` is non-empty and strictly ascending, of
-    integers >= 1 with None only last.
+    `corpus` is an `EvalCorpus`, and `scorer`'s metrics are scored. Of
+    `settings` (default `ScoreSettings()`), `refs`, `counts` and
+    `per_reference` apply. A segment's references are its gold ones (none
+    under refs "generated") followed by the first k of its generated ones
+    (none under refs "gold") for each k of `counts`. Returns
+    `({(k, system, metric): MetricScore}` in (k, sorted system, metric)
+    order, `[(metric, system, segment, cells)]` metric-major, then by system,
+    then by segment id). A row's cells are `{"all": value}` against the
+    references of the largest count or, with `per_reference`, one
+    single-reference value each under the id `gold:i` or `gen:i`. A corpus
+    without system outputs raises ValueError.
     """
-    if mode not in REF_MODES:
-        raise ValueError(f"unknown reference mode {mode!r}")
-    counts = list(counts)
-    if not counts:
-        raise ValueError("counts must hold at least one count")
-    for i, k in enumerate(counts):
-        if k is None:
-            if i < len(counts) - 1:
-                raise ValueError(f"None may only be the last count, got {counts}")
-        elif isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValueError(f"each count must be an integer >= 1 or None, got {k!r}")
-        elif i and k <= counts[i - 1]:
-            raise ValueError(f"counts must be strictly ascending, got {counts}")
+    if not corpus.systems:
+        raise ValueError("no system outputs to score")
+    settings = ScoreSettings() if settings is None else settings
+    mode, counts, per_reference = settings.refs, settings.counts, settings.per_reference
     metrics = scorer.metrics
     systems = sorted(corpus.systems)
     largest = counts[-1]

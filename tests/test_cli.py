@@ -8,7 +8,7 @@ from multiref.cli import _apply_config, _resolve_template, _subparsers, build_pa
 from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
 from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, score_and_select
-from multiref.metrics import DEFAULT_CHRF_BETA, DEFAULT_CHRF_ORDER, BleuConfig, bleu_corpus
+from multiref.metrics import DEFAULT_CHRF_BETA, DEFAULT_CHRF_ORDER, BleuConfig, ScoreSettings, bleu_corpus
 from multiref.refgen import load_generation_records
 from multiref.textproc import tokenize_words
 
@@ -797,26 +797,61 @@ class TestScore:
         assert not summary.exists()
 
 
+# Each bad combination of score's flags: its flags, the ScoreSettings arguments that state it (None
+# where a string fails to parse), and the message both give. --segments and --outputs come first.
+NO_REFS = {"refs": "gold", "generated_refs": False}
+BAD_SCORE_FLAGS = {
+    "sweep-out": (["--generated-refs", "missing.refs.jsonl", "--sweep-refs", "1..3", "--out", "m.jsonl"],
+                  {"sweep_refs": (1, 3), "out": True},
+                  "--sweep-refs emits a score series; --per-reference/--out do not apply"),
+    "sweep-range": (["--generated-refs", "missing.refs.jsonl", "--sweep-refs", "3..1"],
+                    {"refs": "generated", "sweep_refs": (3, 1)}, "invalid sweep range '3..1'"),
+    "generated-no-refs": (["--refs", "generated"], {"refs": "generated", "generated_refs": False},
+                          "--refs generated requires --generated-refs"),
+    "both-no-refs-before-vocab": (["--metrics", "spbleu", "--vocab", "missing.vocab", "--refs", "both"],
+                                  {"metrics": ("spbleu",), "vocab": "missing.vocab", "generated_refs": False},
+                                  "--refs both requires --generated-refs"),
+    "per-reference-no-out": (["--per-reference"], {**NO_REFS, "per_reference": True},
+                             "--per-reference sets the cells of the --out matrix; it needs --out"),
+    "vocab-and-pretokenized": (["--metrics", "spbleu", "--vocab", "missing.vocab", "--pretokenized"],
+                               {**NO_REFS, "metrics": ("spbleu",), "vocab": "missing.vocab", "pretokenized": True},
+                               "--vocab and --pretokenized are mutually exclusive"),
+    "vocab-without-spbleu": (["--vocab", "missing.vocab"], {**NO_REFS, "vocab": "missing.vocab"},
+                             "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
+    "max-refs-gold": (["--refs", "gold", "--max-refs", "2"], {**NO_REFS, "max_refs": 2},
+                      "--max-refs caps generated references; it does not apply to --refs gold"),
+    "no-metric": (["--metrics", ","], None, "--metrics names no metric, got ','"),
+    "spbleu-no-vocab": (["--metrics", "bleu,spbleu"], {**NO_REFS, "metrics": ("bleu", "spbleu")},
+                        "spbleu requires --vocab unless --pretokenized is set"),
+    "max-refs-zero": (["--generated-refs", "missing.refs.jsonl", "--max-refs", "0"],
+                      {"refs": "generated", "max_refs": 0}, "--max-refs must be >= 1, got 0"),
+    "chrf-order-zero": (["--metrics", "chrf", "--chrf-order", "0"], {**NO_REFS, "metrics": ("chrf",), "chrf_order": 0},
+                        "--chrf-order must be >= 1, got 0"),
+    "sweep-not-a-range": (["--generated-refs", "missing.refs.jsonl", "--sweep-refs", "x"], None,
+                          "--sweep-refs expects A..B, got 'x'"),
+    "sweep-gold": (["--generated-refs", "missing.refs.jsonl", "--refs", "gold", "--sweep-refs", "1..2"],
+                   {"refs": "gold", "sweep_refs": (1, 2)},
+                   "--sweep-refs varies generated references; use --refs generated or both"),
+    "sweep-and-max-refs": (["--generated-refs", "missing.refs.jsonl", "--sweep-refs", "1..2", "--max-refs", "2"],
+                           {"refs": "generated", "sweep_refs": (1, 2), "max_refs": 2},
+                           "--sweep-refs and --max-refs are mutually exclusive"),
+    # These two used to read --vocab first, and fail on the missing file.
+    "unknown-metric-before-vocab": (
+        ["--metrics", "spbleu,meteor", "--vocab", "missing.vocab"],
+        {**NO_REFS, "metrics": ("spbleu", "meteor"), "vocab": "missing.vocab"},
+        "unknown metric 'meteor'; choose from bleu, spbleu, chrf, rouge1, rouge2, rougeL or rouge<n>",
+    ),
+    "repeated-metric-before-vocab": (["--metrics", "spbleu,spbleu", "--vocab", "missing.vocab"],
+                                     {**NO_REFS, "metrics": ("spbleu", "spbleu"), "vocab": "missing.vocab"},
+                                     "metric 'spbleu' is named twice"),
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
-    [
-        (["score", "--generated-refs", "missing.refs.jsonl", "--sweep-refs", "1..3", "--out", "m.jsonl"],
-         "--sweep-refs emits a score series; --per-reference/--out do not apply"),
-        (["score", "--generated-refs", "missing.refs.jsonl", "--sweep-refs", "3..1"],
-         "invalid sweep range '3..1'"),
-        (["score", "--refs", "generated"], "--refs generated requires --generated-refs"),
-        (["score", "--metrics", "spbleu", "--vocab", "missing.vocab", "--refs", "both"],
-         "--refs both requires --generated-refs"),
-        (["score", "--per-reference"], "--per-reference sets the cells of the --out matrix; it needs --out"),
-        (["score", "--metrics", "spbleu", "--vocab", "missing.vocab", "--pretokenized"],
-         "--vocab and --pretokenized are mutually exclusive"),
-        (["score", "--vocab", "missing.vocab"], "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
-        (["score", "--refs", "gold", "--max-refs", "2"],
-         "--max-refs caps generated references; it does not apply to --refs gold"),
-        (["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "n_references must be >= 1"),
-    ],
-    ids=["sweep-out", "sweep-range", "generated-no-refs", "both-no-refs-before-vocab", "per-reference-no-out",
-         "vocab-and-pretokenized", "vocab-without-spbleu", "max-refs-gold", "generate-n-references"],
+    [(["score", *flags], message) for flags, _, message in BAD_SCORE_FLAGS.values()]
+    + [(["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "n_references must be >= 1")],
+    ids=[*BAD_SCORE_FLAGS, "generate-n-references"],
 )
 def test_bad_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
     # Each used to fail as "missing.jsonl: cannot open" instead.
@@ -827,6 +862,18 @@ def test_bad_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, a
     assert code == 1
     assert capsys.readouterr().err == f"multiref: error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [(kwargs, message) for _, kwargs, message in BAD_SCORE_FLAGS.values() if kwargs is not None],
+    ids=[name for name, (_, kwargs, _) in BAD_SCORE_FLAGS.items() if kwargs is not None],
+)
+def test_score_settings_reject_what_score_rejects(kwargs, message):
+    # The library record makes score's checks, so a library caller gets the same rules and messages.
+    with pytest.raises(ValueError) as info:
+        ScoreSettings(**kwargs)
+    assert str(info.value) == message
 
 
 class TestCombine:

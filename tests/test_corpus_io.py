@@ -343,6 +343,37 @@ class TestAllOrNothingWrites:
         assert received == [b'{"a": 1}\n']
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "real.json"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", ["score", "combine", "metaeval"])
+    def test_stdout_redirected_to_a_file_keeps_the_table_before_the_document(
+        self, tmp_path, jsonl_writer, command
+    ):
+        # /dev/stdout used to be opened anew with O_TRUNC, which emptied the redirected file,
+        # so only the document was left.
+        segments, outputs, matrix, human = (tmp_path / f"{name}.jsonl" for name in ("seg", "out", "matrix", "human"))
+        systems = {"A": 0.25, "B": 0.5, "C": 0.75}
+        jsonl_writer(segments, [{"id": f"s{i}", "source": "x", "gold_refs": [f"the cat sat {i}"]} for i in range(2)])
+        jsonl_writer(outputs, [{"system": system, "segment": f"s{i}", "hypothesis": f"the {system} sat {i}"}
+                               for system in systems for i in range(2)])
+        jsonl_writer(matrix, [{"system": system, "segment": f"s{i}", "scores": {"r0": value + i / 10}, "metric": "m"}
+                              for system, value in systems.items() for i in range(2)])
+        jsonl_writer(human, [{"system": system, "segment": f"s{i}", "score": value + i}
+                             for system, value in systems.items() for i in range(2)])
+        argv, flag = {
+            "score": (["score", "--segments", str(segments), "--outputs", str(outputs)], "--summary"),
+            "combine": (["combine", "--matrix", str(matrix)], "--summary"),
+            "metaeval": (["metaeval", "--matrix", str(matrix), "--human", str(human)], "--out"),
+        }[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+        document, redirected = tmp_path / "document.json", tmp_path / "stdout.txt"
+        table = subprocess.run([sys.executable, "-m", "multiref", *argv, flag, str(document)],
+                               env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+        with open(redirected, "w", encoding="utf-8") as stdout:
+            subprocess.run([sys.executable, "-m", "multiref", *argv, flag, "/dev/stdout"],
+                           env=env, stdout=stdout, check=True, timeout=60)
+        assert table.startswith("metric")
+        assert redirected.read_text(encoding="utf-8") == table + document.read_text(encoding="utf-8")
+
     def test_a_killed_score_leaves_the_old_matrix(self, tmp_path, jsonl_writer):
         # `score --out` used to write the matrix in place, so a kill left some of its rows.
         from multiref.cli import main

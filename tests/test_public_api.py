@@ -31,6 +31,7 @@ PUBLIC_API = [
     "MultiRefScorer",
     "MultirefError",
     "PromptTemplate",
+    "ScoreSettings",
     "Segment",
     "SubwordVocab",
     "TransportError",

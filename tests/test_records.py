@@ -28,6 +28,7 @@ from multiref import (
     MetaEvalReport,
     MetricScore,
     PromptTemplate,
+    ScoreSettings,
     Segment,
     SubwordVocab,
     tokenize_subwords,
@@ -75,6 +76,21 @@ CASES = [
         ({"smoothing": "add1"}, "unknown smoothing 'add1'"),
         ({"effective_ref_length": "average"}, "unknown effective_ref_length 'average'"),
     ]),
+    (
+        ScoreSettings,
+        {
+            "metrics": ("bleu", "spbleu"), "refs": "both", "max_refs": 2, "sweep_refs": None,
+            "per_reference": True, "out": True, "generated_refs": True, "bleu": BleuConfig(2), "chrf_order": 4,
+            "chrf_beta": 1.0, "lowercase": True, "vocab": None, "pretokenized": True,
+        },
+        True, True, [
+            ({"max_refs": 0}, "--max-refs must be >= 1, got 0"),
+            ({"refs": "gold"}, "--max-refs caps generated references; it does not apply to --refs gold"),
+            ({"out": False}, "--per-reference sets the cells of the --out matrix; it needs --out"),
+            ({"pretokenized": False}, "spbleu requires --vocab unless --pretokenized is set"),
+            ({"chrf_beta": -1.0}, "chrf_beta must be >= 0 with a finite square, got -1.0"),
+        ],
+    ),
     (MetricScore, {"value": 42.0, "per_order": (0.5, 0.25), "detail": {"bp": 1.0}}, True, False, [
         ({"value": math.nan}, "metric value must be finite, got nan"),
         ({"value": 101.0}, "metric value out of [0, 100]: 101.0"),
@@ -127,7 +143,7 @@ NAMED_TUPLES = [cls for cls, *_ in CASES if issubclass(cls, tuple)]
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(CASES) == 14
+    assert len(CASES) == 15
     assert {cls for cls, *_ in CASES if not issubclass(cls, tuple)} == {SubwordVocab}
 
 

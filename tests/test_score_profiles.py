@@ -23,7 +23,7 @@ import multiref.metrics
 from multiref import kernels
 from multiref.cli import main
 from multiref.corpus_io import EvalCorpus, Segment
-from multiref.metrics import BleuConfig, MultiRefScorer, score_corpus
+from multiref.metrics import BleuConfig, MultiRefScorer, ScoreSettings, score_corpus
 
 import oracles
 
@@ -221,9 +221,14 @@ def eval_corpus(corpus):
     return EvalCorpus(segments, systems)
 
 
-def check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference):
-    """score_corpus over `corpus` under `mode` against the oracle, and against one call per count."""
-    scores, rows = score_corpus(scorer, eval_corpus(corpus), mode, counts, per_reference)
+def check_score_corpus(oracle, scorer, corpus, score_settings):
+    """score_corpus under `score_settings` against the oracle, and a sweep against one call per count.
+
+    score_corpus scores the scorer's metrics; of the settings, it reads the
+    reference mode, the counts and `per_reference`.
+    """
+    mode, counts, per_reference = score_settings.refs, score_settings.counts, score_settings.per_reference
+    scores, rows = score_corpus(scorer, eval_corpus(corpus), score_settings)
     systems = sorted({system for _, _, hyps in corpus.values() for system in hyps})
     assert list(scores) == [(k, system, metric)
                             for k in counts for system in systems for metric in ALL_METRICS]
@@ -254,17 +259,19 @@ def check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference):
         assert row[3] == pytest.approx(expected[3], abs=1e-9), (mode, *row[:3])
 
     # Counts 1..K in one call give what K one-count calls give.
-    for k in counts:
-        alone, alone_rows = score_corpus(scorer, eval_corpus(corpus), mode, [k], per_reference)
-        assert alone == {key: value for key, value in scores.items() if key[0] == k}
-        if k == counts[-1]:
-            assert alone_rows == rows
+    if score_settings.sweep_refs is not None:
+        for k in counts:
+            one_count = score_settings._replace(sweep_refs=None, max_refs=k)
+            alone, alone_rows = score_corpus(scorer, eval_corpus(corpus), one_count)
+            assert alone == {key: value for key, value in scores.items() if key[0] == k}
+            if k == counts[-1]:
+                assert alone_rows == rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     corpus=corpora(),
-    counts=st.one_of(st.just((None,)), st.integers(1, 3).map(lambda high: range(1, high + 1))),
+    high=st.one_of(st.none(), st.integers(1, 3)),
     max_order=st.integers(1, 4),
     smoothing=st.sampled_from(("exp", "none")),
     ref_length=st.sampled_from(("closest", "shortest")),
@@ -274,7 +281,7 @@ def check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference):
     per_reference=st.booleans(),
 )
 def test_score_corpus_matches_oracles_without_the_cli(
-    corpus, counts, max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase, per_reference,
+    corpus, high, max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase, per_reference,
 ):
     oracle = Oracle(max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase)
     scorer = MultiRefScorer(
@@ -282,13 +289,18 @@ def test_score_corpus_matches_oracles_without_the_cli(
         lowercase, words=lambda text: oracle.tokens("bleu", text),
         pieces=lambda text: oracle.tokens("spbleu", text),
     )
+    cells = {"per_reference": per_reference, "out": per_reference}
     for mode in ("generated", "both"):
-        check_score_corpus(oracle, scorer, corpus, mode, counts, per_reference)
-    if all(gold for gold, _, _ in corpus.values()):
-        check_score_corpus(oracle, scorer, corpus, "gold", counts, per_reference)
+        # A sweep takes no per-reference cells, so they are checked on its largest count alone.
+        if high is not None:
+            check_score_corpus(oracle, scorer, corpus, ScoreSettings(refs=mode, sweep_refs=(1, high)))
+        check_score_corpus(oracle, scorer, corpus, ScoreSettings(refs=mode, max_refs=high, **cells))
+    gold = ScoreSettings(refs="gold", **cells)
+    if all(gold_refs for gold_refs, _, _ in corpus.values()):
+        check_score_corpus(oracle, scorer, corpus, gold)
     else:
         with pytest.raises(ValueError, match="has no references under --refs gold"):
-            score_corpus(scorer, eval_corpus(corpus), "gold", counts, per_reference)
+            score_corpus(scorer, eval_corpus(corpus), gold)
 
 
 # Two symbols, so that n-grams repeat and fill a hypothesis's bit field in the packed pass.
@@ -316,7 +328,7 @@ def test_per_reference_cells_at_up_to_eight_systems(hyps, refs, max_order, smoot
     systems = {f"sys{i}": hyp for i, hyp in enumerate(hyps)}
     corpus = EvalCorpus([Segment("s1", "src", (), tuple(refs))],
                         {system: {"s1": hyp} for system, hyp in systems.items()})
-    _, rows = score_corpus(scorer, corpus, "generated", per_reference=True)
+    _, rows = score_corpus(scorer, corpus, ScoreSettings(refs="generated", per_reference=True, out=True))
     assert len(rows) == len(metrics) * len(systems)
     for metric, system, _, cells in rows:
         expected = {f"gen:{i}": oracle.segment(metric, systems[system], [ref]) for i, ref in enumerate(refs)}
@@ -546,18 +558,26 @@ def test_scorer_rejects_a_metric_named_twice():
 @pytest.mark.parametrize(
     "counts, message",
     [
-        ([2, 1], "strictly ascending"),
-        ([None, None], "None may only be the last count"),
-        ([], "at least one count"),
-        ([-1], "integer >= 1"),
+        ({"sweep_refs": (2, 1)}, "invalid sweep range '2..1'"),
+        ({"sweep_refs": (None, None)}, "--sweep-refs must be a pair of integers, got (None, None)"),
+        ({"sweep_refs": ()}, "--sweep-refs must be a pair of integers, got ()"),
+        ({"max_refs": -1}, "--max-refs must be >= 1, got -1"),
+        ({"max_refs": True}, "--max-refs must be an integer, got True"),
     ],
-    ids=["descending", "none-twice", "empty", "negative"],
+    ids=["descending", "none-twice", "empty", "negative", "bool"],
 )
-def test_score_corpus_rejects_bad_counts(counts, message):
-    corpus = EvalCorpus([Segment("s1", "src", ("a b",), ("a b", "b a"))], {"A": {"s1": "a b"}})
-    scorer = MultiRefScorer(["bleu"], words=str.split)
-    with pytest.raises(ValueError, match=message):
-        score_corpus(scorer, corpus, "both", counts)
+def test_score_settings_rejects_bad_counts(counts, message):
+    # The counts score_corpus scores come from ScoreSettings, which checks them once.
+    with pytest.raises(ValueError) as info:
+        ScoreSettings(**counts)
+    assert str(info.value) == message
+
+
+def test_score_settings_counts():
+    assert ScoreSettings().counts == (None,)
+    assert ScoreSettings(max_refs=3).counts == (3,)
+    assert ScoreSettings(sweep_refs=[2, 4]).counts == (2, 3, 4)
+    assert ScoreSettings(refs="gold", generated_refs=False).counts == (None,)
 
 
 class TestScoreCorpusReferences:
@@ -565,7 +585,7 @@ class TestScoreCorpusReferences:
 
     segment = Segment("s", "x", gold_refs=("g1", "g2"), generated_refs=("c1", "c2", "c3"))
 
-    def scored_refs(self, mode, counts=(None,)):
+    def scored_refs(self, mode, max_refs=None):
         """(reference id, reference text) of the segment's per-reference row, in cell order.
 
         Each text is a system's hypothesis, so a text's ROUGE-1 is 100 only
@@ -574,7 +594,8 @@ class TestScoreCorpusReferences:
         texts = self.segment.gold_refs + self.segment.generated_refs
         corpus = EvalCorpus([self.segment], {text: {"s": text} for text in texts})
         scorer = MultiRefScorer(["rouge1"], words=str.split)
-        _, rows = score_corpus(scorer, corpus, mode, counts, per_reference=True)
+        score_settings = ScoreSettings(refs=mode, max_refs=max_refs, per_reference=True, out=True)
+        _, rows = score_corpus(scorer, corpus, score_settings)
         text_of = {ref_id: system for _, system, _, cells in rows
                    for ref_id, value in cells.items() if value == 100.0}
         return [(ref_id, text_of[ref_id]) for ref_id in rows[0][3]]
@@ -587,13 +608,18 @@ class TestScoreCorpusReferences:
         ]
 
     def test_cap_applies_only_to_generated_references(self):
-        assert self.scored_refs("both", [1]) == [("gold:0", "g1"), ("gold:1", "g2"), ("gen:0", "c1")]
-        assert self.scored_refs("generated", [2]) == [("gen:0", "c1"), ("gen:1", "c2")]
-        assert self.scored_refs("gold", [1]) == [("gold:0", "g1"), ("gold:1", "g2")]
+        assert self.scored_refs("both", 1) == [("gold:0", "g1"), ("gold:1", "g2"), ("gen:0", "c1")]
+        assert self.scored_refs("generated", 2) == [("gen:0", "c1"), ("gen:1", "c2")]
+        # A cap with no generated references to cap is rejected, as `score --refs gold --max-refs` is.
+        with pytest.raises(ValueError, match="it does not apply to --refs gold"):
+            self.scored_refs("gold", 1)
+
+    def test_a_corpus_without_outputs_is_rejected(self):
+        scorer = MultiRefScorer(["bleu"], words=str.split)
+        with pytest.raises(ValueError, match="no system outputs to score"):
+            score_corpus(scorer, EvalCorpus([self.segment]))
 
     def test_unknown_mode_rejected(self):
-        scorer = MultiRefScorer(["bleu"], words=str.split)
-        # The mode is checked before any segment, so a corpus with nothing to score fails too.
-        for corpus in (EvalCorpus([self.segment], {"A": {"s": "c1"}}), EvalCorpus()):
-            with pytest.raises(ValueError, match="unknown reference mode 'everything'"):
-                score_corpus(scorer, corpus, "everything")
+        # The mode is checked when the settings are built, before any corpus.
+        with pytest.raises(ValueError, match="unknown reference mode 'everything'"):
+            ScoreSettings(refs="everything")
