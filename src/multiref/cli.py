@@ -28,6 +28,7 @@ from .combine import (  # noqa: F401
     load_combined,
     load_score_matrices,
     system_scores,
+    write_combined,
     write_score_matrix,
 )
 from .errors import CorpusFormatError, MultirefError
@@ -430,9 +431,7 @@ def cmd_combine(args) -> int:
     except ValueError as exc:
         raise CorpusFormatError(str(exc), args.matrix) from None
     if args.out:
-        write_jsonl(args.out, ({"system": system, "segment": segment, "score": score, "metric": metric}
-                               for metric in metrics
-                               for (system, segment), score in combined_by_metric[metric].items()))
+        write_combined(args.out, combined_by_metric)
     _print_summary(summary)
     if args.summary:
         write_json(args.summary, {"metrics": summary, "policy": args.policy, "k": args.k})
@@ -444,9 +443,11 @@ def cmd_combine(args) -> int:
 
 def cmd_metaeval(args) -> int:
     combined_by_metric = _combined_matrix(args)
-    judgments = metaeval.load_human_judgments(args.human)
+    human = metaeval.load_human_judgments(args.human)
+    if not human.system:
+        raise ValueError(f"no judgments found in {args.human}")
     try:
-        reports = metaeval.meta_evaluate_all(combined_by_metric, judgments, name=args.name)
+        reports = metaeval.meta_evaluate_all(combined_by_metric, human, name=args.name)
     except ValueError as exc:
         # Both files are well-formed; what the matrix's metrics share with the
         # human judgments does not support a statistic.

@@ -6,10 +6,18 @@ combined with max (the default), mean, or top-k mean. The row scores average
 into a system-level score.
 """
 
+import json
 import math
 from pathlib import Path
 
-from .corpus_io import id_field, number_field, read_jsonl, write_jsonl
+from .corpus_io import (
+    id_field,
+    number_field,
+    parse_record,
+    read_jsonl_records,
+    write_all_or_nothing,
+    write_jsonl,
+)
 from .errors import CorpusFormatError
 from .records import record
 
@@ -106,17 +114,12 @@ def _matrix_row(record: dict):
     system = id_field(record["system"], "system")
     segment = id_field(record["segment"], "segment")
     cells = record["scores"]
-    values = cells.values()
-    types = {*map(type, values)}
-    # A row of floats is used through its view, uncopied; any other row is
-    # checked, and copied with its integers as floats.
-    if types != _FLOAT:
-        if not types <= _NUMBER_TYPES:
-            for ref_id, value in cells.items():
-                number_field(value, f"score {ref_id!r}")
-        values = list(map(float, values))
-        if not values:
-            raise ValueError("matrix row must have at least one score")
+    if not {*map(type, cells.values())} <= _NUMBER_TYPES:
+        for ref_id, value in cells.items():
+            number_field(value, f"score {ref_id!r}")
+    values = list(map(float, cells.values()))
+    if not values:
+        raise ValueError("matrix row must have at least one score")
     # A finite sum proves every value finite; a sum that is not may still
     # come from finite values that overflow together.
     if not math.isfinite(sum(values)):
@@ -126,22 +129,44 @@ def _matrix_row(record: dict):
     return metric, (system, segment), cells, values
 
 
-def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], object]]:
-    """Read a matrix JSONL file row by row, keeping only `reduce(cells, values)`.
+def _read_matrix(path: str | Path, reduce=None) -> dict[str, dict[tuple[str, str], object]]:
+    """Read a matrix JSONL file row by row, keeping `reduce(values)` of each, or without `reduce` its cells.
 
     Each line holds `{"system": str, "segment": str, "scores": {ref: num},
-    "metric": str}`. `cells` is the parsed `scores` object and `values` its
-    scores as floats, at least one and all finite. Malformed lines, duplicate
+    "metric": str}`. `values` are a row's scores as floats, at least one and
+    all finite, and its cells `{ref: score}` of them. Malformed lines, duplicate
     (system, segment) rows of a metric and rows `reduce` rejects are reported
     with file and line number.
     """
     matrices: dict[str, dict[tuple[str, str], object]] = {}
-    for lineno, (metric, key, cells, values) in read_jsonl(path, _matrix_row, "matrix row"):
-        rows = matrices.setdefault(metric, {})
+    for lineno, record in read_jsonl_records(path, "matrix row"):
+        # `_matrix_row`'s checks for the common row: string ids and at least
+        # one score, every one a float, with a finite sum. Any other row goes
+        # through `_matrix_row`, which converts it or words its error.
+        values = None
+        try:
+            metric, system, segment, cells = record["metric"], record["system"], record["segment"], record["scores"]
+        except KeyError:
+            pass
+        else:
+            if type(metric) is str and type(system) is str and type(segment) is str and type(cells) is dict:
+                values = cells.values()
+                if {*map(type, values)} != _FLOAT or not math.isfinite(sum(values)):
+                    values = None
+        if values is None:
+            metric, key, cells, values = parse_record(_matrix_row, record, "matrix row", path, lineno)
+        else:
+            key = (system, segment)
+        rows = matrices.get(metric)
+        if rows is None:
+            rows = matrices[metric] = {}
         if key in rows:
             raise CorpusFormatError(f"duplicate matrix row for {key}", str(path), lineno)
+        if reduce is None:
+            rows[key] = dict(zip(cells, values))
+            continue
         try:
-            rows[key] = reduce(cells, values)
+            rows[key] = reduce(values)
         except ValueError as exc:
             raise CorpusFormatError(f"cannot combine row: {exc}", str(path), lineno)
     return matrices
@@ -149,7 +174,7 @@ def _read_matrix(path: str | Path, reduce) -> dict[str, dict[tuple[str, str], ob
 
 def load_score_matrices(path: str | Path) -> dict[str, dict[tuple[str, str], dict[str, float]]]:
     """Read a matrix JSONL file as `{metric: {(system, segment): {ref: score}}}`, in file order."""
-    return _read_matrix(path, lambda cells, values: dict(zip(cells, values)))
+    return _read_matrix(path)
 
 
 def load_combined(
@@ -160,8 +185,7 @@ def load_combined(
     Returns `{metric: {(system, segment): score}}` in file order, the same as
     `combine_matrix` over `load_score_matrices`, without holding the matrix.
     """
-    reduce = _reducer(policy)
-    return _read_matrix(path, lambda _cells, values: reduce(values))
+    return _read_matrix(path, _reducer(policy))
 
 
 def write_score_matrix(path: str | Path, rows) -> None:
@@ -170,3 +194,24 @@ def write_score_matrix(path: str | Path, rows) -> None:
         {"system": system, "segment": segment, "scores": cells, "metric": metric}
         for metric, system, segment, cells in rows
     ))
+
+
+def write_combined(path: str | Path, combined_by_metric: dict[str, dict[tuple[str, str], float]]) -> None:
+    """Write `{metric: {(system, segment): score}}` as combined-score JSONL, metrics sorted, all or nothing.
+
+    Each line is what `json.dumps({"system", "segment", "score", "metric"},
+    ensure_ascii=False)` writes for string ids and a finite float score,
+    written from one template per metric: each id through `json`'s string
+    encoder and the score through `float.__repr__`, as `json` writes them.
+    """
+    encode = json.encoder.encode_basestring
+
+    def chunks():
+        for metric in sorted(combined_by_metric):
+            tail = f', "metric": {encode(metric)}}}\n'
+            yield "".join([
+                f'{{"system": {encode(system)}, "segment": {encode(segment)}, "score": {float.__repr__(score)}{tail}'
+                for (system, segment), score in combined_by_metric[metric].items()
+            ])
+
+    write_all_or_nothing(path, chunks())

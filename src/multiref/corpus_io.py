@@ -1,9 +1,9 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-This module alone encodes and decodes files. Each line reader skips one
+This module alone decodes files and writes them. Each line reader skips one
 leading byte-order mark and decodes each line as UTF-8 on its own:
-`read_lines` for the subword vocabulary, and `read_jsonl` (one JSON object
-per line) for the JSONL files; JSON documents go through `read_json`:
+`read_lines` for the subword vocabulary, and `read_jsonl_records` (one JSON
+object per line) for the JSONL files; JSON documents go through `read_json`:
 
 - segments.jsonl: ``{"id", "source", "gold_refs": [..]}``
 - outputs.jsonl:  ``{"system", "segment", "hypothesis"}``
@@ -11,18 +11,22 @@ per line) for the JSONL files; JSON documents go through `read_json`:
 - human.jsonl:    human judgments (see metaeval)
 - matrix.jsonl:   score matrices (see combine)
 
-`read_jsonl` strips each line and decodes it with one call of the C scanner
-under `json.loads`. A line that `json.loads` rejects fails with the same
-message, position included. `read_jsonl` is the one path that reports a
-bad line. `read_jsonl_chunks`, which only `metaeval.load_human_judgments`
-uses, decodes about `JSONL_CHUNK_BYTES` of lines at a time with no Python
-code per line; it reports nothing itself, and a chunk it cannot decode
-cleanly sends its caller back to `read_jsonl`.
+`read_jsonl_records` strips each line and decodes it with one call of the C
+scanner under `json.loads`. A line that `json.loads` rejects fails with the
+same message, position included. It is the one path that reports a bad
+line. `read_jsonl` turns each record into a value through a `parse`
+callback, and `parse_record` words what `parse` rejects at its line;
+`combine` checks the common matrix row itself and hands any other row to
+`parse_record`. `read_jsonl_chunks`, which only
+`metaeval.load_human_judgments` uses, decodes about `JSONL_CHUNK_BYTES` of
+lines at a time with no Python code per line; it reports nothing itself,
+and a chunk it cannot decode cleanly sends its caller back to `read_jsonl`.
 
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
-(one record per line) or `write_json` (one document, indented by 2). Each
-writes a temporary file and renames it onto its target, so a failed or
-killed run leaves the old output whole.
+(one record per line), `write_json` (one document, indented by 2) or, for
+text a caller has encoded itself (`combine.write_combined`),
+`write_all_or_nothing`. Each writes a temporary file and renames it onto
+its target, so a failed or killed run leaves the old output whole.
 
 Loaded corpora are fully cross-validated (every hypothesis keyed to a known
 segment) and treated as immutable afterwards.
@@ -182,12 +186,11 @@ def read_lines(path: str | Path, what: str):
             yield lineno, line
 
 
-def read_jsonl(path: str | Path, parse, what: str):
-    """Yield `(lineno, parse(record))` for each non-blank line of a JSONL file.
+def read_jsonl_records(path: str | Path, what: str):
+    """Yield `(lineno, record)` for each non-blank line of a JSONL file, `record` its decoded JSON object.
 
     Lines are read as `read_lines` reads them, and fail as it does. Each
-    must hold one JSON object, which `parse` turns into a value; one that
-    does not, or that `parse` rejects with one of `_PARSE_ERRORS`, fails as
+    must hold one JSON object; one that does not fails as
     `invalid <what>: <reason>` at `path:lineno`.
     """
     # `read_lines`' loop, inlined: each line passes through one generator.
@@ -205,10 +208,29 @@ def read_jsonl(path: str | Path, parse, what: str):
                     raise _no_value(line, stop.value) from None
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
-                value = parse(json_object(record, "record"))
+                if type(record) is not dict:
+                    json_object(record, "record")  # raises, naming what the line holds
             except _PARSE_ERRORS as exc:
                 raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
-            yield lineno, value
+            yield lineno, record
+
+
+def parse_record(parse, record: dict, what: str, path: str | Path, lineno: int):
+    """`parse(record)` for the record at `path:lineno`, failing as `read_jsonl` fails where `parse` rejects it."""
+    try:
+        return parse(record)
+    except _PARSE_ERRORS as exc:
+        raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
+
+
+def read_jsonl(path: str | Path, parse, what: str):
+    """Yield `(lineno, parse(record))` for each `(lineno, record)` of `read_jsonl_records(path, what)`.
+
+    A record that `parse` rejects with one of `_PARSE_ERRORS` fails as
+    `invalid <what>: <reason>` at `path:lineno`.
+    """
+    for lineno, record in read_jsonl_records(path, what):
+        yield lineno, parse_record(parse, record, what, path, lineno)
 
 
 class ChunkRejected(Exception):
@@ -292,7 +314,7 @@ def _std_stream(path: str | Path):
     return None
 
 
-def _write_all_or_nothing(path: str | Path, chunks) -> None:
+def write_all_or_nothing(path: str | Path, chunks) -> None:
     """Write the strings `chunks` to `path` as UTF-8: all of them, or leave `path` as it was.
 
     They go to `.<name>.<random>.tmp` in `path`'s directory, made as `open`
@@ -339,12 +361,12 @@ def _write_all_or_nothing(path: str | Path, chunks) -> None:
 
 def write_jsonl(path: str | Path, records) -> None:
     """Write each of `records` (any iterable, consumed once) as one UTF-8 JSONL line, all or nothing."""
-    _write_all_or_nothing(path, map(jsonl_line, records))
+    write_all_or_nothing(path, map(jsonl_line, records))
 
 
 def write_json(path: str | Path, document) -> None:
     """Write `document` as UTF-8 JSON indented by 2, with no trailing newline, all or nothing."""
-    _write_all_or_nothing(path, [json.dumps(document, ensure_ascii=False, indent=2)])
+    write_all_or_nothing(path, [json.dumps(document, ensure_ascii=False, indent=2)])
 
 
 def _segment(record: dict) -> Segment:

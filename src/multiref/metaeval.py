@@ -3,14 +3,15 @@
 System-level pairwise accuracy and Pearson, segment-level Kendall tau-b,
 sample-level Spearman, and the leakage-gap report. Degenerate inputs (all
 ties, zero variance) raise DegenerateDataError instead of returning NaN.
-`human_score_tables` sorts human judgments into their three classes in one
-walk: system level, overall segment level and per dimension.
+`load_human_judgments` reads a human file into `HumanTables`, its three
+classes of judgment: system level, overall segment level and per dimension;
+`human_score_tables` builds the same tables from a list of judgments.
 """
 
 import math
 from collections import Counter
 from itertools import combinations, groupby, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .combine import mean, system_scores
@@ -109,8 +110,8 @@ def pearson(x, y) -> float:
     mean_y = mean(y)
     dx = [v - mean_x for v in x]
     dy = [v - mean_y for v in y]
-    sxx = math.fsum(a * a for a in dx)
-    syy = math.fsum(b * b for b in dy)
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("pearson is undefined for zero-variance input")
     product = sxx * syy
@@ -121,11 +122,11 @@ def pearson(x, y) -> float:
         scale_y = max(map(abs, dy))
         dx = [a / scale_x for a in dx]
         dy = [b / scale_y for b in dy]
-        product = math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy)
+        product = math.fsum(map(mul, dx, dx)) * math.fsum(map(mul, dy, dy))
     if not math.isfinite(product):
         # A deviation, sxx or syy past the float range makes this infinite too.
         raise ValueError(f"pearson of {len(x)} pairs overflows the float range")
-    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(product)
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(product)
     return min(max(r, -1.0), 1.0)
 
 
@@ -194,14 +195,14 @@ def midranks(values) -> list[float]:
     return [rank[value] for value in values]
 
 
-def spearman(x, y, y_ranks: list[float] | None = None) -> float:
+def spearman(x, y, y_ranks: list[float] | None = None, x_ranks: list[float] | None = None) -> float:
     """Pearson correlation of mid-ranks.
 
-    `y_ranks`, the `midranks` of `y`, are computed when not given.
+    `y_ranks` and `x_ranks`, the `midranks` of `y` and `x`, are computed when not given.
     """
     _check_paired(x, y)
     try:
-        return pearson(midranks(x), midranks(y) if y_ranks is None else y_ranks)
+        return pearson(midranks(x) if x_ranks is None else x_ranks, midranks(y) if y_ranks is None else y_ranks)
     except DegenerateDataError:
         raise DegenerateDataError("spearman is undefined for zero rank-variance input")
 
@@ -290,11 +291,10 @@ def _id_column(values: list, allowed) -> list:
     return values
 
 
-def _judgment_chunk(records: list[dict], keys: set) -> list[HumanJudgment]:
-    """The `_judgment` of every record of a chunk, checked a column at a time.
+def _judgment_columns(records: list[dict]) -> tuple[list, list, list, list]:
+    """The systems, segments, dimensions and scores of a chunk's records, as `_judgment` reads them.
 
-    Adds each judgment's (system, segment, dimension) to `keys`. Raises
-    ChunkRejected where `_judgment` might reject a record.
+    Raises ChunkRejected where `_judgment` might reject a record.
     """
     try:
         systems = list(map(itemgetter("system"), records))
@@ -315,91 +315,156 @@ def _judgment_chunk(records: list[dict], keys: set) -> list[HumanJudgment]:
     # Not finite where a score is not, or where finite ones overflow together.
     if not math.isfinite(sum(scores)):
         raise ChunkRejected
-    keys.update(zip(systems, segments, dimensions))
-    # `HumanJudgment` without its `__new__`, whose one check is done above.
-    return list(map(tuple.__new__, repeat(HumanJudgment), zip(systems, scores, segments, dimensions)))
+    return systems, segments, dimensions, scores
 
 
-def load_human_judgments(path: str | Path) -> list[HumanJudgment]:
-    """Read human.jsonl: `{"system", "segment"|null, "dimension"|null, "score"}`.
+def _columns(judgments) -> tuple:
+    """The systems, segments, dimensions and scores of `HumanJudgment`s."""
+    systems, scores, segments, dimensions = list(zip(*judgments)) or [(), (), (), ()]
+    return systems, segments, dimensions, scores
 
-    Records are decoded and checked a chunk of lines at a time. Where a
-    chunk holds anything `_judgment` might reject, or two judgments share a
-    key, the file is read again one line at a time, and that path alone
-    raises the error, at its line.
+
+class HumanTables(record("HumanTables", "system segment dimensions")):
+    """The human side of a meta-evaluation: system scores, the overall segment table and one table per dimension.
+
+    `system` maps each system to its score. An explicit system-level
+    judgment (segment None, dimension None) wins; a system without one takes
+    the mean of its overall segment-level scores. When a corpus carries only
+    per-dimension judgments, the mean across all of a system's dimensions
+    and samples serves as the overall proxy. `segment` maps each (system,
+    segment) to its overall score, and `dimensions` each dimension, in sorted
+    order, to its own `{(system, segment): score}` table; a dimension with
+    only system-level judgments gets an empty table.
     """
-    judgments: list[HumanJudgment] = []
-    keys = set()
+
+    __slots__ = ()
+
+
+class _TableBuilder:
+    """`HumanTables` built from judgments added a column at a time."""
+
+    __slots__ = ("systems", "ids", "keys", "explicit", "overall", "by_dimension", "system_dimension")
+
+    def __init__(self):
+        self.systems = {}  # each system id, kept once, in first-seen order
+        self.ids = {}  # each segment and dimension id, kept once
+        self.keys = {}  # each (system, segment) key, made once and shared by every table
+        self.explicit = {}  # system -> its system-level score
+        self.overall = {}
+        self.by_dimension = {}
+        self.system_dimension = {}  # (system, dimension) -> its system-level score
+
+    def add(self, systems, segments, dimensions, scores):
+        """Add the judgments of these columns; the key of the first that repeats one added before, else None."""
+        system_id, other_id, shared_key = self.systems.setdefault, self.ids.setdefault, self.keys.setdefault
+        explicit, overall, by_dimension = self.explicit, self.overall, self.by_dimension
+        for system, segment, dimension, score in zip(
+            map(system_id, systems, systems), map(other_id, segments, segments),
+            map(other_id, dimensions, dimensions), scores,
+        ):
+            if segment is None:
+                if dimension is None:
+                    table, key = explicit, system
+                else:
+                    table, key = self.system_dimension, (system, dimension)
+                    by_dimension.setdefault(dimension, {})
+            else:
+                key = (system, segment)
+                key = shared_key(key, key)
+                if dimension is None:
+                    table = overall
+                else:
+                    table = by_dimension.get(dimension)
+                    if table is None:
+                        table = by_dimension[dimension] = {}
+            if key in table:
+                return system, segment, dimension
+            table[key] = score
+        return None
+
+    def tables(self) -> HumanTables:
+        """The tables of the judgments added; ValueError where a system's scores sum past the float range."""
+        explicit, overall, by_dimension = self.explicit, self.overall, self.by_dimension
+        # Each mean's scores, by system in the order the scores were first
+        # seen: every judgment is a dimension one where the fallback applies.
+        if explicit or overall:
+            sources, by_system = [overall], {}
+        else:
+            sources, by_system = [*by_dimension.values(), self.system_dimension], {s: [] for s in self.systems}
+        for table in sources:
+            for (system, _), score in table.items():
+                by_system.setdefault(system, []).append(score)
+        scores = {}
+        for system, values in by_system.items():
+            try:
+                scores[system] = mean(values)
+            except ValueError as exc:
+                raise ValueError(f"cannot average the human scores of system {system!r}: {exc}") from None
+        scores.update(explicit)
+        return HumanTables(scores, overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)})
+
+
+def load_human_judgments(path: str | Path) -> HumanTables:
+    """Read human.jsonl, `{"system", "segment"|null, "dimension"|null, "score"}` per line, as its `HumanTables`.
+
+    Records are decoded and checked a chunk of lines at a time, and added to
+    the tables a column at a time. Where a chunk holds anything `_judgment`
+    might reject, or a judgment repeats the (system, segment, dimension) of
+    an earlier one, the file is read again one line at a time, and that path
+    alone raises the error, at its line. A system whose scores sum past the
+    float range fails at `path`.
+    """
+    builder = _TableBuilder()
     try:
         for records in read_jsonl_chunks(path):
-            judgments += _judgment_chunk(records, keys)
+            if builder.add(*_judgment_columns(records)) is not None:
+                raise ChunkRejected
     except ChunkRejected:
-        return _judgments_by_line(path)
-    if len(keys) != len(judgments):
-        return _judgments_by_line(path)
-    return judgments
+        builder = _TableBuilder()
+        builder.add(*_columns(_judgments_by_line(path)))
+    try:
+        return builder.tables()
+    except ValueError as exc:
+        raise CorpusFormatError(str(exc), str(path)) from None
 
 
-def human_score_tables(judgments):
-    """System-level human scores, the overall segment-level table and one table per dimension.
+def human_score_tables(judgments) -> HumanTables:
+    """The `HumanTables` of a sequence of `HumanJudgment`s, as `load_human_judgments` builds them from a file.
 
-    System scores: explicit system-level judgments (segment None, dimension
-    None) win; systems without one fall back to the mean of their overall
-    segment-level scores. When a corpus carries only per-dimension judgments,
-    the mean across all dimensions and samples serves as the overall proxy.
-    The segment tables are keyed by (system, segment). Dimensions come in
-    sorted order; one with only system-level judgments gets an empty table.
+    Raises ValueError where two judgments share a (system, segment,
+    dimension), or a system's scores sum past the float range.
     """
-    explicit: dict[str, float] = {}
-    segment_sums: dict[str, list[float]] = {}
-    dimension_sums: dict[str, list[float]] = {}
-    overall: dict[tuple[str, str], float] = {}
-    by_dimension: dict[str, dict[tuple[str, str], float]] = {}
-    for j in judgments:
-        if j.dimension is not None:
-            dimension_sums.setdefault(j.system, []).append(j.score)
-            table = by_dimension.setdefault(j.dimension, {})
-            if j.segment is not None:
-                table[(j.system, j.segment)] = j.score
-        elif j.segment is None:
-            explicit[j.system] = j.score
-        else:
-            segment_sums.setdefault(j.system, []).append(j.score)
-            overall[(j.system, j.segment)] = j.score
-    if not explicit and not segment_sums:
-        segment_sums = dimension_sums
-    scores = {}
-    for system, values in segment_sums.items():
-        try:
-            scores[system] = mean(values)
-        except ValueError as exc:
-            raise ValueError(f"cannot average the human scores of system {system!r}: {exc}") from None
-    scores.update(explicit)
-    return scores, overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)}
+    builder = _TableBuilder()
+    duplicate = builder.add(*_columns(judgments))
+    if duplicate is not None:
+        raise ValueError(f"duplicate judgment for {duplicate}")
+    return builder.tables()
 
 
-def meta_evaluate_all(
-    scores_by_metric, judgments, name: str | None = None
-) -> list[MetaEvalReport]:
+def meta_evaluate_all(scores_by_metric, human: HumanTables, name: str | None = None) -> list[MetaEvalReport]:
     """One agreement report per metric, in sorted metric order.
 
     `scores_by_metric` maps a metric name to its per-(system, segment)
-    scores. The human side is built from `judgments` once and shared by
-    every metric: the human scores on the keys a metric shares, with their
-    Kendall tie count or their ranks, are computed once per set of keys.
+    scores, and `human` is the `HumanTables` every metric is compared with.
+    Human tables with the same keys share one sorted key tuple. On each such
+    key set, a metric's scores are gathered, and ranked, once; the human
+    scores on the keys a metric shares, with their Kendall tie count or
+    their ranks, are computed once per table and keys.
     """
-    human_system, human_segment, human_dimensions = human_score_tables(judgments)
-    # Sorted once; each metric keeps the keys it shares, still in sorted order.
-    segment_keys = sorted(human_segment)
-    dimension_keys = {dim: sorted(table) for dim, table in human_dimensions.items()}
-    shared = {}
-
-    def human_side(dim, table, keys, summary):
-        """The human scores of `table` on `keys`, and their `summary`, once per dimension and keys."""
-        if (dim, keys) not in shared:
-            values = [table[k] for k in keys]
-            shared[dim, keys] = values, summary(values)
-        return shared[dim, keys]
+    human_system, human_segment, human_dimensions = human
+    # The overall table, then each dimension's: the order of the statistics, and of their errors.
+    tables = {None: human_segment} if human_segment else {}
+    tables.update(human_dimensions)
+    # Key set -> (the first equal key set, its keys sorted): equal key sets
+    # then meet as one object, which dict lookups compare by identity.
+    sorted_keys = {}
+    table_keys = {}
+    for dim, table in tables.items():
+        key_set = frozenset(table)
+        if key_set not in sorted_keys:
+            sorted_keys[key_set] = key_set, tuple(sorted(table))
+        table_keys[dim] = sorted_keys[key_set]
+    human_sides = {}
 
     reports = []
     for metric_name in sorted(scores_by_metric):
@@ -416,22 +481,33 @@ def meta_evaluate_all(
         )
 
         tau = None
-        if human_segment:
-            keys = tuple(k for k in segment_keys if k in metric_segment_scores)
+        spearman_by_dim = {} if human_dimensions else None
+        gathered = {}  # key set -> [the keys the metric shares, its scores on them, their ranks]
+        for dim, table in tables.items():
+            key_set, all_keys = table_keys[dim]
+            side = gathered.get(key_set)
+            if side is None:
+                keys = all_keys
+                if not key_set <= metric_segment_scores.keys():
+                    keys = tuple(filter(metric_segment_scores.__contains__, all_keys))
+                side = gathered[key_set] = [keys, list(map(metric_segment_scores.__getitem__, keys)), None]
+            keys, scores = side[0], side[1]
             if len(keys) < 2:
-                raise ValueError("segment kendall needs at least two common (system, segment) keys")
-            human, ties = human_side(None, human_segment, keys, _tie_pairs)
-            tau = kendall_tau([metric_segment_scores[k] for k in keys], human, ties)
-
-        spearman_by_dim = None
-        if human_dimensions:
-            spearman_by_dim = {}
-            for dim, human_dim in human_dimensions.items():
-                keys = tuple(k for k in dimension_keys[dim] if k in metric_segment_scores)
-                if len(keys) < 2:
-                    raise ValueError(f"dimension {dim!r} shares fewer than two samples")
-                human, ranks = human_side(dim, human_dim, keys, midranks)
-                spearman_by_dim[dim] = spearman([metric_segment_scores[k] for k in keys], human, ranks)
+                if dim is None:
+                    raise ValueError("segment kendall needs at least two common (system, segment) keys")
+                raise ValueError(f"dimension {dim!r} shares fewer than two samples")
+            # A full key tuple is shared by every metric, and not hashed.
+            human_key = (dim, None if keys is all_keys else keys)
+            if human_key not in human_sides:
+                values = list(map(table.__getitem__, keys))
+                human_sides[human_key] = values, (_tie_pairs if dim is None else midranks)(values)
+            human_scores, summary = human_sides[human_key]
+            if dim is None:
+                tau = kendall_tau(scores, human_scores, summary)
+            else:
+                if side[2] is None:
+                    side[2] = midranks(scores)
+                spearman_by_dim[dim] = spearman(scores, human_scores, summary, side[2])
 
         segments = {segment for (_system, segment) in metric_segment_scores}
         reports.append(
@@ -452,14 +528,14 @@ def meta_evaluate_all(
 
 def meta_evaluate(
     metric_segment_scores,
-    judgments,
+    human: HumanTables,
     metric_name: str,
     name: str | None = None,
 ) -> MetaEvalReport:
-    """Build a full agreement report from per-(system, segment) metric scores.
+    """Build a full agreement report from per-(system, segment) metric scores and the human tables.
 
     `metaeval` runs `meta_evaluate_all`, which this calls for one metric; it
     stays only because pipebench/tracer.py wraps it.
     """
-    (report,) = meta_evaluate_all({metric_name: metric_segment_scores}, judgments, name)
+    (report,) = meta_evaluate_all({metric_name: metric_segment_scores}, human, name)
     return report

@@ -452,7 +452,7 @@ class ScoreSettings(record(
     `metrics` is a tuple of metric names and `refs` one of `REF_MODES`.
     `max_refs` caps the generated references per segment (None keeps them
     all); `sweep_refs`, a (low, high) pair, scores each count from low to
-    high instead; `counts` lists the counts scored. `per_reference` makes the
+    high instead; `counts` lists the counts asked for. `per_reference` makes the
     matrix cells single-reference values. `out` and `generated_refs` say
     whether a matrix is written and whether the corpus has generated
     references. `bleu` is a `BleuConfig` (default `BleuConfig()`),
@@ -514,12 +514,15 @@ class ScoreSettings(record(
         ))
 
     @property
-    def counts(self) -> tuple:
-        """The generated-reference counts scored, ascending; None keeps every generated reference."""
+    def counts(self):
+        """The generated-reference counts asked for, ascending; None keeps every generated reference.
+
+        A sweep's counts are a `range`, which holds only its bounds.
+        """
         if self.sweep_refs is None:
             return (self.max_refs,)
         low, high = self.sweep_refs
-        return tuple(range(low, high + 1))
+        return range(low, high + 1)
 
     def scorer(self, words, vocab=None) -> MultiRefScorer:
         """The scorer of these settings.
@@ -544,7 +547,10 @@ def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None 
     `settings` (default `ScoreSettings()`), `refs`, `counts` and
     `per_reference` apply. A segment's references are its gold ones (none
     under refs "generated") followed by the first k of its generated ones
-    (none under refs "gold") for each k of `counts`. Returns
+    (none under refs "gold") for each k of `counts`. A sweep stops at the
+    most generated references a scored segment has, as every larger count
+    scores the same, and one that starts past that number raises ValueError.
+    Returns
     `({(k, system, metric): MetricScore}` in (k, sorted system, metric)
     order, `[(metric, system, segment, cells)]` metric-major, then by system,
     then by segment id). A row's cells are `{"all": value}` against the
@@ -558,11 +564,19 @@ def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None 
     mode, counts, per_reference = settings.refs, settings.counts, settings.per_reference
     metrics = scorer.metrics
     systems = sorted(corpus.systems)
+    segments_by_id = {segment.id: segment for segment in corpus.segments}
+    segment_ids = sorted({sid for outputs in corpus.systems.values() for sid in outputs})
+    if settings.sweep_refs is not None:
+        most = max((len(segments_by_id[sid].generated_refs) for sid in segment_ids), default=0)
+        if counts[0] > most:
+            raise ValueError(
+                f"--sweep-refs starts at {counts[0]}, but no segment has more than {most} generated references"
+            )
+        counts = counts[:most - counts[0] + 1]
     largest = counts[-1]
     parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
     rows = {(metric, system): [] for metric in metrics for system in systems}
-    segments_by_id = {segment.id: segment for segment in corpus.segments}
-    for segment_id in sorted({sid for outputs in corpus.systems.values() for sid in outputs}):
+    for segment_id in segment_ids:
         segment = segments_by_id[segment_id]
         gold = () if mode == "generated" else segment.gold_refs
         generated = () if mode == "gold" else segment.generated_refs[:largest]

@@ -4,9 +4,11 @@ Everything here is written from the scoring definitions by direct
 enumeration: n-grams are materialized as explicit lists and counted with
 list.count, LCS uses a full DP table, the correlation statistics run over
 every pair, and the subword oracle tries every vocabulary entry at every
-position. Nothing imports from the package under test.
+position. The JSONL readers decode each line with `json.loads` and check
+each rule of the format in turn. Nothing imports from the package under test.
 """
 
+import json
 import math
 import unicodedata
 
@@ -345,3 +347,180 @@ def combine_row(values, kind, k=None):
     if kind == "mean":
         return sum(ordered) / len(ordered)
     return sum(ordered[:k]) / k
+
+
+# --------------------------------------------------------- JSONL file readers
+# The matrix and human-judgment files read with `json.loads` per line, each
+# rule of the format checked in turn. A file the package rejects raises
+# `Rejected`, whose message is the package's, `path:line: reason`.
+
+
+class Rejected(Exception):
+    """A rejected file; the message is `path:line: reason` or `path: reason`."""
+
+
+_JSON_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+                    str: "string", list: "array", dict: "object"}
+
+
+def _json_objects(path, what):
+    """(line number, object) of each non-blank line of a JSONL file, past one leading byte-order mark."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    pieces = data.split(b"\n")
+    raws = [piece + b"\n" for piece in pieces[:-1]] + ([pieces[-1]] if pieces[-1] else [])
+    for lineno, raw in enumerate(raws, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise Rejected(f"{path}:{lineno}: invalid {what}: bad JSON: {exc}") from None
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            raise Rejected(f"{path}:{lineno}: invalid {what}: {exc}") from None
+        if type(value) is not dict:
+            raise Rejected(f"{path}:{lineno}: invalid {what}: record must be a JSON object, got "
+                           f"{_JSON_TYPE_NAMES[type(value)]}")
+        yield lineno, value
+
+
+class _Bad(Exception):
+    """One field's reason for rejecting a line."""
+
+
+def _field(record, name):
+    if name not in record:
+        raise _Bad(repr(name))
+    return record[name]
+
+
+def _id(value, name):
+    if type(value) is str:
+        return value
+    if type(value) is not int:
+        raise _Bad(f"{name} must be a string or an integer, got {_JSON_TYPE_NAMES[type(value)]}")
+    return str(value)
+
+
+def _to_float(value):
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Bad("int too large to convert to float") from None
+
+
+def _number(value, name):
+    if type(value) not in (int, float):
+        raise _Bad(f"{name} must be a number, got {_JSON_TYPE_NAMES[type(value)]}")
+    number = _to_float(value)
+    if not math.isfinite(number):
+        raise _Bad(f"{name} must be finite, got {number}")
+    return number
+
+
+def _mean(values):
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise _Bad(f"the sum of {len(values)} scores overflows") from None
+
+
+def reduce_row(values, kind, k=None):
+    """`combine_row`, with the package's errors: a k past the row, or a sum past the float range."""
+    if kind == "max":
+        return max(values)
+    if kind == "top_k_mean":
+        if k > len(values):
+            raise _Bad(f"k={k} exceeds the {len(values)} available scores")
+        values = sorted(values, reverse=True)[:k]
+    return _mean(values)
+
+
+def _matrix_row(record):
+    """(metric, system, segment, {ref: float}) of one matrix record."""
+    metric = _id(_field(record, "metric"), "metric")
+    system = _id(_field(record, "system"), "system")
+    segment = _id(_field(record, "segment"), "segment")
+    cells = _field(record, "scores")
+    if type(cells) is not dict:
+        raise _Bad(f"'{type(cells).__name__}' object has no attribute 'values'")
+    if any(type(v) not in (int, float) for v in cells.values()):
+        # Each cell in turn: a number, convertible, finite.
+        for ref, value in cells.items():
+            _number(value, f"score {ref!r}")
+    floats = {ref: _to_float(value) for ref, value in cells.items()}
+    if not floats:
+        raise _Bad("matrix row must have at least one score")
+    for ref, value in floats.items():
+        if not math.isfinite(value):
+            raise _Bad(f"non-finite score for ({system}, {segment}, {ref})")
+    return metric, system, segment, floats
+
+
+def read_matrix(path, kind=None, k=None):
+    """`{metric: {(system, segment): row}}` of a matrix file, in file order.
+
+    A row is its `{ref: score}` cells, or with `kind` their `reduce_row`.
+    """
+    matrices = {}
+    for lineno, record in _json_objects(path, "matrix row"):
+        try:
+            metric, system, segment, cells = _matrix_row(record)
+        except _Bad as exc:
+            raise Rejected(f"{path}:{lineno}: invalid matrix row: {exc}") from None
+        rows = matrices.setdefault(metric, {})
+        if (system, segment) in rows:
+            raise Rejected(f"{path}:{lineno}: duplicate matrix row for {(system, segment)}")
+        try:
+            rows[system, segment] = cells if kind is None else reduce_row(list(cells.values()), kind, k)
+        except _Bad as exc:
+            raise Rejected(f"{path}:{lineno}: cannot combine row: {exc}") from None
+    return matrices
+
+
+def read_human(path):
+    """(system scores, overall segment table, {dimension: segment table}) of a human-judgment file.
+
+    An explicit system-level judgment wins; other systems take the mean of
+    their overall segment-level scores, or, where the file holds neither
+    kind, of all their dimension scores. Dimensions come sorted, each with
+    the table of its segment-level judgments.
+    """
+    judgments = []
+    seen = set()
+    for lineno, record in _json_objects(path, "judgment"):
+        try:
+            system = _id(_field(record, "system"), "system")
+            score = _number(_field(record, "score"), "score")
+            segment = None if record.get("segment") is None else _id(record["segment"], "segment")
+            dimension = None if record.get("dimension") is None else _id(record["dimension"], "dimension")
+        except _Bad as exc:
+            raise Rejected(f"{path}:{lineno}: invalid judgment: {exc}") from None
+        key = (system, segment, dimension)
+        if key in seen:
+            raise Rejected(f"{path}:{lineno}: duplicate judgment for {key}")
+        seen.add(key)
+        judgments.append(key + (score,))
+    explicit = {s: v for s, g, d, v in judgments if g is None and d is None}
+    overall = {(s, g): v for s, g, d, v in judgments if g is not None and d is None}
+    dimensions = {d: {} for d in sorted({d for _, _, d, _ in judgments if d is not None})}
+    for s, g, d, v in judgments:
+        if d is not None and g is not None:
+            dimensions[d][s, g] = v
+    averaged = [(s, v) for s, g, d, v in judgments if g is not None and d is None]
+    if not explicit and not averaged:
+        averaged = [(s, v) for s, g, d, v in judgments if d is not None]
+    by_system = {}
+    for s, v in averaged:
+        by_system.setdefault(s, []).append(v)
+    scores = {}
+    for s, values in by_system.items():
+        try:
+            scores[s] = _mean(values)
+        except _Bad as exc:
+            raise Rejected(f"{path}: cannot average the human scores of system {s!r}: {exc}") from None
+    scores.update(explicit)
+    return scores, overall, dimensions

@@ -451,9 +451,10 @@ class TestScore:
         assert code == 0
         series = json.loads(summary_path.read_text())["sweep"]
         # One row per (count, system, metric), in that order; metrics as given.
+        # Each segment has 3 generated references, so the series stops at 3.
         assert [(r["refs"], r["system"], r["metric"]) for r in series] == [
             (k, system, metric)
-            for k in (1, 2, 3, 4, 5)
+            for k in (1, 2, 3)
             for system in ("copy", "noise")
             for metric in ("chrf", "bleu")
         ]
@@ -1063,6 +1064,18 @@ class TestMetaeval:
         (report,) = json.loads(report_path.read_text())
         assert report["spearman"]["coherence"] == pytest.approx(1.0)
         assert report["spearman"]["fluency"] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_a_human_file_without_judgments_is_named(self, tmp_path, jsonl_writer, capsys, content):
+        # It failed at the matrix, as "cannot evaluate against <human>:
+        # pairwise accuracy needs at least two common systems".
+        matrix = tmp_path / "matrix.jsonl"
+        human = tmp_path / "human.jsonl"
+        jsonl_writer(matrix, [{"system": s, "segment": "s1", "scores": {"r": v}, "metric": "m"}
+                              for s, v in (("A", 0.9), ("B", 0.5))])
+        human.write_text(content, encoding="utf-8")
+        assert main(["metaeval", "--matrix", str(matrix), "--human", str(human)]) == 1
+        assert capsys.readouterr().err == f"multiref: error: no judgments found in {human}\n"
 
     def test_degenerate_human_reported(self, tmp_path, jsonl_writer, capsys):
         matrix = tmp_path / "matrix.jsonl"

@@ -1,9 +1,10 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,6 +14,7 @@ from multiref.combine import (
     load_combined,
     load_score_matrices,
     system_scores,
+    write_combined,
     write_score_matrix,
 )
 from multiref.errors import CorpusFormatError
@@ -377,3 +379,78 @@ class TestLoadCombined:
         assert str(err.value) == (
             f"{path}:2: cannot combine row: k=3 exceeds the 2 available scores"
         )
+
+
+def outcome(read, *args):
+    """`repr` of what `read(*args)` returns (so a 1 is not a 1.0), or the message of the file error it raises."""
+    try:
+        return repr(read(*args))
+    except (CorpusFormatError, oracles.Rejected) as exc:
+        return f"error: {exc}"
+
+
+MISSING = object()
+# Mostly well-formed values, so that most files get past their first lines.
+matrix_fields = {
+    "metric": st.sampled_from(["m", "n", 7] * 8 + [MISSING, None, True, 1.5, []]),
+    "system": st.sampled_from(["a", "b", "\u732b", 1] * 8 + [MISSING, None, False, 2.5, {}]),
+    "segment": st.sampled_from(["s", "t", 2] * 8 + [MISSING, None, True, "", [1]]),
+}
+cell_values = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0, 3, -0.0, 1e308, -1e308, 5e-324, 10**400, -(10**400), True, False, None, "1", [], {},
+                     math.nan, math.inf, -math.inf]),
+)
+cell_maps = st.dictionaries(st.sampled_from(["r0", "r1", "gold:0", "gen:1", "\u732b"]), cell_values, max_size=4)
+matrix_records = st.fixed_dictionaries({
+    **matrix_fields,
+    "scores": st.one_of(cell_maps, cell_maps, cell_maps, st.sampled_from([MISSING, None, 1.0, "x", [1.0]])),
+}).map(lambda record: {k: v for k, v in record.items() if v is not MISSING})
+matrix_lines = st.one_of(
+    *[matrix_records.map(json.dumps)] * 6,
+    st.sampled_from(["", "  ", "[]", "1", "{", '{"metric": "m"} x', "\ufeff{}", "{" * 2000]),
+)
+
+
+class TestMatrixReaderOracle:
+    """Both matrix loaders return, or fail with, what `oracles.read_matrix` gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(matrix_lines, max_size=8), kind=st.sampled_from(["max", "mean", "top_k_mean"]),
+           k=st.integers(1, 3), bom=st.booleans(), end=st.sampled_from(["\n", "\r\n"]))
+    def test_loaders_match_the_oracle(self, lines, kind, k, bom, end):
+        policy = CombinePolicy(kind, k if kind == "top_k_mean" else None)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "matrix.jsonl"
+            path.write_bytes((("\ufeff" if bom else "") + "".join(line + end for line in lines)).encode("utf-8"))
+            assert outcome(load_score_matrices, path) == outcome(oracles.read_matrix, path)
+            assert outcome(load_combined, path, policy) == outcome(oracles.read_matrix, path, kind, policy.k)
+
+    def test_a_line_that_is_not_utf8_fails_as_the_oracle_does(self, tmp_path):
+        path = tmp_path / "matrix.jsonl"
+        path.write_bytes(b'{"system": "a", "segment": "s", "scores": {"r": 1.0}, "metric": "m"}\n{"x": "\xe2\x82"}\n')
+        assert outcome(load_combined, path) == outcome(oracles.read_matrix, path, "max")
+        assert outcome(load_combined, path).startswith(f"error: {path}:2: invalid matrix row: 'utf-8' codec")
+
+
+text_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(text_ids, st.dictionaries(st.tuples(text_ids, text_ids),
+                                                 st.floats(allow_nan=False, allow_infinity=False), max_size=5),
+                       max_size=3))
+@example({"m": {("a", "s"): -0.0, ("b", "s"): 5e-324, ("c", "s"): 1e16, ("d", "s"): 1.7976931348623157e308}})
+@example({'"\\\u2028': {("\x00\x1f\x7f", "\u732b\U0001F600"): 0.1}})
+def test_combined_lines_are_what_json_writes(combined):
+    # Lone surrogates are left out: no UTF-8 file can hold them.
+    expected = "".join(
+        json.dumps({"system": system, "segment": segment, "score": score, "metric": metric}, ensure_ascii=False) + "\n"
+        for metric in sorted(combined)
+        for (system, segment), score in combined[metric].items()
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "combined.jsonl"
+        write_combined(path, combined)
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -248,7 +248,7 @@ class TestSpearman:
 def segment_kendall(metric_scores, human_scores):
     """The segment-level Kendall tau of `meta_evaluate_all` on segment-level human scores."""
     judgments = [HumanJudgment(system, score, segment) for (system, segment), score in human_scores.items()]
-    (report,) = meta_evaluate_all({"m": metric_scores}, judgments)
+    (report,) = meta_evaluate_all({"m": metric_scores}, human_score_tables(judgments))
     return report.kendall
 
 
@@ -326,8 +326,7 @@ class TestHumanJudgmentIo:
                 {"system": "b", "segment": "s1", "score": 1.0},
             ],
         )
-        judgments = load_human_judgments(path)
-        scores = human_score_tables(judgments)[0]
+        scores = load_human_judgments(path).system
         assert scores["a"] == pytest.approx(3.0)
         assert scores["b"] == 9.0  # explicit system-level judgment wins
 
@@ -361,6 +360,15 @@ def _judgment_lines(n, start=0):
         json.dumps({"system": f"sys{i % 7}", "segment": f"seg{i // 7:05d}", "dimension": None, "score": i % 5 + 0.5})
         for i in range(start, start + n)
     ]
+
+
+def _tables_by_line(path):
+    """The tables of `_judgments_by_line(path)`, failing at `path` as `load_human_judgments` does."""
+    judgments = metaeval._judgments_by_line(path)
+    try:
+        return human_score_tables(judgments)
+    except ValueError as exc:
+        raise CorpusFormatError(str(exc), str(path)) from None
 
 
 def _loaded(load, path):
@@ -416,14 +424,14 @@ class TestChunkedJudgments:
             lines[5:5] = ["", "  ", "\t"]
             lines.append("")
         path = self.write(tmp_path / "human.jsonl", lines, end, head)
-        expected = metaeval._judgments_by_line(path)
+        judgments = metaeval._judgments_by_line(path)
 
         def no_second_read(path):
             raise AssertionError("a valid file was read again line by line")
 
         monkeypatch.setattr(metaeval, "_judgments_by_line", no_second_read)
-        assert list(map(repr, load_human_judgments(path))) == list(map(repr, expected))
-        assert expected[3] == HumanJudgment("12", 3.0, "4", "5")
+        assert repr(load_human_judgments(path)) == repr(human_score_tables(judgments))
+        assert judgments[3] == HumanJudgment("12", 3.0, "4", "5")
 
     MISSING = object()
     good_records = st.fixed_dictionaries({
@@ -478,9 +486,71 @@ class TestChunkedJudgments:
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
             path = Path(directory) / "human.jsonl"
             path.write_bytes(data)
-            expected = _loaded(metaeval._judgments_by_line, path)
+            expected = _loaded(_tables_by_line, path)
             patch.setattr(corpus_io, "JSONL_CHUNK_BYTES", chunk_bytes)
             assert _loaded(load_human_judgments, path) == expected
+
+
+def _tables(load, path):
+    """`repr` of the tables `load(path)` returns, with the type of each score, or the message it raises."""
+    try:
+        system, segment, dimensions = load(path)
+    except (CorpusFormatError, oracles.Rejected) as exc:
+        return f"error: {exc}"
+    tables = [system, segment, *dimensions.values()]
+    return repr((system, segment, dimensions)), [type(v) for table in tables for v in table.values()]
+
+
+class TestHumanTablesOracle:
+    """`load_human_judgments` returns, or fails with, what `oracles.read_human` gives."""
+
+    MISSING = object()
+    # Mostly well-formed values, so that most files get past their first lines.
+    records = st.fixed_dictionaries({
+        "system": st.sampled_from(["a", "b", 1, "\u732b"] * 6 + [MISSING, None, True, 1.5, []]),
+        "segment": st.sampled_from([MISSING, None, "s1", "s2", 3] * 6 + [False, 2.5, {}]),
+        "dimension": st.sampled_from([MISSING, None, None, "fluency", 7] * 6 + [True, [], 0.5]),
+        "score": st.one_of(
+            st.floats(-10, 10), st.integers(-5, 5),
+            st.sampled_from([-0.0, 1e308, -1e308, 4e-320, 10**400, MISSING, True, None, "5", math.nan, math.inf]),
+        ),
+    }).map(lambda r: {k: v for k, v in r.items() if v is not TestHumanTablesOracle.MISSING})
+    lines = st.one_of(
+        *[records.map(json.dumps)] * 6,
+        st.sampled_from(["", "  ", "[]", "null", "{", '{"system": "a", "score": 1} {}', "\ufeff{}"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(lines, max_size=12), bom=st.booleans(), end=st.sampled_from(["\n", "\r\n"]),
+           chunk_bytes=st.sampled_from([1, 60, 1 << 16]))
+    def test_loader_matches_the_oracle(self, lines, bom, end, chunk_bytes):
+        with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+            path = Path(directory) / "human.jsonl"
+            path.write_bytes((("\ufeff" if bom else "") + "".join(line + end for line in lines)).encode("utf-8"))
+            patch.setattr(corpus_io, "JSONL_CHUNK_BYTES", chunk_bytes)
+            assert _tables(load_human_judgments, path) == _tables(oracles.read_human, path)
+
+    @pytest.mark.parametrize("judgments", [
+        [{"system": s, "segment": g, "score": 1e308} for s in ("b", "a") for g in ("s1", "s2")],
+        [{"system": "b", "segment": "s1", "dimension": "x", "score": 1e308},
+         {"system": "a", "segment": None, "dimension": "x", "score": 1e308},
+         {"system": "a", "segment": "s1", "dimension": "y", "score": 1e308},
+         {"system": "b", "segment": None, "dimension": "y", "score": 1e308}],
+    ], ids=["overall", "dimensions-only"])
+    def test_an_overflowing_mean_fails_at_the_human_file(self, tmp_path, jsonl_writer, judgments):
+        path = tmp_path / "human.jsonl"
+        jsonl_writer(path, judgments)
+        assert _tables(load_human_judgments, path) == _tables(oracles.read_human, path)
+        assert _tables(load_human_judgments, path) == (
+            f"error: {path}: cannot average the human scores of system 'b': the sum of 2 scores overflows"
+        )
+
+    def test_the_three_kinds_share_their_key_tuples(self, tmp_path, jsonl_writer):
+        path = tmp_path / "human.jsonl"
+        jsonl_writer(path, [{"system": "a", "segment": "s1", "dimension": d, "score": 1.0} for d in (None, "x", "y")])
+        _, segment, dimensions = load_human_judgments(path)
+        (key,) = segment
+        assert all(next(iter(table)) is key for table in dimensions.values())
 
 
 class TestMetaEvaluate:
@@ -501,7 +571,7 @@ class TestMetaEvaluate:
         return scores
 
     def test_perfect_agreement(self):
-        report = meta_evaluate(self.metric_scores(), self.judgments(), "bleu", name="xx-yy")
+        report = meta_evaluate(self.metric_scores(), human_score_tables(self.judgments()), "bleu", name="xx-yy")
         assert report.pairwise_accuracy == 1.0
         assert report.pearson == pytest.approx(1.0, abs=1e-9)
         assert report.kendall is not None and report.kendall > 0.9
@@ -521,7 +591,7 @@ class TestMetaEvaluate:
             HumanJudgment("bad", 1.0, None, None),
         ]
         metric = {("good", "s1"): 0.9, ("bad", "s1"): 0.1}
-        report = meta_evaluate(metric, judgments, "rouge1")
+        report = meta_evaluate(metric, human_score_tables(judgments), "rouge1")
         assert report.spearman == {"coherence": -1.0, "fluency": 1.0}
 
     def test_dimensions_only_corpus_still_reports(self):
@@ -533,7 +603,7 @@ class TestMetaEvaluate:
             HumanJudgment("bad", 1.3, "s1", "fluency"),
         ]
         metric = {("good", "s1"): 0.8, ("bad", "s1"): 0.2}
-        report = meta_evaluate(metric, judgments, "rouge2")
+        report = meta_evaluate(metric, human_score_tables(judgments), "rouge2")
         assert report.pairwise_accuracy == 1.0
         assert set(report.spearman) == {"coherence", "fluency"}
         assert report.kendall is None
@@ -544,7 +614,7 @@ class TestMetaEvaluate:
             HumanJudgment("bad", 1.0, None, None),
         ]
         with pytest.raises(DegenerateDataError):
-            meta_evaluate({("good", "s1"): 1.0, ("bad", "s1"): 0.0}, judgments, "bleu")
+            meta_evaluate({("good", "s1"): 1.0, ("bad", "s1"): 0.0}, human_score_tables(judgments), "bleu")
 
     def test_report_validates_ranges(self):
         with pytest.raises(ValueError):
@@ -574,11 +644,12 @@ class TestMetaEvaluateAll:
         }
 
     def check(self, scores_by_metric, judgments, human_system, human_segment, human_dims):
-        reports = meta_evaluate_all(scores_by_metric, judgments, name="xx-yy")
+        human = human_score_tables(judgments)
+        reports = meta_evaluate_all(scores_by_metric, human, name="xx-yy")
         assert [r.metric for r in reports] == sorted(scores_by_metric)
         for report in reports:
             metric_scores = scores_by_metric[report.metric]
-            alone = meta_evaluate(metric_scores, judgments, report.metric, name="xx-yy")
+            alone = meta_evaluate(metric_scores, human, report.metric, name="xx-yy")
             assert report._asdict() == alone._asdict()
 
             by_system = {}
@@ -649,7 +720,7 @@ class TestMetaEvaluateAll:
                              human_dims)
         assert [r.n_systems for r in reports] == [4, 5, 5]
 
-    def test_human_side_is_ranked_once_per_dimension(self, rng, monkeypatch):
+    def test_scores_are_ranked_once_per_key_set(self, rng, monkeypatch):
         judgments = []
         human_dims = {dim: {} for dim in self.dimensions}
         for system in self.systems:
@@ -664,15 +735,19 @@ class TestMetaEvaluateAll:
         rank, count_ties = metaeval.midranks, metaeval._tie_pairs
         monkeypatch.setattr(metaeval, "midranks", lambda values: ranked.append(values) or rank(values))
         monkeypatch.setattr(metaeval, "_tie_pairs", lambda values: tie_counts.append(values) or count_ties(values))
-        reports = meta_evaluate_all(scores_by_metric, judgments)
-        # Each metric's scores are ranked once per dimension; the human side once in all.
+        human = human_score_tables(judgments)
+        reports = meta_evaluate_all(scores_by_metric, human)
+        # Every table has the same keys: each metric's scores are ranked once,
+        # and each dimension's human scores once in all.
         for dim, table in human_dims.items():
             assert ranked.count([table[k] for k in keys]) == 1
-        assert len(ranked) == len(self.dimensions) * (len(scores_by_metric) + 1)
+        for scores in scores_by_metric.values():
+            assert ranked.count([scores[k] for k in keys]) == 1
+        assert len(ranked) == len(self.dimensions) + len(scores_by_metric)
         assert len(tie_counts) == 1
         monkeypatch.undo()
         for report in reports:
-            alone = meta_evaluate(scores_by_metric[report.metric], judgments, report.metric)
+            alone = meta_evaluate(scores_by_metric[report.metric], human, report.metric)
             assert report._asdict() == alone._asdict()
 
     def test_no_segment_level_human_scores_means_no_kendall(self, rng):

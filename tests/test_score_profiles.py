@@ -10,7 +10,10 @@ import ast
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -228,6 +231,10 @@ def check_score_corpus(oracle, scorer, corpus, score_settings):
     reference mode, the counts and `per_reference`.
     """
     mode, counts, per_reference = score_settings.refs, score_settings.counts, score_settings.per_reference
+    if score_settings.sweep_refs is not None:
+        # A sweep stops at the most generated references a segment has.
+        most = max(len(generated) for _, generated, _ in corpus.values())
+        counts = [k for k in counts if k <= most]
     scores, rows = score_corpus(scorer, eval_corpus(corpus), score_settings)
     systems = sorted({system for _, _, hyps in corpus.values() for system in hyps})
     assert list(scores) == [(k, system, metric)
@@ -436,6 +443,63 @@ def test_sweep_matches_separate_max_refs_runs(tmp_path, mode):
                 assert series[k, metric, system] == score, (k, metric, system)
 
 
+def run_sweep(paths, spec):
+    """(exit code, stdout, stderr) of `score --sweep-refs spec` on `write_corpus` paths."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["score", "--segments", str(paths["segments"]), "--outputs", str(paths["outputs"]),
+                     "--generated-refs", str(paths["refs"]), "--metrics", "bleu,chrf", "--sweep-refs", spec])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_sweep_stops_at_the_most_generated_references(tmp_path):
+    # Every count past a segment's largest reference set scores the same, so
+    # 1..25 used to print counts 21..25 as copies of 20.
+    corpus = random_corpus(5, segments=3, generated=20)
+    corpus["seg0"] = (corpus["seg0"][0], corpus["seg0"][1][:7], corpus["seg0"][2])
+    paths = write_corpus(tmp_path, corpus)
+    code, table, _ = run_sweep(paths, "1..25")
+    assert code == 0
+    assert (code, table) == run_sweep(paths, "1..20")[:2]
+    assert {int(line.split()[2]) for line in table.splitlines()[2:]} == set(range(1, 21))
+
+
+def test_a_sweep_past_every_segment_is_rejected(tmp_path):
+    paths = write_corpus(tmp_path, random_corpus(5, segments=2, generated=4))
+    assert run_sweep(paths, "5..9") == (
+        1, "", "multiref: error: --sweep-refs starts at 5, but no segment has more than 4 generated references\n"
+    )
+
+
+def test_a_huge_sweep_ends_at_once_under_a_memory_cap(tmp_path):
+    # `--sweep-refs 1..1000000000` listed every count first: under this cap it
+    # ended in a MemoryError traceback, and without one it ran out of memory.
+    resource = pytest.importorskip("resource")
+    paths = write_corpus(tmp_path, random_corpus(6, segments=2, generated=4))
+    cap = 1_500_000_000
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    # The command must finish within a 1-s timer, whose signal ends the process.
+    child = (
+        "import resource, signal, sys\n"
+        "from multiref.cli import main\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+        "signal.setitimer(signal.ITIMER_REAL, 1.0)\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    src = Path(multiref.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "score", "--segments", str(paths["segments"]),
+         "--outputs", str(paths["outputs"]), "--generated-refs", str(paths["refs"]),
+         "--metrics", "bleu", "--sweep-refs", "1..1000000000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert {int(line.split()[2]) for line in proc.stdout.splitlines()[2:]} == {1, 2, 3, 4}
+
+
 def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, monkeypatch):
     seen = []
 
@@ -576,7 +640,8 @@ def test_score_settings_rejects_bad_counts(counts, message):
 def test_score_settings_counts():
     assert ScoreSettings().counts == (None,)
     assert ScoreSettings(max_refs=3).counts == (3,)
-    assert ScoreSettings(sweep_refs=[2, 4]).counts == (2, 3, 4)
+    assert list(ScoreSettings(sweep_refs=[2, 4]).counts) == [2, 3, 4]
+    assert len(ScoreSettings(sweep_refs=(1, 10**18)).counts) == 10**18
     assert ScoreSettings(refs="gold", generated_refs=False).counts == (None,)
 
 
