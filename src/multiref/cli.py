@@ -386,7 +386,7 @@ def cmd_score(args) -> int:
         records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
         corpus = corpus_io.merge_references(corpus, records)
 
-    scores, rows = score_corpus(scorer, corpus, settings)
+    scores, rows = score_corpus(scorer, corpus)
     if settings.sweep_refs is not None:
         series = [
             {"metric": metric, "system": system, "refs": k, "score": score.value}

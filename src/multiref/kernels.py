@@ -32,6 +32,8 @@ from collections import Counter
 from itertools import repeat
 from operator import add
 
+from .records import is_count
+
 
 #: The largest n-gram order any metric counts. The defaults are 4 (BLEU) and 6
 #: (chrF, distinct-n), so 32 leaves room for any order in use. `Profile` and
@@ -43,7 +45,9 @@ MAX_ORDER = 32
 
 
 def check_order(n: int, name: str) -> None:
-    """Reject an n-gram order outside 1..MAX_ORDER, naming it `name` in the message."""
+    """Reject an n-gram order that is not an integer in 1..MAX_ORDER, naming it `name` in the message."""
+    if not is_count(n):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {n}")
     if n > MAX_ORDER:

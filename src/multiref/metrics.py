@@ -7,12 +7,11 @@ against its best reference, and ROUGE takes the maximum F1 over references.
 """
 
 import math
-from collections.abc import Callable, Sequence
 from functools import partial, reduce
 from operator import add
 
 from . import kernels
-from .records import record
+from .records import is_count, record
 from .textproc import tokenize_chars, tokenize_pieces, tokenize_subwords, tokens_of
 
 SMOOTHING_METHODS = ("none", "exp")
@@ -171,12 +170,12 @@ def _chrf_fscore(match, hyp_total, ref_total, beta: float):
 def rouge_n(hyp, refs, n: int) -> MetricScore:
     """ROUGE-N: max clipped-overlap F1 over the reference set."""
     kernels.check_order(n, "n-gram order")
-    return _part(MultiRefScorer([f"rouge{n}"], words=tuple), f"rouge{n}", *_token_pair(hyp, refs))
+    return _part(_token_scorer(f"rouge{n}"), *_token_pair(hyp, refs))
 
 
 def rouge_l(hyp, refs) -> MetricScore:
     """ROUGE-L: max LCS-based F1 over the reference set."""
-    return _part(MultiRefScorer(["rougeL"], words=tuple), "rougeL", *_token_pair(hyp, refs))
+    return _part(_token_scorer("rougeL"), *_token_pair(hyp, refs))
 
 
 # ------------------------------------------------- shared reference profiles
@@ -220,43 +219,30 @@ class MultiRefScorer:
     pair). `segment` builds every statistic of a segment once; `corpus` sums
     the per-segment parts that `SegmentScores.joint` returns into the corpus
     score, and a segment's BLEU `CorpusStats` is its bleu part. ROUGE's
-    corpus value is the mean segment value. Besides `METRICS`, it scores
-    ROUGE-N of any order n in 1..`kernels.MAX_ORDER` under the name
-    "rouge<n>"; each metric may be named once. `words` and `pieces` map a
-    text (any hashable value they accept) to its word and subword tokens; the
-    word-level metrics (bleu and ROUGE) need `words` and spbleu needs
-    `pieces`. chrF takes characters from `tokenize_chars`, honouring
-    `lowercase`.
+    corpus value is the mean segment value.
+
+    `settings`, a `ScoreSettings` (default `ScoreSettings()`), is the one
+    record of what is scored and how: its metrics, BLEU config, chrF order
+    and beta, and `lowercase`. The scorer keeps it as `self.settings`, so the
+    object that computes a score also describes it, and holds no copy of any
+    of its fields. `words` and `pieces` map a text (any hashable value they
+    accept) to its word and subword tokens; the word-level metrics (bleu and
+    ROUGE) need `words` and spbleu needs `pieces`. chrF takes characters from
+    `tokenize_chars`, honouring `lowercase`.
     """
 
-    def __init__(
-        self,
-        metrics: Sequence[str],
-        bleu_cfg: BleuConfig | None = None,
-        chrf_order: int = DEFAULT_CHRF_ORDER,
-        chrf_beta: float = DEFAULT_CHRF_BETA,
-        lowercase: bool = False,
-        words: Callable[[str], Sequence[str]] | None = None,
-        pieces: Callable[[str], Sequence[str]] | None = None,
-    ):
-        self.metrics = tuple(metrics)
-        _check_metrics(self.metrics)
-        kernels.check_order(chrf_order, "chrf_order")
-        _check_chrf_beta(chrf_beta)
-        self.bleu_cfg = bleu_cfg or BleuConfig()
-        self.chrf_order = chrf_order
-        self.chrf_beta = chrf_beta
-        self.lowercase = lowercase
+    def __init__(self, settings: "ScoreSettings | None" = None, words=None, pieces=None):
+        self.settings = settings = ScoreSettings() if settings is None else settings
         # Highest word n-gram order any metric counts; None when no metric uses words.
         orders = [
-            self.bleu_cfg.max_order if m == "bleu" else _rouge_n_order(m) or 0
-            for m in self.metrics
+            settings.bleu.max_order if m == "bleu" else _rouge_n_order(m) or 0
+            for m in settings.metrics
             if m == "bleu" or m.startswith("rouge")
         ]
         self.word_order = max(orders) if orders else None
         if words is None and self.word_order is not None:
             raise ValueError("bleu and ROUGE need a word tokenizer")
-        if pieces is None and "spbleu" in self.metrics:
+        if pieces is None and "spbleu" in settings.metrics:
             raise ValueError("spbleu needs a subword tokenizer")
         self.words = words
         self.pieces = pieces
@@ -270,14 +256,15 @@ class MultiRefScorer:
         if not parts:
             raise ValueError("at least one (hypothesis, references) pair is required")
         if metric in ("bleu", "spbleu"):
-            stats = CorpusStats.zero(self.bleu_cfg.max_order)
+            cfg = self.settings.bleu
+            stats = CorpusStats.zero(cfg.max_order)
             for part in parts:
                 stats = stats + part
-            return _bleu_from_stats(stats, self.bleu_cfg)
+            return _bleu_from_stats(stats, cfg)
         if metric == "chrf":
             # Each part is the best reference's (match, hyp_total, ref_total).
             sums = [[sum(col) for col in zip(*lists)] for lists in zip(*parts)]
-            score, per_order, used = _chrf_fscore(*sums, self.chrf_beta)
+            score, per_order, used = _chrf_fscore(*sums, self.settings.chrf_beta)
             return MetricScore(score * 100.0, per_order, {"orders_used": float(used)})
         # ROUGE has no closed corpus form; report the mean segment score, added left to
         # right: `sum` compensates rounding from Python 3.12 on, so its mean varies by version.
@@ -306,14 +293,15 @@ class SegmentScores:
         slot = {text: i for i, text in enumerate(self.refs)}
         self._slots = [slot[text] for text in refs]
         texts = list(dict.fromkeys([*hyps.values(), *self.refs]))
+        settings = scorer.settings
         self._profiles = {}
         if scorer.word_order is not None:
             self._profiles["words"] = {
                 t: kernels.Profile(tuple(scorer.words(t)), scorer.word_order) for t in texts
             }
-        if "spbleu" in scorer.metrics:
+        if "spbleu" in settings.metrics:
             self._profiles["pieces"] = {
-                t: kernels.Profile(tuple(scorer.pieces(t)), scorer.bleu_cfg.max_order) for t in texts
+                t: kernels.Profile(tuple(scorer.pieces(t)), settings.bleu.max_order) for t in texts
             }
         # metric -> (references counted, clip table, their lengths), grown by `joint`.
         self._clips = {}
@@ -321,9 +309,9 @@ class SegmentScores:
         self._counted = {}
         # metric -> system -> (score in [0, 1], statistic) per distinct reference.
         self._pairs = {}
-        for metric in scorer.metrics:
+        for metric in settings.metrics:
             if metric == "chrf":
-                beta = scorer.chrf_beta
+                beta = settings.chrf_beta
                 self._pairs[metric] = {
                     system: [(_chrf_fscore(*stats, beta)[0], stats) for stats in counts]
                     for system, counts in self._counts("chars").items()
@@ -341,11 +329,11 @@ class SegmentScores:
         if granularity in self._counted:
             return self._counted[granularity]
         if granularity == "chars":
-            scorer = self.scorer
+            settings = self.scorer.settings
 
             def profile(text):
-                chars = "".join(tokenize_chars(text, lowercase=scorer.lowercase))
-                return kernels.Profile(chars, scorer.chrf_order)
+                chars = "".join(tokenize_chars(text, lowercase=settings.lowercase))
+                return kernels.Profile(chars, settings.chrf_order)
         else:
             profile = self._profiles[granularity].__getitem__
         hyps = {text: profile(text) for text in dict.fromkeys(self.hyps.values())}
@@ -387,7 +375,7 @@ class SegmentScores:
         """
         slots = self._slots[:n_refs]
         if metric in ("bleu", "spbleu"):
-            cfg = self.scorer.bleu_cfg
+            cfg = self.scorer.settings.bleu
             profiles = self._profiles["words" if metric == "bleu" else "pieces"]
             # Counts come in ascending order, so each clip table grows from the
             # last one by the keys of the references it lacks.
@@ -422,7 +410,7 @@ class SegmentScores:
     def per_reference(self, system: str, metric: str) -> list[float]:
         """Single-reference segment values, one per reference as given."""
         if metric in ("bleu", "spbleu"):
-            cfg = self.scorer.bleu_cfg
+            cfg = self.scorer.settings.bleu
             n = cfg.max_order
             # Against one reference, its length is the brevity-penalty length: totals[0].
             values = [
@@ -436,10 +424,6 @@ class SegmentScores:
 
 #: Reference modes of `score_corpus`, in the order `score --refs` lists them.
 REF_MODES = ("gold", "generated", "both")
-
-
-def _is_count(k) -> bool:
-    return isinstance(k, int) and not isinstance(k, bool)
 
 
 class ScoreSettings(record(
@@ -456,10 +440,13 @@ class ScoreSettings(record(
     matrix cells single-reference values. `out` and `generated_refs` say
     whether a matrix is written and whether the corpus has generated
     references. `bleu` is a `BleuConfig` (default `BleuConfig()`),
-    `chrf_order` and `chrf_beta` are chrF's, and a vocabulary path `vocab`,
-    or `pretokenized`, picks spbleu's tokenizer. Every rule that ties flags
-    together is checked here, so `score` fails before it reads a file, and
-    each message names the flags as `score` spells them.
+    `chrf_order` and `chrf_beta` are chrF's, and a vocabulary `vocab` (its
+    path on the CLI, the loaded vocabulary in `spbleu_corpus`), or
+    `pretokenized`, picks spbleu's tokenizer. A `MultiRefScorer` scores by
+    these settings and keeps them, and `score_corpus` reads the rest from it.
+    Every rule of scoring and every rule that ties flags together is checked
+    here, so the scorer checks none of them again, `score` fails before it
+    reads a file, and each message names the flags as `score` spells them.
     """
 
     __slots__ = ()
@@ -471,6 +458,9 @@ class ScoreSettings(record(
         chrf_beta: float = DEFAULT_CHRF_BETA, lowercase: bool = False, vocab: str | None = None,
         pretokenized: bool = False,
     ):
+        if isinstance(metrics, str):
+            # tuple("chrf") would be four one-letter names.
+            raise ValueError(f"metrics must be a sequence of metric names, got the str {metrics!r}")
         metrics = tuple(metrics)
         if vocab and pretokenized:
             raise ValueError("--vocab and --pretokenized are mutually exclusive")
@@ -480,7 +470,7 @@ class ScoreSettings(record(
         if "spbleu" in metrics and not vocab and not pretokenized:
             raise ValueError("spbleu requires --vocab unless --pretokenized is set")
         if max_refs is not None:
-            if not _is_count(max_refs):
+            if not is_count(max_refs):
                 raise ValueError(f"--max-refs must be an integer, got {max_refs!r}")
             if max_refs < 1:
                 raise ValueError(f"--max-refs must be >= 1, got {max_refs}")
@@ -493,7 +483,7 @@ class ScoreSettings(record(
             raise ValueError("--max-refs caps generated references; it does not apply to --refs gold")
         if sweep_refs is not None:
             sweep_refs = tuple(sweep_refs)
-            if len(sweep_refs) != 2 or not all(map(_is_count, sweep_refs)):
+            if len(sweep_refs) != 2 or not all(map(is_count, sweep_refs)):
                 raise ValueError(f"--sweep-refs must be a pair of integers, got {sweep_refs!r}")
             if refs == "gold":
                 raise ValueError("--sweep-refs varies generated references; use --refs generated or both")
@@ -534,18 +524,15 @@ class ScoreSettings(record(
         pieces = None
         if "spbleu" in self.metrics:
             pieces = piece_tokenizer(vocab, self.pretokenized, self.lowercase)
-        return MultiRefScorer(
-            self.metrics, self.bleu, self.chrf_order, self.chrf_beta, self.lowercase,
-            words=partial(words, lowercase=self.lowercase), pieces=pieces,
-        )
+        return MultiRefScorer(self, partial(words, lowercase=self.lowercase), pieces)
 
 
-def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None = None):
+def score_corpus(scorer: MultiRefScorer, corpus):
     """Corpus scores at each generated-reference count, and the matrix rows of the largest.
 
-    `corpus` is an `EvalCorpus`, and `scorer`'s metrics are scored. Of
-    `settings` (default `ScoreSettings()`), `refs`, `counts` and
-    `per_reference` apply. A segment's references are its gold ones (none
+    `corpus` is an `EvalCorpus`. The settings are the scorer's own: its
+    metrics are scored, and its `refs`, `counts` and `per_reference`
+    apply. A segment's references are its gold ones (none
     under refs "generated") followed by the first k of its generated ones
     (none under refs "gold") for each k of `counts`. A sweep stops at the
     most generated references a scored segment has, as every larger count
@@ -560,9 +547,9 @@ def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None 
     """
     if not corpus.systems:
         raise ValueError("no system outputs to score")
-    settings = ScoreSettings() if settings is None else settings
+    settings = scorer.settings
     mode, counts, per_reference = settings.refs, settings.counts, settings.per_reference
-    metrics = scorer.metrics
+    metrics = settings.metrics
     systems = sorted(corpus.systems)
     segments_by_id = {segment.id: segment for segment in corpus.segments}
     segment_ids = sorted({sid for outputs in corpus.systems.values() for sid in outputs})
@@ -611,18 +598,21 @@ def score_corpus(scorer: MultiRefScorer, corpus, settings: ScoreSettings | None 
 # ------------------------------ sentence and corpus functions on the scorer
 
 
-def _part(scorer: MultiRefScorer, metric: str, hyp, refs):
-    """The corpus part of one (hypothesis, references) pair, scored as one segment."""
+def _part(scorer: MultiRefScorer, hyp, refs):
+    """The corpus part of one (hypothesis, references) pair under the scorer's one metric."""
+    (metric,) = scorer.settings.metrics
     return scorer.segment({"": hyp}, list(refs)).joint("", metric)[1]
 
 
-def _corpus(scorer: MultiRefScorer, metric: str, pairs) -> MetricScore:
-    """Corpus score of (hypothesis, references) pairs."""
-    return scorer.corpus(metric, [_part(scorer, metric, hyp, refs) for hyp, refs in pairs])
+def _corpus(scorer: MultiRefScorer, pairs) -> MetricScore:
+    """Corpus score of (hypothesis, references) pairs under the scorer's one metric."""
+    (metric,) = scorer.settings.metrics
+    return scorer.corpus(metric, [_part(scorer, hyp, refs) for hyp, refs in pairs])
 
 
-def _bleu_scorer(cfg: BleuConfig | None) -> MultiRefScorer:
-    return MultiRefScorer(["bleu"], bleu_cfg=cfg, words=tuple)
+def _token_scorer(metric: str, cfg: BleuConfig | None = None) -> MultiRefScorer:
+    """The scorer of one word-level metric on texts given as token tuples."""
+    return MultiRefScorer(ScoreSettings([metric], bleu=cfg), words=tuple)
 
 
 def _token_pair(hyp, refs) -> tuple:
@@ -637,7 +627,7 @@ def bleu_sentence(hyp, refs, cfg: BleuConfig | None = None) -> MetricScore:
 
 def bleu_corpus(pairs, cfg: BleuConfig | None = None) -> MetricScore:
     """Micro-averaged corpus BLEU over (hypothesis, references) pairs."""
-    return _corpus(_bleu_scorer(cfg), "bleu", [_token_pair(hyp, refs) for hyp, refs in pairs])
+    return _corpus(_token_scorer("bleu", cfg), [_token_pair(hyp, refs) for hyp, refs in pairs])
 
 
 def piece_tokenizer(vocab=None, pretokenized: bool = False, lowercase: bool = False):
@@ -670,8 +660,10 @@ def spbleu_corpus(
     they are NFC-normalized and, with `lowercase`, lowercased. Raises
     ValueError unless exactly one of `vocab` and `pretokenized` is given.
     """
+    # piece_tokenizer first, so that its messages name these parameters rather than score's flags.
     pieces = piece_tokenizer(vocab, pretokenized, lowercase)
-    return _corpus(MultiRefScorer(["spbleu"], bleu_cfg=cfg, pieces=pieces), "spbleu", pairs)
+    settings = ScoreSettings(["spbleu"], bleu=cfg, lowercase=lowercase, vocab=vocab, pretokenized=pretokenized)
+    return _corpus(MultiRefScorer(settings, pieces=pieces), pairs)
 
 
 def chrf_sentence(
@@ -686,5 +678,7 @@ def chrf_corpus(
     pairs, n_max: int = DEFAULT_CHRF_ORDER, beta: float = DEFAULT_CHRF_BETA, lowercase: bool = False
 ) -> MetricScore:
     """Corpus chrF. Each segment contributes the counts of its best reference."""
-    scorer = MultiRefScorer(["chrf"], chrf_order=n_max, chrf_beta=beta, lowercase=lowercase)
-    return _corpus(scorer, "chrf", pairs)
+    # Checked here as well, so that the message names no --chrf-order flag.
+    kernels.check_order(n_max, "chrf_order")
+    settings = ScoreSettings(["chrf"], chrf_order=n_max, chrf_beta=beta, lowercase=lowercase)
+    return _corpus(MultiRefScorer(settings), pairs)

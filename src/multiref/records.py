@@ -5,7 +5,8 @@ A record subclasses `record(name, fields)`, a named tuple, with
 `__new__`. The base does not generate and compile `__init__`, `__eq__` and
 `__repr__` source for each class, which took about 1 ms a class at import.
 `textproc.SubwordVocab` alone is a plain `__slots__` class, because it holds
-a per-instance word cache that a named tuple has no room for.
+a per-instance word cache that a named tuple has no room for. `is_count` is
+the one test of a whole-number field that the records share.
 """
 
 from collections import namedtuple
@@ -24,3 +25,8 @@ def record(name: str, fields: str, defaults=()):
     base = namedtuple(name, fields, defaults=defaults, module=__name__)
     base._replace = _replace
     return base
+
+
+def is_count(value) -> bool:
+    """Whether `value` is an int and not a bool, as every count, order and size field must be."""
+    return isinstance(value, int) and not isinstance(value, bool)

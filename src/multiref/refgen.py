@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .corpus_io import bool_field, id_field, jsonl_line, read_jsonl, text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
-from .records import record
+from .records import is_count, record
 
 #: Environment variables consulted for the API key, in order.
 API_KEY_ENV_VARS = ("MULTIREF_API_KEY", "OPENAI_API_KEY")
@@ -125,6 +125,10 @@ class GenerationConfig(
         timeout: float = 120.0,
         concurrency: int = 1,
     ):
+        counts = {"n_references": n_references, "max_retries": max_retries, "concurrency": concurrency}
+        for name, value in counts.items():
+            if not is_count(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n_references < 1:
             raise ValueError("n_references must be >= 1")
         if max_retries < 0:

@@ -24,6 +24,7 @@ from multiref.metaeval import (
 )
 from multiref.metrics import (
     MultiRefScorer,
+    ScoreSettings,
     bleu_corpus,
     bleu_sentence,
     chrf_sentence,
@@ -55,7 +56,7 @@ def random_case(rng):
 
 def bleu_stats(hyp, refs):
     """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
-    scores = MultiRefScorer(["bleu"], words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
+    scores = MultiRefScorer(ScoreSettings(["bleu"]), words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
     return scores.joint("", "bleu")[1]
 
 

@@ -11,11 +11,14 @@ exit 1 with one `multiref: error: <path>[:<line>]: ...` line naming an
 input file. A config value that fits its flag may still fail as that flag's
 value does; such a run must fail with the same one line as the run that
 passes the values as flags. Any other exception escapes `main` and fails
-the case with its traceback.
+the case with its traceback. Each stage runs `N_CASES` seeds: 40 by
+default, or the number in the `MULTIREF_MUTATION_CASES` environment
+variable (CI runs 400).
 """
 
 import json
 import math
+import os
 import random
 import re
 from pathlib import Path
@@ -24,7 +27,7 @@ import pytest
 
 from multiref.cli import main
 
-N_CASES = 40
+N_CASES = int(os.environ.get("MULTIREF_MUTATION_CASES", "40"))
 
 SEGMENTS = [
     {"id": f"s{i}", "source": f"source text number {i}", "gold_refs": [f"the gold text {i} of this set"]}

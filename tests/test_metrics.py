@@ -10,6 +10,7 @@ from multiref.metrics import (
     CorpusStats,
     MetricScore,
     MultiRefScorer,
+    ScoreSettings,
     bleu_corpus,
     bleu_sentence,
     chrf_corpus,
@@ -37,7 +38,7 @@ def random_case(rng):
 
 def bleu_stats(hyp, refs):
     """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
-    scores = MultiRefScorer(["bleu"], words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
+    scores = MultiRefScorer(ScoreSettings(["bleu"]), words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
     return scores.joint("", "bleu")[1]
 
 
@@ -278,7 +279,7 @@ class TestChrf:
             "cd", ("packed", ["cd"]), "c", ("summed", "c"),
         ]
         built.clear()
-        scorer = MultiRefScorer(["chrf"])
+        scorer = MultiRefScorer(ScoreSettings(["chrf"]))
         # System C repeats A's text; the reference "x" is B's text, and "a b" a text of its own.
         scorer.segment({"A": "ab", "B": "x", "C": "ab"}, ["x", "a b", "x"])
         assert built == ["ab", "x", ("packed", ["ab", "x"]), ("summed", "x"), "ab", ("summed", "ab")]
@@ -289,7 +290,7 @@ class TestChrf:
 
     def test_segment_without_hypotheses(self):
         # Nothing to pack: the hypotheses' bit fields have width 0.
-        assert MultiRefScorer(["chrf"]).segment({}, ["ab"]).refs == ["ab"]
+        assert MultiRefScorer(ScoreSettings(["chrf"])).segment({}, ["ab"]).refs == ["ab"]
         assert kernels.PackedHypotheses([]).matches(kernels.Profile("ab", 2)) == []
 
     def test_zero_order_rejected(self):
@@ -305,7 +306,7 @@ class TestChrf:
         with pytest.raises(ValueError, match="chrf_beta"):
             chrf_corpus([("abc", ["abd"])], beta=beta)
         with pytest.raises(ValueError, match="chrf_beta"):
-            MultiRefScorer(["chrf"], chrf_beta=beta)
+            ScoreSettings(["chrf"], chrf_beta=beta)
 
     def test_beta_whose_square_overflows_rejected(self):
         # beta * beta = inf made every F-score NaN, and the best-reference pick
@@ -313,7 +314,7 @@ class TestChrf:
         with pytest.raises(ValueError, match="chrf_beta"):
             chrf_sentence("abc", ["abd"], beta=1e200)
         with pytest.raises(ValueError, match="chrf_beta"):
-            MultiRefScorer(["chrf"], chrf_beta=1.35e154)
+            ScoreSettings(["chrf"], chrf_beta=1.35e154)
         assert chrf_sentence("abc", ["abd"], beta=1e150).value == pytest.approx(
             oracles.chrf_sentence("abc", ["abd"], beta=1e150)
         )
@@ -398,7 +399,7 @@ class TestRouge:
     def test_corpus_mean_adds_segment_values_left_to_right(self):
         # The built-in sum compensates float rounding from Python 3.12 on and
         # gave 0.6 / 3 there, so the corpus score depended on the version.
-        scorer = MultiRefScorer(["rougeL"], words=tuple)
+        scorer = MultiRefScorer(ScoreSettings(["rougeL"]), words=tuple)
         parts = [MetricScore(0.1), MetricScore(0.2), MetricScore(0.3)]
         assert scorer.corpus("rougeL", parts).value == ((0.1 + 0.2) + 0.3) / 3
 

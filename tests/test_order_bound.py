@@ -1,9 +1,11 @@
-"""Every n-gram order is bounded by `kernels.MAX_ORDER`.
+"""Every n-gram order is an integer bounded by `kernels.MAX_ORDER`.
 
 The cost of counting grows with the order, so an order of 10**9 used to run
 without end. Each order knob, given 10**12 as a flag, through `--config` or
 to the library, must fail at once with a message naming the knob; each case
-runs under a one-second alarm.
+runs under a one-second alarm. A library order that is not an int (2.5, or
+a bool) fails the same way, where it used to fail deep in the counting with
+a TypeError that named no knob, or to count True as 1.
 """
 
 import contextlib
@@ -79,7 +81,7 @@ LIBRARY_KNOBS = {
     "MultiRefScorer-chrf": (lambda: metrics.chrf_sentence("a", ["a"], n_max=HUGE),
                             f"chrf_order must be <= {MAX}, got {HUGE}"),
     "MultiRefScorer-rouge": (
-        lambda: metrics.MultiRefScorer([f"rouge{HUGE}"], words=str.split).segment({"A": "a"}, ["a"]),
+        lambda: metrics.MultiRefScorer(metrics.ScoreSettings([f"rouge{HUGE}"]), words=str.split),
         f"the n-gram order of 'rouge{HUGE}' must be <= {MAX}, got {HUGE}",
     ),
     "rouge_n": (lambda: metrics.rouge_n(["a"], [["a"]], HUGE), f"n-gram order must be <= {MAX}, got {HUGE}"),
@@ -89,6 +91,13 @@ LIBRARY_KNOBS = {
                            f"--chrf-order must be <= {MAX}, got {HUGE}"),
     "ScoreSettings-rouge": (lambda: metrics.ScoreSettings([f"rouge{HUGE}"]),
                             f"the n-gram order of 'rouge{HUGE}' must be <= {MAX}, got {HUGE}"),
+    "BleuConfig-float": (lambda: metrics.BleuConfig(max_order=2.5), "max_order must be an integer, got 2.5"),
+    "BleuConfig-bool": (lambda: metrics.BleuConfig(max_order=True), "max_order must be an integer, got True"),
+    "chrf-float": (lambda: metrics.chrf_sentence("a", ["a"], n_max=2.5), "chrf_order must be an integer, got 2.5"),
+    "rouge_n-float": (lambda: metrics.rouge_n(["a"], [["a"]], 2.0), "n-gram order must be an integer, got 2.0"),
+    "distinct_n-bool": (lambda: distinct_n([("a",)], True), "n-gram order must be an integer, got True"),
+    "ScoreSettings-chrf-float": (lambda: metrics.ScoreSettings(["chrf"], chrf_order=2.5),
+                                 "--chrf-order must be an integer, got 2.5"),
 }
 
 

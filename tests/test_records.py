@@ -45,6 +45,9 @@ CASES = [
         ({"k": None}, "top_k_mean requires k >= 1"),
         ({"k": 0}, "top_k_mean requires k >= 1"),
         ({"kind": "max"}, "k is only valid for top_k_mean, not 'max'"),
+        # A float k failed only when the rows were sliced, and True was taken as k = 1.
+        ({"k": 2.5}, "top_k_mean requires an integer k, got 2.5"),
+        ({"k": True}, "top_k_mean requires an integer k, got True"),
     ]),
     (Segment, {"id": "s1", "source": "src", "gold_refs": ("g",), "generated_refs": ("a", "b")}, True, True, []),
     (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, True, False, []),
@@ -75,6 +78,8 @@ CASES = [
         ({"max_order": 0}, "max_order must be >= 1, got 0"),
         ({"smoothing": "add1"}, "unknown smoothing 'add1'"),
         ({"effective_ref_length": "average"}, "unknown effective_ref_length 'average'"),
+        ({"max_order": 2.5}, "max_order must be an integer, got 2.5"),
+        ({"max_order": True}, "max_order must be an integer, got True"),
     ]),
     (
         ScoreSettings,
@@ -89,6 +94,9 @@ CASES = [
             ({"out": False}, "--per-reference sets the cells of the --out matrix; it needs --out"),
             ({"pretokenized": False}, "spbleu requires --vocab unless --pretokenized is set"),
             ({"chrf_beta": -1.0}, "chrf_beta must be >= 0 with a finite square, got -1.0"),
+            ({"chrf_order": 4.0}, "--chrf-order must be an integer, got 4.0"),
+            # tuple("bleu") used to fail as "unknown metric 'b'".
+            ({"metrics": "bleu"}, "metrics must be a sequence of metric names, got the str 'bleu'"),
         ],
     ),
     (MetricScore, {"value": 42.0, "per_order": (0.5, 0.25), "detail": {"bp": 1.0}}, True, False, [
@@ -124,6 +132,10 @@ CASES = [
             ({"concurrency": 0}, "concurrency must be >= 1"),
             ({"timeout": 0.0}, "timeout must be a finite number of seconds > 0, got 0.0"),
             ({"timeout": math.inf}, "timeout must be a finite number of seconds > 0, got inf"),
+            # 2.5 used to be sent to the endpoint as the number of candidates to write.
+            ({"n_references": 2.5}, "n_references must be an integer, got 2.5"),
+            ({"max_retries": True}, "max_retries must be an integer, got True"),
+            ({"concurrency": 2.0}, "concurrency must be an integer, got 2.0"),
         ],
     ),
     (

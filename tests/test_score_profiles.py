@@ -224,18 +224,19 @@ def eval_corpus(corpus):
     return EvalCorpus(segments, systems)
 
 
-def check_score_corpus(oracle, scorer, corpus, score_settings):
-    """score_corpus under `score_settings` against the oracle, and a sweep against one call per count.
+def check_score_corpus(oracle, scorer, corpus):
+    """score_corpus against the oracle, and a sweep against one call per count.
 
-    score_corpus scores the scorer's metrics; of the settings, it reads the
-    reference mode, the counts and `per_reference`.
+    score_corpus reads everything from the scorer's settings: its metrics,
+    the reference mode, the counts and `per_reference`.
     """
+    score_settings = scorer.settings
     mode, counts, per_reference = score_settings.refs, score_settings.counts, score_settings.per_reference
     if score_settings.sweep_refs is not None:
         # A sweep stops at the most generated references a segment has.
         most = max(len(generated) for _, generated, _ in corpus.values())
         counts = [k for k in counts if k <= most]
-    scores, rows = score_corpus(scorer, eval_corpus(corpus), score_settings)
+    scores, rows = score_corpus(scorer, eval_corpus(corpus))
     systems = sorted({system for _, _, hyps in corpus.values() for system in hyps})
     assert list(scores) == [(k, system, metric)
                             for k in counts for system in systems for metric in ALL_METRICS]
@@ -268,8 +269,9 @@ def check_score_corpus(oracle, scorer, corpus, score_settings):
     # Counts 1..K in one call give what K one-count calls give.
     if score_settings.sweep_refs is not None:
         for k in counts:
-            one_count = score_settings._replace(sweep_refs=None, max_refs=k)
-            alone, alone_rows = score_corpus(scorer, eval_corpus(corpus), one_count)
+            one_count = MultiRefScorer(score_settings._replace(sweep_refs=None, max_refs=k),
+                                       scorer.words, scorer.pieces)
+            alone, alone_rows = score_corpus(one_count, eval_corpus(corpus))
             assert alone == {key: value for key, value in scores.items() if key[0] == k}
             if k == counts[-1]:
                 assert alone_rows == rows
@@ -291,23 +293,28 @@ def test_score_corpus_matches_oracles_without_the_cli(
     corpus, high, max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase, per_reference,
 ):
     oracle = Oracle(max_order, smoothing, ref_length, chrf_order, chrf_beta, lowercase)
-    scorer = MultiRefScorer(
-        ALL_METRICS, BleuConfig(max_order, smoothing, ref_length), chrf_order, chrf_beta,
-        lowercase, words=lambda text: oracle.tokens("bleu", text),
-        pieces=lambda text: oracle.tokens("spbleu", text),
-    )
+
+    def scorer(**counts):
+        # The oracle lowercases on its own, and splits words and pieces alike, as --pretokenized does.
+        score_settings = ScoreSettings(
+            ALL_METRICS, bleu=BleuConfig(max_order, smoothing, ref_length), chrf_order=chrf_order,
+            chrf_beta=chrf_beta, lowercase=lowercase, pretokenized=True, **counts,
+        )
+        return MultiRefScorer(score_settings, words=lambda text: oracle.tokens("bleu", text),
+                              pieces=lambda text: oracle.tokens("spbleu", text))
+
     cells = {"per_reference": per_reference, "out": per_reference}
     for mode in ("generated", "both"):
         # A sweep takes no per-reference cells, so they are checked on its largest count alone.
         if high is not None:
-            check_score_corpus(oracle, scorer, corpus, ScoreSettings(refs=mode, sweep_refs=(1, high)))
-        check_score_corpus(oracle, scorer, corpus, ScoreSettings(refs=mode, max_refs=high, **cells))
-    gold = ScoreSettings(refs="gold", **cells)
+            check_score_corpus(oracle, scorer(refs=mode, sweep_refs=(1, high)), corpus)
+        check_score_corpus(oracle, scorer(refs=mode, max_refs=high, **cells), corpus)
+    gold = scorer(refs="gold", **cells)
     if all(gold_refs for gold_refs, _, _ in corpus.values()):
-        check_score_corpus(oracle, scorer, corpus, gold)
+        check_score_corpus(oracle, gold, corpus)
     else:
         with pytest.raises(ValueError, match="has no references under --refs gold"):
-            score_corpus(scorer, eval_corpus(corpus), gold)
+            score_corpus(gold, eval_corpus(corpus))
 
 
 # Two symbols, so that n-grams repeat and fill a hypothesis's bit field in the packed pass.
@@ -331,11 +338,13 @@ def test_per_reference_cells_at_up_to_eight_systems(hyps, refs, max_order, smoot
     """
     metrics = ("bleu", "spbleu", "chrf", "rouge1", "rouge3", "rougeL")
     oracle = Oracle(max_order, smoothing, "closest", 6, 2.0, False)
-    scorer = MultiRefScorer(metrics, BleuConfig(max_order, smoothing), words=str.split, pieces=str.split)
+    score_settings = ScoreSettings(metrics, refs="generated", per_reference=True, out=True,
+                                   bleu=BleuConfig(max_order, smoothing), pretokenized=True)
+    scorer = MultiRefScorer(score_settings, words=str.split, pieces=str.split)
     systems = {f"sys{i}": hyp for i, hyp in enumerate(hyps)}
     corpus = EvalCorpus([Segment("s1", "src", (), tuple(refs))],
                         {system: {"s1": hyp} for system, hyp in systems.items()})
-    _, rows = score_corpus(scorer, corpus, ScoreSettings(refs="generated", per_reference=True, out=True))
+    _, rows = score_corpus(scorer, corpus)
     assert len(rows) == len(metrics) * len(systems)
     for metric, system, _, cells in rows:
         expected = {f"gen:{i}": oracle.segment(metric, systems[system], [ref]) for i, ref in enumerate(refs)}
@@ -347,14 +356,15 @@ def test_per_reference_cells_at_up_to_eight_systems(hyps, refs, max_order, smoot
 @given(corpus=corpora(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
 def test_joint_in_any_count_order_matches_a_fresh_segment(corpus, counts):
     # A BLEU clip table grows while counts ascend and starts over when one falls.
-    scorer = MultiRefScorer(["bleu", "spbleu"], BleuConfig(), words=str.split, pieces=str.split)
+    score_settings = ScoreSettings(["bleu", "spbleu"], pretokenized=True)
+    scorer = MultiRefScorer(score_settings, words=str.split, pieces=str.split)
     for gold, generated, hyps in corpus.values():
         refs = gold + generated
         scores = scorer.segment(hyps, refs)
         for n_refs in counts:
             fresh = scorer.segment(hyps, refs)
             for system in hyps:
-                for metric in scorer.metrics:
+                for metric in scorer.settings.metrics:
                     expected = fresh.joint(system, metric, n_refs)
                     assert scores.joint(system, metric, n_refs) == expected, (n_refs, metric)
 
@@ -371,6 +381,34 @@ def test_cli_leaves_the_scoring_loop_to_the_library():
     assert [(name, line) for name, line in calls if name in loop_methods] == []
     # The walk sees attribute calls, so it is not blind.
     assert {"load_corpus", "merge_references"} <= {name for name, _ in calls}
+
+
+def test_each_scoring_rule_runs_once_per_score_run(tmp_path, monkeypatch):
+    # The scorer keeps the settings it is built from and checks none of their rules again.
+    calls = []
+
+    def counted(name, check):
+        def call(*args):
+            calls.append((name, *args))
+            return check(*args)
+        return call
+
+    for module, name in [(multiref.metrics, "_check_metrics"), (multiref.metrics, "_check_chrf_beta"),
+                         (kernels, "check_order")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    corpus = {"s1": (["the cat sat"], ["a cat sat"], {"A": "the cat sat down"})}
+    flags = ["--metrics", "bleu,chrf,rouge2", "--max-order", "3", "--chrf-order", "5", "--chrf-beta", "1.5"]
+    rows, _ = run_score(tmp_path, write_corpus(tmp_path, corpus), flags)
+    assert len(rows) == 3
+    # The parser checks the library's default BleuConfig once, to show its defaults as the flags'.
+    assert sorted(calls, key=repr) == sorted([
+        ("_check_metrics", ("bleu", "chrf", "rouge2")),
+        ("_check_chrf_beta", 1.5),
+        ("check_order", 4, "max_order"),
+        ("check_order", 3, "max_order"),
+        ("check_order", 5, "--chrf-order"),
+        ("check_order", 2, "the n-gram order of 'rouge2'"),
+    ], key=repr)
 
 
 def test_chrf_tie_picks_first_reference_for_corpus_counts(tmp_path):
@@ -601,22 +639,33 @@ def test_each_text_tokenized_once_and_each_statistic_computed_once(tmp_path, mon
 
 
 def test_scorer_rejects_bad_configuration():
+    # The settings check every scoring rule; the scorer checks only that it was given the tokenizers they need.
     with pytest.raises(ValueError, match="unknown metric"):
-        MultiRefScorer(("meteor",))
-    with pytest.raises(ValueError, match="chrf_order"):
-        MultiRefScorer(("chrf",), chrf_order=0)
+        ScoreSettings(("meteor",))
+    with pytest.raises(ValueError, match="--chrf-order must be >= 1, got 0"):
+        ScoreSettings(("chrf",), chrf_order=0)
     with pytest.raises(ValueError, match="word tokenizer"):
-        MultiRefScorer(("rougeL",))
+        MultiRefScorer(ScoreSettings(("rougeL",)))
+    with pytest.raises(ValueError, match="word tokenizer"):
+        MultiRefScorer()
     with pytest.raises(ValueError, match="subword tokenizer"):
-        MultiRefScorer(("spbleu",))
-    scorer = MultiRefScorer(("chrf",))
+        MultiRefScorer(ScoreSettings(("spbleu",), pretokenized=True))
+    scorer = MultiRefScorer(ScoreSettings(("chrf",)))
     with pytest.raises(ValueError, match="at least one reference"):
         scorer.segment({"p": "a"}, [])
 
 
 def test_scorer_rejects_a_metric_named_twice():
     with pytest.raises(ValueError, match="metric 'bleu' is named twice"):
-        MultiRefScorer(["bleu", "bleu"], words=str.split)
+        ScoreSettings(["bleu", "bleu"])
+
+
+def test_the_scorer_holds_its_settings_and_no_copy():
+    score_settings = ScoreSettings(["bleu", "chrf"], bleu=BleuConfig(2), chrf_order=3, lowercase=True)
+    scorer = score_settings.scorer(multiref.cli.tokenize_words)
+    assert scorer.settings is score_settings
+    assert set(vars(scorer)) == {"settings", "word_order", "words", "pieces"}
+    assert scorer.words("The Cat") == ("the", "cat")
 
 
 @pytest.mark.parametrize(
@@ -658,9 +707,8 @@ class TestScoreCorpusReferences:
         """
         texts = self.segment.gold_refs + self.segment.generated_refs
         corpus = EvalCorpus([self.segment], {text: {"s": text} for text in texts})
-        scorer = MultiRefScorer(["rouge1"], words=str.split)
-        score_settings = ScoreSettings(refs=mode, max_refs=max_refs, per_reference=True, out=True)
-        _, rows = score_corpus(scorer, corpus, score_settings)
+        score_settings = ScoreSettings(["rouge1"], refs=mode, max_refs=max_refs, per_reference=True, out=True)
+        _, rows = score_corpus(MultiRefScorer(score_settings, words=str.split), corpus)
         text_of = {ref_id: system for _, system, _, cells in rows
                    for ref_id, value in cells.items() if value == 100.0}
         return [(ref_id, text_of[ref_id]) for ref_id in rows[0][3]]
@@ -680,7 +728,7 @@ class TestScoreCorpusReferences:
             self.scored_refs("gold", 1)
 
     def test_a_corpus_without_outputs_is_rejected(self):
-        scorer = MultiRefScorer(["bleu"], words=str.split)
+        scorer = MultiRefScorer(ScoreSettings(["bleu"]), words=str.split)
         with pytest.raises(ValueError, match="no system outputs to score"):
             score_corpus(scorer, EvalCorpus([self.segment]))
 
