@@ -4,9 +4,7 @@ A record subclasses `record(name, fields)`, a named tuple, with
 `__slots__ = ()`, and checks its fields and fills its `None` defaults in
 `__new__`. The base does not generate and compile `__init__`, `__eq__` and
 `__repr__` source for each class, which took about 1 ms a class at import.
-`textproc.SubwordVocab` alone is a plain `__slots__` class, because it holds
-a per-instance word cache that a named tuple has no room for. `is_count` is
-the one test of a whole-number field that the records share.
+`is_count` is the one test of a whole-number field that the records share.
 """
 
 from collections import namedtuple

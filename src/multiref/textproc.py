@@ -8,14 +8,15 @@ Each NFC-normalizes and optionally lowercases the text first. None emits an
 empty or whitespace token.
 
 Multi-reference scoring tokenizes many near-paraphrases, so most words recur.
-Two bounded caches keep the per-word work to once per distinct word:
+Bounded caches keep the per-word work to once per distinct word:
 `tokenize_words` peels the punctuation of each distinct whitespace chunk once
-(a module-level `functools.lru_cache` of `WORD_CACHE_SIZE` chunks), and
-`tokenize_subwords` segments each distinct word once per vocabulary (an
-`lru_cache` of `SUBWORD_CACHE_SIZE` words held by the `SubwordVocab`
-instance, so a lookup never compares vocabularies). Normalization and
-lowercasing apply to the whole text before it is split, so a chunk alone
-determines its tokens. The caches change no result, and no flag turns them off.
+(a `functools.lru_cache` of `WORD_CACHE_SIZE` chunks), and `tokenize_subwords`
+segments each distinct word once per vocabulary (an `lru_cache` of
+`SUBWORD_CACHE_SIZE` words for each of the last `VOCAB_CACHE_SIZE`
+vocabularies used, shared by equal ones and found once per text).
+Normalization and lowercasing apply to the whole text before it is split, so
+a chunk alone determines its tokens. The caches change no result, and no
+flag turns them off.
 """
 
 import unicodedata
@@ -25,6 +26,7 @@ from pathlib import Path
 
 from .corpus_io import read_lines
 from .errors import CorpusFormatError
+from .records import record
 
 #: SentencePiece-style word-boundary marker prefixed to every word.
 WORD_MARKER = "▁"
@@ -38,54 +40,41 @@ WORD_CACHE_SIZE = 1 << 16
 #: Distinct words whose subword pieces each vocabulary keeps.
 SUBWORD_CACHE_SIZE = 1 << 16
 
+#: Vocabularies whose word caches are kept: a `score` run uses one, and four let a library
+#: caller alternate between a few while bounding the words kept to 4 * `SUBWORD_CACHE_SIZE`.
+VOCAB_CACHE_SIZE = 4
 
-class SubwordVocab:
+
+class SubwordVocab(record("SubwordVocab", "entries unk_piece")):
     """Subword inventory used for greedy longest-match segmentation; immutable and hashable.
 
-    The one record that is not a named tuple, as each instance holds its own word cache.
+    Each piece is a non-empty string without whitespace, as text is split
+    into words at whitespace before it is matched.
     """
 
-    _fields = ("entries", "unk_piece")
-    __slots__ = (*_fields, "_segment")
+    __slots__ = ()
 
-    def __init__(self, entries: frozenset[str], unk_piece: str = DEFAULT_UNK_PIECE):
+    def __new__(cls, entries: frozenset[str], unk_piece: str = DEFAULT_UNK_PIECE):
         if not entries:
             raise ValueError("subword vocabulary must not be empty")
         if "" in entries:
             raise ValueError("subword vocabulary must not contain the empty string")
+        for piece in entries:
+            _check_piece(piece)
         if not unk_piece:
             raise ValueError("the unk piece must not be empty")
-        max_len = max(len(e) for e in entries)
-        # word -> its pieces; bound to this instance's entries, not keyed by them.
-        segment = partial(_segment_word, entries, max_len, unk_piece)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "unk_piece", unk_piece)
-        object.__setattr__(self, "_segment", lru_cache(maxsize=SUBWORD_CACHE_SIZE)(segment))
+        return tuple.__new__(cls, (_shared_entries(entries), unk_piece))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+@lru_cache(maxsize=VOCAB_CACHE_SIZE)
+def _shared_entries(entries: frozenset[str]) -> frozenset[str]:
+    """The first equal piece set built lately: `_segmenter` then finds equal vocabularies by identity."""
+    return entries
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # Pickle and copy the fields only; the copy builds its own cache.
-        return SubwordVocab, (self.entries, self.unk_piece)
+def _check_piece(piece: str) -> None:
+    if piece.split() != [piece]:
+        raise ValueError(f"subword piece {piece!r} contains whitespace; keep the first column of a .vocab line")
 
 
 def _is_punct(ch: str) -> bool:
@@ -127,9 +116,7 @@ def tokenize_chars(text: str, lowercase: bool = False) -> tuple[str, ...]:
     return tuple("".join(_normalize(text, lowercase).split()))
 
 
-def tokenize_subwords(
-    text: str, vocab: SubwordVocab, lowercase: bool = False
-) -> tuple[str, ...]:
+def tokenize_subwords(text: str, vocab: SubwordVocab, lowercase: bool = False) -> tuple[str, ...]:
     """Greedy longest-match segmentation against a subword vocabulary.
 
     Each whitespace-delimited word is prefixed with the word-boundary marker
@@ -138,7 +125,7 @@ def tokenize_subwords(
     and matching restarts on the bare word; any position with no match at all
     emits the vocabulary's unk piece and advances one character.
     """
-    return tuple(chain.from_iterable(map(vocab._segment, _normalize(text, lowercase).split())))
+    return tuple(chain.from_iterable(map(_segmenter(vocab), _normalize(text, lowercase).split())))
 
 
 def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
@@ -146,8 +133,15 @@ def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
     return tuple(_normalize(text, lowercase).split())
 
 
+@lru_cache(maxsize=VOCAB_CACHE_SIZE)
+def _segmenter(vocab: SubwordVocab):
+    """`vocab`'s word -> pieces function, with its own cache of words; equal vocabularies share it."""
+    max_len = max(map(len, vocab.entries))
+    return lru_cache(maxsize=SUBWORD_CACHE_SIZE)(partial(_segment_word, vocab.entries, max_len, vocab.unk_piece))
+
+
 def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):
-    """Pieces of one whitespace-free word; `SubwordVocab` caches it per word."""
+    """Pieces of one whitespace-free word; `_segmenter` caches it per word and vocabulary."""
     stream = WORD_MARKER + word
     match = _longest_match(stream, 0, entries, max_len)
     if match is None:
@@ -187,7 +181,10 @@ def tokens_of(seq) -> tuple[str, ...]:
 
 
 def load_subword_vocab(path: str | Path) -> SubwordVocab:
-    """Load a vocabulary file: one piece per line (`\\n` or `\\r\\n`), optional `#unk=<piece>` header."""
+    """Load a vocabulary file: one piece per line (`\\n` or `\\r\\n`), optional `#unk=<piece>` header.
+
+    Empty lines are skipped; a line whose piece holds whitespace fails at `path:line`.
+    """
     unk_piece = DEFAULT_UNK_PIECE
     entries: set[str] = set()
     for lineno, line in read_lines(path, "vocabulary"):
@@ -199,6 +196,10 @@ def load_subword_vocab(path: str | Path) -> SubwordVocab:
             continue
         if not line:
             continue
+        try:
+            _check_piece(line)
+        except ValueError as exc:
+            raise CorpusFormatError(f"invalid vocabulary: {exc}", str(path), lineno) from None
         entries.add(line)
     if not entries:
         raise CorpusFormatError("vocabulary file contains no pieces", str(path))

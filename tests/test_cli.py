@@ -591,6 +591,19 @@ class TestScore:
         assert summary["metrics"]["spbleu"]["copy"] == pytest.approx(100.0)
         assert summary["metrics"]["spbleu"]["noise"] < 10.0
 
+    def test_spbleu_fails_at_the_first_sentencepiece_vocab_line(self, pipeline, capsys):
+        # `piece<TAB>score` lines used to load whole: every character became <unk> and the run exited 0.
+        vocab_path = pipeline["dir"] / "spm.vocab"
+        pieces = ["<unk>", "▁", *sorted({f"▁{w}" for text in GOLD.values() for w in text.split()})]
+        vocab_path.write_text("".join(f"{piece}\t{-i}\n" for i, piece in enumerate(pieces)), encoding="utf-8")
+        code = main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                     "--refs", "gold", "--metrics", "spbleu", "--vocab", str(vocab_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"multiref: error: {vocab_path}:1: invalid vocabulary: subword piece '<unk>\\t0' contains whitespace;"
+            " keep the first column of a .vocab line\n"
+        )
+
     def test_spbleu_pretokenized_through_cli(self, pipeline, jsonl_writer):
         # Text already split into pieces: spbleu must not need a vocabulary.
         seg = pipeline["dir"] / "pieces.segments.jsonl"

@@ -1,12 +1,15 @@
-"""The input contract of the JSONL and JSON readers, under seeded field mutations.
+"""The input contract of the JSONL, JSON and vocabulary readers, under seeded mutations.
 
 Small inputs of all seven commands are built here: `score`, `select`,
 `combine`, `metaeval`, `diversity`, `leakage-report` (its `--single` and
 `--multi` summaries) and `generate` (`--mock`, resuming from its `--out`
-file, with a `--template-file`), and a `--config` file for `score`. Each
-case changes one field of one record or document (a wrong type, a missing
-key, a non-finite or huge number), or one whole line or document, and runs
-the command. The run must either exit 0 and write only finite numbers, or
+file, with a `--template-file`), a `--config` file for `score`, and a
+`--vocab` file for `score --metrics spbleu`. Each case changes one field of
+one record or document (a wrong type, a missing key, a non-finite or huge
+number), or one whole line or document, or one line of the vocabulary (a
+SentencePiece `.vocab` score appended, an empty `#unk=` header, whitespace
+alone, bytes that are not UTF-8) or all of its pieces, and runs the
+command. The run must either exit 0 and write only finite numbers, or
 exit 1 with one `multiref: error: <path>[:<line>]: ...` line naming an
 input file. A config value that fits its flag may still fail as that flag's
 value does; such a run must fail with the same one line as the run that
@@ -79,10 +82,12 @@ TEMPLATE = {"rules": "Write plain text.", "task_description": "Give {n} versions
 CONFIG = {"metrics": "bleu,chrf,rouge2", "max_order": 3, "chrf_beta": 1.0, "lowercase": True,
           "ref_length": "shortest", "max_refs": 2, "jobs": 2}
 GLOBAL_FLAGS = ("lowercase", "jobs")
+# A --vocab file's lines: a header, then pieces that cover the outputs' words.
+VOCAB = ("#unk=<unk>", *sorted({f"▁{w}" for r in OUTPUTS for w in r["hypothesis"].split()} | set("aeiou0123")))
 
 # Input files and the command line of each stage; the first file is mutated
 # most often, since each stage reads it first. A list is written as JSONL, a
-# dict as one JSON document.
+# dict as one JSON document, and a tuple as lines of text.
 STAGES = {
     "score": (
         {"outputs": OUTPUTS, "segments": SEGMENTS, "refs": REFS},
@@ -117,6 +122,11 @@ STAGES = {
         {"single": SINGLE, "multi": MULTI},
         lambda p: ["leakage-report", "--single", p["single"], "--multi", p["multi"],
                    "--pair", "alpha,beta", "--pair", "beta,gamma", "--out", p["summary"]],
+    ),
+    "vocab": (
+        {"vocab": VOCAB, "segments": SEGMENTS, "outputs": OUTPUTS},
+        lambda p: ["score", "--segments", p["segments"], "--outputs", p["outputs"], "--refs", "gold",
+                   "--metrics", "spbleu", "--vocab", p["vocab"], "--out", p["out"], "--summary", p["summary"]],
     ),
     "config": (
         {"config": CONFIG, "segments": SEGMENTS, "outputs": OUTPUTS, "refs": REFS},
@@ -173,6 +183,24 @@ def _mutated_document(rng, document):
     return rng.choice(["", "[]", '"x"', "1", "null", "\ufeff" + text, text[: rng.randrange(len(text))]])
 
 
+def _mutated_vocab(rng, lines):
+    """The bytes of a vocabulary file with one line changed, or with no piece left."""
+    lines = [line.encode("utf-8") for line in lines]
+    index = rng.randrange(1, len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:
+        lines[index] += f"\t{-rng.randrange(1, 100) / 4}".encode()  # a SentencePiece .vocab line
+    elif kind == 1:
+        lines[0] = b"#unk="
+    elif kind == 2:
+        lines[index] = rng.choice([" ", "\t", " \t ", "\u3000", "\x1c"]).encode("utf-8")
+    elif kind == 3:
+        lines[index] = lines[index][:1] + rng.choice([b"\xff", b"\x80", b"\xc3"]) + lines[index][1:]
+    else:
+        lines = lines[: rng.randrange(2)]  # the header alone, or an empty file
+    return b"".join(line + b"\n" for line in lines)
+
+
 def _as_flags(config):
     """(global, score) command-line flags that give `config`'s values, which all fit their flags."""
     flags = {True: [], False: []}
@@ -210,14 +238,17 @@ def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, capsys, sta
     target = names[0] if rng.random() < 0.5 else rng.choice(names)
     paths = {"out": str(tmp_path / "out.jsonl"), "summary": str(tmp_path / "summary.json")}
     for name, data in inputs.items():
-        if isinstance(data, dict):
+        if isinstance(data, tuple):
+            path = tmp_path / f"{name}.txt"
+            raw = _mutated_vocab(rng, data) if name == target else "".join(f"{line}\n" for line in data).encode()
+        elif isinstance(data, dict):
             path = tmp_path / f"{name}.json"
-            text = _mutated_document(rng, data) if name == target else json.dumps(data)
+            raw = (_mutated_document(rng, data) if name == target else json.dumps(data)).encode()
         else:
             path = tmp_path / f"{name}.jsonl"
             lines = _mutated_lines(rng, data) if name == target else [json.dumps(r) for r in data]
-            text = "\n".join(lines) + "\n"
-        path.write_text(text, encoding="utf-8")
+            raw = ("\n".join(lines) + "\n").encode()
+        path.write_bytes(raw)
         paths[name] = str(path)
 
     code = main(command(paths))

@@ -1,9 +1,7 @@
-"""The package's record classes: named tuples checked in `__new__`, and one plain `__slots__` class.
+"""The package's record classes: named tuples checked in `__new__`.
 
 Importing the package must generate and compile no code: each record class
-but `SubwordVocab` is built from `records.record` (a named tuple), never
-from `dataclasses`; `SubwordVocab` is a plain class because it holds a
-per-instance word cache.
+is built from `records.record` (a named tuple), never from `dataclasses`.
 """
 
 import copy
@@ -15,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from multiref import textproc
 from multiref import (
     BleuConfig,
     CombinePolicy,
@@ -114,6 +113,9 @@ CASES = [
         ({"entries": frozenset()}, "subword vocabulary must not be empty"),
         ({"entries": frozenset({"a", ""})}, "subword vocabulary must not contain the empty string"),
         ({"unk_piece": ""}, "the unk piece must not be empty"),
+        # A SentencePiece .vocab line used to load whole, and no such piece could ever match.
+        ({"entries": frozenset({"a", "b\t-2.5"})},
+         "subword piece 'b\\t-2.5' contains whitespace; keep the first column of a .vocab line"),
     ]),
     (PromptTemplate, TEMPLATE, True, True, [
         ({"task_description": "{source} only"}, "task_description must contain exactly one '{n}'"),
@@ -156,7 +158,7 @@ NAMED_TUPLES = [cls for cls, *_ in CASES if issubclass(cls, tuple)]
 
 def test_every_former_dataclass_is_covered():
     assert len(CASES) == 15
-    assert {cls for cls, *_ in CASES if not issubclass(cls, tuple)} == {SubwordVocab}
+    assert NAMED_TUPLES == [cls for cls, *_ in CASES]
 
 
 @pytest.mark.parametrize("cls, kwargs, frozen, hashable, checks", CASES, ids=IDS)
@@ -246,17 +248,19 @@ def test_replace_keeps_the_other_fields():
     assert segment._replace(generated_refs=("a",)) == Segment("s1", "src", ("g",), ("a",))
 
 
-def test_pickled_vocab_segments_alike_with_its_own_cache():
+def test_pickled_vocab_segments_alike_from_the_same_word_cache():
+    textproc._segmenter.cache_clear()
     vocab = SubwordVocab(frozenset({"▁un", "happy", "▁the", "e"}), unk_piece="?")
     text = "the unhappy thee unhappy"
     expected = tokenize_subwords(text, vocab)
     clone = pickle.loads(pickle.dumps(vocab))
     assert clone == vocab and hash(clone) == hash(vocab)
-    assert clone._segment is not vocab._segment
-    assert clone._segment.cache_info().currsize == 0
+    assert clone.entries is vocab.entries  # so the cache lookup compares no sets
+    words = textproc._segmenter(vocab).cache_info()
+    assert words.currsize == 3
     assert tokenize_subwords(text, clone) == expected
-    assert clone._segment.cache_info().currsize == 3
-    assert vocab._segment.cache_info().currsize == 3
+    assert textproc._segmenter(clone) is textproc._segmenter(vocab)
+    assert textproc._segmenter(clone).cache_info() == words._replace(hits=words.hits + 4)
 
 
 def test_importing_the_cli_loads_no_code_generator():

@@ -9,6 +9,7 @@ from multiref import textproc
 from multiref.errors import CorpusFormatError
 from multiref.textproc import (
     SUBWORD_CACHE_SIZE,
+    VOCAB_CACHE_SIZE,
     WORD_CACHE_SIZE,
     SubwordVocab,
     WORD_MARKER,
@@ -177,12 +178,14 @@ class TestTokenizerCaches:
 
     @given(subword_texts, subword_entries, st.booleans())
     def test_subwords_match_oracle_cold_and_warm(self, text, entries, lowercase):
-        vocab = SubwordVocab(entries, unk_piece="<unk>")  # a new vocabulary starts cold
+        textproc._segmenter.cache_clear()  # no vocabulary has a word cache yet
+        vocab = SubwordVocab(entries, unk_piece="<unk>")
         expected = oracles.subword_pieces(text, entries, "<unk>", lowercase)
         assert list(tokenize_subwords(text, vocab, lowercase)) == expected
-        misses = vocab._segment.cache_info().misses
+        words = textproc._segmenter(vocab).cache_info()
+        assert words.currsize == len(set(textproc._normalize(text, lowercase).split()))
         assert list(tokenize_subwords(text, vocab, lowercase)) == expected
-        assert vocab._segment.cache_info().misses == misses
+        assert textproc._segmenter(vocab).cache_info().misses == words.misses
 
     @given(subword_texts, subword_entries, subword_entries)
     def test_two_vocabularies_keep_their_own_pieces(self, text, first, second):
@@ -199,18 +202,30 @@ class TestTokenizerCaches:
             assert tokenize_subwords("unhappy", whole) == (f"{WORD_MARKER}unhappy",)
             assert tokenize_subwords("unhappy", split) == (f"{WORD_MARKER}un", "happy")
 
-    def test_copies_and_pickles_get_their_own_cache(self):
-        vocab = SubwordVocab(frozenset({"a", f"{WORD_MARKER}b"}), unk_piece="?")
-        tokenize_subwords("ab", vocab)
-        for clone in (copy.copy(vocab), copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))):
+    def test_equal_vocabularies_share_one_word_cache(self, tmp_path):
+        textproc._segmenter.cache_clear()
+        path = tmp_path / "vocab.txt"
+        path.write_text("#unk=?\na\n▁b\n", encoding="utf-8")
+        vocab = load_subword_vocab(path)
+        expected = tokenize_subwords("ab ba", vocab)
+        words = textproc._segmenter(vocab)
+        clones = [load_subword_vocab(path), copy.copy(vocab), copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))]
+        for clone in clones:
             assert clone == vocab and clone.unk_piece == "?"
-            assert clone._segment is not vocab._segment
-            assert tokenize_subwords("ab ba", clone) == tokenize_subwords("ab ba", vocab)
+            assert clone.entries is vocab.entries  # found by identity, not by comparing every piece
+            assert tokenize_subwords("ab ba", clone) == expected
+            assert textproc._segmenter(clone) is words
+        assert words.cache_info().currsize == 2
 
     def test_caches_are_bounded(self):
         assert textproc._peel.cache_info().maxsize == WORD_CACHE_SIZE
-        vocab = SubwordVocab(frozenset({"a"}))
-        assert vocab._segment.cache_info().maxsize == SUBWORD_CACHE_SIZE
+        assert textproc._segmenter.cache_info().maxsize == VOCAB_CACHE_SIZE
+        assert textproc._shared_entries.cache_info().maxsize == VOCAB_CACHE_SIZE
+        vocabs = [SubwordVocab(frozenset({"a" * n})) for n in range(1, VOCAB_CACHE_SIZE + 3)]
+        for vocab in vocabs:
+            tokenize_subwords("aa", vocab)
+            assert textproc._segmenter(vocab).cache_info().maxsize == SUBWORD_CACHE_SIZE
+        assert textproc._segmenter.cache_info().currsize == VOCAB_CACHE_SIZE
 
 
 class TestVocabLoading:
@@ -241,6 +256,32 @@ class TestVocabLoading:
     def test_empty_unk_piece_rejected(self):
         with pytest.raises(ValueError, match="unk piece"):
             SubwordVocab(frozenset({"a"}), unk_piece="")
+
+    def test_sentencepiece_vocab_line_fails_at_its_line(self, tmp_path):
+        # Each whole line used to load as one piece, so no piece ever matched.
+        path = tmp_path / "spm.vocab"
+        path.write_text("#unk=<oov>\n▁the\n\n▁cat\t-3.25\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as err:
+            load_subword_vocab(path)
+        assert (err.value.path, err.value.line) == (str(path), 4)
+        assert str(err.value) == (
+            f"{path}:4: invalid vocabulary: subword piece '▁cat\\t-3.25' contains whitespace;"
+            " keep the first column of a .vocab line"
+        )
+
+    @pytest.mark.parametrize("line", [" ", "\t", "a b", "\u3000", "a\x1cb", "a\rb"])
+    def test_piece_holding_whitespace_rejected(self, tmp_path, line):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"a\n\n{line}\n", encoding="utf-8", newline="")
+        with pytest.raises(CorpusFormatError, match=r":3: invalid vocabulary: subword piece .* contains whitespace"):
+            load_subword_vocab(path)
+        with pytest.raises(ValueError, match="contains whitespace"):
+            SubwordVocab(frozenset({"a", line}))
+
+    def test_empty_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"\na\r\n\r\n\nb\n\n")
+        assert load_subword_vocab(path) == (frozenset({"a", "b"}), "<unk>")
 
     def test_byte_order_mark_before_header_is_skipped(self, tmp_path):
         path = tmp_path / "vocab.txt"
