@@ -261,36 +261,17 @@ def _format_table(headers, rows) -> str:
 # ---------------------------------------------------------------- generate
 
 
-def _resolve_template(args):
-    """The prompt template `--template-file`, or `--task` and `--template`, name."""
-    if args.template_file:
-        if args.template is not None:
-            raise ValueError("--template and --template-file are mutually exclusive")
-        return read_json(args.template_file, refgen.PromptTemplate.from_json, "template")
-    name = args.template or refgen.DEFAULT_TEMPLATE
-    try:
-        return refgen.BUILTIN_TEMPLATES[(args.task, name)]
-    except KeyError:
-        raise ValueError(f"no built-in {name} template for task {args.task!r}")
-
-
 def cmd_generate(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    n_references = args.n_references
-    if n_references is None:
-        n_references = refgen.DEFAULT_N_REFERENCES[args.task]
+    # GenerationConfig and choose_template check every rule of the flags before any file is read.
     cfg = refgen.GenerationConfig(
         model_name=args.model,
-        n_references=n_references,
+        n_references=refgen.DEFAULT_N_REFERENCES[args.task] if args.n_references is None else args.n_references,
         endpoint_url=args.endpoint,
         max_retries=args.max_retries,
         timeout=args.timeout,
         concurrency=args.jobs,
     )
-    template = _resolve_template(args)
-    if args.ground_truth is not None:
-        template = template._replace(include_ground_truth=args.ground_truth)
+    template = refgen.choose_template(args.task, args.template, args.template_file, args.ground_truth)
     segments = corpus_io.load_segments(args.segments)
     transport = refgen.MockTransport() if args.mock else refgen.HttpChatTransport()
 
@@ -347,13 +328,6 @@ def cmd_select(args) -> int:
 # ------------------------------------------------------------------- score
 
 
-def _parse_metrics(spec: str) -> tuple[str, ...]:
-    metrics = tuple(m.strip() for m in spec.split(",") if m.strip())
-    if not metrics:
-        raise ValueError(f"--metrics names no metric, got {spec!r}")
-    return metrics
-
-
 def _parse_sweep(spec: str) -> tuple[int, int]:
     try:
         low, high = spec.split("..", 1)
@@ -365,7 +339,7 @@ def _parse_sweep(spec: str) -> tuple[int, int]:
 def cmd_score(args) -> int:
     # ScoreSettings checks every rule of the flags, so a bad one fails before any file is read.
     settings = ScoreSettings(
-        metrics=_parse_metrics(args.metrics),
+        metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
         refs=args.refs or ("generated" if args.generated_refs else "gold"),
         max_refs=args.max_refs,
         sweep_refs=_parse_sweep(args.sweep_refs) if args.sweep_refs else None,

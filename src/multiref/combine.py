@@ -19,7 +19,7 @@ from .corpus_io import (
     write_jsonl,
 )
 from .errors import CorpusFormatError
-from .records import is_count, record
+from .records import check_count, record
 
 COMBINE_KINDS = ("max", "mean", "top_k_mean")
 
@@ -31,10 +31,9 @@ class CombinePolicy(record("CombinePolicy", "kind k")):
         if kind not in COMBINE_KINDS:
             raise ValueError(f"unknown combine kind {kind!r}")
         if kind == "top_k_mean":
-            if k is not None and not is_count(k):
-                raise ValueError(f"top_k_mean requires an integer k, got {k!r}")
-            if k is None or k < 1:
+            if k is None:
                 raise ValueError("top_k_mean requires k >= 1")
+            check_count(k, "k")
         elif k is not None:
             raise ValueError(f"k is only valid for top_k_mean, not {kind!r}")
         return tuple.__new__(cls, (kind, k))

@@ -32,7 +32,7 @@ from collections import Counter
 from itertools import repeat
 from operator import add
 
-from .records import is_count
+from .records import check_count
 
 
 #: The largest n-gram order any metric counts. The defaults are 4 (BLEU) and 6
@@ -45,13 +45,8 @@ MAX_ORDER = 32
 
 
 def check_order(n: int, name: str) -> None:
-    """Reject an n-gram order that is not an integer in 1..MAX_ORDER, naming it `name` in the message."""
-    if not is_count(n):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise ValueError(f"{name} must be <= {MAX_ORDER}, got {n}")
+    """Reject an n-gram order that is not an integer in 1..MAX_ORDER: `records.check_count`, naming it `name`."""
+    check_count(n, name, 1, MAX_ORDER)
 
 
 def active_backend() -> str:

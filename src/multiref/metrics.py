@@ -11,7 +11,7 @@ from functools import partial, reduce
 from operator import add
 
 from . import kernels
-from .records import is_count, record
+from .records import check_count, is_count, record
 from .textproc import tokenize_chars, tokenize_pieces, tokenize_subwords, tokens_of
 
 SMOOTHING_METHODS = ("none", "exp")
@@ -433,7 +433,7 @@ class ScoreSettings(record(
 )):
     """Every setting of one `score` run, each field one of its flags, checked together.
 
-    `metrics` is a tuple of metric names and `refs` one of `REF_MODES`.
+    `metrics` is a non-empty tuple of metric names and `refs` one of `REF_MODES`.
     `max_refs` caps the generated references per segment (None keeps them
     all); `sweep_refs`, a (low, high) pair, scores each count from low to
     high instead; `counts` lists the counts asked for. `per_reference` makes the
@@ -462,6 +462,8 @@ class ScoreSettings(record(
             # tuple("chrf") would be four one-letter names.
             raise ValueError(f"metrics must be a sequence of metric names, got the str {metrics!r}")
         metrics = tuple(metrics)
+        if not metrics:
+            raise ValueError("--metrics names no metric")
         if vocab and pretokenized:
             raise ValueError("--vocab and --pretokenized are mutually exclusive")
         if "spbleu" not in metrics and (vocab or pretokenized):
@@ -470,10 +472,7 @@ class ScoreSettings(record(
         if "spbleu" in metrics and not vocab and not pretokenized:
             raise ValueError("spbleu requires --vocab unless --pretokenized is set")
         if max_refs is not None:
-            if not is_count(max_refs):
-                raise ValueError(f"--max-refs must be an integer, got {max_refs!r}")
-            if max_refs < 1:
-                raise ValueError(f"--max-refs must be >= 1, got {max_refs}")
+            check_count(max_refs, "--max-refs")
         kernels.check_order(chrf_order, "--chrf-order")
         if refs not in REF_MODES:
             raise ValueError(f"unknown reference mode {refs!r}")

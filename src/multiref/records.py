@@ -1,10 +1,11 @@
-"""The one base of the package's record classes.
+"""The one base of the package's record classes, and the one check of their whole numbers.
 
 A record subclasses `record(name, fields)`, a named tuple, with
 `__slots__ = ()`, and checks its fields and fills its `None` defaults in
 `__new__`. The base does not generate and compile `__init__`, `__eq__` and
 `__repr__` source for each class, which took about 1 ms a class at import.
-`is_count` is the one test of a whole-number field that the records share.
+`check_count` is the one check of a count, order or size; each message names
+the value as its caller knows it, by its flag (`--jobs`) in a command's record.
 """
 
 from collections import namedtuple
@@ -26,5 +27,15 @@ def record(name: str, fields: str, defaults=()):
 
 
 def is_count(value) -> bool:
-    """Whether `value` is an int and not a bool, as every count, order and size field must be."""
+    """Whether `value` is an int and not a bool, as every count, order and size must be."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, low: int = 1, high: int | None = None) -> None:
+    """Reject a `value` that is not an int (a bool is not) in `low..high`, naming it `name`."""
+    if not is_count(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")

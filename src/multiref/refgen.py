@@ -25,9 +25,9 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus_io import bool_field, id_field, jsonl_line, read_jsonl, text_field, text_list
+from .corpus_io import bool_field, id_field, jsonl_line, read_json, read_jsonl, text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
-from .records import is_count, record
+from .records import check_count, record
 
 #: Environment variables consulted for the API key, in order.
 API_KEY_ENV_VARS = ("MULTIREF_API_KEY", "OPENAI_API_KEY")
@@ -107,13 +107,44 @@ DEFAULT_TEMPLATE = "english"
 #: Candidates requested per segment, per task.
 DEFAULT_N_REFERENCES = {"translation": 40, "summarization": 10}
 
+#: The most candidates one request may ask for: the paper asks for 10-40, and 1000 one-line
+#: candidates pass the output limit of common chat models. 10**30 made `MockTransport` run out of memory.
+MAX_REFERENCES = 1000
+
+
+def choose_template(
+    task: str = "translation", name: str | None = None, path: str | None = None, ground_truth: bool | None = None
+) -> PromptTemplate:
+    """`generate`'s template: the JSON file at `path`, else the built-in `name` for `task`.
+
+    `name` defaults to `DEFAULT_TEMPLATE`, and a `ground_truth` that is not None replaces
+    `include_ground_truth`. A `name` with a `path`, or one that `task` has no built-in
+    template for, raises ValueError before any file is read.
+    """
+    if path:
+        if name is not None:
+            raise ValueError("--template and --template-file are mutually exclusive")
+        template = read_json(path, PromptTemplate.from_json, "template")
+    else:
+        name = name or DEFAULT_TEMPLATE
+        try:
+            template = BUILTIN_TEMPLATES[(task, name)]
+        except KeyError:
+            raise ValueError(f"no built-in {name} template for task {task!r}") from None
+    if ground_truth is not None:
+        template = template._replace(include_ground_truth=ground_truth)
+    return template
+
 
 class GenerationConfig(
-    record(
-        "GenerationConfig",
-        "model_name n_references endpoint_url max_retries timeout concurrency",
-    )
+    record("GenerationConfig", "model_name n_references endpoint_url max_retries timeout concurrency")
 ):
+    """Every setting of one `generate` run but its template, checked together before any file is read.
+
+    Each message names a field as `generate`'s flag: `--n-references` (1..`MAX_REFERENCES`),
+    `--max-retries` (>= 0), `--timeout` (seconds, finite and > 0) and, for `concurrency`, `--jobs` (>= 1).
+    """
+
     __slots__ = ()
 
     def __new__(
@@ -125,21 +156,12 @@ class GenerationConfig(
         timeout: float = 120.0,
         concurrency: int = 1,
     ):
-        counts = {"n_references": n_references, "max_retries": max_retries, "concurrency": concurrency}
-        for name, value in counts.items():
-            if not is_count(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if n_references < 1:
-            raise ValueError("n_references must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        check_count(concurrency, "--jobs")
+        check_count(n_references, "--n-references", 1, MAX_REFERENCES)
+        check_count(max_retries, "--max-retries", 0)
         if not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"timeout must be a finite number of seconds > 0, got {timeout}")
-        return tuple.__new__(
-            cls, (model_name, n_references, endpoint_url, max_retries, timeout, concurrency)
-        )
+            raise ValueError(f"--timeout must be a finite number of seconds > 0, got {timeout}")
+        return tuple.__new__(cls, (model_name, n_references, endpoint_url, max_retries, timeout, concurrency))
 
 
 class GenerationRecord(
@@ -182,15 +204,10 @@ class GenerationRecord(
         )
 
 
-def build_prompt(
-    template: PromptTemplate, source: str, ground_truth: str | None, n: int
-) -> str:
+def build_prompt(template: PromptTemplate, source: str, ground_truth: str | None, n: int) -> str:
     """Deterministically assemble the full prompt; it has a gold block exactly when `ground_truth` is given."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    task = template.task_description.replace(N_PLACEHOLDER, str(n)).replace(
-        SOURCE_PLACEHOLDER, source
-    )
+    check_count(n, "n")
+    task = template.task_description.replace(N_PLACEHOLDER, str(n)).replace(SOURCE_PLACEHOLDER, source)
     parts = [template.rules, task]
     if ground_truth is not None:
         parts.append(f"{GROUND_TRUTH_LABEL}\n{ground_truth}")

@@ -11,9 +11,9 @@ Multi-reference scoring tokenizes many near-paraphrases, so most words recur.
 Bounded caches keep the per-word work to once per distinct word:
 `tokenize_words` peels the punctuation of each distinct whitespace chunk once
 (a `functools.lru_cache` of `WORD_CACHE_SIZE` chunks), and `tokenize_subwords`
-segments each distinct word once per vocabulary (an `lru_cache` of
-`SUBWORD_CACHE_SIZE` words for each of the last `VOCAB_CACHE_SIZE`
-vocabularies used, shared by equal ones and found once per text).
+segments each distinct word once per piece set (an `lru_cache` of
+`SUBWORD_CACHE_SIZE` words for each of the last `VOCAB_CACHE_SIZE` sets used,
+found once per text by the set's identity, so an equal copy fills its own).
 Normalization and lowercasing apply to the whole text before it is split, so
 a chunk alone determines its tokens. The caches change no result, and no
 flag turns them off.
@@ -40,7 +40,7 @@ WORD_CACHE_SIZE = 1 << 16
 #: Distinct words whose subword pieces each vocabulary keeps.
 SUBWORD_CACHE_SIZE = 1 << 16
 
-#: Vocabularies whose word caches are kept: a `score` run uses one, and four let a library
+#: Piece sets whose word caches are kept: a `score` run uses one, and four let a library
 #: caller alternate between a few while bounding the words kept to 4 * `SUBWORD_CACHE_SIZE`.
 VOCAB_CACHE_SIZE = 4
 
@@ -48,8 +48,8 @@ VOCAB_CACHE_SIZE = 4
 class SubwordVocab(record("SubwordVocab", "entries unk_piece")):
     """Subword inventory used for greedy longest-match segmentation; immutable and hashable.
 
-    Each piece is a non-empty string without whitespace, as text is split
-    into words at whitespace before it is matched.
+    Each piece, and the unk piece, is a non-empty string without whitespace,
+    as text is split into words at whitespace before it is matched.
     """
 
     __slots__ = ()
@@ -61,20 +61,17 @@ class SubwordVocab(record("SubwordVocab", "entries unk_piece")):
             raise ValueError("subword vocabulary must not contain the empty string")
         for piece in entries:
             _check_piece(piece)
-        if not unk_piece:
-            raise ValueError("the unk piece must not be empty")
-        return tuple.__new__(cls, (_shared_entries(entries), unk_piece))
+        _check_piece(unk_piece, unk=True)
+        return tuple.__new__(cls, (entries, unk_piece))
 
 
-@lru_cache(maxsize=VOCAB_CACHE_SIZE)
-def _shared_entries(entries: frozenset[str]) -> frozenset[str]:
-    """The first equal piece set built lately: `_segmenter` then finds equal vocabularies by identity."""
-    return entries
-
-
-def _check_piece(piece: str) -> None:
-    if piece.split() != [piece]:
-        raise ValueError(f"subword piece {piece!r} contains whitespace; keep the first column of a .vocab line")
+def _check_piece(piece: str, unk: bool = False) -> str:
+    """`piece`, unless it is empty or holds whitespace: text is split into words at whitespace before it is matched."""
+    if piece.split() == [piece]:
+        return piece
+    if unk:
+        raise ValueError(f"the unk piece must be non-empty without whitespace, got {piece!r}")
+    raise ValueError(f"subword piece {piece!r} contains whitespace; keep the first column of a .vocab line")
 
 
 def _is_punct(ch: str) -> bool:
@@ -125,7 +122,8 @@ def tokenize_subwords(text: str, vocab: SubwordVocab, lowercase: bool = False) -
     and matching restarts on the bare word; any position with no match at all
     emits the vocabulary's unk piece and advances one character.
     """
-    return tuple(chain.from_iterable(map(_segmenter(vocab), _normalize(text, lowercase).split())))
+    segment = _segmenter(id(vocab.entries), vocab.entries, vocab.unk_piece)
+    return tuple(chain.from_iterable(map(segment, _normalize(text, lowercase).split())))
 
 
 def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
@@ -134,10 +132,14 @@ def tokenize_pieces(text: str, lowercase: bool = False) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=VOCAB_CACHE_SIZE)
-def _segmenter(vocab: SubwordVocab):
-    """`vocab`'s word -> pieces function, with its own cache of words; equal vocabularies share it."""
-    max_len = max(map(len, vocab.entries))
-    return lru_cache(maxsize=SUBWORD_CACHE_SIZE)(partial(_segment_word, vocab.entries, max_len, vocab.unk_piece))
+def _segmenter(key: int, entries: frozenset[str], unk_piece: str):
+    """The word -> pieces function of one piece set, with its own cache of words.
+
+    `key` is `id(entries)`, which a lookup compares first, so it compares no
+    two sets; the function holds `entries`, so no other set has that id.
+    """
+    max_len = max(map(len, entries))
+    return lru_cache(maxsize=SUBWORD_CACHE_SIZE)(partial(_segment_word, entries, max_len, unk_piece))
 
 
 def _segment_word(entries: frozenset[str], max_len: int, unk_piece: str, word: str):
@@ -183,24 +185,20 @@ def tokens_of(seq) -> tuple[str, ...]:
 def load_subword_vocab(path: str | Path) -> SubwordVocab:
     """Load a vocabulary file: one piece per line (`\\n` or `\\r\\n`), optional `#unk=<piece>` header.
 
-    Empty lines are skipped; a line whose piece holds whitespace fails at `path:line`.
+    Empty lines are skipped; a piece, or a header's unk piece, that is not
+    one of `SubwordVocab` fails at its `path:line`.
     """
     unk_piece = DEFAULT_UNK_PIECE
     entries: set[str] = set()
     for lineno, line in read_lines(path, "vocabulary"):
         line = line.rstrip("\r\n")
-        if lineno == 1 and line.startswith("#unk="):
-            unk_piece = line[len("#unk=") :]
-            if not unk_piece:
-                raise CorpusFormatError("empty unk piece in header", str(path), lineno)
-            continue
-        if not line:
-            continue
         try:
-            _check_piece(line)
+            if lineno == 1 and line.startswith("#unk="):
+                unk_piece = _check_piece(line[len("#unk=") :], unk=True)
+            elif line:
+                entries.add(_check_piece(line))
         except ValueError as exc:
             raise CorpusFormatError(f"invalid vocabulary: {exc}", str(path), lineno) from None
-        entries.add(line)
     if not entries:
         raise CorpusFormatError("vocabulary file contains no pieces", str(path))
     return SubwordVocab(entries=frozenset(entries), unk_piece=unk_piece)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from multiref import refgen
-from multiref.cli import _apply_config, _resolve_template, _subparsers, build_parser, main
+from multiref.cli import _apply_config, _subparsers, build_parser, main
 from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
 from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, score_and_select
@@ -726,12 +726,12 @@ class TestScore:
         config = pipeline["dir"] / "config.json"
         config.write_text(json.dumps({"metrics": ""}))
         missing = str(pipeline["dir"] / "missing.jsonl")
-        cases = [([], ["--metrics", ","], ","), ([], ["--metrics", ""], ""), (["--config", str(config)], [], "")]
-        for global_flags, flags, value in cases:
+        cases = [([], ["--metrics", ","]), ([], ["--metrics", ""]), (["--config", str(config)], [])]
+        for global_flags, flags in cases:
             code = main([*global_flags, "score", "--segments", missing, "--outputs", missing,
                          "--summary", str(summary), *flags])
             assert code == 1
-            assert capsys.readouterr().err == f"multiref: error: --metrics names no metric, got {value!r}\n"
+            assert capsys.readouterr().err == "multiref: error: --metrics names no metric\n"
             assert not summary.exists()
 
     def test_spbleu_requires_vocab(self, pipeline, capsys):
@@ -834,7 +834,7 @@ BAD_SCORE_FLAGS = {
                              "--vocab sets spbleu's tokenizer; --metrics names no spbleu"),
     "max-refs-gold": (["--refs", "gold", "--max-refs", "2"], {**NO_REFS, "max_refs": 2},
                       "--max-refs caps generated references; it does not apply to --refs gold"),
-    "no-metric": (["--metrics", ","], None, "--metrics names no metric, got ','"),
+    "no-metric": (["--metrics", ","], {**NO_REFS, "metrics": ()}, "--metrics names no metric"),
     "spbleu-no-vocab": (["--metrics", "bleu,spbleu"], {**NO_REFS, "metrics": ("bleu", "spbleu")},
                         "spbleu requires --vocab unless --pretokenized is set"),
     "max-refs-zero": (["--generated-refs", "missing.refs.jsonl", "--max-refs", "0"],
@@ -864,7 +864,7 @@ BAD_SCORE_FLAGS = {
 @pytest.mark.parametrize(
     "argv, message",
     [(["score", *flags], message) for flags, _, message in BAD_SCORE_FLAGS.values()]
-    + [(["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "n_references must be >= 1")],
+    + [(["generate", "--out", "r.jsonl", "--mock", "--n-references", "0"], "--n-references must be >= 1, got 0")],
     ids=[*BAD_SCORE_FLAGS, "generate-n-references"],
 )
 def test_bad_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
@@ -887,6 +887,57 @@ def test_score_settings_reject_what_score_rejects(kwargs, message):
     # The library record makes score's checks, so a library caller gets the same rules and messages.
     with pytest.raises(ValueError) as info:
         ScoreSettings(**kwargs)
+    assert str(info.value) == message
+
+
+# Each bad value or combination of generate's flags: its global flags, its generate flags, the
+# library call that states it, and the message both give.
+GENERATE = refgen.GenerationConfig
+TEMPLATE = refgen.choose_template
+BAD_GENERATE_FLAGS = {
+    "jobs-zero": (["--jobs", "0"], [], GENERATE, {"concurrency": 0}, "--jobs must be >= 1, got 0"),
+    "n-references-zero": ([], ["--n-references", "0"], GENERATE, {"n_references": 0},
+                          "--n-references must be >= 1, got 0"),
+    "n-references-huge": ([], ["--n-references", "1001"], GENERATE, {"n_references": 1001},
+                          "--n-references must be <= 1000, got 1001"),
+    "max-retries-negative": ([], ["--max-retries", "-1"], GENERATE, {"max_retries": -1},
+                             "--max-retries must be >= 0, got -1"),
+    "timeout-zero": ([], ["--timeout", "0"], GENERATE, {"timeout": 0.0},
+                     "--timeout must be a finite number of seconds > 0, got 0.0"),
+    "timeout-nan": ([], ["--timeout", "nan"], GENERATE, {"timeout": float("nan")},
+                    "--timeout must be a finite number of seconds > 0, got nan"),
+    "jobs-before-n-references": (["--jobs", "0"], ["--n-references", "0"], GENERATE,
+                                 {"concurrency": 0, "n_references": 0}, "--jobs must be >= 1, got 0"),
+    "template-and-file": ([], ["--template", "english", "--template-file", "missing.json"], TEMPLATE,
+                          {"name": "english", "path": "missing.json"},
+                          "--template and --template-file are mutually exclusive"),
+    "template-not-for-task": ([], ["--task", "summarization", "--template", "chinese"], TEMPLATE,
+                              {"task": "summarization", "name": "chinese"},
+                              "no built-in chinese template for task 'summarization'"),
+    "config-before-template": ([], ["--timeout", "-1", "--template-file", "missing.json", "--template", "english"],
+                               GENERATE, {"timeout": -1.0},
+                               "--timeout must be a finite number of seconds > 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("global_flags, flags, message",
+                         [(g, f, message) for g, f, _, _, message in BAD_GENERATE_FLAGS.values()],
+                         ids=list(BAD_GENERATE_FLAGS))
+def test_bad_generate_flags_fail_before_any_file_is_read(tmp_path, monkeypatch, capsys, global_flags, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code = main([*global_flags, "generate", "--segments", "missing.jsonl", "--out", "r.jsonl", "--mock", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"multiref: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("call, kwargs, message",
+                         [(call, kwargs, message) for _, _, call, kwargs, message in BAD_GENERATE_FLAGS.values()],
+                         ids=list(BAD_GENERATE_FLAGS))
+def test_generate_records_reject_what_generate_rejects(call, kwargs, message):
+    # GenerationConfig and choose_template make generate's checks, with generate's messages.
+    with pytest.raises(ValueError) as info:
+        call(**kwargs)
     assert str(info.value) == message
 
 
@@ -936,7 +987,7 @@ class TestCombine:
         cases = [
             (["--policy", "top_k_mean"], "top_k_mean requires k >= 1"),
             (["--k", "2", "--policy", "max"], "k is only valid for top_k_mean, not 'max'"),
-            (["--policy", "top_k_mean", "--k", "0"], "top_k_mean requires k >= 1"),
+            (["--policy", "top_k_mean", "--k", "0"], "k must be >= 1, got 0"),
         ]
         for command in (["combine"], ["metaeval", "--human", str(pipeline["human"])]):
             for policy, reason in cases:
@@ -1779,7 +1830,8 @@ def test_flag_defaults_are_the_library_defaults(command):
         assert type(getattr(args, dest)) is type(value), dest
     if command == "generate":
         # --template and --n-references default to None, and the library's defaults fill them in.
-        assert _resolve_template(args) is refgen.BUILTIN_TEMPLATES[(args.task, refgen.DEFAULT_TEMPLATE)]
+        chosen = refgen.choose_template(args.task, args.template, args.template_file, args.ground_truth)
+        assert chosen is refgen.BUILTIN_TEMPLATES[(args.task, refgen.DEFAULT_TEMPLATE)]
         (template,) = [action for action in sub._actions if action.dest == "template"]
         assert template.help == f"built-in template (default: {refgen.DEFAULT_TEMPLATE})"
         assert refgen.GenerationConfig().n_references == refgen.DEFAULT_N_REFERENCES[args.task]

@@ -3,11 +3,13 @@
 Small inputs of all seven commands are built here: `score`, `select`,
 `combine`, `metaeval`, `diversity`, `leakage-report` (its `--single` and
 `--multi` summaries) and `generate` (`--mock`, resuming from its `--out`
-file, with a `--template-file`), a `--config` file for `score`, and a
-`--vocab` file for `score --metrics spbleu`. Each case changes one field of
-one record or document (a wrong type, a missing key, a non-finite or huge
-number), or one whole line or document, or one line of the vocabulary (a
-SentencePiece `.vocab` score appended, an empty `#unk=` header, whitespace
+file, with a `--template-file`), a `--config` file for `score` and one for
+`generate --mock` (its counts, timeout, task and template, which names
+either `template` or `template_file`), and a `--vocab` file for
+`score --metrics spbleu`. Each case changes one field of one record or
+document (a wrong type, a missing key, a non-finite or huge number), or one
+whole line or document, or one line of the vocabulary (a SentencePiece
+`.vocab` score appended, an empty or whitespace `#unk=` header, whitespace
 alone, bytes that are not UTF-8) or all of its pieces, and runs the
 command. The run must either exit 0 and write only finite numbers, or
 exit 1 with one `multiref: error: <path>[:<line>]: ...` line naming an
@@ -82,6 +84,10 @@ TEMPLATE = {"rules": "Write plain text.", "task_description": "Give {n} versions
 CONFIG = {"metrics": "bleu,chrf,rouge2", "max_order": 3, "chrf_beta": 1.0, "lowercase": True,
           "ref_length": "shortest", "max_refs": 2, "jobs": 2}
 GLOBAL_FLAGS = ("lowercase", "jobs")
+# Values for generate's flags, run in the directory of the template file. Each case keeps one of
+# "template" and "template_file", as the two exclude each other.
+GENERATE_CONFIG = {"jobs": 2, "n_references": 3, "max_retries": 1, "timeout": 5.0, "task": "translation",
+                   "template": "chinese", "template_file": "template.json"}
 # A --vocab file's lines: a header, then pieces that cover the outputs' words.
 VOCAB = ("#unk=<unk>", *sorted({f"▁{w}" for r in OUTPUTS for w in r["hypothesis"].split()} | set("aeiou0123")))
 
@@ -133,6 +139,11 @@ STAGES = {
         lambda p: [*(["--config", p["config"]] if "config" in p else []),
                    "score", "--segments", p["segments"], "--outputs", p["outputs"], "--generated-refs", p["refs"],
                    "--refs", "both", "--out", p["out"], "--summary", p["summary"]],
+    ),
+    "config-generate": (
+        {"config": GENERATE_CONFIG, "segments": SEGMENTS, "template": TEMPLATE},
+        lambda p: [*(["--config", p["config"]] if "config" in p else []),
+                   "generate", "--segments", p["segments"], "--out", p["out"], "--mock"],
     ),
 }
 
@@ -191,7 +202,7 @@ def _mutated_vocab(rng, lines):
     if kind == 0:
         lines[index] += f"\t{-rng.randrange(1, 100) / 4}".encode()  # a SentencePiece .vocab line
     elif kind == 1:
-        lines[0] = b"#unk="
+        lines[0] = b"#unk=" + rng.choice(["", " ", "\t", "\u3000"]).encode("utf-8")
     elif kind == 2:
         lines[index] = rng.choice([" ", "\t", " \t ", "\u3000", "\x1c"]).encode("utf-8")
     elif kind == 3:
@@ -202,7 +213,7 @@ def _mutated_vocab(rng, lines):
 
 
 def _as_flags(config):
-    """(global, score) command-line flags that give `config`'s values, which all fit their flags."""
+    """(global, command) command-line flags that give `config`'s values, which all fit their flags."""
     flags = {True: [], False: []}
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
@@ -231,13 +242,17 @@ def _documents(path):
 
 @pytest.mark.parametrize("seed", range(N_CASES))
 @pytest.mark.parametrize("stage", sorted(STAGES))
-def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, capsys, stage, seed):
+def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, monkeypatch, capsys, stage, seed):
+    monkeypatch.chdir(tmp_path)
     rng = random.Random(f"{stage}/{seed}")
     inputs, command = STAGES[stage]
     names = list(inputs)
     target = names[0] if rng.random() < 0.5 else rng.choice(names)
     paths = {"out": str(tmp_path / "out.jsonl"), "summary": str(tmp_path / "summary.json")}
     for name, data in inputs.items():
+        if name == "config" and "template_file" in data:
+            data = dict(data)
+            del data[rng.choice(["template", "template_file"])]
         if isinstance(data, tuple):
             path = tmp_path / f"{name}.txt"
             raw = _mutated_vocab(rng, data) if name == target else "".join(f"{line}\n" for line in data).encode()
@@ -265,8 +280,8 @@ def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, capsys, sta
     if "config" in paths and not re.match(rf"multiref: error: ({located})", err):
         # The config was read, and one of its values failed as the flag's value does.
         config = json.loads(Path(paths.pop("config")).read_text(encoding="utf-8"))
-        global_flags, score_flags = _as_flags(config)
-        assert main([*global_flags, *command(paths), *score_flags]) == 1
+        global_flags, command_flags = _as_flags(config)
+        assert main([*global_flags, *command(paths), *command_flags]) == 1
         assert capsys.readouterr().err == err
         assert re.fullmatch(r"multiref: error: [^\n]+\n", err), err
     else:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from multiref import textproc
+from multiref.records import check_count
 from multiref import (
     BleuConfig,
     CombinePolicy,
@@ -42,11 +43,11 @@ CASES = [
     (CombinePolicy, {"kind": "top_k_mean", "k": 2}, True, True, [
         ({"kind": "median", "k": None}, "unknown combine kind 'median'"),
         ({"k": None}, "top_k_mean requires k >= 1"),
-        ({"k": 0}, "top_k_mean requires k >= 1"),
+        ({"k": 0}, "k must be >= 1, got 0"),
         ({"kind": "max"}, "k is only valid for top_k_mean, not 'max'"),
         # A float k failed only when the rows were sliced, and True was taken as k = 1.
-        ({"k": 2.5}, "top_k_mean requires an integer k, got 2.5"),
-        ({"k": True}, "top_k_mean requires an integer k, got True"),
+        ({"k": 2.5}, "k must be an integer, got 2.5"),
+        ({"k": True}, "k must be an integer, got True"),
     ]),
     (Segment, {"id": "s1", "source": "src", "gold_refs": ("g",), "generated_refs": ("a", "b")}, True, True, []),
     (EvalCorpus, {"segments": [Segment("s1", "src")], "systems": {"A": {"s1": "hyp"}}}, True, False, []),
@@ -96,6 +97,8 @@ CASES = [
             ({"chrf_order": 4.0}, "--chrf-order must be an integer, got 4.0"),
             # tuple("bleu") used to fail as "unknown metric 'b'".
             ({"metrics": "bleu"}, "metrics must be a sequence of metric names, got the str 'bleu'"),
+            # No metric used to score nothing: score_corpus returned {} and [].
+            ({"metrics": ()}, "--metrics names no metric"),
         ],
     ),
     (MetricScore, {"value": 42.0, "per_order": (0.5, 0.25), "detail": {"bp": 1.0}}, True, False, [
@@ -112,7 +115,9 @@ CASES = [
     (SubwordVocab, {"entries": frozenset({"▁a", "b"}), "unk_piece": "?"}, True, True, [
         ({"entries": frozenset()}, "subword vocabulary must not be empty"),
         ({"entries": frozenset({"a", ""})}, "subword vocabulary must not contain the empty string"),
-        ({"unk_piece": ""}, "the unk piece must not be empty"),
+        ({"unk_piece": ""}, "the unk piece must be non-empty without whitespace, got ''"),
+        # An unk piece of whitespace used to load, and came out of tokenize_subwords as a token.
+        ({"unk_piece": " "}, "the unk piece must be non-empty without whitespace, got ' '"),
         # A SentencePiece .vocab line used to load whole, and no such piece could ever match.
         ({"entries": frozenset({"a", "b\t-2.5"})},
          "subword piece 'b\\t-2.5' contains whitespace; keep the first column of a .vocab line"),
@@ -129,15 +134,17 @@ CASES = [
             "max_retries": 0, "timeout": 0.5, "concurrency": 2,
         },
         True, True, [
-            ({"n_references": 0}, "n_references must be >= 1"),
-            ({"max_retries": -1}, "max_retries must be >= 0"),
-            ({"concurrency": 0}, "concurrency must be >= 1"),
-            ({"timeout": 0.0}, "timeout must be a finite number of seconds > 0, got 0.0"),
-            ({"timeout": math.inf}, "timeout must be a finite number of seconds > 0, got inf"),
+            ({"n_references": 0}, "--n-references must be >= 1, got 0"),
+            ({"max_retries": -1}, "--max-retries must be >= 0, got -1"),
+            ({"concurrency": 0}, "--jobs must be >= 1, got 0"),
+            ({"timeout": 0.0}, "--timeout must be a finite number of seconds > 0, got 0.0"),
+            ({"timeout": math.inf}, "--timeout must be a finite number of seconds > 0, got inf"),
             # 2.5 used to be sent to the endpoint as the number of candidates to write.
-            ({"n_references": 2.5}, "n_references must be an integer, got 2.5"),
-            ({"max_retries": True}, "max_retries must be an integer, got True"),
-            ({"concurrency": 2.0}, "concurrency must be an integer, got 2.0"),
+            ({"n_references": 2.5}, "--n-references must be an integer, got 2.5"),
+            ({"max_retries": True}, "--max-retries must be an integer, got True"),
+            ({"concurrency": 2.0}, "--jobs must be an integer, got 2.0"),
+            # 10**30 made the mock endpoint build its reply until memory ran out.
+            ({"n_references": 10**30}, f"--n-references must be <= 1000, got {10**30}"),
         ],
     ),
     (
@@ -248,19 +255,46 @@ def test_replace_keeps_the_other_fields():
     assert segment._replace(generated_refs=("a",)) == Segment("s1", "src", ("g",), ("a",))
 
 
-def test_pickled_vocab_segments_alike_from_the_same_word_cache():
+def test_pickled_vocab_segments_alike_from_its_own_word_cache():
+    # A pickled copy used to find the original's word cache by comparing their piece sets.
     textproc._segmenter.cache_clear()
     vocab = SubwordVocab(frozenset({"▁un", "happy", "▁the", "e"}), unk_piece="?")
     text = "the unhappy thee unhappy"
     expected = tokenize_subwords(text, vocab)
     clone = pickle.loads(pickle.dumps(vocab))
-    assert clone == vocab and hash(clone) == hash(vocab)
-    assert clone.entries is vocab.entries  # so the cache lookup compares no sets
-    words = textproc._segmenter(vocab).cache_info()
-    assert words.currsize == 3
+    assert clone == vocab and hash(clone) == hash(vocab) and clone.entries is not vocab.entries
     assert tokenize_subwords(text, clone) == expected
-    assert textproc._segmenter(clone) is textproc._segmenter(vocab)
-    assert textproc._segmenter(clone).cache_info() == words._replace(hits=words.hits + 4)
+    assert tokenize_subwords(text, clone) == expected
+    words = textproc._segmenter.cache_info()
+    assert (words.misses, words.currsize) == (2, 2)
+    # The clone's own word cache: 3 distinct words of the 8 in two texts.
+    clone_words = textproc._segmenter(id(clone.entries), clone.entries, clone.unk_piece).cache_info()
+    assert (clone_words.misses, clone_words.hits) == (3, 5)
+
+
+@pytest.mark.parametrize(
+    "value, low, high, message",
+    [
+        (True, 1, None, "x must be an integer, got True"),
+        (2.0, 1, None, "x must be an integer, got 2.0"),
+        ("3", 1, None, "x must be an integer, got '3'"),
+        (None, 1, None, "x must be an integer, got None"),
+        (0, 1, None, "x must be >= 1, got 0"),
+        (-1, 0, None, "x must be >= 0, got -1"),
+        (33, 1, 32, "x must be <= 32, got 33"),
+        (10**30, 1, None, None),
+        (0, 0, 0, None),
+        (32, 1, 32, None),
+    ],
+)
+def test_check_count(value, low, high, message):
+    # The one whole-number check: every count, order and size field is an int, not a bool, in low..high.
+    if message is None:
+        check_count(value, "x", low, high)
+    else:
+        with pytest.raises(ValueError) as info:
+            check_count(value, "x", low, high)
+        assert str(info.value) == message
 
 
 def test_importing_the_cli_loads_no_code_generator():

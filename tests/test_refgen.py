@@ -101,8 +101,11 @@ class TestBuildPrompt:
             assert "Ground Truth" not in build_prompt(template, "src", None, 2)
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             build_prompt(TEMPLATE, "src", None, 0)
+        # 2.5 used to be written into the prompt as the number of candidates.
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2.5$"):
+            build_prompt(TEMPLATE, "src", None, 2.5)
 
     def test_template_placeholder_validation(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,23 @@ subword_entries = st.frozensets(
 )
 
 
+class CountingSet(frozenset):
+    """A piece set that counts the comparisons made with it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingSet.comparisons += 1
+        return frozenset.__eq__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+def word_cache(vocab):
+    """The cached word -> pieces function that `tokenize_subwords` uses for `vocab`."""
+    return textproc._segmenter(id(vocab.entries), vocab.entries, vocab.unk_piece)
+
+
 class TestTokenizerCaches:
     """The cached tokenizers against the oracles, before and after their caches fill."""
 
@@ -178,14 +195,15 @@ class TestTokenizerCaches:
 
     @given(subword_texts, subword_entries, st.booleans())
     def test_subwords_match_oracle_cold_and_warm(self, text, entries, lowercase):
-        textproc._segmenter.cache_clear()  # no vocabulary has a word cache yet
+        textproc._segmenter.cache_clear()  # no piece set has a word cache yet
         vocab = SubwordVocab(entries, unk_piece="<unk>")
         expected = oracles.subword_pieces(text, entries, "<unk>", lowercase)
         assert list(tokenize_subwords(text, vocab, lowercase)) == expected
-        words = textproc._segmenter(vocab).cache_info()
+        words = word_cache(vocab).cache_info()
         assert words.currsize == len(set(textproc._normalize(text, lowercase).split()))
         assert list(tokenize_subwords(text, vocab, lowercase)) == expected
-        assert textproc._segmenter(vocab).cache_info().misses == words.misses
+        assert word_cache(vocab).cache_info().misses == words.misses
+        assert textproc._segmenter.cache_info().misses == 1
 
     @given(subword_texts, subword_entries, subword_entries)
     def test_two_vocabularies_keep_their_own_pieces(self, text, first, second):
@@ -202,30 +220,40 @@ class TestTokenizerCaches:
             assert tokenize_subwords("unhappy", whole) == (f"{WORD_MARKER}unhappy",)
             assert tokenize_subwords("unhappy", split) == (f"{WORD_MARKER}un", "happy")
 
-    def test_equal_vocabularies_share_one_word_cache(self, tmp_path):
+    def test_equal_vocabularies_compare_no_piece_sets(self, tmp_path):
+        # The vocabulary a, then VOCAB_CACHE_SIZE others, then b equal to a: each text
+        # with b used to compare b's pieces with a's, about 5 ms a text at 250,000 pieces.
         textproc._segmenter.cache_clear()
+        a = SubwordVocab(CountingSet({"a", "▁b"}), unk_piece="?")
+        expected = tokenize_subwords("ab ba", a)
+        for n in range(VOCAB_CACHE_SIZE):
+            SubwordVocab(frozenset({"x" * (n + 1)}))
+        b = SubwordVocab(CountingSet({"a", "▁b"}), unk_piece="?")
         path = tmp_path / "vocab.txt"
         path.write_text("#unk=?\na\n▁b\n", encoding="utf-8")
-        vocab = load_subword_vocab(path)
-        expected = tokenize_subwords("ab ba", vocab)
-        words = textproc._segmenter(vocab)
-        clones = [load_subword_vocab(path), copy.copy(vocab), copy.deepcopy(vocab), pickle.loads(pickle.dumps(vocab))]
-        for clone in clones:
-            assert clone == vocab and clone.unk_piece == "?"
-            assert clone.entries is vocab.entries  # found by identity, not by comparing every piece
-            assert tokenize_subwords("ab ba", clone) == expected
-            assert textproc._segmenter(clone) is words
-        assert words.cache_info().currsize == 2
+        copies = [b, copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), load_subword_vocab(path)]
+        CountingSet.comparisons = 0
+        for vocab in copies:
+            for _ in range(3):
+                assert tokenize_subwords("ab ba", vocab) == expected
+            # Each copy fills a word cache once: its own, or a's where it holds a's piece set.
+            assert word_cache(vocab).cache_info().misses == 2
+        assert CountingSet.comparisons == 0
+        assert copies[1].entries is a.entries
+        assert textproc._segmenter.cache_info().misses == len(copies)
 
     def test_caches_are_bounded(self):
+        textproc._segmenter.cache_clear()
         assert textproc._peel.cache_info().maxsize == WORD_CACHE_SIZE
         assert textproc._segmenter.cache_info().maxsize == VOCAB_CACHE_SIZE
-        assert textproc._shared_entries.cache_info().maxsize == VOCAB_CACHE_SIZE
-        vocabs = [SubwordVocab(frozenset({"a" * n})) for n in range(1, VOCAB_CACHE_SIZE + 3)]
+        vocabs = [SubwordVocab(CountingSet({"a" * n})) for n in range(1, VOCAB_CACHE_SIZE + 3)]
+        CountingSet.comparisons = 0
         for vocab in vocabs:
             tokenize_subwords("aa", vocab)
-            assert textproc._segmenter(vocab).cache_info().maxsize == SUBWORD_CACHE_SIZE
+            assert word_cache(vocab).cache_info().maxsize == SUBWORD_CACHE_SIZE
         assert textproc._segmenter.cache_info().currsize == VOCAB_CACHE_SIZE
+        # Cycling through more piece sets than the cache keeps compares none of them.
+        assert CountingSet.comparisons == 0
 
 
 class TestVocabLoading:
