@@ -166,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
-
-
 # The JSON types a config value may have, by the argparse `type` of its flag;
 # any other `type` gets a string, as on the command line.
 _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
@@ -208,28 +201,28 @@ def _config_value(action: argparse.Action, value):
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Make the --config JSON values the defaults of their flags; parse argv again to apply them.
 
-    Every value for a flag of this command is checked against the flag's
-    argparse action first; a bad one fails as `<config path>: <key>: <reason>`.
+    One map, `{dest: (parser, action)}` over the top-level parser and the
+    running command, gives each key the argparse action that checks its
+    value and the parser that owns its default. A bad value, an integer too
+    large for a float flag included, fails as `<config path>: <key>: <reason>`.
     A key for another command's flag is skipped, so one config can serve
     every command; a key that names no flag of any command fails. A
     required flag is always given, so its value is checked but not used.
     """
     config = read_json(args.config, dict, "config")
-    subparsers = _subparsers(parser)
-    sub = subparsers.get(args.command)
-    sub_actions = {action.dest: action for action in sub._actions} if sub is not None else {}
-    actions = {action.dest: action for action in parser._actions}
-    flags = {action.dest for p in (parser, *subparsers.values()) for action in p._actions}
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    owners = {action.dest: (p, action) for p in (parser, commands[args.command]) for action in p._actions}
+    dests = {action.dest for p in (parser, *commands.values()) for action in p._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in flags:
+        if dest not in dests:
             raise CorpusFormatError(f"{key}: names no flag of any command", args.config)
         if not hasattr(args, dest):
             continue
-        owner, action = (sub, sub_actions[dest]) if dest in sub_actions else (parser, actions[dest])
+        owner, action = owners[dest]
         try:
             value = _config_value(action, value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CorpusFormatError(f"{key}: {exc}", args.config) from None
         if not action.required:
             owner.set_defaults(**{dest: value})
@@ -360,7 +353,10 @@ def cmd_score(args) -> int:
         records = refgen.load_generation_records(args.generated_refs, set(corpus.segment_ids()))
         corpus = corpus_io.merge_references(corpus, records)
 
-    scores, rows = score_corpus(scorer, corpus)
+    try:
+        scores, rows = score_corpus(scorer, corpus)
+    except CorpusFormatError as exc:  # a segment with no references; it is named in --segments
+        raise CorpusFormatError(str(exc), args.segments) from None
     if settings.sweep_refs is not None:
         series = [
             {"metric": metric, "system": system, "refs": k, "score": score.value}

@@ -11,6 +11,7 @@ from functools import partial, reduce
 from operator import add
 
 from . import kernels
+from .errors import CorpusFormatError
 from .records import check_count, is_count, record
 from .textproc import tokenize_chars, tokenize_pieces, tokenize_subwords, tokens_of
 
@@ -536,6 +537,7 @@ def score_corpus(scorer: MultiRefScorer, corpus):
     (none under refs "gold") for each k of `counts`. A sweep stops at the
     most generated references a scored segment has, as every larger count
     scores the same, and one that starts past that number raises ValueError.
+    A scored segment with no references raises CorpusFormatError.
     Returns
     `({(k, system, metric): MetricScore}` in (k, sorted system, metric)
     order, `[(metric, system, segment, cells)]` metric-major, then by system,
@@ -569,7 +571,7 @@ def score_corpus(scorer: MultiRefScorer, corpus):
         n_gold = len(gold)
         refs = [*gold, *generated]
         if not refs:
-            raise ValueError(f"segment {segment_id!r} has no references under --refs {mode}")
+            raise CorpusFormatError(f"segment {segment_id!r} has no references under --refs {mode}")
         hyps = {
             system: corpus.systems[system][segment_id]
             for system in systems

@@ -4,13 +4,19 @@ import json
 import pytest
 
 from multiref import refgen
-from multiref.cli import _apply_config, _subparsers, build_parser, main
+from multiref.cli import _apply_config, build_parser, main
 from multiref.combine import CombinePolicy
 from multiref.corpus_io import read_jsonl
 from multiref.diversity import DEFAULT_DISTINCT_N, DEFAULT_SELF_BLEU_THRESHOLD, score_and_select
 from multiref.metrics import DEFAULT_CHRF_BETA, DEFAULT_CHRF_ORDER, BleuConfig, ScoreSettings, bleu_corpus
 from multiref.refgen import load_generation_records
 from multiref.textproc import tokenize_words
+
+
+def _subparsers(parser):
+    """The {command: subparser} table of `parser`."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
 
 GOLD = {
     "s1": "the cat sat on the mat",
@@ -759,6 +765,18 @@ class TestScore:
         assert code == 1
         assert "generated" in capsys.readouterr().err
 
+    def test_segment_without_references_names_the_segments_file(self, pipeline, jsonl_writer, capsys):
+        # This message used to name no file.
+        jsonl_writer(pipeline["segments"], [{"id": sid, "source": "x", "gold_refs": []} for sid in GOLD])
+        summary = pipeline["dir"] / "summary.json"
+        code = main(["score", "--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                     "--refs", "gold", "--summary", str(summary)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"multiref: error: {pipeline['segments']}: segment 's1' has no references under --refs gold\n"
+        )
+        assert not summary.exists()
+
     @pytest.mark.parametrize(
         "file, line, record, reason",
         [
@@ -1497,11 +1515,14 @@ class TestConfigFile:
             ("leakage-report", {"pair": "a,b"}, 'expected a list, got "a,b"'),
             ("leakage-report", {"pair": ["a,b", 3]}, "expected a string, got 3"),
             ("select", {"treshold": 101}, "names no flag of any command"),
+            # These two used to end the run with an OverflowError traceback.
+            ("generate", {"timeout": 10**400}, "int too large to convert to float"),
+            ("score", {"chrf_beta": 10**400}, "int too large to convert to float"),
         ],
         ids=["float-given-string", "int-given-string", "int-given-float", "float-given-bool",
              "global-int-given-bool", "outside-choices", "store-true-given-int",
              "optional-bool-given-string", "append-given-string", "append-given-int-item",
-             "unknown-key"],
+             "unknown-key", "timeout-given-int-too-large", "chrf-beta-given-int-too-large"],
     )
     def test_bad_value_fails_with_config_path_and_key(
         self, pipeline, tmp_path, capsys, command, config, reason
@@ -1512,6 +1533,8 @@ class TestConfigFile:
         argv = {
             "select": ["--refs", str(pipeline["refs"]), "--out", str(out)],
             "generate": ["--segments", str(pipeline["segments"]), "--out", str(out), "--mock"],
+            "score": ["--segments", str(pipeline["segments"]), "--outputs", str(pipeline["outputs"]),
+                      "--out", str(out)],
             "leakage-report": ["--single", "s.json", "--multi", "m.json", "--pair", "a,b"],
         }[command]
         assert main(["--config", str(path), command, *argv]) == 1

@@ -7,18 +7,20 @@ file, with a `--template-file`), a `--config` file for `score` and one for
 `generate --mock` (its counts, timeout, task and template, which names
 either `template` or `template_file`), and a `--vocab` file for
 `score --metrics spbleu`. Each case changes one field of one record or
-document (a wrong type, a missing key, a non-finite or huge number), or one
-whole line or document, or one line of the vocabulary (a SentencePiece
-`.vocab` score appended, an empty or whitespace `#unk=` header, whitespace
-alone, bytes that are not UTF-8) or all of its pieces, and runs the
-command. The run must either exit 0 and write only finite numbers, or
-exit 1 with one `multiref: error: <path>[:<line>]: ...` line naming an
-input file. A config value that fits its flag may still fail as that flag's
-value does; such a run must fail with the same one line as the run that
-passes the values as flags. Any other exception escapes `main` and fails
-the case with its traceback. Each stage runs `N_CASES` seeds: 40 by
-default, or the number in the `MULTIREF_MUTATION_CASES` environment
-variable (CI runs 400).
+document (a wrong type, a missing key, a non-finite or huge number, or an
+integer too large for a float), or one whole line or document, or one line
+of the vocabulary (a SentencePiece `.vocab` score appended, an empty or
+whitespace `#unk=` header, whitespace alone, bytes that are not UTF-8) or
+all of its pieces, and runs the command. The run must either exit 0 and
+write only finite numbers, or exit 1 with one `multiref: error:
+<path>[:<line>]: ...` line naming an input file. A config value that fits
+its flag may still fail as that flag's value does; such a run must fail
+with the same one line as the run that passes the values as flags. Any
+other exception escapes `main` and fails the case with its traceback. Each
+stage runs `N_CASES` seeds: 40 by default, or the number in the
+`MULTIREF_MUTATION_CASES` environment variable (CI runs 400). Every
+float-typed config key is also given an integer too large for a float,
+which must fail at the config file and key.
 """
 
 import json
@@ -148,7 +150,7 @@ STAGES = {
 }
 
 REPLACEMENTS = [
-    None, True, False, 0, -1, 3, 2.5, -0.0, 1e308, -1e308, 5e-324, 10**30,
+    None, True, False, 0, -1, 3, 2.5, -0.0, 1e308, -1e308, 5e-324, 10**30, 10**400,
     float("nan"), float("inf"), float("-inf"),
     "", "x", "s1", "alpha", [], ["x"], [1.5], {}, {"r0": 1}, {"r0": "x"},
 ]
@@ -273,7 +275,8 @@ def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, monkeypatch
         for path in (tmp_path / "out.jsonl", tmp_path / "summary.json"):
             if path.exists():
                 for document in _documents(path):
-                    assert all(math.isfinite(n) for n in _numbers(document)), document
+                    # An int is finite, and math.isfinite fails on one too large for a float.
+                    assert all(isinstance(n, int) or math.isfinite(n) for n in _numbers(document)), document
         return
     assert code == 1
     located = "|".join(re.escape(paths[name]) for name in names)
@@ -286,3 +289,24 @@ def test_mutated_input_is_scored_or_rejected_with_location(tmp_path, monkeypatch
         assert re.fullmatch(r"multiref: error: [^\n]+\n", err), err
     else:
         assert re.fullmatch(rf"multiref: error: ({located})(:\d+)?: [^\n]+\n", err), err
+
+
+# Every float-typed key of the config stages, each given an integer too large for a float.
+FLOAT_KEYS = [(stage, key) for stage in ("config", "config-generate")
+              for key, value in STAGES[stage][0]["config"].items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("stage, key", FLOAT_KEYS)
+def test_config_integer_too_large_for_a_float_fails_at_its_key(tmp_path, monkeypatch, capsys, stage, key):
+    monkeypatch.chdir(tmp_path)
+    inputs, command = STAGES[stage]
+    paths = {"out": str(tmp_path / "out.jsonl"), "summary": str(tmp_path / "summary.json")}
+    for name, data in inputs.items():
+        if name == "config":  # "template_file" and "template" exclude each other
+            data = {k: v for k, v in data.items() if k != "template_file"} | {key: 10**400}
+        path = tmp_path / (f"{name}.json" if isinstance(data, dict) else f"{name}.jsonl")
+        path.write_text(json.dumps(data) if isinstance(data, dict) else "".join(f"{json.dumps(r)}\n" for r in data))
+        paths[name] = str(path)
+
+    assert main(command(paths)) == 1
+    assert capsys.readouterr().err == f"multiref: error: {paths['config']}: {key}: int too large to convert to float\n"
