@@ -454,8 +454,6 @@ def cmd_diversity(args) -> int:
     if args.segments:
         known = {s.id for s in corpus_io.load_segments(args.segments)}
     systems = corpus_io.load_outputs(args.outputs, known)
-    if not systems:
-        raise ValueError(f"no system outputs found in {args.outputs}")
     rows = []
     report = {}
     for system in sorted(systems):

@@ -13,14 +13,12 @@ object per line) for the JSONL files; JSON documents go through `read_json`:
 
 `read_jsonl_records` strips each line and decodes it with one call of the C
 scanner under `json.loads`. A line that `json.loads` rejects fails with the
-same message, position included. It is the one path that reports a bad
-line. `read_jsonl` turns each record into a value through a `parse`
-callback, and `parse_record` words what `parse` rejects at its line;
-`combine` checks the common matrix row itself and hands any other row to
-`parse_record`. `read_jsonl_chunks`, which only
-`metaeval.load_human_judgments` uses, decodes about `JSONL_CHUNK_BYTES` of
-lines at a time with no Python code per line; it reports nothing itself,
-and a chunk it cannot decode cleanly sends its caller back to `read_jsonl`.
+same message, position included. It is the one decoder of JSONL lines in
+the package, and each file goes through it once. `read_jsonl` turns each
+record into a value through a `parse` callback, and `parse_record` words
+what `parse` rejects at its line. `combine` checks the common matrix row
+itself, and `metaeval` a batch of human judgments at a time; each hands
+any other row to `parse_record`.
 
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
 (one record per line), `write_json` (one document, indented by 2) or, for
@@ -38,8 +36,6 @@ import math
 import os
 import stat
 import sys
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import CorpusFormatError
@@ -138,12 +134,6 @@ _PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError,
 _scan_once = json.JSONDecoder().scan_once
 _skip_space = json.decoder.WHITESPACE.match
 
-# `read_jsonl_chunks` decodes lines of about this many bytes together: enough
-# to make its per-chunk work small, few enough to hold only a small part of a
-# large file's records at a time.
-JSONL_CHUNK_BYTES = 1 << 16
-
-
 def _no_value(line: str, stopped_at: int) -> json.JSONDecodeError:
     """The error `json.loads(line)` raises where `_scan_once` found no value at `stopped_at`."""
     if line.startswith("\ufeff"):
@@ -231,37 +221,6 @@ def read_jsonl(path: str | Path, parse, what: str):
     """
     for lineno, record in read_jsonl_records(path, what):
         yield lineno, parse_record(parse, record, what, path, lineno)
-
-
-class ChunkRejected(Exception):
-    """A chunk of lines that only `read_jsonl` may reject: it alone words the error and finds the line."""
-
-
-def read_jsonl_chunks(path: str | Path):
-    """Yield the JSON objects of a JSONL file's non-blank lines, a list per `JSONL_CHUNK_BYTES` of lines.
-
-    Each chunk is decoded as `read_jsonl` decodes each line, in C-level
-    passes over all of its lines, with no Python code per line. Where any
-    line of a chunk would fail `read_jsonl` (not UTF-8, not exactly one JSON
-    value, not an object), this raises ChunkRejected, and the caller reads
-    the file with `read_jsonl` to report the error at its line. A file that
-    cannot be opened fails as in `read_jsonl`.
-    """
-    with _open_lines(path) as handle:
-        while raws := handle.readlines(JSONL_CHUNK_BYTES):
-            try:
-                lines = list(filter(None, map(str.strip, map(bytes.decode, raws))))
-                scanned = list(map(_scan_once, lines, repeat(0)))
-            except (ValueError, RecursionError):  # not UTF-8, bad JSON, nesting too deep
-                raise ChunkRejected from None
-            # Each value must end its line. A line with no value raises
-            # StopIteration, which ends `map` early and leaves a shorter list.
-            if list(map(itemgetter(1), scanned)) != list(map(len, lines)):
-                raise ChunkRejected
-            records = list(map(itemgetter(0), scanned))
-            if not {*map(type, records)} <= {dict}:
-                raise ChunkRejected
-            yield records
 
 
 def read_json(path: str | Path, parse, what: str):
@@ -401,7 +360,7 @@ def _output(record: dict) -> tuple[str, str, str]:
 def load_outputs(
     path: str | Path, known_ids: set[str] | None = None
 ) -> dict[str, dict[str, str]]:
-    """Load outputs.jsonl; segment ids are validated when known_ids is given."""
+    """Load outputs.jsonl; segment ids are validated when known_ids is given. A file with no outputs fails."""
     systems: dict[str, dict[str, str]] = {}
     for lineno, (system, segment, hypothesis) in read_jsonl(path, _output, "output record"):
         if known_ids is not None and segment not in known_ids:
@@ -414,6 +373,8 @@ def load_outputs(
                 f"duplicate hypothesis for ({system!r}, {segment!r})", str(path), lineno
             )
         per_system[segment] = hypothesis
+    if not systems:
+        raise CorpusFormatError(f"no system outputs found in {path}")
     return systems
 
 

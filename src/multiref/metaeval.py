@@ -10,12 +10,12 @@ classes of judgment: system level, overall segment level and per dimension;
 
 import math
 from collections import Counter
-from itertools import combinations, groupby, repeat
+from itertools import combinations, count, groupby, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 
 from .combine import mean, system_scores
-from .corpus_io import ChunkRejected, id_field, number_field, read_jsonl, read_jsonl_chunks
+from .corpus_io import id_field, number_field, parse_record, read_jsonl_records
 from .errors import CorpusFormatError, DegenerateDataError
 from .records import record
 
@@ -263,17 +263,14 @@ def _judgment(record: dict) -> HumanJudgment:
     )
 
 
-def _judgments_by_line(path: str | Path) -> list[HumanJudgment]:
-    """`load_human_judgments`, one line at a time: the path that reports every error."""
-    judgments: list[HumanJudgment] = []
-    seen = set()
-    for lineno, judgment in read_jsonl(path, _judgment, "judgment"):
-        key = (judgment.system, judgment.segment, judgment.dimension)
-        if key in seen:
-            raise CorpusFormatError(f"duplicate judgment for {key}", str(path), lineno)
-        seen.add(key)
-        judgments.append(judgment)
-    return judgments
+# `load_human_judgments` checks this many records together: enough to make
+# its per-batch work small, few enough to hold only a small part of a large
+# file's records at a time.
+JUDGMENT_BATCH = 1000
+
+
+class _BatchRejected(Exception):
+    """A batch of records that `_judgment` might reject: each is then checked on its own, at its line."""
 
 
 _SCORE_TYPES = frozenset({float, int})
@@ -282,39 +279,39 @@ _OPTIONAL_ID_TYPES = frozenset({str, int, type(None)})
 
 
 def _id_column(values: list, allowed) -> list:
-    """The `id_field` of each of `values` (None kept); ChunkRejected where one would fail it."""
+    """The `id_field` of each of `values` (None kept); _BatchRejected where one would fail it."""
     types = {*map(type, values)}
     if not types <= allowed:
-        raise ChunkRejected
+        raise _BatchRejected
     if int in types:
         return [None if v is None else str(v) for v in values]
     return values
 
 
 def _judgment_columns(records: list[dict]) -> tuple[list, list, list, list]:
-    """The systems, segments, dimensions and scores of a chunk's records, as `_judgment` reads them.
+    """The systems, segments, dimensions and scores of a batch's records, as `_judgment` reads them.
 
-    Raises ChunkRejected where `_judgment` might reject a record.
+    Raises _BatchRejected where `_judgment` might reject a record.
     """
     try:
         systems = list(map(itemgetter("system"), records))
         scores = list(map(itemgetter("score"), records))
     except KeyError:
-        raise ChunkRejected from None
+        raise _BatchRejected from None
     systems = _id_column(systems, _ID_TYPES)
     segments = _id_column(list(map(dict.get, records, repeat("segment"))), _OPTIONAL_ID_TYPES)
     dimensions = _id_column(list(map(dict.get, records, repeat("dimension"))), _OPTIONAL_ID_TYPES)
     score_types = {*map(type, scores)}
     if not score_types <= _SCORE_TYPES:
-        raise ChunkRejected
+        raise _BatchRejected
     if int in score_types:
         try:
             scores = list(map(float, scores))
         except OverflowError:
-            raise ChunkRejected from None
+            raise _BatchRejected from None
     # Not finite where a score is not, or where finite ones overflow together.
     if not math.isfinite(sum(scores)):
-        raise ChunkRejected
+        raise _BatchRejected
     return systems, segments, dimensions, scores
 
 
@@ -355,11 +352,14 @@ class _TableBuilder:
         self.system_dimension = {}  # (system, dimension) -> its system-level score
 
     def add(self, systems, segments, dimensions, scores):
-        """Add the judgments of these columns; the key of the first that repeats one added before, else None."""
+        """Add the judgments of these columns; `(position, key)` of the first that repeats one added before, else None.
+
+        The judgments before that first repeat are added; it and those after are not.
+        """
         system_id, other_id, shared_key = self.systems.setdefault, self.ids.setdefault, self.keys.setdefault
         explicit, overall, by_dimension = self.explicit, self.overall, self.by_dimension
-        for system, segment, dimension, score in zip(
-            map(system_id, systems, systems), map(other_id, segments, segments),
+        for position, system, segment, dimension, score in zip(
+            count(), map(system_id, systems, systems), map(other_id, segments, segments),
             map(other_id, dimensions, dimensions), scores,
         ):
             if segment is None:
@@ -378,7 +378,7 @@ class _TableBuilder:
                     if table is None:
                         table = by_dimension[dimension] = {}
             if key in table:
-                return system, segment, dimension
+                return position, (system, segment, dimension)
             table[key] = score
         return None
 
@@ -404,24 +404,55 @@ class _TableBuilder:
         return HumanTables(scores, overall, {dim: by_dimension[dim] for dim in sorted(by_dimension)})
 
 
+def _record_batches(path: str | Path):
+    """Yield `(linenos, records)` for `read_jsonl_records(path, "judgment")`, `JUDGMENT_BATCH` records at a time.
+
+    A line that fails to decode is raised after the records before it are yielded.
+    """
+    linenos, records = [], []
+    try:
+        for lineno, record in read_jsonl_records(path, "judgment"):
+            linenos.append(lineno)
+            records.append(record)
+            if len(records) == JUDGMENT_BATCH:
+                yield linenos, records
+                linenos, records = [], []
+    except CorpusFormatError:
+        if records:
+            yield linenos, records
+        raise
+    if records:
+        yield linenos, records
+
+
+def _add_rows(builder: _TableBuilder, columns, linenos, path: str | Path) -> None:
+    """`builder.add(*columns)`, failing at the line of the first judgment that repeats an earlier one."""
+    duplicate = builder.add(*columns)
+    if duplicate is not None:
+        position, key = duplicate
+        raise CorpusFormatError(f"duplicate judgment for {key}", str(path), linenos[position])
+
+
 def load_human_judgments(path: str | Path) -> HumanTables:
     """Read human.jsonl, `{"system", "segment"|null, "dimension"|null, "score"}` per line, as its `HumanTables`.
 
-    Records are decoded and checked a chunk of lines at a time, and added to
-    the tables a column at a time. Where a chunk holds anything `_judgment`
-    might reject, or a judgment repeats the (system, segment, dimension) of
-    an earlier one, the file is read again one line at a time, and that path
-    alone raises the error, at its line. A system whose scores sum past the
-    float range fails at `path`.
+    The file is read once. Its records are checked in batches of
+    `JUDGMENT_BATCH`, and added to the tables a column at a time. A batch
+    that holds anything `_judgment` might reject is checked one record at a
+    time, so each error is raised at its line: the first bad or repeated
+    judgment, or a line that fails to decode, in file order. A system whose
+    scores sum past the float range fails at `path`.
     """
     builder = _TableBuilder()
-    try:
-        for records in read_jsonl_chunks(path):
-            if builder.add(*_judgment_columns(records)) is not None:
-                raise ChunkRejected
-    except ChunkRejected:
-        builder = _TableBuilder()
-        builder.add(*_columns(_judgments_by_line(path)))
+    for linenos, records in _record_batches(path):
+        try:
+            columns = _judgment_columns(records)
+        except _BatchRejected:
+            for lineno, record in zip(linenos, records):
+                judgment = parse_record(_judgment, record, "judgment", path, lineno)
+                _add_rows(builder, _columns([judgment]), [lineno], path)
+        else:
+            _add_rows(builder, columns, linenos, path)
     try:
         return builder.tables()
     except ValueError as exc:
@@ -437,7 +468,7 @@ def human_score_tables(judgments) -> HumanTables:
     builder = _TableBuilder()
     duplicate = builder.add(*_columns(judgments))
     if duplicate is not None:
-        raise ValueError(f"duplicate judgment for {duplicate}")
+        raise ValueError(f"duplicate judgment for {duplicate[1]}")
     return builder.tables()
 
 

@@ -1273,6 +1273,17 @@ class TestDiversity:
         assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["diversity"], ["score", "--segments", None]], ids=["diversity", "score"])
+def test_an_empty_outputs_file_is_named(pipeline, tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    argv = [str(pipeline["segments"]) if arg is None else arg for arg in command]
+    assert main([*argv, "--outputs", str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"multiref: error: no system outputs found in {empty}\n"
+    assert captured.out == ""
+
+
 class TestLeakageReport:
     def test_published_anchor_through_cli(self, tmp_path, capsys):
         single = tmp_path / "single.json"

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multiref import corpus_io, metaeval
+from multiref import metaeval
 from multiref.errors import CorpusFormatError, DegenerateDataError
 from multiref.metaeval import (
     GapOverflowError,
@@ -362,31 +363,25 @@ def _judgment_lines(n, start=0):
     ]
 
 
-def _tables_by_line(path):
-    """The tables of `_judgments_by_line(path)`, failing at `path` as `load_human_judgments` does."""
-    judgments = metaeval._judgments_by_line(path)
+def _tables(load, path):
+    """`repr` of the tables `load(path)` returns, with the type of each score, or the message it raises."""
     try:
-        return human_score_tables(judgments)
-    except ValueError as exc:
-        raise CorpusFormatError(str(exc), str(path)) from None
+        system, segment, dimensions = load(path)
+    except (CorpusFormatError, oracles.Rejected) as exc:
+        return f"error: {exc}"
+    tables = [system, segment, *dimensions.values()]
+    return repr((system, segment, dimensions)), [type(v) for table in tables for v in table.values()]
 
 
-def _loaded(load, path):
-    """What `load(path)` returns, as reprs (so a 1 is not a 1.0), or the message it raises."""
-    try:
-        return list(map(repr, load(path)))
-    except CorpusFormatError as exc:
-        return str(exc)
+# Batch sizes that split small files many ways, and the one a run uses.
+BATCH_SIZES = [1, 2, 7, metaeval.JUDGMENT_BATCH]
 
 
 class TestChunkedJudgments:
-    """`load_human_judgments` decodes a chunk of lines at a time; `_judgments_by_line` is the per-line path."""
+    """`load_human_judgments` checks `JUDGMENT_BATCH` records at a time, in one pass over the file."""
 
     def lines_past_first_chunk(self):
-        lines = _judgment_lines(1)
-        while sum(len(line) + 1 for line in lines) <= 2 * corpus_io.JSONL_CHUNK_BYTES:
-            lines += _judgment_lines(1, len(lines))
-        return lines
+        return _judgment_lines(2 * metaeval.JUDGMENT_BATCH + 1)
 
     def write(self, path, lines, end="\n", head=""):
         path.write_bytes((head + "".join(line + end for line in lines)).encode("utf-8"))
@@ -424,14 +419,52 @@ class TestChunkedJudgments:
             lines[5:5] = ["", "  ", "\t"]
             lines.append("")
         path = self.write(tmp_path / "human.jsonl", lines, end, head)
-        judgments = metaeval._judgments_by_line(path)
+        expected = _tables(oracles.read_human, path)
 
-        def no_second_read(path):
-            raise AssertionError("a valid file was read again line by line")
+        def no_row_check(record):
+            raise AssertionError("a record of a valid file was checked on its own")
 
-        monkeypatch.setattr(metaeval, "_judgments_by_line", no_second_read)
-        assert repr(load_human_judgments(path)) == repr(human_score_tables(judgments))
-        assert judgments[3] == HumanJudgment("12", 3.0, "4", "5")
+        monkeypatch.setattr(metaeval, "_judgment", no_row_check)
+        assert _tables(load_human_judgments, path) == expected
+        assert load_human_judgments(path).dimensions["5"] == {("12", "4"): 3.0}
+
+    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    @pytest.mark.parametrize("bad", [b"{", b'{"system": "\xff"}'], ids=["bad-json", "not-utf8"])
+    def test_a_duplicate_before_an_undecodable_line_is_reported_first(self, tmp_path, monkeypatch, batch, bad):
+        lines = [line.encode() for line in _judgment_lines(4)]
+        lines[2:2] = [lines[0]]  # line 3 repeats line 1
+        lines[4] = bad
+        path = tmp_path / "human.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        monkeypatch.setattr(metaeval, "JUDGMENT_BATCH", batch)
+        key = ("sys0", "seg00000", None)
+        assert _tables(load_human_judgments, path) == f"error: {path}:3: duplicate judgment for {key}"
+        assert _tables(oracles.read_human, path) == _tables(load_human_judgments, path)
+
+    @pytest.mark.parametrize("last", [
+        None,
+        '{"system": "sysX", "score": "5"}',
+        json.dumps({"system": "sys0", "segment": "seg00000", "score": 1.0}),
+        "{",
+    ], ids=["valid", "bad-score", "duplicate", "bad-json"])
+    def test_a_human_file_is_opened_once(self, tmp_path, monkeypatch, last):
+        lines = _judgment_lines(3 * 7 + 2) + ([] if last is None else [last])
+        path = self.write(tmp_path / "human.jsonl", lines)
+        monkeypatch.setattr(metaeval, "JUDGMENT_BATCH", 7)
+        opens = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == path:
+                opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        try:
+            load_human_judgments(path)
+        except CorpusFormatError:
+            assert last is not None
+        assert len(opens) == 1
 
     MISSING = object()
     good_records = st.fixed_dictionaries({
@@ -458,10 +491,10 @@ class TestChunkedJudgments:
                                      bad_values, bad_lines), max_size=2),
         end=st.sampled_from(["\n", "\r\n"]),
         bom=st.booleans(),
-        chunk_bytes=st.sampled_from([1, 40, 150, 1 << 16]),
+        batch=st.sampled_from(BATCH_SIZES),
     )
     def test_chunked_loader_returns_or_raises_what_the_per_line_loader_does(
-        self, records, mutations, end, bom, chunk_bytes
+        self, records, mutations, end, bom, batch
     ):
         lines = [json.dumps(record).encode() for record in records]
         for index, kind, field, value, line in mutations:
@@ -486,19 +519,8 @@ class TestChunkedJudgments:
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
             path = Path(directory) / "human.jsonl"
             path.write_bytes(data)
-            expected = _loaded(_tables_by_line, path)
-            patch.setattr(corpus_io, "JSONL_CHUNK_BYTES", chunk_bytes)
-            assert _loaded(load_human_judgments, path) == expected
-
-
-def _tables(load, path):
-    """`repr` of the tables `load(path)` returns, with the type of each score, or the message it raises."""
-    try:
-        system, segment, dimensions = load(path)
-    except (CorpusFormatError, oracles.Rejected) as exc:
-        return f"error: {exc}"
-    tables = [system, segment, *dimensions.values()]
-    return repr((system, segment, dimensions)), [type(v) for table in tables for v in table.values()]
+            patch.setattr(metaeval, "JUDGMENT_BATCH", batch)
+            assert _tables(load_human_judgments, path) == _tables(oracles.read_human, path)
 
 
 class TestHumanTablesOracle:
@@ -522,12 +544,12 @@ class TestHumanTablesOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(lines, max_size=12), bom=st.booleans(), end=st.sampled_from(["\n", "\r\n"]),
-           chunk_bytes=st.sampled_from([1, 60, 1 << 16]))
-    def test_loader_matches_the_oracle(self, lines, bom, end, chunk_bytes):
+           batch=st.sampled_from(BATCH_SIZES))
+    def test_loader_matches_the_oracle(self, lines, bom, end, batch):
         with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
             path = Path(directory) / "human.jsonl"
             path.write_bytes((("\ufeff" if bom else "") + "".join(line + end for line in lines)).encode("utf-8"))
-            patch.setattr(corpus_io, "JSONL_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(metaeval, "JUDGMENT_BATCH", batch)
             assert _tables(load_human_judgments, path) == _tables(oracles.read_human, path)
 
     @pytest.mark.parametrize("judgments", [
