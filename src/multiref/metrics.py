@@ -218,9 +218,10 @@ class MultiRefScorer:
     `spbleu_corpus`, `chrf_sentence`, `chrf_corpus`, `rouge_n` and `rouge_l`
     are thin calls into it (a sentence score is the corpus score of one
     pair). `segment` builds every statistic of a segment once; `corpus` sums
-    the per-segment parts that `SegmentScores.joint` returns into the corpus
-    score, and a segment's BLEU `CorpusStats` is its bleu part. ROUGE's
-    corpus value is the mean segment value.
+    the per-segment parts that `SegmentScores.joint` returns, at every
+    reference count in one call, into the corpus score, and a segment's
+    value is the corpus score of its one part. ROUGE's corpus value is the
+    mean segment value.
 
     `settings`, a `ScoreSettings` (default `ScoreSettings()`), is the one
     record of what is scored and how: its metrics, BLEU config, chrF order
@@ -281,8 +282,8 @@ class SegmentScores:
     hypotheses are counted in one packed pass (`_counts`): chrF on
     characters, ROUGE-N on words, and per-reference BLEU on words or pieces,
     built on the first `per_reference` call. Joint BLEU clips at the union
-    of the references instead. ROUGE-L packs the references once and makes
-    one LCS pass per distinct hypothesis.
+    of the references instead; `joint` keeps nothing between calls. ROUGE-L
+    packs the references once and makes one LCS pass per distinct hypothesis.
     """
 
     def __init__(self, scorer: MultiRefScorer, hyps: dict[str, str], refs: list[str]):
@@ -304,8 +305,6 @@ class SegmentScores:
             self._profiles["pieces"] = {
                 t: kernels.Profile(tuple(scorer.pieces(t)), settings.bleu.max_order) for t in texts
             }
-        # metric -> (references counted, clip table, their lengths), grown by `joint`.
-        self._clips = {}
         # granularity -> what `_counts` returned for it.
         self._counted = {}
         # metric -> system -> (score in [0, 1], statistic) per distinct reference.
@@ -366,47 +365,49 @@ class SegmentScores:
             for system, text in self.hyps.items()
         }
 
-    def joint(self, system: str, metric: str, n_refs: int | None = None):
-        """(segment value, corpus part) against the first `n_refs` references (default all).
+    def joint(self, metric: str, n_refs=(None,)) -> dict[str, list]:
+        """`{system: [part against the first n references for each n of n_refs]}`.
 
-        The part is what `MultiRefScorer.corpus` sums: `CorpusStats` for bleu
-        and spbleu, the best reference's counts for chrF (the first among
-        equal scores), and for ROUGE the best reference's `MetricScore`, with
-        its precision and recall in `detail` (the first among equal F1).
+        `n_refs` ascends; None, all references, may only come last. A part is
+        what `MultiRefScorer.corpus` sums: `CorpusStats` for bleu and spbleu,
+        the best reference's counts for chrF (the first among equal scores),
+        and for ROUGE the best reference's `MetricScore`, with its precision
+        and recall in `detail` (the first among equal F1).
         """
-        slots = self._slots[:n_refs]
+        parts = {system: [] for system in self.hyps}
         if metric in ("bleu", "spbleu"):
             cfg = self.scorer.settings.bleu
             profiles = self._profiles["words" if metric == "bleu" else "pieces"]
-            # Counts come in ascending order, so each clip table grows from the
-            # last one by the keys of the references it lacks.
-            counted, clip, lens = self._clips.get(metric, (0, None, []))
-            if counted > len(slots):
-                counted, clip, lens = 0, None, []
-            added = [profiles[self.refs[i]] for i in slots[counted:]]
-            clip = kernels.clip_table(added, cfg.max_order, clip)
-            lens += [len(ref.tokens) for ref in added]
-            self._clips[metric] = (len(slots), clip, lens)
-            hyp = profiles[self.hyps[system]]
-            hyp_len = len(hyp.tokens)
-            stats = CorpusStats(
-                matched=kernels.matches(hyp, clip),
-                totals=hyp.totals[: cfg.max_order],
-                hyp_len=hyp_len,
-                ref_len=kernels.ref_len(hyp_len, lens, cfg.effective_ref_length),
-            )
-            return _bleu_from_stats(stats, cfg).value, stats
-        pairs = self._pairs[metric][system]
-        best_score, best = -1.0, None
-        for i in slots:
-            score, stats = pairs[i]
-            if score > best_score:
-                best_score, best = score, stats
-        if metric == "chrf":
-            return MetricScore(best_score * 100.0).value, best
-        precision, recall = best
-        part = MetricScore(best_score * 100.0, None, {"precision": precision, "recall": recall})
-        return part.value, part
+            # The clip table for each count grows from the last one by the references it lacks.
+            clip, lens, counted = None, [], 0
+            for n in n_refs:
+                added = [profiles[self.refs[i]] for i in self._slots[counted:n]]
+                clip = kernels.clip_table(added, cfg.max_order, clip)
+                lens += [len(ref.tokens) for ref in added]
+                counted = n
+                for system, text in self.hyps.items():
+                    hyp = profiles[text]
+                    hyp_len = len(hyp.tokens)
+                    ref_len = kernels.ref_len(hyp_len, lens, cfg.effective_ref_length)
+                    parts[system].append(CorpusStats(kernels.matches(hyp, clip), hyp.totals[: cfg.max_order],
+                                                     hyp_len, ref_len))
+            return parts
+        for system, system_parts in parts.items():
+            pairs = self._pairs[metric][system]
+            best_score, best, counted = -1.0, None, 0
+            for n in n_refs:
+                for i in self._slots[counted:n]:
+                    score, stats = pairs[i]
+                    if score > best_score:
+                        best_score, best = score, stats
+                counted = n
+                if metric == "chrf":
+                    system_parts.append(best)
+                else:
+                    precision, recall = best
+                    detail = {"precision": precision, "recall": recall}
+                    system_parts.append(MetricScore(best_score * 100.0, None, detail))
+        return parts
 
     def per_reference(self, system: str, metric: str) -> list[float]:
         """Single-reference segment values, one per reference as given."""
@@ -541,10 +542,11 @@ def score_corpus(scorer: MultiRefScorer, corpus):
     Returns
     `({(k, system, metric): MetricScore}` in (k, sorted system, metric)
     order, `[(metric, system, segment, cells)]` metric-major, then by system,
-    then by segment id). A row's cells are `{"all": value}` against the
-    references of the largest count or, with `per_reference`, one
-    single-reference value each under the id `gold:i` or `gen:i`. A corpus
-    without system outputs raises ValueError.
+    then by segment id). A row's cells are `{"all": value}`, the corpus
+    score of the segment's one part at the largest count, or, with
+    `per_reference`, one single-reference value each under the id `gold:i`
+    or `gen:i`. Each segment takes one `SegmentScores.joint` call per
+    metric. A corpus without system outputs raises ValueError.
     """
     if not corpus.systems:
         raise ValueError("no system outputs to score")
@@ -561,13 +563,12 @@ def score_corpus(scorer: MultiRefScorer, corpus):
                 f"--sweep-refs starts at {counts[0]}, but no segment has more than {most} generated references"
             )
         counts = counts[:most - counts[0] + 1]
-    largest = counts[-1]
     parts = {(k, system, metric): [] for k in counts for system in systems for metric in metrics}
     rows = {(metric, system): [] for metric in metrics for system in systems}
     for segment_id in segment_ids:
         segment = segments_by_id[segment_id]
         gold = () if mode == "generated" else segment.gold_refs
-        generated = () if mode == "gold" else segment.generated_refs[:largest]
+        generated = () if mode == "gold" else segment.generated_refs[:counts[-1]]
         n_gold = len(gold)
         refs = [*gold, *generated]
         if not refs:
@@ -579,18 +580,17 @@ def score_corpus(scorer: MultiRefScorer, corpus):
         }
         scores = scorer.segment(hyps, refs)
         ref_ids = [f"gold:{i}" for i in range(n_gold)] + [f"gen:{i}" for i in range(len(generated))]
-        for k in counts:
-            # The references for count k are the first n_gold + k of those for the largest count.
-            n_refs = None if k is None else n_gold + k
-            for system in hyps:
-                for metric in metrics:
-                    value, part = scores.joint(system, metric, n_refs)
+        # The references for count k are the first n_gold + k of those for the largest count.
+        n_refs = [None if k is None else n_gold + k for k in counts]
+        for metric in metrics:
+            for system, system_parts in scores.joint(metric, n_refs).items():
+                for k, part in zip(counts, system_parts):
                     parts[k, system, metric].append(part)
-                    if k == largest:
-                        cells = {"all": value}
-                        if per_reference:
-                            cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
-                        rows[metric, system].append((metric, system, segment_id, cells))
+                if per_reference:
+                    cells = dict(zip(ref_ids, scores.per_reference(system, metric)))
+                else:
+                    cells = {"all": scorer.corpus(metric, [system_parts[-1]]).value}
+                rows[metric, system].append((metric, system, segment_id, cells))
         del scores  # drop this segment's profiles before the next segment's are built
     corpus_scores = {key: scorer.corpus(key[2], values) for key, values in parts.items()}
     return corpus_scores, [row for system_rows in rows.values() for row in system_rows]
@@ -602,7 +602,7 @@ def score_corpus(scorer: MultiRefScorer, corpus):
 def _part(scorer: MultiRefScorer, hyp, refs):
     """The corpus part of one (hypothesis, references) pair under the scorer's one metric."""
     (metric,) = scorer.settings.metrics
-    return scorer.segment({"": hyp}, list(refs)).joint("", metric)[1]
+    return scorer.segment({"": hyp}, list(refs)).joint(metric)[""][0]
 
 
 def _corpus(scorer: MultiRefScorer, pairs) -> MetricScore:

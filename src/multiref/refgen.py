@@ -258,8 +258,10 @@ def _split_numbering(line: str):
 class MockTransport:
     """Deterministic in-process stand-in for a chat endpoint.
 
-    Responds with a numbered list of simple source permutations; a sequence
-    of canned responses (or exceptions) can be scripted for tests.
+    Responds with a numbered list of word rotations of the prompt's last
+    line: the gold reference when the prompt carries one, else, under the
+    built-in templates, the source's last line. A sequence of canned
+    responses (or exceptions) can be scripted for tests.
     """
 
     def __init__(self, scripted=None):
@@ -316,9 +318,11 @@ class HttpChatTransport:
 
     Rate-limit (429) and transient server errors are retried with exponential
     backoff, or after the wait the server's `Retry-After` header asks for.
-    Read timeouts, connection resets and truncated bodies are retried with
-    the same backoff and budget. Authentication and client errors, and an
-    endpoint that cannot be reached at all, abort immediately. Requests go
+    Read timeouts, truncated bodies and connection resets, whether the
+    request is being sent or the reply read, are retried with the same
+    backoff and budget. Authentication and client errors, and an endpoint
+    that cannot be reached at all (a refused connection, a name that does
+    not resolve, a connect timeout), abort immediately. Requests go
     through one opener per transport, with the default handlers (so the
     `*_proxy` variables apply), and HTTPS requests share one TLS context.
     """
@@ -363,7 +367,11 @@ class HttpChatTransport:
                     raise TransportError(failure)
                 wait = _retry_wait(exc.headers.get("Retry-After"), delay)
             except urllib.error.URLError as exc:
-                raise TransportError(f"cannot reach endpoint: {exc.reason}")
+                # A reset while the request is sent comes wrapped; one while the reply is read does not.
+                if not isinstance(exc.reason, ConnectionError) or isinstance(exc.reason, ConnectionRefusedError):
+                    raise TransportError(f"cannot reach endpoint: {exc.reason}")
+                failure = f"connection failed: {exc.reason!r}"
+                wait = delay
             except self.TRANSIENT_ERRORS as exc:
                 failure = f"connection failed: {exc!r}"
                 wait = delay
@@ -544,15 +552,27 @@ def generate_references(
 
 
 def repair_truncated_tail(path: Path) -> None:
-    """Drop a partial trailing line left behind by a crash mid-append.
+    """End a final line that lacks its newline, left behind by a crash mid-append.
 
-    Only the final line is ever touched; corruption anywhere else still
-    surfaces as a load error.
+    A final line that decodes as a JSON object is a whole record and gets
+    its newline; no proper prefix of a JSON object is itself one, so a
+    partial write cannot pass for one. Any other unterminated final line is
+    dropped. Only the final line is ever touched; corruption anywhere else
+    still surfaces as a load error.
     """
     data = path.read_bytes()
     if data and not data.endswith(b"\n"):
+        start = data.rfind(b"\n") + 1
+        try:
+            whole = isinstance(json.loads(data[start:].decode("utf-8")), dict)
+        except ValueError:  # bad JSON or bad UTF-8
+            whole = False
         with open(path, "r+b") as handle:
-            handle.truncate(data.rfind(b"\n") + 1)
+            if whole:
+                handle.seek(0, os.SEEK_END)
+                handle.write(b"\n")
+            else:
+                handle.truncate(start)
 
 
 def load_generation_records(
@@ -584,8 +604,8 @@ def load_generation_records(
 def completed_segment_ids(path: str | Path) -> set[str]:
     """Segment ids with a successful record already present in the output file.
 
-    A partial trailing line (crash artifact) is trimmed first, so resuming an
-    interrupted run never trips over its own last write.
+    A final line without its newline (crash artifact) is repaired first, so
+    resuming an interrupted run never trips over its own last write.
     """
     path = Path(path)
     if not path.exists():

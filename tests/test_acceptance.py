@@ -57,7 +57,7 @@ def random_case(rng):
 def bleu_stats(hyp, refs):
     """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
     scores = MultiRefScorer(ScoreSettings(["bleu"]), words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
-    return scores.joint("", "bleu")[1]
+    return scores.joint("bleu")[""][0]
 
 
 def test_criterion_01_metric_oracle_equivalence():

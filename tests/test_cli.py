@@ -327,6 +327,17 @@ class TestSelect:
         assert "threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_stops_at_forty_segments(self, tmp_path, jsonl_writer, capsys):
+        refs = tmp_path / "refs.jsonl"
+        jsonl_writer(refs, [make_record(f"s{i:02d}", ["a b c", "d e f"]) for i in range(42)])
+        assert main(["select", "--refs", str(refs), "--out", str(tmp_path / "selected.jsonl")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:42]] == [f"s{i:02d}" for i in range(40)]
+        assert lines[42:] == [
+            "... 2 more segments (full report via --report)",
+            f"select: kept 84/84 candidates (threshold {DEFAULT_SELF_BLEU_THRESHOLD})",
+        ]
+
     def test_threshold_zero_keeps_single_fallback(self, pipeline):
         records, _report = self.run_select(pipeline, 0.0)
         assert all(len(r.candidates) == 1 for r in records)
@@ -1073,6 +1084,18 @@ def test_bad_matrix_rows_fail_with_location_in_combine_and_metaeval(
             assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["combine", "metaeval"])
+def test_an_empty_matrix_is_named(tmp_path, jsonl_writer, capsys, command):
+    matrix, human = tmp_path / "matrix.jsonl", tmp_path / "human.jsonl"
+    matrix.write_bytes(b"")
+    jsonl_writer(human, [{"system": s, "segment": None, "score": v} for s, v in (("A", 2), ("B", 1))])
+    argv = [command, "--matrix", str(matrix)] + (["--human", str(human)] if command == "metaeval" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"multiref: error: no rows found in {matrix}\n"
+    assert captured.out == ""
+
+
 class TestMetaeval:
     def test_perfect_agreement_fixture(self, pipeline, tmp_path):
         matrix_path = pipeline["dir"] / "matrix.jsonl"
@@ -1146,6 +1169,22 @@ class TestMetaeval:
         (report,) = json.loads(report_path.read_text())
         assert report["spearman"]["coherence"] == pytest.approx(1.0)
         assert report["spearman"]["fluency"] == pytest.approx(-1.0)
+
+    def test_a_dimension_sharing_one_sample_fails_at_the_matrix(self, tmp_path, jsonl_writer, capsys):
+        matrix = tmp_path / "matrix.jsonl"
+        human = tmp_path / "human.jsonl"
+        scores = (("A", "s1", 5.0), ("A", "s2", 4.0), ("B", "s1", 2.0), ("B", "s2", 1.0))
+        jsonl_writer(matrix, [{"system": s, "segment": seg, "scores": {"all": v}, "metric": "m"} for s, seg, v in scores])
+        # Of fluency's two samples, only ("A", "s1") is in the matrix.
+        jsonl_writer(human, [{"system": s, "segment": seg, "score": v} for s, seg, v in scores] + [
+            {"system": "A", "segment": "s1", "dimension": "fluency", "score": 3.0},
+            {"system": "A", "segment": "s9", "dimension": "fluency", "score": 2.0},
+        ])
+        assert main(["metaeval", "--matrix", str(matrix), "--human", str(human)]) == 1
+        assert capsys.readouterr().err == (
+            f"multiref: error: {matrix}: cannot evaluate against {human}: "
+            "dimension 'fluency' shares fewer than two samples\n"
+        )
 
     @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
     def test_a_human_file_without_judgments_is_named(self, tmp_path, jsonl_writer, capsys, content):
@@ -1372,6 +1411,20 @@ class TestLeakageReport:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"multiref: error: {path}: invalid summary: {reason}")
         assert not out.exists()
+
+    def test_pair_without_a_comma_fails(self, tmp_path, capsys):
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps({"A": 1.0, "B": 2.0}))
+        assert main(["leakage-report", "--single", str(scores), "--multi", str(scores), "--pair", "A"]) == 1
+        assert capsys.readouterr().err == "multiref: error: --pair expects A,B, got 'A'\n"
+
+    def test_metric_missing_from_the_multi_summary_names_it(self, tmp_path, capsys):
+        # The single summary's one metric is looked up in the multi summary.
+        single, multi = tmp_path / "single.json", tmp_path / "multi.json"
+        single.write_text(json.dumps({"metrics": {"bleu": {"A": 1.0, "B": 2.0}}}))
+        multi.write_text(json.dumps({"metrics": {"chrf": {"A": 1.0, "B": 2.0}}}))
+        assert main(["leakage-report", "--single", str(single), "--multi", str(multi), "--pair", "A,B"]) == 1
+        assert capsys.readouterr().err == f"multiref: error: {multi}: invalid summary: metric 'bleu' not present\n"
 
     @pytest.mark.parametrize("culprit", ["single", "multi"])
     def test_missing_system_names_its_summary(self, tmp_path, capsys, culprit):

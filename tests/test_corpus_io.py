@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from multiref.cli import main
 from multiref.corpus_io import (
     EvalCorpus,
     Segment,
@@ -325,6 +326,17 @@ class TestAllOrNothingWrites:
         assert target.read_bytes() == '{"a": 1}\n{"b": "é"}\n'.encode()
         assert target.stat().st_mode & 0o777 == 0o640
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_temporary_file_that_cannot_be_made_names_the_target(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as caught:
+            write_jsonl("missing/x.jsonl", [{"a": 1}])
+        assert str(caught.value) == "[Errno 2] No such file or directory: 'missing/x.jsonl'"
+        refs = tmp_path / "refs.jsonl"
+        write_jsonl(refs, [record("s1", ["a b", "c d"])._asdict()])
+        assert main(["select", "--refs", str(refs), "--out", "missing/x.jsonl"]) == 1
+        assert capsys.readouterr().err == "multiref: error: [Errno 2] No such file or directory: 'missing/x.jsonl'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.jsonl"]
 
     def test_a_symlink_or_fifo_target_is_written_in_place(self, tmp_path):
         real = tmp_path / "real.json"

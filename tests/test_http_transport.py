@@ -4,6 +4,8 @@ import collections
 import email.utils
 import json
 import os
+import queue
+import select
 import socket
 import ssl
 import struct
@@ -202,6 +204,12 @@ def test_retry_after_http_date_in_the_past_means_no_wait(server, sleeps):
     assert sleeps == [0.0]
 
 
+def test_retry_after_http_date_without_a_zone_is_read_as_utc():
+    when = datetime.now(timezone.utc) + timedelta(seconds=30)
+    wait = refgen._retry_wait(when.strftime("%a, %d %b %Y %H:%M:%S"), 1.0)
+    assert 25.0 <= wait <= 30.0
+
+
 @pytest.mark.parametrize("garbage", ["soon", "nan", "Mon, 99 Foo 2020", None])
 def test_unparsable_or_missing_retry_after_falls_back_to_backoff(server, sleeps, garbage):
     retried_once_after(server, garbage)
@@ -291,6 +299,85 @@ def test_connection_faults_exhaust_the_budget(server, sleeps):
     with pytest.raises(TransportError, match="IncompleteRead.*after 6 attempts"):
         HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
     assert len(ScriptedHandler.requests) == retries + 1
+    assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+class ResettingEndpoint:
+    """A raw loopback socket that resets its first `resets` connections (all when None), then answers "ok".
+
+    Each reset is made with linger 0 as the connection is accepted, and the
+    client waits until it has arrived before it sends, so the reset meets
+    the request being sent (or its connect), which `urllib` wraps in a
+    `URLError`.
+    """
+
+    def __init__(self, monkeypatch, resets):
+        self.resets = resets
+        self.connections = 0
+        self.decisions = queue.Queue()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.01)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/v1/chat/completions"
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+        connect = socket.create_connection
+
+        def connect_after_the_reset(*args, **kwargs):
+            try:
+                sock = connect(*args, **kwargs)
+            finally:  # the reset may already fail the connect
+                reset = self.decisions.get(timeout=5.0) == "reset"
+            if reset:
+                select.select([sock], [], [], 5.0)  # readable once the reset has arrived
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", connect_after_the_reset)
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            if self.resets is None or self.connections <= self.resets:
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                conn.close()
+                self.decisions.put("reset")
+                continue
+            self.decisions.put("answer")
+            with conn, conn.makefile("rb") as request:
+                headers = list(iter(request.readline, b"\r\n"))
+                request.read(next(int(line[15:]) for line in headers if line.lower().startswith(b"content-length:")))
+                body = json.dumps(chat_payload("ok")).encode("utf-8")
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                             b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(body), body))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop.set()
+        self.thread.join(5.0)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+
+def test_reset_while_the_request_is_sent_is_retried(monkeypatch, sleeps):
+    with ResettingEndpoint(monkeypatch, resets=2) as endpoint:
+        cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
+        assert HttpChatTransport(api_key="sk-test").complete("p", cfg) == "ok"
+    assert endpoint.connections == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_resets_while_the_request_is_sent_exhaust_the_budget(monkeypatch, sleeps):
+    with ResettingEndpoint(monkeypatch, resets=None) as endpoint:
+        cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
+        with pytest.raises(TransportError, match=r"connection failed: ConnectionResetError\(.*\(gave up after 6 attempts\)"):
+            HttpChatTransport(api_key="sk-test").complete("p", cfg)
+    assert endpoint.connections == 6
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
 
 

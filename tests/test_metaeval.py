@@ -128,6 +128,10 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0], [1.0, 2.0])
 
+    def test_one_pair_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two paired observations$"):
+            pearson([1.0], [2.0])
+
     def test_matches_textbook_oracle(self, rng):
         for _ in range(100):
             n = rng.randint(2, 40)
@@ -347,6 +351,12 @@ class TestHumanJudgmentIo:
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
             HumanJudgment(system="a", score=float("inf"))
+
+    def test_repeated_judgment_rejected_in_memory(self):
+        judgments = [HumanJudgment("a", 1.0, "s1", "fluency"), HumanJudgment("a", 2.0, "s1"),
+                     HumanJudgment("a", 3.0, "s1", "fluency")]
+        with pytest.raises(ValueError, match=r"^duplicate judgment for \('a', 's1', 'fluency'\)$"):
+            human_score_tables(judgments)
 
     def test_overflowing_mean_rejected(self):
         # math.fsum raised OverflowError, which no command catches.
@@ -664,6 +674,11 @@ class TestMetaEvaluateAll:
             name: {k: float(rng.randint(0, 9)) + 0.25 * i for k in subset}
             for i, (name, subset) in enumerate(subsets.items())
         }
+
+    def test_an_empty_score_table_rejected(self):
+        human = human_score_tables([HumanJudgment(s, v, "s1") for s, v in (("sys0", 1.0), ("sys1", 2.0))])
+        with pytest.raises(ValueError, match="^no metric scores given$"):
+            meta_evaluate_all({"m": {("sys0", "s1"): 1.0, ("sys1", "s1"): 2.0}, "n": {}}, human)
 
     def check(self, scores_by_metric, judgments, human_system, human_segment, human_dims):
         human = human_score_tables(judgments)

@@ -39,7 +39,7 @@ def random_case(rng):
 def bleu_stats(hyp, refs):
     """One segment's BLEU `CorpusStats`: its bleu part from the scorer's `joint`."""
     scores = MultiRefScorer(ScoreSettings(["bleu"]), words=tuple).segment({"": tuple(hyp)}, [tuple(r) for r in refs])
-    return scores.joint("", "bleu")[1]
+    return scores.joint("bleu")[""][0]
 
 
 class TestTokenSequences:

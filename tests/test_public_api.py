@@ -1,9 +1,12 @@
-"""The public API: what `multiref` exports and what README "Library use" shows."""
+"""The public API: what `multiref` exports and what README "Library use" and "Pipeline quickstart" show."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import multiref
+from multiref.cli import main
 from multiref import SubwordVocab, tokenize_chars, tokenize_subwords, tokenize_words
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,6 +81,33 @@ def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, f"{README}:Library use", "exec"), {})
+
+
+def test_readme_pipeline_quickstart_runs(tmp_path, monkeypatch, capsys, jsonl_writer):
+    # Each command of the quickstart, on small inputs in place of its files, exits 0 and writes its outputs.
+    section = README.read_text(encoding="utf-8").split("## Pipeline quickstart", 1)[1]
+    script = re.search(r"```bash\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines() if line.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["multiref", "generate"], ["multiref", "select"], ["multiref", "score"], ["multiref", "metaeval"]
+    ]
+    monkeypatch.chdir(tmp_path)
+    gold = {"s1": "the cat sat on the mat", "s2": "rain falls gently on the hills", "s3": "a fox jumps"}
+    jsonl_writer(tmp_path / "segments.jsonl",
+                 [{"id": sid, "source": f"source {sid}", "gold_refs": [text]} for sid, text in gold.items()])
+    hyps = {"copy": dict(gold), "half": {sid: " ".join(text.split()[::2]) for sid, text in gold.items()}}
+    jsonl_writer(tmp_path / "outputs.jsonl", [{"system": system, "segment": sid, "hypothesis": hyp}
+                                              for system, by_segment in hyps.items() for sid, hyp in by_segment.items()])
+    jsonl_writer(tmp_path / "human.jsonl", [{"system": system, "segment": sid, "score": 5.0 - 2 * i - 0.1 * j}
+                                            for i, system in enumerate(hyps) for j, sid in enumerate(gold)])
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        for flag in ("--out", "--summary"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).stat().st_size > 0, (argv, flag)
+    capsys.readouterr()
+    reports = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [(r["metric"], r["pairwise_accuracy"]) for r in reports] == [("bleu", 1.0), ("chrf", 1.0), ("rougeL", 1.0)]
 
 
 def test_tokenizers_return_tuples_of_strings():

@@ -148,6 +148,10 @@ class TestParseCandidates:
         with pytest.raises(MalformedResponseError):
             parse_candidates("1.\n2. b", 2)
 
+    def test_blank_lines_between_items_skipped(self):
+        assert parse_candidates("1. a\n\n   \n2. b\n", 2) == ["a", "b"]
+        assert parse_candidates("a\n\nb", 2) == ["a", "b"]
+
 
 class TestGenerationConfig:
     @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan"), float("inf")])
@@ -220,6 +224,13 @@ class TestGenerateReferences:
         assert records == []
         assert quiet.calls == []
         assert len(load_generation_records(out)) == 2
+
+    def test_an_exhausted_script_is_a_transport_error(self):
+        transport = MockTransport(scripted=[numbered("a", "b")])
+        assert transport.complete("p", self.config()) == numbered("a", "b")
+        with pytest.raises(TransportError, match="^mock transport script exhausted$"):
+            transport.complete("q", self.config())
+        assert transport.calls == ["p", "q"]
 
     def test_rerun_on_the_same_file_sends_and_writes_nothing(self, tmp_path):
         # A second call used to request every segment again and append a second
@@ -370,6 +381,34 @@ class TestGenerateReferences:
         loaded = load_generation_records(out)
         assert [r.segment_id for r in loaded] == ["s1", "s2"]
         assert loaded[1].candidates == ("c", "d")
+
+    def test_whole_last_record_without_newline_kept_on_resume(self, tmp_path):
+        # A crash between a record and its newline leaves a whole record: it stays done.
+        out = tmp_path / "refs.jsonl"
+        transport = MockTransport(scripted=[numbered("a", "b")])
+        generate_references(self.segments()[:1], TEMPLATE, self.config(), transport, out_path=out)
+        written = out.read_bytes()
+        out.write_bytes(written.rstrip(b"\n"))
+        assert completed_segment_ids(out) == {"s1"}
+        assert out.read_bytes() == written
+
+        resume = MockTransport(scripted=[numbered("c", "d")])
+        records = generate_references(self.segments(), TEMPLATE, self.config(), resume, out_path=out)
+        assert [r.segment_id for r in records] == ["s2"]
+        assert len(resume.calls) == 1
+        loaded = load_generation_records(out)
+        assert [(r.segment_id, r.candidates) for r in loaded] == [("s1", ("a", "b")), ("s2", ("c", "d"))]
+
+    @pytest.mark.parametrize("tail", ['["s2"]', '{"segment_id": "s2"} {', b'{"segment_id": "\xff"}'],
+                             ids=["array", "extra-data", "bad-utf8"])
+    def test_last_line_that_is_no_json_object_dropped(self, tmp_path, tail):
+        out = tmp_path / "refs.jsonl"
+        transport = MockTransport(scripted=[numbered("a", "b")])
+        generate_references(self.segments()[:1], TEMPLATE, self.config(), transport, out_path=out)
+        written = out.read_bytes()
+        out.write_bytes(written + (tail if isinstance(tail, bytes) else tail.encode()))
+        assert completed_segment_ids(out) == {"s1"}
+        assert out.read_bytes() == written
 
     def test_audit_fields_round_trip(self, tmp_path):
         out = tmp_path / "refs.jsonl"

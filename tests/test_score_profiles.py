@@ -352,21 +352,43 @@ def test_per_reference_cells_at_up_to_eight_systems(hyps, refs, max_order, smoot
         assert cells == pytest.approx(expected, abs=1e-9), (metric, system)
 
 
+# chrF (order 1, beta 1), ROUGE-2 and ROUGE-L each tie between two references with
+# different counts, and the gold reference comes again as the last generated one.
+TIED_REFERENCES = {"s0": (["ab"], ["ab ab the a", "a b", "a b cat the the", "ab"], {"p": "ab ab", "q": "a b cat"})}
+
+
 @settings(max_examples=60, deadline=None)
-@given(corpus=corpora(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8))
-def test_joint_in_any_count_order_matches_a_fresh_segment(corpus, counts):
-    # A BLEU clip table grows while counts ascend and starts over when one falls.
-    score_settings = ScoreSettings(["bleu", "spbleu"], pretokenized=True)
+@given(corpus=corpora(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=8).map(sorted),
+       chrf_order=st.integers(1, 6), chrf_beta=st.sampled_from((1.0, 2.0)))
+@example(corpus=TIED_REFERENCES, counts=[1, 2, 3, 4, 5], chrf_order=1, chrf_beta=1.0)
+def test_one_joint_call_at_every_count_matches_a_fresh_segment(corpus, counts, chrf_order, chrf_beta):
+    """Each count's part from one `joint` call is a fresh segment's part over that many references.
+
+    For chrF and ROUGE that is the part of the first best single reference.
+    The same segment then answers the counts one call at a time, largest
+    first, so no call depends on an earlier one.
+    """
+    metrics = ("bleu", "spbleu", "chrf", "rouge2", "rougeL")
+    score_settings = ScoreSettings(metrics, chrf_order=chrf_order, chrf_beta=chrf_beta, pretokenized=True)
     scorer = MultiRefScorer(score_settings, words=str.split, pieces=str.split)
     for gold, generated, hyps in corpus.values():
         refs = gold + generated
         scores = scorer.segment(hyps, refs)
-        for n_refs in counts:
-            fresh = scorer.segment(hyps, refs)
-            for system in hyps:
-                for metric in scorer.settings.metrics:
-                    expected = fresh.joint(system, metric, n_refs)
-                    assert scores.joint(system, metric, n_refs) == expected, (n_refs, metric)
+        for metric in metrics:
+            singles = [scorer.segment(hyps, [ref]).joint(metric) for ref in refs]
+            expected = {system: [] for system in hyps}
+            for n in [*counts, None]:
+                fresh = scorer.segment(hyps, refs[:n]).joint(metric)
+                for system, parts in expected.items():
+                    if metric not in ("bleu", "spbleu"):
+                        # max keeps the first of equal values.
+                        best = max((single[system][0] for single in singles[:n]),
+                                   key=lambda part: scorer.corpus(metric, [part]).value)
+                        assert fresh[system] == [best], (metric, n)
+                    parts.extend(fresh[system])
+            assert scores.joint(metric, [*counts, None]) == expected, metric
+            for i, n in reversed(list(enumerate(counts))):
+                assert scores.joint(metric, [n]) == {system: [parts[i]] for system, parts in expected.items()}
 
 
 def test_cli_leaves_the_scoring_loop_to_the_library():
