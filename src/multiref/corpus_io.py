@@ -1,7 +1,8 @@
 """Ingestion and persistence of test sets, system outputs, and reference sets.
 
-This module alone decodes files and writes them. Each line reader skips one
-leading byte-order mark and decodes each line as UTF-8 on its own:
+This module is the package's one JSON codec, and `PARSE_ERRORS` the errors
+by which it rejects input. Each line reader skips one leading byte-order
+mark and decodes each line as UTF-8 on its own:
 `read_lines` for the subword vocabulary, and `read_jsonl_records` (one JSON
 object per line) for the JSONL files; JSON documents go through `read_json`:
 
@@ -11,20 +12,23 @@ object per line) for the JSONL files; JSON documents go through `read_json`:
 - human.jsonl:    human judgments (see metaeval)
 - matrix.jsonl:   score matrices (see combine)
 
-`read_jsonl_records` strips each line and decodes it with one call of the C
+`read_jsonl_records` strips each line and decodes it with one call of the
 scanner under `json.loads`. A line that `json.loads` rejects fails with the
 same message, position included. It is the one decoder of JSONL lines in
 the package, and each file goes through it once. `read_jsonl` turns each
 record into a value through a `parse` callback, and `parse_record` words
 what `parse` rejects at its line. `combine` checks the common matrix row
 itself, and `metaeval` a batch of human judgments at a time; each hands
-any other row to `parse_record`.
+any other row to `parse_record`. `repair_truncated_tail` mends the last
+line a kill mid-append left without its newline.
 
 Outputs are UTF-8 JSON with non-ASCII text unescaped, through `write_jsonl`
-(one record per line), `write_json` (one document, indented by 2) or, for
-text a caller has encoded itself (`combine.write_combined`),
+(one `jsonl_line` per record), `write_json` (one document, indented by 2)
+or, for text a caller has encoded itself (`combine.write_combined`),
 `write_all_or_nothing`. Each writes a temporary file and renames it onto
 its target, so a failed or killed run leaves the old output whole.
+Outside this module only `refgen.generate_references` writes a file: it
+appends its own log.
 
 Loaded corpora are fully cross-validated (every hypothesis keyed to a known
 segment) and treated as immutable afterwards.
@@ -126,11 +130,12 @@ def json_object(value, name: str) -> dict:
     return value
 
 
-# What decoding (RecursionError for nesting too deep) or a `parse` callback
-# raise for input they reject.
-_PARSE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, OverflowError, RecursionError)
+# What decoding (UnicodeDecodeError for bad UTF-8, RecursionError for nesting
+# too deep) or a `parse` callback raise for input they reject.
+PARSE_ERRORS = (LookupError, TypeError, AttributeError, ValueError, OverflowError, RecursionError)
 
-# The C scanner under `json.loads`: `(value, end)` of the JSON value at an index.
+# The scanner under `json.loads` (C where CPython's `_json` is built): `(value, end)`
+# of the JSON value at an index.
 _scan_once = json.JSONDecoder().scan_once
 _skip_space = json.decoder.WHITESPACE.match
 
@@ -190,7 +195,7 @@ def read_jsonl_records(path: str | Path, what: str):
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                # `json.loads(line)`, values and errors alike, in one C call:
+                # `json.loads(line)`, values and errors alike, in one scanner call:
                 # the line has no JSON whitespace at either end.
                 try:
                     record, end = _scan_once(line, 0)
@@ -200,23 +205,48 @@ def read_jsonl_records(path: str | Path, what: str):
                     raise json.JSONDecodeError("Extra data", line, _skip_space(line, end).end())
                 if type(record) is not dict:
                     json_object(record, "record")  # raises, naming what the line holds
-            except _PARSE_ERRORS as exc:
+            except PARSE_ERRORS as exc:
                 raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
             yield lineno, record
+
+
+def repair_truncated_tail(path: str | Path) -> None:
+    """End a final line that lacks its newline, left behind by a crash mid-append.
+
+    A final line that decodes as a JSON object is a whole record and gets
+    its newline; no proper prefix of a JSON object is itself one, so a
+    partial write cannot pass for one. Any other unterminated final line
+    (bad UTF-8, bad JSON, nesting too deep, a value that is no object) is
+    dropped. Only the final line is ever touched; corruption anywhere else
+    still surfaces as a load error.
+    """
+    data = Path(path).read_bytes()
+    if data and not data.endswith(b"\n"):
+        start = data.rfind(b"\n") + 1
+        try:
+            whole = isinstance(json.loads(data[start:].decode("utf-8")), dict)
+        except PARSE_ERRORS:
+            whole = False
+        with open(path, "r+b") as handle:
+            if whole:
+                handle.seek(0, os.SEEK_END)
+                handle.write(b"\n")
+            else:
+                handle.truncate(start)
 
 
 def parse_record(parse, record: dict, what: str, path: str | Path, lineno: int):
     """`parse(record)` for the record at `path:lineno`, failing as `read_jsonl` fails where `parse` rejects it."""
     try:
         return parse(record)
-    except _PARSE_ERRORS as exc:
+    except PARSE_ERRORS as exc:
         raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path), lineno) from None
 
 
 def read_jsonl(path: str | Path, parse, what: str):
     """Yield `(lineno, parse(record))` for each `(lineno, record)` of `read_jsonl_records(path, what)`.
 
-    A record that `parse` rejects with one of `_PARSE_ERRORS` fails as
+    A record that `parse` rejects with one of `PARSE_ERRORS` fails as
     `invalid <what>: <reason>` at `path:lineno`.
     """
     for lineno, record in read_jsonl_records(path, what):
@@ -232,30 +262,13 @@ def read_json(path: str | Path, parse, what: str):
         data = handle.read()
     try:
         return parse(json_object(json.loads(data.decode("utf-8-sig")), "document"))
-    except _PARSE_ERRORS as exc:
+    except PARSE_ERRORS as exc:
         raise CorpusFormatError(f"invalid {what}: {_reason(exc)}", str(path)) from None
 
 
-# The C encoder under `json.dumps(value, ensure_ascii=False)`, built once; it
-# returns the encoded chunks. It keeps no circular-reference markers: a shared
-# markers dict would keep the containers of a failed encode, and encoding one
-# of them again would report a false cycle.
-_encode_chunks = json.encoder.c_make_encoder(
-    None,  # markers
-    json.JSONEncoder().default,
-    json.encoder.encode_basestring,
-    None,  # indent
-    ": ",
-    ", ",
-    False,  # sort_keys
-    False,  # skipkeys
-    True,  # allow_nan
-)
-
-
 def jsonl_line(record) -> str:
-    """`record` as one JSONL line, as `json.dumps(record, ensure_ascii=False)` writes it, newline included."""
-    return "".join(_encode_chunks(record, 0)) + "\n"
+    """`record` as one JSONL line, non-ASCII text unescaped, newline included."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def _std_stream(path: str | Path):

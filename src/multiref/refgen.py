@@ -25,7 +25,8 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .corpus_io import bool_field, id_field, jsonl_line, read_json, read_jsonl, text_field, text_list
+from .corpus_io import PARSE_ERRORS, bool_field, id_field, jsonl_line, read_json, read_jsonl, repair_truncated_tail
+from .corpus_io import text_field, text_list
 from .errors import CorpusFormatError, MalformedResponseError, TransportError
 from .records import check_count, record
 
@@ -318,17 +319,20 @@ class HttpChatTransport:
 
     Rate-limit (429) and transient server errors are retried with exponential
     backoff, or after the wait the server's `Retry-After` header asks for.
-    Read timeouts, truncated bodies and connection resets, whether the
-    request is being sent or the reply read, are retried with the same
-    backoff and budget. Authentication and client errors, and an endpoint
-    that cannot be reached at all (a refused connection, a name that does
-    not resolve, a connect timeout), abort immediately. Requests go
+    Read timeouts, truncated bodies, connection resets (whether the request
+    is being sent or the reply read), and any other error `http.client`
+    raises for a request, such as a malformed status line or headers, are
+    retried with the same backoff and budget. Authentication and client
+    errors, and an endpoint that cannot be reached at all (a refused
+    connection, a name that does not resolve, a connect timeout, a URL that
+    `http.client` rejects), abort immediately, as does a reply body that is
+    not UTF-8 JSON holding `choices[0].message.content`. Requests go
     through one opener per transport, with the default handlers (so the
     `*_proxy` variables apply), and HTTPS requests share one TLS context.
     """
 
     TRANSIENT_STATUS = {429, 500, 502, 503, 504}
-    TRANSIENT_ERRORS = (TimeoutError, ConnectionResetError, http.client.IncompleteRead)
+    TRANSIENT_ERRORS = (TimeoutError, ConnectionResetError, http.client.HTTPException)
     MAX_TRANSIENT_RETRIES = 5
 
     def __init__(self, api_key: str | None = None):
@@ -359,8 +363,8 @@ class HttpChatTransport:
             )
             try:
                 with self._opener.open(request, timeout=cfg.timeout) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                return _reply_text(payload["choices"][0]["message"]["content"])
+                    reply = response.read()
+                break
             except urllib.error.HTTPError as exc:
                 failure = f"endpoint returned HTTP {exc.code}: {exc.reason}"
                 if exc.code not in self.TRANSIENT_STATUS:
@@ -372,23 +376,23 @@ class HttpChatTransport:
                     raise TransportError(f"cannot reach endpoint: {exc.reason}")
                 failure = f"connection failed: {exc.reason!r}"
                 wait = delay
+            except http.client.InvalidURL as exc:
+                raise TransportError(f"cannot reach endpoint: {exc}")
             except self.TRANSIENT_ERRORS as exc:
                 failure = f"connection failed: {exc!r}"
                 wait = delay
-            except (KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
-                raise TransportError(f"unexpected response payload: {exc}")
             if attempt == self.MAX_TRANSIENT_RETRIES:
                 raise TransportError(f"{failure} (gave up after {attempt + 1} attempts)")
             time.sleep(wait)
             delay *= 2.0
-
-
-def _reply_text(content) -> str:
-    """A reply's `content` if it is a string; a MalformedResponseError naming its JSON type otherwise."""
-    try:
-        return text_field(content, "reply content")
-    except TypeError as exc:
-        raise MalformedResponseError(str(exc)) from None
+        try:
+            content = json.loads(reply.decode("utf-8"))["choices"][0]["message"]["content"]
+        except PARSE_ERRORS as exc:
+            raise TransportError(f"unexpected response payload: {exc}")
+        try:
+            return text_field(content, "reply content")
+        except TypeError as exc:  # such as the `null` sent with a tool call
+            raise MalformedResponseError(str(exc)) from None
 
 
 def _retry_wait(retry_after: str | None, backoff: float) -> float:
@@ -551,30 +555,6 @@ def generate_references(
     return records
 
 
-def repair_truncated_tail(path: Path) -> None:
-    """End a final line that lacks its newline, left behind by a crash mid-append.
-
-    A final line that decodes as a JSON object is a whole record and gets
-    its newline; no proper prefix of a JSON object is itself one, so a
-    partial write cannot pass for one. Any other unterminated final line is
-    dropped. Only the final line is ever touched; corruption anywhere else
-    still surfaces as a load error.
-    """
-    data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        start = data.rfind(b"\n") + 1
-        try:
-            whole = isinstance(json.loads(data[start:].decode("utf-8")), dict)
-        except ValueError:  # bad JSON or bad UTF-8
-            whole = False
-        with open(path, "r+b") as handle:
-            if whole:
-                handle.seek(0, os.SEEK_END)
-                handle.write(b"\n")
-            else:
-                handle.truncate(start)
-
-
 def load_generation_records(
     path: str | Path, known_ids: set[str] | None = None
 ) -> list[GenerationRecord]:
@@ -605,10 +585,11 @@ def completed_segment_ids(path: str | Path) -> set[str]:
     """Segment ids with a successful record already present in the output file.
 
     A final line without its newline (crash artifact) is repaired first, so
-    resuming an interrupted run never trips over its own last write.
+    resuming an interrupted run never trips over its own last write. Only a
+    regular file can hold records: any other target (a pipe, a FIFO, a
+    terminal) holds none and is not read, as reading it could block.
     """
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).is_file():
         return set()
     repair_truncated_tail(path)
     return {r.segment_id for r in load_generation_records(path) if r.succeeded}

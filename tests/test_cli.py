@@ -233,6 +233,20 @@ class TestGenerate:
         assert "3 skipped (already complete)" in capsys.readouterr().out
         assert len(load_generation_records(out)) == 3
 
+    def test_a_torn_last_line_nested_too_deep_is_dropped_on_resume(self, pipeline, capsys):
+        segments = pipeline["dir"] / "one.jsonl"
+        segments.write_text('{"id": "s1", "source": "one"}\n')
+        out = pipeline["dir"] / "gen.jsonl"
+        args = ["generate", "--segments", str(segments), "--out", str(out), "--mock", "--n-references", "2"]
+        assert main(args) == 0
+        written = out.read_bytes()
+        with open(out, "ab") as handle:
+            handle.write(b"[" * 100_000)
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == "generate: 0 segments done, 1 skipped (already complete), 0 failed\n"
+        assert out.read_bytes() == written
+
     def test_summarization_task_defaults_to_ten_candidates(self, pipeline):
         out = pipeline["dir"] / "gen.jsonl"
         code = main(
@@ -1645,6 +1659,15 @@ class TestConfigFile:
         assert args.lowercase is True
 
 
+def _json_loads_error(text):
+    """The message `json.loads(text)` fails with here: CPython's C decoder and the pure-Python one word some apart."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"json.loads accepted {text[:20]!r}")
+
+
 @pytest.mark.parametrize(
     "command, name, line, reason",
     [
@@ -1678,9 +1701,7 @@ class TestConfigFile:
          "invalid generation record: bad JSON: Expecting value: line 1 column 37 (char 36)"),
         ("score", "outputs.jsonl", '["copy", "s1", "the cat"]',
          "invalid output record: record must be a JSON object, got array"),
-        ("combine", "matrix.jsonl", "[" * 200000,
-         "invalid matrix row: maximum recursion depth exceeded while decoding a JSON array "
-         "from a unicode string"),
+        ("combine", "matrix.jsonl", "[" * 200000, "invalid matrix row: " + _json_loads_error("[" * 200000)),
         ("spbleu", "vocab.txt", b"\xe2\x96\x81ca\xfft",
          "invalid vocabulary: 'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"),
         ("select", "refs.jsonl", '{"segment_id": "s9", "candidates": ["a"], "attempt_count": "3"}',

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -19,6 +20,7 @@ from multiref.corpus_io import (
     load_segments,
     merge_references,
     read_jsonl,
+    read_jsonl_records,
     write_json,
     write_jsonl,
 )
@@ -243,6 +245,35 @@ class TestEncodeParity:
         assert jsonl_line(record) == json.dumps(record, ensure_ascii=False) + "\n"
 
 
+# Builds without CPython's `_json` accelerator, and PyPy, take json's pure-Python encoder and scanner.
+NO_ACCELERATOR = """\
+import pickle, sys
+sys.modules["_json"] = None
+import multiref.cli
+from multiref.corpus_io import read_jsonl_records, write_jsonl
+import json.encoder, json.scanner
+assert json.encoder.c_make_encoder is None and json.scanner.c_make_scanner is None
+write_jsonl(sys.argv[1], pickle.loads(bytes.fromhex(sys.argv[2])))
+print(repr([record for _lineno, record in read_jsonl_records(sys.argv[1], "record")]))
+"""
+
+
+def test_without_the_json_accelerator_lines_round_trip_as_with_it(tmp_path):
+    # UTF-8 cannot hold the lone surrogate of the first record.
+    records = [{"text": "é 中文 \u2028 \"quoted\"\n\t\x00\\", "emoji": "🙂"}]
+    records += [value for value in TestEncodeParity.RECORDS[1:] if isinstance(value, dict)]
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    pure = tmp_path / "pure.jsonl"
+    run = subprocess.run([sys.executable, "-c", NO_ACCELERATOR, str(pure), pickle.dumps(records).hex()],
+                         env=env, capture_output=True, encoding="utf-8", timeout=60)
+    assert run.returncode == 0, run.stderr
+    accelerated = tmp_path / "accelerated.jsonl"
+    write_jsonl(accelerated, records)
+    assert pure.read_bytes() == accelerated.read_bytes()
+    assert run.stdout == repr([record for _lineno, record in read_jsonl_records(accelerated, "record")]) + "\n"
+
+
 class TestLoadGenerationRecords:
     def test_unknown_segment_reports_line(self, tmp_path, jsonl_writer):
         path = tmp_path / "refs.jsonl"
@@ -421,9 +452,9 @@ class TestAllOrNothingWrites:
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multiref"
 
-# Functions outside corpus_io that may open a file for writing: generate's
-# append-and-flush loop, and the repair of a line a kill cut short.
-WRITERS_ALLOWED = {("refgen.py", "generate_references"), ("refgen.py", "repair_truncated_tail")}
+# The one function outside corpus_io that may open a file for writing:
+# generate's append-and-flush loop.
+WRITERS_ALLOWED = {("refgen.py", "generate_references")}
 # Functions whose `x.open(...)` calls open a URL through a urllib opener, not a file.
 URL_OPENERS = {("refgen.py", "complete")}
 

@@ -45,7 +45,9 @@ CERT, KEY = DATA / "loopback-cert.pem", DATA / "loopback-key.pem"
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted reply.
 
-    A reply is (status, payload, headers), optionally followed by a fault:
+    A reply is (status, payload, headers), optionally followed by a fault;
+    a payload given as bytes is sent as it is, any other one as its JSON.
+    A fault is one of these:
     "stall" sends nothing until the test ends, "reset" aborts the connection,
     "truncate" sends half the body it announces.
     """
@@ -70,7 +72,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             )
             self.close_connection = True
             return
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         for key, value in headers.items():
             self.send_header(key, value)
@@ -246,6 +248,24 @@ def test_unexpected_payload_is_transport_error(server):
         transport.complete("p", config_for(server))
 
 
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        (b'{"choices": [{"message": {"content": "caf\xe9"}}]}',
+         "'utf-8' codec can't decode byte 0xe9 in position 41: invalid continuation byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"choices": []}', "list index out of range"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "no-choice"],
+)
+def test_a_body_that_is_no_utf8_json_reply_is_a_payload_error(server, body, reason):
+    ScriptedHandler.script = [(200, body, {})]
+    with pytest.raises(TransportError, match="^unexpected response payload: ") as err:
+        HttpChatTransport(api_key="sk-test").complete("p", config_for(server))
+    assert reason in str(err.value)
+    assert len(ScriptedHandler.requests) == 1
+
+
 def test_unreachable_endpoint_is_transport_error():
     transport = HttpChatTransport(api_key="sk-test")
     cfg = GenerationConfig(
@@ -302,17 +322,19 @@ def test_connection_faults_exhaust_the_budget(server, sleeps):
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
 
 
-class ResettingEndpoint:
-    """A raw loopback socket that resets its first `resets` connections (all when None), then answers "ok".
+class RawEndpoint:
+    """A raw loopback socket that meets its first `faults` connections (all when None) with `fault`, then answers "ok".
 
-    Each reset is made with linger 0 as the connection is accepted, and the
+    A "reset" is made with linger 0 as the connection is accepted, and the
     client waits until it has arrived before it sends, so the reset meets
     the request being sent (or its connect), which `urllib` wraps in a
-    `URLError`.
+    `URLError`. "garbage" reads the request and answers `HELLO THERE`,
+    which `http.client` rejects as a bad status line.
     """
 
-    def __init__(self, monkeypatch, resets):
-        self.resets = resets
+    def __init__(self, monkeypatch, faults, fault="reset"):
+        self.faults = faults
+        self.fault = fault
         self.connections = 0
         self.decisions = queue.Queue()
         self.listener = socket.create_server(("127.0.0.1", 0))
@@ -341,7 +363,8 @@ class ResettingEndpoint:
             except TimeoutError:
                 continue
             self.connections += 1
-            if self.resets is None or self.connections <= self.resets:
+            faulty = self.faults is None or self.connections <= self.faults
+            if faulty and self.fault == "reset":
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
                 conn.close()
                 self.decisions.put("reset")
@@ -350,6 +373,9 @@ class ResettingEndpoint:
             with conn, conn.makefile("rb") as request:
                 headers = list(iter(request.readline, b"\r\n"))
                 request.read(next(int(line[15:]) for line in headers if line.lower().startswith(b"content-length:")))
+                if faulty:
+                    conn.sendall(b"HELLO THERE\r\n\r\n")
+                    continue
                 body = json.dumps(chat_payload("ok")).encode("utf-8")
                 conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
                              b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(body), body))
@@ -365,7 +391,7 @@ class ResettingEndpoint:
 
 
 def test_reset_while_the_request_is_sent_is_retried(monkeypatch, sleeps):
-    with ResettingEndpoint(monkeypatch, resets=2) as endpoint:
+    with RawEndpoint(monkeypatch, faults=2) as endpoint:
         cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
         assert HttpChatTransport(api_key="sk-test").complete("p", cfg) == "ok"
     assert endpoint.connections == 3
@@ -373,12 +399,42 @@ def test_reset_while_the_request_is_sent_is_retried(monkeypatch, sleeps):
 
 
 def test_resets_while_the_request_is_sent_exhaust_the_budget(monkeypatch, sleeps):
-    with ResettingEndpoint(monkeypatch, resets=None) as endpoint:
+    with RawEndpoint(monkeypatch, faults=None) as endpoint:
         cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
         with pytest.raises(TransportError, match=r"connection failed: ConnectionResetError\(.*\(gave up after 6 attempts\)"):
             HttpChatTransport(api_key="sk-test").complete("p", cfg)
     assert endpoint.connections == 6
     assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_a_bad_status_line_is_retried(monkeypatch, sleeps):
+    with RawEndpoint(monkeypatch, faults=2, fault="garbage") as endpoint:
+        cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
+        assert HttpChatTransport(api_key="sk-test").complete("p", cfg) == "ok"
+    assert endpoint.connections == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_bad_status_lines_exhaust_the_budget(monkeypatch, sleeps):
+    with RawEndpoint(monkeypatch, faults=None, fault="garbage") as endpoint:
+        cfg = GenerationConfig(endpoint_url=endpoint.url, timeout=5.0)
+        with pytest.raises(TransportError, match=r"connection failed: BadStatusLine\(.*\(gave up after 6 attempts\)"):
+            HttpChatTransport(api_key="sk-test").complete("p", cfg)
+    assert endpoint.connections == 6
+    assert sleeps == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_an_endpoint_url_that_http_client_rejects_fails_at_once(sleeps):
+    transport = HttpChatTransport(api_key="sk-test")
+    attempts = []
+    send = transport._opener.open
+    transport._opener.open = lambda *args, **kwargs: attempts.append(args) or send(*args, **kwargs)
+    cfg = GenerationConfig(endpoint_url="http://127.0.0.1:x/v1/chat/completions")
+    with pytest.raises(TransportError) as err:
+        transport.complete("p", cfg)
+    assert str(err.value) == "cannot reach endpoint: nonnumeric port: 'x'"
+    assert len(attempts) == 1
+    assert sleeps == []
 
 
 @pytest.fixture

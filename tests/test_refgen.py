@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -409,6 +413,38 @@ class TestGenerateReferences:
         out.write_bytes(written + (tail if isinstance(tail, bytes) else tail.encode()))
         assert completed_segment_ids(out) == {"s1"}
         assert out.read_bytes() == written
+
+    def test_a_fifo_target_holds_no_records_and_is_not_opened(self, tmp_path):
+        fifo = tmp_path / "refs.jsonl"
+        os.mkfifo(fifo)
+        done = []
+        # Opening a FIFO for reading waits for a writer, which this test never opens unless it must.
+        reader = threading.Thread(target=lambda: done.append(completed_segment_ids(fifo)), daemon=True)
+        reader.start()
+        reader.join(5.0)
+        try:
+            assert done == [set()]
+        finally:
+            while reader.is_alive():  # let a waiting open through, to a FIFO that holds nothing
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # no reader is waiting yet
+                    pass
+                reader.join(0.01)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_generate_to_a_piped_stdout_writes_its_records_and_ends(self, tmp_path):
+        segments = tmp_path / "segments.jsonl"
+        segments.write_text('{"id": "s1", "source": "one"}\n{"id": "s2", "source": "two"}\n')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "multiref", "generate", "--segments", str(segments),
+                "--out", "/dev/stdout", "--mock", "--n-references", "2"]
+        run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=20)
+        assert run.returncode == 0, run.stderr
+        *lines, summary = run.stdout.splitlines()
+        assert [json.loads(line)["segment_id"] for line in lines] == ["s1", "s2"]
+        assert summary == "generate: 2 segments done, 0 skipped (already complete), 0 failed"
 
     def test_audit_fields_round_trip(self, tmp_path):
         out = tmp_path / "refs.jsonl"
