@@ -228,14 +228,23 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             owner.set_defaults(**{dest: value})
 
 
-def _print_summary(summary: dict[str, dict[str, float]]) -> None:
-    """Print the metric/system/score table of a {metric: {system: score}} summary."""
+def _table_stream(out):
+    """The standard error if the JSONL file `out` is the standard output's file, else the standard output.
+
+    A command prints its table and status lines there, so that a JSONL
+    `--out /dev/stdout` holds nothing but records.
+    """
+    return sys.stderr if out and corpus_io.std_stream(out) is sys.stdout else sys.stdout
+
+
+def _print_summary(summary: dict[str, dict[str, float]], out) -> None:
+    """Print the metric/system/score table of a {metric: {system: score}} summary on `_table_stream(out)`."""
     table = [
         [metric, system, f"{score:.2f}"]
         for metric, per_system in summary.items()
         for system, score in sorted(per_system.items())
     ]
-    print(_format_table(["metric", "system", "score"], table))
+    print(_format_table(["metric", "system", "score"], table), file=_table_stream(out))
 
 
 def _format_table(headers, rows) -> str:
@@ -278,7 +287,8 @@ def cmd_generate(args) -> int:
     failed = [r.segment_id for r in records if not r.succeeded]
     print(
         f"generate: {len(records) - len(failed)} segments done, "
-        f"{len(items) - len(records)} skipped (already complete), {len(failed)} failed"
+        f"{len(items) - len(records)} skipped (already complete), {len(failed)} failed",
+        file=_table_stream(args.out),
     )
     if failed:
         print(f"generate: failed segments: {', '.join(failed[:10])}", file=sys.stderr)
@@ -309,10 +319,11 @@ def cmd_select(args) -> int:
         selected.append(record)
     write_jsonl(args.out, (record._asdict() for record in selected))
     shown = rows[:40]
-    print(_format_table(["segment", "in", "kept", "min self-bleu", "max self-bleu"], shown))
+    file = _table_stream(args.out)
+    print(_format_table(["segment", "in", "kept", "min self-bleu", "max self-bleu"], shown), file=file)
     if len(rows) > len(shown):
-        print(f"... {len(rows) - len(shown)} more segments (full report via --report)")
-    print(f"select: kept {kept_total}/{candidate_total} candidates (threshold {args.threshold})")
+        print(f"... {len(rows) - len(shown)} more segments (full report via --report)", file=file)
+    print(f"select: kept {kept_total}/{candidate_total} candidates (threshold {args.threshold})", file=file)
     if args.report:
         write_json(args.report, report)
     return 0
@@ -373,7 +384,7 @@ def cmd_score(args) -> int:
     summary = {metric: {} for metric in settings.metrics}
     for (_k, system, metric), score in scores.items():
         summary[metric][system] = score.value
-    _print_summary(summary)
+    _print_summary(summary, args.out)
     if args.out:
         write_score_matrix(args.out, rows)
     if args.summary:
@@ -402,7 +413,7 @@ def cmd_combine(args) -> int:
         raise CorpusFormatError(str(exc), args.matrix) from None
     if args.out:
         write_combined(args.out, combined_by_metric)
-    _print_summary(summary)
+    _print_summary(summary, args.out)
     if args.summary:
         write_json(args.summary, {"metrics": summary, "policy": args.policy, "k": args.k})
     return 0

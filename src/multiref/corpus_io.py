@@ -271,7 +271,7 @@ def jsonl_line(record) -> str:
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def _std_stream(path: str | Path):
+def std_stream(path: str | Path):
     """`sys.stdout` or `sys.stderr` if `path` names the same file as descriptor 1 or 2, else None."""
     try:
         target = os.stat(path)
@@ -299,7 +299,7 @@ def write_all_or_nothing(path: str | Path, chunks) -> None:
     exists and is not itself a regular file (a symlink, a FIFO) is written
     in place, as a rename would replace it instead of writing through it.
     """
-    stream = _std_stream(path)
+    stream = std_stream(path)
     if stream is not None:
         sys.stdout.flush()
         stream.writelines(chunks)

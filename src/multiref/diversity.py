@@ -22,7 +22,7 @@ from . import kernels
 
 # bleu_sentence is no longer called here; it stays importable under this
 # module's name because pipebench/tracer.py wraps it.
-from .metrics import BleuConfig, CorpusStats, _bleu_from_stats, bleu_sentence  # noqa: F401
+from .metrics import BleuConfig, _bleu, bleu_sentence  # noqa: F401
 from .records import record
 from .textproc import tokenize_words, tokens_of
 
@@ -63,16 +63,8 @@ def self_bleu(candidates, cfg: BleuConfig | None = None) -> list[float]:
     lengths = [len(profile.tokens) for profile in profiles]
     ref_lens = _leave_one_out_ref_lens(lengths, cfg.effective_ref_length)
     return [
-        _bleu_from_stats(
-            CorpusStats(
-                matched=matched[i],
-                totals=profiles[i].totals,
-                hyp_len=length,
-                ref_len=ref_lens[i],
-            ),
-            cfg,
-        ).value
-        for i, length in enumerate(lengths)
+        _bleu(counts, profile.totals, length, ref_len, cfg)[0]
+        for counts, profile, length, ref_len in zip(matched, profiles, lengths, ref_lens)
     ]
 
 

@@ -100,39 +100,34 @@ class CorpusStats(record("CorpusStats", "matched totals hyp_len ref_len")):
         )
 
 
-def _bleu_from_stats(stats: CorpusStats, cfg: BleuConfig) -> MetricScore:
-    hyp_len, ref_len = stats.hyp_len, stats.ref_len
+def _bleu(matched, totals, hyp_len: int, ref_len: int, cfg: BleuConfig):
+    """(BLEU on the 0-100 scale, per-order precisions, brevity penalty) of BLEU's counts.
+
+    An order with no hypothesis n-grams leaves BLEU undefined, and a zero
+    precision left after smoothing makes it 0; either scores 0. As the
+    brevity penalty and every precision are at most 1, the value is in [0, 100].
+    """
     if hyp_len >= ref_len:
         bp = 1.0
     else:
         bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len > 0 else 0.0
-    detail = {
-        "bp": bp,
-        "hyp_len": float(hyp_len),
-        "ref_len": float(ref_len),
-        "ratio": hyp_len / ref_len if ref_len > 0 else 0.0,
-    }
-
     precisions = [0.0] * cfg.max_order
-    if any(t == 0 for t in stats.totals):
-        # An order with no hypothesis n-grams leaves BLEU undefined; score 0.
-        for i, (m, t) in enumerate(zip(stats.matched, stats.totals)):
+    if any(t == 0 for t in totals):
+        for i, (m, t) in enumerate(zip(matched, totals)):
             if t > 0:
                 precisions[i] = m / t
-        return MetricScore(0.0, tuple(precisions), detail)
-
+        return 0.0, tuple(precisions), bp
     smooth = 1.0
-    for i, (m, t) in enumerate(zip(stats.matched, stats.totals)):
+    for i, (m, t) in enumerate(zip(matched, totals)):
         if m > 0:
             precisions[i] = m / t
         elif cfg.smoothing == "exp":
             smooth *= 2.0
             precisions[i] = 1.0 / (smooth * t)
     if any(p == 0.0 for p in precisions):
-        return MetricScore(0.0, tuple(precisions), detail)
-
+        return 0.0, tuple(precisions), bp
     log_mean = math.fsum(math.log(p) for p in precisions) / cfg.max_order
-    return MetricScore(bp * math.exp(log_mean) * 100.0, tuple(precisions), detail)
+    return bp * math.exp(log_mean) * 100.0, tuple(precisions), bp
 
 
 def _fscore(match: int, hyp_total: int, ref_total: int, beta2: float = 1.0):
@@ -262,7 +257,11 @@ class MultiRefScorer:
             stats = CorpusStats.zero(cfg.max_order)
             for part in parts:
                 stats = stats + part
-            return _bleu_from_stats(stats, cfg)
+            value, precisions, bp = _bleu(*stats, cfg)
+            hyp_len, ref_len = stats.hyp_len, stats.ref_len
+            ratio = hyp_len / ref_len if ref_len > 0 else 0.0
+            detail = {"bp": bp, "hyp_len": float(hyp_len), "ref_len": float(ref_len), "ratio": ratio}
+            return MetricScore(value, precisions, detail)
         if metric == "chrf":
             # Each part is the best reference's (match, hyp_total, ref_total).
             sums = [[sum(col) for col in zip(*lists)] for lists in zip(*parts)]
@@ -416,11 +415,13 @@ class SegmentScores:
             n = cfg.max_order
             # Against one reference, its length is the brevity-penalty length: totals[0].
             values = [
-                _bleu_from_stats(CorpusStats(match[:n], hyp[:n], hyp[0], ref[0]), cfg).value
+                _bleu(match[:n], hyp[:n], hyp[0], ref[0], cfg)[0]
                 for match, hyp, ref in self._counts("words" if metric == "bleu" else "pieces")[system]
             ]
         else:
-            values = [MetricScore(score * 100.0).value for score, _ in self._pairs[metric][system]]
+            # MetricScore only for a value outside [0, 100], to clamp it or reject it (NaN included).
+            values = [score * 100.0 for score, _ in self._pairs[metric][system]]
+            values = [v if 0.0 <= v <= 100.0 else MetricScore(v).value for v in values]
         return [values[i] for i in self._slots]
 
 

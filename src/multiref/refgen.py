@@ -20,6 +20,7 @@ import ssl
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from contextlib import nullcontext
 from datetime import datetime, timezone
@@ -143,7 +144,8 @@ class GenerationConfig(
     """Every setting of one `generate` run but its template, checked together before any file is read.
 
     Each message names a field as `generate`'s flag: `--n-references` (1..`MAX_REFERENCES`),
-    `--max-retries` (>= 0), `--timeout` (seconds, finite and > 0) and, for `concurrency`, `--jobs` (>= 1).
+    `--max-retries` (>= 0), `--timeout` (seconds, finite and > 0), `--endpoint` (an http or https
+    URL, as `urllib`'s opener would also read a `file:` one) and, for `concurrency`, `--jobs` (>= 1).
     """
 
     __slots__ = ()
@@ -162,6 +164,8 @@ class GenerationConfig(
         check_count(max_retries, "--max-retries", 0)
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"--timeout must be a finite number of seconds > 0, got {timeout}")
+        if urllib.parse.urlsplit(endpoint_url).scheme not in ("http", "https"):
+            raise ValueError(f"--endpoint must be an http:// or https:// URL, got {endpoint_url!r}")
         return tuple.__new__(cls, (model_name, n_references, endpoint_url, max_retries, timeout, concurrency))
 
 

@@ -957,6 +957,12 @@ BAD_GENERATE_FLAGS = {
     "template-not-for-task": ([], ["--task", "summarization", "--template", "chinese"], TEMPLATE,
                               {"task": "summarization", "name": "chinese"},
                               "no built-in chinese template for task 'summarization'"),
+    **{
+        f"endpoint-{scheme}": ([], ["--endpoint", url], GENERATE, {"endpoint_url": url},
+                               f"--endpoint must be an http:// or https:// URL, got {url!r}")
+        for scheme, url in [("file", "file:///tmp/reply.json"), ("ftp", "ftp://127.0.0.1/reply.json"),
+                            ("data", "data:,reply"), ("no-scheme", "localhost:8000/v1")]
+    },
     "config-before-template": ([], ["--timeout", "-1", "--template-file", "missing.json", "--template", "english"],
                                GENERATE, {"timeout": -1.0},
                                "--timeout must be a finite number of seconds > 0, got -1.0"),
@@ -982,6 +988,25 @@ def test_generate_records_reject_what_generate_rejects(call, kwargs, message):
     with pytest.raises(ValueError) as info:
         call(**kwargs)
     assert str(info.value) == message
+
+
+def test_an_upper_case_http_endpoint_is_accepted():
+    assert refgen.GenerationConfig(endpoint_url="HTTP://127.0.0.1:1/v1").endpoint_url == "HTTP://127.0.0.1:1/v1"
+
+
+def test_a_file_endpoint_reads_no_file_and_writes_no_record(pipeline, monkeypatch, capsys):
+    # urllib's default opener reads file: URLs, so a local file used to pass for the endpoint's reply.
+    reply = pipeline["dir"] / "reply.json"
+    reply.write_text(json.dumps({"choices": [{"message": {"content": "1. a\n2. b"}}]}), encoding="utf-8")
+    monkeypatch.setenv("MULTIREF_API_KEY", "key")
+    out = pipeline["dir"] / "r.jsonl"
+    code = main(["generate", "--segments", str(pipeline["segments"]), "--out", str(out),
+                 "--endpoint", reply.as_uri(), "--n-references", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"multiref: error: --endpoint must be an http:// or https:// URL, got {reply.as_uri()!r}\n"
+    )
+    assert not out.exists()
 
 
 class TestCombine:

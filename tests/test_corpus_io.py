@@ -417,6 +417,42 @@ class TestAllOrNothingWrites:
         assert table.startswith("metric")
         assert redirected.read_text(encoding="utf-8") == table + document.read_text(encoding="utf-8")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command, table", [
+        ("generate", "generate: 2 segments done"),
+        ("select", "segment  in  kept"),
+        ("score", "metric  system"),
+        ("combine", "metric  system"),
+    ])
+    def test_a_jsonl_out_on_stdout_holds_only_records_and_the_table_goes_to_stderr(
+        self, tmp_path, jsonl_writer, command, table
+    ):
+        # The table and status lines used to follow the records on stdout, so
+        # `generate --out /dev/stdout | select --refs /dev/stdin` failed at the summary line.
+        segments, outputs, refs, matrix = (tmp_path / f"{name}.jsonl" for name in ("seg", "out", "refs", "matrix"))
+        jsonl_writer(segments, [{"id": f"s{i}", "source": "x", "gold_refs": [f"the cat sat {i}"]} for i in range(2)])
+        jsonl_writer(outputs, [{"system": system, "segment": f"s{i}", "hypothesis": f"the {system} sat {i}"}
+                               for system in "AB" for i in range(2)])
+        jsonl_writer(refs, [{"segment_id": f"s{i}", "prompt_used": "p", "raw_response": "r", "attempt_count": 1,
+                             "candidates": ["the cat sat", "a dog ran"], "timestamp": "t", "error": None}
+                            for i in range(2)])
+        jsonl_writer(matrix, [{"system": system, "segment": f"s{i}", "scores": {"r0": 0.5}, "metric": "m"}
+                              for system in "AB" for i in range(2)])
+        argv = {
+            "generate": ["generate", "--segments", str(segments), "--mock", "--n-references", "2"],
+            "select": ["select", "--refs", str(refs)],
+            "score": ["score", "--segments", str(segments), "--outputs", str(outputs), "--generated-refs", str(refs),
+                      "--per-reference"],
+            "combine": ["combine", "--matrix", str(matrix)],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "multiref", *argv, "--out", "/dev/stdout"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines and all(isinstance(json.loads(line), dict) for line in lines)
+        assert table in run.stderr
+
     def test_a_killed_score_leaves_the_old_matrix(self, tmp_path, jsonl_writer):
         # `score --out` used to write the matrix in place, so a kill left some of its rows.
         from multiref.cli import main

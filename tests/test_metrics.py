@@ -1,11 +1,14 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from multiref import kernels
+from multiref import kernels, metrics
 from multiref.diversity import distinct_n, self_bleu, unique_tokens
 from multiref.metrics import (
+    SMOOTHING_METHODS,
     BleuConfig,
     CorpusStats,
     MetricScore,
@@ -19,7 +22,7 @@ from multiref.metrics import (
     rouge_n,
     spbleu_corpus,
 )
-from multiref.textproc import SubwordVocab
+from multiref.textproc import SubwordVocab, tokenize_words
 
 ALPHABET = "abcde"
 
@@ -34,6 +37,13 @@ def random_case(rng):
     hyp = random_tokens(rng)
     refs = [random_tokens(rng) for _ in range(rng.randint(1, 4))]
     return hyp, refs
+
+
+@st.composite
+def bleu_counts(draw):
+    """(matched, totals) of 1 to 6 BLEU orders, each match count at most its total."""
+    totals = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    return [draw(st.integers(0, total)) for total in totals], totals
 
 
 def bleu_stats(hyp, refs):
@@ -449,6 +459,44 @@ class TestScoreBounds:
     def test_corpus_stats_validates_counts(self):
         with pytest.raises(ValueError):
             CorpusStats(matched=[2], totals=[1])
+
+    @given(counts=bleu_counts(), smoothing=st.sampled_from(SMOOTHING_METHODS),
+           hyp_len=st.integers(0, 40), ref_len=st.integers(0, 40))
+    @example(counts=([0, 0, 0, 0], [0, 0, 0, 0]), smoothing="exp", hyp_len=0, ref_len=3)
+    @example(counts=([3, 0], [3, 0]), smoothing="none", hyp_len=3, ref_len=0)
+    def test_bleu_of_any_valid_counts_is_a_value_metric_score_keeps(self, counts, smoothing, hyp_len, ref_len):
+        # A per-reference or self-BLEU value is read from _bleu without MetricScore's clamp,
+        # so the clamp must never change one.
+        matched, totals = counts
+        value = metrics._bleu(matched, totals, hyp_len, ref_len, BleuConfig(len(totals), smoothing))[0]
+        assert 0.0 <= value <= 100.0
+        assert value == MetricScore(value).value
+
+    @pytest.mark.parametrize("metric", ["chrf", "rougeL"])
+    @pytest.mark.parametrize("score", [0.0, 1.0, 1.0000000000000002, math.nan])
+    def test_chrf_and_rouge_cells_are_metric_score_values(self, metric, score):
+        scores = ScoreSettings([metric]).scorer(tokenize_words).segment({"A": "a b"}, ["a b", "c"])
+        scores._pairs[metric]["A"] = [(score, None), (0.5, None)]
+        if math.isnan(score):
+            with pytest.raises(ValueError, match="must be finite"):
+                scores.per_reference("A", metric)
+        else:
+            assert scores.per_reference("A", metric) == [MetricScore(score * 100.0).value, 50.0]
+
+    def test_per_reference_cells_build_no_records(self, monkeypatch):
+        settings = ScoreSettings(["bleu", "spbleu", "chrf", "rougeL"], pretokenized=True)
+        refs = ["a b c d e f", "b c", "a b c d e f"]
+        scores = settings.scorer(tokenize_words).segment({"A": "a b c d e", "B": "c d"}, refs)
+        built = []
+        for name in ("CorpusStats", "MetricScore"):
+            monkeypatch.setattr(metrics, name, lambda *args, name=name: built.append(name))
+        cells = {metric: scores.per_reference("A", metric) for metric in settings.metrics}
+        assert built == []
+        monkeypatch.undo()
+        assert cells["bleu"] == cells["spbleu"] == [bleu_sentence("a b c d e".split(), [ref.split()]).value
+                                                    for ref in refs]
+        assert cells["chrf"] == [chrf_sentence("a b c d e", [ref]).value for ref in refs]
+        assert cells["rougeL"] == [rouge_l("a b c d e".split(), [ref.split()]).value for ref in refs]
 
 
 def test_public_functions_never_call_segment_kernels(monkeypatch):

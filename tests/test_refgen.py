@@ -442,9 +442,9 @@ class TestGenerateReferences:
                 "--out", "/dev/stdout", "--mock", "--n-references", "2"]
         run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=20)
         assert run.returncode == 0, run.stderr
-        *lines, summary = run.stdout.splitlines()
-        assert [json.loads(line)["segment_id"] for line in lines] == ["s1", "s2"]
-        assert summary == "generate: 2 segments done, 0 skipped (already complete), 0 failed"
+        # The summary goes to stderr, as the records take stdout.
+        assert [json.loads(line)["segment_id"] for line in run.stdout.splitlines()] == ["s1", "s2"]
+        assert run.stderr == "generate: 2 segments done, 0 skipped (already complete), 0 failed\n"
 
     def test_audit_fields_round_trip(self, tmp_path):
         out = tmp_path / "refs.jsonl"

@@ -1,8 +1,8 @@
 """Leave-one-out self-BLEU from one count table per order, checked against the oracles.
 
-`self_bleu` hands each candidate's `CorpusStats` to `_bleu_from_stats`; the
-tests record those statistics and compare the integers with the brute-force
-counts of `tests/oracles.py` exactly. The score itself must equal today's
+`self_bleu` hands each candidate's counts to `metrics._bleu`; the tests
+record those statistics and compare the integers with the brute-force counts
+of `tests/oracles.py` exactly. The score itself must equal today's
 `bleu_sentence` against the other candidates bit for bit, and the float
 oracle to 1e-9 (it sums the log precisions in a different order).
 """
@@ -22,7 +22,7 @@ import multiref.metrics
 from multiref import kernels
 from multiref.cli import main
 from multiref.diversity import score_and_select, self_bleu
-from multiref.metrics import BleuConfig, bleu_sentence
+from multiref.metrics import BleuConfig, CorpusStats, bleu_sentence
 
 import oracles
 
@@ -37,14 +37,14 @@ CONFIGS = [
 def recorded_self_bleu(monkeypatch, candidates, cfg):
     """self_bleu's scores and the statistics it scored each candidate from."""
     seen = []
-    assemble = multiref.diversity._bleu_from_stats
+    bleu = multiref.diversity._bleu
 
-    def recording(stats, cfg):
-        seen.append(stats)
-        return assemble(stats, cfg)
+    def recording(matched, totals, hyp_len, ref_len, cfg):
+        seen.append(CorpusStats(matched, totals, hyp_len, ref_len))
+        return bleu(matched, totals, hyp_len, ref_len, cfg)
 
     with monkeypatch.context() as patch:
-        patch.setattr(multiref.diversity, "_bleu_from_stats", recording)
+        patch.setattr(multiref.diversity, "_bleu", recording)
         scores = self_bleu(candidates, cfg)
     return scores, seen
 
